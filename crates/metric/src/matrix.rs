@@ -1,6 +1,6 @@
 //! All-pairs distance matrix and roundtrip distances.
 
-use rtr_graph::algo::dijkstra::dijkstra;
+use rtr_graph::algo::dijkstra::distances_from_into;
 use rtr_graph::types::saturating_dist_add;
 use rtr_graph::{DiGraph, Distance, NodeId, INFINITY};
 
@@ -24,7 +24,8 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Builds the matrix with one Dijkstra per source, in parallel.
+    /// Builds the matrix with one distance-only Dijkstra per source, in
+    /// parallel.
     pub fn build(g: &DiGraph) -> Self {
         let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         Self::build_with_threads(g, threads)
@@ -55,8 +56,7 @@ impl DistanceMatrix {
                 scope.spawn(move |_| {
                     for (offset, row) in chunk.chunks_mut(n).enumerate() {
                         let s = chunk_index * rows_per_chunk + offset;
-                        let tree = dijkstra(g, NodeId::from_index(s));
-                        row.copy_from_slice(&tree.dist);
+                        distances_from_into(g, NodeId::from_index(s), row);
                     }
                 });
             }

@@ -30,7 +30,7 @@
 use crate::invalidation::RowInvalidation;
 use crate::matrix::DistanceMatrix;
 use parking_lot::Mutex;
-use rtr_graph::algo::dijkstra::{dijkstra, dijkstra_reverse};
+use rtr_graph::algo::dijkstra::{distances_from, distances_to};
 use rtr_graph::types::saturating_dist_add;
 use rtr_graph::{DiGraph, Distance, NodeId, INFINITY};
 use rtr_telemetry::{Counter, Gauge};
@@ -608,9 +608,17 @@ impl<'g> LazyDijkstraOracle<'g> {
             }
             return row;
         }
+        self.compute(key)
+    }
+
+    /// Computes `key`'s row and installs it in the cache.
+    fn compute(&self, key: RowKey) -> Arc<Vec<Distance>> {
         // Compute outside the lock so concurrent misses on different rows
         // overlap; a racing duplicate computation is benign (same result).
-        let row = Arc::new(compute_row(self.g, key));
+        let row = Arc::new(match key {
+            RowKey::Fwd(s) => distances_from(self.g, NodeId(s)),
+            RowKey::Rev(s) => distances_to(self.g, NodeId(s)),
+        });
         self.rows_computed.fetch_add(1, Ordering::Relaxed);
         let (resident, evicted) = {
             let mut cache = self.cache.lock();
@@ -625,13 +633,6 @@ impl<'g> LazyDijkstraOracle<'g> {
             }
         }
         row
-    }
-}
-
-fn compute_row(g: &DiGraph, key: RowKey) -> Vec<Distance> {
-    match key {
-        RowKey::Fwd(s) => dijkstra(g, NodeId(s)).dist,
-        RowKey::Rev(s) => dijkstra_reverse(g, NodeId(s)).dist,
     }
 }
 
@@ -660,8 +661,16 @@ impl DistanceOracle for LazyDijkstraOracle<'_> {
         self.fetch(RowKey::Rev(u.0)).as_ref().clone()
     }
 
-    /// Computes the missing forward + reverse rows of `sources` on a worker
-    /// pool and installs them in the cache.  The batch of *missing* keys is
+    /// Sums the two cached rows in place of the default's copies of both.
+    fn roundtrip_row(&self, u: NodeId) -> Vec<Distance> {
+        let fwd = self.fetch(RowKey::Fwd(u.0));
+        let rev = self.fetch(RowKey::Rev(u.0));
+        fwd.iter().zip(rev.iter()).map(|(&a, &b)| saturating_dist_add(a, b)).collect()
+    }
+
+    /// Computes the missing forward + reverse rows of `sources` on the
+    /// calling thread and up to `available_parallelism − 1` helpers, and
+    /// installs them in the cache.  The batch of *missing* keys is
     /// clamped to the cache capacity — a larger batch would evict its own
     /// rows before the sweep reads them (already-cached keys don't count
     /// against the clamp, so a warm prefix never starves the cold tail).
@@ -688,31 +697,16 @@ impl DistanceOracle for LazyDijkstraOracle<'_> {
         let threads =
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(keys.len());
         let next = AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                let (next, keys) = (&next, &keys);
-                scope.spawn(move |_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= keys.len() {
-                        break;
-                    }
-                    let key = keys[i];
-                    let row = Arc::new(compute_row(self.g, key));
-                    self.rows_computed.fetch_add(1, Ordering::Relaxed);
-                    let (resident, evicted) = {
-                        let mut cache = self.cache.lock();
-                        let evicted = cache.insert(key, row);
-                        (cache.rows.len(), evicted)
-                    };
-                    self.peak_resident.fetch_max(resident, Ordering::Relaxed);
-                    if let Some(t) = &self.telemetry {
-                        t.rows_computed.inc();
-                        if evicted {
-                            t.evictions.inc();
-                        }
-                    }
-                });
+        let claim_rows = || {
+            while let Some(&key) = keys.get(next.fetch_add(1, Ordering::Relaxed)) {
+                self.compute(key);
             }
+        };
+        crossbeam::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(|_| claim_rows());
+            }
+            claim_rows();
         })
         .expect("prefetch worker panicked");
     }
@@ -808,6 +802,10 @@ impl DistanceOracle for CachedSubsetOracle<'_> {
 
     fn rev_row(&self, u: NodeId) -> Vec<Distance> {
         self.inner.rev_row(u)
+    }
+
+    fn roundtrip_row(&self, u: NodeId) -> Vec<Distance> {
+        self.inner.roundtrip_row(u)
     }
 
     fn prefetch_rows(&self, sources: &[NodeId]) {
