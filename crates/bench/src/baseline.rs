@@ -38,11 +38,12 @@ pub struct ServeBaseline {
     /// `full`).  Baselines recorded with verification also gate the
     /// verify-mode scheme fields; `off` baselines ignore them.
     pub verify_mode: String,
-    /// Destination shard count of the run (`RTR_SHARDS`; `0` means the
-    /// unsharded engine served the streams).
+    /// Destination shard count of the run (`RTR_SHARDS`, at least 1;
+    /// artifacts of the since-removed unsharded engine record `0`).
     pub shards: usize,
-    /// Shard policy (`hash` / `range`; `none` when unsharded) — changes
-    /// which worker owns which destination, so it pins the configuration.
+    /// Shard policy (`hash` / `range`; `none` in artifacts of the
+    /// since-removed unsharded engine) — changes which worker owns which
+    /// destination, so it pins the configuration.
     pub shard_policy: String,
     /// Oracle rows (Dijkstras) computed by the **suite build** alone.
     pub build_rows_computed: usize,

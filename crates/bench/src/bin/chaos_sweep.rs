@@ -86,8 +86,8 @@ use rtr_core::naming::NamingAssignment;
 use rtr_core::{SparseRepairKit, SparseSuiteParams};
 use rtr_engine::Workload;
 use rtr_engine::{
-    chaos_report, Engine, EngineConfig, EpochServe, FrozenPlane, ShardMap, ShardedPlane,
-    StretchBound, VerifyConfig,
+    chaos_report, Engine, EngineConfig, FrozenPlane, ShardMap, ShardedPlane, StretchBound,
+    VerifiedShardedServe, VerifyConfig,
 };
 use rtr_graph::generators::{ring_with_chords_weighted, WeightRange};
 use rtr_graph::{EdgeFault, FaultPlan, GraphDelta, NodeId};
@@ -354,7 +354,10 @@ fn main() {
         let post_plane = FrozenPlane::freeze(Arc::clone(&g1), sxr, Arc::clone(&frozen_names));
 
         let epoch_seed = |salt: u64| seed.wrapping_mul(salt).wrapping_add(fi as u64);
-        let serve = |plane: &FrozenPlane<_>, oracle: &CachedSubsetOracle<'_>, salt| -> EpochServe {
+        let serve = |plane: &FrozenPlane<_>,
+                     oracle: &CachedSubsetOracle<'_>,
+                     salt|
+         -> VerifiedShardedServe {
             let requests = Workload::Mix.generate(n, queries, epoch_seed(salt));
             engine.serve_epoch_sharded(
                 &ShardedPlane::new(plane.clone(), shard_map),

@@ -31,9 +31,8 @@
 //! verification costs more than that multiple of bare serving — without a
 //! second, unverified pass to compare against.
 //!
-//! **Sharded plane.**  `RTR_SHARDS` (default 4; `0` selects the unsharded
-//! engine) partitions destinations under `RTR_SHARD_POLICY` (`hash` |
-//! `range`); cross-shard requests travel bounded handoff channels and
+//! **Sharded plane.**  `RTR_SHARDS` (default 4, min 1) partitions
+//! destinations under `RTR_SHARD_POLICY` (`hash` | `range`); cross-shard requests travel bounded handoff channels and
 //! verification buckets live per shard, so the verify oracle computes at
 //! most `2 · distinct(destinations)` rows no matter how many workers serve —
 //! the run hard-fails under full verification if that bound (plus a
@@ -77,8 +76,8 @@ use rtr_bench::baseline::{SchemeBaseline, ServeBaseline, SweepPoint};
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{SparseSchemeSuite, SparseSuiteParams};
 use rtr_engine::{
-    Engine, EngineConfig, FrozenPlane, ShardMap, ShardedPlane, StretchBound, VerifiedReport,
-    VerifyConfig, VerifyCost, VerifyMode, Workload,
+    Engine, EngineConfig, FrozenPlane, ShardMap, ShardedPlane, StretchBound, VerifiedShardedServe,
+    VerifyConfig, VerifyMode, Workload,
 };
 use rtr_graph::generators::ring_with_chords;
 use rtr_graph::NodeId;
@@ -118,44 +117,22 @@ fn report_tables<S: RoundtripRouting>(plane: &FrozenPlane<S>) -> (u64, u64) {
     ((total_bits / 8) as u64, max_node_bits as u64)
 }
 
-/// One stream's verified serving outcome, identical in shape whether it ran
-/// on the sharded or the unsharded engine.
-struct StreamOutcome {
-    summary: rtr_engine::ServeSummary,
-    report: VerifiedReport,
-    cost: VerifyCost,
-    /// Cross-shard handoffs summed over shards (0 on the unsharded engine).
-    handoffs: u64,
-}
-
-/// Serves one request stream through whichever engine the run selected.
+/// Serves one request stream through the verified engine, panicking with
+/// `label` if serving or verification fails.
 fn serve_stream<S>(
     engine: &Engine,
-    plane: &FrozenPlane<S>,
-    sharded: Option<&ShardedPlane<S>>,
+    sharded: &ShardedPlane<S>,
     requests: &[rtr_engine::Request],
     oracle: &LazyDijkstraOracle<'_>,
     config: &VerifyConfig,
     label: &str,
-) -> StreamOutcome
+) -> VerifiedShardedServe
 where
     S: RoundtripRouting + Send + Sync,
 {
-    match sharded {
-        Some(sharded) => {
-            let out = engine
-                .serve_verified_sharded(sharded, requests, oracle, config)
-                .unwrap_or_else(|e| panic!("{label} failed verification: {e}"));
-            let handoffs = out.shards.iter().map(|s| s.handoffs).sum();
-            StreamOutcome { summary: out.summary, report: out.report, cost: out.cost, handoffs }
-        }
-        None => {
-            let out = engine
-                .serve_verified(plane, requests, oracle, config)
-                .unwrap_or_else(|e| panic!("{label} failed verification: {e}"));
-            StreamOutcome { summary: out.summary, report: out.report, cost: out.cost, handoffs: 0 }
-        }
-    }
+    engine
+        .serve_verified_sharded(sharded, requests, oracle, config)
+        .unwrap_or_else(|e| panic!("{label} failed verification: {e}"))
 }
 
 /// Serves every workload once through the verification plane, returning the
@@ -169,7 +146,7 @@ where
 #[allow(clippy::too_many_arguments)] // a bench driver, not a library API
 fn serve_all<S>(
     plane: &FrozenPlane<S>,
-    shard_map: Option<ShardMap>,
+    shard_map: ShardMap,
     engine: &Engine,
     verify_oracle: &LazyDijkstraOracle<'_>,
     config: &VerifyConfig,
@@ -192,7 +169,7 @@ where
         "viols",
         "handoffs"
     );
-    let sharded = shard_map.map(|map| ShardedPlane::new(plane.clone(), map));
+    let sharded = ShardedPlane::new(plane.clone(), shard_map);
     let mut base = SchemeBaseline {
         scheme: plane.scheme_name().to_string(),
         table_bytes: 0,
@@ -211,8 +188,7 @@ where
             destination_seen[r.dst.index()] = true;
         }
         let label = format!("{} under {}", plane.scheme_name(), workload.name());
-        let out =
-            serve_stream(engine, plane, sharded.as_ref(), &requests, verify_oracle, config, &label);
+        let out = serve_stream(engine, &sharded, &requests, verify_oracle, config, &label);
         assert_eq!(out.summary.queries, queries);
         serving_wall += out.summary.elapsed;
         flush_wall += out.cost.flush_wall;
@@ -239,7 +215,7 @@ where
             ),
             report.max_stretch(),
             report.violations.len(),
-            out.handoffs,
+            out.shards.iter().map(|s| s.handoffs).sum::<u64>(),
         );
     }
     let (table_bytes, worst_node_bits) = report_tables(plane);
@@ -266,13 +242,13 @@ fn main() {
     };
     let verify_cache = env_usize("RTR_VERIFY_CACHE", (2 * n).max(64));
     let shards = env_usize("RTR_SHARDS", 4);
-    let shard_map = match (shards, std::env::var("RTR_SHARD_POLICY").as_deref()) {
-        (0, _) => None,
-        (s, Err(_) | Ok("hash")) => Some(ShardMap::hashed(n, s, seed)),
-        (s, Ok("range")) => Some(ShardMap::range(n, s)),
-        (_, Ok(other)) => panic!("RTR_SHARD_POLICY must be hash|range, got {other}"),
+    assert!(shards > 0, "RTR_SHARDS must be at least 1, got 0");
+    let shard_map = match std::env::var("RTR_SHARD_POLICY").as_deref() {
+        Err(_) | Ok("hash") => ShardMap::hashed(n, shards, seed),
+        Ok("range") => ShardMap::range(n, shards),
+        Ok(other) => panic!("RTR_SHARD_POLICY must be hash|range, got {other}"),
     };
-    let shard_policy = shard_map.as_ref().map_or("none", |m| m.policy().name()).to_string();
+    let shard_policy = shard_map.policy().name().to_string();
     let sweep: Vec<usize> = match std::env::var("RTR_WORKER_SWEEP") {
         Err(_) => vec![1, 2, 4, 8, 16],
         Ok(s) if s.is_empty() || s == "none" => Vec::new(),
@@ -284,8 +260,7 @@ fn main() {
 
     banner(&format!(
         "E13: serving throughput, n = {n}, {queries} queries/workload, {workers} workers, \
-         {} ({shard_policy})",
-        if shards == 0 { "unsharded".to_string() } else { format!("{shards} shards") },
+         {shards} shards ({shard_policy})",
     ));
     let t0 = Instant::now();
     let g = Arc::new(ring_with_chords(n, 3 * n, seed).expect("generator failed"));
@@ -404,7 +379,7 @@ fn main() {
         // The per-shard-bucket economics: full verification costs two
         // Dijkstras per *distinct destination*, never per worker, with up to
         // one duplicate window per shard at flush boundaries.
-        let row_budget = 2 * distinct_destinations + 2 * shards.max(1);
+        let row_budget = 2 * distinct_destinations + 2 * shards;
         if vstats.rows_computed > row_budget {
             eprintln!(
                 "FAIL: verification computed {} oracle rows, budget is \
@@ -463,8 +438,7 @@ fn main() {
             let sweep_oracle = LazyDijkstraOracle::new(&g, verify_cache);
             let out = serve_stream(
                 &sweep_engine,
-                &plane6,
-                shard_map.map(|m| ShardedPlane::new(plane6.clone(), m)).as_ref(),
+                &ShardedPlane::new(plane6.clone(), shard_map),
                 &requests,
                 &sweep_oracle,
                 &sweep_config,
@@ -477,9 +451,9 @@ fn main() {
                 out.summary.queries_per_sec(),
                 rows,
                 out.cost.row_fetches,
-                out.handoffs
+                out.shards.iter().map(|s| s.handoffs).sum::<u64>()
             );
-            let row_budget = 2 * mix_distinct + 2 * shards.max(1);
+            let row_budget = 2 * mix_distinct + 2 * shards;
             if rows > row_budget {
                 eprintln!(
                     "FAIL: verify rows grew with workers — {w} workers computed {rows} rows, \
@@ -493,7 +467,7 @@ fn main() {
                 verify_rows: rows as u64,
             });
         }
-        println!("verify rows flat across the sweep (≤ 2·{mix_distinct} + 2·{})", shards.max(1));
+        println!("verify rows flat across the sweep (≤ 2·{mix_distinct} + 2·{shards})");
     }
 
     let stats = oracle.stats();
@@ -539,18 +513,11 @@ fn main() {
         let factor: f64 = factor.parse().expect("RTR_TELEMETRY_MAX_OVERHEAD must be a number");
         banner("telemetry overhead gate (mix workload, unverified serve)");
         let requests = Workload::Mix.generate(n, queries, seed ^ 0x6001);
-        let overhead_sharded = shard_map.map(|m| ShardedPlane::new(plane6.clone(), m));
+        let overhead_sharded = ShardedPlane::new(plane6.clone(), shard_map);
         let run = |enabled: bool| -> Duration {
             rtr_telemetry::set_enabled(enabled);
             let started = Instant::now();
-            match &overhead_sharded {
-                Some(s) => {
-                    engine.serve_sharded(s, &requests).expect("overhead serve failed");
-                }
-                None => {
-                    engine.serve(&plane6, &requests).expect("overhead serve failed");
-                }
-            }
+            engine.serve_sharded(&overhead_sharded, &requests).expect("overhead serve failed");
             started.elapsed()
         };
         run(true);

@@ -7,7 +7,7 @@
 //! substrate).  The ordinary engine entry points abort on the first
 //! [`rtr_sim::SimError`]; through a fault window that is exactly wrong — a
 //! route crossing a removed link *is the measurement*.  So
-//! [`Engine::serve_epoch_sharded`] keeps [`crate::VerifyMode::Full`]
+//! [`crate::Engine::serve_epoch_sharded`] keeps [`crate::VerifyMode::Full`]
 //! verification running while tolerating per-request failures: every failed
 //! request is recorded as a [`FailedPair`] (deterministically, sorted by
 //! global request index) and every delivered request is verified against the
@@ -19,15 +19,9 @@
 //! outright — and, on the post-repair epoch, which of the degraded window's
 //! offenders the repair restored.
 
-use crate::shard::{ShardServeStats, ShardedPlane};
-use crate::stats::{ServeSummary, WorkerStats};
-use crate::verify::{VerifiedReport, VerifyAccumulator, VerifyConfig, VerifyCost};
-use crate::workload::Request;
-use crate::Engine;
+use crate::stream::VerifiedShardedServe;
+use crate::verify::VerifiedReport;
 use rtr_graph::NodeId;
-use rtr_metric::DistanceOracle;
-use rtr_sim::RoundtripRouting;
-use std::time::Instant;
 
 /// Which phase of a chaos run an [`EpochReport`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,118 +108,6 @@ impl EpochReport {
     }
 }
 
-/// The outcome of one tolerant [`Engine::serve_epoch_sharded`] run.
-#[derive(Debug, Clone)]
-pub struct EpochServe {
-    /// Aggregate throughput/latency accounting over the **delivered**
-    /// requests, merged over all shards.
-    pub summary: ServeSummary,
-    /// The deterministic verification outcome of the delivered requests —
-    /// bit-identical for any shard × worker count.
-    pub report: VerifiedReport,
-    /// Flush/row cost counters, summed over all shards.
-    pub cost: VerifyCost,
-    /// Per-shard accounting, sorted by shard id.
-    pub shards: Vec<ShardServeStats>,
-    /// Requests the scheme failed to deliver, sorted by request index —
-    /// a pure function of the stream and the plane, never of scheduling.
-    pub failed_pairs: Vec<FailedPair>,
-}
-
-impl EpochServe {
-    /// Requests the scheme failed to deliver.
-    pub fn failed(&self) -> usize {
-        self.failed_pairs.len()
-    }
-}
-
-impl Engine {
-    /// [`serve_verified_sharded`](Engine::serve_verified_sharded) that
-    /// **keeps serving through delivery failures** — the chaos plane's
-    /// degraded mode.
-    ///
-    /// Each request is served once; on a [`rtr_sim::SimError`] the request
-    /// is recorded as a [`FailedPair`] instead of aborting the pool, and on
-    /// success it is verified against `oracle` exactly as the strict engine
-    /// would (same per-shard destination buckets, same flush discipline, so
-    /// the [`VerifiedReport`] stays bit-identical for any shard × worker
-    /// count).  [`VerifyConfig::strict`] is ignored: violations are
-    /// *reported*, never turned into an error — gating is the caller's job
-    /// ([`chaos_report`] + the chaos baseline checker).
-    ///
-    /// The oracle must be consistent with the plane's graph: on a mutated
-    /// graph pass the post-fault (rebased) oracle, and keep the graph
-    /// strongly connected — verification asserts every checked pair has a
-    /// finite exact roundtrip.
-    pub fn serve_epoch_sharded<S, O>(
-        &self,
-        plane: &ShardedPlane<S>,
-        requests: &[Request],
-        oracle: &O,
-        verify: &VerifyConfig,
-    ) -> EpochServe
-    where
-        S: RoundtripRouting + Send + Sync,
-        O: DistanceOracle + ?Sized,
-    {
-        let workers = self.config().workers.max(1);
-        let mode = verify.mode;
-        let started = Instant::now();
-        type EpochAcc = (WorkerStats, VerifyAccumulator, Vec<FailedPair>);
-        let per_shard = self
-            .run_sharded_pool(
-                plane,
-                requests,
-                |_shard| -> EpochAcc {
-                    (WorkerStats::new(), VerifyAccumulator::new(verify), Vec::new())
-                },
-                |sim, plane, index, req, (stats, acc, failed): &mut EpochAcc| {
-                    match sim.roundtrip_brief(
-                        plane.scheme(),
-                        req.src,
-                        req.dst,
-                        plane.name_of(req.dst),
-                    ) {
-                        Ok(brief) => {
-                            stats.record(&brief);
-                            if mode.checks(index) {
-                                acc.push(oracle, index, req, brief.total_weight());
-                            }
-                        }
-                        Err(_) => {
-                            failed.push(FailedPair { index, source: req.src, destination: req.dst })
-                        }
-                    }
-                    Ok(())
-                },
-                |owned| {
-                    let mut parts: Vec<&mut VerifyAccumulator> =
-                        owned.iter_mut().map(|(_, _, (_, acc, _))| acc).collect();
-                    VerifyAccumulator::flush_sharded(&mut parts, oracle);
-                    Ok(())
-                },
-            )
-            .expect("the tolerant epoch serve never raises a simulator error");
-        let mut merged = WorkerStats::new();
-        let mut shards = Vec::with_capacity(per_shard.len());
-        let mut accs = Vec::with_capacity(per_shard.len());
-        let mut failed_pairs = Vec::new();
-        for (shard, handoffs, (stats, acc, failed)) in per_shard {
-            shards.push(ShardServeStats { shard, queries: stats.queries as u64, handoffs });
-            merged.merge(stats);
-            accs.push(acc);
-            failed_pairs.extend(failed);
-        }
-        shards.sort_by_key(|s| s.shard);
-        failed_pairs.sort_unstable_by_key(|f| f.index);
-        rtr_telemetry::counter("engine.handoffs").add(shards.iter().map(|s| s.handoffs).sum());
-        let queries = merged.queries;
-        let summary = ServeSummary::from_stats(merged, workers, started.elapsed());
-        let (report, cost) = VerifyAccumulator::merge_all(accs, queries);
-        EpochServe { summary, report, cost, shards, failed_pairs }
-    }
-}
-
 /// Assembles a chaos run's three epochs into one [`VerifiedReport`].
 ///
 /// The returned report is the merge of the three epoch reports (queries,
@@ -235,8 +117,12 @@ impl Engine {
 /// exceeded the ceiling or failed per epoch, and — on the post-repair entry
 /// — [`EpochReport::restored`], the degraded window's offenders that the
 /// repair brought back under the ceiling.
-pub fn chaos_report(pre: &EpochServe, degraded: &EpochServe, post: &EpochServe) -> VerifiedReport {
-    let make = |kind: EpochKind, serve: &EpochServe| EpochReport {
+pub fn chaos_report(
+    pre: &VerifiedShardedServe,
+    degraded: &VerifiedShardedServe,
+    post: &VerifiedShardedServe,
+) -> VerifiedReport {
+    let make = |kind: EpochKind, serve: &VerifiedShardedServe| EpochReport {
         kind,
         report: serve.report.clone(),
         failed_pairs: serve.failed_pairs.clone(),
@@ -264,7 +150,7 @@ mod tests {
     use super::*;
     use crate::plane::tests::ring_plane;
     use crate::workload::Workload;
-    use crate::{EngineConfig, ShardMap, StretchBound};
+    use crate::{Engine, EngineConfig, ShardMap, ShardedPlane, StretchBound, VerifyConfig};
     use rtr_metric::CachedSubsetOracle;
     use std::sync::Arc;
 
@@ -293,19 +179,24 @@ mod tests {
         assert!(g.remove_edge(rtr_graph::NodeId(3), rtr_graph::NodeId(4)).is_some());
         let degraded = plane.clone().with_graph(Arc::new(g));
         let requests = Workload::Uniform.generate(8, 300, 11);
-        let config = VerifyConfig::full();
+        let verify = VerifyConfig::full();
         let mut outcomes = Vec::new();
-        for workers in [1usize, 2, 8] {
-            for map in [ShardMap::hashed(8, 4, 3), ShardMap::range(8, 4)] {
-                let engine = Engine::new(EngineConfig::with_workers(workers));
-                let sharded = ShardedPlane::new(degraded.clone(), map);
-                // No row is ever fetched (nothing succeeds), so the
-                // pre-fault oracle is safe to pass here.
-                let oracle = CachedSubsetOracle::new(plane.graph());
-                let outcome = engine.serve_epoch_sharded(&sharded, &requests, &oracle, &config);
-                assert_eq!(outcome.failed(), 300);
-                assert_eq!(outcome.report.queries, 0);
-                outcomes.push(outcome.failed_pairs);
+        // Chunks of 16 cross the pool; 512 serves the stream on the calling
+        // thread.
+        for chunk_size in [16usize, 512] {
+            for workers in [1usize, 2, 8] {
+                for map in [ShardMap::hashed(8, 4, 3), ShardMap::range(8, 4)] {
+                    let config = EngineConfig { chunk_size, ..EngineConfig::with_workers(workers) };
+                    let sharded = ShardedPlane::new(degraded.clone(), map);
+                    // No row is ever fetched (nothing succeeds), so the
+                    // pre-fault oracle is safe to pass here.
+                    let oracle = CachedSubsetOracle::new(plane.graph());
+                    let outcome = Engine::new(config)
+                        .serve_epoch_sharded(&sharded, &requests, &oracle, &verify);
+                    assert_eq!(outcome.failed(), 300);
+                    assert_eq!(outcome.report.queries, 0);
+                    outcomes.push(outcome.failed_pairs);
+                }
             }
         }
         for pairs in &outcomes[1..] {

@@ -1,16 +1,12 @@
-//! The worker pool: fans a request stream over threads serving one
-//! [`FrozenPlane`].
+//! The engine and its four serving entry points, all sessions of the one
+//! serving core in `stream.rs`.
 
-use crate::plane::FrozenPlane;
-use crate::shard::{ShardServeStats, ShardedPlane, ShardedServe, VerifiedShardedServe};
-use crate::stats::{ServeSummary, WorkerStats};
-use crate::verify::{VerifiedServe, VerifyAccumulator, VerifyConfig, VerifyServeError};
+use crate::shard::ShardedPlane;
+use crate::stream::{Policy, VerifiedShardedServe, VerifiedStream};
+use crate::verify::{VerifyConfig, VerifyServeError};
 use crate::workload::Request;
-use crossbeam::channel::{self, TrySendError};
-use rtr_metric::DistanceOracle;
-use rtr_sim::{RoundtripReport, RoundtripRouting, SimError, Simulator};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
+use rtr_metric::{DistanceOracle, LazyDijkstraOracle};
+use rtr_sim::RoundtripRouting;
 
 /// Engine tunables.
 #[derive(Debug, Clone, Copy)]
@@ -19,13 +15,13 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Requests handed to a worker per grab.  Batching amortises the single
     /// shared atomic the scheduler uses; the default of 256 makes that
-    /// counter touched once per ~256 queries.
+    /// counter touched once per ~256 queries.  A batch no larger than one
+    /// chunk is served on the calling thread instead of the pool.
     pub chunk_size: usize,
-    /// Capacity of each worker's handoff queue in the sharded engine
-    /// ([`Engine::serve_sharded`]): a sender finding the owner's queue this
-    /// full serves its own backlog instead of enqueueing — the backpressure
-    /// that bounds cross-shard buffering at `handoff_capacity` requests per
-    /// worker.
+    /// Capacity of each worker's handoff queue: a sender finding the
+    /// owner's queue this full serves its own backlog instead of enqueueing
+    /// — the backpressure that bounds cross-shard buffering at
+    /// `handoff_capacity` requests per worker.
     pub handoff_capacity: usize,
 }
 
@@ -48,12 +44,13 @@ impl EngineConfig {
 
 /// The concurrent route-serving engine.
 ///
-/// Scheduling is batched work stealing: a single shared atomic counter hands
-/// out chunks of the request slice; whichever worker finishes its chunk first
-/// grabs the next, so skewed workloads (one hot destination making some
-/// requests slower than others) cannot strand a worker idle.  All statistics
-/// accumulate in per-worker buffers merged after the join — the serving loop
-/// itself performs no synchronised writes beyond the chunk counter.
+/// Every entry point serves over a [`ShardedPlane`] through one
+/// shard-owning pool: shard `s` is owned by worker `s % workers`, workers
+/// pull request chunks from one shared counter, serve the requests whose
+/// destination they own, and hand everything else to the owner through
+/// that worker's bounded handoff channel.  All statistics accumulate per
+/// shard and merge after the join — the serving loop itself performs no
+/// synchronised writes beyond the chunk counter and the handoffs.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     config: EngineConfig,
@@ -70,166 +67,42 @@ impl Engine {
         &self.config
     }
 
-    /// Serves every request against the plane, returning aggregate
-    /// throughput/latency accounting.
+    /// Serves every request over a [`ShardedPlane`] without verification:
+    /// [`serve_verified_sharded`](Self::serve_verified_sharded) under
+    /// [`VerifyConfig::off`].  The report counts the queries and checks
+    /// none; per-shard query counts (deterministic) and handoff counts
+    /// (schedule-dependent) ride along in [`VerifiedShardedServe::shards`].
     ///
     /// # Errors
     ///
-    /// The first [`SimError`] any worker encounters (remaining workers stop
-    /// at their next chunk boundary).  Correct schemes never fail.
-    pub fn serve<S: RoundtripRouting + Send + Sync>(
+    /// [`VerifyServeError::Sim`] on the first simulator error any worker
+    /// encounters (the others stop at their next chunk boundary).  Correct
+    /// schemes never fail.
+    pub fn serve_sharded<S: RoundtripRouting + Send + Sync>(
         &self,
-        plane: &FrozenPlane<S>,
+        plane: &ShardedPlane<S>,
         requests: &[Request],
-    ) -> Result<ServeSummary, SimError> {
-        let workers = self.config.workers.max(1);
-        let started = Instant::now();
-        let per_worker = self.run_pool(
-            plane,
-            requests,
-            WorkerStats::new,
-            |sim, plane, _index, req, stats: &mut WorkerStats| {
-                let brief =
-                    sim.roundtrip_brief(plane.scheme(), req.src, req.dst, plane.name_of(req.dst))?;
-                stats.record(&brief);
-                Ok(())
-            },
-            |_| Ok(()),
-        )?;
-        let mut merged = WorkerStats::new();
-        for stats in per_worker {
-            merged.merge(stats);
-        }
-        Ok(ServeSummary::from_stats(merged, workers, started.elapsed()))
+    ) -> Result<VerifiedShardedServe, VerifyServeError> {
+        // Verification off never consults the oracle, and a lazy one does
+        // no work until it is consulted.
+        let oracle = LazyDijkstraOracle::new(plane.plane().graph(), 1);
+        self.serve_verified_sharded(plane, requests, &oracle, &VerifyConfig::off())
     }
 
     /// Serves every request **and verifies it against the exact metric**:
     /// the oracle-backed serving regime.
     ///
     /// Depending on [`VerifyConfig::mode`], none, a strided sample, or the
-    /// **full stream** of requests is checked: each worker batches its
-    /// checked trips into bounded per-destination buckets and flushes every
-    /// bucket through one shared roundtrip row of `oracle`
-    /// ([`rtr_metric::roundtrip_rows_batched`]), comparing each trip's
-    /// measured cost against the exact roundtrip distance in integer
-    /// arithmetic.  The returned [`VerifiedServe`] carries the ordinary
-    /// serving summary, the deterministic [`crate::VerifiedReport`]
-    /// (bit-identical for any worker count), and the schedule-dependent
-    /// flush/row cost counters.
+    /// **full stream** of requests is checked.  Checked trips buffer in
+    /// **per-shard** destination buckets, so no destination row is ever
+    /// fetched by two workers — total verify rows stay
+    /// `≤ 2 · distinct(stream destinations)` regardless of worker count.
+    /// Each worker drains all its shards' remaining buckets through one
+    /// [`rtr_metric::roundtrip_rows_sharded`] sweep after the stream ends,
+    /// comparing each trip's measured cost against the exact roundtrip
+    /// distance in integer arithmetic.
     ///
-    /// # Errors
-    ///
-    /// [`VerifyServeError::Sim`] on the first simulator error any worker
-    /// encounters, and — in strict mode with a configured bound —
-    /// [`VerifyServeError::BoundExceeded`] when any checked trip exceeds the
-    /// scheme's stretch ceiling.
-    pub fn serve_verified<S, O>(
-        &self,
-        plane: &FrozenPlane<S>,
-        requests: &[Request],
-        oracle: &O,
-        verify: &VerifyConfig,
-    ) -> Result<VerifiedServe, VerifyServeError>
-    where
-        S: RoundtripRouting + Send + Sync,
-        O: DistanceOracle + ?Sized,
-    {
-        let workers = self.config.workers.max(1);
-        let mode = verify.mode;
-        let started = Instant::now();
-        let per_worker = self.run_pool(
-            plane,
-            requests,
-            || (WorkerStats::new(), VerifyAccumulator::new(verify)),
-            |sim, plane, index, req, (stats, acc): &mut (WorkerStats, VerifyAccumulator)| {
-                let brief =
-                    sim.roundtrip_brief(plane.scheme(), req.src, req.dst, plane.name_of(req.dst))?;
-                stats.record(&brief);
-                if mode.checks(index) {
-                    acc.push(oracle, index, req, brief.total_weight());
-                }
-                Ok(())
-            },
-            |(_, acc)| {
-                acc.flush(oracle);
-                Ok(())
-            },
-        )?;
-        let mut merged = WorkerStats::new();
-        let mut accs = Vec::with_capacity(per_worker.len());
-        for (stats, acc) in per_worker {
-            merged.merge(stats);
-            accs.push(acc);
-        }
-        let queries = merged.queries;
-        let summary = ServeSummary::from_stats(merged, workers, started.elapsed());
-        let (report, cost) = VerifyAccumulator::merge_all(accs, queries);
-        let outcome = VerifiedServe { summary, report, cost };
-        if verify.strict && !outcome.report.is_clean() {
-            return Err(VerifyServeError::BoundExceeded(Box::new(outcome)));
-        }
-        Ok(outcome)
-    }
-
-    /// Serves every request over a [`ShardedPlane`]: shard `s` is owned by
-    /// worker `s % workers`, workers pull request chunks from the shared
-    /// counter, serve the requests whose destination they own inline, and
-    /// hand everything else to the owner through that worker's bounded
-    /// handoff channel (capacity [`EngineConfig::handoff_capacity`]; a
-    /// sender finding the queue full serves its own backlog instead of
-    /// blocking, which is what makes the handoff graph deadlock-free).
-    ///
-    /// The merged summary is identical to the unsharded
-    /// [`serve`](Self::serve) for any shard × worker count; per-shard query
-    /// counts (deterministic) and handoff counts (schedule-dependent) ride
-    /// along in [`ShardedServe::shards`].
-    ///
-    /// # Errors
-    ///
-    /// The first [`SimError`] any worker encounters.
-    pub fn serve_sharded<S: RoundtripRouting + Send + Sync>(
-        &self,
-        plane: &ShardedPlane<S>,
-        requests: &[Request],
-    ) -> Result<ShardedServe, SimError> {
-        let workers = self.config.workers.max(1);
-        let started = Instant::now();
-        let per_shard = self.run_sharded_pool(
-            plane,
-            requests,
-            |_shard| WorkerStats::new(),
-            |sim, plane, _index, req, stats: &mut WorkerStats| {
-                let brief =
-                    sim.roundtrip_brief(plane.scheme(), req.src, req.dst, plane.name_of(req.dst))?;
-                stats.record(&brief);
-                Ok(())
-            },
-            |_| Ok(()),
-        )?;
-        let mut merged = WorkerStats::new();
-        let mut shards = Vec::with_capacity(per_shard.len());
-        for (shard, handoffs, stats) in per_shard {
-            shards.push(ShardServeStats { shard, queries: stats.queries as u64, handoffs });
-            merged.merge(stats);
-        }
-        shards.sort_by_key(|s| s.shard);
-        rtr_telemetry::counter("engine.handoffs").add(shards.iter().map(|s| s.handoffs).sum());
-        Ok(ShardedServe {
-            summary: ServeSummary::from_stats(merged, workers, started.elapsed()),
-            shards,
-        })
-    }
-
-    /// [`serve_sharded`](Self::serve_sharded) with the verification plane:
-    /// checked trips buffer in **per-shard** destination buckets, so no
-    /// destination row is ever fetched by two workers — total verify rows
-    /// stay `≤ 2 · distinct(stream destinations)` regardless of worker
-    /// count.  Each worker drains all its shards' remaining buckets through
-    /// one [`rtr_metric::roundtrip_rows_sharded`] sweep after the stream
-    /// ends.
-    ///
-    /// The [`crate::VerifiedReport`] is bit-identical to the unsharded
-    /// [`serve_verified`](Self::serve_verified) and to the sequential
+    /// The [`crate::VerifiedReport`] is bit-identical to the sequential
     /// [`crate::verify_sequential`] replay for any shard × worker count
     /// (asserted by the conformance suite): trip→shard assignment is a pure
     /// function of the destination, per-shard buckets hold
@@ -256,8 +129,8 @@ impl Engine {
     /// let engine = Engine::new(EngineConfig::with_workers(2));
     /// let config = VerifyConfig::full().with_bound(StretchBound::at_most(6));
     ///
-    /// // The report is bit-identical for any shard count (and to the
-    /// // unsharded engine) — only the per-shard accounting differs.
+    /// // The report is bit-identical for any shard count — only the
+    /// // per-shard accounting differs.
     /// let two = ShardedPlane::new(plane.clone(), ShardMap::hashed(32, 2, 9));
     /// let five = ShardedPlane::new(plane, ShardMap::hashed(32, 5, 9));
     /// let a = engine.serve_verified_sharded(&two, &requests, &m, &config)?;
@@ -271,9 +144,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// As [`serve_verified`](Self::serve_verified):
-    /// [`VerifyServeError::Sim`] on the first simulator error, and in strict
-    /// mode [`VerifyServeError::BoundExceeded`] on a violated stretch bound.
+    /// [`VerifyServeError::Sim`] on the first simulator error any worker
+    /// encounters, and — in strict mode with a configured bound —
+    /// [`VerifyServeError::BoundExceeded`] when any checked trip exceeds the
+    /// scheme's stretch ceiling.
     pub fn serve_verified_sharded<S, O>(
         &self,
         plane: &ShardedPlane<S>,
@@ -285,369 +159,60 @@ impl Engine {
         S: RoundtripRouting + Send + Sync,
         O: DistanceOracle + ?Sized,
     {
-        let workers = self.config.workers.max(1);
-        let mode = verify.mode;
-        let started = Instant::now();
-        let per_shard = self.run_sharded_pool(
-            plane,
-            requests,
-            |_shard| (WorkerStats::new(), VerifyAccumulator::new(verify)),
-            |sim, plane, index, req, (stats, acc): &mut (WorkerStats, VerifyAccumulator)| {
-                let brief =
-                    sim.roundtrip_brief(plane.scheme(), req.src, req.dst, plane.name_of(req.dst))?;
-                stats.record(&brief);
-                if mode.checks(index) {
-                    acc.push(oracle, index, req, brief.total_weight());
-                }
-                Ok(())
-            },
-            |owned| {
-                let mut parts: Vec<&mut VerifyAccumulator> =
-                    owned.iter_mut().map(|(_, _, (_, acc))| acc).collect();
-                VerifyAccumulator::flush_sharded(&mut parts, oracle);
-                Ok(())
-            },
-        )?;
-        let mut merged = WorkerStats::new();
-        let mut shards = Vec::with_capacity(per_shard.len());
-        let mut accs = Vec::with_capacity(per_shard.len());
-        for (shard, handoffs, (stats, acc)) in per_shard {
-            shards.push(ShardServeStats { shard, queries: stats.queries as u64, handoffs });
-            merged.merge(stats);
-            accs.push(acc);
-        }
-        shards.sort_by_key(|s| s.shard);
-        rtr_telemetry::counter("engine.handoffs").add(shards.iter().map(|s| s.handoffs).sum());
-        let queries = merged.queries;
-        let summary = ServeSummary::from_stats(merged, workers, started.elapsed());
-        let (report, cost) = VerifyAccumulator::merge_all(accs, queries);
-        let outcome = VerifiedShardedServe { summary, report, cost, shards };
-        if verify.strict && !outcome.report.is_clean() {
-            return Err(VerifyServeError::ShardedBoundExceeded(Box::new(outcome)));
-        }
-        Ok(outcome)
+        let policy = Policy { tolerant: false, replies: false };
+        self.serve_once(plane, requests, oracle, *verify, policy)
     }
 
-    /// Runs every request and returns the full [`RoundtripReport`]s **in
-    /// request order**, exactly as a sequential
-    /// [`rtr_sim::Simulator::roundtrip`] loop would produce them.
+    /// [`serve_verified_sharded`](Self::serve_verified_sharded) that
+    /// **keeps serving through delivery failures** — the chaos plane's
+    /// degraded mode.
     ///
-    /// This is the reference mode the determinism property tests compare
-    /// against the sequential simulator; serving-path callers should prefer
-    /// [`serve`](Self::serve), which does not allocate per-request traces.
+    /// Each request is served once; on a [`rtr_sim::SimError`] the request
+    /// is recorded as a [`crate::FailedPair`] in
+    /// [`VerifiedShardedServe::failed_pairs`] instead of aborting the pool,
+    /// and on success it is verified against `oracle` exactly as the strict
+    /// engine would, so the [`crate::VerifiedReport`] stays bit-identical
+    /// for any shard × worker count.  [`VerifyConfig::strict`] is ignored:
+    /// violations are *reported*, never turned into an error — gating is the
+    /// caller's job ([`crate::chaos_report`] + the chaos baseline checker).
     ///
-    /// # Errors
-    ///
-    /// The first [`SimError`] any worker encounters.
-    pub fn collect<S: RoundtripRouting + Send + Sync>(
-        &self,
-        plane: &FrozenPlane<S>,
-        requests: &[Request],
-    ) -> Result<Vec<RoundtripReport>, SimError> {
-        let per_worker = self.run_pool(
-            plane,
-            requests,
-            Vec::new,
-            |sim, plane, index, req, out: &mut Vec<(usize, RoundtripReport)>| {
-                let report =
-                    sim.roundtrip(plane.scheme(), req.src, req.dst, plane.name_of(req.dst))?;
-                out.push((index, report));
-                Ok(())
-            },
-            |_| Ok(()),
-        )?;
-        let mut indexed: Vec<(usize, RoundtripReport)> = per_worker.into_iter().flatten().collect();
-        indexed.sort_by_key(|&(i, _)| i);
-        Ok(indexed.into_iter().map(|(_, r)| r).collect())
-    }
-
-    /// The single work-stealing pool behind [`serve`](Self::serve),
-    /// [`serve_verified`](Self::serve_verified) and
-    /// [`collect`](Self::collect): a shared atomic chunk counter hands out
-    /// request batches, `handle` processes one request into the worker's
-    /// private accumulator (created by `init`), a failing worker trips the
-    /// abort flag so the others stop at their next chunk boundary, `finish`
-    /// runs once per worker after its last chunk (the verification plane
-    /// drains its remaining destination buckets there), and the per-worker
-    /// accumulators are returned after the join (worker order).  Worker
-    /// panics propagate with their original payload.
-    fn run_pool<S, A>(
-        &self,
-        plane: &FrozenPlane<S>,
-        requests: &[Request],
-        init: impl Fn() -> A + Sync,
-        handle: impl Fn(&Simulator<'_>, &FrozenPlane<S>, usize, &Request, &mut A) -> Result<(), SimError>
-            + Sync,
-        finish: impl Fn(&mut A) -> Result<(), SimError> + Sync,
-    ) -> Result<Vec<A>, SimError>
-    where
-        S: RoundtripRouting + Send + Sync,
-        A: Send,
-    {
-        let workers = self.config.workers.max(1);
-        let chunk = self.config.chunk_size.max(1);
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let result = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (next, failed, init, handle, finish) =
-                        (&next, &failed, &init, &handle, &finish);
-                    scope.spawn(move |_| -> Result<A, SimError> {
-                        let sim = plane.simulator();
-                        let mut acc = init();
-                        while !failed.load(Ordering::Relaxed) {
-                            let lo = next.fetch_add(chunk, Ordering::Relaxed);
-                            if lo >= requests.len() {
-                                break;
-                            }
-                            let hi = (lo + chunk).min(requests.len());
-                            for (i, req) in requests[lo..hi].iter().enumerate() {
-                                if let Err(e) = handle(&sim, plane, lo + i, req, &mut acc) {
-                                    failed.store(true, Ordering::Relaxed);
-                                    return Err(e);
-                                }
-                            }
-                        }
-                        // Skip the finish hook after an abort: the pool is
-                        // about to return the error and discard every
-                        // accumulator, so a final verification flush would
-                        // pay its oracle rows for nothing.
-                        if !failed.load(Ordering::Relaxed) {
-                            if let Err(e) = finish(&mut acc) {
-                                failed.store(true, Ordering::Relaxed);
-                                return Err(e);
-                            }
-                        }
-                        Ok(acc)
-                    })
-                })
-                .collect();
-            let mut accs = Vec::with_capacity(workers);
-            let mut first_err = None;
-            for h in handles {
-                match h.join().expect("engine worker panicked") {
-                    Ok(acc) => accs.push(acc),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(accs),
-            }
-        });
-        match result {
-            Ok(r) => r,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-
-    /// The shard-owning pool behind [`serve_sharded`](Self::serve_sharded)
-    /// and [`serve_verified_sharded`](Self::serve_verified_sharded).
-    ///
-    /// Worker `w` owns shards `{s | s % workers == w}` and holds one
-    /// accumulator per owned shard (`init(shard)`).  Every worker ingests
-    /// chunks from the shared counter; a request whose destination shard it
-    /// owns is handled inline, everything else is `try_send`-handed to the
-    /// owner's bounded channel.  On a full queue the sender drains its *own*
-    /// channel before retrying — every blocked sender makes progress on the
-    /// work only it can do, so the handoff graph cannot deadlock.  After the
-    /// counter runs dry a worker drops its senders and block-drains its
-    /// channel until every other worker has done the same, then runs
-    /// `finish` over its owned accumulators (the verified path drains all
-    /// its shards' buckets there in one sweep).
-    ///
-    /// Returns every `(shard, handoffs, accumulator)` triple, unsorted.  A
-    /// failing worker trips the abort flag; in-flight handoffs are then
-    /// dropped, every accumulator is discarded, and the first error is
-    /// returned (worker panics propagate with their payload).
-    ///
-    /// `pub(crate)` so the streaming session ([`crate::VerifiedStream`]) can
-    /// drive the same pool batch by batch.
-    pub(crate) fn run_sharded_pool<S, A>(
+    /// The oracle must be consistent with the plane's graph: on a mutated
+    /// graph pass the post-fault (rebased) oracle, and keep the graph
+    /// strongly connected — verification asserts every checked pair has a
+    /// finite exact roundtrip.
+    pub fn serve_epoch_sharded<S, O>(
         &self,
         plane: &ShardedPlane<S>,
         requests: &[Request],
-        init: impl Fn(usize) -> A + Sync,
-        handle: impl Fn(&Simulator<'_>, &FrozenPlane<S>, usize, &Request, &mut A) -> Result<(), SimError>
-            + Sync,
-        finish: impl Fn(&mut [(usize, u64, A)]) -> Result<(), SimError> + Sync,
-    ) -> Result<Vec<(usize, u64, A)>, SimError>
+        oracle: &O,
+        verify: &VerifyConfig,
+    ) -> VerifiedShardedServe
     where
         S: RoundtripRouting + Send + Sync,
-        A: Send,
+        O: DistanceOracle + ?Sized,
     {
-        let workers = self.config.workers.max(1);
-        let chunk = self.config.chunk_size.max(1);
-        let capacity = self.config.handoff_capacity.max(1);
-        let shards = plane.map().shard_count();
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let mut txs = Vec::with_capacity(workers);
-        let mut rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = channel::bounded::<(usize, Request)>(capacity);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let result = crossbeam::scope(|scope| {
-            let handles: Vec<_> = rxs
-                .into_iter()
-                .enumerate()
-                .map(|(w, rx)| {
-                    let txs = txs.clone();
-                    let (next, failed, init, handle) = (&next, &failed, &init, &handle);
-                    let finish = &finish;
-                    scope.spawn(move |_| -> Result<Vec<(usize, u64, A)>, SimError> {
-                        let sim = plane.plane().simulator();
-                        let map = plane.map();
-                        // Telemetry accumulates in worker-local scalars and
-                        // publishes once after the drain — the hot path pays
-                        // one branch per iteration when the sink is off, and
-                        // one channel-lock `len()` sample per chunk when on.
-                        let telemetry_on = rtr_telemetry::enabled();
-                        let mut stall_ns: u64 = 0;
-                        let mut queue_hw: usize = 0;
-                        let mut accs: Vec<(usize, u64, A)> =
-                            (w..shards).step_by(workers).map(|s| (s, 0u64, init(s))).collect();
-                        // Handles one request this worker owns; `accs[s /
-                        // workers]` is shard s's slot because owned shards
-                        // ascend in steps of `workers` from `w`.
-                        let serve_one = |index: usize,
-                                         req: &Request,
-                                         accs: &mut [(usize, u64, A)],
-                                         handoff: bool|
-                         -> Result<(), SimError> {
-                            let s = map.shard_of(req.dst);
-                            let slot = &mut accs[s / workers];
-                            debug_assert_eq!(slot.0, s, "request routed to a foreign worker");
-                            if handoff {
-                                slot.1 += 1;
-                            }
-                            let r = handle(&sim, plane.plane(), index, req, &mut slot.2);
-                            if r.is_err() {
-                                failed.store(true, Ordering::Relaxed);
-                            }
-                            r
-                        };
-                        let mut aborted = false;
-                        'ingest: loop {
-                            if failed.load(Ordering::Relaxed) {
-                                aborted = true;
-                                break;
-                            }
-                            // Drain our backlog before grabbing more stream,
-                            // so handoff queues turn over even when the
-                            // stream is long.
-                            if telemetry_on {
-                                queue_hw = queue_hw.max(rx.len());
-                            }
-                            while let Ok((i, req)) = rx.try_recv() {
-                                serve_one(i, &req, &mut accs, true)?;
-                            }
-                            let lo = next.fetch_add(chunk, Ordering::Relaxed);
-                            if lo >= requests.len() {
-                                break;
-                            }
-                            let hi = (lo + chunk).min(requests.len());
-                            for (off, req) in requests[lo..hi].iter().enumerate() {
-                                let index = lo + off;
-                                let owner = map.shard_of(req.dst) % workers;
-                                if owner == w {
-                                    serve_one(index, req, &mut accs, false)?;
-                                    continue;
-                                }
-                                let mut msg = (index, *req);
-                                let mut stall_started: Option<Instant> = None;
-                                loop {
-                                    if failed.load(Ordering::Relaxed) {
-                                        aborted = true;
-                                        break 'ingest;
-                                    }
-                                    match txs[owner].try_send(msg) {
-                                        Ok(()) => {
-                                            if let Some(at) = stall_started {
-                                                stall_ns += at.elapsed().as_nanos() as u64;
-                                            }
-                                            break;
-                                        }
-                                        Err(TrySendError::Full(m)) => {
-                                            msg = m;
-                                            if telemetry_on && stall_started.is_none() {
-                                                stall_started = Some(Instant::now());
-                                            }
-                                            // Backpressure: serve our own
-                                            // backlog while the owner's
-                                            // queue is full.
-                                            let mut progressed = false;
-                                            while let Ok((j, q)) = rx.try_recv() {
-                                                progressed = true;
-                                                serve_one(j, &q, &mut accs, true)?;
-                                            }
-                                            if !progressed {
-                                                std::thread::yield_now();
-                                            }
-                                        }
-                                        Err(TrySendError::Disconnected(_)) => {
-                                            // The owner returned early —
-                                            // only possible on abort.
-                                            aborted = true;
-                                            break 'ingest;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        // No more stream input from us: release our senders
-                        // so owners' blocking drains can terminate.
-                        drop(txs);
-                        if !aborted {
-                            loop {
-                                if failed.load(Ordering::Relaxed) {
-                                    aborted = true;
-                                    break;
-                                }
-                                match rx.recv() {
-                                    Ok((i, req)) => serve_one(i, &req, &mut accs, true)?,
-                                    Err(_) => break,
-                                }
-                            }
-                        }
-                        if telemetry_on {
-                            rtr_telemetry::counter("engine.handoff.stall_ns").add(stall_ns);
-                            rtr_telemetry::gauge("engine.shard.queue_depth_hw")
-                                .set_max(queue_hw as u64);
-                        }
-                        if !aborted && !failed.load(Ordering::Relaxed) {
-                            if let Err(e) = finish(&mut accs) {
-                                failed.store(true, Ordering::Relaxed);
-                                return Err(e);
-                            }
-                        }
-                        Ok(accs)
-                    })
-                })
-                .collect();
-            // The workers hold their own sender clones; release the
-            // originals so sender counts reach zero when the workers finish.
-            drop(txs);
-            let mut accs = Vec::with_capacity(shards);
-            let mut first_err = None;
-            for h in handles {
-                match h.join().expect("engine worker panicked") {
-                    Ok(worker_accs) => accs.extend(worker_accs),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(accs),
-            }
-        });
-        match result {
-            Ok(r) => r,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+        let config = VerifyConfig { strict: false, ..*verify };
+        let policy = Policy { tolerant: true, replies: false };
+        self.serve_once(plane, requests, oracle, config, policy)
+            .expect("a tolerant, non-strict serve never fails")
+    }
+
+    /// A one-batch session: open, serve the whole stream, finish.
+    fn serve_once<S, O>(
+        &self,
+        plane: &ShardedPlane<S>,
+        requests: &[Request],
+        oracle: &O,
+        verify: VerifyConfig,
+        policy: Policy,
+    ) -> Result<VerifiedShardedServe, VerifyServeError>
+    where
+        S: RoundtripRouting + Send + Sync,
+        O: DistanceOracle + ?Sized,
+    {
+        let mut session = VerifiedStream::open(self, plane, oracle, verify, policy);
+        session.serve_batch(requests)?;
+        session.finish()
     }
 }
 
@@ -656,46 +221,39 @@ mod tests {
     use super::*;
     use crate::plane::tests::ring_plane;
     use crate::workload::Workload;
-
-    #[test]
-    fn serve_counts_every_request_for_any_worker_count() {
-        let plane = ring_plane(12);
-        let requests = Workload::Uniform.generate(12, 1000, 3);
-        let mut summaries = Vec::new();
-        for workers in [1usize, 2, 5, 16] {
-            let engine = Engine::new(EngineConfig::with_workers(workers));
-            let summary = engine.serve(&plane, &requests).unwrap();
-            assert_eq!(summary.queries, 1000);
-            assert_eq!(summary.workers, workers);
-            summaries.push(summary);
-        }
-        // Aggregates are schedule-independent.
-        for s in &summaries[1..] {
-            assert_eq!(s.total_hops, summaries[0].total_hops);
-            assert_eq!(s.total_weight, summaries[0].total_weight);
-            assert_eq!(s.max_header_bits, summaries[0].max_header_bits);
-            assert_eq!(s.hop_latency(), summaries[0].hop_latency());
-        }
-    }
+    use crate::ShardMap;
 
     #[test]
     fn sharded_serve_matches_unsharded_aggregates_and_counts_shard_queries() {
         let plane = ring_plane(12);
         let requests = Workload::Mix.generate(12, 800, 13);
-        let baseline = Engine::new(EngineConfig::with_workers(2)).serve(&plane, &requests).unwrap();
+        let sim = plane.simulator();
+        let (mut hops, mut weight) = (0u64, 0u128);
+        for r in &requests {
+            let brief =
+                sim.roundtrip_brief(plane.scheme(), r.src, r.dst, plane.name_of(r.dst)).unwrap();
+            hops += brief.total_hops() as u64;
+            weight += u128::from(brief.total_weight());
+        }
+        let mut first = None;
         for shards in [1usize, 3, 5] {
-            for workers in [1usize, 2, 7] {
+            for workers in [1usize, 2, 7, 16] {
                 let engine = Engine::new(EngineConfig::with_workers(workers));
-                let sharded = ShardedPlane::new(plane.clone(), crate::ShardMap::range(12, shards));
+                let map = ShardMap::range(12, shards);
+                let sharded = ShardedPlane::new(plane.clone(), map);
                 let outcome = engine.serve_sharded(&sharded, &requests).unwrap();
-                assert_eq!(outcome.summary.queries, 800);
-                assert_eq!(outcome.summary.total_hops, baseline.total_hops);
-                assert_eq!(outcome.summary.total_weight, baseline.total_weight);
-                assert_eq!(outcome.summary.hop_latency(), baseline.hop_latency());
+                let summary = &outcome.summary;
+                assert_eq!(summary.queries, 800);
+                assert_eq!(summary.workers, workers);
+                assert_eq!(summary.total_hops, hops);
+                assert_eq!(summary.total_weight, weight);
+                // Aggregates are schedule-independent.
+                let key = (summary.hop_latency(), summary.max_header_bits);
+                assert_eq!(*first.get_or_insert(key), key, "shards {shards} workers {workers}");
+                assert_eq!(outcome.report.checked, 0);
                 assert_eq!(outcome.shards.len(), shards);
                 assert_eq!(outcome.shards.iter().map(|s| s.queries).sum::<u64>(), 800);
                 // Per-shard query counts are a pure function of the stream.
-                let map = crate::ShardMap::range(12, shards);
                 for s in &outcome.shards {
                     let expected =
                         requests.iter().filter(|r| map.shard_of(r.dst) == s.shard).count() as u64;
@@ -713,45 +271,26 @@ mod tests {
         let plane = ring_plane(10);
         let requests = Workload::Hotspot.generate(10, 600, 21);
         let config = EngineConfig { workers: 4, chunk_size: 8, handoff_capacity: 1 };
-        let sharded = ShardedPlane::new(plane, crate::ShardMap::hashed(10, 4, 5));
+        let sharded = ShardedPlane::new(plane, ShardMap::hashed(10, 4, 5));
         let outcome = Engine::new(config).serve_sharded(&sharded, &requests).unwrap();
         assert_eq!(outcome.summary.queries, 600);
         assert_eq!(outcome.shards.iter().map(|s| s.queries).sum::<u64>(), 600);
     }
 
     #[test]
-    fn collect_returns_reports_in_request_order() {
-        let plane = ring_plane(9);
-        let requests = Workload::Mix.generate(9, 500, 7);
-        let sequential: Vec<_> = {
-            let sim = plane.simulator();
-            requests
-                .iter()
-                .map(|r| sim.roundtrip(plane.scheme(), r.src, r.dst, plane.name_of(r.dst)).unwrap())
-                .collect()
-        };
-        for workers in [1usize, 3, 8] {
-            let engine = Engine::new(EngineConfig::with_workers(workers));
-            let collected = engine.collect(&plane, &requests).unwrap();
-            assert_eq!(collected, sequential, "workers = {workers}");
-        }
-    }
-
-    #[test]
     fn empty_request_stream_is_fine() {
-        let plane = ring_plane(4);
-        let engine = Engine::default();
-        let summary = engine.serve(&plane, &[]).unwrap();
-        assert_eq!(summary.queries, 0);
-        assert!(engine.collect(&plane, &[]).unwrap().is_empty());
+        let sharded = ShardedPlane::new(ring_plane(4), ShardMap::single(4));
+        let outcome = Engine::default().serve_sharded(&sharded, &[]).unwrap();
+        assert_eq!(outcome.summary.queries, 0);
+        assert_eq!(outcome.shards[0].queries, 0);
     }
 
     #[test]
     fn tiny_chunks_and_excess_workers_still_cover_everything() {
-        let plane = ring_plane(5);
+        let sharded = ShardedPlane::new(ring_plane(5), ShardMap::hashed(5, 3, 1));
         let requests = Workload::Bidirectional.generate(5, 37, 1);
         let config = EngineConfig { workers: 13, chunk_size: 1, ..Default::default() };
-        let summary = Engine::new(config).serve(&plane, &requests).unwrap();
-        assert_eq!(summary.queries, 37);
+        let outcome = Engine::new(config).serve_sharded(&sharded, &requests).unwrap();
+        assert_eq!(outcome.summary.queries, 37);
     }
 }

@@ -13,31 +13,36 @@
 //!   Zipf-skewed destinations, all-to-one hotspots, bidirectional shuffles
 //!   and a deterministic mix, all built on the in-tree `rand` shim so runs
 //!   reproduce bit for bit.
-//! * [`Engine`] — a scoped worker pool with batched work stealing over
-//!   request chunks.  Workers serve through the allocation-free
+//! * [`Engine`] — the serving core: one shard-owning worker pool behind four
+//!   entry points ([`Engine::serve_sharded`],
+//!   [`Engine::serve_verified_sharded`], [`Engine::serve_epoch_sharded`],
+//!   [`Engine::open_stream`]), every one a session of the same
+//!   [`VerifiedStream`] with one per-request body and one post-join merge.
+//!   Workers serve through the allocation-free
 //!   [`rtr_sim::Simulator::roundtrip_brief`] path and accumulate statistics
-//!   privately; the only shared atomic on the hot path is the chunk counter.
-//! * [`ShardMap`] / [`ShardedPlane`] / [`Engine::serve_sharded`] — the
-//!   **sharded plane**: destinations partition into worker-owned shards
-//!   (seeded-hash or contiguous-range [`ShardPolicy`]), each worker serves
-//!   only the shards it owns, and cross-shard requests travel through
-//!   bounded handoff channels with backpressure instead of being served
-//!   wherever they were pulled.  Per-shard query counts are deterministic;
-//!   the merged summary is identical to the unsharded engine's.
-//! * [`VerifyMode`] / [`Engine::serve_verified`] /
-//!   [`Engine::serve_verified_sharded`] — the **verification plane**: off /
-//!   sampled / full-stream checking of every served trip against a
-//!   [`rtr_metric::DistanceOracle`].  Checked trips buffer in bounded
-//!   destination buckets — per worker unsharded, per shard sharded — and
-//!   every bucket flushes through one shared roundtrip row, so verification
-//!   pays two Dijkstras per *distinct destination* per flush window instead
-//!   of two per query; with per-shard buckets no destination row is ever
-//!   fetched by two workers, so total verify rows stay
-//!   `≤ 2 · distinct(destinations)` regardless of worker count.  The
-//!   [`VerifiedReport`] (exact fixed-point stretch histogram, worst trip,
-//!   bound violations) is bit-identical for any shard × worker count and
-//!   hard-fails — [`VerifyServeError::BoundExceeded`] — when a trip exceeds
-//!   the scheme's proven stretch ceiling.
+//!   per shard; the only shared atomic on the hot path is the chunk counter.
+//!   A batch no larger than [`EngineConfig::chunk_size`] is served on the
+//!   calling thread, a larger one on the pool.
+//! * [`ShardMap`] / [`ShardedPlane`] — the **sharded plane**: destinations
+//!   partition into worker-owned shards (seeded-hash or contiguous-range
+//!   [`ShardPolicy`]), each worker serves only the shards it owns, and
+//!   cross-shard requests travel through bounded handoff channels with
+//!   backpressure instead of being served wherever they were pulled.
+//!   Per-shard query counts are deterministic; the merged summary is
+//!   identical for any shard × worker count.
+//! * [`VerifyMode`] / [`Engine::serve_verified_sharded`] — the
+//!   **verification plane**: off / sampled / full-stream checking of every
+//!   served trip against a [`rtr_metric::DistanceOracle`].  Checked trips
+//!   buffer in bounded per-shard destination buckets, and every bucket
+//!   flushes through one shared roundtrip row, so verification pays two
+//!   Dijkstras per *distinct destination* per flush window instead of two
+//!   per query; since no destination row is ever fetched by two workers,
+//!   total verify rows stay `≤ 2 · distinct(destinations)` regardless of
+//!   worker count.  The [`VerifiedReport`] (exact fixed-point stretch
+//!   histogram, worst trip, bound violations) is bit-identical for any
+//!   shard × worker count and hard-fails —
+//!   [`VerifyServeError::BoundExceeded`] — when a trip exceeds the scheme's
+//!   proven stretch ceiling.
 //! * [`Engine::serve_epoch_sharded`] / [`chaos_report`] — the **chaos
 //!   plane**: tolerant verified serving through a fault window (routing
 //!   failures are recorded per pair instead of aborting the pool) and the
@@ -52,11 +57,13 @@
 //!   to one [`Engine::serve_verified_sharded`] call over the whole stream.
 //!
 //! The engine is **observationally identical** to the sequential simulator:
-//! [`Engine::collect`] returns the very [`rtr_sim::RoundtripReport`]s a
-//! sequential loop produces, in request order, for any worker count — and
-//! both verified paths reproduce the sequential oracle-checked replay
-//! [`verify_sequential`] bit for bit — properties the test-suite enforces
-//! per scheme, workload, shard count, and oracle flavor.
+//! a session's per-request replies carry exactly the hops and weight a
+//! sequential [`rtr_sim::Simulator::roundtrip`] loop measures, in request
+//! order, for any worker count on either side of the calling-thread / pool
+//! split — and every verified serve reproduces the sequential
+//! oracle-checked replay [`verify_sequential`] bit for bit — properties the
+//! test-suite enforces per scheme, workload, shard count, and oracle
+//! flavor.
 //!
 //! ```
 //! use rtr_engine::{
@@ -83,7 +90,8 @@
 //! let requests = Workload::Zipf { exponent: 1.2 }.generate(g.node_count(), 4_000, 9);
 //! let engine = Engine::new(EngineConfig::with_workers(4));
 //! let config = VerifyConfig::full().with_bound(StretchBound::at_most(6));
-//! let verified = engine.serve_verified(&plane, &requests, &m, &config)?;
+//! let single = ShardedPlane::new(plane.clone(), ShardMap::single(g.node_count()));
+//! let verified = engine.serve_verified_sharded(&single, &requests, &m, &config)?;
 //! assert_eq!(verified.report.checked, 4_000);
 //! assert!(verified.report.is_clean());
 //! assert!(verified.report.max_stretch() <= 6.0 + 1e-9); // the §2 scheme's hard bound
@@ -111,16 +119,14 @@ mod stream;
 mod verify;
 mod workload;
 
-pub use chaos::{chaos_report, EpochKind, EpochReport, EpochServe, FailedPair};
+pub use chaos::{chaos_report, EpochKind, EpochReport, FailedPair};
 pub use engine::{Engine, EngineConfig};
 pub use plane::FrozenPlane;
-pub use shard::{
-    ShardMap, ShardPolicy, ShardServeStats, ShardedPlane, ShardedServe, VerifiedShardedServe,
-};
+pub use shard::{ShardMap, ShardPolicy, ShardServeStats, ShardedPlane};
 pub use stats::ServeSummary;
-pub use stream::{ServedTrip, VerifiedStream};
+pub use stream::{ServedTrip, VerifiedShardedServe, VerifiedStream};
 pub use verify::{
-    verify_sequential, StretchBound, StretchHistogram, VerifiedReport, VerifiedServe, VerifiedTrip,
-    VerifyConfig, VerifyCost, VerifyMode, VerifyServeError, STRETCH_HISTOGRAM_SCALE,
+    verify_sequential, StretchBound, StretchHistogram, VerifiedReport, VerifiedTrip, VerifyConfig,
+    VerifyCost, VerifyMode, VerifyServeError, STRETCH_HISTOGRAM_SCALE,
 };
 pub use workload::{Request, Workload};

@@ -2,7 +2,7 @@
 
 use rtr_dictionary::NodeName;
 use rtr_graph::{DiGraph, NodeId};
-use rtr_sim::{RoundtripRouting, Simulator, SimulatorConfig};
+use rtr_sim::{RoundtripRouting, Simulator};
 use std::sync::Arc;
 
 /// A frozen serving plane: one built [`RoundtripRouting`] scheme, the graph
@@ -19,7 +19,6 @@ pub struct FrozenPlane<S> {
     graph: Arc<DiGraph>,
     scheme: Arc<S>,
     names: Arc<Vec<NodeName>>,
-    config: SimulatorConfig,
 }
 
 impl<S> Clone for FrozenPlane<S> {
@@ -28,7 +27,6 @@ impl<S> Clone for FrozenPlane<S> {
             graph: Arc::clone(&self.graph),
             scheme: Arc::clone(&self.scheme),
             names: Arc::clone(&self.names),
-            config: self.config.clone(),
         }
     }
 }
@@ -43,16 +41,7 @@ impl<S: RoundtripRouting> FrozenPlane<S> {
     /// Panics if `names` does not assign exactly one name per node.
     pub fn freeze(graph: Arc<DiGraph>, scheme: S, names: Arc<Vec<NodeName>>) -> Self {
         assert_eq!(names.len(), graph.node_count(), "one TINN name per node required");
-        let config = SimulatorConfig::for_nodes(graph.node_count());
-        FrozenPlane { graph, scheme: Arc::new(scheme), names, config }
-    }
-
-    /// Replaces the simulator configuration used by serving workers (hop
-    /// budget, failed links).
-    #[must_use]
-    pub fn with_config(mut self, config: SimulatorConfig) -> Self {
-        self.config = config;
-        self
+        FrozenPlane { graph, scheme: Arc::new(scheme), names }
     }
 
     /// Replaces the plane's graph with a mutated snapshot, keeping the
@@ -102,10 +91,10 @@ impl<S: RoundtripRouting> FrozenPlane<S> {
         self.names[v.index()]
     }
 
-    /// A simulator over this plane's graph and configuration.  Workers create
-    /// one each; the simulator itself only borrows the graph.
+    /// A simulator over this plane's graph.  Workers create one each; the
+    /// simulator itself only borrows the graph.
     pub fn simulator(&self) -> Simulator<'_> {
-        Simulator::with_config(&self.graph, self.config.clone())
+        Simulator::new(&self.graph)
     }
 }
 

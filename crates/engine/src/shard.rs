@@ -4,20 +4,17 @@
 //! slices under one of two [`ShardPolicy`]s: a seeded hash (spreads hot
 //! destinations independently of their ids) or contiguous ranges (preserves
 //! id locality, the layout memory-pod topologies assume).  A
-//! [`ShardedPlane`] pairs a [`FrozenPlane`] with a map; the engine's sharded
-//! pool ([`crate::Engine::serve_sharded`],
-//! [`crate::Engine::serve_verified_sharded`]) assigns shard `s` to worker
-//! `s % workers` and routes every request to its destination's owner through
-//! a bounded handoff channel, so each worker touches only its own shards'
-//! serving statistics and verification buckets.
+//! [`ShardedPlane`] pairs a [`FrozenPlane`] with a map; the engine's pool
+//! assigns shard `s` to worker `s % workers` and routes every request to its
+//! destination's owner through a bounded handoff channel, so each worker
+//! touches only its own shards' serving statistics and verification
+//! buckets.
 //!
 //! The shard assignment is a pure function of the destination, never of
 //! scheduling — which is what keeps every per-shard statistic (and the
 //! merged [`crate::VerifiedReport`]) bit-identical across worker counts.
 
 use crate::plane::FrozenPlane;
-use crate::stats::ServeSummary;
-use crate::verify::{VerifiedReport, VerifyCost};
 use rtr_graph::NodeId;
 use rtr_sim::RoundtripRouting;
 
@@ -85,8 +82,7 @@ impl ShardMap {
         ShardMap::new(n, shards, ShardPolicy::Range)
     }
 
-    /// The trivial one-shard map — the configuration under which the sharded
-    /// engine must reproduce the unsharded engine exactly.
+    /// The trivial one-shard map: every destination on one worker.
     pub fn single(n: usize) -> Self {
         ShardMap::range(n, 1)
     }
@@ -177,48 +173,20 @@ impl<S: RoundtripRouting> ShardedPlane<S> {
     }
 }
 
-/// Per-shard accounting of one sharded serve run.
+/// Per-shard accounting of one serving session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardServeStats {
     /// The shard.
     pub shard: usize,
-    /// Requests whose destination lands in this shard — a pure function of
-    /// the request stream and the map, identical for any worker count.
+    /// Delivered requests whose destination lands in this shard — a pure
+    /// function of the request stream and the map, identical for any worker
+    /// count.
     pub queries: u64,
     /// Requests that crossed workers (through the handoff channel) to reach
     /// this shard's owner.  Schedule-**dependent** — which worker pulls a
     /// chunk decides whether its requests hand off — so it belongs with the
     /// cost counters, not the report: one worker always measures zero.
     pub handoffs: u64,
-}
-
-/// The outcome of [`crate::Engine::serve_sharded`]: the merged serving
-/// summary (identical to the unsharded engine's) plus per-shard accounting,
-/// sorted by shard.
-#[derive(Debug, Clone)]
-pub struct ShardedServe {
-    /// Aggregate throughput/latency accounting, merged over all shards.
-    pub summary: ServeSummary,
-    /// Per-shard accounting, sorted by shard id.
-    pub shards: Vec<ShardServeStats>,
-}
-
-/// The outcome of [`crate::Engine::serve_verified_sharded`]: the merged
-/// summary and deterministic report (both identical to the unsharded
-/// engine's), the schedule-dependent verification cost, and per-shard
-/// accounting.
-#[derive(Debug, Clone)]
-pub struct VerifiedShardedServe {
-    /// Aggregate throughput/latency accounting, merged over all shards.
-    pub summary: ServeSummary,
-    /// The deterministic verification outcome — bit-identical to the
-    /// unsharded engine and the sequential replay for any shard × worker
-    /// count.
-    pub report: VerifiedReport,
-    /// Flush/row cost counters, summed over all shards.
-    pub cost: VerifyCost,
-    /// Per-shard accounting, sorted by shard id.
-    pub shards: Vec<ShardServeStats>,
 }
 
 #[cfg(test)]

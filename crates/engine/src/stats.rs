@@ -58,7 +58,8 @@ impl WorkerStats {
     }
 }
 
-/// The aggregate outcome of one [`crate::Engine::serve`] run.
+/// The aggregate serving outcome of one session
+/// ([`crate::VerifiedShardedServe::summary`]).
 #[derive(Debug, Clone)]
 pub struct ServeSummary {
     /// Requests served.

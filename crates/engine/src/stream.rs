@@ -1,13 +1,25 @@
-//! Streaming verified serving: the request-source entry point for callers —
-//! like the TCP front door in `rtr-serve` — that do not hold the whole
-//! request stream up front.
+//! The serving core: every engine entry point is a [`VerifiedStream`]
+//! session over a [`ShardedPlane`].
 //!
-//! [`Engine::open_stream`] opens a long-lived [`VerifiedStream`] session
-//! over a [`ShardedPlane`].  Each [`VerifiedStream::serve_batch`] call
-//! serves one micro-batch through the same per-shard destination buckets as
-//! [`Engine::serve_verified_sharded`] and assigns every request a **global
-//! stream index** in admission order; [`VerifiedStream::finish`] closes the
-//! session into a [`VerifiedShardedServe`].
+//! [`Engine::open_stream`] opens a long-lived session for callers — like the
+//! TCP front door in `rtr-serve` — that receive requests over time.  The
+//! one-shot entry points ([`Engine::serve_sharded`],
+//! [`Engine::serve_verified_sharded`], [`Engine::serve_epoch_sharded`]) open
+//! a session, serve their whole stream as one batch and finish it, so the
+//! per-request body, the post-join merge, the telemetry fold and the
+//! strict-bound check each exist once.  The session's [`VerifyConfig`]
+//! decides which requests are verified; a private policy decides whether a
+//! delivery failure aborts the batch or is recorded as a [`FailedPair`], and
+//! whether per-request replies are collected.
+//!
+//! Each [`VerifiedStream::serve_batch`] call assigns every request a **global
+//! stream index** in admission order and serves the batch on the
+//! shard-owning pool; [`VerifiedStream::finish`] closes the session into a
+//! [`VerifiedShardedServe`].  A batch no larger than
+//! [`crate::EngineConfig::chunk_size`] runs on the calling thread, which
+//! owns every shard, so a front door serving single requests pays no thread
+//! spawn per request; a larger batch runs on
+//! [`crate::EngineConfig::workers`] scoped threads.
 //!
 //! The load-bearing property (asserted by the tests below): however the
 //! stream is split into batches, the final [`crate::VerifiedReport`] is
@@ -22,16 +34,19 @@
 //! every repeat into a cache hit, so *computed* rows stay
 //! `≈ 2 · distinct(stream destinations)` regardless of arrival order.
 
+use crate::chaos::FailedPair;
 use crate::engine::Engine;
-use crate::shard::{ShardServeStats, ShardedPlane, VerifiedShardedServe};
+use crate::shard::{ShardServeStats, ShardedPlane};
 use crate::stats::{ServeSummary, WorkerStats};
 use crate::verify::{
     VerifiedReport, VerifyAccumulator, VerifyConfig, VerifyCost, VerifyServeError,
 };
 use crate::workload::Request;
+use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use rtr_graph::Distance;
 use rtr_metric::DistanceOracle;
-use rtr_sim::RoundtripRouting;
+use rtr_sim::{RoundtripRouting, SimError, Simulator};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// One served request of a [`VerifiedStream`] batch — the reply a network
@@ -47,9 +62,61 @@ pub struct ServedTrip {
     pub weight: Distance,
 }
 
-/// Per-shard accumulator of one batch: serving stats, the verification
-/// buckets, and the per-request replies.
-type BatchAcc = (WorkerStats, VerifyAccumulator, Vec<ServedTrip>);
+/// The outcome of every serving entry point: the merged summary, the
+/// deterministic report, the schedule-dependent verification cost,
+/// per-shard accounting, and the requests a tolerant serve failed to
+/// deliver.
+#[derive(Debug, Clone)]
+pub struct VerifiedShardedServe {
+    /// Aggregate throughput/latency accounting over the delivered requests,
+    /// merged over all shards.
+    pub summary: ServeSummary,
+    /// The deterministic verification outcome — bit-identical to the
+    /// sequential replay [`crate::verify_sequential`] for any shard × worker
+    /// count.
+    pub report: VerifiedReport,
+    /// Flush/row cost counters, summed over all shards.
+    pub cost: VerifyCost,
+    /// Per-shard accounting, sorted by shard id.
+    pub shards: Vec<ShardServeStats>,
+    /// Requests the scheme failed to deliver, sorted by request index — a
+    /// pure function of the stream and the plane, never of scheduling.
+    /// Only [`Engine::serve_epoch_sharded`] records failures; every other
+    /// entry point returns the first one as an error instead.
+    pub failed_pairs: Vec<FailedPair>,
+}
+
+impl VerifiedShardedServe {
+    /// Requests the scheme failed to deliver.
+    pub fn failed(&self) -> usize {
+        self.failed_pairs.len()
+    }
+}
+
+/// What the per-request body does beyond serving, fixed when a session
+/// opens.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Policy {
+    /// Record a request the scheme fails to deliver as a [`FailedPair`] and
+    /// keep serving, instead of aborting the batch with the error.
+    pub(crate) tolerant: bool,
+    /// Collect a [`ServedTrip`] reply for every delivered request.
+    pub(crate) replies: bool,
+}
+
+/// A request crossing workers: its global index and the request.
+type Handoff = (usize, Request);
+
+/// One shard's share of a batch: serving stats, verification buckets,
+/// replies, delivery failures, and the handoffs that reached it.
+struct ShardAcc {
+    shard: usize,
+    handoffs: u64,
+    stats: WorkerStats,
+    verify: VerifyAccumulator,
+    served: Vec<ServedTrip>,
+    failed: Vec<FailedPair>,
+}
 
 /// A long-lived verified serving session fed batch by batch.
 ///
@@ -61,11 +128,13 @@ pub struct VerifiedStream<'a, S, O: ?Sized> {
     plane: &'a ShardedPlane<S>,
     oracle: &'a O,
     config: VerifyConfig,
+    policy: Policy,
     next_index: usize,
     merged: WorkerStats,
     report: VerifiedReport,
     cost: VerifyCost,
     shards: Vec<ShardServeStats>,
+    failed_pairs: Vec<FailedPair>,
     serve_wall: Duration,
 }
 
@@ -125,39 +194,49 @@ impl Engine {
         S: RoundtripRouting + Send + Sync,
         O: DistanceOracle + ?Sized,
     {
-        let shards = plane.map().shard_count();
-        VerifiedStream {
-            engine: self,
-            plane,
-            oracle,
-            config: *verify,
-            next_index: 0,
-            merged: WorkerStats::new(),
-            report: VerifiedReport::default(),
-            cost: VerifyCost::default(),
-            shards: (0..shards)
-                .map(|s| ShardServeStats { shard: s, queries: 0, handoffs: 0 })
-                .collect(),
-            serve_wall: Duration::ZERO,
-        }
+        let policy = Policy { tolerant: false, replies: true };
+        VerifiedStream::open(self, plane, oracle, *verify, policy)
     }
 }
 
-impl<S, O> VerifiedStream<'_, S, O>
+impl<'a, S, O> VerifiedStream<'a, S, O>
 where
     S: RoundtripRouting + Send + Sync,
     O: DistanceOracle + ?Sized,
 {
+    pub(crate) fn open(
+        engine: &'a Engine,
+        plane: &'a ShardedPlane<S>,
+        oracle: &'a O,
+        config: VerifyConfig,
+        policy: Policy,
+    ) -> Self {
+        VerifiedStream {
+            engine,
+            plane,
+            oracle,
+            config,
+            policy,
+            next_index: 0,
+            merged: WorkerStats::new(),
+            report: VerifiedReport::default(),
+            cost: VerifyCost::default(),
+            shards: (0..plane.map().shard_count())
+                .map(|s| ShardServeStats { shard: s, queries: 0, handoffs: 0 })
+                .collect(),
+            failed_pairs: Vec::new(),
+            serve_wall: Duration::ZERO,
+        }
+    }
+
     /// Serves one micro-batch, verifying it through the session's per-shard
     /// destination buckets, and returns the per-request replies sorted by
     /// their assigned global stream index (`replies[i]` answers
     /// `requests[i]`).
     ///
-    /// Batches no larger than [`crate::EngineConfig::chunk_size`] are served
-    /// inline on the calling thread (a network front door coalescing small
-    /// request bursts should not pay a pool spawn per burst); larger batches
-    /// fan out over the engine's sharded worker pool.  Both paths produce
-    /// identical reports and replies.
+    /// A batch no larger than [`crate::EngineConfig::chunk_size`] is served
+    /// on the calling thread; a larger one fans out over the engine's
+    /// sharded worker pool.  Both produce identical reports and replies.
     ///
     /// # Errors
     ///
@@ -174,115 +253,256 @@ where
         }
         let base = self.next_index;
         let started = Instant::now();
-        let per_shard = if requests.len() <= self.engine.config().chunk_size.max(1) {
-            self.serve_batch_inline(requests, base)?
-        } else {
-            self.serve_batch_pooled(requests, base)?
-        };
-        let elapsed = started.elapsed();
+        let accs = self.run_batch(requests, base)?;
+        self.serve_wall += started.elapsed();
 
-        let mut replies = Vec::with_capacity(requests.len());
-        let mut accs = Vec::with_capacity(per_shard.len());
+        let mut replies = Vec::new();
+        let mut verify = Vec::with_capacity(accs.len());
         let mut batch_queries = 0usize;
         let mut batch_handoffs = 0u64;
-        for (shard, handoffs, (stats, acc, served)) in per_shard {
-            let slot = &mut self.shards[shard];
-            slot.queries += stats.queries as u64;
-            slot.handoffs += handoffs;
-            batch_queries += stats.queries;
-            batch_handoffs += handoffs;
-            self.merged.merge(stats);
-            accs.push(acc);
-            replies.extend(served);
+        let failed_before = self.failed_pairs.len();
+        for acc in accs {
+            let slot = &mut self.shards[acc.shard];
+            slot.queries += acc.stats.queries as u64;
+            slot.handoffs += acc.handoffs;
+            batch_queries += acc.stats.queries;
+            batch_handoffs += acc.handoffs;
+            self.merged.merge(acc.stats);
+            verify.push(acc.verify);
+            replies.extend(acc.served);
+            self.failed_pairs.extend(acc.failed);
         }
-        debug_assert_eq!(batch_queries, requests.len(), "a batch request went unserved");
+        debug_assert_eq!(
+            batch_queries + self.failed_pairs.len() - failed_before,
+            requests.len(),
+            "a batch request went unserved"
+        );
         if batch_handoffs > 0 {
             rtr_telemetry::counter("engine.handoffs").add(batch_handoffs);
         }
-        let (report, cost) = VerifyAccumulator::merge_all(accs, batch_queries);
+        let (report, cost) = VerifyAccumulator::merge_all(verify, batch_queries);
         self.report.merge(report);
         self.cost.merge(cost);
-        self.serve_wall += elapsed;
         self.next_index = base + requests.len();
         replies.sort_unstable_by_key(|t| t.index);
         Ok(replies)
     }
 
-    /// The sequential path for small batches: per-shard buckets on the
-    /// calling thread, one shared flush sweep at the end — exactly the
-    /// one-worker sharded pool, minus the threads (handoffs stay 0).
-    fn serve_batch_inline(
+    /// The one per-request body: serve the roundtrip, record it, verify it
+    /// if the mode checks this index, and collect its reply if the policy
+    /// asks — or, on a delivery failure, record it (tolerant) or return it.
+    fn serve_one(
         &self,
-        requests: &[Request],
-        base: usize,
-    ) -> Result<Vec<(usize, u64, BatchAcc)>, VerifyServeError> {
-        let map = self.plane.map();
+        sim: &Simulator<'_>,
+        index: usize,
+        req: &Request,
+        acc: &mut ShardAcc,
+    ) -> Result<(), SimError> {
         let plane = self.plane.plane();
-        let sim = plane.simulator();
-        let mode = self.config.mode;
-        let mut accs: Vec<(usize, u64, BatchAcc)> = (0..map.shard_count())
-            .map(|s| {
-                (s, 0u64, (WorkerStats::new(), VerifyAccumulator::new(&self.config), Vec::new()))
-            })
-            .collect();
-        for (off, req) in requests.iter().enumerate() {
-            let index = base + off;
-            let slot = &mut accs[map.shard_of(req.dst)].2;
-            let brief =
-                sim.roundtrip_brief(plane.scheme(), req.src, req.dst, plane.name_of(req.dst))?;
-            slot.0.record(&brief);
-            if mode.checks(index) {
-                slot.1.push(self.oracle, index, req, brief.total_weight());
+        match sim.roundtrip_brief(plane.scheme(), req.src, req.dst, plane.name_of(req.dst)) {
+            Ok(brief) => {
+                acc.stats.record(&brief);
+                if self.config.mode.checks(index) {
+                    acc.verify.push(self.oracle, index, req, brief.total_weight());
+                }
+                if self.policy.replies {
+                    let (hops, weight) = (brief.total_hops(), brief.total_weight());
+                    acc.served.push(ServedTrip { index, hops, weight });
+                }
+                Ok(())
             }
-            slot.2.push(ServedTrip {
-                index,
-                hops: brief.total_hops(),
-                weight: brief.total_weight(),
-            });
+            Err(_) if self.policy.tolerant => {
+                acc.failed.push(FailedPair { index, source: req.src, destination: req.dst });
+                Ok(())
+            }
+            Err(e) => Err(e),
         }
-        let mut parts: Vec<&mut VerifyAccumulator> =
-            accs.iter_mut().map(|(_, _, a)| &mut a.1).collect();
-        VerifyAccumulator::flush_sharded(&mut parts, self.oracle);
-        Ok(accs)
     }
 
-    /// The pooled path for large batches: the sharded worker pool with
-    /// global indices offset by `base`.
-    fn serve_batch_pooled(
-        &self,
-        requests: &[Request],
-        base: usize,
-    ) -> Result<Vec<(usize, u64, BatchAcc)>, VerifyServeError> {
-        let mode = self.config.mode;
-        let config = self.config;
-        let oracle = self.oracle;
-        let out = self.engine.run_sharded_pool(
-            self.plane,
-            requests,
-            |_shard| (WorkerStats::new(), VerifyAccumulator::new(&config), Vec::new()),
-            |sim, plane, index, req, (stats, acc, served): &mut BatchAcc| {
-                let brief =
-                    sim.roundtrip_brief(plane.scheme(), req.src, req.dst, plane.name_of(req.dst))?;
-                stats.record(&brief);
-                let global = base + index;
-                if mode.checks(global) {
-                    acc.push(oracle, global, req, brief.total_weight());
+    /// Serves one batch and returns every shard's accumulator, unsorted.
+    ///
+    /// A batch no larger than one chunk is served on the calling thread,
+    /// which owns every shard: single requests pay no thread spawn and no
+    /// handoff queue.  A larger batch runs on the shard-owning pool.
+    /// Worker `w` owns shards `{s | s % workers == w}`.  Every worker
+    /// ingests chunks of `chunk_size` requests from a shared counter; a
+    /// request whose destination shard it owns is served inline, everything
+    /// else is `try_send`-handed to the owner's bounded channel (capacity
+    /// [`crate::EngineConfig::handoff_capacity`]).  On a full queue the
+    /// sender drains its *own* channel before retrying — every blocked
+    /// sender makes progress on the work only it can do, so the handoff
+    /// graph cannot deadlock.  After the counter runs dry a worker drops its
+    /// senders, block-drains its channel until every other worker has done
+    /// the same, then flushes all its shards' verification buckets in one
+    /// [`rtr_metric::roundtrip_rows_sharded`] sweep.
+    ///
+    /// A failing worker trips the abort flag; in-flight handoffs are then
+    /// dropped, every accumulator is discarded, and the first error is
+    /// returned (worker panics propagate with their payload).
+    fn run_batch(&self, requests: &[Request], base: usize) -> Result<Vec<ShardAcc>, SimError> {
+        let config = self.engine.config();
+        let chunk = config.chunk_size.max(1);
+        let map = self.plane.map();
+        if requests.len() <= chunk {
+            let sim = self.plane.plane().simulator();
+            let mut accs = self.shard_accs(0, 1);
+            for (off, req) in requests.iter().enumerate() {
+                self.serve_one(&sim, base + off, req, &mut accs[map.shard_of(req.dst)])?;
+            }
+            self.flush(&mut accs);
+            return Ok(accs);
+        }
+        let workers = config.workers.max(1);
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let work = |w, rx: Receiver<Handoff>, txs: Vec<Sender<Handoff>>| -> Result<_, SimError> {
+            let sim = self.plane.plane().simulator();
+            // Telemetry accumulates in worker-local scalars and publishes
+            // once after the drain — the hot path pays one branch per
+            // iteration when the sink is off, and one channel-lock `len()`
+            // sample per chunk when on.
+            let telemetry_on = rtr_telemetry::enabled();
+            let mut stall_ns: u64 = 0;
+            let mut queue_hw: usize = 0;
+            let mut accs = self.shard_accs(w, workers);
+            // Serves one request this worker owns; `accs[s / workers]` is
+            // shard s's slot because owned shards ascend in steps of
+            // `workers` from `w`.
+            let serve = |index: usize, req: &Request, accs: &mut [ShardAcc], handoff: bool| {
+                let slot = &mut accs[map.shard_of(req.dst) / workers];
+                debug_assert_eq!(slot.shard % workers, w, "request routed to a foreign worker");
+                slot.handoffs += u64::from(handoff);
+                self.serve_one(&sim, index, req, slot)
+                    .inspect_err(|_| failed.store(true, Ordering::Relaxed))
+            };
+            'ingest: while !failed.load(Ordering::Relaxed) {
+                // Drain our backlog before grabbing more stream, so handoff
+                // queues turn over even when the stream is long.
+                if telemetry_on {
+                    queue_hw = queue_hw.max(rx.len());
                 }
-                served.push(ServedTrip {
-                    index: global,
-                    hops: brief.total_hops(),
-                    weight: brief.total_weight(),
-                });
-                Ok(())
-            },
-            |owned| {
-                let mut parts: Vec<&mut VerifyAccumulator> =
-                    owned.iter_mut().map(|(_, _, (_, acc, _))| acc).collect();
-                VerifyAccumulator::flush_sharded(&mut parts, oracle);
-                Ok(())
-            },
-        )?;
-        Ok(out)
+                while let Ok((i, req)) = rx.try_recv() {
+                    serve(i, &req, &mut accs, true)?;
+                }
+                let lo = next.fetch_add(chunk, Ordering::Relaxed);
+                if lo >= requests.len() {
+                    break;
+                }
+                let hi = (lo + chunk).min(requests.len());
+                for (off, req) in requests[lo..hi].iter().enumerate() {
+                    let index = base + lo + off;
+                    let owner = map.shard_of(req.dst) % workers;
+                    if owner == w {
+                        serve(index, req, &mut accs, false)?;
+                        continue;
+                    }
+                    let mut msg = (index, *req);
+                    let mut stall_started: Option<Instant> = None;
+                    loop {
+                        if failed.load(Ordering::Relaxed) {
+                            break 'ingest;
+                        }
+                        match txs[owner].try_send(msg) {
+                            Ok(()) => {
+                                if let Some(at) = stall_started {
+                                    stall_ns += at.elapsed().as_nanos() as u64;
+                                }
+                                break;
+                            }
+                            Err(TrySendError::Full(m)) => {
+                                msg = m;
+                                if telemetry_on && stall_started.is_none() {
+                                    stall_started = Some(Instant::now());
+                                }
+                                // Backpressure: serve our own backlog while
+                                // the owner's queue is full.
+                                let mut progressed = false;
+                                while let Ok((j, q)) = rx.try_recv() {
+                                    progressed = true;
+                                    serve(j, &q, &mut accs, true)?;
+                                }
+                                if !progressed {
+                                    std::thread::yield_now();
+                                }
+                            }
+                            // The owner returned early — only possible on
+                            // abort.
+                            Err(TrySendError::Disconnected(_)) => break 'ingest,
+                        }
+                    }
+                }
+            }
+            // No more stream input from us: release our senders so owners'
+            // blocking drains can terminate.
+            drop(txs);
+            while !failed.load(Ordering::Relaxed) {
+                match rx.recv() {
+                    Ok((i, req)) => serve(i, &req, &mut accs, true)?,
+                    Err(_) => break,
+                }
+            }
+            if telemetry_on {
+                rtr_telemetry::counter("engine.handoff.stall_ns").add(stall_ns);
+                rtr_telemetry::gauge("engine.shard.queue_depth_hw").set_max(queue_hw as u64);
+            }
+            // After an abort every accumulator is discarded, so a final
+            // flush would pay its oracle rows for nothing.
+            if !failed.load(Ordering::Relaxed) {
+                self.flush(&mut accs);
+            }
+            Ok(accs)
+        };
+        let capacity = config.handoff_capacity.max(1);
+        let (txs, rxs): (Vec<_>, Vec<_>) =
+            (0..workers).map(|_| channel::bounded::<Handoff>(capacity)).unzip();
+        let work = &work;
+        let result = crossbeam::scope(|scope| {
+            let handles: Vec<_> = rxs
+                .into_iter()
+                .enumerate()
+                .map(|(w, rx)| {
+                    let txs = txs.clone();
+                    scope.spawn(move |_| work(w, rx, txs))
+                })
+                .collect();
+            // The workers hold their own sender clones; release the
+            // originals so sender counts reach zero when the workers finish.
+            drop(txs);
+            let mut accs = Vec::with_capacity(map.shard_count());
+            let mut first_err = None;
+            for h in handles {
+                match h.join().expect("engine worker panicked") {
+                    Ok(worker_accs) => accs.extend(worker_accs),
+                    Err(e) => first_err = first_err.or(Some(e)),
+                }
+            }
+            first_err.map_or(Ok(accs), Err)
+        });
+        result.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
+    /// Empty accumulators for the shards worker `w` of `workers` owns,
+    /// ascending.
+    fn shard_accs(&self, w: usize, workers: usize) -> Vec<ShardAcc> {
+        (w..self.plane.map().shard_count())
+            .step_by(workers)
+            .map(|shard| ShardAcc {
+                shard,
+                handoffs: 0,
+                stats: WorkerStats::new(),
+                verify: VerifyAccumulator::new(&self.config),
+                served: Vec::new(),
+                failed: Vec::new(),
+            })
+            .collect()
+    }
+
+    /// Drains the verification buckets of every shard in `accs` through one
+    /// [`rtr_metric::roundtrip_rows_sharded`] sweep.
+    fn flush(&self, accs: &mut [ShardAcc]) {
+        let mut parts: Vec<&mut VerifyAccumulator> =
+            accs.iter_mut().map(|a| &mut a.verify).collect();
+        VerifyAccumulator::flush_sharded(&mut parts, self.oracle);
     }
 
     /// Requests served so far (the next global index to be assigned).
@@ -304,25 +524,29 @@ where
     }
 
     /// Closes the session: folds the merged serving stats into telemetry
-    /// (once, like every one-shot serve call), and returns the same
-    /// [`VerifiedShardedServe`] the one-shot engine would have produced for
-    /// the concatenated stream — modulo the schedule-dependent cost and
-    /// handoff counters.
+    /// (once per session), and returns the same [`VerifiedShardedServe`] one
+    /// [`Engine::serve_verified_sharded`] call would have produced for the
+    /// concatenated stream — modulo the schedule-dependent cost and handoff
+    /// counters.
     ///
     /// # Errors
     ///
-    /// In strict mode, [`VerifyServeError::ShardedBoundExceeded`] when any
-    /// checked trip exceeded the configured stretch bound; the full outcome
-    /// rides along.
-    pub fn finish(self) -> Result<VerifiedShardedServe, VerifyServeError> {
+    /// In strict mode, [`VerifyServeError::BoundExceeded`] when any checked
+    /// trip exceeded the configured stretch bound; the full outcome rides
+    /// along.
+    pub fn finish(mut self) -> Result<VerifiedShardedServe, VerifyServeError> {
         let workers = self.engine.config().workers.max(1);
-        let mut report = self.report;
-        report.violations.sort_by_key(|v| v.index);
-        let summary = ServeSummary::from_stats(self.merged, workers, self.serve_wall);
-        let outcome =
-            VerifiedShardedServe { summary, report, cost: self.cost, shards: self.shards };
+        self.report.violations.sort_by_key(|v| v.index);
+        self.failed_pairs.sort_unstable_by_key(|f| f.index);
+        let outcome = VerifiedShardedServe {
+            summary: ServeSummary::from_stats(self.merged, workers, self.serve_wall),
+            report: self.report,
+            cost: self.cost,
+            shards: self.shards,
+            failed_pairs: self.failed_pairs,
+        };
         if self.config.strict && !outcome.report.is_clean() {
-            return Err(VerifyServeError::ShardedBoundExceeded(Box::new(outcome)));
+            return Err(VerifyServeError::BoundExceeded(Box::new(outcome)));
         }
         Ok(outcome)
     }
@@ -345,8 +569,8 @@ mod tests {
         let sharded = ShardedPlane::new(plane, ShardMap::hashed(16, 4, 9));
         let config = VerifyConfig::full();
         let oneshot = engine.serve_verified_sharded(&sharded, &requests, &m, &config).unwrap();
-        // Splits cover both serve_batch paths: 1/7 inline, 256 boundary,
-        // 333/900 pooled.
+        // Splits cover both sides of the calling-thread / pool split: 1/7
+        // and the 256 boundary on the calling thread, 333/900 on the pool.
         for split in [1usize, 7, 256, 333, 900] {
             let mut session = engine.open_stream(&sharded, &m, &config);
             let mut replies = Vec::new();
@@ -422,8 +646,8 @@ mod tests {
             session.serve_batch(chunk).unwrap();
         }
         let err = session.finish().unwrap_err();
-        let VerifyServeError::ShardedBoundExceeded(outcome) = err else {
-            panic!("expected ShardedBoundExceeded");
+        let VerifyServeError::BoundExceeded(outcome) = err else {
+            panic!("expected BoundExceeded");
         };
         assert_eq!(outcome.report.violations.len(), 120);
         let indices: Vec<usize> = outcome.report.violations.iter().map(|v| v.index).collect();

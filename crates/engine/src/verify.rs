@@ -11,16 +11,15 @@
 //! exceeding the scheme's proven stretch bound is reported (and, in strict
 //! mode, fails the run).
 //!
-//! The cost model: checked trips buffer in **bounded destination buckets**
-//! — per worker in the unsharded engine, per destination shard in the
-//! sharded engine — and each bucket set flushes through ONE shared roundtrip
-//! row per distinct destination ([`rtr_metric::roundtrip_rows_batched`]; a
-//! sharded worker drains all its shards' buckets in one
-//! [`rtr_metric::roundtrip_rows_sharded`] sweep, which prefetches row
-//! windows across shard boundaries).  A flush therefore pays two Dijkstras
-//! per distinct destination in the bucket window (modulo oracle cache hits),
-//! so skewed workloads (Zipf, hotspot) verify almost for free and uniform
-//! load costs at most `2 · min(n, window)` rows per flush.  Because shards
+//! The cost model: checked trips buffer in **bounded destination buckets**,
+//! one set per destination shard, and each bucket set flushes through ONE
+//! shared roundtrip row per distinct destination (a worker drains all its
+//! shards' buckets in one [`rtr_metric::roundtrip_rows_sharded`] sweep,
+//! which prefetches row windows across shard boundaries).  A flush
+//! therefore pays two Dijkstras per distinct destination in the bucket
+//! window (modulo oracle cache hits), so skewed workloads (Zipf, hotspot)
+//! verify almost for free and uniform load costs at most
+//! `2 · min(n, window)` rows per flush.  Because shards
 //! partition the destination space, per-shard buckets never fetch the same
 //! destination row on two workers: total verify rows stay
 //! `≤ 2 · distinct(stream destinations)` regardless of worker count.
@@ -33,13 +32,13 @@
 //! Counts and totals merge commutatively, the worst case is the maximum
 //! under a total order (stretch, then request index), and violations are
 //! sorted by global request index.  The `verify_conformance` test-suite
-//! asserts reports bit-identical across 1/2/8 workers and to
-//! [`verify_sequential`], the sequential oracle-checked replay.
+//! asserts reports bit-identical across shard layouts, 1/2/8 workers and
+//! to [`verify_sequential`], the sequential oracle-checked replay.
 
 use crate::plane::FrozenPlane;
 use crate::workload::Request;
 use rtr_graph::{Distance, NodeId, INFINITY};
-use rtr_metric::{roundtrip_rows_batched, roundtrip_rows_sharded, DistanceOracle};
+use rtr_metric::{roundtrip_rows_sharded, DistanceOracle};
 use rtr_sim::{RoundtripRouting, SimError};
 use std::collections::HashMap;
 use std::error::Error;
@@ -49,8 +48,7 @@ use std::time::{Duration, Instant};
 /// How much of the request stream the engine verifies against the oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyMode {
-    /// No verification: [`crate::Engine::serve_verified`] serves the stream
-    /// with an empty report.
+    /// No verification: the engine serves the stream with an empty report.
     Off,
     /// Verify a strided sample: request `i` is checked iff
     /// `i % stride == 0` (by *global* request index, so the checked set is
@@ -130,9 +128,9 @@ pub struct VerifyConfig {
     /// (measured-not-proven substrates) still verifies and accumulates the
     /// histogram but can never fail.
     pub bound: Option<StretchBound>,
-    /// Backpressure threshold: a worker flushes its destination buckets
-    /// whenever this many trips are buffered, bounding verification memory
-    /// at `flush_pending` trips per worker (clamped to at least 1).
+    /// Backpressure threshold: a shard's destination buckets flush whenever
+    /// this many trips are buffered, bounding verification memory at
+    /// `flush_pending` trips per shard (clamped to at least 1).
     pub flush_pending: usize,
     /// When true (the default) a run whose report contains violations
     /// returns [`VerifyServeError::BoundExceeded`] instead of the report —
@@ -371,9 +369,8 @@ pub struct VerifyCost {
     /// Destination roundtrip rows fetched across all flushes (each is two
     /// Dijkstras on a cold lazy oracle; cache hits are cheaper).
     pub row_fetches: usize,
-    /// Largest number of trips buffered in any single accumulator (per
-    /// worker unsharded, per shard sharded) at any moment — the
-    /// verification-memory high-water mark.
+    /// Largest number of trips buffered in any single shard's accumulator at
+    /// any moment — the verification-memory high-water mark.
     pub peak_pending: usize,
     /// Wall time spent inside flushes, summed over all accumulators — so
     /// with `w` workers flushing concurrently this can exceed the run's
@@ -392,20 +389,6 @@ impl VerifyCost {
     }
 }
 
-/// The full outcome of [`crate::Engine::serve_verified`]: the ordinary
-/// serving summary, the deterministic verification report, and the
-/// schedule-dependent cost counters.
-#[derive(Debug, Clone)]
-pub struct VerifiedServe {
-    /// Throughput/latency accounting of the serving phase (all stretch
-    /// accounting lives in [`VerifiedServe::report`]).
-    pub summary: crate::ServeSummary,
-    /// The deterministic verification outcome.
-    pub report: VerifiedReport,
-    /// Flush/row cost counters.
-    pub cost: VerifyCost,
-}
-
 /// Errors of a verified serve run.
 #[derive(Debug)]
 pub enum VerifyServeError {
@@ -414,21 +397,16 @@ pub enum VerifyServeError {
     /// Strict mode: at least one checked trip exceeded the configured
     /// stretch bound.  The complete outcome — including the sorted violation
     /// list — rides along for diagnosis.
-    BoundExceeded(Box<VerifiedServe>),
-    /// [`VerifyServeError::BoundExceeded`] raised by the sharded engine —
-    /// the sharded outcome (same report, plus per-shard accounting) rides
-    /// along.
-    ShardedBoundExceeded(Box<crate::shard::VerifiedShardedServe>),
+    BoundExceeded(Box<crate::VerifiedShardedServe>),
 }
 
 impl VerifyServeError {
-    /// The verification report of a bound-exceeded error, whichever engine
-    /// raised it (`None` for simulator errors).
+    /// The verification report of a bound-exceeded error (`None` for
+    /// simulator errors).
     pub fn report(&self) -> Option<&VerifiedReport> {
         match self {
             VerifyServeError::Sim(_) => None,
             VerifyServeError::BoundExceeded(outcome) => Some(&outcome.report),
-            VerifyServeError::ShardedBoundExceeded(outcome) => Some(&outcome.report),
         }
     }
 }
@@ -437,8 +415,8 @@ impl fmt::Display for VerifyServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VerifyServeError::Sim(e) => write!(f, "{e}"),
-            VerifyServeError::BoundExceeded(_) | VerifyServeError::ShardedBoundExceeded(_) => {
-                let report = self.report().expect("bound errors carry a report");
+            VerifyServeError::BoundExceeded(outcome) => {
+                let report = &outcome.report;
                 write!(
                     f,
                     "{} of {} verified queries exceeded the stretch bound (first: {:?})",
@@ -466,8 +444,8 @@ struct PendingTrip {
     measured: Distance,
 }
 
-/// Per-worker verification state: bounded destination buckets plus the
-/// worker's private slice of the report.
+/// Per-shard verification state: bounded destination buckets plus the
+/// shard's private slice of the report.
 pub(crate) struct VerifyAccumulator {
     bound: Option<StretchBound>,
     flush_pending: usize,
@@ -489,8 +467,8 @@ impl VerifyAccumulator {
         }
     }
 
-    /// Buffers one trip under its destination, flushing the worker's buckets
-    /// when the backpressure threshold is reached.
+    /// Buffers one trip under its destination, flushing the buckets when the
+    /// backpressure threshold is reached.
     pub(crate) fn push<O: DistanceOracle + ?Sized>(
         &mut self,
         oracle: &O,
@@ -506,44 +484,18 @@ impl VerifyAccumulator {
         self.pending += 1;
         self.cost.peak_pending = self.cost.peak_pending.max(self.pending);
         if self.pending >= self.flush_pending {
-            self.flush(oracle);
-        }
-    }
-
-    /// Drains every bucket: one shared roundtrip row per distinct
-    /// destination, every buffered trip of that destination checked against
-    /// it.  Destinations are visited in sorted order so oracle access
-    /// patterns are reproducible; the verdicts themselves never depend on
-    /// the order.
-    pub(crate) fn flush<O: DistanceOracle + ?Sized>(&mut self, oracle: &O) {
-        if self.pending == 0 {
-            return;
-        }
-        let checked_before = self.report.checked;
-        let started = Instant::now();
-        let nodes = self.sorted_destinations();
-        roundtrip_rows_batched(oracle, &nodes, |dst, row| self.check_bucket(dst, row));
-        let elapsed = started.elapsed();
-        self.cost.flushes += 1;
-        self.cost.row_fetches += nodes.len();
-        self.cost.flush_wall += elapsed;
-        self.pending = 0;
-        if rtr_telemetry::enabled() {
-            rtr_telemetry::counter("verify.flushes").inc();
-            rtr_telemetry::counter("verify.row_fetches").add(nodes.len() as u64);
-            rtr_telemetry::counter("verify.checked")
-                .add((self.report.checked - checked_before) as u64);
-            rtr_telemetry::histogram("verify.flush_ns").observe(elapsed);
+            Self::flush_sharded(&mut [self], oracle);
         }
     }
 
     /// Drains several accumulators' buckets — one per destination shard of
-    /// one sharded worker — through a **single**
+    /// one worker — through a **single**
     /// [`rtr_metric::roundtrip_rows_sharded`] sweep, so a worker owning many
-    /// small shards still fills whole prefetch windows.  Row accounting is
-    /// attributed per accumulator; the shared sweep's wall time lands on the
-    /// first flushed accumulator (summing per-shard costs then remains
-    /// truthful).
+    /// small shards still fills whole prefetch windows: one shared roundtrip
+    /// row per distinct destination, every buffered trip of that destination
+    /// checked against it.  Row accounting is attributed per accumulator;
+    /// the shared sweep's wall time lands on the first flushed accumulator
+    /// (summing per-shard costs then remains truthful).
     pub(crate) fn flush_sharded<O: DistanceOracle + ?Sized>(
         parts: &mut [&mut VerifyAccumulator],
         oracle: &O,
@@ -623,7 +575,7 @@ impl VerifyAccumulator {
         }
     }
 
-    /// Merges the per-worker accumulators into the final `(report, cost)`
+    /// Merges the per-shard accumulators into the final `(report, cost)`
     /// pair, sorting violations by request index.
     pub(crate) fn merge_all(
         parts: impl IntoIterator<Item = VerifyAccumulator>,
@@ -649,8 +601,8 @@ impl VerifyAccumulator {
 /// — no batching, no buckets, no threads.
 ///
 /// This is the ground truth of the verification plane: the differential
-/// test-suite asserts [`crate::Engine::serve_verified`] reproduces this
-/// report **bit for bit** for every worker count.
+/// test-suite asserts [`crate::Engine::serve_verified_sharded`] reproduces
+/// this report **bit for bit** for every shard × worker count.
 ///
 /// # Errors
 ///
@@ -674,7 +626,7 @@ where
             // Verify immediately: a one-trip "bucket" through the same
             // exact-row comparison the batched path performs.
             acc.push(oracle, index, req, measured);
-            acc.flush(oracle);
+            VerifyAccumulator::flush_sharded(&mut [&mut acc], oracle);
         }
     }
     let (report, _) = VerifyAccumulator::merge_all([acc], requests.len());
@@ -686,7 +638,7 @@ mod tests {
     use super::*;
     use crate::plane::tests::ring_plane;
     use crate::workload::Workload;
-    use crate::{Engine, EngineConfig};
+    use crate::{Engine, EngineConfig, ShardMap, ShardedPlane};
     use rtr_metric::DistanceMatrix;
 
     #[test]
@@ -695,8 +647,9 @@ mod tests {
         let m = DistanceMatrix::build(plane.graph());
         let requests = Workload::Uniform.generate(10, 500, 3);
         let engine = Engine::new(EngineConfig::with_workers(3));
+        let sharded = ShardedPlane::new(plane, ShardMap::hashed(10, 3, 1));
         let config = VerifyConfig::full().with_bound(StretchBound::at_most(1));
-        let outcome = engine.serve_verified(&plane, &requests, &m, &config).unwrap();
+        let outcome = engine.serve_verified_sharded(&sharded, &requests, &m, &config).unwrap();
         // The ring scheme routes optimally (the ring is the only route), so
         // every trip has stretch exactly 1 and the bound 1 is never exceeded.
         assert_eq!(outcome.report.queries, 500);
@@ -715,10 +668,12 @@ mod tests {
         let m = DistanceMatrix::build(plane.graph());
         let requests = Workload::Mix.generate(8, 300, 9);
         let engine = Engine::default();
-        let sampled =
-            engine.serve_verified(&plane, &requests, &m, &VerifyConfig::sampled(7)).unwrap();
+        let sharded = ShardedPlane::new(plane, ShardMap::single(8));
+        let sampled = VerifyConfig::sampled(7);
+        let sampled = engine.serve_verified_sharded(&sharded, &requests, &m, &sampled).unwrap();
         assert_eq!(sampled.report.checked, requests.len().div_ceil(7));
-        let off = engine.serve_verified(&plane, &requests, &m, &VerifyConfig::off()).unwrap();
+        let off = VerifyConfig::off();
+        let off = engine.serve_verified_sharded(&sharded, &requests, &m, &off).unwrap();
         assert_eq!(off.report.checked, 0);
         assert_eq!(off.report.queries, 300);
         assert_eq!(off.cost.row_fetches, 0);
@@ -730,10 +685,11 @@ mod tests {
         let m = DistanceMatrix::build(plane.graph());
         let requests = Workload::Uniform.generate(12, 200, 5);
         let engine = Engine::new(EngineConfig::with_workers(2));
+        let sharded = ShardedPlane::new(plane, ShardMap::range(12, 2));
 
         // An impossible ceiling (stretch < 1/2) flags every trip.
         let config = VerifyConfig::full().with_bound(StretchBound { num: 1, den: 2 });
-        let err = engine.serve_verified(&plane, &requests, &m, &config).unwrap_err();
+        let err = engine.serve_verified_sharded(&sharded, &requests, &m, &config).unwrap_err();
         let VerifyServeError::BoundExceeded(outcome) = err else {
             panic!("expected BoundExceeded");
         };
@@ -744,7 +700,7 @@ mod tests {
 
         // The same run in non-strict mode returns the report for inspection.
         let lax = VerifyConfig { strict: false, ..config };
-        let outcome = engine.serve_verified(&plane, &requests, &m, &lax).unwrap();
+        let outcome = engine.serve_verified_sharded(&sharded, &requests, &m, &lax).unwrap();
         assert_eq!(outcome.report.violations.len(), 200);
     }
 
@@ -754,9 +710,11 @@ mod tests {
         let m = DistanceMatrix::build(plane.graph());
         let requests = Workload::Zipf { exponent: 1.2 }.generate(9, 400, 11);
         let engine = Engine::new(EngineConfig::with_workers(2));
-        let roomy = engine.serve_verified(&plane, &requests, &m, &VerifyConfig::full()).unwrap();
+        let sharded = ShardedPlane::new(plane, ShardMap::single(9));
+        let roomy = VerifyConfig::full();
+        let roomy = engine.serve_verified_sharded(&sharded, &requests, &m, &roomy).unwrap();
         let tight = VerifyConfig { flush_pending: 3, ..VerifyConfig::full() };
-        let tight = engine.serve_verified(&plane, &requests, &m, &tight).unwrap();
+        let tight = engine.serve_verified_sharded(&sharded, &requests, &m, &tight).unwrap();
         assert_eq!(roomy.report, tight.report);
         assert!(tight.cost.flushes > roomy.cost.flushes);
         assert!(tight.cost.peak_pending <= 3);

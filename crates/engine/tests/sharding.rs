@@ -2,7 +2,8 @@
 //! configurations must neither lose requests nor perturb the verified
 //! report.
 //!
-//! * one shard ≡ the unsharded engine, aggregate for aggregate;
+//! * one shard reproduces the sequential simulator's aggregates and the
+//!   sequential oracle-checked replay;
 //! * far more shards than workers (including empty shards) still covers
 //!   every request exactly once;
 //! * a hotspot stream lands entirely on the destination's owner shard;
@@ -32,32 +33,39 @@ fn plane() -> (DistanceMatrix, FrozenPlane<StretchSix<ExactOracleScheme>>) {
     (m, frozen)
 }
 
-fn summaries_agree(a: &rtr_engine::ServeSummary, b: &rtr_engine::ServeSummary, label: &str) {
-    assert_eq!(a.queries, b.queries, "{label}");
-    assert_eq!(a.total_hops, b.total_hops, "{label}");
-    assert_eq!(a.total_weight, b.total_weight, "{label}");
-    assert_eq!(a.max_header_bits, b.max_header_bits, "{label}");
-    assert_eq!(a.hop_latency(), b.hop_latency(), "{label}");
-}
-
 #[test]
 fn one_shard_reproduces_the_unsharded_engine_exactly() {
     let (m, plane) = plane();
     let single = ShardedPlane::new(plane.clone(), ShardMap::single(N));
     let requests = Workload::Mix.generate(N, 700, 3);
     let config = VerifyConfig::full().with_bound(StretchBound::at_most(6));
+    let reference = verify_sequential(&plane, &requests, &m, &config).unwrap();
+    let sim = plane.simulator();
+    let (mut hops, mut weight, mut header_bits) = (0u64, 0u128, 0usize);
+    for r in &requests {
+        let brief =
+            sim.roundtrip_brief(plane.scheme(), r.src, r.dst, plane.name_of(r.dst)).unwrap();
+        hops += brief.total_hops() as u64;
+        weight += u128::from(brief.total_weight());
+        header_bits = header_bits.max(brief.max_header_bits());
+    }
+    let mut latency = None;
     for workers in [1usize, 3] {
         let engine = Engine::new(EngineConfig::with_workers(workers));
-        let flat = engine.serve(&plane, &requests).unwrap();
-        let sharded = engine.serve_sharded(&single, &requests).unwrap();
-        summaries_agree(&flat, &sharded.summary, "one shard, unverified");
-        assert_eq!(sharded.shards.len(), 1);
-        assert_eq!(sharded.shards[0].queries, requests.len() as u64);
-
-        let flat = engine.serve_verified(&plane, &requests, &m, &config).unwrap();
-        let sharded = engine.serve_verified_sharded(&single, &requests, &m, &config).unwrap();
-        summaries_agree(&flat.summary, &sharded.summary, "one shard, verified");
-        assert_eq!(flat.report, sharded.report, "one shard must not change the report");
+        let unverified = engine.serve_sharded(&single, &requests).unwrap();
+        let verified = engine.serve_verified_sharded(&single, &requests, &m, &config).unwrap();
+        for (outcome, label) in [(&unverified, "unverified"), (&verified, "verified")] {
+            let summary = &outcome.summary;
+            assert_eq!(summary.queries, requests.len(), "{label}");
+            assert_eq!(summary.total_hops, hops, "{label}");
+            assert_eq!(summary.total_weight, weight, "{label}");
+            assert_eq!(summary.max_header_bits, header_bits, "{label}");
+            assert_eq!(outcome.shards.len(), 1);
+            assert_eq!(outcome.shards[0].queries, requests.len() as u64);
+            let key = summary.hop_latency();
+            assert_eq!(*latency.get_or_insert(key), key, "{label}");
+        }
+        assert_eq!(verified.report, reference, "one shard must not change the report");
     }
 }
 

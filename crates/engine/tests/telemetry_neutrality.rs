@@ -12,8 +12,8 @@
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{SchemeSuite, SuiteParams};
 use rtr_engine::{
-    Engine, EngineConfig, FrozenPlane, ShardMap, ShardedPlane, StretchBound, VerifiedServe,
-    VerifiedShardedServe, VerifyConfig, Workload,
+    Engine, EngineConfig, FrozenPlane, ShardMap, ShardedPlane, StretchBound, VerifiedShardedServe,
+    VerifyConfig, Workload,
 };
 use rtr_graph::generators::strongly_connected_gnp;
 use rtr_metric::{DistanceMatrix, LazyDijkstraOracle};
@@ -44,26 +44,18 @@ fn check_plane<S: RoundtripRouting + Send + Sync>(
     label: &str,
 ) {
     let config = VerifyConfig::full().with_bound(bound);
-    for workers in [1usize, 2, 8] {
-        let engine = Engine::new(EngineConfig::with_workers(workers));
+    // Chunks of 16 spread each case over the pool's workers and handoffs;
+    // the last case's default chunk serves the whole stream on the calling
+    // thread.
+    let default_chunk = EngineConfig::default().chunk_size;
+    for (workers, chunk_size) in [(1usize, 16), (2, 16), (8, 16), (2, default_chunk)] {
+        let engine =
+            Engine::new(EngineConfig { chunk_size, ..EngineConfig::with_workers(workers) });
+        let at = format!("{workers} workers, chunk {chunk_size}");
 
-        // Unsharded verified serve: the report is bit-identical and the
-        // summary aggregates match.
-        let (on, off): (VerifiedServe, VerifiedServe) = with_and_without_telemetry(|| {
-            engine
-                .serve_verified(plane, requests, oracle, &config)
-                .unwrap_or_else(|e| panic!("{label}({workers}): {e}"))
-        });
-        assert_eq!(on.report, off.report, "{label}({workers}): telemetry changed the report");
-        assert_eq!(
-            summary_key(&on.summary),
-            summary_key(&off.summary),
-            "{label}({workers}): telemetry changed the summary aggregates"
-        );
-
-        // Sharded verified serve: report, per-shard query counts, and
-        // summary aggregates are all telemetry-blind.  (Handoff counts and
-        // wall times are schedule-dependent and excluded by design.)
+        // Report, per-shard query counts, and summary aggregates are all
+        // telemetry-blind.  (Handoff counts and wall times are
+        // schedule-dependent and excluded by design.)
         for shards in [1usize, 2, 4] {
             for map in [
                 ShardMap::hashed(plane.node_count(), shards, 0xA11CE),
@@ -75,11 +67,11 @@ fn check_plane<S: RoundtripRouting + Send + Sync>(
                     with_and_without_telemetry(|| {
                         engine
                             .serve_verified_sharded(&sharded, requests, oracle, &config)
-                            .unwrap_or_else(|e| panic!("{label}/{policy}×{shards}({workers}): {e}"))
+                            .unwrap_or_else(|e| panic!("{label}/{policy}×{shards}({at}): {e}"))
                     });
                 assert_eq!(
                     on.report, off.report,
-                    "{label}/{policy}×{shards}({workers}): telemetry changed the sharded report"
+                    "{label}/{policy}×{shards}({at}): telemetry changed the sharded report"
                 );
                 let queries = |o: &VerifiedShardedServe| {
                     o.shards.iter().map(|s| (s.shard, s.queries)).collect::<Vec<_>>()
@@ -87,12 +79,12 @@ fn check_plane<S: RoundtripRouting + Send + Sync>(
                 assert_eq!(
                     queries(&on),
                     queries(&off),
-                    "{label}/{policy}×{shards}({workers}): telemetry changed shard queries"
+                    "{label}/{policy}×{shards}({at}): telemetry changed shard queries"
                 );
                 assert_eq!(
                     summary_key(&on.summary),
                     summary_key(&off.summary),
-                    "{label}/{policy}×{shards}({workers}): telemetry changed the aggregates"
+                    "{label}/{policy}×{shards}({at}): telemetry changed the aggregates"
                 );
             }
         }

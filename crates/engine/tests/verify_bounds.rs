@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{SchemeSuite, SuiteParams};
 use rtr_engine::{
-    Engine, EngineConfig, FrozenPlane, Request, StretchBound, VerifyConfig, VerifyServeError,
-    Workload,
+    Engine, EngineConfig, FrozenPlane, Request, ShardMap, ShardedPlane, StretchBound, VerifyConfig,
+    VerifyServeError, Workload,
 };
 use rtr_graph::generators::strongly_connected_gnp;
 use rtr_graph::{DiGraph, DiGraphBuilder, Distance, NodeId};
@@ -110,18 +110,20 @@ fn check_detects_exactly_the_corrupted_queries<S: RoundtripRouting + Send + Sync
     bound: u64,
     label: &str,
 ) {
-    let engine = Engine::new(EngineConfig::with_workers(3));
+    // Chunks of 16 spread the stream over the pool's three workers.
+    let engine = Engine::new(EngineConfig { chunk_size: 16, ..EngineConfig::with_workers(3) });
+    let sharded = ShardedPlane::new(plane.clone(), ShardMap::hashed(plane.node_count(), 3, 5));
     let strict = VerifyConfig::full().with_bound(StretchBound::at_most(bound));
 
     // Against the clean oracle the proven ceiling holds for the full stream.
     let outcome = engine
-        .serve_verified(plane, requests, clean, &strict)
+        .serve_verified_sharded(&sharded, requests, clean, &strict)
         .unwrap_or_else(|e| panic!("{label}: clean run failed: {e}"));
     assert!(outcome.report.is_clean());
     assert_eq!(outcome.report.checked, requests.len());
 
     // Strict mode hard-fails on the corrupted oracle…
-    let err = engine.serve_verified(plane, requests, corrupted, &strict).unwrap_err();
+    let err = engine.serve_verified_sharded(&sharded, requests, corrupted, &strict).unwrap_err();
     let VerifyServeError::BoundExceeded(outcome) = err else {
         panic!("{label}: expected BoundExceeded, got a sim error");
     };

@@ -1,12 +1,17 @@
 //! The verification plane's core contract: for every scheme, workload, and
-//! oracle flavor, [`Engine::serve_verified`] under [`VerifyMode::Full`]
-//! produces a [`rtr_engine::VerifiedReport`] **bit-identical** across 1, 2
-//! and 8 workers (and across flush thresholds) and equal to
-//! [`verify_sequential`], the sequential oracle-checked replay — checking
-//! 100% of the stream, within each scheme's proven stretch ceiling, in
-//! strict mode.  The sharded engine extends the contract: any shard count ×
-//! policy × worker count reproduces the same report, with per-shard query
-//! counts that depend only on the destinations, never on the schedule.
+//! oracle flavor, [`Engine::serve_verified_sharded`] under
+//! [`VerifyMode::Full`] produces a [`rtr_engine::VerifiedReport`]
+//! **bit-identical** across 1, 2 and 8 workers (and across flush
+//! thresholds) and equal to [`verify_sequential`], the sequential
+//! oracle-checked replay — checking 100% of the stream, within each scheme's
+//! proven stretch ceiling, in strict mode.  Any shard count × policy ×
+//! worker count reproduces the same report, with per-shard query counts
+//! that depend only on the destinations, never on the schedule.
+//!
+//! The streams here are shorter than the engine's default chunk, which
+//! would serve each one on the calling thread; the engines pin chunks of
+//! [`CHUNK`] so every case crosses the pool's workers and handoffs, and one
+//! default-chunk case per check keeps the calling thread covered.
 
 use proptest::prelude::*;
 use rtr_core::naming::NamingAssignment;
@@ -22,6 +27,14 @@ use rtr_metric::{
 };
 use rtr_sim::RoundtripRouting;
 use std::sync::Arc;
+
+/// Requests per chunk: small enough that every stream below spans several.
+const CHUNK: usize = 16;
+
+/// An engine of `workers` threads grabbing [`CHUNK`]-request chunks.
+fn pooled(workers: usize) -> Engine {
+    Engine::new(EngineConfig { chunk_size: CHUNK, ..EngineConfig::with_workers(workers) })
+}
 
 /// Asserts that full verification of `requests` over `plane` is
 /// schedule-independent: every worker count × oracle flavor × flush
@@ -41,13 +54,14 @@ fn check_conformance<S: RoundtripRouting + Send + Sync>(
     assert_eq!(reference.checked, requests.len(), "{label}: full mode must check 100%");
     assert!(reference.is_clean(), "{label}: proven bound violated: {:?}", reference.violations);
 
+    let single = ShardedPlane::new(plane.clone(), ShardMap::single(plane.node_count()));
     for workers in [1usize, 2, 8] {
-        let engine = Engine::new(EngineConfig::with_workers(workers));
+        let engine = pooled(workers);
         for (oracle, oracle_name) in
             [(dense as &dyn DistanceOracle, "dense"), (lazy, "lazy"), (subset, "subset")]
         {
             let outcome = engine
-                .serve_verified(plane, requests, oracle, &config)
+                .serve_verified_sharded(&single, requests, oracle, &config)
                 .unwrap_or_else(|e| panic!("{label}/{oracle_name}({workers}): {e}"));
             assert_eq!(
                 outcome.report, reference,
@@ -58,7 +72,7 @@ fn check_conformance<S: RoundtripRouting + Send + Sync>(
         // report must not notice.
         let tight = VerifyConfig { flush_pending: 13, ..config };
         let outcome = engine
-            .serve_verified(plane, requests, dense, &tight)
+            .serve_verified_sharded(&single, requests, dense, &tight)
             .unwrap_or_else(|e| panic!("{label}/tight({workers}): {e}"));
         assert_eq!(outcome.report, reference, "{label}: flush threshold leaked into the report");
     }
@@ -75,7 +89,7 @@ fn check_conformance<S: RoundtripRouting + Send + Sync>(
             let sharded = ShardedPlane::new(plane.clone(), map);
             let mut shard_queries: Option<Vec<u64>> = None;
             for workers in [1usize, 2, 8] {
-                let engine = Engine::new(EngineConfig::with_workers(workers));
+                let engine = pooled(workers);
                 let policy = map.policy().name();
                 let outcome = engine
                     .serve_verified_sharded(&sharded, requests, lazy, &config)
@@ -98,12 +112,18 @@ fn check_conformance<S: RoundtripRouting + Send + Sync>(
         }
     }
 
+    // The default chunk serves the whole stream on the calling thread.
+    let sharded = ShardedPlane::new(plane.clone(), ShardMap::hashed(plane.node_count(), 3, 7));
+    let engine = Engine::new(EngineConfig::with_workers(3));
+    assert!(requests.len() <= engine.config().chunk_size, "{label}: not one chunk");
+    let outcome = engine.serve_verified_sharded(&sharded, requests, subset, &config).unwrap();
+    assert_eq!(outcome.report, reference, "{label}: calling-thread report diverged");
+
     // Sampled mode checks exactly the strided subset, identically.
     let sampled = VerifyConfig { mode: VerifyMode::Sampled { stride: 5 }, ..config };
     let seq = verify_sequential(plane, requests, dense, &sampled).unwrap();
     assert_eq!(seq.checked, requests.len().div_ceil(5), "{label}: sampled stride");
-    let engine = Engine::new(EngineConfig::with_workers(3));
-    let outcome = engine.serve_verified(plane, requests, lazy, &sampled).unwrap();
+    let outcome = pooled(3).serve_verified_sharded(&sharded, requests, lazy, &sampled).unwrap();
     assert_eq!(outcome.report, seq, "{label}: sampled mode diverged");
 }
 
@@ -157,8 +177,12 @@ fn chaos_epochs_are_bit_identical_across_workers_and_shard_policies() {
         let config = VerifyConfig::full().with_bound(StretchBound::at_most(bound));
 
         let mut reference: Option<VerifiedReport> = None;
-        for workers in [1usize, 2, 8] {
-            let engine = Engine::new(EngineConfig::with_workers(workers));
+        // The last engine's default chunk serves each epoch on the calling
+        // thread.
+        let engines = [pooled(1), pooled(2), pooled(8), Engine::new(EngineConfig::with_workers(2))];
+        for engine in &engines {
+            let c = engine.config();
+            let at = format!("{} workers, chunk {}", c.workers, c.chunk_size);
             for map in [ShardMap::hashed(n, 3, 0xA11CE), ShardMap::range(n, 3)] {
                 let policy = map.policy().name();
                 let pre = engine.serve_epoch_sharded(
@@ -196,7 +220,7 @@ fn chaos_epochs_are_bit_identical_across_workers_and_shard_policies() {
                     None => reference = Some(report),
                     Some(first) => assert_eq!(
                         &report, first,
-                        "seed {seed}: chaos epochs diverged at {workers} workers ({policy})"
+                        "seed {seed}: chaos epochs diverged at {at} ({policy})"
                     ),
                 }
             }

@@ -26,7 +26,7 @@
 //!   `PolynomialStretch`, the lower-bound construction and the evaluation
 //!   harness (`rtr-core`);
 //! * [`engine`] — the concurrent route-serving plane: frozen scheme
-//!   snapshots, seeded workload generators, a work-stealing worker pool and
+//!   snapshots, seeded workload generators, a shard-owning worker pool and
 //!   latency/stretch accounting (`rtr-engine`).
 //!
 //! ```
@@ -76,7 +76,7 @@ pub mod prelude {
     pub use rtr_dictionary::NodeName;
     pub use rtr_engine::{
         Engine, EngineConfig, FrozenPlane, Request, ServeSummary, ShardMap, ShardPolicy,
-        ShardedPlane, StretchBound, VerifiedReport, VerifiedServe, VerifyConfig, VerifyMode,
+        ShardedPlane, StretchBound, VerifiedReport, VerifiedShardedServe, VerifyConfig, VerifyMode,
         Workload,
     };
     pub use rtr_graph::{generators, DiGraph, DiGraphBuilder, NodeId};

@@ -62,8 +62,8 @@ pub use cluster::ClusterMetric;
 pub use invalidation::RowInvalidation;
 pub use matrix::DistanceMatrix;
 pub use oracle::{
-    roundtrip_rows_batched, roundtrip_rows_sharded, sweep_rows_prefetched, CachedSubsetOracle,
-    DistanceOracle, LazyDijkstraOracle, OracleStats, PREFETCH_WINDOW,
+    roundtrip_rows_sharded, sweep_rows_prefetched, CachedSubsetOracle, DistanceOracle,
+    LazyDijkstraOracle, OracleStats, PREFETCH_WINDOW,
 };
 pub use order::{roundtrip_closer, RoundtripOrder, TruncatedOrderSweep};
 pub use sweep::{

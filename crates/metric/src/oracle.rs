@@ -226,43 +226,25 @@ where
     }
 }
 
-/// Visits the roundtrip row of every node in `destinations`, in order,
-/// prefetching each [`PREFETCH_WINDOW`]-sized window's rows before consuming
-/// it — the batched-row lookup shared by every destination-grouped metric
-/// consumer: the engine's verification plane flushes its per-worker
-/// destination buckets through it, and the serve-summary stretch sweep
-/// answers its strided sample with it.
+/// Visits the roundtrip rows of several shards' destination lists in **one**
+/// prefetch-windowed sweep — the batched-row lookup the engine's
+/// verification plane flushes each worker's per-shard destination buckets
+/// through.  `shards[s]` is shard `s`'s destination list (duplicates and any
+/// order allowed); `f(s, d, row)` is called for every destination of every
+/// shard, shards in slice order, destinations in per-shard order.  Prefetch
+/// windows span shard boundaries, so a worker that owns several small shards
+/// still fills [`PREFETCH_WINDOW`]-sized oracle batches instead of issuing
+/// one under-filled batch per shard.
 ///
 /// On a lazy oracle each window's forward + reverse Dijkstras overlap on the
 /// oracle's worker pool while `f` drains finished rows on this thread; on a
 /// dense oracle the prefetch is a no-op and the loop degenerates to plain
 /// row reads.  The total row cost is two Dijkstras per **distinct**
-/// destination in the batch (modulo cache hits), never per consumer item —
-/// which is what makes destination-grouped verification cheap under skew.
-pub fn roundtrip_rows_batched<O, F>(m: &O, destinations: &[NodeId], mut f: F)
-where
-    O: DistanceOracle + ?Sized,
-    F: FnMut(NodeId, &[Distance]),
-{
-    // One canonical prefetch-window loop: ride sweep_rows_prefetched so a
-    // future change to the window policy applies to both sweeps.
-    sweep_rows_prefetched(m, destinations, |d| f(d, &m.roundtrip_row(d)));
-}
-
-/// Visits the roundtrip rows of several shards' destination lists in **one**
-/// shared prefetch-windowed sweep — the shard-aware sibling of
-/// [`roundtrip_rows_batched`].  `shards[s]` is shard `s`'s destination list;
-/// `f(s, d, row)` is called for every destination of every shard, shards in
-/// slice order, destinations in per-shard order.  Prefetch windows span shard
-/// boundaries, so a worker that owns several small shards still fills
-/// [`PREFETCH_WINDOW`]-sized oracle batches instead of issuing one
-/// under-filled batch per shard.
-///
-/// Row cost is identical to concatenating the lists into a single
-/// [`roundtrip_rows_batched`] call: two Dijkstras per distinct destination
-/// across all shards (modulo cache hits).  When destination lists are
-/// shard-disjoint — as the engine's per-shard verification buckets are —
-/// no row is ever fetched for more than one shard.
+/// destination across all shards (modulo cache hits), never per consumer
+/// item — which is what makes destination-grouped verification cheap under
+/// skew.  When destination lists are shard-disjoint — as the engine's
+/// per-shard verification buckets are — no row is ever fetched for more
+/// than one shard.
 pub fn roundtrip_rows_sharded<O, F>(m: &O, shards: &[&[NodeId]], mut f: F)
 where
     O: DistanceOracle + ?Sized,
@@ -948,8 +930,8 @@ mod tests {
         let dests: Vec<NodeId> = [3u32, 0, 29, 3, 17, 17, 8].iter().map(|&i| NodeId(i)).collect();
         for oracle in [&dense as &dyn DistanceOracle, &lazy, &subset] {
             let mut seen = Vec::new();
-            roundtrip_rows_batched(oracle, &dests, |d, row| {
-                assert_eq!(row.len(), 30);
+            roundtrip_rows_sharded(oracle, &[&dests], |s, d, row| {
+                assert_eq!((s, row.len()), (0, 30));
                 for v in g.nodes() {
                     assert_eq!(row[v.index()], dense.roundtrip(d, v));
                 }

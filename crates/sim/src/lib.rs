@@ -9,8 +9,8 @@
 //! * [`RoundtripRouting`] — the trait every scheme implements: build-time
 //!   tables, a purely local forwarding function, and size accounting;
 //! * [`Simulator`] — drives packets hop by hop, resolving ports against the
-//!   graph, enforcing a TTL, optionally injecting link failures, and recording
-//!   a [`Trace`] (nodes visited, weight, hops, maximum header bits seen);
+//!   graph, enforcing a TTL, and recording a [`Trace`] (nodes visited,
+//!   weight, hops, maximum header bits seen);
 //! * [`RoundtripReport`] — the outbound + return trip of one `(s, t)` request,
 //!   with exact integer stretch accounting against `r(s, t)`.
 //!
@@ -32,5 +32,5 @@ mod runtime;
 mod traits;
 
 pub use report::{BriefRoundtrip, BriefTrace, RoundtripReport, Trace};
-pub use runtime::{SimError, Simulator, SimulatorConfig};
+pub use runtime::{SimError, Simulator};
 pub use traits::{id_bits, ForwardAction, HeaderBits, RoundtripRouting, RoutingError, TableStats};

@@ -4,34 +4,8 @@ use crate::report::{BriefRoundtrip, BriefTrace, RoundtripReport, Trace};
 use crate::traits::{ForwardAction, HeaderBits, RoundtripRouting, RoutingError};
 use rtr_dictionary::NodeName;
 use rtr_graph::{DiGraph, Distance, NodeId, Port};
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
-
-/// Simulator knobs.
-#[derive(Debug, Clone)]
-pub struct SimulatorConfig {
-    /// Maximum hops a single (one-way) trip may take before the run is
-    /// declared non-terminating. Defaults to `8·n + 64`, far beyond what any
-    /// correct scheme needs.
-    pub max_hops: usize,
-    /// Directed edges considered failed: forwarding onto one raises
-    /// [`SimError::LinkDown`]. Used by the failure-injection tests.
-    pub failed_links: HashSet<(NodeId, NodeId)>,
-}
-
-impl SimulatorConfig {
-    /// The default configuration for a graph of `n` nodes.
-    pub fn for_nodes(n: usize) -> Self {
-        SimulatorConfig { max_hops: 8 * n + 64, failed_links: HashSet::new() }
-    }
-
-    /// Marks the directed edge `(u, v)` as failed.
-    pub fn fail_link(&mut self, u: NodeId, v: NodeId) -> &mut Self {
-        self.failed_links.insert((u, v));
-        self
-    }
-}
 
 /// Errors the runtime can report for a single packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,13 +30,6 @@ pub enum SimError {
         /// Where it should have been delivered.
         expected: NodeId,
     },
-    /// The packet was forwarded onto a failed link.
-    LinkDown {
-        /// Tail of the failed edge.
-        from: NodeId,
-        /// Head of the failed edge.
-        to: NodeId,
-    },
     /// The scheme's forwarding function reported an internal error.
     Scheme(RoutingError),
 }
@@ -79,7 +46,6 @@ impl fmt::Display for SimError {
             SimError::WrongDelivery { delivered_at, expected } => {
                 write!(f, "packet delivered at {delivered_at}, expected {expected}")
             }
-            SimError::LinkDown { from, to } => write!(f, "link ({from}, {to}) is down"),
             SimError::Scheme(e) => write!(f, "{e}"),
         }
     }
@@ -97,18 +63,16 @@ impl From<RoutingError> for SimError {
 #[derive(Debug)]
 pub struct Simulator<'g> {
     graph: &'g DiGraph,
-    config: SimulatorConfig,
+    /// Maximum hops a single (one-way) trip may take before the run is
+    /// declared non-terminating: `8·n + 64`, far beyond what any correct
+    /// scheme needs.
+    max_hops: usize,
 }
 
 impl<'g> Simulator<'g> {
-    /// A simulator with default configuration for `graph`.
+    /// A simulator for `graph`.
     pub fn new(graph: &'g DiGraph) -> Self {
-        Simulator { graph, config: SimulatorConfig::for_nodes(graph.node_count()) }
-    }
-
-    /// A simulator with an explicit configuration.
-    pub fn with_config(graph: &'g DiGraph, config: SimulatorConfig) -> Self {
-        Simulator { graph, config }
+        Simulator { graph, max_hops: 8 * graph.node_count() + 64 }
     }
 
     /// The underlying graph.
@@ -118,7 +82,7 @@ impl<'g> Simulator<'g> {
 
     /// The shared hop loop behind [`run_trip`](Self::run_trip) and
     /// [`run_trip_brief`](Self::run_trip_brief): forward hop by hop, resolve
-    /// ports, enforce the TTL and failed links, and report each visited node
+    /// ports, enforce the TTL, and report each visited node
     /// to `on_hop`. Keeping both entry points on one loop guarantees the
     /// brief path is behaviorally identical to the tracing path.
     fn drive_trip<S: RoundtripRouting>(
@@ -132,7 +96,7 @@ impl<'g> Simulator<'g> {
         let mut weight = 0u64;
         let mut max_header_bits = header.bits();
         let mut at = start;
-        for _ in 0..=self.config.max_hops {
+        for _ in 0..=self.max_hops {
             match scheme.forward(at, header)? {
                 ForwardAction::Deliver => {
                     max_header_bits = max_header_bits.max(header.bits());
@@ -144,9 +108,6 @@ impl<'g> Simulator<'g> {
                         .graph
                         .edge_by_port(at, port)
                         .ok_or(SimError::PortNotFound { at, port })?;
-                    if self.config.failed_links.contains(&(at, edge.to)) {
-                        return Err(SimError::LinkDown { from: at, to: edge.to });
-                    }
                     weight += edge.weight;
                     at = edge.to;
                     hops += 1;
@@ -154,7 +115,7 @@ impl<'g> Simulator<'g> {
                 }
             }
         }
-        Err(SimError::TtlExceeded { hops: self.config.max_hops })
+        Err(SimError::TtlExceeded { hops: self.max_hops })
     }
 
     /// Runs a single one-way trip: inject `header` at `start` and forward hop
@@ -162,8 +123,7 @@ impl<'g> Simulator<'g> {
     ///
     /// # Errors
     ///
-    /// Any [`SimError`] raised by the run (bad port, TTL, failed link, scheme
-    /// error).
+    /// Any [`SimError`] raised by the run (bad port, TTL, scheme error).
     pub fn run_trip<S: RoundtripRouting>(
         &self,
         scheme: &S,
@@ -479,20 +439,6 @@ mod tests {
         let sim = Simulator::new(&g);
         let err = sim.roundtrip(&scheme, NodeId(0), NodeId(2), NodeName(2)).unwrap_err();
         assert!(matches!(err, SimError::TtlExceeded { .. } | SimError::PortNotFound { .. }));
-    }
-
-    #[test]
-    fn failed_links_are_reported() {
-        let g = directed_ring(5, 4).unwrap();
-        let scheme = RingScheme::new(&g);
-        let mut config = SimulatorConfig::for_nodes(5);
-        config.fail_link(NodeId(1), NodeId(2));
-        let sim = Simulator::with_config(&g, config);
-        let err = sim.roundtrip(&scheme, NodeId(0), NodeId(3), NodeName(3)).unwrap_err();
-        assert_eq!(err, SimError::LinkDown { from: NodeId(1), to: NodeId(2) });
-        // A trip that avoids the failed link still works.
-        let ok = sim.roundtrip(&scheme, NodeId(2), NodeId(4), NodeName(4));
-        assert!(ok.is_err() || ok.is_ok()); // the return leg wraps around through (1,2)
     }
 
     #[test]
