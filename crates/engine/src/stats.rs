@@ -1,9 +1,12 @@
 //! Latency accounting for engine runs.
 //!
-//! Workers accumulate into private [`WorkerStats`] (fixed-size hop histogram,
-//! scalar counters) and the engine merges them after the pool joins — the hot
-//! path touches no shared atomics.  Stretch accounting lives entirely in the
-//! verification plane ([`crate::VerifyMode::Sampled`] for strided sampling,
+//! Workers accumulate into private [`WorkerStats`] (hop histogram, scalar
+//! counters) and the engine merges them after the pool joins — the hot path
+//! touches no shared atomics.  Histograms here and in the verification plane
+//! store their buckets only up to the highest occupied one, so an empty
+//! accumulator allocates nothing and a merge adds only occupied ranges.
+//! Stretch accounting lives entirely in the verification plane
+//! ([`crate::VerifyMode::Sampled`] for strided sampling,
 //! [`crate::VerifyMode::Full`] for the whole stream); the summary itself
 //! carries only throughput and hop-latency facts.
 
@@ -14,6 +17,27 @@ use std::time::Duration;
 /// land in the overflow bucket (index `HOP_BUCKETS`).
 const HOP_BUCKETS: usize = 1024;
 
+/// Counts one more item in bucket `b` of a histogram stored up to its highest
+/// occupied bucket, growing it when `b` is above the top.
+pub(crate) fn bump(buckets: &mut Vec<u64>, b: usize) {
+    if b >= buckets.len() {
+        buckets.resize(b + 1, 0);
+    }
+    buckets[b] += 1;
+}
+
+/// Adds histogram `from` into `into`, both stored up to their highest
+/// occupied bucket.  The longer vector is kept, so the merge allocates
+/// nothing and the result stays in that form.
+pub(crate) fn merge_buckets(into: &mut Vec<u64>, mut from: Vec<u64>) {
+    if from.len() > into.len() {
+        std::mem::swap(into, &mut from);
+    }
+    for (a, b) in into.iter_mut().zip(&from) {
+        *a += b;
+    }
+}
+
 /// Per-worker accumulator; merged into a [`ServeSummary`] after the join.
 #[derive(Debug)]
 pub(crate) struct WorkerStats {
@@ -22,7 +46,8 @@ pub(crate) struct WorkerStats {
     pub total_weight: u128,
     pub max_header_bits: usize,
     /// `hop_histogram[h]`: roundtrips that took exactly `h` hops
-    /// (`hop_histogram[HOP_BUCKETS]` collects the overflow).
+    /// (`hop_histogram[HOP_BUCKETS]` collects the overflow), stored up to the
+    /// highest occupied bucket.
     pub hop_histogram: Vec<u64>,
 }
 
@@ -33,7 +58,7 @@ impl WorkerStats {
             total_hops: 0,
             total_weight: 0,
             max_header_bits: 0,
-            hop_histogram: vec![0; HOP_BUCKETS + 1],
+            hop_histogram: Vec::new(),
         }
     }
 
@@ -44,7 +69,7 @@ impl WorkerStats {
         self.total_hops += hops as u64;
         self.total_weight += u128::from(brief.total_weight());
         self.max_header_bits = self.max_header_bits.max(brief.max_header_bits());
-        self.hop_histogram[hops.min(HOP_BUCKETS)] += 1;
+        bump(&mut self.hop_histogram, hops.min(HOP_BUCKETS));
     }
 
     pub(crate) fn merge(&mut self, other: WorkerStats) {
@@ -52,9 +77,7 @@ impl WorkerStats {
         self.total_hops += other.total_hops;
         self.total_weight += other.total_weight;
         self.max_header_bits = self.max_header_bits.max(other.max_header_bits);
-        for (a, b) in self.hop_histogram.iter_mut().zip(&other.hop_histogram) {
-            *a += b;
-        }
+        merge_buckets(&mut self.hop_histogram, other.hop_histogram);
     }
 }
 
@@ -159,16 +182,23 @@ mod tests {
 
     #[test]
     fn record_and_merge_accumulate() {
-        let mut a = WorkerStats::new();
-        let mut b = WorkerStats::new();
-        a.record(&brief(0, 1, 4, 10));
-        b.record(&brief(1, 2, 6, 14));
-        a.merge(b);
-        assert_eq!(a.queries, 2);
-        assert_eq!(a.total_hops, 10);
-        assert_eq!(a.total_weight, 24);
-        assert_eq!(a.hop_histogram[4], 1);
-        assert_eq!(a.hop_histogram[6], 1);
+        // Both merge orders: the operands' top buckets differ (4 and 6 hops).
+        for shorter_first in [true, false] {
+            let mut a = WorkerStats::new();
+            let mut b = WorkerStats::new();
+            a.record(&brief(0, 1, 4, 10));
+            b.record(&brief(1, 2, 6, 14));
+            if !shorter_first {
+                std::mem::swap(&mut a, &mut b);
+            }
+            a.merge(b);
+            assert_eq!(a.queries, 2);
+            assert_eq!(a.total_hops, 10);
+            assert_eq!(a.total_weight, 24);
+            assert_eq!(a.hop_histogram[4], 1);
+            assert_eq!(a.hop_histogram[6], 1);
+            assert_eq!(a.hop_histogram, [0, 0, 0, 0, 1, 0, 1], "stored up to the top bucket");
+        }
     }
 
     #[test]
@@ -190,10 +220,25 @@ mod tests {
 
     #[test]
     fn overflow_bucket_clamps() {
-        let mut w = WorkerStats::new();
-        w.record(&brief(0, 1, 5000, 5000));
-        let s = ServeSummary::from_stats(w, 1, Duration::from_millis(1));
-        assert_eq!(s.hop_percentile(1.0), HOP_BUCKETS);
+        let one = |hops| {
+            let mut w = WorkerStats::new();
+            w.record(&brief(0, 1, hops, hops as Distance));
+            w
+        };
+        let merged = |mut a: WorkerStats, b| {
+            a.merge(b);
+            a
+        };
+        // Alone, then merged with a short roundtrip from either side.
+        for (w, fastest) in [
+            (one(5000), HOP_BUCKETS),
+            (merged(one(5000), one(3)), 3),
+            (merged(one(3), one(5000)), 3),
+        ] {
+            let s = ServeSummary::from_stats(w, 1, Duration::from_millis(1));
+            assert_eq!(s.hop_percentile(1.0), HOP_BUCKETS);
+            assert_eq!(s.hop_percentile(0.0), fastest);
+        }
     }
 
     #[test]

@@ -23,9 +23,18 @@
 //! partition the destination space, per-shard buckets never fetch the same
 //! destination row on two workers: total verify rows stay
 //! `≤ 2 · distinct(stream destinations)` regardless of worker count.
+//! The row is read through [`DistanceOracle::roundtrip_row_view`]: the lazy
+//! oracles hand over their two cached rows and each checked trip sums its
+//! one entry, so on them a flush builds no `n`-entry row.
 //! Backpressure: an accumulator flushes whenever its buffered trips reach
 //! [`VerifyConfig::flush_pending`], so verification memory is bounded
 //! regardless of stream length.
+//!
+//! On the lazy oracles a flush's fixed cost grows with neither `n` nor the
+//! histogram's bucket count: a [`StretchHistogram`] stores its buckets only
+//! up to the highest occupied one, so an accumulator that checked nothing
+//! allocates nothing and merges add only occupied ranges, and the
+//! `verify.*` telemetry handles are resolved once per process.
 //!
 //! Determinism: a [`VerifiedReport`] depends only on the request stream and
 //! the oracle — never on worker count, chunk scheduling, or flush timing.
@@ -36,13 +45,16 @@
 //! to [`verify_sequential`], the sequential oracle-checked replay.
 
 use crate::plane::FrozenPlane;
+use crate::stats::{bump, merge_buckets};
 use crate::workload::Request;
 use rtr_graph::{Distance, NodeId, INFINITY};
-use rtr_metric::{roundtrip_rows_sharded, DistanceOracle};
+use rtr_metric::{roundtrip_rows_sharded, DistanceOracle, RoundtripRow};
 use rtr_sim::{RoundtripRouting, SimError};
+use rtr_telemetry::{Counter, DurationHistogram};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// How much of the request stream the engine verifies against the oracle.
@@ -182,33 +194,28 @@ const STRETCH_BUCKETS: usize = 64 * STRETCH_HISTOGRAM_SCALE as usize;
 ///
 /// Bucketing is pure integer arithmetic (`⌊measured·32 / exact⌋`), so two
 /// runs that verify the same trips produce the same histogram regardless of
-/// worker count or flush order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// worker count or flush order.  Buckets are stored only up to the highest
+/// occupied one — a canonical form, so equal histograms compare equal
+/// however they were built, and an empty one allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StretchHistogram {
     /// `buckets[b]`: trips with `⌊measured·SCALE/exact⌋ = b`
-    /// (`buckets[STRETCH_BUCKETS]` collects the overflow).
+    /// (`buckets[STRETCH_BUCKETS]` collects the overflow); the last stored
+    /// bucket is never zero.
     buckets: Vec<u64>,
     count: u64,
-}
-
-impl Default for StretchHistogram {
-    fn default() -> Self {
-        StretchHistogram { buckets: vec![0; STRETCH_BUCKETS + 1], count: 0 }
-    }
 }
 
 impl StretchHistogram {
     fn record(&mut self, measured: Distance, exact: Distance) {
         let b = ((measured as u128) * (STRETCH_HISTOGRAM_SCALE as u128) / (exact as u128))
             .min(STRETCH_BUCKETS as u128) as usize;
-        self.buckets[b] += 1;
+        bump(&mut self.buckets, b);
         self.count += 1;
     }
 
-    fn merge(&mut self, other: &StretchHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
+    fn merge(&mut self, other: StretchHistogram) {
+        merge_buckets(&mut self.buckets, other.buckets);
         self.count += other.count;
     }
 
@@ -231,12 +238,19 @@ impl StretchHistogram {
 
     /// Rebuilds a histogram from sparse `(bucket, count)` pairs — the
     /// inverse of [`nonzero_buckets`](Self::nonzero_buckets).  Returns `None`
-    /// when a bucket index is out of range or a count overflows `u64`.
+    /// when a bucket index is out of range or a count overflows `u64`.  A
+    /// zero-count pair adds nothing, so it never grows the stored buckets.
     pub fn from_nonzero_buckets(pairs: &[(usize, u64)]) -> Option<Self> {
         let mut h = StretchHistogram::default();
         for &(b, c) in pairs {
             if b >= Self::BUCKET_COUNT {
                 return None;
+            }
+            if c == 0 {
+                continue;
+            }
+            if b >= h.buckets.len() {
+                h.buckets.resize(b + 1, 0);
             }
             h.buckets[b] = h.buckets[b].checked_add(c)?;
             h.count = h.count.checked_add(c)?;
@@ -349,7 +363,7 @@ impl VerifiedReport {
         self.checked += other.checked;
         self.total_measured += other.total_measured;
         self.total_exact += other.total_exact;
-        self.histogram.merge(&other.histogram);
+        self.histogram.merge(other.histogram);
         self.worst = match (self.worst, other.worst) {
             (Some(a), Some(b)) => Some(if worse(&b, &a) { b } else { a }),
             (a, b) => a.or(b),
@@ -434,6 +448,27 @@ impl Error for VerifyServeError {}
 impl From<SimError> for VerifyServeError {
     fn from(value: SimError) -> Self {
         VerifyServeError::Sim(value)
+    }
+}
+
+/// Registry handles of the `verify.*` vocabulary, resolved once per process
+/// so a flush never looks a name up.
+struct VerifyTelemetry {
+    flushes: Counter,
+    row_fetches: Counter,
+    checked: Counter,
+    flush_ns: DurationHistogram,
+}
+
+impl VerifyTelemetry {
+    fn get() -> &'static VerifyTelemetry {
+        static HANDLES: OnceLock<VerifyTelemetry> = OnceLock::new();
+        HANDLES.get_or_init(|| VerifyTelemetry {
+            flushes: rtr_telemetry::counter("verify.flushes"),
+            row_fetches: rtr_telemetry::counter("verify.row_fetches"),
+            checked: rtr_telemetry::counter("verify.checked"),
+            flush_ns: rtr_telemetry::histogram("verify.flush_ns"),
+        })
     }
 }
 
@@ -527,10 +562,11 @@ impl VerifyAccumulator {
         }
         if telemetry_on {
             let checked_after: usize = parts.iter().map(|p| p.report.checked).sum();
-            rtr_telemetry::counter("verify.flushes").add(flushes);
-            rtr_telemetry::counter("verify.row_fetches").add(rows);
-            rtr_telemetry::counter("verify.checked").add((checked_after - checked_before) as u64);
-            rtr_telemetry::histogram("verify.flush_ns").observe(elapsed);
+            let t = VerifyTelemetry::get();
+            t.flushes.add(flushes);
+            t.row_fetches.add(rows);
+            t.checked.add((checked_after - checked_before) as u64);
+            t.flush_ns.observe(elapsed);
         }
     }
 
@@ -545,10 +581,10 @@ impl VerifyAccumulator {
 
     /// Checks every trip buffered under `dst` against the destination's
     /// shared roundtrip row and folds the verdicts into the report.
-    fn check_bucket(&mut self, dst: NodeId, row: &[Distance]) {
+    fn check_bucket(&mut self, dst: NodeId, row: &RoundtripRow) {
         let trips = self.buckets.remove(&dst.0).expect("bucket exists for its key");
         for trip in trips {
-            let exact = row[trip.source.index()];
+            let exact = row.get(trip.source);
             assert!(
                 exact > 0 && exact != INFINITY,
                 "verified pair ({}, {dst}) is unreachable or degenerate",
@@ -639,7 +675,8 @@ mod tests {
     use crate::plane::tests::ring_plane;
     use crate::workload::Workload;
     use crate::{Engine, EngineConfig, ShardMap, ShardedPlane};
-    use rtr_metric::DistanceMatrix;
+    use rtr_metric::{DistanceMatrix, LazyDijkstraOracle};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn full_mode_checks_everything_and_matches_the_ring_metric() {
@@ -725,11 +762,104 @@ mod tests {
         let mut h = StretchHistogram::default();
         h.record(10, 10); // stretch 1.0 → bucket 32
         h.record(15, 10); // stretch 1.5 → bucket 48
+        let low = h.clone();
         h.record(10_000, 10); // stretch 1000 → overflow
-        assert_eq!(h.count(), 3);
-        assert!((h.percentile(0.0) - 1.0).abs() < 1e-12);
-        assert!((h.percentile(0.5) - 1.5).abs() < 1e-12);
-        assert!((h.percentile(1.0) - 64.0).abs() < 1e-12);
+        let mut high = StretchHistogram::default();
+        high.record(10_000, 10);
+        // The same trips merged from two parts whose top buckets differ, in
+        // either order, and rebuilt from sparse pairs.
+        let mut low_first = low.clone();
+        low_first.merge(high.clone());
+        let mut high_first = high;
+        high_first.merge(low.clone());
+        let sparse = StretchHistogram::from_nonzero_buckets(&h.nonzero_buckets()).unwrap();
+        for h in [&h, &low_first, &high_first, &sparse] {
+            assert_eq!(h.count(), 3);
+            assert!((h.percentile(0.0) - 1.0).abs() < 1e-12);
+            assert!((h.percentile(0.5) - 1.5).abs() < 1e-12);
+            assert!((h.percentile(1.0) - 64.0).abs() < 1e-12);
+            assert_eq!(h.nonzero_buckets(), [(32, 1), (48, 1), (2048, 1)]);
+        }
+        assert_eq!(low_first, h);
+        assert_eq!(high_first, h);
+        assert_eq!(sparse, h);
+        // A zero-count pair adds nothing, so it never grows the storage.
+        let zero_above = StretchHistogram::from_nonzero_buckets(&[(32, 1), (48, 1), (2048, 0)]);
+        assert_eq!(zero_above, Some(low));
+    }
+
+    /// A lazy oracle that counts the row reads verification makes.
+    #[derive(Debug)]
+    struct CountingOracle<'g> {
+        inner: LazyDijkstraOracle<'g>,
+        rows: AtomicUsize,
+        rev_rows: AtomicUsize,
+        roundtrip_rows: AtomicUsize,
+        views: AtomicUsize,
+    }
+
+    impl DistanceOracle for CountingOracle<'_> {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+        fn distance(&self, u: NodeId, v: NodeId) -> Distance {
+            self.inner.distance(u, v)
+        }
+        fn row(&self, u: NodeId) -> Vec<Distance> {
+            self.rows.fetch_add(1, Ordering::Relaxed);
+            self.inner.row(u)
+        }
+        fn rev_row(&self, u: NodeId) -> Vec<Distance> {
+            self.rev_rows.fetch_add(1, Ordering::Relaxed);
+            self.inner.rev_row(u)
+        }
+        fn roundtrip_row(&self, u: NodeId) -> Vec<Distance> {
+            self.roundtrip_rows.fetch_add(1, Ordering::Relaxed);
+            self.inner.roundtrip_row(u)
+        }
+        fn roundtrip_row_view(&self, u: NodeId) -> RoundtripRow {
+            self.views.fetch_add(1, Ordering::Relaxed);
+            self.inner.roundtrip_row_view(u)
+        }
+        fn prefetch_rows(&self, sources: &[NodeId]) {
+            self.inner.prefetch_rows(sources)
+        }
+        fn prefers_row_prefetch(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn verification_reads_rows_through_the_view_only() {
+        let plane = ring_plane(24);
+        let m = DistanceMatrix::build(plane.graph());
+        let oracle = CountingOracle {
+            inner: LazyDijkstraOracle::new(plane.graph(), 48),
+            rows: AtomicUsize::new(0),
+            rev_rows: AtomicUsize::new(0),
+            roundtrip_rows: AtomicUsize::new(0),
+            views: AtomicUsize::new(0),
+        };
+        let requests = Workload::Zipf { exponent: 1.2 }.generate(24, 600, 7);
+        let engine = Engine::new(EngineConfig::with_workers(2));
+        let sharded = ShardedPlane::new(plane.clone(), ShardMap::hashed(24, 4, 3));
+        let config = VerifyConfig::full();
+        // 600 requests run on the pool; the session's one-request batches
+        // run on the calling thread.
+        let pooled = engine.serve_verified_sharded(&sharded, &requests, &oracle, &config).unwrap();
+        let dense = engine.serve_verified_sharded(&sharded, &requests, &m, &config).unwrap();
+        assert_eq!(pooled.report, dense.report);
+        assert_eq!(oracle.views.load(Ordering::Relaxed), pooled.cost.row_fetches);
+        let mut session = engine.open_stream(&sharded, &oracle, &config);
+        for r in &requests[..100] {
+            session.serve_batch(std::slice::from_ref(r)).unwrap();
+        }
+        let single = session.finish().unwrap();
+        assert_eq!(single.cost.row_fetches, 100);
+        let views = pooled.cost.row_fetches + single.cost.row_fetches;
+        assert_eq!(oracle.views.load(Ordering::Relaxed), views);
+        let whole = [&oracle.rows, &oracle.rev_rows, &oracle.roundtrip_rows];
+        assert_eq!(whole.map(|c| c.load(Ordering::Relaxed)), [0; 3], "a whole row was built");
     }
 
     #[test]

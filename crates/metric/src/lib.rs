@@ -63,7 +63,7 @@ pub use invalidation::RowInvalidation;
 pub use matrix::DistanceMatrix;
 pub use oracle::{
     roundtrip_rows_sharded, sweep_rows_prefetched, CachedSubsetOracle, DistanceOracle,
-    LazyDijkstraOracle, OracleStats, PREFETCH_WINDOW,
+    LazyDijkstraOracle, OracleStats, RoundtripRow, PREFETCH_WINDOW,
 };
 pub use order::{roundtrip_closer, RoundtripOrder, TruncatedOrderSweep};
 pub use sweep::{

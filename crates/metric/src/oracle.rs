@@ -78,6 +78,18 @@ pub trait DistanceOracle: Sync + fmt::Debug {
         fwd.iter().zip(&rev).map(|(&a, &b)| saturating_dist_add(a, b)).collect()
     }
 
+    /// The roundtrip row of `u` for reading a few entries: it must agree
+    /// with [`roundtrip_row`](Self::roundtrip_row) entry by entry.
+    ///
+    /// The default wraps `roundtrip_row`, so an oracle that overrides only
+    /// that method is read through its override.  The lazy oracles answer
+    /// with their two cached rows and sum an entry when it is read, so a
+    /// reader of `k` entries pays `k` additions instead of a summed `n`-entry
+    /// row — what a verify flush checking a few trips per destination wants.
+    fn roundtrip_row_view(&self, u: NodeId) -> RoundtripRow {
+        RoundtripRow(RowRepr::Summed(self.roundtrip_row(u)))
+    }
+
     /// Hint that the caller is about to sweep the forward and reverse rows of
     /// `sources`, in order.
     ///
@@ -201,6 +213,42 @@ pub trait DistanceOracle: Sync + fmt::Debug {
     }
 }
 
+/// One roundtrip row `r(u, ·)`, read entry by entry
+/// ([`DistanceOracle::roundtrip_row_view`]).
+#[derive(Debug)]
+pub struct RoundtripRow(RowRepr);
+
+#[derive(Debug)]
+enum RowRepr {
+    /// Every entry already summed.
+    Summed(Vec<Distance>),
+    /// The forward and reverse rows of `u`, summed when an entry is read.
+    Halves(Arc<Vec<Distance>>, Arc<Vec<Distance>>),
+}
+
+impl RoundtripRow {
+    /// `r(u, v)`.
+    pub fn get(&self, v: NodeId) -> Distance {
+        match &self.0 {
+            RowRepr::Summed(row) => row[v.index()],
+            RowRepr::Halves(fwd, rev) => saturating_dist_add(fwd[v.index()], rev[v.index()]),
+        }
+    }
+
+    /// Number of entries (the oracle's node count).
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            RowRepr::Summed(row) => row.len(),
+            RowRepr::Halves(fwd, _) => fwd.len(),
+        }
+    }
+
+    /// True for the row of an empty graph.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// Sources per [`DistanceOracle::prefetch_rows`] batch in
 /// [`sweep_rows_prefetched`] (each source is two rows; lazy oracles clamp
 /// their own batches to the cache capacity on top of this).
@@ -231,7 +279,8 @@ where
 /// verification plane flushes each worker's per-shard destination buckets
 /// through.  `shards[s]` is shard `s`'s destination list (duplicates and any
 /// order allowed); `f(s, d, row)` is called for every destination of every
-/// shard, shards in slice order, destinations in per-shard order.  Prefetch
+/// shard, shards in slice order, destinations in per-shard order, with `row`
+/// the [`DistanceOracle::roundtrip_row_view`] of `d`.  Prefetch
 /// windows span shard boundaries, so a worker that owns several small shards
 /// still fills [`PREFETCH_WINDOW`]-sized oracle batches instead of issuing
 /// one under-filled batch per shard.
@@ -248,7 +297,7 @@ where
 pub fn roundtrip_rows_sharded<O, F>(m: &O, shards: &[&[NodeId]], mut f: F)
 where
     O: DistanceOracle + ?Sized,
-    F: FnMut(usize, NodeId, &[Distance]),
+    F: FnMut(usize, NodeId, &RoundtripRow),
 {
     let tagged: Vec<(usize, NodeId)> = shards
         .iter()
@@ -260,7 +309,7 @@ where
     sweep_rows_prefetched(m, &flat, |d| {
         let (shard, _) = tagged[at];
         at += 1;
-        f(shard, d, &m.roundtrip_row(d));
+        f(shard, d, &m.roundtrip_row_view(d));
     });
 }
 
@@ -283,6 +332,9 @@ impl<O: DistanceOracle + ?Sized> DistanceOracle for &O {
     }
     fn roundtrip_row(&self, u: NodeId) -> Vec<Distance> {
         (**self).roundtrip_row(u)
+    }
+    fn roundtrip_row_view(&self, u: NodeId) -> RoundtripRow {
+        (**self).roundtrip_row_view(u)
     }
     fn is_strongly_connected(&self) -> bool {
         (**self).is_strongly_connected()
@@ -650,6 +702,13 @@ impl DistanceOracle for LazyDijkstraOracle<'_> {
         fwd.iter().zip(rev.iter()).map(|(&a, &b)| saturating_dist_add(a, b)).collect()
     }
 
+    /// The two cached rows themselves, shared: no copy, no summed row.
+    fn roundtrip_row_view(&self, u: NodeId) -> RoundtripRow {
+        let fwd = self.fetch(RowKey::Fwd(u.0));
+        let rev = self.fetch(RowKey::Rev(u.0));
+        RoundtripRow(RowRepr::Halves(fwd, rev))
+    }
+
     /// Computes the missing forward + reverse rows of `sources` on the
     /// calling thread and up to `available_parallelism − 1` helpers, and
     /// installs them in the cache.  The batch of *missing* keys is
@@ -788,6 +847,10 @@ impl DistanceOracle for CachedSubsetOracle<'_> {
 
     fn roundtrip_row(&self, u: NodeId) -> Vec<Distance> {
         self.inner.roundtrip_row(u)
+    }
+
+    fn roundtrip_row_view(&self, u: NodeId) -> RoundtripRow {
+        self.inner.roundtrip_row_view(u)
     }
 
     fn prefetch_rows(&self, sources: &[NodeId]) {
@@ -933,7 +996,7 @@ mod tests {
             roundtrip_rows_sharded(oracle, &[&dests], |s, d, row| {
                 assert_eq!((s, row.len()), (0, 30));
                 for v in g.nodes() {
-                    assert_eq!(row[v.index()], dense.roundtrip(d, v));
+                    assert_eq!(row.get(v), dense.roundtrip(d, v));
                 }
                 seen.push(d);
             });
@@ -941,6 +1004,25 @@ mod tests {
         }
         // The lazy oracle answered from whole rows, not per-pair Dijkstras.
         assert!(lazy.stats().rows_computed <= 2 * dests.len());
+    }
+
+    #[test]
+    fn lazy_row_views_share_the_cached_rows() {
+        let g = strongly_connected_gnp(30, 0.12, 23).unwrap();
+        let dense = DistanceMatrix::build(&g);
+        let lazy = LazyDijkstraOracle::new(&g, 8);
+        let subset = CachedSubsetOracle::new(&g);
+        // The lazy oracles hand out their cached rows; the dense default sums.
+        let u = NodeId(3);
+        let RowRepr::Halves(fwd, rev) = lazy.roundtrip_row_view(u).0 else {
+            panic!("the lazy oracle built a summed row");
+        };
+        assert!(Arc::ptr_eq(&fwd, &lazy.fetch(RowKey::Fwd(u.0))));
+        assert!(Arc::ptr_eq(&rev, &lazy.fetch(RowKey::Rev(u.0))));
+        assert!(matches!(subset.roundtrip_row_view(u).0, RowRepr::Halves(..)));
+        let by_ref = <&CachedSubsetOracle as DistanceOracle>::roundtrip_row_view(&&subset, u);
+        assert!(matches!(by_ref.0, RowRepr::Halves(..)), "the blanket impl forwards the view");
+        assert!(matches!(DistanceOracle::roundtrip_row_view(&dense, u).0, RowRepr::Summed(_)));
     }
 
     #[test]
@@ -957,7 +1039,7 @@ mod tests {
         let mut seen: Vec<(usize, NodeId)> = Vec::new();
         roundtrip_rows_sharded(&lazy, &shards, |s, d, row| {
             for v in g.nodes() {
-                assert_eq!(row[v.index()], dense.roundtrip(d, v));
+                assert_eq!(row.get(v), dense.roundtrip(d, v));
             }
             seen.push((s, d));
         });

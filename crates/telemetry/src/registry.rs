@@ -74,20 +74,17 @@ impl Registry {
 
     /// The counter `name`, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().expect("telemetry counter map poisoned");
-        Counter::new(Arc::clone(map.entry(name.to_owned()).or_default()))
+        Counter::new(get_or_insert(&self.counters, name))
     }
 
     /// The gauge `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().expect("telemetry gauge map poisoned");
-        Gauge::new(Arc::clone(map.entry(name.to_owned()).or_default()))
+        Gauge::new(get_or_insert(&self.gauges, name))
     }
 
     /// The duration histogram `name`, created on first use.
     pub fn histogram(&self, name: &str) -> DurationHistogram {
-        let mut map = self.histograms.lock().expect("telemetry histogram map poisoned");
-        DurationHistogram::new(Arc::clone(map.entry(name.to_owned()).or_default()))
+        DurationHistogram::new(get_or_insert(&self.histograms, name))
     }
 
     /// The current total of counter `name`, or 0 if it was never touched.
@@ -187,6 +184,16 @@ impl Registry {
             })
             .collect()
     }
+}
+
+/// The metric registered under `name`, inserted on first use.  A name that
+/// is already registered is found without allocating its key.
+fn get_or_insert<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().expect("telemetry metric map poisoned");
+    if let Some(inner) = map.get(name) {
+        return Arc::clone(inner);
+    }
+    Arc::clone(map.entry(name.to_owned()).or_default())
 }
 
 static REGISTRY: OnceLock<Registry> = OnceLock::new();
