@@ -1,1376 +1,1042 @@
-//! The `BENCH_serve.json` and `BENCH_chaos.json` baseline artifacts.
+//! The CI baseline artifacts and the tables that gate them.
 //!
-//! `serve_throughput` writes a [`ServeBaseline`] per run; CI regenerates it
-//! at the n = 600 smoke configuration and diffs it against the checked-in
-//! seed baseline (`ci/BENCH_serve.json`) with [`compare`].  Table bytes,
-//! stretch and oracle-row counts are deterministic given the seeds, so
-//! regressions there **hard-fail**; queries/sec depends on the host and only
-//! warns.
+//! `serve_throughput` and `serve_net_throughput` write a serve artifact
+//! (`BENCH_serve*.json`); `chaos_sweep` writes a chaos artifact
+//! (`BENCH_chaos.json`, marked `"kind": "chaos"`).  Each is a [`JsonValue`]
+//! document, and one table per kind, [`SERVE`] or [`CHAOS`], names every
+//! field it may carry together with the [`Rule`] that gates it.  CI
+//! regenerates the artifacts at fixed seeds and [`compare`]s each with its
+//! checked-in seed under `ci/` (the `check_serve_baseline` binary);
+//! [`telemetry_mismatches`] cross-checks a run's telemetry export against its
+//! artifact (the `check_telemetry` binary, and each bench binary before it
+//! exits).
 //!
-//! `chaos_sweep` writes a [`ChaosBaseline`] — the fourth CI-gated artifact:
-//! per failure fraction, the degraded epoch's delivery/violation record and
-//! the repair economy (rows an incremental repair recomputed vs. a
-//! from-scratch rebuild).  [`compare_chaos`] diffs it against
-//! `ci/BENCH_chaos.json`; the artifacts carry `"kind": "chaos"` so the
-//! checker binaries can dispatch on file shape.
-//!
-//! Serialization is hand-rolled (the build environment vendors no serde),
-//! mirroring `rtr_graph::io`.
+//! Table sizes, stretch, oracle rows, fault selection and the repair economy
+//! are deterministic given the seeds, so their rules fail the gate; wall-clock
+//! quantities belong to the host and only warn.
 
-use std::fmt::Write as _;
+use crate::fail;
+pub use rtr_graph::json::JsonValue;
 
-/// Build-time and per-scheme serving numbers of one `serve_throughput` run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeBaseline {
-    /// Node count of the run.
-    pub n: usize,
-    /// Requests served per workload.
-    pub queries_per_workload: usize,
-    /// RNG seed of the run (graph, naming, workloads).
-    pub seed: u64,
-    /// Stretch samples per serve run (`RTR_SAMPLES`) — changes the sampled
-    /// pairs and hence the worst sampled stretch.
-    pub stretch_samples: usize,
-    /// Lazy-oracle row-cache capacity (`RTR_CACHE`) — changes both the row
-    /// count (prefetch clamp) and the peak resident rows.
-    pub cache_rows: usize,
-    /// Verification mode of the run (`RTR_VERIFY`: `off` / `sampled` /
-    /// `full`).  Baselines recorded with verification also gate the
-    /// verify-mode scheme fields; `off` baselines ignore them.
-    pub verify_mode: String,
-    /// Destination shard count of the run (`RTR_SHARDS`, at least 1;
-    /// artifacts of the since-removed unsharded engine record `0`).
-    pub shards: usize,
-    /// Shard policy (`hash` / `range`; `none` in artifacts of the
-    /// since-removed unsharded engine) — changes which worker owns which
-    /// destination, so it pins the configuration.
-    pub shard_policy: String,
-    /// Oracle rows (Dijkstras) computed by the **suite build** alone.
-    pub build_rows_computed: usize,
-    /// Peak resident oracle rows on the shared substrate oracle over the
-    /// whole run.
-    pub peak_resident_rows: usize,
-    /// Rows the **dedicated verification oracle** computed across all
-    /// streams.  With per-shard buckets this stays
-    /// `≤ 2 · distinct destinations` regardless of worker count —
-    /// verification's whole cost model — so growth is a hard failure.
-    pub verify_rows_computed: u64,
-    /// Distinct destinations over every served stream (all schemes ×
-    /// workloads) — deterministic given the seeds, the denominator of the
-    /// verify-row bound.
-    pub distinct_destinations: u64,
-    /// The worker-count sweep: the mix workload re-served fully verified at
-    /// each worker count, recording that verify rows stay flat as workers
-    /// grow while throughput scales.
-    pub worker_sweep: Vec<SweepPoint>,
-    /// Per-scheme aggregates, in serving order.
-    pub schemes: Vec<SchemeBaseline>,
-}
-
-/// One worker count of the serving sweep (mix workload, full verification,
-/// fresh verify oracle per point).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// Worker threads serving this point.
-    pub workers: usize,
-    /// Throughput at this worker count (host-dependent; warn-only).
-    pub queries_per_sec: f64,
-    /// Rows the point's verify oracle computed — must not grow with
-    /// `workers` (deterministic given the seeds; gated exactly with the
-    /// usual rows slack).
-    pub verify_rows: u64,
-}
-
-/// One scheme's aggregate numbers across all workloads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchemeBaseline {
-    /// Scheme name (`stretch6` / `exstretch` / `polystretch`).
-    pub scheme: String,
-    /// Total routing-table footprint over all nodes, in bytes.
-    pub table_bytes: u64,
-    /// Largest single-node table, in bits.
-    pub worst_node_bits: u64,
-    /// Worst exact stretch over every workload's strided sample.
-    pub worst_sampled_stretch: f64,
-    /// Lowest queries/sec over the workloads (host-dependent; warn-only).
-    pub min_queries_per_sec: f64,
-    /// Queries checked by the verification plane across all workloads
-    /// (0 when the run's verify mode is `off`; `queries · workloads` under
-    /// full verification — deterministic, gated exactly).
-    pub verified_queries: u64,
-    /// Checked queries that exceeded the scheme's proven stretch ceiling.
-    /// Any non-zero current value is a hard CI failure.
-    pub verify_violations: u64,
-    /// Worst verified stretch across all workloads (exact integer
-    /// comparison rendered as a float; deterministic given the seeds).
-    pub worst_verified_stretch: f64,
-}
-
-impl ServeBaseline {
-    /// Renders the artifact as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"n\": {},", self.n);
-        let _ = writeln!(out, "  \"queries_per_workload\": {},", self.queries_per_workload);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"stretch_samples\": {},", self.stretch_samples);
-        let _ = writeln!(out, "  \"cache_rows\": {},", self.cache_rows);
-        let _ = writeln!(out, "  \"verify_mode\": \"{}\",", self.verify_mode);
-        let _ = writeln!(out, "  \"shards\": {},", self.shards);
-        let _ = writeln!(out, "  \"shard_policy\": \"{}\",", self.shard_policy);
-        let _ = writeln!(out, "  \"build_rows_computed\": {},", self.build_rows_computed);
-        let _ = writeln!(out, "  \"peak_resident_rows\": {},", self.peak_resident_rows);
-        let _ = writeln!(out, "  \"verify_rows_computed\": {},", self.verify_rows_computed);
-        let _ = writeln!(out, "  \"distinct_destinations\": {},", self.distinct_destinations);
-        out.push_str("  \"worker_sweep\": [\n");
-        for (i, p) in self.worker_sweep.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"workers\": {}, \"queries_per_sec\": {:.1}, \"verify_rows\": {}}}",
-                p.workers, p.queries_per_sec, p.verify_rows
-            );
-            out.push_str(if i + 1 < self.worker_sweep.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"schemes\": [\n");
-        for (i, s) in self.schemes.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"scheme\": \"{}\", \"table_bytes\": {}, \"worst_node_bits\": {}, \
-                 \"worst_sampled_stretch\": {:.6}, \"min_queries_per_sec\": {:.1}, \
-                 \"verified_queries\": {}, \"verify_violations\": {}, \
-                 \"worst_verified_stretch\": {:.6}}}",
-                s.scheme,
-                s.table_bytes,
-                s.worst_node_bits,
-                s.worst_sampled_stretch,
-                s.min_queries_per_sec,
-                s.verified_queries,
-                s.verify_violations,
-                s.worst_verified_stretch
-            );
-            out.push_str(if i + 1 < self.schemes.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Parses an artifact previously written by [`to_json`](Self::to_json).
-    ///
-    /// The verify-mode fields are optional with `off`/zero defaults, so
-    /// baselines recorded before the verification plane still parse.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax or schema problem.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = JsonValue::parse(text)?;
-        let schemes = value
-            .field("schemes")?
-            .as_array()?
-            .iter()
-            .map(|s| {
-                Ok(SchemeBaseline {
-                    scheme: s.field("scheme")?.as_string()?,
-                    table_bytes: s.field("table_bytes")?.as_u64()?,
-                    worst_node_bits: s.field("worst_node_bits")?.as_u64()?,
-                    worst_sampled_stretch: s.field("worst_sampled_stretch")?.as_f64()?,
-                    min_queries_per_sec: s.field("min_queries_per_sec")?.as_f64()?,
-                    verified_queries: match s.field_opt("verified_queries") {
-                        Some(v) => v.as_u64()?,
-                        None => 0,
-                    },
-                    verify_violations: match s.field_opt("verify_violations") {
-                        Some(v) => v.as_u64()?,
-                        None => 0,
-                    },
-                    worst_verified_stretch: match s.field_opt("worst_verified_stretch") {
-                        Some(v) => v.as_f64()?,
-                        None => 0.0,
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ServeBaseline {
-            n: value.field("n")?.as_u64()? as usize,
-            queries_per_workload: value.field("queries_per_workload")?.as_u64()? as usize,
-            seed: value.field("seed")?.as_u64()?,
-            stretch_samples: value.field("stretch_samples")?.as_u64()? as usize,
-            cache_rows: value.field("cache_rows")?.as_u64()? as usize,
-            verify_mode: match value.field_opt("verify_mode") {
-                Some(v) => v.as_string()?,
-                None => "off".to_string(),
-            },
-            shards: match value.field_opt("shards") {
-                Some(v) => v.as_u64()? as usize,
-                None => 0,
-            },
-            shard_policy: match value.field_opt("shard_policy") {
-                Some(v) => v.as_string()?,
-                None => "none".to_string(),
-            },
-            build_rows_computed: value.field("build_rows_computed")?.as_u64()? as usize,
-            peak_resident_rows: value.field("peak_resident_rows")?.as_u64()? as usize,
-            verify_rows_computed: match value.field_opt("verify_rows_computed") {
-                Some(v) => v.as_u64()?,
-                None => 0,
-            },
-            distinct_destinations: match value.field_opt("distinct_destinations") {
-                Some(v) => v.as_u64()?,
-                None => 0,
-            },
-            worker_sweep: match value.field_opt("worker_sweep") {
-                Some(v) => v
-                    .as_array()?
-                    .iter()
-                    .map(|p| {
-                        Ok(SweepPoint {
-                            workers: p.field("workers")?.as_u64()? as usize,
-                            queries_per_sec: p.field("queries_per_sec")?.as_f64()?,
-                            verify_rows: p.field("verify_rows")?.as_u64()?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-                None => Vec::new(),
-            },
-            schemes,
-        })
-    }
-}
-
-/// Relative slack on the deterministic quantities (table bytes, stretch): a
-/// current value above `baseline · (1 + SLACK)` is a hard failure.  The
-/// numbers are bit-reproducible given the seeds, so the slack only absorbs
+/// Relative slack on the deterministic quantities (table bytes, stretch).
+/// They are bit-reproducible given the seeds, so the slack only absorbs
 /// float formatting; anything beyond it is a real regression.
 pub const DETERMINISTIC_SLACK: f64 = 0.02;
 
-/// Relative slack on the suite-build oracle-row count.  Rows are within a
-/// handful of deterministic across runs (concurrent connectivity probes can
-/// race a duplicate Dijkstra), so the tolerance is wider, but a 10% jump
-/// means a sweep stopped being shared.
+/// Relative slack on oracle-row counts.  Build rows are within a handful of
+/// deterministic across runs (concurrent connectivity probes can race a
+/// duplicate Dijkstra), but a 10% jump means a sweep stopped being shared.
 pub const ROWS_SLACK: f64 = 0.10;
 
-/// Throughput warn threshold: warn when a scheme's minimum queries/sec drops
-/// below half the baseline.  Host-dependent — never a hard failure.
+/// Throughput warns below this fraction of the baseline; it is a property
+/// of the host, never a failure.
 pub const THROUGHPUT_WARN_FRACTION: f64 = 0.5;
 
-/// Diffs a current run against the checked-in baseline.
-///
-/// Returns `(failures, warnings)`: failures are regressions CI must fail on
-/// (table bytes, stretch, oracle rows, schema mismatches), warnings are
-/// host-dependent observations (throughput).
-pub fn compare(baseline: &ServeBaseline, current: &ServeBaseline) -> (Vec<String>, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut warnings = Vec::new();
-    // Every knob that changes a gated (deterministic) number must match, or
-    // the diff compares incompatible runs.
-    let config = |b: &ServeBaseline| {
-        (
-            b.n,
-            b.queries_per_workload,
-            b.seed,
-            b.stretch_samples,
-            b.cache_rows,
-            b.verify_mode.clone(),
-            b.shards,
-            b.shard_policy.clone(),
-        )
-    };
-    if config(baseline) != config(current) {
-        failures.push(format!(
-            "configuration mismatch: baseline is (n, queries, seed, samples, cache, verify, \
-             shards, policy) = {:?}, current is {:?} (regenerate the baseline, see README)",
-            config(baseline),
-            config(current)
-        ));
-        return (failures, warnings);
-    }
-    let verifying = baseline.verify_mode != "off";
-    let rows_limit = baseline.build_rows_computed as f64 * (1.0 + ROWS_SLACK);
-    if (current.build_rows_computed as f64) > rows_limit {
-        failures.push(format!(
-            "suite build computed {} oracle rows, baseline {} (+{:.0}% > {:.0}% slack) — \
-             a row sweep is no longer shared",
-            current.build_rows_computed,
-            baseline.build_rows_computed,
-            100.0
-                * (current.build_rows_computed as f64 / baseline.build_rows_computed as f64 - 1.0),
-            100.0 * ROWS_SLACK
-        ));
-    } else if current.build_rows_computed * 2 <= baseline.build_rows_computed {
-        warnings.push(format!(
-            "suite build rows improved {} → {}; consider refreshing the baseline",
-            baseline.build_rows_computed, current.build_rows_computed
-        ));
-    }
-    if current.peak_resident_rows > baseline.peak_resident_rows * 2 {
-        failures.push(format!(
-            "peak resident oracle rows {} more than doubled the baseline {}",
-            current.peak_resident_rows, baseline.peak_resident_rows
-        ));
-    }
-    // Destination streams are seeded, so the distinct-destination count is
-    // bit-deterministic: any drift means a workload generator changed under
-    // the baseline.  (Zero means a pre-sharding baseline — nothing to gate.)
-    if baseline.distinct_destinations != 0
-        && current.distinct_destinations != baseline.distinct_destinations
-    {
-        failures.push(format!(
-            "distinct destinations changed {} → {} — the request streams drifted",
-            baseline.distinct_destinations, current.distinct_destinations
-        ));
-    }
-    // Verify rows pay two Dijkstras per distinct destination under per-shard
-    // buckets; growth past the rows slack means workers started re-fetching
-    // each other's destination rows.
-    if baseline.verify_rows_computed != 0 {
-        let verify_rows_limit = baseline.verify_rows_computed as f64 * (1.0 + ROWS_SLACK);
-        if current.verify_rows_computed as f64 > verify_rows_limit {
-            failures.push(format!(
-                "verification computed {} oracle rows, baseline {} (+{:.0}% > {:.0}% slack) — \
-                 per-shard bucket sharing regressed",
-                current.verify_rows_computed,
-                baseline.verify_rows_computed,
-                100.0
-                    * (current.verify_rows_computed as f64 / baseline.verify_rows_computed as f64
-                        - 1.0),
-                100.0 * ROWS_SLACK
-            ));
-        }
-    }
-    // The worker sweep is gated point-by-point: verify rows are
-    // deterministic (hard), throughput is host-dependent (warn).  A missing
-    // point would leave a worker count ungated.
-    for want in &baseline.worker_sweep {
-        let Some(got) = current.worker_sweep.iter().find(|p| p.workers == want.workers) else {
-            failures.push(format!(
-                "worker-sweep point at {} workers missing from the current run",
-                want.workers
-            ));
-            continue;
-        };
-        let sweep_rows_limit = want.verify_rows as f64 * (1.0 + ROWS_SLACK);
-        if got.verify_rows as f64 > sweep_rows_limit {
-            failures.push(format!(
-                "sweep at {} workers: verify rows regressed {} → {} — rows are growing with \
-                 the worker count again",
-                want.workers, want.verify_rows, got.verify_rows
-            ));
-        }
-        if got.queries_per_sec < want.queries_per_sec * THROUGHPUT_WARN_FRACTION {
-            warnings.push(format!(
-                "sweep at {} workers: throughput dropped {:.0} → {:.0} queries/s \
-                 (host-dependent, not gating)",
-                want.workers, want.queries_per_sec, got.queries_per_sec
-            ));
-        }
-    }
-    for want in &baseline.schemes {
-        let Some(got) = current.schemes.iter().find(|s| s.scheme == want.scheme) else {
-            failures.push(format!("scheme {} missing from the current run", want.scheme));
-            continue;
-        };
-        let byte_limit = want.table_bytes as f64 * (1.0 + DETERMINISTIC_SLACK);
-        if got.table_bytes as f64 > byte_limit {
-            failures.push(format!(
-                "{}: table bytes regressed {} → {}",
-                want.scheme, want.table_bytes, got.table_bytes
-            ));
-        }
-        let bits_limit = want.worst_node_bits as f64 * (1.0 + DETERMINISTIC_SLACK);
-        if got.worst_node_bits as f64 > bits_limit {
-            failures.push(format!(
-                "{}: worst-node table bits regressed {} → {}",
-                want.scheme, want.worst_node_bits, got.worst_node_bits
-            ));
-        }
-        let stretch_limit = want.worst_sampled_stretch * (1.0 + DETERMINISTIC_SLACK);
-        if got.worst_sampled_stretch > stretch_limit {
-            failures.push(format!(
-                "{}: worst sampled stretch regressed {:.3} → {:.3}",
-                want.scheme, want.worst_sampled_stretch, got.worst_sampled_stretch
-            ));
-        }
-        if got.min_queries_per_sec < want.min_queries_per_sec * THROUGHPUT_WARN_FRACTION {
-            warnings.push(format!(
-                "{}: throughput dropped {:.0} → {:.0} queries/s (host-dependent, not gating)",
-                want.scheme, want.min_queries_per_sec, got.min_queries_per_sec
-            ));
-        }
-        if verifying {
-            // Checked-query counts are exact (mode × stream length), so any
-            // drift means the verification plane silently skipped queries.
-            if got.verified_queries != want.verified_queries {
-                failures.push(format!(
-                    "{}: verified queries changed {} → {} — verification coverage drifted",
-                    want.scheme, want.verified_queries, got.verified_queries
-                ));
-            }
-            if got.verify_violations > 0 {
-                failures.push(format!(
-                    "{}: {} verified queries exceeded the proven stretch bound",
-                    want.scheme, got.verify_violations
-                ));
-            }
-            let verified_limit = want.worst_verified_stretch * (1.0 + DETERMINISTIC_SLACK);
-            if got.worst_verified_stretch > verified_limit {
-                failures.push(format!(
-                    "{}: worst verified stretch regressed {:.3} → {:.3}",
-                    want.scheme, want.worst_verified_stretch, got.worst_verified_stretch
-                ));
-            }
-        }
-    }
-    // Symmetric check: a scheme served by the current run but absent from
-    // the baseline would otherwise pass CI completely ungated.
-    for got in &current.schemes {
-        if !baseline.schemes.iter().any(|s| s.scheme == got.scheme) {
-            failures.push(format!(
-                "scheme {} is not in the baseline — regenerate ci/BENCH_serve.json to gate it",
-                got.scheme
-            ));
-        }
-    }
-    (failures, warnings)
-}
-
-/// Hard ceiling on the chaos repair economy: an incremental repair may
-/// recompute at most this fraction of the oracle rows a from-scratch rebuild
-/// pays.  Enforced in-binary by `chaos_sweep` and again by
-/// [`compare_chaos`] on the current artifact, so CI fails even when a stale
-/// baseline would have allowed the regression.
+/// An incremental repair may recompute at most this share of the oracle rows
+/// a from-scratch rebuild pays.  `chaos_sweep` enforces it in-binary and
+/// [`CHAOS`] again on the current artifact, whatever the baseline says.
 pub const REPAIR_ROW_BUDGET: f64 = 0.25;
 
-/// One failure fraction of a `chaos_sweep` run: the fault selection, the
-/// repair economy, and the three verified epochs (pre-fault / degraded /
-/// post-repair) of the §3 serving plane.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosFraction {
-    /// Requested edge-failure fraction (share of all edges).
-    pub fraction: f64,
-    /// Faults the fraction asked for (`round(fraction · edge_count)`).
-    pub faults_requested: usize,
-    /// Faults actually applied after the dirty-row impact budget.
-    pub faults_applied: usize,
-    /// Applied faults that removed an edge.
-    pub removals: usize,
-    /// Applied faults that inflated an edge weight.
-    pub inflations: usize,
-    /// Nodes with at least one invalidated metric row.
-    pub dirty_nodes: usize,
-    /// Oracle rows the incremental repair recomputed.
-    pub repair_rows: u64,
-    /// Oracle rows a from-scratch rebuild of the same substrate computed.
-    pub full_rebuild_rows: u64,
-    /// Cover cluster trees the repair re-anchored.
-    pub clusters_reanchored: usize,
-    /// Landmark balls the repair recomputed.
-    pub balls_repaired: usize,
-    /// Wall-clock of the repair, in nanoseconds (host-dependent; warn-only).
-    pub repair_epoch_ns: u64,
-    /// Worst verified stretch of the pre-fault epoch.
-    pub pre_worst_stretch: f64,
-    /// Requests the degraded epoch delivered.
-    pub degraded_delivered: u64,
-    /// Requests the degraded epoch failed to deliver (routes crossing a
-    /// removed link).
-    pub degraded_failed: u64,
-    /// Delivered degraded requests that exceeded the proven ceiling.
-    pub degraded_violations: u64,
-    /// Worst verified stretch of the degraded epoch's delivered requests.
-    pub degraded_worst_stretch: f64,
-    /// `degraded_delivered / queries` — the fault window's success rate.
-    pub degraded_success_rate: f64,
-    /// Degraded-window offender pairs the repair restored under the ceiling.
-    pub restored_pairs: u64,
-    /// Worst verified stretch of the post-repair epoch.
-    pub post_worst_stretch: f64,
-    /// Post-repair requests above the proven ceiling (must be 0).
-    pub post_violations: u64,
-    /// Post-repair delivery failures (must be 0).
-    pub post_failed: u64,
+/// How a [`Gate`] checks the current run's value of its field against the
+/// baseline's.
+#[derive(Debug, Clone, Copy)]
+pub enum Rule {
+    /// Part of the run's configuration: any difference fails the pair before
+    /// anything else is gated, since the runs are not comparable.
+    Config,
+    /// Provenance, or a record's key: never gated.
+    Recorded,
+    /// Must equal the baseline (numbers by value).
+    Exact,
+    /// Fails above `baseline · (1 + slack)`.
+    AtMost(f64),
+    /// Fails below `baseline − tolerance`.
+    AtLeast(f64),
+    /// Fails unless the current value is 0, whatever the baseline says.
+    Zero,
+    /// Fails when the current value exceeds `share` of the current record's
+    /// `sibling` field, whatever the baseline says.
+    ShareOf(&'static str, f64),
+    /// Warns below `baseline · fraction`.
+    WarnBelow(f64),
+    /// Warns above `baseline · factor`.
+    WarnAbove(f64),
+    /// The inner rule, applied only when the run verified: its `verify_mode`
+    /// is not `off`.
+    Verified(&'static Rule),
+    /// An array of records, each matched to the other side's by its `key`
+    /// field and gated by the `gates` table.  A record present on only one
+    /// side fails.
+    Records(&'static str, &'static [Gate]),
 }
 
-/// The `BENCH_chaos.json` artifact: one `chaos_sweep` run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosBaseline {
-    /// Node count of the run.
-    pub n: usize,
-    /// Requests served per epoch (three epochs per fraction).
-    pub queries_per_epoch: usize,
-    /// RNG seed of the run (graph, naming, fault selection, workloads).
-    pub seed: u64,
-    /// Worker threads of the run — provenance only; the chaos conformance
-    /// tests prove every gated number is worker-independent.
-    pub workers: usize,
-    /// Destination shard count of the run.
-    pub shards: usize,
-    /// Shard policy (`hash` / `range`).
-    pub shard_policy: String,
-    /// Chord edges of the `ring_with_chords` graph (the fault candidates —
-    /// the ring itself is never faulted, keeping the graph strongly
-    /// connected).
-    pub chords: usize,
-    /// Total edge count (ring + chords), the fraction denominator.
-    pub edge_count: usize,
-    /// Absolute cap on invalidated rows per fraction (the impact budget the
-    /// greedy fault selection enforces).
-    pub dirty_row_budget: usize,
-    /// The §3 proven stretch ceiling every epoch is verified against.
-    pub bound: u64,
-    /// Per-fraction records, in sweep order.
-    pub fractions: Vec<ChaosFraction>,
+/// One row of a gate table: an artifact field, its rule, and what a breach
+/// of the rule means.  A field may have more than one row.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// The field's name.
+    pub field: &'static str,
+    /// How it is gated.
+    pub rule: Rule,
+    /// What a breach of the rule means, or for an ungated field what it
+    /// records; failure and warning messages end with it.
+    pub why: &'static str,
 }
 
-impl ChaosBaseline {
-    /// Renders the artifact as pretty-printed JSON, `"kind": "chaos"` first
-    /// so the checker binaries can dispatch on file shape.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"kind\": \"chaos\",\n");
-        let _ = writeln!(out, "  \"n\": {},", self.n);
-        let _ = writeln!(out, "  \"queries_per_epoch\": {},", self.queries_per_epoch);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"workers\": {},", self.workers);
-        let _ = writeln!(out, "  \"shards\": {},", self.shards);
-        let _ = writeln!(out, "  \"shard_policy\": \"{}\",", self.shard_policy);
-        let _ = writeln!(out, "  \"chords\": {},", self.chords);
-        let _ = writeln!(out, "  \"edge_count\": {},", self.edge_count);
-        let _ = writeln!(out, "  \"dirty_row_budget\": {},", self.dirty_row_budget);
-        let _ = writeln!(out, "  \"bound\": {},", self.bound);
-        out.push_str("  \"fractions\": [\n");
-        for (i, f) in self.fractions.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"fraction\": {:.6},", f.fraction);
-            let _ = writeln!(out, "      \"faults_requested\": {},", f.faults_requested);
-            let _ = writeln!(out, "      \"faults_applied\": {},", f.faults_applied);
-            let _ = writeln!(out, "      \"removals\": {},", f.removals);
-            let _ = writeln!(out, "      \"inflations\": {},", f.inflations);
-            let _ = writeln!(out, "      \"dirty_nodes\": {},", f.dirty_nodes);
-            let _ = writeln!(out, "      \"repair_rows\": {},", f.repair_rows);
-            let _ = writeln!(out, "      \"full_rebuild_rows\": {},", f.full_rebuild_rows);
-            let _ = writeln!(out, "      \"clusters_reanchored\": {},", f.clusters_reanchored);
-            let _ = writeln!(out, "      \"balls_repaired\": {},", f.balls_repaired);
-            let _ = writeln!(out, "      \"repair_epoch_ns\": {},", f.repair_epoch_ns);
-            let _ = writeln!(out, "      \"pre_worst_stretch\": {:.6},", f.pre_worst_stretch);
-            let _ = writeln!(out, "      \"degraded_delivered\": {},", f.degraded_delivered);
-            let _ = writeln!(out, "      \"degraded_failed\": {},", f.degraded_failed);
-            let _ = writeln!(out, "      \"degraded_violations\": {},", f.degraded_violations);
-            let _ =
-                writeln!(out, "      \"degraded_worst_stretch\": {:.6},", f.degraded_worst_stretch);
-            let _ =
-                writeln!(out, "      \"degraded_success_rate\": {:.6},", f.degraded_success_rate);
-            let _ = writeln!(out, "      \"restored_pairs\": {},", f.restored_pairs);
-            let _ = writeln!(out, "      \"post_worst_stretch\": {:.6},", f.post_worst_stretch);
-            let _ = writeln!(out, "      \"post_violations\": {},", f.post_violations);
-            let _ = writeln!(out, "      \"post_failed\": {}", f.post_failed);
-            out.push_str("    }");
-            out.push_str(if i + 1 < self.fractions.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+const fn gate(field: &'static str, rule: Rule, why: &'static str) -> Gate {
+    Gate { field, rule, why }
+}
+
+use Rule::*;
+
+const DRIFT: &str = "the seeded run is deterministic, so this is a behaviour change";
+const HOST: &str = "host-dependent, not gating";
+
+/// The serve artifact (`serve_throughput`, `serve_net_throughput`).
+pub const SERVE: &[Gate] = &[
+    gate("n", Config, "node count"),
+    gate("queries_per_workload", Config, "queries per workload (the fleet total over TCP)"),
+    gate("seed", Config, "master seed: graph, names, workloads"),
+    gate("stretch_samples", Config, "stretch samples per run"),
+    gate("cache_rows", Config, "build-oracle row cache: moves both row counts"),
+    gate("verify_mode", Config, "off, sampled or full"),
+    gate("shards", Config, "destination shards"),
+    gate("shard_policy", Config, "hash or range: which worker owns which destination"),
+    gate("build_rows_computed", AtMost(ROWS_SLACK), "a row sweep is no longer shared"),
+    gate("build_rows_computed", WarnBelow(0.5), "the build got cheaper: refresh the baseline"),
+    gate("peak_resident_rows", AtMost(1.0), "the build oracle holds over twice its rows"),
+    gate("verify_rows_computed", AtMost(ROWS_SLACK), "per-shard verify buckets stopped sharing"),
+    gate("distinct_destinations", Exact, "the request streams drifted"),
+    gate("worker_sweep", Records("workers", SWEEP), "the mix workload at each worker count"),
+    gate("schemes", Records("scheme", SCHEMES), "per-scheme aggregates over every workload"),
+];
+
+const SWEEP: &[Gate] = &[
+    gate("workers", Recorded, "the point's key"),
+    gate("queries_per_sec", WarnBelow(THROUGHPUT_WARN_FRACTION), HOST),
+    gate("verify_rows", AtMost(ROWS_SLACK), "verify rows are growing with the worker count again"),
+];
+
+const SCHEMES: &[Gate] = &[
+    gate("scheme", Recorded, "the record's key"),
+    gate("table_bytes", AtMost(DETERMINISTIC_SLACK), "the routing tables grew"),
+    gate("worst_node_bits", AtMost(DETERMINISTIC_SLACK), "the largest node table grew"),
+    gate("worst_sampled_stretch", AtMost(DETERMINISTIC_SLACK), "sampled routes got longer"),
+    gate("min_queries_per_sec", WarnBelow(THROUGHPUT_WARN_FRACTION), HOST),
+    gate("verified_queries", Verified(&Exact), "verification coverage drifted"),
+    gate("verify_violations", Verified(&Zero), "a trip exceeded the proven stretch bound"),
+    gate("worst_verified_stretch", Verified(&AtMost(DETERMINISTIC_SLACK)), "routes got longer"),
+];
+
+/// The chaos artifact (`chaos_sweep`).
+pub const CHAOS: &[Gate] = &[
+    gate("kind", Config, "the artifact kind"),
+    gate("n", Config, "node count"),
+    gate("queries_per_epoch", Config, "queries per verified epoch"),
+    gate("seed", Config, "master seed: graph, names, fault plans, workloads"),
+    gate("workers", Recorded, "provenance: every gated number is worker-independent"),
+    gate("shards", Config, "destination shards"),
+    gate("shard_policy", Config, "hash or range"),
+    gate("chords", Config, "chord edges, the fault candidates"),
+    gate("edge_count", Config, "the fraction denominator"),
+    gate("dirty_row_budget", Config, "the fault selection's impact budget"),
+    gate("bound", Config, "the §3 proven ceiling every epoch is verified against"),
+    gate("fractions", Records("fraction", FRACTIONS), "one record per failure fraction"),
+];
+
+const FRACTIONS: &[Gate] = &[
+    gate("fraction", Recorded, "the record's key"),
+    gate("faults_requested", Exact, DRIFT),
+    gate("faults_applied", Exact, DRIFT),
+    gate("removals", Exact, DRIFT),
+    gate("inflations", Exact, DRIFT),
+    gate("dirty_nodes", Exact, DRIFT),
+    gate("repair_rows", Exact, DRIFT),
+    gate(
+        "repair_rows",
+        ShareOf("full_rebuild_rows", REPAIR_ROW_BUDGET),
+        "the repair is no longer incremental",
+    ),
+    gate("full_rebuild_rows", Exact, DRIFT),
+    gate("clusters_reanchored", Exact, DRIFT),
+    gate("balls_repaired", Exact, DRIFT),
+    gate("repair_epoch_ns", WarnAbove(4.0), HOST),
+    gate("pre_worst_stretch", AtMost(DETERMINISTIC_SLACK), "healthy routes got longer"),
+    gate("degraded_delivered", Exact, DRIFT),
+    gate("degraded_failed", Exact, DRIFT),
+    gate("degraded_violations", Exact, DRIFT),
+    gate("degraded_worst_stretch", AtMost(DETERMINISTIC_SLACK), "degraded routes got longer"),
+    gate("degraded_success_rate", AtLeast(1e-6), "the fault window delivers less"),
+    gate("restored_pairs", Exact, DRIFT),
+    gate("post_worst_stretch", AtMost(DETERMINISTIC_SLACK), "repaired routes got longer"),
+    gate("post_violations", Zero, "repair did not restore the proven ceiling"),
+    gate("post_failed", Zero, "the repaired plane failed to deliver"),
+];
+
+/// One telemetry cross-check: a value of a `Registry::to_json` export, and
+/// the artifact tally it must equal, or reach when not `exact`.  The
+/// counters are incremented by the code paths that feed the artifact, so
+/// any disagreement means the observability plane misreports.
+#[derive(Debug, Clone, Copy)]
+pub struct CrossCheck {
+    /// The export's section, metric name and, below the name, member; a
+    /// metric never touched is never registered and reads 0.
+    pub export: &'static [&'static str],
+    /// Whether the export must equal the tally (or only reach it).
+    pub exact: bool,
+    /// The artifact's side.
+    pub artifact: Tally,
+}
+
+/// The artifact's side of a [`CrossCheck`].
+#[derive(Debug, Clone, Copy)]
+pub enum Tally {
+    /// A top-level field.
+    Field(&'static str),
+    /// A field summed over an array of records.
+    Sum(&'static str, &'static str),
+    /// The number of records in an array.
+    Count(&'static str),
+}
+
+/// The serve artifact's telemetry cross-checks.
+pub const SERVE_TELEMETRY: &[CrossCheck] = &[
+    CrossCheck {
+        export: &["counters", "oracle.verify.rows_computed"],
+        exact: true,
+        artifact: Tally::Field("verify_rows_computed"),
+    },
+    CrossCheck {
+        export: &["gauges", "serve.distinct_destinations", "value"],
+        exact: true,
+        artifact: Tally::Field("distinct_destinations"),
+    },
+];
+
+/// The chaos artifact's telemetry cross-checks.  The histogram observes the
+/// repair clock slightly after the artifact snapshots it, so its sum can
+/// only be the larger.
+pub const CHAOS_TELEMETRY: &[CrossCheck] = &[
+    CrossCheck {
+        export: &["counters", "repair.rows_recomputed"],
+        exact: true,
+        artifact: Tally::Sum("fractions", "repair_rows"),
+    },
+    CrossCheck {
+        export: &["counters", "repair.clusters_reanchored"],
+        exact: true,
+        artifact: Tally::Sum("fractions", "clusters_reanchored"),
+    },
+    CrossCheck {
+        export: &["histograms", "repair.epoch_ns", "count"],
+        exact: true,
+        artifact: Tally::Count("fractions"),
+    },
+    CrossCheck {
+        export: &["histograms", "repair.epoch_ns", "sum_ns"],
+        exact: false,
+        artifact: Tally::Sum("fractions", "repair_epoch_ns"),
+    },
+];
+
+/// The name, gate table and telemetry cross-checks of `artifact`'s kind: its
+/// `kind` field, absent on serve artifacts.
+fn kind(
+    artifact: &JsonValue,
+) -> Result<(&'static str, &'static [Gate], &'static [CrossCheck]), String> {
+    match artifact.field_opt("kind").map(JsonValue::as_string).transpose()?.as_deref() {
+        None => Ok(("serve", SERVE, SERVE_TELEMETRY)),
+        Some("chaos") => Ok(("chaos", CHAOS, CHAOS_TELEMETRY)),
+        Some(other) => Err(format!("unknown artifact kind \"{other}\"")),
     }
-
-    /// Parses an artifact previously written by [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax or schema problem, including
-    /// a missing or non-`chaos` `kind` discriminator.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = JsonValue::parse(text)?;
-        let kind = value.field("kind")?.as_string()?;
-        if kind != "chaos" {
-            return Err(format!("expected \"kind\": \"chaos\", found \"{kind}\""));
-        }
-        let fractions = value
-            .field("fractions")?
-            .as_array()?
-            .iter()
-            .map(|f| {
-                Ok(ChaosFraction {
-                    fraction: f.field("fraction")?.as_f64()?,
-                    faults_requested: f.field("faults_requested")?.as_u64()? as usize,
-                    faults_applied: f.field("faults_applied")?.as_u64()? as usize,
-                    removals: f.field("removals")?.as_u64()? as usize,
-                    inflations: f.field("inflations")?.as_u64()? as usize,
-                    dirty_nodes: f.field("dirty_nodes")?.as_u64()? as usize,
-                    repair_rows: f.field("repair_rows")?.as_u64()?,
-                    full_rebuild_rows: f.field("full_rebuild_rows")?.as_u64()?,
-                    clusters_reanchored: f.field("clusters_reanchored")?.as_u64()? as usize,
-                    balls_repaired: f.field("balls_repaired")?.as_u64()? as usize,
-                    repair_epoch_ns: f.field("repair_epoch_ns")?.as_u64()?,
-                    pre_worst_stretch: f.field("pre_worst_stretch")?.as_f64()?,
-                    degraded_delivered: f.field("degraded_delivered")?.as_u64()?,
-                    degraded_failed: f.field("degraded_failed")?.as_u64()?,
-                    degraded_violations: f.field("degraded_violations")?.as_u64()?,
-                    degraded_worst_stretch: f.field("degraded_worst_stretch")?.as_f64()?,
-                    degraded_success_rate: f.field("degraded_success_rate")?.as_f64()?,
-                    restored_pairs: f.field("restored_pairs")?.as_u64()?,
-                    post_worst_stretch: f.field("post_worst_stretch")?.as_f64()?,
-                    post_violations: f.field("post_violations")?.as_u64()?,
-                    post_failed: f.field("post_failed")?.as_u64()?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ChaosBaseline {
-            n: value.field("n")?.as_u64()? as usize,
-            queries_per_epoch: value.field("queries_per_epoch")?.as_u64()? as usize,
-            seed: value.field("seed")?.as_u64()?,
-            workers: value.field("workers")?.as_u64()? as usize,
-            shards: value.field("shards")?.as_u64()? as usize,
-            shard_policy: value.field("shard_policy")?.as_string()?,
-            chords: value.field("chords")?.as_u64()? as usize,
-            edge_count: value.field("edge_count")?.as_u64()? as usize,
-            dirty_row_budget: value.field("dirty_row_budget")?.as_u64()? as usize,
-            bound: value.field("bound")?.as_u64()?,
-            fractions,
-        })
-    }
 }
 
-/// Diffs a current `chaos_sweep` run against the checked-in chaos baseline.
+/// Reads and parses the artifact at `path`.
 ///
-/// Everything except the repair wall-clock is deterministic given the run's
-/// seeds — fault selection, dirty rows, repair/rebuild row counts, delivery
-/// failures, violations, restored pairs — so those gate **exactly**; worst
-/// stretches gate with the usual [`DETERMINISTIC_SLACK`] (float formatting
-/// only).  Two invariants are re-checked on the current run regardless of
-/// what the baseline says: the post-repair epoch must be perfectly clean,
-/// and `repair_rows` must stay within [`REPAIR_ROW_BUDGET`] of
-/// `full_rebuild_rows`.  `repair_epoch_ns` is host-dependent and only warns.
-pub fn compare_chaos(
-    baseline: &ChaosBaseline,
-    current: &ChaosBaseline,
-) -> (Vec<String>, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut warnings = Vec::new();
-    let config = |b: &ChaosBaseline| {
-        (
-            b.n,
-            b.queries_per_epoch,
-            b.seed,
-            b.shards,
-            b.shard_policy.clone(),
-            b.chords,
-            b.edge_count,
-            b.dirty_row_budget,
-            b.bound,
-        )
-    };
-    if config(baseline) != config(current) {
-        failures.push(format!(
-            "configuration mismatch: baseline is (n, queries, seed, shards, policy, chords, \
-             edges, dirty budget, bound) = {:?}, current is {:?} (regenerate the baseline, see \
-             docs/OPERATIONS.md)",
-            config(baseline),
-            config(current)
+/// # Errors
+///
+/// Returns the read or parse error, prefixed with `path`.
+pub fn load(path: &str) -> Result<JsonValue, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    JsonValue::parse(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// The outcome of a [`compare`].
+#[derive(Debug, Default)]
+pub struct Diff {
+    /// Regressions CI fails on.
+    pub failures: Vec<String>,
+    /// Host-dependent observations CI only prints.
+    pub warnings: Vec<String>,
+}
+
+/// Gates the `current` artifact against the `baseline` artifact under the
+/// table of their kind.
+///
+/// # Errors
+///
+/// Returns why the pair cannot be compared: an unknown kind or two kinds, a
+/// field the table does not name, a missing field, a value of the wrong
+/// type, or two records with one key.
+pub fn compare(baseline: &JsonValue, current: &JsonValue) -> Result<Diff, String> {
+    let (name, gates, _) = kind(baseline)?;
+    let (current_name, ..) = kind(current)?;
+    if name != current_name {
+        return Err(format!("a {name} baseline cannot gate a {current_name} run"));
+    }
+    named(gates, baseline, "")?;
+    named(gates, current, "")?;
+    let mut diff = Diff::default();
+    let mut mismatched = Vec::new();
+    for gate in gates.iter().filter(|g| matches!(g.rule, Config)) {
+        let (want, got) = (baseline.field(gate.field)?, current.field(gate.field)?);
+        if !same(want, got) {
+            mismatched.push(format!("{} {want} → {got}", gate.field));
+        }
+    }
+    if !mismatched.is_empty() {
+        diff.failures.push(format!(
+            "configuration mismatch: {} (the runs are not comparable; regenerate the baseline, \
+             see docs/OPERATIONS.md)",
+            mismatched.join(", ")
         ));
-        return (failures, warnings);
+        return Ok(diff);
     }
-    let same_fraction = |a: f64, b: f64| (a - b).abs() < 1e-9;
-    for want in &baseline.fractions {
-        let tag = format!("fraction {:.3}", want.fraction);
-        let Some(got) = current.fractions.iter().find(|f| same_fraction(f.fraction, want.fraction))
-        else {
-            failures.push(format!("{tag} missing from the current run"));
-            continue;
-        };
-        // The deterministic integer record of the fraction: fault selection,
-        // invalidation, repair economy, and epoch outcomes, gated exactly.
-        let exact: [(&str, u64, u64); 13] = [
-            ("faults_requested", want.faults_requested as u64, got.faults_requested as u64),
-            ("faults_applied", want.faults_applied as u64, got.faults_applied as u64),
-            ("removals", want.removals as u64, got.removals as u64),
-            ("inflations", want.inflations as u64, got.inflations as u64),
-            ("dirty_nodes", want.dirty_nodes as u64, got.dirty_nodes as u64),
-            ("repair_rows", want.repair_rows, got.repair_rows),
-            ("full_rebuild_rows", want.full_rebuild_rows, got.full_rebuild_rows),
-            (
-                "clusters_reanchored",
-                want.clusters_reanchored as u64,
-                got.clusters_reanchored as u64,
-            ),
-            ("balls_repaired", want.balls_repaired as u64, got.balls_repaired as u64),
-            ("degraded_delivered", want.degraded_delivered, got.degraded_delivered),
-            ("degraded_failed", want.degraded_failed, got.degraded_failed),
-            ("degraded_violations", want.degraded_violations, got.degraded_violations),
-            ("restored_pairs", want.restored_pairs, got.restored_pairs),
-        ];
-        for (name, w, g) in exact {
-            if w != g {
-                failures.push(format!(
-                    "{tag}: {name} changed {w} → {g} — the seeded chaos run is deterministic, \
-                     so this is a behaviour change"
-                ));
-            }
-        }
-        let stretches = [
-            ("pre_worst_stretch", want.pre_worst_stretch, got.pre_worst_stretch),
-            ("degraded_worst_stretch", want.degraded_worst_stretch, got.degraded_worst_stretch),
-            ("post_worst_stretch", want.post_worst_stretch, got.post_worst_stretch),
-        ];
-        for (name, w, g) in stretches {
-            if g > w * (1.0 + DETERMINISTIC_SLACK) {
-                failures.push(format!("{tag}: {name} regressed {w:.3} → {g:.3}"));
-            }
-        }
-        if got.degraded_success_rate + 1e-6 < want.degraded_success_rate {
-            failures.push(format!(
-                "{tag}: degraded success rate dropped {:.4} → {:.4}",
-                want.degraded_success_rate, got.degraded_success_rate
-            ));
-        }
-        if got.repair_epoch_ns > want.repair_epoch_ns.saturating_mul(4) {
-            warnings.push(format!(
-                "{tag}: repair wall grew {} → {} ns (host-dependent, not gating)",
-                want.repair_epoch_ns, got.repair_epoch_ns
-            ));
-        }
-        // The two acceptance invariants, independent of the baseline's word.
-        if got.post_violations != 0 || got.post_failed != 0 {
-            failures.push(format!(
-                "{tag}: post-repair epoch is not clean ({} violations, {} delivery failures) — \
-                 repair did not restore the proven ceiling",
-                got.post_violations, got.post_failed
-            ));
-        }
-        if got.repair_rows as f64 > REPAIR_ROW_BUDGET * got.full_rebuild_rows as f64 {
-            failures.push(format!(
-                "{tag}: repair recomputed {} rows, over {:.0}% of the {}-row full rebuild",
-                got.repair_rows,
-                100.0 * REPAIR_ROW_BUDGET,
-                got.full_rebuild_rows
-            ));
-        }
+    let verifying =
+        !matches!(baseline.field_opt("verify_mode"), Some(JsonValue::String(m)) if m == "off");
+    for gate in gates {
+        diff.check(gate, gate.rule, baseline, current, "", verifying)?;
     }
-    for got in &current.fractions {
-        if !baseline.fractions.iter().any(|f| same_fraction(f.fraction, got.fraction)) {
-            failures.push(format!(
-                "fraction {:.3} is not in the baseline — regenerate ci/BENCH_chaos.json to \
-                 gate it",
-                got.fraction
-            ));
-        }
-    }
-    (failures, warnings)
+    Ok(diff)
 }
 
-/// A minimal JSON value: just enough structure for the baseline and
-/// telemetry artifacts (used by `check_serve_baseline` and
-/// `check_telemetry`; the workspace vendors no serde).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A number (every JSON number parses as `f64`).
-    Number(f64),
-    /// A string without escape sequences.
-    String(String),
-    /// An ordered array.
-    Array(Vec<JsonValue>),
-    /// An object, fields in document order.
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Parses one complete JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax problem.
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser { bytes: text.as_bytes(), at: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.at));
-        }
-        Ok(v)
-    }
-
-    /// Looks up `key` on an object, failing on a missing key or a non-object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of what was expected.
-    pub fn field(&self, key: &str) -> Result<&JsonValue, String> {
-        if !matches!(self, JsonValue::Object(_)) {
-            return Err(format!("expected an object, found {self:?}"));
-        }
-        self.field_opt(key).ok_or_else(|| format!("missing field \"{key}\""))
-    }
-
-    /// Optional-field lookup (`None` on a missing key *or* a non-object),
-    /// used for the verify-mode fields older baselines predate.
-    pub fn field_opt(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as an array.
-    ///
-    /// # Errors
-    ///
-    /// Fails on any other variant.
-    pub fn as_array(&self) -> Result<&[JsonValue], String> {
-        match self {
-            JsonValue::Array(items) => Ok(items),
-            other => Err(format!("expected an array, found {other:?}")),
-        }
-    }
-
-    /// The value as an owned string.
-    ///
-    /// # Errors
-    ///
-    /// Fails on any other variant.
-    pub fn as_string(&self) -> Result<String, String> {
-        match self {
-            JsonValue::String(s) => Ok(s.clone()),
-            other => Err(format!("expected a string, found {other:?}")),
-        }
-    }
-
-    /// The value as a float.
-    ///
-    /// # Errors
-    ///
-    /// Fails on any other variant.
-    pub fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            JsonValue::Number(x) => Ok(*x),
-            other => Err(format!("expected a number, found {other:?}")),
-        }
-    }
-
-    /// The value as a non-negative integer.
-    ///
-    /// # Errors
-    ///
-    /// Fails on non-numbers, negatives, and fractional values.
-    pub fn as_u64(&self) -> Result<u64, String> {
-        let x = self.as_f64()?;
-        if x < 0.0 || x.fract() != 0.0 {
-            return Err(format!("expected a non-negative integer, found {x}"));
-        }
-        Ok(x as u64)
+/// Fails on a field of `doc` that `gates` does not name; `at` prefixes the
+/// message.
+fn named(gates: &[Gate], doc: &JsonValue, at: &str) -> Result<(), String> {
+    match doc.as_object()?.iter().find(|(name, _)| gates.iter().all(|g| g.field != name)) {
+        Some((name, _)) => Err(format!("{at}field \"{name}\" is not in the gate table")),
+        None => Ok(()),
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
+/// Numbers compare by value (`0.020000` is `0.02`), exactly over `u64`;
+/// anything else structurally.
+fn same(a: &JsonValue, b: &JsonValue) -> bool {
+    match (a.as_u64(), b.as_u64(), a.as_f64(), b.as_f64()) {
+        (Ok(x), Ok(y), _, _) => x == y,
+        (_, _, Ok(x), Ok(y)) => x == y,
+        _ => a == b,
+    }
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.at < self.bytes.len() && self.bytes[self.at].is_ascii_whitespace() {
-            self.at += 1;
+/// The record of `records` whose `key` field is `id`, if any.
+fn find<'a>(
+    records: &'a [JsonValue],
+    key: &str,
+    id: &JsonValue,
+) -> Result<Option<&'a JsonValue>, String> {
+    let mut found = None;
+    for record in records {
+        if same(record.field(key)?, id) && found.replace(record).is_some() {
+            return Err(format!("two records have {key} = {id}"));
         }
     }
+    Ok(found)
+}
 
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes.get(self.at).copied().ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != c {
-            return Err(format!(
-                "expected '{}' at byte {}, found '{}'",
-                c as char, self.at, got as char
-            ));
+impl Diff {
+    /// Applies `gates` to one pair of records; `at` prefixes messages.
+    fn walk(
+        &mut self,
+        gates: &[Gate],
+        want: &JsonValue,
+        got: &JsonValue,
+        at: &str,
+        verifying: bool,
+    ) -> Result<(), String> {
+        named(gates, want, at)?;
+        named(gates, got, at)?;
+        for gate in gates {
+            self.check(gate, gate.rule, want, got, at, verifying)?;
         }
-        self.at += 1;
         Ok(())
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(JsonValue::String(self.string()?)),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.at += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.at += 1,
-                b'}' => {
-                    self.at += 1;
-                    return Ok(JsonValue::Object(fields));
+    fn check(
+        &mut self,
+        gate: &Gate,
+        rule: Rule,
+        want_record: &JsonValue,
+        got_record: &JsonValue,
+        at: &str,
+        verifying: bool,
+    ) -> Result<(), String> {
+        let Gate { field, why, .. } = *gate;
+        let with_at = |e: String| format!("{at}{e}");
+        let (want, got) =
+            (want_record.field(field).map_err(with_at)?, got_record.field(field).map_err(with_at)?);
+        let num = |v: &JsonValue| v.as_f64().map_err(|e| format!("{at}{field}: {e}"));
+        match rule {
+            Config | Recorded => {}
+            Exact if !same(want, got) => {
+                self.failures.push(format!("{at}{field} changed {want} → {got}: {why}"));
+            }
+            AtMost(slack) if num(got)? > num(want)? * (1.0 + slack) => {
+                self.failures.push(format!(
+                    "{at}{field} regressed {want} → {got}, beyond {:.0}% slack: {why}",
+                    100.0 * slack
+                ));
+            }
+            AtLeast(tolerance) if num(got)? < num(want)? - tolerance => {
+                self.failures.push(format!("{at}{field} dropped {want} → {got}: {why}"));
+            }
+            Zero if num(got)? != 0.0 => {
+                self.failures.push(format!("{at}{field} is {got}, not 0: {why}"));
+            }
+            ShareOf(sibling, share) => {
+                let whole = got_record.field(sibling).map_err(with_at)?;
+                if num(got)? > share * num(whole)? {
+                    self.failures.push(format!(
+                        "{at}{field} is {got}, over {:.0}% of {sibling} {whole}: {why}",
+                        100.0 * share
+                    ));
                 }
-                other => return Err(format!("expected ',' or '}}', found '{}'", other as char)),
             }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.at += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.at += 1,
-                b']' => {
-                    self.at += 1;
-                    return Ok(JsonValue::Array(items));
+            WarnBelow(fraction) if num(got)? < num(want)? * fraction => {
+                self.warnings.push(format!(
+                    "{at}{field} fell {want} → {got}, under {fraction}× the baseline: {why}"
+                ));
+            }
+            WarnAbove(factor) if num(got)? > num(want)? * factor => {
+                self.warnings.push(format!(
+                    "{at}{field} grew {want} → {got}, over {factor}× the baseline: {why}"
+                ));
+            }
+            Verified(inner) if verifying => {
+                self.check(gate, *inner, want_record, got_record, at, verifying)?;
+            }
+            Records(key, gates) => {
+                let (wants, gots) = (want.as_array()?, got.as_array()?);
+                for w in wants {
+                    let id = w.field(key)?;
+                    let tag = format!("{at}{field}[{key} = {id}]: ");
+                    match find(gots, key, id)? {
+                        Some(g) => self.walk(gates, w, g, &tag, verifying)?,
+                        None => self.failures.push(format!("{tag}missing from the current run")),
+                    }
                 }
-                other => return Err(format!("expected ',' or ']', found '{}'", other as char)),
+                for g in gots {
+                    let id = g.field(key)?;
+                    if find(wants, key, id)?.is_none() {
+                        self.failures.push(format!(
+                            "{at}{field}[{key} = {id}]: not in the baseline; regenerate it to \
+                             gate this record"
+                        ));
+                    }
+                }
             }
+            _ => {}
         }
+        Ok(())
     }
+}
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.at;
-        while self.at < self.bytes.len() && self.bytes[self.at] != b'"' {
-            if self.bytes[self.at] == b'\\' {
-                return Err("escape sequences are not supported".to_string());
+/// Cross-checks a telemetry export (`Registry::to_json`) against the
+/// artifact of the same run, returning one message per disagreement.
+///
+/// # Errors
+///
+/// Returns why the pair cannot be checked: an unknown artifact kind, or a
+/// section, member or artifact field a check reads is missing or malformed.
+pub fn telemetry_mismatches(
+    telemetry: &JsonValue,
+    artifact: &JsonValue,
+) -> Result<Vec<String>, String> {
+    let mut mismatches = Vec::new();
+    for check in kind(artifact)?.2 {
+        let [section, name, members @ ..] = check.export else {
+            unreachable!("an export path names a section and a metric")
+        };
+        let exported = match telemetry.field(section)?.field_opt(name) {
+            None => 0,
+            Some(metric) => members.iter().try_fold(metric, |v, m| v.field(m))?.as_u64()?,
+        };
+        let (tally, what) = match check.artifact {
+            Tally::Field(field) => (artifact.field(field)?.as_u64()?, field.to_string()),
+            Tally::Sum(records, field) => {
+                let sum =
+                    artifact.field(records)?.as_array()?.iter().try_fold(0u64, |sum, r| {
+                        sum.checked_add(r.field(field)?.as_u64()?)
+                            .ok_or_else(|| format!("summed {field} overflows"))
+                    })?;
+                (sum, format!("summed {records} {field}"))
             }
-            self.at += 1;
+            Tally::Count(records) => {
+                (artifact.field(records)?.as_array()?.len() as u64, format!("{records} count"))
+            }
+        };
+        let agrees = if check.exact { exported == tally } else { exported >= tally };
+        if !agrees {
+            mismatches.push(format!(
+                "telemetry {} = {exported} disagrees with the artifact's {what} = {tally}{}",
+                check.export.join(" "),
+                if check.exact { "" } else { " (it can only be larger)" }
+            ));
         }
-        if self.at == self.bytes.len() {
-            return Err("unterminated string".to_string());
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.at])
-            .map_err(|e| e.to_string())?
-            .to_string();
-        self.at += 1;
-        Ok(s)
     }
+    Ok(mismatches)
+}
 
-    fn number(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        let start = self.at;
-        while self.at < self.bytes.len()
-            && matches!(self.bytes[self.at], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.at += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("malformed number '{text}' at byte {start}"))
+/// A bench binary's last gate: cross-checks its registry `export` against
+/// the `artifact` it wrote, as CI's `check_telemetry` will, and exits
+/// through [`fail`] on a disagreement.
+pub fn require_telemetry_match(export: &str, artifact: &JsonValue) {
+    let mismatches = JsonValue::parse(export)
+        .and_then(|telemetry| telemetry_mismatches(&telemetry, artifact))
+        .unwrap_or_else(|e| fail(format!("cannot cross-check the telemetry export: {e}")));
+    if !mismatches.is_empty() {
+        fail(mismatches.join("\nFAIL: "));
     }
+    println!("telemetry cross-check ok");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> ServeBaseline {
-        ServeBaseline {
-            n: 600,
-            queries_per_workload: 20_000,
-            seed: 42,
-            stretch_samples: 2000,
-            cache_rows: 16,
-            verify_mode: "full".into(),
-            shards: 4,
-            shard_policy: "hash".into(),
-            build_rows_computed: 2442,
-            peak_resident_rows: 16,
-            verify_rows_computed: 1176,
-            distinct_destinations: 588,
-            worker_sweep: vec![
-                SweepPoint { workers: 1, queries_per_sec: 400_000.0, verify_rows: 1100 },
-                SweepPoint { workers: 8, queries_per_sec: 1_900_000.0, verify_rows: 1100 },
-            ],
-            schemes: vec![
-                SchemeBaseline {
-                    scheme: "stretch6".into(),
-                    table_bytes: 2_000_000,
-                    worst_node_bits: 51_000,
-                    worst_sampled_stretch: 3.806,
-                    min_queries_per_sec: 650_000.0,
-                    verified_queries: 100_000,
-                    verify_violations: 0,
-                    worst_verified_stretch: 3.806,
-                },
-                SchemeBaseline {
-                    scheme: "exstretch".into(),
-                    table_bytes: 2_600_000,
-                    worst_node_bits: 63_000,
-                    worst_sampled_stretch: 9.576,
-                    min_queries_per_sec: 300_000.0,
-                    verified_queries: 100_000,
-                    verify_violations: 0,
-                    worst_verified_stretch: 10.4,
-                },
-            ],
+    const CI: [(&str, &str); 4] = [
+        ("BENCH_serve.json", include_str!("../../../ci/BENCH_serve.json")),
+        ("BENCH_serve_2000.json", include_str!("../../../ci/BENCH_serve_2000.json")),
+        ("BENCH_serve_net.json", include_str!("../../../ci/BENCH_serve_net.json")),
+        ("BENCH_chaos.json", include_str!("../../../ci/BENCH_chaos.json")),
+    ];
+
+    fn serve() -> JsonValue {
+        JsonValue::parse(CI[0].1).unwrap()
+    }
+
+    fn chaos() -> JsonValue {
+        JsonValue::parse(CI[3].1).unwrap()
+    }
+
+    /// The value at `path`: object keys and array indices separated by dots.
+    fn at<'a>(doc: &'a mut JsonValue, path: &str) -> &'a mut JsonValue {
+        path.split('.').fold(doc, |v, step| match v {
+            JsonValue::Object(fields) => {
+                &mut fields
+                    .iter_mut()
+                    .find(|(k, _)| k == step)
+                    .unwrap_or_else(|| panic!("{step}"))
+                    .1
+            }
+            JsonValue::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+            _ => panic!("{path}: {step} is below a scalar"),
+        })
+    }
+
+    fn set(doc: &mut JsonValue, path: &str, value: impl Into<JsonValue>) {
+        *at(doc, path) = value.into();
+    }
+
+    fn get(doc: &JsonValue, path: &str) -> f64 {
+        at(&mut doc.clone(), path).as_f64().unwrap()
+    }
+
+    fn items<'a>(doc: &'a mut JsonValue, path: &str) -> &'a mut Vec<JsonValue> {
+        match at(doc, path) {
+            JsonValue::Array(items) => items,
+            other => panic!("{path} is {other}"),
         }
+    }
+
+    fn diff(base: &JsonValue, cur: &JsonValue) -> Diff {
+        compare(base, cur).unwrap()
+    }
+
+    fn fails_on(base: &JsonValue, cur: &JsonValue, needle: &str) -> bool {
+        diff(base, cur).failures.iter().any(|f| f.contains(needle))
     }
 
     #[test]
     fn json_roundtrip_is_lossless_enough_to_compare_clean() {
-        let b = sample();
-        let parsed = ServeBaseline::from_json(&b.to_json()).unwrap();
-        assert_eq!(parsed.n, b.n);
-        assert_eq!(parsed.build_rows_computed, b.build_rows_computed);
-        assert_eq!(parsed.schemes.len(), 2);
-        assert_eq!(parsed.shards, b.shards);
-        assert_eq!(parsed.shard_policy, b.shard_policy);
-        assert_eq!(parsed.verify_rows_computed, b.verify_rows_computed);
-        assert_eq!(parsed.worker_sweep, b.worker_sweep);
-        let (failures, warnings) = compare(&b, &parsed);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(warnings.is_empty(), "{warnings:?}");
+        for (name, text) in CI {
+            let doc = JsonValue::parse(text).unwrap();
+            let written = JsonValue::parse(&doc.to_string()).unwrap();
+            assert_eq!(written, doc, "{name}");
+            for (base, cur) in [(&doc, &doc), (&doc, &written)] {
+                let d = diff(base, cur);
+                assert!(d.failures.is_empty() && d.warnings.is_empty(), "{name}: {d:?}");
+            }
+        }
     }
 
     #[test]
     fn regressions_fail_and_throughput_only_warns() {
-        let base = sample();
-        let mut cur = sample();
-        cur.schemes[0].table_bytes = (base.schemes[0].table_bytes as f64 * 1.05) as u64;
-        cur.schemes[1].worst_sampled_stretch = base.schemes[1].worst_sampled_stretch * 1.2;
-        cur.schemes[0].min_queries_per_sec = 1000.0;
-        cur.build_rows_computed = base.build_rows_computed * 2;
-        let (failures, warnings) = compare(&base, &cur);
-        assert_eq!(failures.len(), 3, "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("table bytes")));
-        assert!(failures.iter().any(|f| f.contains("stretch")));
-        assert!(failures.iter().any(|f| f.contains("oracle rows")));
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("throughput"));
+        let base = serve();
+        let mut cur = serve();
+        set(&mut cur, "schemes.0.table_bytes", (get(&base, "schemes.0.table_bytes") * 1.05) as u64);
+        set(
+            &mut cur,
+            "schemes.1.worst_sampled_stretch",
+            get(&base, "schemes.1.worst_sampled_stretch") * 1.2,
+        );
+        set(&mut cur, "schemes.0.min_queries_per_sec", 1000.0);
+        set(&mut cur, "build_rows_computed", 2 * 2442u64);
+        let d = diff(&base, &cur);
+        assert_eq!(d.failures.len(), 3, "{d:?}");
+        assert!(d.failures[0].starts_with("build_rows_computed regressed"), "{d:?}");
+        assert!(d.failures[1].starts_with("schemes[scheme = \"stretch6\"]: table_bytes"), "{d:?}");
+        assert!(d.failures[2].contains("\"exstretch\"]: worst_sampled_stretch"), "{d:?}");
+        assert_eq!(d.warnings.len(), 1, "{d:?}");
+        assert!(d.warnings[0].contains("min_queries_per_sec fell"), "{d:?}");
     }
 
     #[test]
     fn small_drift_inside_tolerance_passes() {
-        let base = sample();
-        let mut cur = sample();
-        cur.build_rows_computed += 4; // concurrent connectivity-probe race
-        cur.schemes[0].table_bytes += 1;
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.is_empty(), "{failures:?}");
+        let base = serve();
+        let mut cur = serve();
+        set(&mut cur, "build_rows_computed", 2442 + 4u64); // a connectivity-probe race
+        set(&mut cur, "schemes.0.table_bytes", get(&base, "schemes.0.table_bytes") as u64 + 1);
+        set(&mut cur, "peak_resident_rows", 32u64);
+        let d = diff(&base, &cur);
+        assert!(d.failures.is_empty() && d.warnings.is_empty(), "{d:?}");
     }
 
     #[test]
     fn verify_regressions_are_hard_failures() {
-        let base = sample();
-
-        let mut cur = sample();
-        cur.schemes[0].verify_violations = 3;
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("exceeded the proven stretch bound")));
-
-        let mut cur = sample();
-        cur.schemes[0].verified_queries = 99_000;
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("coverage drifted")), "{failures:?}");
-
-        let mut cur = sample();
-        cur.schemes[1].worst_verified_stretch = base.schemes[1].worst_verified_stretch * 1.1;
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("worst verified stretch")), "{failures:?}");
-
-        let mut cur = sample();
-        cur.verify_rows_computed = base.verify_rows_computed * 2;
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("per-shard bucket")), "{failures:?}");
-
-        let mut cur = sample();
-        cur.distinct_destinations += 1;
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("streams drifted")), "{failures:?}");
-
-        // With verification off on both sides the verify fields are inert.
-        let mut base = sample();
-        let mut cur = sample();
-        for b in [&mut base, &mut cur] {
-            b.verify_mode = "off".into();
-            for s in &mut b.schemes {
-                s.verified_queries = 0;
-                s.worst_verified_stretch = 0.0;
-            }
+        let base = serve();
+        for (path, value, needle) in [
+            ("schemes.0.verify_violations", 3.0, "verify_violations is 3, not 0"),
+            ("schemes.0.verified_queries", 99_000.0, "verified_queries changed"),
+            ("schemes.1.worst_verified_stretch", 10.972_222 * 1.1, "worst_verified_stretch"),
+            ("verify_rows_computed", 2400.0, "per-shard verify buckets"),
+            ("distinct_destinations", 601.0, "streams drifted"),
+        ] {
+            let mut cur = serve();
+            set(&mut cur, path, value);
+            assert!(fails_on(&base, &cur, needle), "{path}: {:?}", diff(&base, &cur));
         }
-        cur.schemes[0].verified_queries = 77; // nonsense, but not gated
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.is_empty(), "{failures:?}");
+        // With verification off on both sides the verify fields are inert.
+        let mut base = serve();
+        set(&mut base, "verify_mode", "off");
+        let mut cur = base.clone();
+        set(&mut cur, "schemes.0.verified_queries", 77u64);
+        set(&mut cur, "schemes.0.verify_violations", 3u64);
+        set(&mut cur, "schemes.2.worst_verified_stretch", 99.0);
+        let d = diff(&base, &cur);
+        assert!(d.failures.is_empty(), "{d:?}");
     }
 
     #[test]
     fn worker_sweep_regressions_gate_rows_hard_and_throughput_soft() {
-        let base = sample();
+        let base = serve();
 
-        let mut cur = sample();
-        cur.worker_sweep[1].verify_rows = base.worker_sweep[1].verify_rows * 3;
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("growing with")), "{failures:?}");
+        let mut cur = serve();
+        set(&mut cur, "worker_sweep.4.verify_rows", 3 * 1200u64);
+        assert!(fails_on(&base, &cur, "worker_sweep[workers = 16]: verify_rows regressed"));
 
-        let mut cur = sample();
-        cur.worker_sweep.pop();
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("sweep point")), "{failures:?}");
+        let mut cur = serve();
+        items(&mut cur, "worker_sweep").pop();
+        assert!(fails_on(&base, &cur, "worker_sweep[workers = 16]: missing from the current run"));
 
-        let mut cur = sample();
-        cur.worker_sweep[0].queries_per_sec = 10.0;
-        let (failures, warnings) = compare(&base, &cur);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(warnings.iter().any(|w| w.contains("sweep at 1 workers")), "{warnings:?}");
-    }
-
-    #[test]
-    fn pre_verification_baselines_parse_with_off_defaults() {
-        let mut b = sample();
-        b.verify_mode = "off".into();
-        b.shards = 0;
-        b.shard_policy = "none".into();
-        b.verify_rows_computed = 0;
-        b.distinct_destinations = 0;
-        b.worker_sweep.clear();
-        for s in &mut b.schemes {
-            s.verified_queries = 0;
-            s.verify_violations = 0;
-            s.worst_verified_stretch = 0.0;
-        }
-        // Strip the verify and shard fields from the JSON, mimicking an old
-        // artifact (the sweep array spans three fixed lines).
-        let json: String = b
-            .to_json()
-            .lines()
-            .filter(|l| {
-                ![
-                    "verify_mode",
-                    "\"shards\"",
-                    "shard_policy",
-                    "verify_rows_computed",
-                    "distinct_destinations",
-                    "worker_sweep",
-                    "  ],",
-                ]
-                .iter()
-                .any(|needle| l.contains(needle))
-            })
-            .map(|l| {
-                let l = match l.find(", \"verified_queries\"") {
-                    Some(at) => {
-                        format!("{}}}{}", &l[..at], if l.ends_with(',') { "," } else { "" })
-                    }
-                    None => l.to_string(),
-                };
-                format!("{l}\n")
-            })
-            .collect();
-        let parsed = ServeBaseline::from_json(&json).unwrap();
-        assert_eq!(parsed.verify_mode, "off");
-        assert_eq!(parsed.schemes[0].verified_queries, 0);
-        let (failures, _) = compare(&b, &parsed);
-        assert!(failures.is_empty(), "{failures:?}");
+        let mut cur = serve();
+        set(&mut cur, "worker_sweep.0.queries_per_sec", 10.0);
+        let d = diff(&base, &cur);
+        assert!(d.failures.is_empty(), "{d:?}");
+        assert!(d.warnings.iter().any(|w| w.contains("[workers = 1]: queries_per_sec")), "{d:?}");
     }
 
     #[test]
     fn configuration_mismatch_is_a_hard_failure() {
-        for mutate in [
-            (|b: &mut ServeBaseline| b.n = 20_000) as fn(&mut ServeBaseline),
-            |b| b.seed = 7,
-            |b| b.stretch_samples = 500,
-            |b| b.cache_rows = 400,
-            |b| b.verify_mode = "off".into(),
-            |b| b.shards = 8,
-            |b| b.shard_policy = "range".into(),
+        for (path, value) in [
+            ("n", JsonValue::from(20_000u64)),
+            ("queries_per_workload", 30_000u64.into()),
+            ("seed", 7u64.into()),
+            ("stretch_samples", 500u64.into()),
+            ("cache_rows", 400u64.into()),
+            ("verify_mode", "off".into()),
+            ("shards", 8u64.into()),
+            ("shard_policy", "range".into()),
         ] {
-            let base = sample();
-            let mut cur = sample();
-            mutate(&mut cur);
-            let (failures, _) = compare(&base, &cur);
-            assert!(failures[0].contains("configuration mismatch"), "{failures:?}");
+            let base = serve();
+            let mut cur = serve();
+            set(&mut cur, path, value);
+            let d = diff(&base, &cur);
+            assert_eq!(d.failures.len(), 1, "{d:?}");
+            assert!(
+                d.failures[0].starts_with(&format!("configuration mismatch: {path} ")),
+                "{d:?}"
+            );
         }
     }
 
     #[test]
     fn missing_scheme_is_a_hard_failure_in_both_directions() {
-        let base = sample();
-        let mut cur = sample();
-        cur.schemes.pop();
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("missing")));
+        let base = serve();
+        let mut cur = serve();
+        items(&mut cur, "schemes").pop();
+        assert!(fails_on(&base, &cur, "[scheme = \"polystretch\"]: missing from the current run"));
 
         // A scheme the baseline does not know about must not pass ungated.
-        let mut base = sample();
-        base.schemes.pop();
-        let cur = sample();
-        let (failures, _) = compare(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("not in the baseline")), "{failures:?}");
+        let (base, cur) = (cur, base);
+        assert!(fails_on(&base, &cur, "[scheme = \"polystretch\"]: not in the baseline"));
     }
 
     #[test]
-    fn malformed_json_is_rejected_with_context() {
-        assert!(ServeBaseline::from_json("{").is_err());
-        assert!(ServeBaseline::from_json("{}").unwrap_err().contains("missing field"));
-        assert!(ServeBaseline::from_json("{\"n\": -1}").is_err());
-    }
-
-    fn chaos_sample() -> ChaosBaseline {
-        ChaosBaseline {
-            n: 600,
-            queries_per_epoch: 4000,
-            seed: 42,
-            workers: 4,
-            shards: 4,
-            shard_policy: "hash".into(),
-            chords: 1800,
-            edge_count: 2400,
-            dirty_row_budget: 264,
-            bound: 140,
-            fractions: vec![
-                ChaosFraction {
-                    fraction: 0.02,
-                    faults_requested: 48,
-                    faults_applied: 48,
-                    removals: 32,
-                    inflations: 16,
-                    dirty_nodes: 70,
-                    repair_rows: 110,
-                    full_rebuild_rows: 1200,
-                    clusters_reanchored: 9,
-                    balls_repaired: 70,
-                    repair_epoch_ns: 1_000_000,
-                    pre_worst_stretch: 9.5,
-                    degraded_delivered: 3941,
-                    degraded_failed: 59,
-                    degraded_violations: 3,
-                    degraded_worst_stretch: 22.0,
-                    degraded_success_rate: 0.985_25,
-                    restored_pairs: 41,
-                    post_worst_stretch: 9.8,
-                    post_violations: 0,
-                    post_failed: 0,
-                },
-                ChaosFraction {
-                    fraction: 0.05,
-                    faults_requested: 120,
-                    faults_applied: 117,
-                    removals: 78,
-                    inflations: 39,
-                    dirty_nodes: 128,
-                    repair_rows: 231,
-                    full_rebuild_rows: 1200,
-                    clusters_reanchored: 17,
-                    balls_repaired: 128,
-                    repair_epoch_ns: 2_000_000,
-                    pre_worst_stretch: 9.5,
-                    degraded_delivered: 3800,
-                    degraded_failed: 200,
-                    degraded_violations: 12,
-                    degraded_worst_stretch: 31.0,
-                    degraded_success_rate: 0.95,
-                    restored_pairs: 150,
-                    post_worst_stretch: 10.1,
-                    post_violations: 0,
-                    post_failed: 0,
-                },
-            ],
+    fn a_record_on_only_one_side_fails_in_either_direction() {
+        for (doc, array, key, id) in [
+            (serve(), "schemes", "scheme", JsonValue::from("stretch7")),
+            (serve(), "worker_sweep", "workers", 32u64.into()),
+            (chaos(), "fractions", "fraction", 0.2.into()),
+        ] {
+            let mut extra = doc.clone();
+            let mut record = items(&mut extra, array)[0].clone();
+            set(&mut record, key, id.clone());
+            items(&mut extra, array).push(record);
+            let tag = format!("{array}[{key} = {id}]: ");
+            assert!(fails_on(&doc, &extra, &format!("{tag}not in the baseline")), "{tag}");
+            assert!(fails_on(&extra, &doc, &format!("{tag}missing from the current run")), "{tag}");
         }
     }
 
     #[test]
+    fn every_gate_trips_on_its_mutation() {
+        // Every row of both tables, mutated on a checked-in baseline, fails or
+        // warns as its rule says (a `Verified` rule only while verifying).
+        // Record keys are left to the one-side test.
+        fn rows(gates: &[Gate], at: &str, key: &str, out: &mut Vec<(String, Gate)>) {
+            for gate in gates {
+                match gate.rule {
+                    Records(k, inner) => rows(inner, &format!("{at}{}.0.", gate.field), k, out),
+                    _ if gate.field == key => {}
+                    _ => out.push((format!("{at}{}", gate.field), *gate)),
+                }
+            }
+        }
+        let mut tested = 0;
+        for (doc, gates) in [(serve(), SERVE), (chaos(), CHAOS)] {
+            let mut all = Vec::new();
+            rows(gates, "", "", &mut all);
+            for (path, gate) in all {
+                let (mut base, mut cur) = (doc.clone(), doc.clone());
+                let bumped = match at(&mut cur, &path) {
+                    JsonValue::String(s) => JsonValue::from(format!("{s}x")),
+                    number => JsonValue::from(number.as_f64().unwrap() + 1.0),
+                };
+                let value = at(&mut cur, &path).as_f64().unwrap_or(0.0);
+                let rule = match gate.rule {
+                    Verified(inner) => *inner,
+                    rule => rule,
+                };
+                let fails = match rule {
+                    Config if gate.field == "kind" => {
+                        set(&mut cur, &path, bumped);
+                        assert!(compare(&base, &cur).is_err(), "{path}");
+                        tested += 1;
+                        continue;
+                    }
+                    Config | Exact => {
+                        set(&mut cur, &path, bumped);
+                        true
+                    }
+                    Recorded => {
+                        set(&mut cur, &path, bumped);
+                        false
+                    }
+                    AtMost(slack) => {
+                        set(&mut cur, &path, value * (1.0 + slack) * 0.999);
+                        assert!(diff(&base, &cur).failures.is_empty(), "{path} inside its slack");
+                        set(&mut cur, &path, value * (1.0 + slack) * 1.01 + 1.0);
+                        true
+                    }
+                    AtLeast(tolerance) => {
+                        set(&mut cur, &path, value - tolerance / 2.0);
+                        assert!(diff(&base, &cur).failures.is_empty(), "{path} inside tolerance");
+                        set(&mut cur, &path, value - 2.0 * tolerance);
+                        true
+                    }
+                    Zero => {
+                        // A complicit baseline does not excuse the current run.
+                        set(&mut base, &path, 1u64);
+                        set(&mut cur, &path, 1u64);
+                        true
+                    }
+                    ShareOf(sibling, share) => {
+                        let whole = get(&cur, &path.replace(gate.field, sibling));
+                        let over = (share * whole) as u64 + 1;
+                        set(&mut base, &path, over);
+                        set(&mut cur, &path, over);
+                        true
+                    }
+                    WarnBelow(fraction) => {
+                        set(&mut cur, &path, value * fraction * 0.9);
+                        false
+                    }
+                    WarnAbove(factor) => {
+                        set(&mut cur, &path, value * factor * 1.1 + 1.0);
+                        false
+                    }
+                    Verified(_) | Records(..) => unreachable!("flattened above"),
+                };
+                let warns = matches!(rule, WarnBelow(_) | WarnAbove(_));
+                let top = !path.contains('.');
+                let needle = match rule {
+                    Config => format!("configuration mismatch: {} ", gate.field),
+                    _ if top => format!("{} ", gate.field),
+                    _ => format!("]: {} ", gate.field),
+                };
+                let hit = |msgs: &[String]| {
+                    msgs.iter()
+                        .any(|m| if top { m.starts_with(&needle) } else { m.contains(&needle) })
+                };
+                let d = diff(&base, &cur);
+                assert_eq!(d.failures.len(), usize::from(fails), "{path} ({rule:?}): {d:?}");
+                assert_eq!(hit(&d.failures), fails, "{path} ({rule:?}): {d:?}");
+                assert_eq!(d.warnings.len(), usize::from(warns), "{path} ({rule:?}): {d:?}");
+                assert_eq!(hit(&d.warnings), warns, "{path} ({rule:?}): {d:?}");
+                if let Verified(_) = gate.rule {
+                    for side in [&mut base, &mut cur] {
+                        set(side, "verify_mode", "off");
+                    }
+                    let d = diff(&base, &cur);
+                    assert!(d.failures.is_empty() && d.warnings.is_empty(), "{path} off: {d:?}");
+                }
+                tested += 1;
+            }
+        }
+        // Every row of the two tables but the two record arrays and their keys.
+        assert_eq!(tested, 15 + 3 + 8 + 12 + 22 - 3 - 3);
+    }
+
+    #[test]
+    fn gate_tables_reject_what_they_do_not_name() {
+        let (serve, chaos) = (serve(), chaos());
+        let mut unnamed = serve.clone();
+        if let JsonValue::Object(fields) = &mut unnamed {
+            fields.push(("verify_rows_budget".into(), 2400u64.into()));
+        }
+        let err = compare(&unnamed, &unnamed).unwrap_err();
+        assert!(err.contains("field \"verify_rows_budget\" is not in the gate table"), "{err}");
+        let mut unnamed = chaos.clone();
+        if let JsonValue::Object(fields) = at(&mut unnamed, "fractions.1") {
+            fields.push(("repair_ms".into(), 3u64.into()));
+        }
+        let err = compare(&chaos, &unnamed).unwrap_err();
+        assert!(err.starts_with("fractions[fraction = 0.050000]: field \"repair_ms\""), "{err}");
+
+        let mut missing = serve.clone();
+        if let JsonValue::Object(fields) = at(&mut missing, "schemes.1") {
+            fields.retain(|(k, _)| k != "worst_node_bits");
+        }
+        assert_eq!(
+            compare(&serve, &missing).unwrap_err(),
+            "schemes[scheme = \"exstretch\"]: missing field \"worst_node_bits\""
+        );
+
+        assert_eq!(
+            compare(&serve, &chaos).unwrap_err(),
+            "a serve baseline cannot gate a chaos run"
+        );
+        assert_eq!(
+            compare(&chaos, &serve).unwrap_err(),
+            "a chaos baseline cannot gate a serve run"
+        );
+        let mut unknown = chaos.clone();
+        set(&mut unknown, "kind", "replay");
+        assert_eq!(compare(&unknown, &unknown).unwrap_err(), "unknown artifact kind \"replay\"");
+
+        let mut twice = serve.clone();
+        let first = items(&mut twice, "schemes")[0].clone();
+        items(&mut twice, "schemes").push(first);
+        assert!(compare(&serve, &twice).unwrap_err().contains("two records have scheme"));
+
+        let mut wrong_type = serve.clone();
+        set(&mut wrong_type, "schemes.0.table_bytes", "big");
+        assert!(compare(&serve, &wrong_type).unwrap_err().contains("table_bytes"));
+    }
+
+    #[test]
+    fn malformed_json_is_rejected_with_context() {
+        assert!(JsonValue::parse("{").is_err());
+        let serve = serve();
+        let empty = JsonValue::parse("{}").unwrap();
+        assert!(compare(&empty, &serve).unwrap_err().contains("missing field"));
+        let negative = JsonValue::parse("{\"n\": -1}").unwrap();
+        assert!(compare(&negative, &negative).is_err());
+        assert!(compare(&serve, &JsonValue::parse("[]").unwrap()).is_err());
+    }
+
+    #[test]
     fn chaos_json_roundtrips_and_compares_clean() {
-        let b = chaos_sample();
-        let parsed = ChaosBaseline::from_json(&b.to_json()).unwrap();
-        assert_eq!(parsed.n, b.n);
-        assert_eq!(parsed.bound, b.bound);
-        assert_eq!(parsed.fractions.len(), 2);
-        assert_eq!(parsed.fractions[1].repair_rows, 231);
-        let (failures, warnings) = compare_chaos(&b, &parsed);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(warnings.is_empty(), "{warnings:?}");
+        let doc = chaos();
+        let text = doc.to_string();
+        assert!(text.starts_with("{\n  \"kind\": \"chaos\",\n"));
+        // The rewritten fraction keys still match the baseline's by value.
+        let mut rewritten = JsonValue::parse(&text).unwrap();
+        set(&mut rewritten, "fractions.0.fraction", 0.02);
+        set(&mut rewritten, "fractions.2.degraded_success_rate", 0.98925);
+        let d = diff(&doc, &rewritten);
+        assert!(d.failures.is_empty() && d.warnings.is_empty(), "{d:?}");
     }
 
     #[test]
     fn chaos_kind_discriminator_is_mandatory() {
-        let without_kind: String = chaos_sample()
-            .to_json()
-            .lines()
-            .filter(|l| !l.contains("\"kind\""))
-            .fold(String::new(), |mut acc, l| {
-                acc.push_str(l);
-                acc.push('\n');
-                acc
-            });
-        assert!(ChaosBaseline::from_json(&without_kind).unwrap_err().contains("kind"));
-        // A serve artifact must not parse as a chaos one.
-        assert!(ChaosBaseline::from_json(&sample().to_json()).is_err());
+        let chaos = chaos();
+        let mut without_kind = chaos.clone();
+        if let JsonValue::Object(fields) = &mut without_kind {
+            fields.retain(|(k, _)| k != "kind");
+        }
+        // Without its kind a chaos artifact reads as a serve one, whose table
+        // names none of its fields, and it no longer pairs with a chaos run.
+        assert!(compare(&without_kind, &without_kind)
+            .unwrap_err()
+            .contains("not in the gate table"));
+        assert!(compare(&chaos, &without_kind).unwrap_err().contains("cannot gate a serve run"));
     }
 
     #[test]
     fn chaos_determinism_drift_is_a_hard_failure() {
-        let base = chaos_sample();
+        let base = chaos();
+        for (path, value, needle) in [
+            (
+                "fractions.1.repair_rows",
+                265.0,
+                "[fraction = 0.050000]: repair_rows changed 264 → 265",
+            ),
+            ("fractions.0.degraded_failed", 31.0, "degraded_failed changed"),
+            (
+                "fractions.0.degraded_worst_stretch",
+                8.542_683 * 1.2,
+                "degraded_worst_stretch regressed",
+            ),
+        ] {
+            let mut cur = chaos();
+            set(&mut cur, path, value);
+            assert!(fails_on(&base, &cur, needle), "{path}: {:?}", diff(&base, &cur));
+        }
 
-        let mut cur = chaos_sample();
-        cur.fractions[1].repair_rows += 1;
-        let (failures, _) = compare_chaos(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("repair_rows changed")), "{failures:?}");
+        let mut cur = chaos();
+        items(&mut cur, "fractions").pop();
+        assert!(fails_on(&base, &cur, "missing from the current run"));
+        assert!(fails_on(&cur, &base, "not in the baseline"));
 
-        let mut cur = chaos_sample();
-        cur.fractions[0].degraded_failed = 60;
-        let (failures, _) = compare_chaos(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("degraded_failed")), "{failures:?}");
-
-        let mut cur = chaos_sample();
-        cur.fractions[0].degraded_worst_stretch *= 1.2;
-        let (failures, _) = compare_chaos(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("degraded_worst_stretch")), "{failures:?}");
-
-        let mut cur = chaos_sample();
-        cur.fractions.pop();
-        let (failures, _) = compare_chaos(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("missing from the current run")));
-
-        let mut base_short = chaos_sample();
-        base_short.fractions.pop();
-        let cur = chaos_sample();
-        let (failures, _) = compare_chaos(&base_short, &cur);
-        assert!(failures.iter().any(|f| f.contains("not in the baseline")), "{failures:?}");
-
-        let mut cur = chaos_sample();
-        cur.seed = 7;
-        let (failures, _) = compare_chaos(&base, &cur);
-        assert!(failures[0].contains("configuration mismatch"), "{failures:?}");
+        let mut cur = chaos();
+        set(&mut cur, "seed", 7u64);
+        assert!(diff(&base, &cur).failures[0].starts_with("configuration mismatch: seed 42 → 7"));
     }
 
     #[test]
     fn chaos_acceptance_invariants_bind_even_with_a_complicit_baseline() {
-        // A baseline that itself records a dirty post-repair epoch or a
-        // blown repair budget must still fail the current run: the
-        // invariants are re-checked on the current values.
-        let mut base = chaos_sample();
-        base.fractions[0].post_violations = 5;
-        base.fractions[0].repair_rows = 900;
-        let mut cur = base.clone();
-        cur.fractions[0].post_violations = 5;
-        cur.fractions[0].repair_rows = 900;
-        let (failures, _) = compare_chaos(&base, &cur);
-        assert!(failures.iter().any(|f| f.contains("post-repair epoch is not clean")));
-        assert!(failures.iter().any(|f| f.contains("full rebuild")), "{failures:?}");
+        // A baseline that itself records a dirty post-repair epoch or a blown
+        // repair budget must still fail the current run: the invariants are
+        // checked on the current values.
+        let mut base = chaos();
+        for path in ["fractions.0.post_violations", "fractions.0.post_failed"] {
+            set(&mut base, path, 5u64);
+        }
+        set(&mut base, "fractions.0.repair_rows", 900u64);
+        let cur = base.clone();
+        let d = diff(&base, &cur);
+        assert_eq!(d.failures.len(), 3, "{d:?}");
+        assert!(d.failures.iter().any(|f| f.contains("post_violations is 5, not 0")));
+        assert!(d.failures.iter().any(|f| f.contains("post_failed is 5, not 0")));
+        assert!(d
+            .failures
+            .iter()
+            .any(|f| f.contains("repair_rows is 900, over 25% of full_rebuild_rows 1200")));
     }
 
     #[test]
     fn chaos_repair_wall_only_warns() {
-        let base = chaos_sample();
-        let mut cur = chaos_sample();
-        cur.fractions[0].repair_epoch_ns = base.fractions[0].repair_epoch_ns * 10;
-        let (failures, warnings) = compare_chaos(&base, &cur);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(warnings.iter().any(|w| w.contains("repair wall")), "{warnings:?}");
+        let base = chaos();
+        let mut cur = chaos();
+        set(&mut cur, "fractions.0.repair_epoch_ns", 1_245_138_790u64);
+        let d = diff(&base, &cur);
+        assert!(d.failures.is_empty(), "{d:?}");
+        assert!(d.warnings.iter().any(|w| w.contains("repair_epoch_ns grew")), "{d:?}");
+    }
+
+    /// A registry export in `Registry::to_json`'s shape.
+    fn export(
+        counters: &[(&str, u64)],
+        gauges: &[(&str, u64)],
+        histograms: &[(&str, u64, u64)],
+    ) -> JsonValue {
+        JsonValue::object([
+            ("counters", JsonValue::object(counters.iter().map(|&(k, v)| (k, v.into())))),
+            (
+                "gauges",
+                JsonValue::object(gauges.iter().map(|&(k, v)| {
+                    (k, JsonValue::object([("value", v.into()), ("high_water", v.into())]))
+                })),
+            ),
+            (
+                "histograms",
+                JsonValue::object(histograms.iter().map(|&(k, count, sum)| {
+                    (k, JsonValue::object([("count", count.into()), ("sum_ns", sum.into())]))
+                })),
+            ),
+        ])
+    }
+
+    #[test]
+    fn telemetry_mismatches_flags_every_cross_check() {
+        let serve_export = |rows, distinct| {
+            export(
+                &[("oracle.verify.rows_computed", rows), ("serve.requests", 7)],
+                &[("serve.distinct_destinations", distinct)],
+                &[],
+            )
+        };
+        let serve = serve();
+        assert_eq!(telemetry_mismatches(&serve_export(1200, 600), &serve), Ok(vec![]));
+        for (telemetry, needle) in [
+            (serve_export(1201, 600), "counters oracle.verify.rows_computed = 1201"),
+            (serve_export(1200, 599), "gauges serve.distinct_destinations value = 599"),
+            (export(&[], &[("serve.distinct_destinations", 600)], &[]), "rows_computed = 0"),
+        ] {
+            let m = telemetry_mismatches(&telemetry, &serve).unwrap();
+            assert_eq!(m.len(), 1, "{m:?}");
+            assert!(m[0].contains(needle), "{m:?}");
+        }
+
+        // ci/BENCH_chaos.json sums to 791 repair rows, 4189 re-anchored
+        // clusters and 376275107 ns of repair wall over 3 fractions.
+        let chaos_export = |rows, clusters, count, sum| {
+            export(
+                &[("repair.rows_recomputed", rows), ("repair.clusters_reanchored", clusters)],
+                &[],
+                &[("repair.epoch_ns", count, sum)],
+            )
+        };
+        let chaos = chaos();
+        for sum in [376_275_107, 400_000_000] {
+            let clean = chaos_export(791, 4189, 3, sum);
+            assert_eq!(telemetry_mismatches(&clean, &chaos), Ok(vec![]));
+        }
+        for (telemetry, needle) in [
+            (chaos_export(790, 4189, 3, 376_275_107), "repair.rows_recomputed = 790"),
+            (chaos_export(791, 4190, 3, 376_275_107), "repair.clusters_reanchored = 4190"),
+            (chaos_export(791, 4189, 4, 376_275_107), "epoch_ns count = 4"),
+            (chaos_export(791, 4189, 3, 376_275_106), "epoch_ns sum_ns = 376275106"),
+        ] {
+            let m = telemetry_mismatches(&telemetry, &chaos).unwrap();
+            assert_eq!(m.len(), 1, "{m:?}");
+            assert!(m[0].contains(needle), "{m:?}");
+        }
+
+        // A registered metric must carry the member a check reads, and the
+        // export must carry each section.
+        let no_sum = "{\"counters\": {}, \"histograms\": {\"repair.epoch_ns\": {\"count\": 3}}}";
+        let no_sum = JsonValue::parse(no_sum).unwrap();
+        assert_eq!(telemetry_mismatches(&no_sum, &chaos).unwrap_err(), "missing field \"sum_ns\"");
+        let no_counters = JsonValue::object([("gauges", JsonValue::object([]))]);
+        assert_eq!(
+            telemetry_mismatches(&no_counters, &serve).unwrap_err(),
+            "missing field \"counters\""
+        );
+        let mut unknown = chaos.clone();
+        set(&mut unknown, "kind", "replay");
+        assert!(telemetry_mismatches(&chaos_export(0, 0, 0, 0), &unknown).is_err());
     }
 }

@@ -47,9 +47,9 @@
 //! against the rows a from-scratch [`SparseRepairKit::rebuild_reference`]
 //! pays on a fresh oracle, and **hard-fails** (exit 1) if repair costs more
 //! than [`REPAIR_ROW_BUDGET`] (25%) of the rebuild — or if the post-repair
-//! epoch is not clean.  The same two invariants are re-checked by
-//! `check_serve_baseline` on the artifact, so CI enforces them even against
-//! a stale baseline.
+//! epoch is not clean.  The same two invariants are rows of the
+//! [`CHAOS`] gate table, checked on the current artifact whatever the
+//! baseline says, so CI enforces them even against a stale baseline.
 //!
 //! Environment: `RTR_CHAOS_N` (default 600), `RTR_CHAOS_QUERIES` per epoch
 //! (default 4 000), `RTR_CHAOS_SEED` (default 42), `RTR_CHAOS_WORKERS`
@@ -76,17 +76,18 @@
 //! [`CachedSubsetOracle`]: rtr_metric::CachedSubsetOracle
 //! [`FaultPlan`]: rtr_graph::FaultPlan
 //! [`REPAIR_ROW_BUDGET`]: rtr_bench::baseline::REPAIR_ROW_BUDGET
+//! [`CHAOS`]: rtr_bench::baseline::CHAOS
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rtr_bench::banner;
-use rtr_bench::baseline::{ChaosBaseline, ChaosFraction, REPAIR_ROW_BUDGET};
+use rtr_bench::baseline::{require_telemetry_match, JsonValue, REPAIR_ROW_BUDGET};
+use rtr_bench::{banner, env_list, env_or, fail, shard_map_from_env};
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{SparseRepairKit, SparseSuiteParams};
 use rtr_engine::Workload;
 use rtr_engine::{
-    chaos_report, Engine, EngineConfig, FrozenPlane, ShardMap, ShardedPlane, StretchBound,
+    chaos_report, Engine, EngineConfig, FrozenPlane, ShardedPlane, StretchBound,
     VerifiedShardedServe, VerifyConfig,
 };
 use rtr_graph::generators::{ring_with_chords_weighted, WeightRange};
@@ -94,14 +95,6 @@ use rtr_graph::{EdgeFault, FaultPlan, GraphDelta, NodeId};
 use rtr_metric::{CachedSubsetOracle, RowInvalidation};
 use std::sync::Arc;
 use std::time::Instant;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
 
 /// The seeded, impact-budgeted fault selection for one fraction.
 struct Selection {
@@ -191,32 +184,18 @@ fn select_faults(
     }
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
-}
-
 fn main() {
-    let n = env_usize("RTR_CHAOS_N", 600);
-    let queries = env_usize("RTR_CHAOS_QUERIES", 4_000);
-    let seed = env_usize("RTR_CHAOS_SEED", 42) as u64;
-    let workers = env_usize("RTR_CHAOS_WORKERS", 4);
-    let shards = env_usize("RTR_CHAOS_SHARDS", 4).max(1);
-    let chords = env_usize("RTR_CHAOS_CHORDS", 3 * n);
-    let chord_wmax = env_usize("RTR_CHAOS_CHORD_WMAX", 256) as u64;
-    let dirty_budget_fraction = env_f64("RTR_CHAOS_DIRTY_BUDGET", 0.22);
+    let n = env_or("RTR_CHAOS_N", 600);
+    let queries = env_or("RTR_CHAOS_QUERIES", 4_000);
+    let seed = env_or("RTR_CHAOS_SEED", 42u64);
+    let workers = env_or("RTR_CHAOS_WORKERS", 4);
+    let chords = env_or("RTR_CHAOS_CHORDS", 3 * n);
+    let chord_wmax = env_or("RTR_CHAOS_CHORD_WMAX", 256u64);
+    let dirty_budget_fraction = env_or("RTR_CHAOS_DIRTY_BUDGET", 0.22);
     let dirty_row_budget = (dirty_budget_fraction * 2.0 * n as f64).floor() as usize;
-    let fractions: Vec<f64> = std::env::var("RTR_CHAOS_FRACTIONS")
-        .unwrap_or_else(|_| "0.02,0.05,0.10".to_string())
-        .split(',')
-        .map(|t| t.trim().parse().expect("RTR_CHAOS_FRACTIONS: comma-separated fractions"))
-        .collect();
-    let shard_map = match std::env::var("RTR_CHAOS_SHARD_POLICY").as_deref() {
-        Err(_) | Ok("hash") => ShardMap::hashed(n, shards, seed),
-        Ok("range") => ShardMap::range(n, shards),
-        Ok(other) => panic!("RTR_CHAOS_SHARD_POLICY must be hash|range, got {other}"),
-    };
-    let shard_policy = shard_map.policy().name().to_string();
+    let fractions: Vec<f64> = env_list("RTR_CHAOS_FRACTIONS", vec![0.02, 0.05, 0.10]);
+    let shard_map = shard_map_from_env("RTR_CHAOS_SHARDS", "RTR_CHAOS_SHARD_POLICY", n, seed);
+    let (shards, shard_policy) = (shard_map.shard_count(), shard_map.policy().name());
 
     banner(&format!(
         "E14: chaos sweep, n = {n}, {queries} queries/epoch, {workers} workers, {shards} shards \
@@ -283,7 +262,7 @@ fn main() {
 
     let engine = Engine::new(EngineConfig::with_workers(workers));
     let config = VerifyConfig::full().with_bound(StretchBound::at_most(bound));
-    let mut records: Vec<ChaosFraction> = Vec::with_capacity(fractions.len());
+    let mut records = Vec::with_capacity(fractions.len());
 
     for (fi, &fraction) in fractions.iter().enumerate() {
         banner(&format!("failure fraction {fraction:.3}"));
@@ -341,7 +320,7 @@ fn main() {
             rstats.epoch_ns as f64 / 1e6
         );
         if rstats.rows_recomputed as f64 > REPAIR_ROW_BUDGET * full_rebuild_rows as f64 {
-            fail(&format!(
+            fail(format!(
                 "fraction {fraction:.3}: repair recomputed {} rows, over {:.0}% of the \
                  {full_rebuild_rows}-row full rebuild",
                 rstats.rows_recomputed,
@@ -375,7 +354,7 @@ fn main() {
         };
 
         if !pre_epoch.is_clean() {
-            fail(&format!(
+            fail(format!(
                 "fraction {fraction:.3}: pre-fault epoch violated the proven ceiling \
                  ({} violations, {} failures)",
                 pre_epoch.report.violations.len(),
@@ -396,7 +375,7 @@ fn main() {
             post_epoch.restored.len()
         );
         if !post_epoch.is_clean() {
-            fail(&format!(
+            fail(format!(
                 "fraction {fraction:.3}: post-repair epoch is not clean ({} violations, \
                  {} delivery failures) — repair did not restore the proven ceiling",
                 post_epoch.report.violations.len(),
@@ -404,47 +383,48 @@ fn main() {
             ));
         }
 
-        records.push(ChaosFraction {
-            fraction,
-            faults_requested: selection.requested,
-            faults_applied: application.faults.len(),
-            removals: selection.removals,
-            inflations: selection.inflations,
-            dirty_nodes: rstats.dirty_nodes,
-            repair_rows: rstats.rows_recomputed,
-            full_rebuild_rows,
-            clusters_reanchored: rstats.clusters_reanchored,
-            balls_repaired: rstats.balls_repaired,
-            repair_epoch_ns: rstats.epoch_ns,
-            pre_worst_stretch: pre_epoch.report.max_stretch(),
-            degraded_delivered: delivered,
-            degraded_failed: failed,
-            degraded_violations: degraded_epoch.report.violations.len() as u64,
-            degraded_worst_stretch: degraded_epoch.report.max_stretch(),
-            degraded_success_rate: delivered as f64 / queries as f64,
-            restored_pairs: post_epoch.restored.len() as u64,
-            post_worst_stretch: post_epoch.report.max_stretch(),
-            post_violations: post_epoch.report.violations.len() as u64,
-            post_failed: post_epoch.failed() as u64,
-        });
+        records.push(JsonValue::object([
+            ("fraction", fraction.into()),
+            ("faults_requested", selection.requested.into()),
+            ("faults_applied", application.faults.len().into()),
+            ("removals", selection.removals.into()),
+            ("inflations", selection.inflations.into()),
+            ("dirty_nodes", rstats.dirty_nodes.into()),
+            ("repair_rows", rstats.rows_recomputed.into()),
+            ("full_rebuild_rows", full_rebuild_rows.into()),
+            ("clusters_reanchored", rstats.clusters_reanchored.into()),
+            ("balls_repaired", rstats.balls_repaired.into()),
+            ("repair_epoch_ns", rstats.epoch_ns.into()),
+            ("pre_worst_stretch", pre_epoch.report.max_stretch().into()),
+            ("degraded_delivered", delivered.into()),
+            ("degraded_failed", failed.into()),
+            ("degraded_violations", degraded_epoch.report.violations.len().into()),
+            ("degraded_worst_stretch", degraded_epoch.report.max_stretch().into()),
+            ("degraded_success_rate", (delivered as f64 / queries as f64).into()),
+            ("restored_pairs", post_epoch.restored.len().into()),
+            ("post_worst_stretch", post_epoch.report.max_stretch().into()),
+            ("post_violations", post_epoch.report.violations.len().into()),
+            ("post_failed", post_epoch.failed().into()),
+        ]));
     }
 
-    let artifact = ChaosBaseline {
-        n,
-        queries_per_epoch: queries,
-        seed,
-        workers,
-        shards,
-        shard_policy,
-        chords,
-        edge_count,
-        dirty_row_budget,
-        bound,
-        fractions: records,
-    };
+    let artifact = JsonValue::object([
+        ("kind", "chaos".into()),
+        ("n", n.into()),
+        ("queries_per_epoch", queries.into()),
+        ("seed", seed.into()),
+        ("workers", workers.into()),
+        ("shards", shards.into()),
+        ("shard_policy", shard_policy.into()),
+        ("chords", chords.into()),
+        ("edge_count", edge_count.into()),
+        ("dirty_row_budget", dirty_row_budget.into()),
+        ("bound", bound.into()),
+        ("fractions", records.into()),
+    ]);
     let json_path =
         std::env::var("RTR_CHAOS_JSON").unwrap_or_else(|_| "BENCH_chaos.json".to_string());
-    std::fs::write(&json_path, artifact.to_json())
+    std::fs::write(&json_path, format!("{artifact}\n"))
         .unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
     println!("\nchaos baseline artifact written to {json_path}");
 
@@ -452,29 +432,11 @@ fn main() {
     // exporting, exactly as `check_telemetry` will in CI: the counters are
     // incremented by `SparseRepairKit::repair` itself, so disagreement means
     // the observability plane is lying about the repair economy.
-    let registry = rtr_telemetry::registry();
-    let want_rows: u64 = artifact.fractions.iter().map(|f| f.repair_rows).sum();
-    let got_rows = registry.counter_value("repair.rows_recomputed");
-    if got_rows != want_rows {
-        fail(&format!(
-            "telemetry counter repair.rows_recomputed = {got_rows} disagrees with the \
-             artifact's summed repair rows = {want_rows}"
-        ));
-    }
-    let want_clusters: u64 = artifact.fractions.iter().map(|f| f.clusters_reanchored as u64).sum();
-    let got_clusters = registry.counter_value("repair.clusters_reanchored");
-    if got_clusters != want_clusters {
-        fail(&format!(
-            "telemetry counter repair.clusters_reanchored = {got_clusters} disagrees with the \
-             artifact's summed re-anchored clusters = {want_clusters}"
-        ));
-    }
-    println!(
-        "telemetry cross-check ok: repair rows {got_rows}, clusters re-anchored {got_clusters}"
-    );
+    let export = rtr_telemetry::registry().to_json();
+    require_telemetry_match(&export, &artifact);
     let telemetry_path = std::env::var("RTR_CHAOS_TELEMETRY_JSON")
         .unwrap_or_else(|_| "BENCH_chaos_telemetry.json".to_string());
-    std::fs::write(&telemetry_path, registry.to_json())
+    std::fs::write(&telemetry_path, export)
         .unwrap_or_else(|e| panic!("writing {telemetry_path}: {e}"));
     println!("telemetry artifact written to {telemetry_path}");
     println!("total wall-clock: {:.1?}", t0.elapsed());

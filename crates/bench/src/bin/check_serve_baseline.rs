@@ -1,149 +1,45 @@
 //! CI gate: diff fresh baseline artifacts against the checked-in seeds.
 //!
 //! Usage: `check_serve_baseline <baseline.json> <current.json> [<baseline2>
-//! <current2> …]` — each pair is diffed independently (CI gates the n = 600
-//! smoke, the n = 2000 verified run, and the chaos sweep in one invocation)
-//! and any failing pair fails the gate.  A pair's artifact shape is
-//! dispatched on the `"kind"` discriminator: files carrying
-//! `"kind": "chaos"` are `BENCH_chaos.json` artifacts (written by
-//! `chaos_sweep`, diffed with `compare_chaos`), everything else is a
-//! `BENCH_serve.json` artifact (written by `serve_throughput`, diffed with
-//! `compare`).  Mixing kinds within a pair is a fatal usage error.
+//! <current2> …]`.  Each pair is gated independently by
+//! [`rtr_bench::baseline::compare`] under the table of the pair's kind
+//! (`SERVE` for `BENCH_serve*.json`, `CHAOS` for `"kind": "chaos"`), which
+//! names every field with its rule: what must match, what hard-fails, what
+//! only warns.  Any failing pair fails the gate.
 //!
-//! Exits non-zero when a gated quantity regressed beyond tolerance — scheme
-//! table bytes, worst-node table bits, worst sampled stretch, verified-query
-//! coverage, bound violations, worst verified stretch, distinct
-//! destinations, verify-oracle rows, per-worker-sweep verify rows (all
-//! deterministic given the run's seeds; the row gates are how CI catches the
-//! per-shard verification buckets regressing to per-worker cost), or the
-//! suite-build oracle-row count (the shared-sweep budget).  A changed shard
-//! count or policy is a configuration mismatch, also fatal.  Throughput
-//! differences only warn: queries/sec is a property of the host, not of the
-//! code alone.
-//!
-//! Chaos pairs additionally re-check two acceptance invariants on the
-//! **current** run regardless of the baseline's word: the post-repair epoch
-//! must be perfectly clean, and the incremental repair must recompute at
-//! most `REPAIR_ROW_BUDGET` (25%) of the full-rebuild oracle rows.
-//!
-//! To update a baseline **intentionally** (a change that is supposed to
-//! shrink tables or rows, or a new scheme), regenerate it with the CI smoke
-//! parameters and commit the new file — the exact commands are in the
-//! README's "Performance baseline" section and docs/OPERATIONS.md's chaos
-//! runbook.
+//! Exit status 1 when a gated quantity regressed, 2 when a pair cannot be
+//! compared: an unreadable file, two kinds, or a field the table does not
+//! name.  To update a baseline intentionally, regenerate it with the CI
+//! parameters (docs/OPERATIONS.md §2) and commit the new file.
 
-use rtr_bench::baseline::{compare, compare_chaos, ChaosBaseline, JsonValue, ServeBaseline};
-
-fn read(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("FAIL: cannot read {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// The artifact-shape discriminator: `Some("chaos")` for chaos baselines,
-/// `None` for serve baselines (which predate the `kind` field).
-fn kind_of(path: &str, text: &str) -> Option<String> {
-    let value = JsonValue::parse(text).unwrap_or_else(|e| {
-        eprintln!("FAIL: cannot parse {path}: {e}");
-        std::process::exit(2);
-    });
-    value.field_opt("kind").map(|k| {
-        k.as_string().unwrap_or_else(|e| {
-            eprintln!("FAIL: {path}: malformed kind: {e}");
-            std::process::exit(2);
-        })
-    })
-}
-
-fn parse_serve(path: &str, text: &str) -> ServeBaseline {
-    ServeBaseline::from_json(text).unwrap_or_else(|e| {
-        eprintln!("FAIL: cannot parse {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_chaos(path: &str, text: &str) -> ChaosBaseline {
-    ChaosBaseline::from_json(text).unwrap_or_else(|e| {
-        eprintln!("FAIL: cannot parse {path}: {e}");
-        std::process::exit(2);
-    })
-}
+use rtr_bench::baseline::{compare, load};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.len() < 3 || args.len() % 2 != 1 {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() || !args.len().is_multiple_of(2) {
         eprintln!(
-            "usage: check_serve_baseline <baseline.json> <current.json> \
-             [<baseline2.json> <current2.json> …]"
+            "usage: check_serve_baseline <baseline.json> <current.json> [<baseline2> <current2> …]"
         );
         std::process::exit(2);
     }
     let mut failed = false;
-    for pair in args[1..].chunks_exact(2) {
-        let (base_text, cur_text) = (read(&pair[0]), read(&pair[1]));
-        let base_kind = kind_of(&pair[0], &base_text);
-        let cur_kind = kind_of(&pair[1], &cur_text);
-        if base_kind != cur_kind {
-            eprintln!(
-                "FAIL: {} and {} are different artifact kinds ({:?} vs {:?}) — pair a serve \
-                 baseline with a serve run and a chaos baseline with a chaos run",
-                pair[0], pair[1], base_kind, cur_kind
-            );
-            std::process::exit(2);
-        }
-        let (failures, warnings) = match base_kind.as_deref() {
-            Some("chaos") => {
-                let baseline = parse_chaos(&pair[0], &base_text);
-                let current = parse_chaos(&pair[1], &cur_text);
-                let diff = compare_chaos(&baseline, &current);
-                if diff.0.is_empty() {
-                    println!(
-                        "chaos baseline ok: n = {}, bound {}, {} fractions gated (repair rows \
-                         within {:.0}% of full rebuild, post-repair epochs clean)",
-                        current.n,
-                        current.bound,
-                        baseline.fractions.len(),
-                        100.0 * rtr_bench::baseline::REPAIR_ROW_BUDGET
-                    );
-                }
-                diff
-            }
-            Some(other) => {
-                eprintln!("FAIL: {}: unknown artifact kind \"{other}\"", pair[0]);
+    for pair in args.chunks_exact(2) {
+        let diff = load(&pair[0])
+            .and_then(|baseline| compare(&baseline, &load(&pair[1])?))
+            .unwrap_or_else(|e| {
+                eprintln!("FAIL: cannot compare {} with {}: {e}", pair[0], pair[1]);
                 std::process::exit(2);
-            }
-            None => {
-                let baseline = parse_serve(&pair[0], &base_text);
-                let current = parse_serve(&pair[1], &cur_text);
-                let diff = compare(&baseline, &current);
-                if diff.0.is_empty() {
-                    println!(
-                        "baseline ok: n = {}, verify {}, {} shards ({}), build rows {} \
-                         (baseline {}), verify rows {} (baseline {}), {} schemes and {} sweep \
-                         points gated",
-                        current.n,
-                        current.verify_mode,
-                        current.shards,
-                        current.shard_policy,
-                        current.build_rows_computed,
-                        baseline.build_rows_computed,
-                        current.verify_rows_computed,
-                        baseline.verify_rows_computed,
-                        baseline.schemes.len(),
-                        baseline.worker_sweep.len()
-                    );
-                }
-                diff
-            }
-        };
-        for w in &warnings {
+            });
+        for w in &diff.warnings {
             println!("WARN: {}: {w}", pair[0]);
         }
-        for f in &failures {
+        for f in &diff.failures {
             eprintln!("FAIL: {}: {f}", pair[0]);
         }
-        failed |= !failures.is_empty();
+        if diff.failures.is_empty() {
+            println!("baseline ok: {} gated against {}", pair[1], pair[0]);
+        }
+        failed |= !diff.failures.is_empty();
     }
     if failed {
         std::process::exit(1);

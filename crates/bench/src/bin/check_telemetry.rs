@@ -2,169 +2,41 @@
 //! artifact of the **same run**.
 //!
 //! Usage: `check_telemetry <telemetry.json> <baseline.json> [<telemetry2>
-//! <baseline2> …]` — each pair must come from one bench invocation; any
-//! failing pair fails the gate.  The second file's `"kind"` discriminator
-//! selects the check: a `BENCH_serve.json` artifact (no kind, written by
-//! `serve_throughput`) is cross-checked on the serving counters, a
-//! `BENCH_chaos.json` artifact (`"kind": "chaos"`, written by `chaos_sweep`)
-//! on the repair counters.
+//! <baseline2> …]`.  Each pair must come from one bench invocation and is
+//! checked by [`rtr_bench::baseline::telemetry_mismatches`], whose tables
+//! (`SERVE_TELEMETRY`, `CHAOS_TELEMETRY`) say which exported counter,
+//! gauge or histogram must equal which artifact value.  The counters are
+//! incremented by the code paths that feed the artifact, so any
+//! disagreement means the observability plane misreports the serving or
+//! repair plane.  The bench binaries run the same check before they exit.
 //!
-//! The contract is exact equality wherever the sources are shared: the
-//! telemetry counters are incremented by the very code paths that feed the
-//! baseline numbers (`oracle.verify.rows_computed` by the verify oracle's
-//! row computes, `serve.distinct_destinations` from the served streams,
-//! `repair.rows_recomputed` / `repair.clusters_reanchored` by
-//! `SparseRepairKit::repair` itself), so **any** disagreement means the
-//! observability plane is lying about the serving or repair plane.  The
-//! `repair.epoch_ns` histogram is gated on an exact observation count (one
-//! per failure fraction) and a lower bound on its summed wall (the histogram
-//! observes the same repair clock slightly after the artifact snapshots it,
-//! so its sum can only be the larger of the two).  Exit code 1 on a
-//! mismatch, 2 on an unreadable or malformed artifact.
+//! Exit status 1 on a mismatch, 2 on an unreadable or malformed file.
 
-use rtr_bench::baseline::{ChaosBaseline, JsonValue, ServeBaseline};
-
-fn read(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("FAIL: cannot read {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Extracts counter `name` from a registry export (0 when absent — a counter
-/// never touched is never registered).
-fn counter(telemetry: &JsonValue, name: &str) -> Result<u64, String> {
-    match telemetry.field("counters")?.field_opt(name) {
-        Some(v) => v.as_u64(),
-        None => Ok(0),
-    }
-}
-
-/// Extracts gauge `name`'s current value from a registry export (0 when
-/// absent).
-fn gauge(telemetry: &JsonValue, name: &str) -> Result<u64, String> {
-    match telemetry.field("gauges")?.field_opt(name) {
-        Some(v) => v.field("value")?.as_u64(),
-        None => Ok(0),
-    }
-}
-
-/// Extracts histogram `name`'s `(count, sum_ns)` from a registry export
-/// (`(0, 0)` when absent).
-fn histogram(telemetry: &JsonValue, name: &str) -> Result<(u64, u64), String> {
-    match telemetry.field("histograms")?.field_opt(name) {
-        Some(v) => Ok((v.field("count")?.as_u64()?, v.field("sum_ns")?.as_u64()?)),
-        None => Ok((0, 0)),
-    }
-}
-
-fn check_serve_pair(telemetry: &JsonValue, serve: &ServeBaseline) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-    let rows = counter(telemetry, "oracle.verify.rows_computed")?;
-    if rows != serve.verify_rows_computed {
-        failures.push(format!(
-            "telemetry oracle.verify.rows_computed = {rows} disagrees with the gated \
-             verify_rows_computed = {}",
-            serve.verify_rows_computed
-        ));
-    }
-    let distinct = gauge(telemetry, "serve.distinct_destinations")?;
-    if distinct != serve.distinct_destinations {
-        failures.push(format!(
-            "telemetry serve.distinct_destinations = {distinct} disagrees with the gated \
-             distinct_destinations = {}",
-            serve.distinct_destinations
-        ));
-    }
-    if failures.is_empty() {
-        println!("telemetry ok: verify rows {rows}, distinct destinations {distinct}");
-    }
-    Ok(failures)
-}
-
-fn check_chaos_pair(telemetry: &JsonValue, chaos: &ChaosBaseline) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-    let want_rows: u64 = chaos.fractions.iter().map(|f| f.repair_rows).sum();
-    let rows = counter(telemetry, "repair.rows_recomputed")?;
-    if rows != want_rows {
-        failures.push(format!(
-            "telemetry repair.rows_recomputed = {rows} disagrees with the artifact's summed \
-             repair_rows = {want_rows}"
-        ));
-    }
-    let want_clusters: u64 = chaos.fractions.iter().map(|f| f.clusters_reanchored as u64).sum();
-    let clusters = counter(telemetry, "repair.clusters_reanchored")?;
-    if clusters != want_clusters {
-        failures.push(format!(
-            "telemetry repair.clusters_reanchored = {clusters} disagrees with the artifact's \
-             summed clusters_reanchored = {want_clusters}"
-        ));
-    }
-    let (count, sum_ns) = histogram(telemetry, "repair.epoch_ns")?;
-    if count != chaos.fractions.len() as u64 {
-        failures.push(format!(
-            "telemetry repair.epoch_ns recorded {count} observations, expected one per failure \
-             fraction = {}",
-            chaos.fractions.len()
-        ));
-    }
-    let floor_ns: u64 = chaos.fractions.iter().map(|f| f.repair_epoch_ns).sum();
-    if sum_ns < floor_ns {
-        failures.push(format!(
-            "telemetry repair.epoch_ns sums to {sum_ns} ns, below the artifact's summed repair \
-             walls {floor_ns} ns — the histogram observes the same clock later, so it can never \
-             be smaller"
-        ));
-    }
-    if failures.is_empty() {
-        println!(
-            "telemetry ok: repair rows {rows}, clusters re-anchored {clusters}, \
-             {count} repair epochs over {sum_ns} ns"
-        );
-    }
-    Ok(failures)
-}
-
-fn check_pair(telemetry_path: &str, baseline_path: &str) -> Result<Vec<String>, String> {
-    let telemetry = JsonValue::parse(&read(telemetry_path))?;
-    let baseline_text = read(baseline_path);
-    let is_chaos = match JsonValue::parse(&baseline_text)?.field_opt("kind") {
-        Some(kind) => kind.as_string()? == "chaos",
-        None => false,
-    };
-    if is_chaos {
-        check_chaos_pair(&telemetry, &ChaosBaseline::from_json(&baseline_text)?)
-    } else {
-        check_serve_pair(&telemetry, &ServeBaseline::from_json(&baseline_text)?)
-    }
-}
+use rtr_bench::baseline::{load, telemetry_mismatches};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.len() < 3 || args.len() % 2 != 1 {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() || !args.len().is_multiple_of(2) {
         eprintln!(
-            "usage: check_telemetry <telemetry.json> <baseline.json> \
-             [<telemetry2.json> <baseline2.json> …]"
+            "usage: check_telemetry <telemetry.json> <baseline.json> [<telemetry2> <baseline2> …]"
         );
         std::process::exit(2);
     }
     let mut failed = false;
-    for pair in args[1..].chunks_exact(2) {
-        match check_pair(&pair[0], &pair[1]) {
-            Ok(failures) if failures.is_empty() => {
-                println!("  ({} matches {})", pair[0], pair[1]);
-            }
-            Ok(failures) => {
-                for f in &failures {
-                    eprintln!("FAIL: {}: {f}", pair[0]);
-                }
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("FAIL: cannot parse {} / {}: {e}", pair[0], pair[1]);
+    for pair in args.chunks_exact(2) {
+        let mismatches = load(&pair[0])
+            .and_then(|telemetry| telemetry_mismatches(&telemetry, &load(&pair[1])?))
+            .unwrap_or_else(|e| {
+                eprintln!("FAIL: cannot cross-check {} with {}: {e}", pair[0], pair[1]);
                 std::process::exit(2);
-            }
+            });
+        for m in &mismatches {
+            eprintln!("FAIL: {}: {m}", pair[0]);
         }
+        if mismatches.is_empty() {
+            println!("telemetry ok: {} matches {}", pair[0], pair[1]);
+        }
+        failed |= !mismatches.is_empty();
     }
     if failed {
         std::process::exit(1);

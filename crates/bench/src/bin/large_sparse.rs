@@ -13,13 +13,12 @@
 //!   distances), i.e. the peak-memory proxy, asserted `< 30%` of the `n`
 //!   rows the dense matrix would materialise,
 //! * construction wall-clock per phase and sampled roundtrip stretch, so the
-//!   scaling numbers land in EXPERIMENTS.md with correctness evidence
-//!   attached.
+//!   scaling numbers come with correctness evidence attached.
 //!
 //! Environment: `RTR_N` (default 10 000), `RTR_CACHE` (default `n/50`),
 //! `RTR_PAIRS` (default 200 sampled roundtrips).
 
-use rtr_bench::banner;
+use rtr_bench::{banner, env_or};
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{Stretch6Params, StretchSix};
 use rtr_graph::generators::ring_with_chords;
@@ -29,14 +28,10 @@ use rtr_namedep::{LandmarkBallScheme, LandmarkParams};
 use rtr_sim::{RoundtripRouting, Simulator};
 use std::time::Instant;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
 fn main() {
-    let n = env_usize("RTR_N", 10_000);
-    let cache_rows = env_usize("RTR_CACHE", (n / 50).max(16));
-    let sample_pairs = env_usize("RTR_PAIRS", 200);
+    let n = env_or("RTR_N", 10_000);
+    let cache_rows = env_or("RTR_CACHE", (n / 50).max(16));
+    let sample_pairs = env_or("RTR_PAIRS", 200usize);
 
     banner(&format!("E12: large sparse build, n = {n}, row cache = {cache_rows}"));
     let t0 = Instant::now();

@@ -13,14 +13,14 @@
 //! core's per-shard destination buckets are what keep that true.  The
 //! `/metrics` endpoint's JSON is captured **over the wire** and written as
 //! the telemetry artifact, so `check_telemetry` cross-checks the network
-//! capture exactly like an in-process export; the run additionally
-//! cross-checks it inline against the oracle's own stats before exiting.
+//! capture exactly like an in-process export; the run runs the same
+//! cross-check against its artifact before exiting.
 //!
-//! Headline numbers land in a [`ServeBaseline`] artifact
-//! (`BENCH_serve_net.json`, gated in CI against `ci/BENCH_serve_net.json`
-//! by `check_serve_baseline`): throughput is warn-only (loopback wall is a
-//! host property), while table footprint, verified coverage, distinct
-//! destinations and verify rows gate hard.  Per-endpoint p50/p95/p99
+//! Headline numbers land in a serve artifact (`BENCH_serve_net.json`, the
+//! fields and gates of [`rtr_bench::baseline::SERVE`], gated in CI against
+//! `ci/BENCH_serve_net.json` by `check_serve_baseline`): throughput is
+//! warn-only (loopback wall is a host property), while table footprint,
+//! verified coverage, distinct destinations and verify rows gate hard.  Per-endpoint p50/p95/p99
 //! latency comes from the `serve.net.*_ns` `DurationHistogram`s.
 //!
 //! Environment: `RTR_N` (default 600), `RTR_QUERIES` **total** across the
@@ -36,63 +36,35 @@
 //! (default `BENCH_serve_net.json`) and `RTR_TELEMETRY_JSON` (default
 //! `BENCH_telemetry_net.json`).
 
-use rtr_bench::banner;
-use rtr_bench::baseline::{JsonValue, SchemeBaseline, ServeBaseline};
+use rtr_bench::baseline::{require_telemetry_match, JsonValue};
+use rtr_bench::{banner, env_or, fail, shard_map_from_env, table_footprint};
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{SparseSchemeSuite, SparseSuiteParams};
 use rtr_engine::{
-    Engine, EngineConfig, FrozenPlane, Request, ShardMap, ShardedPlane, VerifiedReport,
-    VerifyConfig, Workload,
+    Engine, EngineConfig, FrozenPlane, Request, ShardedPlane, VerifiedReport, VerifyConfig,
+    Workload,
 };
 use rtr_graph::generators::ring_with_chords;
 use rtr_graph::NodeId;
 use rtr_metric::LazyDijkstraOracle;
 use rtr_serve::{Client, ServeConfig};
-use rtr_sim::RoundtripRouting;
 use std::net::TcpListener;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
-/// `(total table bytes, worst-node bits)` for the baseline artifact — the
-/// same sum `serve_throughput` reports.
-fn table_footprint<S: RoundtripRouting>(plane: &FrozenPlane<S>) -> (u64, u64) {
-    let mut total_bits: u128 = 0;
-    let mut max_node_bits = 0usize;
-    for v in (0..plane.node_count()).map(NodeId::from_index) {
-        let stats = plane.scheme().table_stats(v);
-        total_bits += stats.bits as u128;
-        max_node_bits = max_node_bits.max(stats.bits);
-    }
-    ((total_bits / 8) as u64, max_node_bits as u64)
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
-}
-
 fn main() {
-    let n = env_usize("RTR_N", 600);
-    let total = env_usize("RTR_QUERIES", 30_000);
-    let clients = env_usize("RTR_CLIENTS", 6).max(1);
-    let batch = env_usize("RTR_BATCH", 64).max(1);
-    let workers = env_usize("RTR_WORKERS", 4);
-    let cache_rows = env_usize("RTR_CACHE", (n / 50).max(16));
-    let seed = env_usize("RTR_SEED", 42) as u64;
-    let verify_cache = env_usize("RTR_VERIFY_CACHE", (2 * n).max(64));
-    let shards = env_usize("RTR_SHARDS", 4).max(1);
-    let inflight = env_usize("RTR_INFLIGHT", 16_384);
-    let shard_map = match std::env::var("RTR_SHARD_POLICY").as_deref() {
-        Err(_) | Ok("hash") => ShardMap::hashed(n, shards, seed),
-        Ok("range") => ShardMap::range(n, shards),
-        Ok(other) => panic!("RTR_SHARD_POLICY must be hash|range, got {other}"),
-    };
-    let shard_policy = shard_map.policy().name().to_string();
+    let n = env_or("RTR_N", 600);
+    let total = env_or("RTR_QUERIES", 30_000);
+    let clients = env_or("RTR_CLIENTS", 6usize).max(1);
+    let batch = env_or("RTR_BATCH", 64usize).max(1);
+    let workers = env_or("RTR_WORKERS", 4);
+    let cache_rows = env_or("RTR_CACHE", (n / 50).max(16));
+    let seed = env_or("RTR_SEED", 42u64);
+    let verify_cache = env_or("RTR_VERIFY_CACHE", (2 * n).max(64));
+    let inflight = env_or("RTR_INFLIGHT", 16_384);
+    let shard_map = shard_map_from_env("RTR_SHARDS", "RTR_SHARD_POLICY", n, seed);
+    let (shards, shard_policy) = (shard_map.shard_count(), shard_map.policy().name());
 
     banner(&format!(
         "E14: network serving, n = {n}, {total} queries over {clients} clients \
@@ -117,7 +89,7 @@ fn main() {
     // covered by E13.
     let (stretch6, _exstretch, _poly) = suite.into_parts();
     let plane6 = FrozenPlane::freeze(Arc::clone(&g), stretch6, Arc::new(names.to_names()));
-    let (table_bytes, worst_node_bits) = table_footprint(&plane6);
+    let tables = table_footprint(&plane6);
     let scheme_name = plane6.scheme_name().to_string();
     let sharded = ShardedPlane::new(plane6, shard_map);
 
@@ -206,7 +178,7 @@ fn main() {
         outcome.rejected
     );
     if outcome.served != total as u64 || outcome.rejected != 0 {
-        fail(&format!(
+        fail(format!(
             "expected {total} served / 0 rejected, got {} / {} — raise RTR_INFLIGHT for gated runs",
             outcome.served, outcome.rejected
         ));
@@ -220,16 +192,16 @@ fn main() {
     for &(index, src, dst) in &log {
         let slot = stream
             .get_mut(index as usize)
-            .unwrap_or_else(|| fail(&format!("returned index {index} out of range")));
+            .unwrap_or_else(|| fail(format!("returned index {index} out of range")));
         if slot.is_some() {
-            fail(&format!("index {index} returned twice"));
+            fail(format!("index {index} returned twice"));
         }
         *slot = Some(Request { src: NodeId(src), dst: NodeId(dst) });
     }
     let stream: Vec<Request> = stream
         .into_iter()
         .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|| fail(&format!("no reply carried stream index {i}"))))
+        .map(|(i, r)| r.unwrap_or_else(|| fail(format!("no reply carried stream index {i}"))))
         .collect();
 
     // Row-economy gate: network arrival order must not break the per-shard
@@ -242,7 +214,7 @@ fn main() {
         vstats.rows_computed, vstats.cache_hits, vstats.peak_resident_rows
     );
     if vstats.rows_computed > row_budget {
-        fail(&format!(
+        fail(format!(
             "verification computed {} oracle rows over the wire, budget \
              2·distinct + 2·shards = {row_budget}",
             vstats.rows_computed
@@ -266,7 +238,7 @@ fn main() {
     }
     for (net, local) in outcome.verified.shards.iter().zip(&in_process.shards) {
         if net.queries != local.queries {
-            fail(&format!(
+            fail(format!(
                 "shard {} served {} queries over the wire but {} in-process",
                 net.shard, net.queries, local.queries
             ));
@@ -279,25 +251,6 @@ fn main() {
         net_report.checked,
         net_report.max_stretch()
     );
-
-    // The wire-captured `/metrics` JSON must agree with the oracle's own
-    // stats — the same exactness `check_telemetry` enforces in CI on the
-    // written artifact.
-    let telemetry = JsonValue::parse(&wire_metrics).expect("wire metrics JSON parses");
-    let wire_rows = telemetry
-        .field("counters")
-        .and_then(|c| match c.field_opt("oracle.verify.rows_computed") {
-            Some(v) => v.as_u64(),
-            None => Ok(0),
-        })
-        .expect("counter decodes");
-    if wire_rows != vstats.rows_computed as u64 {
-        fail(&format!(
-            "wire /metrics says oracle.verify.rows_computed = {wire_rows}, the oracle says {}",
-            vstats.rows_computed
-        ));
-    }
-    println!("wire /metrics cross-check ok: verify rows {wire_rows}");
 
     banner("endpoint latency (p50/p95/p99, from serve.net.*_ns histograms)");
     for (label, name) in [
@@ -320,31 +273,33 @@ fn main() {
     }
 
     let summary = &outcome.verified.summary;
-    let artifact = ServeBaseline {
-        n,
-        queries_per_workload: total, // the fleet total: one net stream, not per-workload
-        seed,
-        stretch_samples: 0,
-        cache_rows,
-        verify_mode: "full".to_string(),
-        shards,
-        shard_policy,
-        build_rows_computed: build_stats.rows_computed,
-        peak_resident_rows: build_stats.peak_resident_rows,
-        verify_rows_computed: vstats.rows_computed as u64,
-        distinct_destinations: distinct_destinations as u64,
-        worker_sweep: Vec::new(),
-        schemes: vec![SchemeBaseline {
-            scheme: scheme_name,
-            table_bytes,
-            worst_node_bits,
-            worst_sampled_stretch: net_report.max_stretch(),
-            min_queries_per_sec: total as f64 / fleet_wall.as_secs_f64(),
-            verified_queries: net_report.checked as u64,
-            verify_violations: net_report.violations.len() as u64,
-            worst_verified_stretch: net_report.max_stretch(),
-        }],
-    };
+    let scheme = JsonValue::object([
+        ("scheme", scheme_name.into()),
+        ("table_bytes", tables.bytes.into()),
+        ("worst_node_bits", tables.worst_node_bits.into()),
+        ("worst_sampled_stretch", net_report.max_stretch().into()),
+        ("min_queries_per_sec", (total as f64 / fleet_wall.as_secs_f64()).into()),
+        ("verified_queries", net_report.checked.into()),
+        ("verify_violations", net_report.violations.len().into()),
+        ("worst_verified_stretch", net_report.max_stretch().into()),
+    ]);
+    let artifact = JsonValue::object([
+        ("n", n.into()),
+        // The fleet total: one net stream, not per-workload.
+        ("queries_per_workload", total.into()),
+        ("seed", seed.into()),
+        ("stretch_samples", 0u64.into()),
+        ("cache_rows", cache_rows.into()),
+        ("verify_mode", "full".into()),
+        ("shards", shards.into()),
+        ("shard_policy", shard_policy.into()),
+        ("build_rows_computed", build_stats.rows_computed.into()),
+        ("peak_resident_rows", build_stats.peak_resident_rows.into()),
+        ("verify_rows_computed", vstats.rows_computed.into()),
+        ("distinct_destinations", distinct_destinations.into()),
+        ("worker_sweep", JsonValue::Array(Vec::new())),
+        ("schemes", vec![scheme].into()),
+    ]);
     println!(
         "engine summary: {} queries at {:.0}/s inside the core, avg hops {:.2}",
         summary.queries,
@@ -353,9 +308,12 @@ fn main() {
     );
     let json_path =
         std::env::var("RTR_BENCH_JSON").unwrap_or_else(|_| "BENCH_serve_net.json".to_string());
-    std::fs::write(&json_path, artifact.to_json())
+    std::fs::write(&json_path, format!("{artifact}\n"))
         .unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
     println!("baseline artifact written to {json_path}");
+    // The wire-captured `/metrics` JSON must agree with the artifact, as
+    // `check_telemetry` will check it in CI.
+    require_telemetry_match(&wire_metrics, &artifact);
     let telemetry_path = std::env::var("RTR_TELEMETRY_JSON")
         .unwrap_or_else(|_| "BENCH_telemetry_net.json".to_string());
     // The artifact is the *network capture*, byte for byte — not a local

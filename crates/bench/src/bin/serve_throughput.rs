@@ -41,19 +41,21 @@
 //! at each worker count on a fresh verify oracle, recording and gating that
 //! verify rows stay flat as workers grow.
 //!
-//! The run's headline numbers are also written as a machine-readable
-//! [`ServeBaseline`] artifact (`BENCH_serve.json`), which CI diffs against
-//! the checked-in seed baseline `ci/BENCH_serve.json` — see the
-//! `check_serve_baseline` binary and the README's baseline-workflow section.
+//! The run's headline numbers are also written as a machine-readable serve
+//! artifact (`BENCH_serve.json`, its fields and their gates declared by
+//! [`rtr_bench::baseline::SERVE`]), which CI diffs against the checked-in
+//! seed baseline `ci/BENCH_serve.json` — see the `check_serve_baseline`
+//! binary and the README's baseline-workflow section.
 //!
 //! **Telemetry.**  The run prints the `rtr-telemetry` span-tree report
 //! (build-stage and sweep spans with count/total/mean/max wall) and writes
 //! the full registry — counters, gauges, histograms, spans, flight recorder
 //! — to `RTR_TELEMETRY_JSON` (default `BENCH_telemetry.json`).  Before
-//! exporting it hard-fails unless the exported `oracle.verify.rows_computed`
-//! counter and `serve.distinct_destinations` gauge **exactly** equal the
-//! `verify_rows_computed` / `distinct_destinations` values the baseline
-//! artifact gates (counted at the same sources, so drift means the
+//! exporting it hard-fails unless the export passes
+//! [`rtr_bench::baseline::telemetry_mismatches`] against the artifact: the
+//! `oracle.verify.rows_computed` counter and `serve.distinct_destinations`
+//! gauge must **exactly** equal the gated `verify_rows_computed` /
+//! `distinct_destinations` (counted at the same sources, so drift means the
 //! observability plane lies).  `RTR_TELEMETRY_MAX_OVERHEAD` (e.g. `1.25`)
 //! additionally re-serves the mix workload unverified with the sink enabled
 //! vs. the runtime no-op sink and fails if the enabled wall exceeds that
@@ -71,8 +73,8 @@
 //! `RTR_SHARDS`, `RTR_SHARD_POLICY`, `RTR_WORKER_SWEEP`,
 //! `RTR_TELEMETRY_JSON` and `RTR_TELEMETRY_MAX_OVERHEAD` above.
 
-use rtr_bench::banner;
-use rtr_bench::baseline::{SchemeBaseline, ServeBaseline, SweepPoint};
+use rtr_bench::baseline::{require_telemetry_match, JsonValue};
+use rtr_bench::{banner, env_list, env_opt, env_or, fail, shard_map_from_env, table_footprint};
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{SparseSchemeSuite, SparseSuiteParams};
 use rtr_engine::{
@@ -80,42 +82,10 @@ use rtr_engine::{
     VerifyConfig, VerifyMode, Workload,
 };
 use rtr_graph::generators::ring_with_chords;
-use rtr_graph::NodeId;
 use rtr_metric::LazyDijkstraOracle;
 use rtr_sim::RoundtripRouting;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
-/// Sums every node's [`rtr_sim::TableStats`] and prints the scheme's resident
-/// footprint against the `n²` baseline — the 64-bit distance words a dense
-/// all-pairs structure (the distance matrix, or the retired handshake side
-/// table) would pin.  Returns `(total bytes, worst-node bits)` for the
-/// baseline artifact.
-fn report_tables<S: RoundtripRouting>(plane: &FrozenPlane<S>) -> (u64, u64) {
-    let n = plane.node_count();
-    let mut total_entries: u128 = 0;
-    let mut total_bits: u128 = 0;
-    let mut max_node_bits = 0usize;
-    for v in (0..n).map(NodeId::from_index) {
-        let stats = plane.scheme().table_stats(v);
-        total_entries += stats.entries as u128;
-        total_bits += stats.bits as u128;
-        max_node_bits = max_node_bits.max(stats.bits);
-    }
-    let dense_bits = (n as u128) * (n as u128) * 64;
-    println!(
-        "  tables: {:.2} Mentries, {:.1} MiB total ({:.2}% of n² dense words), worst node {:.1} KiB",
-        total_entries as f64 / 1e6,
-        total_bits as f64 / (8.0 * 1024.0 * 1024.0),
-        100.0 * total_bits as f64 / dense_bits as f64,
-        max_node_bits as f64 / (8.0 * 1024.0),
-    );
-    ((total_bits / 8) as u64, max_node_bits as u64)
-}
 
 /// Serves one request stream through the verified engine, panicking with
 /// `label` if serving or verification fails.
@@ -136,7 +106,7 @@ where
 }
 
 /// Serves every workload once through the verification plane, returning the
-/// scheme's baseline row plus `(serving wall, flush wall)` — the engine's
+/// scheme's artifact record plus `(serving wall, flush wall)` — the engine's
 /// clock for the verified pass and the portion spent inside bucket flushes,
 /// from which the verify-slowdown gate derives the serve-only wall.
 ///
@@ -154,7 +124,7 @@ fn serve_all<S>(
     queries: usize,
     seed: u64,
     destination_seen: &mut [bool],
-) -> (SchemeBaseline, Duration, Duration)
+) -> (JsonValue, Duration, Duration)
 where
     S: RoundtripRouting + Send + Sync,
 {
@@ -170,16 +140,8 @@ where
         "handoffs"
     );
     let sharded = ShardedPlane::new(plane.clone(), shard_map);
-    let mut base = SchemeBaseline {
-        scheme: plane.scheme_name().to_string(),
-        table_bytes: 0,
-        worst_node_bits: 0,
-        worst_sampled_stretch: 0.0,
-        min_queries_per_sec: f64::INFINITY,
-        verified_queries: 0,
-        verify_violations: 0,
-        worst_verified_stretch: 0.0,
-    };
+    let (mut worst_sampled_stretch, mut min_queries_per_sec) = (0.0f64, f64::INFINITY);
+    let (mut verified_queries, mut verify_violations, mut worst_verified_stretch) = (0, 0, 0.0f64);
     let mut serving_wall = Duration::ZERO;
     let mut flush_wall = Duration::ZERO;
     for workload in Workload::ALL {
@@ -194,12 +156,12 @@ where
         flush_wall += out.cost.flush_wall;
         let (h50, h95, h99) = out.summary.hop_latency();
         let report = &out.report;
-        base.worst_sampled_stretch = base.worst_sampled_stretch.max(report.max_stretch());
-        base.min_queries_per_sec = base.min_queries_per_sec.min(out.summary.queries_per_sec());
+        worst_sampled_stretch = worst_sampled_stretch.max(report.max_stretch());
+        min_queries_per_sec = min_queries_per_sec.min(out.summary.queries_per_sec());
         if record_verify {
-            base.verified_queries += report.checked as u64;
-            base.verify_violations += report.violations.len() as u64;
-            base.worst_verified_stretch = base.worst_verified_stretch.max(report.max_stretch());
+            verified_queries += report.checked;
+            verify_violations += report.violations.len();
+            worst_verified_stretch = worst_verified_stretch.max(report.max_stretch());
         }
         println!(
             "  {:<12} {:>10.0} {:>9.2} {:>14} {:>22} {:>7.3} {:>7} {:>9}",
@@ -218,44 +180,50 @@ where
             out.shards.iter().map(|s| s.handoffs).sum::<u64>(),
         );
     }
-    let (table_bytes, worst_node_bits) = report_tables(plane);
-    base.table_bytes = table_bytes;
-    base.worst_node_bits = worst_node_bits;
-    (base, serving_wall, flush_wall)
+    // The footprint against the `n²` baseline: the 64-bit distance words a
+    // dense all-pairs structure would pin.
+    let tables = table_footprint(plane);
+    let n = plane.node_count() as f64;
+    println!(
+        "  tables: {:.2} Mentries, {:.1} MiB total ({:.2}% of n² dense words), worst node {:.1} KiB",
+        tables.entries as f64 / 1e6,
+        tables.bytes as f64 / (1024.0 * 1024.0),
+        100.0 * tables.bytes as f64 / (n * n * 8.0),
+        tables.worst_node_bits as f64 / (8.0 * 1024.0),
+    );
+    let record = JsonValue::object([
+        ("scheme", plane.scheme_name().into()),
+        ("table_bytes", tables.bytes.into()),
+        ("worst_node_bits", tables.worst_node_bits.into()),
+        ("worst_sampled_stretch", worst_sampled_stretch.into()),
+        ("min_queries_per_sec", min_queries_per_sec.into()),
+        ("verified_queries", verified_queries.into()),
+        ("verify_violations", verify_violations.into()),
+        ("worst_verified_stretch", worst_verified_stretch.into()),
+    ]);
+    (record, serving_wall, flush_wall)
 }
 
 fn main() {
-    let n = env_usize("RTR_N", 10_000);
-    let queries = env_usize("RTR_QUERIES", 200_000);
-    let workers = env_usize(
-        "RTR_WORKERS",
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-    );
-    let cache_rows = env_usize("RTR_CACHE", (n / 50).max(16));
-    let samples = env_usize("RTR_SAMPLES", 2_000).max(1);
-    let seed = env_usize("RTR_SEED", 42) as u64;
+    let n = env_or("RTR_N", 10_000);
+    let queries = env_or("RTR_QUERIES", 200_000);
+    let workers =
+        env_or("RTR_WORKERS", std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
+    let cache_rows = env_or("RTR_CACHE", (n / 50).max(16));
+    let samples = env_or("RTR_SAMPLES", 2_000usize).max(1);
+    let seed = env_or("RTR_SEED", 42u64);
     let verify_mode = match std::env::var("RTR_VERIFY").as_deref() {
         Err(_) | Ok("off") => VerifyMode::Off,
         Ok("full") => VerifyMode::Full,
         Ok("sampled") => VerifyMode::Sampled { stride: (queries / samples).max(1) },
         Ok(other) => panic!("RTR_VERIFY must be off|sampled|full, got {other}"),
     };
-    let verify_cache = env_usize("RTR_VERIFY_CACHE", (2 * n).max(64));
-    let shards = env_usize("RTR_SHARDS", 4);
-    assert!(shards > 0, "RTR_SHARDS must be at least 1, got 0");
-    let shard_map = match std::env::var("RTR_SHARD_POLICY").as_deref() {
-        Err(_) | Ok("hash") => ShardMap::hashed(n, shards, seed),
-        Ok("range") => ShardMap::range(n, shards),
-        Ok(other) => panic!("RTR_SHARD_POLICY must be hash|range, got {other}"),
-    };
-    let shard_policy = shard_map.policy().name().to_string();
-    let sweep: Vec<usize> = match std::env::var("RTR_WORKER_SWEEP") {
-        Err(_) => vec![1, 2, 4, 8, 16],
-        Ok(s) if s.is_empty() || s == "none" => Vec::new(),
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("RTR_WORKER_SWEEP: comma-separated worker counts"))
-            .collect(),
+    let verify_cache = env_or("RTR_VERIFY_CACHE", (2 * n).max(64));
+    let shard_map = shard_map_from_env("RTR_SHARDS", "RTR_SHARD_POLICY", n, seed);
+    let (shards, shard_policy) = (shard_map.shard_count(), shard_map.policy().name());
+    let sweep: Vec<usize> = match std::env::var("RTR_WORKER_SWEEP").as_deref() {
+        Ok("none") => Vec::new(),
+        _ => env_list("RTR_WORKER_SWEEP", vec![1, 2, 4, 8, 16]),
     };
 
     banner(&format!(
@@ -281,16 +249,14 @@ fn main() {
         n,
         100.0 * build_stats.peak_resident_rows as f64 / n as f64
     );
-    if let Ok(factor) = std::env::var("RTR_MAX_BUILD_ROW_FACTOR") {
-        let factor: f64 = factor.parse().expect("RTR_MAX_BUILD_ROW_FACTOR must be a number");
+    if let Some(factor) = env_opt::<f64>("RTR_MAX_BUILD_ROW_FACTOR") {
         let limit = (factor * n as f64).ceil() as usize;
         if build_stats.rows_computed > limit {
-            eprintln!(
-                "FAIL: suite build computed {} oracle rows, budget is {factor}·n = {limit} — \
+            fail(format!(
+                "suite build computed {} oracle rows, budget is {factor}·n = {limit} — \
                  the shared sweep is no longer shared",
                 build_stats.rows_computed
-            );
-            std::process::exit(1);
+            ));
         }
         println!("build row budget ok: {} <= {factor}·n = {limit}", build_stats.rows_computed);
     }
@@ -381,12 +347,11 @@ fn main() {
         // one duplicate window per shard at flush boundaries.
         let row_budget = 2 * distinct_destinations + 2 * shards;
         if vstats.rows_computed > row_budget {
-            eprintln!(
-                "FAIL: verification computed {} oracle rows, budget is \
+            fail(format!(
+                "verification computed {} oracle rows, budget is \
                  2·distinct + 2·shards = {row_budget}",
                 vstats.rows_computed
-            );
-            std::process::exit(1);
+            ));
         }
         println!("verify row budget ok: {} <= {row_budget}", vstats.rows_computed);
     }
@@ -402,14 +367,12 @@ fn main() {
             "verified serving wall {serving_wall:.1?}, flush wall {flush_wall:.1?} over \
              {workers} workers ({ratio:.2}× derived slowdown)"
         );
-        if let Ok(factor) = std::env::var("RTR_VERIFY_MAX_SLOWDOWN") {
-            let factor: f64 = factor.parse().expect("RTR_VERIFY_MAX_SLOWDOWN must be a number");
+        if let Some(factor) = env_opt::<f64>("RTR_VERIFY_MAX_SLOWDOWN") {
             if ratio > factor {
-                eprintln!(
-                    "FAIL: in-flight verification inflated the serving wall {ratio:.2}×, \
+                fail(format!(
+                    "in-flight verification inflated the serving wall {ratio:.2}×, \
                      budget {factor}×"
-                );
-                std::process::exit(1);
+                ));
             }
             println!("verify slowdown budget ok: {ratio:.2}× <= {factor}×");
         }
@@ -455,17 +418,16 @@ fn main() {
             );
             let row_budget = 2 * mix_distinct + 2 * shards;
             if rows > row_budget {
-                eprintln!(
-                    "FAIL: verify rows grew with workers — {w} workers computed {rows} rows, \
+                fail(format!(
+                    "verify rows grew with workers — {w} workers computed {rows} rows, \
                      budget 2·distinct + 2·shards = {row_budget}"
-                );
-                std::process::exit(1);
+                ));
             }
-            worker_sweep.push(SweepPoint {
-                workers: w,
-                queries_per_sec: out.summary.queries_per_sec(),
-                verify_rows: rows as u64,
-            });
+            worker_sweep.push(JsonValue::object([
+                ("workers", w.into()),
+                ("queries_per_sec", out.summary.queries_per_sec().into()),
+                ("verify_rows", rows.into()),
+            ]));
         }
         println!("verify rows flat across the sweep (≤ 2·{mix_distinct} + 2·{shards})");
     }
@@ -481,25 +443,25 @@ fn main() {
     );
     println!("total wall-clock: {:.1?}", t0.elapsed());
 
-    let artifact = ServeBaseline {
-        n,
-        queries_per_workload: queries,
-        seed,
-        stretch_samples: samples,
-        cache_rows,
-        verify_mode: verify_mode.name().to_string(),
-        shards,
-        shard_policy,
-        build_rows_computed: build_stats.rows_computed,
-        peak_resident_rows: stats.peak_resident_rows,
-        verify_rows_computed: vstats.rows_computed as u64,
-        distinct_destinations: distinct_destinations as u64,
-        worker_sweep,
-        schemes,
-    };
+    let artifact = JsonValue::object([
+        ("n", n.into()),
+        ("queries_per_workload", queries.into()),
+        ("seed", seed.into()),
+        ("stretch_samples", samples.into()),
+        ("cache_rows", cache_rows.into()),
+        ("verify_mode", verify_mode.name().into()),
+        ("shards", shards.into()),
+        ("shard_policy", shard_policy.into()),
+        ("build_rows_computed", build_stats.rows_computed.into()),
+        ("peak_resident_rows", stats.peak_resident_rows.into()),
+        ("verify_rows_computed", vstats.rows_computed.into()),
+        ("distinct_destinations", distinct_destinations.into()),
+        ("worker_sweep", worker_sweep.into()),
+        ("schemes", schemes.into()),
+    ]);
     let json_path =
         std::env::var("RTR_BENCH_JSON").unwrap_or_else(|_| "BENCH_serve.json".to_string());
-    std::fs::write(&json_path, artifact.to_json())
+    std::fs::write(&json_path, format!("{artifact}\n"))
         .unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
     println!("baseline artifact written to {json_path}");
 
@@ -509,8 +471,7 @@ fn main() {
     // factor.  Runs before the export so the process-global counters are
     // final when the artifact is written; the cross-checked names
     // (`oracle.verify.*`, `serve.distinct_destinations`) are untouched here.
-    if let Ok(factor) = std::env::var("RTR_TELEMETRY_MAX_OVERHEAD") {
-        let factor: f64 = factor.parse().expect("RTR_TELEMETRY_MAX_OVERHEAD must be a number");
+    if let Some(factor) = env_opt::<f64>("RTR_TELEMETRY_MAX_OVERHEAD") {
         banner("telemetry overhead gate (mix workload, unverified serve)");
         let requests = Workload::Mix.generate(n, queries, seed ^ 0x6001);
         let overhead_sharded = ShardedPlane::new(plane6.clone(), shard_map);
@@ -531,8 +492,7 @@ fn main() {
         let ratio = best_on.as_secs_f64() / best_off.as_secs_f64().max(1e-9);
         println!("enabled {best_on:.1?} vs no-op sink {best_off:.1?} ({ratio:.3}×)");
         if ratio > factor {
-            eprintln!("FAIL: telemetry overhead {ratio:.3}× exceeds budget {factor}×");
-            std::process::exit(1);
+            fail(format!("telemetry overhead {ratio:.3}× exceeds budget {factor}×"));
         }
         println!("telemetry overhead budget ok: {ratio:.3}× <= {factor}×");
     }
@@ -543,31 +503,11 @@ fn main() {
     let registry = rtr_telemetry::registry();
     banner("telemetry");
     print!("{}", registry.span_report());
-    let telemetry_rows = registry.counter_value("oracle.verify.rows_computed");
-    if telemetry_rows != artifact.verify_rows_computed {
-        eprintln!(
-            "FAIL: telemetry counter oracle.verify.rows_computed = {telemetry_rows} disagrees \
-             with the baseline-gated verify_rows_computed = {}",
-            artifact.verify_rows_computed
-        );
-        std::process::exit(1);
-    }
-    let (telemetry_distinct, _) = registry.gauge_value("serve.distinct_destinations");
-    if telemetry_distinct != artifact.distinct_destinations {
-        eprintln!(
-            "FAIL: telemetry gauge serve.distinct_destinations = {telemetry_distinct} disagrees \
-             with the baseline-gated distinct_destinations = {}",
-            artifact.distinct_destinations
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "telemetry cross-check ok: verify rows {telemetry_rows}, distinct destinations \
-         {telemetry_distinct}"
-    );
+    let export = registry.to_json();
+    require_telemetry_match(&export, &artifact);
     let telemetry_path =
         std::env::var("RTR_TELEMETRY_JSON").unwrap_or_else(|_| "BENCH_telemetry.json".to_string());
-    std::fs::write(&telemetry_path, registry.to_json())
+    std::fs::write(&telemetry_path, export)
         .unwrap_or_else(|e| panic!("writing {telemetry_path}: {e}"));
     println!("telemetry artifact written to {telemetry_path}");
 }

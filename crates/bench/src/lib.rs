@@ -1,27 +1,37 @@
 //! # rtr-bench — experiment harnesses and benchmarks
 //!
-//! One binary per figure/table of EXPERIMENTS.md (run with
-//! `cargo run -p rtr-bench --release --bin <name>`), plus Criterion benches
-//! for construction and forwarding time.
+//! One binary per experiment (run with
+//! `cargo run -p rtr-bench --release --bin <name>`), the CI baseline
+//! artifacts with their gate tables ([`baseline`]) and the two checker
+//! binaries that apply them, plus Criterion benches for construction and
+//! forwarding time.
 //!
-//! Every binary accepts the environment variables
+//! Every binary is configured through `RTR_*` environment variables, read
+//! with [`env_or`], [`env_opt`] and [`env_list`]: a malformed value ends the
+//! run with a message naming the variable rather than falling back to a
+//! default.  The small sweep experiments share
 //!
 //! * `RTR_SIZES` — comma-separated node counts (default per experiment),
 //! * `RTR_SEEDS` — number of seeds to average over (default 3),
 //! * `RTR_PAIRS` — roundtrip requests sampled per configuration (default
 //!   2000, or all pairs when the graph is small enough),
 //!
-//! so the same code scales from a quick smoke run to the full sweep recorded
-//! in EXPERIMENTS.md.
+//! so the same code scales from a quick smoke run to a full sweep;
+//! `docs/OPERATIONS.md` lists every variable of the serving binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rtr_core::analysis::PairSelection;
 use rtr_core::naming::NamingAssignment;
+use rtr_engine::{FrozenPlane, ShardMap};
 use rtr_graph::generators::Family;
-use rtr_graph::DiGraph;
+use rtr_graph::{DiGraph, NodeId};
 use rtr_metric::DistanceMatrix;
+use rtr_sim::RoundtripRouting;
+use std::env::VarError;
+use std::fmt::Display;
+use std::str::FromStr;
 
 pub mod baseline;
 
@@ -38,17 +48,13 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Reads the configuration from `RTR_SIZES`, `RTR_SEEDS` and `RTR_PAIRS`,
-    /// falling back to the given defaults.
+    /// falling back to the given defaults (also for an empty `RTR_SIZES`).
     pub fn from_env(default_sizes: &[usize], default_seeds: u64, default_pairs: usize) -> Self {
-        let sizes = std::env::var("RTR_SIZES")
-            .ok()
-            .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect::<Vec<usize>>())
+        let sizes = Some(env_list("RTR_SIZES", Vec::new()))
             .filter(|v| !v.is_empty())
             .unwrap_or_else(|| default_sizes.to_vec());
-        let seeds =
-            std::env::var("RTR_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(default_seeds);
-        let pairs =
-            std::env::var("RTR_PAIRS").ok().and_then(|s| s.parse().ok()).unwrap_or(default_pairs);
+        let seeds = env_or("RTR_SEEDS", default_seeds);
+        let pairs = env_or("RTR_PAIRS", default_pairs);
         ExperimentConfig { sizes, seeds, pairs }
     }
 
@@ -61,6 +67,100 @@ impl ExperimentConfig {
             PairSelection::Sampled { count: self.pairs, seed }
         }
     }
+}
+
+/// Prints `FAIL: msg` and ends the process with status 1: how a bench
+/// binary reports a failed gate.
+pub fn fail(msg: impl Display) -> ! {
+    eprintln!("FAIL: {msg}");
+    std::process::exit(1);
+}
+
+/// Parses the value `raw` of environment variable `key`, naming the variable
+/// in the error.
+fn parse_env<T: FromStr>(key: &str, raw: &str) -> Result<T, String> {
+    raw.trim()
+        .parse()
+        .map_err(|_| format!("{key}: {raw:?} is not a valid {}", std::any::type_name::<T>()))
+}
+
+/// Parses the comma-separated list `raw` of environment variable `key`; an
+/// empty value is an empty list.
+fn parse_env_list<T: FromStr>(key: &str, raw: &str) -> Result<Vec<T>, String> {
+    if raw.trim().is_empty() {
+        return Ok(Vec::new());
+    }
+    raw.split(',').map(|item| parse_env(key, item)).collect()
+}
+
+/// Environment variable `key`, `None` when unset.  Exits through [`fail`]
+/// on a value that is not UTF-8.
+fn env_raw(key: &str) -> Option<String> {
+    match std::env::var(key) {
+        Ok(raw) => Some(raw),
+        Err(VarError::NotPresent) => None,
+        Err(e) => fail(format!("{key}: {e}")),
+    }
+}
+
+/// Environment variable `key` parsed as a `T`, `None` when unset.
+///
+/// A run with a malformed value would silently measure something else, so a
+/// value that does not parse ends the process through [`fail`], naming the
+/// variable.
+pub fn env_opt<T: FromStr>(key: &str) -> Option<T> {
+    env_raw(key).map(|raw| parse_env(key, &raw).unwrap_or_else(|e| fail(e)))
+}
+
+/// Environment variable `key` parsed as a `T`, or `default` when unset;
+/// exits on a malformed value like [`env_opt`].
+pub fn env_or<T: FromStr>(key: &str, default: T) -> T {
+    env_opt(key).unwrap_or(default)
+}
+
+/// Environment variable `key` parsed as a comma-separated list, or `default`
+/// when unset; exits on a malformed item like [`env_opt`].
+pub fn env_list<T: FromStr>(key: &str, default: Vec<T>) -> Vec<T> {
+    env_raw(key).map_or(default, |raw| parse_env_list(key, &raw).unwrap_or_else(|e| fail(e)))
+}
+
+/// The destination shard map of a serving binary: `shards_key` shards
+/// (default 4; `0` is rejected) under the `policy_key` policy (`hash`, the
+/// default, or `range`), over `n` nodes.
+pub fn shard_map_from_env(shards_key: &str, policy_key: &str, n: usize, seed: u64) -> ShardMap {
+    let shards = env_or(shards_key, 4);
+    if shards == 0 {
+        fail(format!("{shards_key}: a shard map needs at least one shard, got 0"));
+    }
+    match env_raw(policy_key).as_deref() {
+        None | Some("hash") => ShardMap::hashed(n, shards, seed),
+        Some("range") => ShardMap::range(n, shards),
+        Some(other) => fail(format!("{policy_key}: {other:?} is neither hash nor range")),
+    }
+}
+
+/// A plane's routing tables summed over every node
+/// ([`rtr_sim::TableStats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableFootprint {
+    /// Table entries over all nodes.
+    pub entries: u64,
+    /// Total table size in bytes.
+    pub bytes: u64,
+    /// Largest single-node table, in bits.
+    pub worst_node_bits: u64,
+}
+
+/// Sums `plane`'s per-node table statistics.
+pub fn table_footprint<S: RoundtripRouting>(plane: &FrozenPlane<S>) -> TableFootprint {
+    let (mut entries, mut bits, mut worst_node_bits) = (0u64, 0u128, 0u64);
+    for v in (0..plane.node_count()).map(NodeId::from_index) {
+        let stats = plane.scheme().table_stats(v);
+        entries += stats.entries as u64;
+        bits += stats.bits as u128;
+        worst_node_bits = worst_node_bits.max(stats.bits as u64);
+    }
+    TableFootprint { entries, bytes: (bits / 8) as u64, worst_node_bits }
 }
 
 /// A generated experiment instance: graph, metric, naming.
@@ -104,6 +204,24 @@ mod tests {
         assert!(!cfg.sizes.is_empty());
         assert!(cfg.seeds >= 1);
         assert!(cfg.pairs >= 1);
+    }
+
+    #[test]
+    fn malformed_environment_values_name_their_variable() {
+        assert_eq!(parse_env::<usize>("RTR_WORKERS", "4"), Ok(4));
+        assert_eq!(parse_env::<usize>("RTR_WORKERS", " 16\n"), Ok(16));
+        assert_eq!(parse_env::<f64>("RTR_CHAOS_DIRTY_BUDGET", "0.22"), Ok(0.22));
+        for (key, raw) in [("RTR_WORKERS", "four"), ("RTR_SEED", "-1"), ("RTR_N", "")] {
+            let err = parse_env::<u64>(key, raw).unwrap_err();
+            assert!(err.starts_with(key) && err.contains(&format!("{raw:?}")), "{err}");
+        }
+        assert_eq!(parse_env_list::<usize>("RTR_SIZES", "64, 128"), Ok(vec![64, 128]));
+        assert_eq!(parse_env_list::<usize>("RTR_WORKER_SWEEP", ""), Ok(vec![]));
+        assert_eq!(parse_env_list::<f64>("RTR_CHAOS_FRACTIONS", "0.02,0.1"), Ok(vec![0.02, 0.1]));
+        for raw in ["64,12a", "64,,128", "1,2,"] {
+            let err = parse_env_list::<usize>("RTR_SIZES", raw).unwrap_err();
+            assert!(err.starts_with("RTR_SIZES"), "{err}");
+        }
     }
 
     #[test]

@@ -85,24 +85,6 @@ impl CoverStats {
         (self.max_membership_per_level as f64) <= self.membership_bound().ceil()
             && self.max_height_blowup <= self.height_blowup_bound() + 1e-9
     }
-
-    /// Renders the stats as a JSON object for experiment output files
-    /// (hand-rolled; the workspace vendors no serialization crate).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"n\":{},\"k\":{},\"levels\":{},\"max_membership_per_level\":{},\
-             \"avg_membership_per_level\":{},\"max_total_membership\":{},\
-             \"max_height_blowup\":{},\"total_trees\":{}}}",
-            self.n,
-            self.k,
-            self.levels,
-            self.max_membership_per_level,
-            self.avg_membership_per_level,
-            self.max_total_membership,
-            self.max_height_blowup,
-            self.total_trees
-        )
-    }
 }
 
 #[cfg(test)]
@@ -123,16 +105,5 @@ mod tests {
             assert!(stats.avg_membership_per_level <= stats.max_membership_per_level as f64);
             assert!(stats.total_trees > 0);
         }
-    }
-
-    #[test]
-    fn stats_serialize_for_experiment_output() {
-        let g = strongly_connected_gnp(20, 0.2, 4).unwrap();
-        let m = DistanceMatrix::build(&g);
-        let cover = DoubleTreeCover::build(&g, &m, 2);
-        let stats = CoverStats::measure(&cover, 20);
-        let json = stats.to_json();
-        assert!(json.contains("max_height_blowup"));
-        assert!(json.starts_with('{') && json.ends_with('}'));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every generator returns a *strongly connected*, positively weighted
 //! directed graph and is fully deterministic given its seed, so that every
-//! experiment in EXPERIMENTS.md can be reproduced bit-for-bit.
+//! experiment can be reproduced bit-for-bit.
 //!
 //! The families:
 //!

@@ -1,6 +1,7 @@
 //! Graph import/export: Graphviz DOT, JSON, and a simple edge-list format.
 
 use crate::graph::{DiGraph, DiGraphBuilder, PortAssignment};
+use crate::json::JsonValue;
 use crate::types::NodeId;
 use crate::{GraphError, Result};
 use std::fmt::Write as _;
@@ -27,72 +28,55 @@ pub fn to_dot(g: &DiGraph) -> String {
 
 /// Serializes the graph to JSON.
 ///
-/// The format is a flat object `{"n": <nodes>, "edges": [[from, to, weight,
-/// port], …]}` written without any external serialization crate (the build
-/// environment vendors no serde). Ports are carried explicitly so that a
-/// roundtrip through [`from_json`] reproduces the adversarial port assignment
-/// bit for bit.
+/// The format is an object `{"n": <nodes>, "edges": [[from, to, weight,
+/// port], …]}`, written by [`JsonValue`]. Ports are carried explicitly so
+/// that a roundtrip through [`from_json`] reproduces the adversarial port
+/// assignment bit for bit.
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::Serde`] if serialization fails (it does not for valid graphs).
 pub fn to_json(g: &DiGraph) -> Result<String> {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"n\":{},\"edges\":[", g.node_count());
-    let mut first = true;
-    for u in g.nodes() {
-        for e in g.out_edges(u) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "[{},{},{},{}]", u.0, e.to.0, e.weight, e.port.0);
-        }
-    }
-    out.push_str("]}");
-    Ok(out)
+    let edges = g
+        .nodes()
+        .flat_map(|u| {
+            g.out_edges(u).iter().map(move |e| {
+                vec![u.0.into(), e.to.0.into(), e.weight.into(), e.port.0.into()].into()
+            })
+        })
+        .collect::<Vec<JsonValue>>();
+    Ok(JsonValue::object([("n", g.node_count().into()), ("edges", edges.into())]).to_string())
 }
 
 /// Deserializes a graph from JSON produced by [`to_json`].
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::Serde`] if the JSON is malformed.
+/// Returns [`GraphError::Serde`] if the JSON is malformed or a node id or
+/// port does not fit in `u32`.
 pub fn from_json(json: &str) -> Result<DiGraph> {
-    let mut p = JsonParser::new(json);
-    p.expect('{')?;
-    p.expect_string("n")?;
-    p.expect(':')?;
-    let n = usize::try_from(p.number()?)
-        .map_err(|_| GraphError::Serde("node count out of range".into()))?;
-    p.expect(',')?;
-    p.expect_string("edges")?;
-    p.expect(':')?;
-    p.expect('[')?;
-    let narrow = |value: u64, what: &str| {
+    let doc = JsonValue::parse(json).map_err(GraphError::Serde)?;
+    let n = doc.field("n").and_then(JsonValue::as_u64).map_err(GraphError::Serde)?;
+    let n = usize::try_from(n).map_err(|_| GraphError::Serde("node count out of range".into()))?;
+    let narrow = |value: &JsonValue, what: &str| {
+        let value = value.as_u64().map_err(GraphError::Serde)?;
         u32::try_from(value).map_err(|_| GraphError::Serde(format!("{what} {value} out of range")))
     };
     let mut edges: Vec<(u32, u32, u64, u32)> = Vec::new();
-    if !p.try_consume(']') {
-        loop {
-            p.expect('[')?;
-            let from = narrow(p.number()?, "node id")?;
-            p.expect(',')?;
-            let to = narrow(p.number()?, "node id")?;
-            p.expect(',')?;
-            let weight = p.number()?;
-            p.expect(',')?;
-            let port = narrow(p.number()?, "port")?;
-            p.expect(']')?;
-            edges.push((from, to, weight, port));
-            if !p.try_consume(',') {
-                p.expect(']')?;
-                break;
-            }
-        }
+    for edge in doc.field("edges").and_then(JsonValue::as_array).map_err(GraphError::Serde)? {
+        let [from, to, weight, port] = edge.as_array().map_err(GraphError::Serde)? else {
+            return Err(GraphError::Serde(format!(
+                "expected [from, to, weight, port], found {edge}"
+            )));
+        };
+        let weight = weight.as_u64().map_err(GraphError::Serde)?;
+        edges.push((
+            narrow(from, "node id")?,
+            narrow(to, "node id")?,
+            weight,
+            narrow(port, "port")?,
+        ));
     }
-    p.expect('}')?;
-    p.expect_end()?;
 
     let mut b = DiGraphBuilder::new(n);
     // Build with consecutive ports first, then overwrite with the explicit
@@ -104,81 +88,6 @@ pub fn from_json(json: &str) -> Result<DiGraph> {
     let mut g = b.build()?;
     g.reassign_ports(edges.iter().map(|&(from, to, _, port)| (NodeId(from), NodeId(to), port)))?;
     Ok(g)
-}
-
-/// A minimal recursive-descent JSON reader for the graph format above.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonParser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(c as u8)) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(GraphError::Serde(format!("expected '{c}' at byte {}", self.pos)))
-        }
-    }
-
-    fn try_consume(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(c as u8)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_string(&mut self, s: &str) -> Result<()> {
-        self.expect('"')?;
-        let lit = s.as_bytes();
-        if self.bytes.len() >= self.pos + lit.len()
-            && &self.bytes[self.pos..self.pos + lit.len()] == lit
-        {
-            self.pos += lit.len();
-            self.expect('"')
-        } else {
-            Err(GraphError::Serde(format!("expected key \"{s}\" at byte {}", self.pos)))
-        }
-    }
-
-    fn number(&mut self) -> Result<u64> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(GraphError::Serde(format!("expected a number at byte {start}")));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| GraphError::Serde(format!("malformed number at byte {start}")))
-    }
-
-    fn expect_end(&mut self) -> Result<()> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(GraphError::Serde(format!("trailing data at byte {}", self.pos)))
-        }
-    }
 }
 
 /// Renders the graph as a plain edge list: one `from to weight` triple per
@@ -262,6 +171,13 @@ mod tests {
         for u in g.nodes() {
             assert_eq!(g.out_edges(u), g2.out_edges(u));
         }
+        // Weights are exact over all of u64.
+        let mut b = DiGraphBuilder::new(2);
+        b.add_edge(NodeId(0), NodeId(1), u64::MAX).unwrap();
+        b.add_edge(NodeId(1), NodeId(0), (1 << 53) + 1).unwrap();
+        let g = from_json(&to_json(&b.build().unwrap()).unwrap()).unwrap();
+        assert_eq!(g.edge_weight(NodeId(0), NodeId(1)), Some(u64::MAX));
+        assert_eq!(g.edge_weight(NodeId(1), NodeId(0)), Some((1 << 53) + 1));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   attachment, random geometric digraphs, and the bidirected graphs used by
 //!   the §5 lower bound).
 //! * [`io`] — DOT export and JSON (de)serialization.
+//! * [`json`] — the workspace's one JSON value, parser and writer.
 //!
 //! Weights are unsigned integers (`u64`). The paper assumes positive real
 //! weights; integer weights keep every distance computation exact, which lets
@@ -55,6 +56,7 @@ mod error;
 pub mod generators;
 mod graph;
 pub mod io;
+pub mod json;
 pub mod par;
 pub mod types;
 
