@@ -9,8 +9,10 @@
 //! The run also gates the verification plane's row economy end to end: the
 //! server's verify oracle (telemetry scope `verify`, cache `2n`) must
 //! compute at most `2·distinct(destinations) + 2·shards` rows even though
-//! queries arrive interleaved over `RTR_CLIENTS` sockets — the serving
-//! core's per-shard destination buckets are what keep that true.  The
+//! queries arrive interleaved over `RTR_CLIENTS` sockets.  The verify
+//! cache keeps that true: every frame flushes its own per-shard destination
+//! buckets, and with room for at least `2·distinct` rows a destination row
+//! an earlier frame computed is a cache hit.  The
 //! `/metrics` endpoint's JSON is captured **over the wire** and written as
 //! the telemetry artifact, so `check_telemetry` cross-checks the network
 //! capture exactly like an in-process export; the run runs the same

@@ -2,9 +2,9 @@
 //!
 //! One binary per experiment (run with
 //! `cargo run -p rtr-bench --release --bin <name>`), the CI baseline
-//! artifacts with their gate tables ([`baseline`]) and the two checker
-//! binaries that apply them, plus Criterion benches for construction and
-//! forwarding time.
+//! artifacts with their gate tables ([`baseline`]), the two checker
+//! binaries that apply them, and the ledger benchmark (`src/bin/ledger/`),
+//! which times every layer from graph to socket.
 //!
 //! Every binary is configured through `RTR_*` environment variables, read
 //! with [`env_or`], [`env_opt`] and [`env_list`]: a malformed value ends the

@@ -4,14 +4,14 @@
 //! `std::net` — the same registry-less idiom as the workspace's hand-rolled
 //! JSON — that puts the sharded, verified serving plane behind a socket:
 //!
-//! * **`ROUTE` / `BATCH`** — route queries, pooled per connection and
-//!   coalesced by a single serving-core thread into the engine's per-shard
-//!   destination buckets ([`Engine::open_stream`] →
-//!   [`VerifiedStream::serve_batch`]), so the verification plane's
-//!   ≈2·distinct(destinations) row economy survives network arrival order
-//!   and the final [`VerifiedReport`](rtr_engine::VerifiedReport) is
-//!   **bit-identical** to one in-process
-//!   [`Engine::serve_verified_sharded`] call over the same stream.
+//! * **`ROUTE` / `BATCH`** — route queries, each frame served on its own
+//!   connection thread as one [`VerifiedStream::serve_batch`] call under
+//!   the lock of one session ([`Engine::open_stream`]), so the final
+//!   [`VerifiedReport`](rtr_engine::VerifiedReport) is **bit-identical**
+//!   to one in-process [`Engine::serve_verified_sharded`] call over the
+//!   same stream.  A verify oracle caching at least
+//!   2·distinct(destinations) rows keeps that call's row economy whatever
+//!   the network arrival order.
 //! * **`HEALTH`** — liveness plus vitals (nodes, shards, in-flight, served,
 //!   rejected).
 //! * **`METRICS`** — the telemetry registry as `Registry::to_json()`,

@@ -84,7 +84,8 @@ pub enum Status {
     Overloaded = 0x05,
     /// A frame or batch exceeds the configured size ceiling.
     TooLarge = 0x06,
-    /// The serving core failed; the connection is still usable.
+    /// The engine failed to serve the frame; the connection is still
+    /// usable.
     Internal = 0x07,
 }
 

@@ -1,37 +1,40 @@
-//! The server: an accept loop, one thread per connection, and a single
-//! **serving-core** thread that owns the [`VerifiedStream`] session.
+//! The server: an accept loop and one thread per connection, every
+//! connection serving its own frames on one shared [`VerifiedStream`]
+//! session.
 //!
-//! Every route query from every connection funnels through the core, which
-//! greedily coalesces whatever is queued (up to [`ServeConfig::batch_max`]
-//! requests) into one [`VerifiedStream::serve_batch`] call.  The stream
-//! session buckets each batch into the engine's per-shard destination
-//! buckets, so the verification plane's ≈2·distinct(destinations) row
-//! economy survives network arrival order — and the final report is
-//! bit-identical to serving the same stream in one in-process
-//! `serve_verified_sharded` call.
+//! A connection thread decodes and admits each frame itself.  For an
+//! admitted `ROUTE` or `BATCH` frame it locks the session, makes one
+//! [`VerifiedStream::serve_batch`] call for the frame's queries, unlocks,
+//! releases the frame's in-flight slots and writes the reply, so no frame
+//! crosses a thread.  The session assigns stream indices in the order it
+//! serves frames and buckets each batch into the engine's per-shard
+//! destination buckets, so the final report is bit-identical to serving the
+//! same stream in one in-process `serve_verified_sharded` call.  A verify
+//! oracle that caches at least `2 · distinct(destinations)` rows keeps the
+//! row economy of that call too: a later frame's flush finds its rows
+//! cached.
 //!
 //! Admission control is a bounded in-flight budget: a route or batch frame
 //! whose queries would push the budget past
 //! [`ServeConfig::inflight_max`] is rejected with
 //! [`Status::Overloaded`](crate::Status::Overloaded) before it reaches the
-//! core, and the rejection is counted (`serve.net.rejected.overload`).
+//! session, and the rejection is counted (`serve.net.rejected.overload`).
 
 use crate::protocol::{
     decode_request, encode_response, write_frame, HealthInfo, ServedRoute, Status, WireError,
     WireRequest, WireResponse, MAX_FRAME_LEN,
 };
 use rtr_engine::{
-    Engine, Request, ServedTrip, ShardedPlane, VerifiedReport, VerifiedShardedServe, VerifyConfig,
-    VerifyServeError,
+    Engine, Request, ShardedPlane, VerifiedShardedServe, VerifiedStream, VerifyConfig,
 };
 use rtr_graph::NodeId;
 use rtr_metric::DistanceOracle;
 use rtr_sim::RoundtripRouting;
-use rtr_telemetry::{counter, gauge, histogram, DurationHistogram};
+use rtr_telemetry::{counter, gauge, histogram, Counter, DurationHistogram, Gauge};
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`serve`].  `Default` matches the values the loopback
@@ -41,9 +44,6 @@ pub struct ServeConfig {
     /// Admission budget: route queries admitted but not yet answered.  A
     /// frame that would push past this is rejected with `Overloaded`.
     pub inflight_max: usize,
-    /// Most queries the serving core folds into one engine batch when
-    /// coalescing queued jobs.
-    pub batch_max: usize,
     /// Most `(src, dst)` pairs a single `BATCH` frame may carry; larger
     /// frames are rejected with `TooLarge`.
     pub max_batch_frame: usize,
@@ -59,7 +59,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             inflight_max: 16_384,
-            batch_max: 1024,
             max_batch_frame: 4096,
             max_frame_len: MAX_FRAME_LEN,
             read_timeout: Duration::from_millis(25),
@@ -102,14 +101,6 @@ struct Shared<'a> {
     config: ServeConfig,
 }
 
-/// Work for the serving core.
-enum Job {
-    /// Serve `requests` and send the index-ordered trips back.
-    Serve { requests: Vec<Request>, reply: mpsc::Sender<Result<Vec<ServedTrip>, String>> },
-    /// Snapshot the session's report so far.
-    Report { reply: mpsc::Sender<VerifiedReport> },
-}
-
 /// Runs the front door on `listener` until `shutdown` becomes `true`
 /// (either externally or via a `SHUTDOWN` frame), then returns the finished
 /// session.
@@ -129,6 +120,11 @@ enum Job {
 /// failures) surface as `Err`; per-connection errors close that connection
 /// and engine errors are reported to the affected clients as
 /// [`Status::Internal`] responses.
+///
+/// # Panics
+///
+/// If serving a frame panicked.  Frames that meet the lost session in the
+/// meantime are answered [`Status::Internal`].
 pub fn serve<S, O>(
     listener: TcpListener,
     engine: &Engine,
@@ -155,6 +151,10 @@ where
 /// drives the fault injection and repair.
 ///
 /// # Errors
+///
+/// As [`serve`].
+///
+/// # Panics
 ///
 /// As [`serve`].
 #[allow(clippy::too_many_arguments)]
@@ -186,22 +186,16 @@ where
         config: *config,
     };
     let session_config = VerifyConfig { strict: false, ..*verify };
+    let session = Mutex::new(engine.open_stream(plane, oracle, &session_config));
 
-    let verified = std::thread::scope(|scope| -> io::Result<_> {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let core = scope.spawn(|| {
-            let session = engine.open_stream(plane, oracle, &session_config);
-            run_core(session, rx, &shared)
-        });
-
+    std::thread::scope(|scope| {
         while !shared.shutdown.load(Ordering::Relaxed) {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     shared.connections.fetch_add(1, Ordering::Relaxed);
                     counter("serve.net.connections").inc();
-                    let tx = tx.clone();
-                    let shared = &shared;
-                    scope.spawn(move || run_connection(stream, tx, shared));
+                    let (session, shared) = (&session, &shared);
+                    scope.spawn(move || run_connection(stream, session, shared));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -209,17 +203,17 @@ where
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
                     shared.shutdown.store(true, Ordering::Relaxed);
-                    drop(tx);
-                    let _ = core.join();
                     return Err(e);
                 }
             }
         }
-        drop(tx);
-        Ok(core.join().expect("serving core panicked"))
+        Ok(())
     })?;
 
-    let verified = verified.map_err(|e| io::Error::other(e.to_string()))?;
+    // The scope re-raises a panic of any connection thread, so a lock
+    // poisoned by a serving panic never reaches this line.
+    let session = session.into_inner().expect("the scope re-raises serving panics");
+    let verified = session.finish().map_err(|e| io::Error::other(e.to_string()))?;
     Ok(ServeOutcome {
         verified,
         connections: shared.connections.load(Ordering::Relaxed),
@@ -229,84 +223,18 @@ where
     })
 }
 
-/// The serving core: drain jobs, greedily coalescing queued `Serve` jobs up
-/// to `batch_max` queries per engine call, then split the index-ordered
-/// trips back out to each requester by offset.
-fn run_core<S, O>(
-    mut session: rtr_engine::VerifiedStream<'_, S, O>,
-    rx: mpsc::Receiver<Job>,
-    shared: &Shared<'_>,
-) -> Result<VerifiedShardedServe, VerifyServeError>
-where
-    S: RoundtripRouting + Send + Sync,
-    O: DistanceOracle + ?Sized,
-{
-    let batches = counter("serve.engine.batches");
-    let batch_ns = histogram("serve.engine.batch_ns");
-    let batch_fill = gauge("serve.engine.batch_fill");
-    let mut stashed: Option<Job> = None;
-    loop {
-        let job = match stashed.take() {
-            Some(job) => job,
-            None => match rx.recv() {
-                Ok(job) => job,
-                Err(_) => break, // every sender gone: the listener stopped
-            },
-        };
-        let (requests, reply) = match job {
-            Job::Report { reply } => {
-                let _ = reply.send(session.report().clone());
-                continue;
-            }
-            Job::Serve { requests, reply } => (requests, reply),
-        };
-        let mut batch = requests;
-        let mut replies = vec![(reply, batch.len())];
-        // Coalesce whatever else is already queued, up to batch_max.
-        while batch.len() < shared.config.batch_max {
-            match rx.try_recv() {
-                Ok(Job::Serve { requests, reply }) => {
-                    replies.push((reply, requests.len()));
-                    batch.extend_from_slice(&requests);
-                }
-                Ok(other) => {
-                    stashed = Some(other);
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        let start = Instant::now();
-        let outcome = session.serve_batch(&batch);
-        batches.inc();
-        batch_ns.observe(start.elapsed());
-        batch_fill.set_max(batch.len() as u64);
-        shared.in_flight.fetch_sub(batch.len() as u64, Ordering::Relaxed);
-        match outcome {
-            Ok(trips) => {
-                shared.served.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                // serve_batch returns trips sorted by global index, and the
-                // session assigns indices in admission order — so the first
-                // `len` trips belong to the first job, and so on.
-                let mut at = 0;
-                for (reply, len) in replies {
-                    let _ = reply.send(Ok(trips[at..at + len].to_vec()));
-                    at += len;
-                }
-            }
-            Err(e) => {
-                let message = e.to_string();
-                for (reply, _) in replies {
-                    let _ = reply.send(Err(message.clone()));
-                }
-            }
-        }
-    }
-    session.finish()
-}
-
-/// Per-endpoint latency histograms, resolved once per connection.
-struct Timers {
+/// The telemetry handles a connection writes, resolved once per connection.
+struct Telemetry {
+    frames: Counter,
+    admitted: Counter,
+    overload: Counter,
+    malformed: Counter,
+    in_flight: Gauge,
+    /// One per served frame.
+    batches: Counter,
+    batch_ns: DurationHistogram,
+    /// Time a frame waited for the session lock.
+    wait_ns: DurationHistogram,
     route: DurationHistogram,
     batch: DurationHistogram,
     health: DurationHistogram,
@@ -314,9 +242,17 @@ struct Timers {
     report: DurationHistogram,
 }
 
-impl Timers {
+impl Telemetry {
     fn new() -> Self {
-        Timers {
+        Telemetry {
+            frames: counter("serve.net.frames"),
+            admitted: counter("serve.net.requests"),
+            overload: counter("serve.net.rejected.overload"),
+            malformed: counter("serve.net.rejected.malformed"),
+            in_flight: gauge("serve.net.in_flight"),
+            batches: counter("serve.engine.batches"),
+            batch_ns: histogram("serve.engine.batch_ns"),
+            wait_ns: histogram("serve.engine.wait_ns"),
             route: histogram("serve.net.route_ns"),
             batch: histogram("serve.net.batch_ns"),
             health: histogram("serve.net.health_ns"),
@@ -328,15 +264,17 @@ impl Timers {
 
 /// Reads frames off one connection until the peer closes, the shutdown flag
 /// flips, or a protocol-level close (oversize frame) happens.
-fn run_connection(mut stream: TcpStream, tx: mpsc::Sender<Job>, shared: &Shared<'_>) {
+fn run_connection<S, O>(
+    mut stream: TcpStream,
+    session: &Mutex<VerifiedStream<'_, S, O>>,
+    shared: &Shared<'_>,
+) where
+    S: RoundtripRouting + Send + Sync,
+    O: DistanceOracle + ?Sized,
+{
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    let timers = Timers::new();
-    let frames = counter("serve.net.frames");
-    let requests_admitted = counter("serve.net.requests");
-    let rejected_overload = counter("serve.net.rejected.overload");
-    let rejected_malformed = counter("serve.net.rejected.malformed");
-    let in_flight_gauge = gauge("serve.net.in_flight");
+    let telemetry = Telemetry::new();
 
     let mut prefix = [0u8; 4];
     loop {
@@ -346,7 +284,7 @@ fn run_connection(mut stream: TcpStream, tx: mpsc::Sender<Job>, shared: &Shared<
         }
         let len = u32::from_be_bytes(prefix);
         shared.frames.fetch_add(1, Ordering::Relaxed);
-        frames.inc();
+        telemetry.frames.inc();
         if len > shared.config.max_frame_len {
             // The payload was never read, so the stream is out of sync:
             // answer and close.
@@ -368,74 +306,83 @@ fn run_connection(mut stream: TcpStream, tx: mpsc::Sender<Job>, shared: &Shared<
         }
 
         let started = Instant::now();
-        let opcode_byte = payload.get(1).copied().unwrap_or(0);
-        let (response, stop) = match decode_request(&payload) {
-            Err(err) => {
-                rejected_malformed.inc();
-                (error_response(opcode_byte, err), false)
-            }
-            Ok(request) => {
-                let admitted = admit(&request, shared, &requests_admitted, &in_flight_gauge);
-                match admitted {
-                    Err(err) => {
-                        if err.status == Status::Overloaded {
-                            let k = query_count(&request) as u64;
-                            shared.rejected.fetch_add(k, Ordering::Relaxed);
-                            rejected_overload.add(k);
-                        } else {
-                            rejected_malformed.inc();
-                        }
-                        (error_response(opcode_byte, err), false)
-                    }
-                    Ok(()) => answer(request, &tx, shared),
-                }
-            }
-        };
+        let opcode = payload.get(1).copied().unwrap_or(0);
+        let response = answer(&payload, session, shared, &telemetry).unwrap_or_else(|err| {
+            WireResponse::Error { opcode, status: err.status, message: err.message }
+        });
         let wrote = write_frame(&mut stream, &encode_response(&response));
         match &response {
-            WireResponse::Route(_) => timers.route.observe(started.elapsed()),
-            WireResponse::Batch(_) => timers.batch.observe(started.elapsed()),
-            WireResponse::Health(_) => timers.health.observe(started.elapsed()),
-            WireResponse::Metrics(_) => timers.metrics.observe(started.elapsed()),
-            WireResponse::Report(_) => timers.report.observe(started.elapsed()),
+            WireResponse::Route(_) => telemetry.route.observe(started.elapsed()),
+            WireResponse::Batch(_) => telemetry.batch.observe(started.elapsed()),
+            WireResponse::Health(_) => telemetry.health.observe(started.elapsed()),
+            WireResponse::Metrics(_) => telemetry.metrics.observe(started.elapsed()),
+            WireResponse::Report(_) => telemetry.report.observe(started.elapsed()),
             WireResponse::Shutdown | WireResponse::Error { .. } => {}
         }
-        if stop || wrote.is_err() {
+        if matches!(response, WireResponse::Shutdown) || wrote.is_err() {
             return;
         }
     }
 }
 
-/// How many route queries a request carries (0 for control frames).
-fn query_count(request: &WireRequest) -> usize {
-    match request {
-        WireRequest::Route { .. } => 1,
-        WireRequest::Batch(pairs) => pairs.len(),
-        _ => 0,
-    }
+/// Answers one request payload: decodes it, admits it, and serves it.  The
+/// error becomes the frame's error response.
+fn answer<S, O>(
+    payload: &[u8],
+    session: &Mutex<VerifiedStream<'_, S, O>>,
+    shared: &Shared<'_>,
+    telemetry: &Telemetry,
+) -> Result<WireResponse, WireError>
+where
+    S: RoundtripRouting + Send + Sync,
+    O: DistanceOracle + ?Sized,
+{
+    let request = decode_request(payload).inspect_err(|_| telemetry.malformed.inc())?;
+    admit(&request, shared, telemetry)?;
+    Ok(match request {
+        WireRequest::Route { src, dst } => {
+            WireResponse::Route(serve_frame(&[(src, dst)], session, shared, telemetry)?[0])
+        }
+        WireRequest::Batch(pairs) => {
+            WireResponse::Batch(serve_frame(&pairs, session, shared, telemetry)?)
+        }
+        WireRequest::Health => WireResponse::Health(HealthInfo {
+            nodes: shared.nodes,
+            shards: shared.shards,
+            in_flight: shared.in_flight.load(Ordering::Relaxed),
+            served: shared.served.load(Ordering::Relaxed),
+            rejected: shared.rejected.load(Ordering::Relaxed),
+            degraded: shared.degraded.load(Ordering::Relaxed),
+        }),
+        WireRequest::Metrics => WireResponse::Metrics(rtr_telemetry::registry().to_json()),
+        WireRequest::Report => WireResponse::Report(lock(session, telemetry)?.report().clone()),
+        WireRequest::Shutdown => {
+            shared.shutdown.store(true, Ordering::Relaxed);
+            WireResponse::Shutdown
+        }
+    })
 }
 
-/// Validates node ids and charges the in-flight budget.  On `Ok(())` the
-/// budget holds `query_count` slots that [`run_core`] releases after the
-/// engine call.
+/// Validates node ids and charges the in-flight budget, counting every
+/// rejection.  On `Ok(())` the budget holds one slot per query, which
+/// [`serve_frame`] releases after the engine call.
 fn admit(
     request: &WireRequest,
     shared: &Shared<'_>,
-    requests_admitted: &rtr_telemetry::Counter,
-    in_flight_gauge: &rtr_telemetry::Gauge,
+    telemetry: &Telemetry,
 ) -> Result<(), WireError> {
+    let malformed = |status, message| {
+        telemetry.malformed.inc();
+        Err(WireError { status, message })
+    };
     let pairs: &[(u32, u32)] = match request {
         WireRequest::Route { src, dst } => &[(*src, *dst)][..],
         WireRequest::Batch(pairs) => {
             if pairs.len() > shared.config.max_batch_frame {
-                return Err(WireError {
-                    status: Status::TooLarge,
-                    message: format!(
-                        "batch of {} exceeds the {}-query frame limit",
-                        pairs.len(),
-                        shared.config.max_batch_frame
-                    ),
-                });
+                let limit = shared.config.max_batch_frame;
+                let message =
+                    format!("batch of {} exceeds the {limit}-query frame limit", pairs.len());
+                return malformed(Status::TooLarge, message);
             }
             pairs
         }
@@ -443,22 +390,20 @@ fn admit(
     };
     for &(src, dst) in pairs {
         if src >= shared.nodes || dst >= shared.nodes {
-            return Err(WireError {
-                status: Status::BadNode,
-                message: format!("node out of range: ({src}, {dst}) with {} nodes", shared.nodes),
-            });
+            let message = format!("node out of range: ({src}, {dst}) with {} nodes", shared.nodes);
+            return malformed(Status::BadNode, message);
         }
         if src == dst {
-            return Err(WireError {
-                status: Status::BadNode,
-                message: format!("self-route {src} -> {dst}: roundtrips need src != dst"),
-            });
+            let message = format!("self-route {src} -> {dst}: roundtrips need src != dst");
+            return malformed(Status::BadNode, message);
         }
     }
     let k = pairs.len() as u64;
     let prev = shared.in_flight.fetch_add(k, Ordering::Relaxed);
     if prev + k > shared.config.inflight_max as u64 {
         shared.in_flight.fetch_sub(k, Ordering::Relaxed);
+        shared.rejected.fetch_add(k, Ordering::Relaxed);
+        telemetry.overload.add(k);
         return Err(WireError {
             status: Status::Overloaded,
             message: format!(
@@ -467,96 +412,57 @@ fn admit(
             ),
         });
     }
-    requests_admitted.add(k);
-    in_flight_gauge.set_max(prev + k);
+    telemetry.admitted.add(k);
+    telemetry.in_flight.set_max(prev + k);
     Ok(())
 }
 
-/// Serves one admitted request, returning the response and whether the
-/// connection should close afterwards.
-fn answer(
-    request: WireRequest,
-    tx: &mpsc::Sender<Job>,
+/// Serves one admitted frame as one engine batch under the session lock,
+/// then releases the frame's in-flight slots.  Replies come back in request
+/// order.
+fn serve_frame<S, O>(
+    pairs: &[(u32, u32)],
+    session: &Mutex<VerifiedStream<'_, S, O>>,
     shared: &Shared<'_>,
-) -> (WireResponse, bool) {
-    match request {
-        WireRequest::Route { src, dst } => {
-            let requests = vec![Request { src: NodeId(src), dst: NodeId(dst) }];
-            match serve_on_core(requests, tx) {
-                Ok(trips) => (WireResponse::Route(to_route(&trips[0])), false),
-                Err(message) => (internal(&message), false),
-            }
-        }
-        WireRequest::Batch(pairs) => {
-            if pairs.is_empty() {
-                return (WireResponse::Batch(Vec::new()), false);
-            }
-            let requests = pairs
-                .iter()
-                .map(|&(src, dst)| Request { src: NodeId(src), dst: NodeId(dst) })
-                .collect();
-            match serve_on_core(requests, tx) {
-                Ok(trips) => (WireResponse::Batch(trips.iter().map(to_route).collect()), false),
-                Err(message) => (internal(&message), false),
-            }
-        }
-        WireRequest::Health => {
-            let health = HealthInfo {
-                nodes: shared.nodes,
-                shards: shared.shards,
-                in_flight: shared.in_flight.load(Ordering::Relaxed),
-                served: shared.served.load(Ordering::Relaxed),
-                rejected: shared.rejected.load(Ordering::Relaxed),
-                degraded: shared.degraded.load(Ordering::Relaxed),
-            };
-            (WireResponse::Health(health), false)
-        }
-        WireRequest::Metrics => (WireResponse::Metrics(rtr_telemetry::registry().to_json()), false),
-        WireRequest::Report => {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if tx.send(Job::Report { reply: reply_tx }).is_err() {
-                return (internal("serving core stopped"), false);
-            }
-            match reply_rx.recv() {
-                Ok(report) => (WireResponse::Report(report), false),
-                Err(_) => (internal("serving core stopped"), false),
-            }
-        }
-        WireRequest::Shutdown => {
-            shared.shutdown.store(true, Ordering::Relaxed);
-            (WireResponse::Shutdown, true)
-        }
+    telemetry: &Telemetry,
+) -> Result<Vec<ServedRoute>, WireError>
+where
+    S: RoundtripRouting + Send + Sync,
+    O: DistanceOracle + ?Sized,
+{
+    let requests: Vec<Request> =
+        pairs.iter().map(|&(src, dst)| Request { src: NodeId(src), dst: NodeId(dst) }).collect();
+    let trips = lock(session, telemetry).and_then(|mut session| {
+        let started = Instant::now();
+        let trips = session.serve_batch(&requests);
+        telemetry.batch_ns.observe(started.elapsed());
+        telemetry.batches.inc();
+        trips.map_err(|e| WireError { status: Status::Internal, message: e.to_string() })
+    });
+    let k = requests.len() as u64;
+    shared.in_flight.fetch_sub(k, Ordering::Relaxed);
+    if trips.is_ok() {
+        shared.served.fetch_add(k, Ordering::Relaxed);
     }
+    Ok(trips?
+        .iter()
+        .map(|t| ServedRoute { index: t.index as u64, hops: t.hops as u32, weight: t.weight })
+        .collect())
 }
 
-/// Round-trips one admitted request batch through the serving core.  The
-/// error is the `INTERNAL` diagnostic message (callers wrap it with
-/// [`internal`]), kept as a bare `String` so the `Err` variant stays small.
-fn serve_on_core(
-    requests: Vec<Request>,
-    tx: &mpsc::Sender<Job>,
-) -> Result<Vec<ServedTrip>, String> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    if tx.send(Job::Serve { requests, reply: reply_tx }).is_err() {
-        return Err("serving core stopped".to_string());
-    }
-    match reply_rx.recv() {
-        Ok(Ok(trips)) => Ok(trips),
-        Ok(Err(message)) => Err(message),
-        Err(_) => Err("serving core stopped".to_string()),
-    }
-}
-
-fn to_route(trip: &ServedTrip) -> ServedRoute {
-    ServedRoute { index: trip.index as u64, hops: trip.hops as u32, weight: trip.weight }
-}
-
-fn internal(message: &str) -> WireResponse {
-    WireResponse::Error { opcode: 0, status: Status::Internal, message: message.to_string() }
-}
-
-fn error_response(opcode: u8, err: WireError) -> WireResponse {
-    WireResponse::Error { opcode, status: err.status, message: err.message }
+/// Locks the session, timing the wait.  A lock poisoned by a serving panic
+/// answers `INTERNAL`: the session is lost.
+fn lock<'s, T>(
+    session: &'s Mutex<T>,
+    telemetry: &Telemetry,
+) -> Result<MutexGuard<'s, T>, WireError> {
+    let waiting = Instant::now();
+    let guard = session.lock().map_err(|_| WireError {
+        status: Status::Internal,
+        message: "the session was lost to a panic while serving".to_string(),
+    })?;
+    telemetry.wait_ns.observe(waiting.elapsed());
+    Ok(guard)
 }
 
 enum ReadOutcome {
