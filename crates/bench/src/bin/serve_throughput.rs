@@ -26,20 +26,22 @@
 //! `sampled`/`full` the same pass also enforces the proven stretch ceilings
 //! (`exstretch`, `polystretch` hard-fail on any violating query) and records
 //! the verify columns.  The serve-only wall is *derived* from the verified
-//! run via the recorded flush wall (`elapsed − flush_wall/workers`), so
-//! `RTR_VERIFY_MAX_SLOWDOWN` (e.g. `2.0`) still fails the run when in-flight
-//! verification costs more than that multiple of bare serving — without a
-//! second, unverified pass to compare against.
+//! run via the recorded flush wall (`elapsed − flush_wall/w`, where
+//! `w = min(workers, shards)` counts the workers that own shards and flush),
+//! so `RTR_VERIFY_MAX_SLOWDOWN` (e.g. `2.0`) still fails the run when
+//! in-flight verification costs more than that multiple of bare serving —
+//! without a second, unverified pass to compare against.
 //!
 //! **Sharded plane.**  `RTR_SHARDS` (default 4, min 1) partitions
-//! destinations under `RTR_SHARD_POLICY` (`hash` | `range`); cross-shard requests travel bounded handoff channels and
-//! verification buckets live per shard, so the verify oracle computes at
-//! most `2 · distinct(destinations)` rows no matter how many workers serve —
-//! the run hard-fails under full verification if that bound (plus a
-//! `2 · shards` flush slack) is exceeded.  `RTR_WORKER_SWEEP` (default
-//! `1,2,4,8,16`; `none` disables) re-serves the mix workload fully verified
-//! at each worker count on a fresh verify oracle, recording and gating that
-//! verify rows stay flat as workers grow.
+//! destinations under `RTR_SHARD_POLICY` (`hash` | `range`); each shard is
+//! served by the one worker that owns it, and verification buckets live per
+//! shard, so the verify oracle computes at most `2 · distinct(destinations)`
+//! rows no matter how many workers serve — the run hard-fails under full
+//! verification if that bound (plus a `2 · shards` flush slack) is
+//! exceeded.  `RTR_WORKER_SWEEP` (default `1,2,4,8,16`; `none` disables)
+//! re-serves the mix workload fully verified at each worker count on a fresh
+//! verify oracle, recording and gating that verify rows stay flat as workers
+//! grow.
 //!
 //! The run's headline numbers are also written as a machine-readable serve
 //! artifact (`BENCH_serve.json`, its fields and their gates declared by
@@ -129,15 +131,14 @@ where
     S: RoundtripRouting + Send + Sync,
 {
     println!(
-        "\n{:<14} {:>10} {:>9} {:>14} {:>22} {:>7} {:>7} {:>9}",
+        "\n{:<14} {:>10} {:>9} {:>14} {:>22} {:>7} {:>7}",
         plane.scheme_name(),
         "queries/s",
         "avg-hops",
         "hops p50/95/99",
         "stretch p50/p95/p99",
         "max-str",
-        "viols",
-        "handoffs"
+        "viols"
     );
     let sharded = ShardedPlane::new(plane.clone(), shard_map);
     let (mut worst_sampled_stretch, mut min_queries_per_sec) = (0.0f64, f64::INFINITY);
@@ -164,7 +165,7 @@ where
             worst_verified_stretch = worst_verified_stretch.max(report.max_stretch());
         }
         println!(
-            "  {:<12} {:>10.0} {:>9.2} {:>14} {:>22} {:>7.3} {:>7} {:>9}",
+            "  {:<12} {:>10.0} {:>9.2} {:>14} {:>22} {:>7.3} {:>7}",
             workload.name(),
             out.summary.queries_per_sec(),
             out.summary.avg_hops(),
@@ -177,7 +178,6 @@ where
             ),
             report.max_stretch(),
             report.violations.len(),
-            out.shards.iter().map(|s| s.handoffs).sum::<u64>(),
         );
     }
     // The footprint against the `n²` baseline: the 64-bit distance words a
@@ -263,8 +263,9 @@ fn main() {
 
     // The proven stretch ceilings the verification plane enforces: the §3
     // scheme's (2^k − 1)·β over the tree-cover substrate and the §4 paper
-    // bound.  The sparse §2 scheme rides the landmark substrate, whose
-    // stretch is measured-not-proven (DESIGN.md substitution), so it
+    // bound.  The sparse §2 scheme rides the landmark substrate, which
+    // stands in for the Roditty–Thorup–Zwick scheme of the paper's Lemma 2
+    // and whose stretch is measured, not proven (ROADMAP item 1), so it
     // verifies without a hard ceiling.
     let ex_bound = suite
         .exstretch
@@ -357,15 +358,16 @@ fn main() {
     }
     if record_verify {
         // Derive the serve-only wall from the verified pass: flush_wall sums
-        // over accumulators, so dividing by the worker count bounds the
-        // wall-clock share verification can have added.
-        let serve_only = (serving_wall.as_secs_f64()
-            - flush_wall.as_secs_f64() / workers.max(1) as f64)
-            .max(1e-9);
+        // over the workers that flush, which are the min(workers, shards)
+        // that own shards, so dividing by that count bounds the wall-clock
+        // share verification can have added.
+        let flushers = workers.clamp(1, shards);
+        let serve_only =
+            (serving_wall.as_secs_f64() - flush_wall.as_secs_f64() / flushers as f64).max(1e-9);
         let ratio = serving_wall.as_secs_f64() / serve_only;
         println!(
             "verified serving wall {serving_wall:.1?}, flush wall {flush_wall:.1?} over \
-             {workers} workers ({ratio:.2}× derived slowdown)"
+             {flushers} shard-owning workers ({ratio:.2}× derived slowdown)"
         );
         if let Some(factor) = env_opt::<f64>("RTR_VERIFY_MAX_SLOWDOWN") {
             if ratio > factor {
@@ -393,8 +395,8 @@ fn main() {
         let sweep_config =
             VerifyConfig { mode: VerifyMode::Full, bound: None, ..VerifyConfig::default() };
         println!(
-            "{:>9} {:>12} {:>12} {:>12} {:>9}",
-            "workers", "queries/s", "verify-rows", "row-fetches", "handoffs"
+            "{:>9} {:>12} {:>12} {:>12}",
+            "workers", "queries/s", "verify-rows", "row-fetches"
         );
         for &w in &sweep {
             let sweep_engine = Engine::new(EngineConfig::with_workers(w));
@@ -409,12 +411,11 @@ fn main() {
             );
             let rows = sweep_oracle.stats().rows_computed;
             println!(
-                "{:>9} {:>12.0} {:>12} {:>12} {:>9}",
+                "{:>9} {:>12.0} {:>12} {:>12}",
                 w,
                 out.summary.queries_per_sec(),
                 rows,
-                out.cost.row_fetches,
-                out.shards.iter().map(|s| s.handoffs).sum::<u64>()
+                out.cost.row_fetches
             );
             let row_budget = 2 * mix_distinct + 2 * shards;
             if rows > row_budget {

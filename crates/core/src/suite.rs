@@ -146,9 +146,11 @@ impl Default for SparseSuiteParams {
 /// This is the configuration that reaches `n = 10⁴–10⁵` through a lazy
 /// oracle: nothing in it materialises a table with `n²` entries, and the one
 /// double-tree-cover build (the dominant preprocessing cost at large `n`) is
-/// shared between `exstretch` and `poly`.  The landmark substrate's stretch
-/// stays measured-not-proven (DESIGN.md's substitution); the tree-cover
-/// substrate gives `exstretch` a proven `(2^k − 1)·4(2k_c − 1)` budget.
+/// shared between `exstretch` and `poly`.  The landmark substrate stands in
+/// for Lemma 2's Roditty–Thorup–Zwick scheme and its stretch is measured,
+/// not proven (ROADMAP item 1); the tree-cover substrate stands in for
+/// Lemma 5's spanner and gives `exstretch` a proven `(2^k − 1)·4(2k_c − 1)`
+/// budget.
 #[derive(Debug)]
 pub struct SparseSchemeSuite {
     /// The §2 scheme over the landmark substrate.
@@ -315,9 +317,9 @@ mod tests {
                 if s == t {
                     continue;
                 }
-                // The landmark substrate's stretch is measured, not proven
-                // (DESIGN.md substitution): delivery must be exact, stretch
-                // merely sane.
+                // The landmark substrate stands in for Lemma 2's scheme and
+                // its stretch is measured, not proven: delivery must be
+                // exact, stretch merely sane.
                 let r6 = sim.roundtrip(&suite.stretch6, s, t, names.name_of(t)).unwrap();
                 assert!(r6.total_weight() >= dense.roundtrip(s, t));
                 let rx = sim.roundtrip(&suite.exstretch, s, t, names.name_of(t)).unwrap();

@@ -11,18 +11,13 @@ use rtr_sim::RoundtripRouting;
 /// Engine tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads (default: available parallelism).
+    /// Worker threads (default: available parallelism).  A batch runs on at
+    /// most one worker per shard.
     pub workers: usize,
-    /// Requests handed to a worker per grab.  Batching amortises the single
-    /// shared atomic the scheduler uses; the default of 256 makes that
-    /// counter touched once per ~256 queries.  A batch no larger than one
-    /// chunk is served on the calling thread instead of the pool.
+    /// The largest batch served on the calling thread (default 256): a
+    /// batch no larger than this pays no thread spawn, a larger one runs on
+    /// the pool.
     pub chunk_size: usize,
-    /// Capacity of each worker's handoff queue: a sender finding the
-    /// owner's queue this full serves its own backlog instead of enqueueing
-    /// — the backpressure that bounds cross-shard buffering at
-    /// `handoff_capacity` requests per worker.
-    pub handoff_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -30,7 +25,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
             chunk_size: 256,
-            handoff_capacity: 1024,
         }
     }
 }
@@ -45,12 +39,12 @@ impl EngineConfig {
 /// The concurrent route-serving engine.
 ///
 /// Every entry point serves over a [`ShardedPlane`] through one
-/// shard-owning pool: shard `s` is owned by worker `s % workers`, workers
-/// pull request chunks from one shared counter, serve the requests whose
-/// destination they own, and hand everything else to the owner through
-/// that worker's bounded handoff channel.  All statistics accumulate per
+/// shard-owning pool of `min(workers, shards)` threads: each shard has one
+/// owning worker ([`crate::ShardMap::owner_of`]), and each worker walks the
+/// whole batch and serves exactly the requests whose destination shard it
+/// owns.  No request crosses workers.  All statistics accumulate per
 /// shard and merge after the join — the serving loop itself performs no
-/// synchronised writes beyond the chunk counter and the handoffs.
+/// synchronised writes beyond the abort flag.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     config: EngineConfig,
@@ -70,13 +64,13 @@ impl Engine {
     /// Serves every request over a [`ShardedPlane`] without verification:
     /// [`serve_verified_sharded`](Self::serve_verified_sharded) under
     /// [`VerifyConfig::off`].  The report counts the queries and checks
-    /// none; per-shard query counts (deterministic) and handoff counts
-    /// (schedule-dependent) ride along in [`VerifiedShardedServe::shards`].
+    /// none; per-shard query counts (deterministic) ride along in
+    /// [`VerifiedShardedServe::shards`].
     ///
     /// # Errors
     ///
     /// [`VerifyServeError::Sim`] on the first simulator error any worker
-    /// encounters (the others stop at their next chunk boundary).  Correct
+    /// encounters (the others stop at their next owned request).  Correct
     /// schemes never fail.
     pub fn serve_sharded<S: RoundtripRouting + Send + Sync>(
         &self,
@@ -259,22 +253,9 @@ mod tests {
                         requests.iter().filter(|r| map.shard_of(r.dst) == s.shard).count() as u64;
                     assert_eq!(s.queries, expected, "shard {} workers {workers}", s.shard);
                 }
-                if workers == 1 {
-                    assert!(outcome.shards.iter().all(|s| s.handoffs == 0));
-                }
+                assert!(outcome.shards.iter().all(|s| s.handoffs == 0), "workers {workers}");
             }
         }
-    }
-
-    #[test]
-    fn tiny_handoff_capacity_exercises_backpressure_without_losing_requests() {
-        let plane = ring_plane(10);
-        let requests = Workload::Hotspot.generate(10, 600, 21);
-        let config = EngineConfig { workers: 4, chunk_size: 8, handoff_capacity: 1 };
-        let sharded = ShardedPlane::new(plane, ShardMap::hashed(10, 4, 5));
-        let outcome = Engine::new(config).serve_sharded(&sharded, &requests).unwrap();
-        assert_eq!(outcome.summary.queries, 600);
-        assert_eq!(outcome.shards.iter().map(|s| s.queries).sum::<u64>(), 600);
     }
 
     #[test]
@@ -289,7 +270,7 @@ mod tests {
     fn tiny_chunks_and_excess_workers_still_cover_everything() {
         let sharded = ShardedPlane::new(ring_plane(5), ShardMap::hashed(5, 3, 1));
         let requests = Workload::Bidirectional.generate(5, 37, 1);
-        let config = EngineConfig { workers: 13, chunk_size: 1, ..Default::default() };
+        let config = EngineConfig { workers: 13, chunk_size: 1 };
         let outcome = Engine::new(config).serve_sharded(&sharded, &requests).unwrap();
         assert_eq!(outcome.summary.queries, 37);
     }

@@ -20,16 +20,16 @@
 //!   [`VerifiedStream`] with one per-request body and one post-join merge.
 //!   Workers serve through the allocation-free
 //!   [`rtr_sim::Simulator::roundtrip_brief`] path and accumulate statistics
-//!   per shard; the only shared atomic on the hot path is the chunk counter.
+//!   per shard; the only shared atomic on the hot path is the abort flag.
 //!   A batch no larger than [`EngineConfig::chunk_size`] is served on the
-//!   calling thread, a larger one on the pool.
+//!   calling thread, a larger one on `min(workers, shards)` pool threads.
 //! * [`ShardMap`] / [`ShardedPlane`] — the **sharded plane**: destinations
 //!   partition into worker-owned shards (seeded-hash or contiguous-range
-//!   [`ShardPolicy`]), each worker serves only the shards it owns, and
-//!   cross-shard requests travel through bounded handoff channels with
-//!   backpressure instead of being served wherever they were pulled.
-//!   Per-shard query counts are deterministic; the merged summary is
-//!   identical for any shard × worker count.
+//!   [`ShardPolicy`]), and each worker walks the whole batch and serves
+//!   exactly the requests whose destination shard it owns, so no request
+//!   crosses workers and no worker waits on another.  Per-shard query
+//!   counts are deterministic; the merged summary is identical for any
+//!   shard × worker count.
 //! * [`VerifyMode`] / [`Engine::serve_verified_sharded`] — the
 //!   **verification plane**: off / sampled / full-stream checking of every
 //!   served trip against a [`rtr_metric::DistanceOracle`].  Checked trips
@@ -97,7 +97,7 @@
 //! assert!(verified.report.max_stretch() <= 6.0 + 1e-9); // the §2 scheme's hard bound
 //!
 //! // The same stream over a 3-shard plane: bit-identical report, per-shard
-//! // buckets, cross-shard requests over bounded handoff channels.
+//! // buckets, each shard served by the one worker that owns it.
 //! let sharded = ShardedPlane::new(plane, ShardMap::hashed(g.node_count(), 3, 42));
 //! let outcome = engine.serve_verified_sharded(&sharded, &requests, &m, &config)?;
 //! assert_eq!(outcome.report, verified.report);

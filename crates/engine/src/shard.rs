@@ -5,9 +5,9 @@
 //! destinations independently of their ids) or contiguous ranges (preserves
 //! id locality, the layout memory-pod topologies assume).  A
 //! [`ShardedPlane`] pairs a [`FrozenPlane`] with a map; the engine's pool
-//! assigns shard `s` to worker `s % workers` and routes every request to its
-//! destination's owner through a bounded handoff channel, so each worker
-//! touches only its own shards' serving statistics and verification
+//! assigns each shard one worker ([`ShardMap::owner_of`]), and every worker
+//! serves exactly the requests whose destination shard it owns, so each
+//! worker touches only its own shards' serving statistics and verification
 //! buckets.
 //!
 //! The shard assignment is a pure function of the destination, never of
@@ -118,8 +118,8 @@ impl ShardMap {
     }
 
     /// The worker that owns shard `shard` in a pool of `workers` threads:
-    /// `shard % workers`.  With fewer shards than workers the excess workers
-    /// own nothing and only ingest + hand off.
+    /// `shard % workers`.  The engine never runs more workers than shards,
+    /// so every worker it spawns owns at least one shard.
     pub fn owner_of(&self, shard: usize, workers: usize) -> usize {
         shard % workers.max(1)
     }
@@ -182,10 +182,9 @@ pub struct ShardServeStats {
     /// function of the request stream and the map, identical for any worker
     /// count.
     pub queries: u64,
-    /// Requests that crossed workers (through the handoff channel) to reach
-    /// this shard's owner.  Schedule-**dependent** — which worker pulls a
-    /// chunk decides whether its requests hand off — so it belongs with the
-    /// cost counters, not the report: one worker always measures zero.
+    /// Always 0: every worker serves only the requests whose destination
+    /// shard it owns, so no request crosses workers.  The field stays
+    /// because the ledger benchmark's `probes.rs` reads it.
     pub handoffs: u64,
 }
 

@@ -87,7 +87,8 @@ impl WorkerStats {
 pub struct ServeSummary {
     /// Requests served.
     pub queries: usize,
-    /// Worker threads used.
+    /// The configured worker count ([`crate::EngineConfig::workers`]); a
+    /// batch runs on at most one worker per shard.
     pub workers: usize,
     /// Wall-clock of the serving phase (excludes workload generation).
     pub elapsed: Duration,

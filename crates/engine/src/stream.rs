@@ -18,12 +18,13 @@
 //! [`VerifiedShardedServe`].  A batch no larger than
 //! [`crate::EngineConfig::chunk_size`] runs on the calling thread, which
 //! owns every shard, so a front door serving single requests pays no thread
-//! spawn per request; a larger batch runs on
-//! [`crate::EngineConfig::workers`] scoped threads.  On a warm lazy oracle a
-//! one-request batch costs its route plus two cached row reads: the
-//! per-shard accumulators of shards it did not touch allocate no histogram
-//! buckets, the flush sums the one entry it checks instead of a whole row,
-//! and the verify telemetry writes go to handles resolved once.
+//! spawn per request; a larger batch runs on `min(workers, shards)` scoped
+//! threads, each serving exactly the requests whose destination shard it
+//! owns.  On a warm lazy oracle a one-request batch costs its route plus two
+//! cached row reads: the per-shard accumulators of shards it did not touch
+//! allocate no histogram buckets, the flush sums the one entry it checks
+//! instead of a whole row, and the verify telemetry writes go to handles
+//! resolved once.
 //!
 //! The load-bearing property (asserted by the tests below): however the
 //! stream is split into batches, the final [`crate::VerifiedReport`] is
@@ -46,11 +47,10 @@ use crate::verify::{
     VerifiedReport, VerifyAccumulator, VerifyConfig, VerifyCost, VerifyServeError,
 };
 use crate::workload::Request;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use rtr_graph::Distance;
 use rtr_metric::DistanceOracle;
 use rtr_sim::{RoundtripRouting, SimError, Simulator};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// One served request of a [`VerifiedStream`] batch — the reply a network
@@ -108,14 +108,10 @@ pub(crate) struct Policy {
     pub(crate) replies: bool,
 }
 
-/// A request crossing workers: its global index and the request.
-type Handoff = (usize, Request);
-
 /// One shard's share of a batch: serving stats, verification buckets,
-/// replies, delivery failures, and the handoffs that reached it.
+/// replies and delivery failures.
 struct ShardAcc {
     shard: usize,
-    handoffs: u64,
     stats: WorkerStats,
     verify: VerifyAccumulator,
     served: Vec<ServedTrip>,
@@ -263,14 +259,11 @@ where
         let mut replies = Vec::new();
         let mut verify = Vec::with_capacity(accs.len());
         let mut batch_queries = 0usize;
-        let mut batch_handoffs = 0u64;
         let failed_before = self.failed_pairs.len();
         for acc in accs {
             let slot = &mut self.shards[acc.shard];
             slot.queries += acc.stats.queries as u64;
-            slot.handoffs += acc.handoffs;
             batch_queries += acc.stats.queries;
-            batch_handoffs += acc.handoffs;
             self.merged.merge(acc.stats);
             verify.push(acc.verify);
             replies.extend(acc.served);
@@ -281,9 +274,6 @@ where
             requests.len(),
             "a batch request went unserved"
         );
-        if batch_handoffs > 0 {
-            rtr_telemetry::counter("engine.handoffs").add(batch_handoffs);
-        }
         let (report, cost) = VerifyAccumulator::merge_all(verify, batch_queries);
         self.report.merge(report);
         self.cost.merge(cost);
@@ -325,129 +315,41 @@ where
 
     /// Serves one batch and returns every shard's accumulator, unsorted.
     ///
-    /// A batch no larger than one chunk is served on the calling thread,
-    /// which owns every shard: single requests pay no thread spawn and no
-    /// handoff queue.  A larger batch runs on the shard-owning pool.
-    /// Worker `w` owns shards `{s | s % workers == w}`.  Every worker
-    /// ingests chunks of `chunk_size` requests from a shared counter; a
-    /// request whose destination shard it owns is served inline, everything
-    /// else is `try_send`-handed to the owner's bounded channel (capacity
-    /// [`crate::EngineConfig::handoff_capacity`]).  On a full queue the
-    /// sender drains its *own* channel before retrying — every blocked
-    /// sender makes progress on the work only it can do, so the handoff
-    /// graph cannot deadlock.  After the counter runs dry a worker drops its
-    /// senders, block-drains its channel until every other worker has done
-    /// the same, then flushes all its shards' verification buckets in one
-    /// [`rtr_metric::roundtrip_rows_sharded`] sweep.
+    /// Worker `w` of `workers` owns the shards [`crate::ShardMap::owner_of`]
+    /// assigns it.  It walks the whole batch, serves exactly the requests
+    /// whose destination shard it owns, then flushes all its shards'
+    /// verification buckets in one [`rtr_metric::roundtrip_rows_sharded`]
+    /// sweep.  No request crosses workers, so no worker waits on another.
+    /// A batch no larger than `chunk_size` is served by one worker on the
+    /// calling thread, so single requests pay no thread spawn; a larger one
+    /// runs on `min(workers, shards)` scoped threads.
     ///
-    /// A failing worker trips the abort flag; in-flight handoffs are then
-    /// dropped, every accumulator is discarded, and the first error is
+    /// A failing worker trips the abort flag; the others stop at their next
+    /// owned request, every accumulator is discarded, and the first error is
     /// returned (worker panics propagate with their payload).
     fn run_batch(&self, requests: &[Request], base: usize) -> Result<Vec<ShardAcc>, SimError> {
         let config = self.engine.config();
-        let chunk = config.chunk_size.max(1);
         let map = self.plane.map();
-        if requests.len() <= chunk {
-            let sim = self.plane.plane().simulator();
-            let mut accs = self.shard_accs(0, 1);
-            for (off, req) in requests.iter().enumerate() {
-                self.serve_one(&sim, base + off, req, &mut accs[map.shard_of(req.dst)])?;
-            }
-            self.flush(&mut accs);
-            return Ok(accs);
-        }
-        let workers = config.workers.max(1);
-        let next = AtomicUsize::new(0);
+        let inline = requests.len() <= config.chunk_size.max(1);
+        let workers = if inline { 1 } else { config.workers.clamp(1, map.shard_count()) };
         let failed = AtomicBool::new(false);
-        let work = |w, rx: Receiver<Handoff>, txs: Vec<Sender<Handoff>>| -> Result<_, SimError> {
+        let work = |w: usize| -> Result<Vec<ShardAcc>, SimError> {
             let sim = self.plane.plane().simulator();
-            // Telemetry accumulates in worker-local scalars and publishes
-            // once after the drain — the hot path pays one branch per
-            // iteration when the sink is off, and one channel-lock `len()`
-            // sample per chunk when on.
-            let telemetry_on = rtr_telemetry::enabled();
-            let mut stall_ns: u64 = 0;
-            let mut queue_hw: usize = 0;
             let mut accs = self.shard_accs(w, workers);
-            // Serves one request this worker owns; `accs[s / workers]` is
-            // shard s's slot because owned shards ascend in steps of
-            // `workers` from `w`.
-            let serve = |index: usize, req: &Request, accs: &mut [ShardAcc], handoff: bool| {
-                let slot = &mut accs[map.shard_of(req.dst) / workers];
-                debug_assert_eq!(slot.shard % workers, w, "request routed to a foreign worker");
-                slot.handoffs += u64::from(handoff);
-                self.serve_one(&sim, index, req, slot)
-                    .inspect_err(|_| failed.store(true, Ordering::Relaxed))
-            };
-            'ingest: while !failed.load(Ordering::Relaxed) {
-                // Drain our backlog before grabbing more stream, so handoff
-                // queues turn over even when the stream is long.
-                if telemetry_on {
-                    queue_hw = queue_hw.max(rx.len());
+            for (off, req) in requests.iter().enumerate() {
+                let shard = map.shard_of(req.dst);
+                if map.owner_of(shard, workers) != w {
+                    continue;
                 }
-                while let Ok((i, req)) = rx.try_recv() {
-                    serve(i, &req, &mut accs, true)?;
+                if failed.load(Ordering::Relaxed) {
+                    return Ok(accs);
                 }
-                let lo = next.fetch_add(chunk, Ordering::Relaxed);
-                if lo >= requests.len() {
-                    break;
-                }
-                let hi = (lo + chunk).min(requests.len());
-                for (off, req) in requests[lo..hi].iter().enumerate() {
-                    let index = base + lo + off;
-                    let owner = map.shard_of(req.dst) % workers;
-                    if owner == w {
-                        serve(index, req, &mut accs, false)?;
-                        continue;
-                    }
-                    let mut msg = (index, *req);
-                    let mut stall_started: Option<Instant> = None;
-                    loop {
-                        if failed.load(Ordering::Relaxed) {
-                            break 'ingest;
-                        }
-                        match txs[owner].try_send(msg) {
-                            Ok(()) => {
-                                if let Some(at) = stall_started {
-                                    stall_ns += at.elapsed().as_nanos() as u64;
-                                }
-                                break;
-                            }
-                            Err(TrySendError::Full(m)) => {
-                                msg = m;
-                                if telemetry_on && stall_started.is_none() {
-                                    stall_started = Some(Instant::now());
-                                }
-                                // Backpressure: serve our own backlog while
-                                // the owner's queue is full.
-                                let mut progressed = false;
-                                while let Ok((j, q)) = rx.try_recv() {
-                                    progressed = true;
-                                    serve(j, &q, &mut accs, true)?;
-                                }
-                                if !progressed {
-                                    std::thread::yield_now();
-                                }
-                            }
-                            // The owner returned early — only possible on
-                            // abort.
-                            Err(TrySendError::Disconnected(_)) => break 'ingest,
-                        }
-                    }
-                }
-            }
-            // No more stream input from us: release our senders so owners'
-            // blocking drains can terminate.
-            drop(txs);
-            while !failed.load(Ordering::Relaxed) {
-                match rx.recv() {
-                    Ok((i, req)) => serve(i, &req, &mut accs, true)?,
-                    Err(_) => break,
-                }
-            }
-            if telemetry_on {
-                rtr_telemetry::counter("engine.handoff.stall_ns").add(stall_ns);
-                rtr_telemetry::gauge("engine.shard.queue_depth_hw").set_max(queue_hw as u64);
+                // Owned shards ascend in steps of `workers` from `w`, so
+                // `accs[shard / workers]` is this shard's slot.
+                let slot = &mut accs[shard / workers];
+                debug_assert_eq!(slot.shard, shard, "request routed to a foreign slot");
+                self.serve_one(&sim, base + off, req, slot)
+                    .inspect_err(|_| failed.store(true, Ordering::Relaxed))?;
             }
             // After an abort every accumulator is discarded, so a final
             // flush would pay its oracle rows for nothing.
@@ -456,22 +358,12 @@ where
             }
             Ok(accs)
         };
-        let capacity = config.handoff_capacity.max(1);
-        let (txs, rxs): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| channel::bounded::<Handoff>(capacity)).unzip();
+        if inline {
+            return work(0);
+        }
         let work = &work;
         let result = crossbeam::scope(|scope| {
-            let handles: Vec<_> = rxs
-                .into_iter()
-                .enumerate()
-                .map(|(w, rx)| {
-                    let txs = txs.clone();
-                    scope.spawn(move |_| work(w, rx, txs))
-                })
-                .collect();
-            // The workers hold their own sender clones; release the
-            // originals so sender counts reach zero when the workers finish.
-            drop(txs);
+            let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move |_| work(w))).collect();
             let mut accs = Vec::with_capacity(map.shard_count());
             let mut first_err = None;
             for h in handles {
@@ -492,7 +384,6 @@ where
             .step_by(workers)
             .map(|shard| ShardAcc {
                 shard,
-                handoffs: 0,
                 stats: WorkerStats::new(),
                 verify: VerifyAccumulator::new(&self.config),
                 served: Vec::new(),
@@ -530,8 +421,7 @@ where
     /// Closes the session: folds the merged serving stats into telemetry
     /// (once per session), and returns the same [`VerifiedShardedServe`] one
     /// [`Engine::serve_verified_sharded`] call would have produced for the
-    /// concatenated stream — modulo the schedule-dependent cost and handoff
-    /// counters.
+    /// concatenated stream — modulo the schedule-dependent cost counters.
     ///
     /// # Errors
     ///
@@ -559,10 +449,79 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plane::tests::ring_plane;
+    use crate::plane::tests::{ring_plane, RingScheme};
+    use crate::plane::FrozenPlane;
     use crate::workload::Workload;
     use crate::{EngineConfig, ShardMap, StretchBound};
+    use rtr_dictionary::NodeName;
+    use rtr_graph::generators::directed_ring;
+    use rtr_graph::NodeId;
     use rtr_metric::DistanceMatrix;
+    use std::sync::Arc;
+
+    /// A 16-node ring whose nodes 3 and 4 carry each other's names, so a
+    /// request to node 3 is delivered at node 4.
+    fn swapped_ring_plane() -> FrozenPlane<RingScheme> {
+        let g = Arc::new(directed_ring(16, 1).unwrap());
+        let scheme = RingScheme::new(&g);
+        let mut names: Vec<NodeName> = (0..16).map(NodeName).collect();
+        names.swap(3, 4);
+        FrozenPlane::freeze(g, scheme, Arc::new(names))
+    }
+
+    /// `len` requests on [`swapped_ring_plane`] that never target node 3 or 4.
+    fn clean_stream(len: usize, seed: u64) -> Vec<Request> {
+        let mut requests = Workload::Uniform.generate(16, 2 * len, seed);
+        requests.retain(|r| r.dst.index() != 3 && r.dst.index() != 4);
+        requests.truncate(len);
+        assert_eq!(requests.len(), len, "fixture too short");
+        requests
+    }
+
+    /// `clean` with the request at `at` redirected to node 3.
+    fn with_misdelivery(clean: &[Request], at: usize) -> Vec<Request> {
+        let mut requests = clean.to_vec();
+        requests[at].dst = NodeId(3);
+        requests
+    }
+
+    fn is_wrong_delivery<T>(result: Result<T, VerifyServeError>) -> bool {
+        matches!(result, Err(VerifyServeError::Sim(SimError::WrongDelivery { .. })))
+    }
+
+    #[test]
+    fn a_failing_request_aborts_the_batch_and_leaves_the_session_intact() {
+        let plane = swapped_ring_plane();
+        let m = DistanceMatrix::build(plane.graph());
+        let sharded = ShardedPlane::new(plane, ShardMap::hashed(16, 4, 9));
+        let config = VerifyConfig::full();
+        let clean = clean_stream(600, 31);
+        for workers in [1usize, 2, 4, 8] {
+            let engine =
+                Engine::new(EngineConfig { chunk_size: 16, ..EngineConfig::with_workers(workers) });
+            let failing = with_misdelivery(&clean, 437);
+            let oneshot = engine.serve_verified_sharded(&sharded, &failing, &m, &config);
+            assert!(is_wrong_delivery(oneshot), "{workers} workers: one-shot serve");
+
+            let mut session = engine.open_stream(&sharded, &m, &config);
+            session.serve_batch(&clean[..300]).unwrap();
+            let before = session.report().clone();
+            let bad = with_misdelivery(&clean[300..], 123);
+            assert!(is_wrong_delivery(session.serve_batch(&bad)), "{workers} workers: batch");
+            assert_eq!(session.served(), 300, "{workers} workers");
+            assert_eq!(session.report(), &before, "{workers} workers");
+            let replies = session.serve_batch(&clean[300..]).unwrap();
+            assert_eq!(replies[0].index, 300, "{workers} workers");
+            let streamed = session.finish().unwrap();
+            let reference = engine.serve_verified_sharded(&sharded, &clean, &m, &config).unwrap();
+            assert_eq!(streamed.report, reference.report, "{workers} workers");
+            let queries = |o: &VerifiedShardedServe| -> Vec<u64> {
+                o.shards.iter().map(|s| s.queries).collect()
+            };
+            assert_eq!(queries(&streamed), queries(&reference), "{workers} workers");
+            assert_eq!(streamed.summary.queries, 600, "{workers} workers");
+        }
+    }
 
     #[test]
     fn streaming_matches_one_shot_for_any_split() {

@@ -37,7 +37,7 @@
 //! `verify.*` telemetry handles are resolved once per process.
 //!
 //! Determinism: a [`VerifiedReport`] depends only on the request stream and
-//! the oracle — never on worker count, chunk scheduling, or flush timing.
+//! the oracle — never on worker count, shard layout, or flush timing.
 //! Counts and totals merge commutatively, the worst case is the maximum
 //! under a total order (stretch, then request index), and violations are
 //! sorted by global request index.  The `verify_conformance` test-suite
@@ -388,9 +388,11 @@ pub struct VerifyCost {
     pub peak_pending: usize,
     /// Wall time spent inside flushes, summed over all accumulators — so
     /// with `w` workers flushing concurrently this can exceed the run's
-    /// elapsed time by up to a factor of `w`.  `elapsed − flush_wall/w`
-    /// estimates the serve-only wall time, which is how the benchmark keeps
-    /// its verify-slowdown gate meaningful without serving the stream twice.
+    /// elapsed time by up to a factor of `w`, where `w` is the number of
+    /// workers that own shards (`min(workers, shards)` on the pool).
+    /// `elapsed − flush_wall/w` estimates the serve-only wall time, which is
+    /// how the benchmark keeps its verify-slowdown gate meaningful without
+    /// serving the stream twice.
     pub flush_wall: Duration,
 }
 

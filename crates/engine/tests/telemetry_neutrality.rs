@@ -44,9 +44,8 @@ fn check_plane<S: RoundtripRouting + Send + Sync>(
     label: &str,
 ) {
     let config = VerifyConfig::full().with_bound(bound);
-    // Chunks of 16 spread each case over the pool's workers and handoffs;
-    // the last case's default chunk serves the whole stream on the calling
-    // thread.
+    // Chunks of 16 put each case on the pool's workers; the last case's
+    // default chunk serves the whole stream on the calling thread.
     let default_chunk = EngineConfig::default().chunk_size;
     for (workers, chunk_size) in [(1usize, 16), (2, 16), (8, 16), (2, default_chunk)] {
         let engine =
@@ -54,8 +53,8 @@ fn check_plane<S: RoundtripRouting + Send + Sync>(
         let at = format!("{workers} workers, chunk {chunk_size}");
 
         // Report, per-shard query counts, and summary aggregates are all
-        // telemetry-blind.  (Handoff counts and wall times are
-        // schedule-dependent and excluded by design.)
+        // telemetry-blind.  (Wall times are schedule-dependent and excluded
+        // by design.)
         for shards in [1usize, 2, 4] {
             for map in [
                 ShardMap::hashed(plane.node_count(), shards, 0xA11CE),

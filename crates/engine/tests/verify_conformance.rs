@@ -10,7 +10,7 @@
 //!
 //! The streams here are shorter than the engine's default chunk, which
 //! would serve each one on the calling thread; the engines pin chunks of
-//! [`CHUNK`] so every case crosses the pool's workers and handoffs, and one
+//! [`CHUNK`] so every case runs on the pool's workers, and one
 //! default-chunk case per check keeps the calling thread covered.
 
 use proptest::prelude::*;
@@ -28,10 +28,12 @@ use rtr_metric::{
 use rtr_sim::RoundtripRouting;
 use std::sync::Arc;
 
-/// Requests per chunk: small enough that every stream below spans several.
+/// The calling-thread threshold: small enough that every stream below runs
+/// on the pool.
 const CHUNK: usize = 16;
 
-/// An engine of `workers` threads grabbing [`CHUNK`]-request chunks.
+/// An engine of `workers` threads that serves any stream longer than
+/// [`CHUNK`] on its pool.
 fn pooled(workers: usize) -> Engine {
     Engine::new(EngineConfig { chunk_size: CHUNK, ..EngineConfig::with_workers(workers) })
 }

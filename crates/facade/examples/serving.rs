@@ -29,20 +29,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // metric, enforcing the §2 scheme's proven stretch-6 ceiling.
     let verify = VerifyConfig::sampled(16).with_bound(StretchBound::at_most(6));
 
-    println!("workload        queries/s   avg-hops   p50/p95/p99 hops   p99-stretch   handoffs");
+    println!("workload        queries/s   avg-hops   p50/p95/p99 hops   p99-stretch");
     for workload in Workload::ALL {
         let requests = workload.generate(g.node_count(), 50_000, 42);
         let outcome = engine.serve_verified_sharded(&sharded, &requests, &m, &verify)?;
         let (h50, h95, h99) = outcome.summary.hop_latency();
-        let handoffs: u64 = outcome.shards.iter().map(|s| s.handoffs).sum();
         println!(
-            "{:<14} {:>10.0} {:>10.2} {:>18} {:>13.3} {:>10}",
+            "{:<14} {:>10.0} {:>10.2} {:>18} {:>13.3}",
             workload.name(),
             outcome.summary.queries_per_sec(),
             outcome.summary.avg_hops(),
             format!("{h50}/{h95}/{h99}"),
             outcome.report.histogram.percentile(0.99),
-            handoffs,
         );
         // Strict verification already enforced the bound; spell it out.
         assert!(outcome.report.is_clean());

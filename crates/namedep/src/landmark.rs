@@ -30,8 +30,10 @@
 //! lacks the entry, fall back *permanently* to landmark mode — climb
 //! `InTree(ℓ(v))` to the landmark, then descend `OutTree(ℓ(v))` to `v` using
 //! the compact tree router. Delivery is therefore always guaranteed; the
-//! stretch is a measured quantity (experiment E9) rather than a proven bound,
-//! which is exactly the substitution DESIGN.md documents.
+//! stretch is a measured quantity (experiment E9, the `namedep_substrate`
+//! binary) rather than a proven bound: this substrate stands in for the
+//! Roditty–Thorup–Zwick scheme of the paper's Lemma 2, and ROADMAP item 1
+//! tracks the proof.
 
 use crate::substrate::{LabelBits, NameDependentSubstrate};
 use rand::rngs::StdRng;
@@ -596,8 +598,9 @@ mod tests {
             }
         }
         let avg = sum / count as f64;
-        // Measured guarantee (experiment E9): the average sits near 1–2 and
-        // the worst case stays well below the composed schemes' budgets.
+        // Measured guarantee (experiment E9, the `namedep_substrate`
+        // binary): the average sits near 1–2 and the worst case stays well
+        // below the composed schemes' budgets.
         assert!(avg <= 3.0, "average substrate stretch {avg} too large");
         assert!(worst <= 12.0, "worst substrate stretch {worst} too large");
     }

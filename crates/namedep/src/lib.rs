@@ -14,12 +14,14 @@
 //!   the substrate satisfies Lemma 2's inequality `p(u,v) ≤ r(u,v) + d(u,v)`
 //!   with room to spare. It is **not compact**; its role is to isolate the
 //!   TINN layer so the paper's stretch bounds can be asserted as hard
-//!   inequalities in tests (see DESIGN.md, substitution 1).
+//!   inequalities in tests.
 //! * [`LandmarkBallScheme`] — the compact Õ(√n) substrate in the spirit of
 //!   Cowen–Wagner / RTZ: a random landmark set with full in/out trees per
-//!   landmark, plus per-node roundtrip balls with direct next hops. Delivery
-//!   is always guaranteed; the measured roundtrip stretch is ≈3 (experiment
-//!   E9).
+//!   landmark, plus per-node roundtrip balls with direct next hops. It
+//!   stands in for Lemma 2's Roditty–Thorup–Zwick scheme; delivery is always
+//!   guaranteed, but its roundtrip stretch (≈3) is measured, not proven
+//!   (experiment E9, the `namedep_substrate` binary; ROADMAP item 1 tracks
+//!   the proof).
 //! * [`TreeCoverScheme`] — the hierarchical double-tree-cover substrate built
 //!   on [`rtr_cover::DoubleTreeCover`] (Theorem 13), providing the pairwise
 //!   handshake labels used by `ExStretch` and `PolynomialStretch`, with a

@@ -23,11 +23,10 @@ impl LabelBits for OracleLabel {
 ///
 /// Every node stores, for every destination, the out-port of its first edge on
 /// a shortest path to that destination — Θ(n) entries per node, so this is the
-/// **non-compact reference substrate**. Its purpose (see DESIGN.md,
-/// substitution 1) is to satisfy the inequality Lemma 2 requires,
-/// `p(u,v) ≤ r(u,v) + d(u,v)`, with exact equality `p(u,v) = d(u,v)`, so the
-/// TINN layer's stretch bounds can be verified as hard inequalities
-/// independently of any substrate slack.
+/// **non-compact reference substrate**. Its purpose is to satisfy the
+/// inequality Lemma 2 requires, `p(u,v) ≤ r(u,v) + d(u,v)`, with exact
+/// equality `p(u,v) = d(u,v)`, so the TINN layer's stretch bounds can be
+/// verified as hard inequalities independently of any substrate slack.
 #[derive(Debug)]
 pub struct ExactOracleScheme {
     n: usize,

@@ -10,9 +10,10 @@
 //! out-tree.
 //!
 //! The pairwise roundtrip guarantee is `4(2k_c − 1)` where `k_c` is the
-//! cover's sparseness parameter — the role the `(2k + ε)`-spanner of
-//! Roditty–Thorup–Zwick plays in the paper (Lemma 5); DESIGN.md records the
-//! substitution and experiment E9 reports the measured constants side by side.
+//! cover's sparseness parameter: this substrate stands in for the
+//! `(2k + ε)`-spanner of Roditty–Thorup–Zwick that the paper's Lemma 5 uses,
+//! with that bound proven.  Experiment E9 (the `namedep_substrate` binary)
+//! reports the measured constants side by side.
 
 use crate::substrate::{LabelBits, NameDependentSubstrate};
 use rtr_cover::{DoubleTreeCover, TreeId};

@@ -1,17 +1,13 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Two entry points are provided: the scoped-thread API ([`scope`]),
-//! implemented on top of `std::thread::scope` (stable since Rust 1.63), and
-//! a bounded multi-producer multi-consumer channel ([`channel::bounded`])
-//! implemented over `std::sync::{Mutex, Condvar}`. Semantics mirror the real
-//! crate: all spawned threads are joined before `scope` returns, a panicking
-//! child surfaces as `Err` instead of unwinding through the caller, and a
-//! channel disconnects when every handle on one side is dropped.
+//! One entry point is provided: the scoped-thread API ([`scope`]),
+//! implemented on top of `std::thread::scope` (stable since Rust 1.63).
+//! Semantics mirror the real crate: all spawned threads are joined before
+//! `scope` returns, and a panicking child surfaces as `Err` instead of
+//! unwinding through the caller.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
-
-pub mod channel;
 
 /// A scope handle passed to the closure given to [`scope`].
 #[derive(Debug)]
