@@ -21,6 +21,7 @@ use rtr_graph::{DiGraph, NodeId};
 use rtr_metric::{DistanceOracle, RoundtripOrder};
 use rtr_namedep::NameDependentSubstrate;
 use rtr_sim::{id_bits, ForwardAction, HeaderBits, RoundtripRouting, RoutingError, TableStats};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -108,11 +109,11 @@ struct NodeTable<L> {
     own_name: NodeName,
     /// (2) `name(v) → R2(u, v)` for `v ∈ N_1(u)`.
     near: HashMap<NodeName, HopLabels<L>>,
-    /// (3a)/(3b) prefix dictionary: `(level i, next digit τ)` entries keyed by
-    /// the full target prefix of length `i+1`; the value routes to the nearest
-    /// node holding a block matching that prefix (or, at the last level, to
-    /// the node owning the exact name).
-    prefix_hops: HashMap<Vec<u32>, HopLabels<L>>,
+    /// (3a) prefix dictionary: `(level i, next digit τ)` entries keyed by
+    /// `(len, code)`, the length `i+1` of the target prefix and its integer
+    /// code ([`AddressSpace::prefix_code`]); the value routes to the nearest
+    /// node holding a block matching that prefix.
+    prefix_hops: HashMap<(u32, u32), HopLabels<L>>,
     /// Names in blocks held by this node whose exact owner it knows
     /// (level-`k` entries of (3b)).
     final_hops: HashMap<NodeName, HopLabels<L>>,
@@ -194,75 +195,49 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
         let name_bits = id_bits(n);
         let label_bits = substrate.max_label_bits();
 
-        // Helper: the S'_u block set (own block always included).
-        let owned_blocks = |u: NodeId| {
-            let mut blocks = distribution.set(u).to_vec();
-            let own = space.block_of(names.name_of(u));
-            if !blocks.contains(&own) {
-                blocks.push(own);
-            }
-            blocks
+        // One handshake mints both labels of an entry.
+        let hop = |u: NodeId, v: NodeId| {
+            let (forward, backward) = substrate.pair_labels(u, v);
+            HopLabels { forward, backward }
         };
-
+        let q = space.q();
         let n1 = RoundtripOrder::level_size(n, 1, k);
         let mut tables = Vec::with_capacity(n);
         for u in g.nodes() {
             let own_name = names.name_of(u);
 
             // (2) Handshake labels for the level-1 neighborhood.
-            let mut near = HashMap::new();
-            for &v in order.neighborhood(u, n1) {
-                if v == u {
-                    continue;
-                }
-                near.insert(
-                    names.name_of(v),
-                    HopLabels {
-                        forward: substrate.pair_label(u, v),
-                        backward: substrate.pair_label(v, u),
-                    },
-                );
-            }
+            let near: HashMap<NodeName, HopLabels<S::Label>> = order
+                .neighborhood(u, n1)
+                .iter()
+                .filter(|&&v| v != u)
+                .map(|&v| (names.name_of(v), hop(u, v)))
+                .collect();
 
             // (3a) For every held block, level i < k−1 and digit τ: the nearest
             // node holding a block matching σ^i(B)·τ.
             // (3b) For every held block and digit τ: the node owning the name
             // (block digits)·τ, when that name exists.
-            let mut prefix_hops: HashMap<Vec<u32>, HopLabels<S::Label>> = HashMap::new();
+            // The held blocks are S'_u: S_u plus u's own block.
+            let own_block = space.block_of(own_name);
+            let extra = (!distribution.holds(u, own_block)).then_some(own_block);
+            let mut prefix_hops: HashMap<(u32, u32), HopLabels<S::Label>> = HashMap::new();
             let mut final_hops: HashMap<NodeName, HopLabels<S::Label>> = HashMap::new();
-            for block in owned_blocks(u) {
-                let block_digits = space.block_digits(block);
+            for block in distribution.set(u).iter().copied().chain(extra) {
                 for i in 0..k - 1 {
-                    for tau in 0..space.q() {
-                        let mut prefix = block_digits[..i as usize].to_vec();
-                        prefix.push(tau);
-                        if prefix_hops.contains_key(&prefix) {
-                            continue;
-                        }
-                        if let Some(w) = distribution.holder_for_prefix(order, u, i + 1, &prefix) {
-                            prefix_hops.insert(
-                                prefix,
-                                HopLabels {
-                                    forward: substrate.pair_label(u, w),
-                                    backward: substrate.pair_label(w, u),
-                                },
-                            );
+                    let first = space.block_prefix_code(block, i) * q;
+                    for code in first..first + q {
+                        if let Entry::Vacant(slot) = prefix_hops.entry((i + 1, code)) {
+                            if let Some(w) = distribution.holder_for_prefix(order, u, i + 1, code) {
+                                slot.insert(hop(u, w));
+                            }
                         }
                     }
                 }
-                for tau in 0..space.q() {
-                    let mut digits = block_digits.clone();
-                    digits.push(tau);
-                    if let Some(name) = space.from_digits(&digits) {
-                        let owner = names.node_of(name);
-                        final_hops.insert(
-                            name,
-                            HopLabels {
-                                forward: substrate.pair_label(u, owner),
-                                backward: substrate.pair_label(owner, u),
-                            },
-                        );
-                    }
+                let first = block.0 as u64 * q as u64;
+                for value in first..(first + q as u64).min(n as u64) {
+                    let name = NodeName(value as u32);
+                    final_hops.insert(name, hop(u, names.node_of(name)));
                 }
             }
 
@@ -322,25 +297,14 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
         dest: NodeName,
         matched: u32,
     ) -> Option<(&'a HopLabels<S::Label>, u32)> {
-        let dest_digits = self.space.digits(dest);
         // Try to jump as far as possible: exact owner first (level k), then
         // successively longer prefixes down to `matched + 1`.
         if let Some(hop) = table.final_hops.get(&dest) {
             return Some((hop, self.k));
         }
-        let mut best: Option<(&HopLabels<S::Label>, u32)> = None;
-        let mut len = self.k - 1;
-        loop {
-            if len <= matched {
-                break;
-            }
-            let prefix = dest_digits[..len as usize].to_vec();
-            if let Some(hop) = table.prefix_hops.get(&prefix) {
-                best = Some((hop, len));
-                break;
-            }
-            len -= 1;
-        }
+        let best = (matched + 1..self.k).rev().find_map(|len| {
+            table.prefix_hops.get(&(len, self.space.prefix_code(dest, len))).map(|hop| (hop, len))
+        });
         // Also consider the near table: a neighbor whose name matches a longer
         // prefix than we could find in the dictionary, or the destination
         // itself if it happens to be a level-1 neighbor.
@@ -639,6 +603,119 @@ mod tests {
         for v in g.nodes() {
             let report = sim.roundtrip(&scheme, v, v, names.name_of(v)).unwrap();
             assert_eq!(report.total_weight(), 0);
+        }
+    }
+
+    /// The `len` base-`q` digits of `x`, most significant first.
+    fn digit_string(x: u32, len: u32, q: u32) -> Vec<u32> {
+        let mut out = vec![0; len as usize];
+        let mut rest = x;
+        for slot in out.iter_mut().rev() {
+            *slot = rest % q;
+            rest /= q;
+        }
+        out
+    }
+
+    /// Rebuilds every node's near, prefix and final entries from the §3.3
+    /// definitions — digit strings, a linear holder scan over each
+    /// neighborhood, and two `pair_label` calls per entry — and asserts the
+    /// scheme's tables hold exactly those keys, with labels that agree on
+    /// `key` (the label fields that pick the route).
+    fn assert_tables_match_reference<S, K>(
+        g: &DiGraph,
+        m: &DistanceMatrix,
+        names: &NamingAssignment,
+        scheme: &ExStretch<S>,
+        params: ExStretchParams,
+        key: impl Fn(&S::Label) -> K,
+    ) where
+        S: NameDependentSubstrate,
+        K: PartialEq + fmt::Debug,
+    {
+        let (n, k) = (g.node_count(), params.k);
+        let space = AddressSpace::new(n, k);
+        let q = space.q();
+        let order = RoundtripOrder::build_truncated(m, RoundtripOrder::level_size(n, k - 1, k));
+        let distribution = BlockDistribution::build(space, &order, params.blocks);
+        let substrate = scheme.substrate();
+        let handshake = |u, v| (key(&substrate.pair_label(u, v)), key(&substrate.pair_label(v, u)));
+        let stored = |hop: &HopLabels<S::Label>| (key(&hop.forward), key(&hop.backward));
+        for u in g.nodes() {
+            let table = &scheme.tables[u.index()];
+            let own = space.digits(names.name_of(u));
+
+            let mut near: HashMap<NodeName, (K, K)> = HashMap::new();
+            for &v in order.neighborhood(u, RoundtripOrder::level_size(n, 1, k)) {
+                if v != u {
+                    near.insert(names.name_of(v), handshake(u, v));
+                }
+            }
+
+            let mut held: Vec<Vec<u32>> =
+                distribution.set(u).iter().map(|b| digit_string(b.0, k - 1, q)).collect();
+            if !held.contains(&own[..k as usize - 1].to_vec()) {
+                held.push(own[..k as usize - 1].to_vec());
+            }
+            let mut prefix: HashMap<Vec<u32>, (K, K)> = HashMap::new();
+            let mut exact: HashMap<NodeName, (K, K)> = HashMap::new();
+            for block in &held {
+                for i in 0..k as usize - 1 {
+                    for tau in 0..q {
+                        let mut target = block[..i].to_vec();
+                        target.push(tau);
+                        if prefix.contains_key(&target) {
+                            continue;
+                        }
+                        let level = RoundtripOrder::level_size(n, i as u32 + 1, k);
+                        let holder = order.neighborhood(u, level).iter().copied().find(|&w| {
+                            distribution
+                                .set(w)
+                                .iter()
+                                .any(|b| digit_string(b.0, k - 1, q)[..=i] == target[..])
+                        });
+                        if let Some(w) = holder {
+                            prefix.insert(target, handshake(u, w));
+                        }
+                    }
+                }
+                for tau in 0..q {
+                    let mut digits = block.clone();
+                    digits.push(tau);
+                    if let Some(name) = space.from_digits(&digits) {
+                        exact.insert(name, handshake(u, names.node_of(name)));
+                    }
+                }
+            }
+
+            let got_near: HashMap<_, _> = table.near.iter().map(|(&v, h)| (v, stored(h))).collect();
+            assert_eq!(got_near, near, "near entries of {u}");
+            let got_prefix: HashMap<_, _> = table
+                .prefix_hops
+                .iter()
+                .map(|(&(len, code), h)| (digit_string(code, len, q), stored(h)))
+                .collect();
+            assert_eq!(got_prefix, prefix, "prefix entries of {u}");
+            let got_exact: HashMap<_, _> =
+                table.final_hops.iter().map(|(&v, h)| (v, stored(h))).collect();
+            assert_eq!(got_exact, exact, "final entries of {u}");
+        }
+    }
+
+    #[test]
+    fn tables_match_the_digit_string_reference() {
+        let g = strongly_connected_gnp(48, 0.08, 11).unwrap();
+        let m = DistanceMatrix::build(&g);
+        let names = NamingAssignment::random(48, 3);
+        for k in [2u32, 3, 4] {
+            let params = ExStretchParams::with_k(k);
+            let oracle = ExStretch::build(&g, &m, &names, ExactOracleScheme::build(&g), params);
+            assert_tables_match_reference(&g, &m, &names, &oracle, params, |l| l.target);
+            let cover = TreeCoverScheme::build(&g, &m, 2);
+            let tree_cover = ExStretch::build(&g, &m, &names, cover, params);
+            assert_tables_match_reference(&g, &m, &names, &tree_cover, params, |l| {
+                (l.target, l.tree, l.tree_label.clone())
+            });
         }
     }
 }

@@ -144,7 +144,9 @@ struct TreeCtx<'c> {
     id: TreeId,
     router: &'c TreeRouter,
     tree: &'c rtr_trees::DoubleTree,
-    prefix_groups: Vec<HashMap<Vec<u32>, Vec<NodeId>>>,
+    /// `prefix_groups[j]`: the members whose names share a `(j+1)`-digit
+    /// prefix, keyed by that prefix's integer code.
+    prefix_groups: Vec<HashMap<u32, Vec<NodeId>>>,
 }
 
 /// Pass 2 of the §4 construction as a broadcast row consumer: for one node at
@@ -165,7 +167,8 @@ struct PolyDictionarySweep<'a, 'c> {
 
 impl RowSweepConsumer for PolyDictionarySweep<'_, '_> {
     fn consume(&self, u: NodeId, rows: &SweepRows<'_>) {
-        let own_digits = self.space.digits(self.names.name_of(u));
+        let own_name = self.names.name_of(u);
+        let q = self.space.q();
         let rt_row = rows.roundtrip;
         let mut trees: HashMap<TreeId, TreeRecord> = HashMap::new();
         let mut max_label_bits = 0usize;
@@ -180,10 +183,9 @@ impl RowSweepConsumer for PolyDictionarySweep<'_, '_> {
             let mut prefix: HashMap<(u32, u32), Arc<TreeLabel>> = HashMap::new();
             let mut exact: HashMap<NodeName, Arc<TreeLabel>> = HashMap::new();
             for j in 0..self.k {
-                for tau in 0..self.space.q() {
-                    let mut key = own_digits[..j as usize].to_vec();
-                    key.push(tau);
-                    let Some(group) = ctx.prefix_groups[j as usize].get(&key) else {
+                let first = self.space.prefix_code(own_name, j) * q;
+                for tau in 0..q {
+                    let Some(group) = ctx.prefix_groups[j as usize].get(&(first + tau)) else {
                         continue;
                     };
                     // Nearest member of the group by roundtrip distance.
@@ -270,21 +272,21 @@ impl PolynomialStretch {
         let name_bits = id_bits(n);
 
         // Pass 1 — per-tree prefix groups (pure name-digit bookkeeping, no
-        // oracle): prefix_groups[j] maps a (j+1)-digit prefix to the member
-        // list sharing it, so the nearest matching member per (node, j, τ)
-        // can be found in one scan below.
+        // oracle): prefix_groups[j] maps the code of a (j+1)-digit prefix to
+        // the member list sharing it, so the nearest matching member per
+        // (node, j, τ) can be found in one scan below.
         let mut contexts: Vec<TreeCtx<'_>> = Vec::new();
         let mut max_trees_per_level = 0usize;
         for (li, level) in cover.levels().iter().enumerate() {
             max_trees_per_level = max_trees_per_level.max(level.trees.len());
             for (ti, tree) in level.trees.iter().enumerate() {
                 let id = TreeId { level: li as u16, index: ti as u32 };
-                let mut prefix_groups: Vec<HashMap<Vec<u32>, Vec<NodeId>>> =
+                let mut prefix_groups: Vec<HashMap<u32, Vec<NodeId>>> =
                     vec![HashMap::new(); k as usize];
                 for &v in tree.members() {
-                    let digits = space.digits(names.name_of(v));
-                    for j in 0..k as usize {
-                        prefix_groups[j].entry(digits[..=j].to_vec()).or_default().push(v);
+                    let name = names.name_of(v);
+                    for (j, groups) in prefix_groups.iter_mut().enumerate() {
+                        groups.entry(space.prefix_code(name, j as u32 + 1)).or_default().push(v);
                     }
                 }
                 contexts.push(TreeCtx { id, router: &level.routers[ti], tree, prefix_groups });
@@ -393,8 +395,9 @@ impl PolynomialStretch {
         if matched + 1 == self.k {
             return record.exact.get(&dest).cloned();
         }
-        let dest_digits = self.space.digits(dest);
-        record.prefix.get(&(matched, dest_digits[matched as usize])).cloned()
+        // The destination's digit at position `matched`.
+        let digit = self.space.prefix_code(dest, matched + 1) % self.space.q();
+        record.prefix.get(&(matched, digit)).cloned()
     }
 
     /// The common routine of both legs: step within the current tree toward

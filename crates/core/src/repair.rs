@@ -147,9 +147,9 @@ impl SparseRepairKit {
 
     /// Mints the serving schemes from the retained artifacts: the §2 scheme
     /// over the landmark substrate and the §3 scheme over the tree-cover
-    /// handshake substrate. Scheme assembly reads no oracle rows — `m` is
-    /// consulted only for the strong-connectivity precondition — so minting
-    /// from a repaired kit stays inside the repair row budget.
+    /// handshake substrate. Scheme assembly reads no oracle rows — only the
+    /// two scheme constructors' strong-connectivity assertions read `m` —
+    /// so minting from a repaired kit stays inside the repair row budget.
     pub fn schemes<O: DistanceOracle + ?Sized>(
         &self,
         g: &DiGraph,
@@ -164,7 +164,7 @@ impl SparseRepairKit {
             &self.order6,
             self.params.stretch6,
         );
-        let treecover = TreeCoverScheme::from_cover(g, m, &self.cover);
+        let treecover = TreeCoverScheme::from_cover(g, &self.cover);
         let exstretch = ExStretch::build_with_order(
             g,
             m,

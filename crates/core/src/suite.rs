@@ -234,7 +234,7 @@ impl SparseSchemeSuite {
         let cover = DoubleTreeCover::from_levels(plan.k(), levels);
         let treecover = {
             let _span = rtr_telemetry::span!("build.treecover_substrate");
-            TreeCoverScheme::from_cover(g, m, &cover)
+            TreeCoverScheme::from_cover(g, &cover)
         };
 
         let cover_ref = &cover;

@@ -29,7 +29,7 @@ fn reference_suite<O: DistanceOracle + ?Sized>(
 ) -> SparseSchemeSuite {
     let landmark = LandmarkBallScheme::build(g, m, params.landmarks);
     let cover = DoubleTreeCover::build(g, m, params.poly.cover_k);
-    let treecover = TreeCoverScheme::from_cover(g, m, &cover);
+    let treecover = TreeCoverScheme::from_cover(g, &cover);
     SparseSchemeSuite {
         stretch6: StretchSix::build(g, m, names, landmark, params.stretch6),
         exstretch: ExStretch::build(g, m, names, treecover, params.exstretch),

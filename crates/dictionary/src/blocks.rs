@@ -79,42 +79,34 @@ impl BlockDistribution {
         // still index storage item (2) by block id, so every neighborhood
         // must hold every block: filtering to inhabited prefixes here is what
         // used to leave unlucky small-n/low-density instances without a
-        // holder and panic `StretchSix::build_with_order`.
+        // holder and panic `StretchSix::build_with_order`.  A length-i prefix
+        // is its integer code in `0..q^i`, so one reused flag vector of
+        // `q^{k−1}` entries records which prefixes N_i(v) covers.
         let mut repairs = 0usize;
-        let prefixes_by_level: Vec<Vec<Vec<u32>>> =
-            (0..k).map(|i| space.all_prefixes_of_len(i)).collect();
-        // Pre-compute, per block, its digit string (used in the covered-prefix
-        // scan below).
-        let block_digits: Vec<Vec<u32>> =
-            (0..block_count as u32).map(|b| space.block_digits(BlockId(b))).collect();
-
+        let mut covered = vec![false; block_count];
         for vi in 0..n {
             let v = NodeId::from_index(vi);
             for i in 0..k {
                 let level_size = RoundtripOrder::level_size(n, i, k);
                 let neighborhood = order.neighborhood(v, level_size);
-                // Prefixes of length i covered by blocks held inside N_i(v).
-                let mut covered: HashSet<&[u32]> = HashSet::new();
+                let prefix_count = (space.q() as usize).pow(i);
+                covered[..prefix_count].fill(false);
                 for &w in neighborhood {
-                    for b in &sets[w.index()] {
-                        covered.insert(&block_digits[b.index()][..i as usize]);
+                    for &b in &sets[w.index()] {
+                        covered[space.block_prefix_code(b, i) as usize] = true;
                     }
                 }
-                for tau in &prefixes_by_level[i as usize] {
-                    if covered.contains(tau.as_slice()) {
-                        continue;
-                    }
+                for code in (0..prefix_count).filter(|&code| !covered[code]) {
                     // Unsatisfied: give a block with prefix τ to the
                     // least-loaded node of the neighborhood, choosing the
                     // block deterministically but spread by the node id.
-                    let candidates = space.blocks_with_prefix(tau);
-                    debug_assert!(!candidates.is_empty());
-                    let pick = candidates[vi % candidates.len()];
+                    let candidates = space.blocks_with_prefix_code(i, code as u32);
+                    let pick = candidates.start + (vi % candidates.len()) as u32;
                     let target = *neighborhood
                         .iter()
                         .min_by_key(|w| (sets[w.index()].len(), w.0))
                         .expect("neighborhood is never empty");
-                    sets[target.index()].insert(pick);
+                    sets[target.index()].insert(BlockId(pick));
                     repairs += 1;
                 }
             }
@@ -167,23 +159,30 @@ impl BlockDistribution {
         total as f64 / self.sets.len().max(1) as f64
     }
 
-    /// Finds the closest node (by `Init_v` order) within the level-`i`
-    /// neighborhood of `v` that holds a block whose digit string starts with
-    /// `prefix`. This is the dictionary lookup the schemes embed into their
-    /// tables (storage item (2) of §2.1 and item (3a) of §3.3).
+    /// Finds the closest node (by `Init_v` order) within the level-`len`
+    /// neighborhood of `v` that holds a block whose first `len` digits have
+    /// the integer code `code` (see [`AddressSpace::prefix_code`]). This is
+    /// the dictionary lookup the schemes embed into their tables (storage
+    /// item (2) of §2.1 and item (3a) of §3.3). The matching blocks form one
+    /// range, so each neighbor's sorted block set is tested with one binary
+    /// search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len ≥ k` or `code ≥ q^len`.
     pub fn holder_for_prefix(
         &self,
         order: &RoundtripOrder,
         v: NodeId,
-        i: u32,
-        prefix: &[u32],
+        len: u32,
+        code: u32,
     ) -> Option<NodeId> {
-        let level_size = RoundtripOrder::level_size(self.space.name_count(), i, self.k);
-        order
-            .neighborhood(v, level_size)
-            .iter()
-            .copied()
-            .find(|&w| self.sets[w.index()].iter().any(|&b| self.space.block_has_prefix(b, prefix)))
+        let blocks = self.space.blocks_with_prefix_code(len, code);
+        let level_size = RoundtripOrder::level_size(self.space.name_count(), len, self.k);
+        order.neighborhood(v, level_size).iter().copied().find(|&w| {
+            let set = &self.sets[w.index()];
+            set.get(set.partition_point(|b| b.0 < blocks.start)).is_some_and(|b| b.0 < blocks.end)
+        })
     }
 
     /// Finds the closest node within `N(v)` (level `1`… for Lemma 1 use
@@ -206,11 +205,11 @@ impl BlockDistribution {
         for vi in 0..n {
             let v = NodeId::from_index(vi);
             for i in 0..self.k {
-                // The unfiltered prefix set: coverage must also hold for
+                // Every code in `0..q^i`: coverage must also hold for
                 // blocks with no existing member, because the schemes look
                 // up a holder for every block id of the rounded-up space.
-                for tau in self.space.all_prefixes_of_len(i) {
-                    if self.holder_for_prefix(order, v, i, &tau).is_none() {
+                for code in 0..self.space.q().pow(i) {
+                    if self.holder_for_prefix(order, v, i, code).is_none() {
                         return false;
                     }
                 }
@@ -223,6 +222,7 @@ impl BlockDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digits::tests::base_q_digits;
     use crate::digits::NodeName;
     use rtr_graph::generators::{bidirected_grid, strongly_connected_gnp, Family};
     use rtr_metric::DistanceMatrix;
@@ -259,6 +259,33 @@ mod tests {
         for k in [3u32, 4] {
             let (order, dist) = setup(81, k, 7);
             assert!(dist.verify_coverage(&order), "coverage fails for k={k}");
+        }
+    }
+
+    #[test]
+    fn holder_search_matches_a_linear_digit_string_scan() {
+        for (n, k, seed) in [(64usize, 2u32, 1u64), (81, 3, 7), (81, 4, 7)] {
+            let (order, dist) = setup(n, k, seed);
+            let q = dist.space().q();
+            for vi in 0..n {
+                let v = NodeId::from_index(vi);
+                for len in 0..k {
+                    let neighborhood = order.neighborhood(v, RoundtripOrder::level_size(n, len, k));
+                    for code in 0..q.pow(len) {
+                        let prefix = base_q_digits(code, len, q);
+                        let linear = neighborhood.iter().copied().find(|&w| {
+                            dist.set(w)
+                                .iter()
+                                .any(|b| base_q_digits(b.0, k - 1, q)[..len as usize] == prefix[..])
+                        });
+                        assert_eq!(
+                            dist.holder_for_prefix(&order, v, len, code),
+                            linear,
+                            "n={n} k={k}: holder of prefix {prefix:?} near {v}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Names, base-`n^{1/k}` digit strings, prefixes `σ^i` and blocks `B_α` (§3.1).
 
 use std::fmt;
+use std::ops::Range;
 
 /// A topology-independent node name: an element of `{0, …, n−1}` assigned to a
 /// node by an adversarial permutation (paper §1.1.2).
@@ -152,50 +153,66 @@ impl AddressSpace {
         }
     }
 
-    /// `σ^i(⟨u⟩)`: the length-`i` prefix of `u`'s digit string.
-    pub fn prefix(&self, u: NodeName, i: u32) -> Vec<u32> {
-        assert!(i <= self.k, "prefix longer than the digit string");
-        let mut d = self.digits(u);
-        d.truncate(i as usize);
-        d
+    /// `q^e` as a `u64`.
+    fn power(&self, e: u32) -> u64 {
+        (self.q as u64).pow(e)
+    }
+
+    /// `σ^len(⟨u⟩)` as an integer code: the value of `u`'s first `len`
+    /// digits read in base `q`, which is `⌊u / q^{k−len}⌋`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > k` or `u` is outside the address space.
+    pub fn prefix_code(&self, u: NodeName, len: u32) -> u32 {
+        assert!(len <= self.k, "prefix longer than the digit string");
+        assert!(u.0 < self.n, "name {u} outside address space of size {}", self.n);
+        (u.0 as u64 / self.power(self.k - len)) as u32
     }
 
     /// The length of the longest common prefix of `⟨a⟩` and `⟨b⟩`.
     pub fn common_prefix_len(&self, a: NodeName, b: NodeName) -> u32 {
-        let da = self.digits(a);
-        let db = self.digits(b);
-        da.iter().zip(&db).take_while(|(x, y)| x == y).count() as u32
+        assert!(a.0 < self.n && b.0 < self.n, "name outside address space of size {}", self.n);
+        // Strip trailing digits until the remaining prefixes agree; both
+        // names are below `q^k`, so at most `k` digits are stripped.
+        let (mut x, mut y, mut stripped) = (a.0, b.0, 0);
+        while x != y {
+            x /= self.q;
+            y /= self.q;
+            stripped += 1;
+        }
+        self.k - stripped
     }
 
     /// The block `B_α` containing `u`: `α = σ^{k−1}(⟨u⟩)`.
     pub fn block_of(&self, u: NodeName) -> BlockId {
-        let d = self.digits(u);
-        let mut idx: u64 = 0;
-        for &digit in &d[..(self.k - 1) as usize] {
-            idx = idx * self.q as u64 + digit as u64;
-        }
-        BlockId(idx as u32)
+        BlockId(self.prefix_code(u, self.k - 1))
     }
 
-    /// The digit string `α ∈ Σ^{k−1}` identifying `block`.
-    pub fn block_digits(&self, block: BlockId) -> Vec<u32> {
-        assert!(block.index() < self.block_count(), "block out of range");
-        let mut out = vec![0u32; (self.k - 1) as usize];
-        let mut rest = block.0;
-        for slot in out.iter_mut().rev() {
-            *slot = rest % self.q;
-            rest /= self.q;
-        }
-        out
+    /// `σ^len(B_α)` as an integer code: the value of the block's first `len`
+    /// digits, which is `⌊α / q^{k−1−len}⌋` (requires `len ≤ k−1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len ≥ k` or `block` is outside the space.
+    pub fn block_prefix_code(&self, block: BlockId, len: u32) -> u32 {
+        assert!(len < self.k, "block prefixes have length at most k-1");
+        assert!((block.0 as u64) < self.power(self.k - 1), "block out of range");
+        (block.0 as u64 / self.power(self.k - 1 - len)) as u32
     }
 
-    /// `σ^i(B_α)`: the length-`i` prefix of the block's digit string
-    /// (requires `i ≤ k−1`).
-    pub fn block_prefix(&self, block: BlockId, i: u32) -> Vec<u32> {
-        assert!(i < self.k, "block prefixes have length at most k-1");
-        let mut d = self.block_digits(block);
-        d.truncate(i as usize);
-        d
+    /// The blocks whose first `len` digits have the value `code`. Blocks that
+    /// share a prefix are numbered consecutively, so they form the range
+    /// `code·q^{k−1−len} .. (code+1)·q^{k−1−len}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len ≥ k` or `code ≥ q^len`.
+    pub fn blocks_with_prefix_code(&self, len: u32, code: u32) -> Range<u32> {
+        assert!(len < self.k, "block prefixes have length at most k-1");
+        assert!((code as u64) < self.power(len), "prefix code out of range");
+        let span = self.power(self.k - 1 - len);
+        (code as u64 * span) as u32..((code as u64 + 1) * span) as u32
     }
 
     /// All existing names in `block` (at most `q`; fewer in the last block of
@@ -208,72 +225,28 @@ impl AddressSpace {
             .map(|v| NodeName(v as u32))
             .collect()
     }
-
-    /// Whether the block's digit string starts with `prefix`.
-    pub fn block_has_prefix(&self, block: BlockId, prefix: &[u32]) -> bool {
-        let d = self.block_digits(block);
-        prefix.len() <= d.len() && d[..prefix.len()] == *prefix
-    }
-
-    /// All blocks whose digit string starts with `prefix` (`|prefix| ≤ k−1`).
-    pub fn blocks_with_prefix(&self, prefix: &[u32]) -> Vec<BlockId> {
-        assert!(prefix.len() < self.k as usize);
-        (0..self.block_count() as u32)
-            .map(BlockId)
-            .filter(|&b| self.block_has_prefix(b, prefix))
-            .collect()
-    }
-
-    /// Iterator over all prefixes of length `i` (`Σ^i`), in lexicographic
-    /// order. Only prefixes that contain at least one *existing* name are
-    /// returned, so consumers never chase empty regions of a rounded-up space.
-    pub fn prefixes_of_len(&self, i: u32) -> Vec<Vec<u32>> {
-        assert!(i <= self.k);
-        let mut out = Vec::new();
-        let count = (self.q as u64).pow(i);
-        for code in 0..count {
-            let digits = self.prefix_digits(code, i);
-            // Smallest name with this prefix: pad with zeros.
-            let mut full = digits.clone();
-            full.resize(self.k as usize, 0);
-            if self.from_digits(&full).is_some() {
-                out.push(digits);
-            }
-        }
-        out
-    }
-
-    /// Every prefix of length `i` of the rounded-up space (`Σ^i`, in
-    /// lexicographic order), **including** prefixes whose region contains no
-    /// existing name.  For `i < k` each of these prefixes still addresses at
-    /// least one block id in `0..q^{k−1}`, and the schemes' dictionary tables
-    /// index storage by block id — so coverage passes that must guarantee a
-    /// holder for *every block* (Lemma 1's "a holder in every neighborhood")
-    /// have to walk this unfiltered set, not [`prefixes_of_len`].
-    ///
-    /// [`prefixes_of_len`]: Self::prefixes_of_len
-    pub fn all_prefixes_of_len(&self, i: u32) -> Vec<Vec<u32>> {
-        assert!(i <= self.k);
-        let count = (self.q as u64).pow(i);
-        (0..count).map(|code| self.prefix_digits(code, i)).collect()
-    }
-
-    /// Decodes `code` into its base-`q` digit string of length `i`.
-    fn prefix_digits(&self, code: u64, i: u32) -> Vec<u32> {
-        let mut digits = vec![0u32; i as usize];
-        let mut rest = code;
-        for slot in digits.iter_mut().rev() {
-            *slot = (rest % self.q as u64) as u32;
-            rest /= self.q as u64;
-        }
-        digits
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The value of a digit string read in base `q`.
+    fn base_q_value(digits: &[u32], q: u32) -> u32 {
+        digits.iter().fold(0, |acc, &d| acc * q + d)
+    }
+
+    /// The `len` base-`q` digits of `x`, most significant first.
+    pub(crate) fn base_q_digits(x: u32, len: u32, q: u32) -> Vec<u32> {
+        let mut out = vec![0; len as usize];
+        let mut rest = x;
+        for slot in out.iter_mut().rev() {
+            *slot = rest % q;
+            rest /= q;
+        }
+        out
+    }
 
     #[test]
     fn alphabet_size_is_minimal() {
@@ -328,7 +301,7 @@ mod tests {
         let a = NodeName(14); // digits 1,1,2
         let b = NodeName(13); // digits 1,1,1
         assert_eq!(space.digits(a), vec![1, 1, 2]);
-        assert_eq!(space.prefix(a, 2), vec![1, 1]);
+        assert_eq!(space.prefix_code(a, 2), 4); // digits 1,1
         assert_eq!(space.common_prefix_len(a, b), 2);
         assert_eq!(space.common_prefix_len(a, a), 3);
         assert_eq!(space.common_prefix_len(a, NodeName(0)), 0);
@@ -336,12 +309,16 @@ mod tests {
 
     #[test]
     fn block_prefix_relation_matches_member_prefixes() {
-        // σ^{k−1}(B_α) = σ^{k−1}(⟨u⟩) iff u ∈ B_α (§3.1).
+        // σ^{k−1}(B_α) = σ^{k−1}(⟨u⟩) iff u ∈ B_α (§3.1), and so are all
+        // shorter prefixes.
         let space = AddressSpace::new(64, 3);
         for v in 0..64u32 {
             let name = NodeName(v);
             let block = space.block_of(name);
-            assert_eq!(space.block_digits(block), space.prefix(name, 2));
+            assert_eq!(block.0, space.prefix_code(name, 2));
+            for len in 0..3 {
+                assert_eq!(space.block_prefix_code(block, len), space.prefix_code(name, len));
+            }
             assert!(space.block_members(block).contains(&name));
         }
     }
@@ -350,15 +327,23 @@ mod tests {
     fn blocks_with_prefix_partition() {
         let space = AddressSpace::new(81, 4);
         assert_eq!(space.q(), 3);
-        let all: usize =
-            space.prefixes_of_len(2).iter().map(|p| space.blocks_with_prefix(p).len()).sum();
-        assert_eq!(all, space.block_count());
+        // The nine length-2 ranges tile the blocks in order.
+        let mut next = 0;
+        for code in 0..9 {
+            let range = space.blocks_with_prefix_code(2, code);
+            assert_eq!(range.start, next);
+            next = range.end;
+        }
+        assert_eq!(next as usize, space.block_count());
     }
 
     #[test]
     fn prefixes_of_len_zero_is_the_empty_prefix() {
         let space = AddressSpace::new(9, 2);
-        assert_eq!(space.prefixes_of_len(0), vec![Vec::<u32>::new()]);
+        for v in 0..9 {
+            assert_eq!(space.prefix_code(NodeName(v), 0), 0);
+        }
+        assert_eq!(space.blocks_with_prefix_code(0, 0), 0..space.block_count() as u32);
     }
 
     #[test]
@@ -384,6 +369,38 @@ mod tests {
             prop_assert!(q.pow(k) >= n as u64);
             if q > 1 {
                 prop_assert!((q - 1).pow(k) < n as u64);
+            }
+        }
+
+        #[test]
+        fn integer_codes_match_the_digit_strings(
+            n in 2usize..5000,
+            k in 2u32..6,
+            vw in 0u32..25_000_000,
+        ) {
+            let space = AddressSpace::new(n, k);
+            let q = space.q();
+            let (v, w) = (NodeName(vw % 5000 % n as u32), NodeName(vw / 5000 % n as u32));
+            let (dv, dw) = (space.digits(v), space.digits(w));
+            for len in 0..=k {
+                prop_assert_eq!(space.prefix_code(v, len), base_q_value(&dv[..len as usize], q));
+            }
+            prop_assert_eq!(space.block_of(v).0, space.prefix_code(v, k - 1));
+            let common = dv.iter().zip(&dw).take_while(|(x, y)| x == y).count() as u32;
+            prop_assert_eq!(space.common_prefix_len(v, w), common);
+            for b in (0..space.block_count() as u32).map(BlockId) {
+                let db = base_q_digits(b.0, k - 1, q);
+                for len in 0..k {
+                    let code = space.block_prefix_code(b, len);
+                    prop_assert_eq!(code, base_q_value(&db[..len as usize], q));
+                    // Membership in a code's range is exactly "has that code".
+                    for c in [code, (code + 1) % q.pow(len)] {
+                        prop_assert_eq!(
+                            space.blocks_with_prefix_code(len, c).contains(&b.0),
+                            c == code
+                        );
+                    }
+                }
             }
         }
 

@@ -10,7 +10,8 @@
 //! This crate implements:
 //!
 //! * [`AddressSpace`] — base-`n^{1/k}` digit strings `⟨u⟩`, the prefix
-//!   operators `σ^i`, and the block decomposition `B_α` of §3.1;
+//!   operators `σ^i` as integer codes (`σ^i(⟨u⟩)` is `⌊u / q^{k−i}⌋`), and
+//!   the block decomposition `B_α` of §3.1;
 //! * [`BlockDistribution`] — the randomized block assignment of Lemma 1 /
 //!   Lemma 4 (probabilistic method plus a deterministic repair pass, so the
 //!   coverage property always holds while the per-node block count stays

@@ -27,6 +27,10 @@ pub trait LabelBits {
 ///   pair (`R2(u, v)` handshake style): valid when routing starts at `u`,
 ///   usually shorter/cheaper than the global label. The default forwards to
 ///   the global label.
+///
+/// A scheme dictionary entry stores both directions of one handshake;
+/// [`pair_labels`](Self::pair_labels) mints the two together, so a
+/// substrate whose handshake is symmetric can serve both from one search.
 pub trait NameDependentSubstrate: fmt::Debug {
     /// The label type (also carries any per-leg working state the forwarding
     /// writes while the packet travels; labels live in packet headers, which
@@ -44,6 +48,13 @@ pub trait NameDependentSubstrate: fmt::Debug {
     fn pair_label(&self, from: NodeId, to: NodeId) -> Self::Label {
         let _ = from;
         self.label_for(to)
+    }
+
+    /// Both labels of one handshake: `(pair_label(u, v), pair_label(v, u))`,
+    /// which is the default. A substrate overrides it when one computation
+    /// yields both directions.
+    fn pair_labels(&self, u: NodeId, v: NodeId) -> (Self::Label, Self::Label) {
+        (self.pair_label(u, v), self.pair_label(v, u))
     }
 
     /// The local forwarding decision at node `at` for a packet carrying

@@ -92,16 +92,12 @@ impl TreeCoverScheme {
     /// Panics if `k < 2` or the graph is not strongly connected.
     pub fn build<O: DistanceOracle + ?Sized>(g: &DiGraph, m: &O, k: u32) -> Self {
         let cover = DoubleTreeCover::build(g, m, k);
-        Self::from_cover(g, m, &cover)
+        Self::from_cover(g, &cover)
     }
 
     /// Builds the substrate from an existing hierarchy (lets callers share one
     /// [`DoubleTreeCover`] between the substrate and a §4 scheme).
-    pub fn from_cover<O: DistanceOracle + ?Sized>(
-        g: &DiGraph,
-        m: &O,
-        cover: &DoubleTreeCover,
-    ) -> Self {
+    pub fn from_cover(g: &DiGraph, cover: &DoubleTreeCover) -> Self {
         let n = g.node_count();
         let mut records: Vec<HashMap<TreeId, TreeRecord>> = vec![HashMap::new(); n];
         let mut memberships: Vec<Vec<TreeId>> = vec![Vec::new(); n];
@@ -141,7 +137,6 @@ impl TreeCoverScheme {
         let max_label_bits =
             word + TreeId::bits(cover.level_count(), max_trees_per_level) + max_tree_label_bits;
 
-        let _ = m;
         TreeCoverScheme {
             n,
             k: cover.k(),
@@ -155,9 +150,9 @@ impl TreeCoverScheme {
         }
     }
 
-    /// The cheapest common tree of an ordered pair — the handshake of
-    /// §3.2/Lemma 5, computed **on demand** from the two endpoints' compact
-    /// per-node state instead of a precomputed Θ(n²) side table.
+    /// The cheapest common tree of a pair — the handshake of §3.2/Lemma 5,
+    /// computed **on demand** from the two endpoints' compact per-node state
+    /// instead of a precomputed Θ(n²) side table.
     ///
     /// Scans the smaller of the two membership lists (Õ(k·n^{1/k}·log RTDiam)
     /// entries) in `(level, index)` order, probing the other endpoint's record
@@ -166,6 +161,12 @@ impl TreeCoverScheme {
     /// [`DoubleTreeCover::best_common_tree`] decision for decision, so the
     /// answers are bit-identical to the retired precomputed table (the
     /// substrate's property tests assert this against the cover).
+    ///
+    /// The answer is symmetric in `u` and `v`: a tree's cost is the sum of
+    /// both endpoints' `rt_cost`, and ties and the early stop are decided in
+    /// `(level, index)` order over the same intersection of the two lists,
+    /// whichever list is scanned. One scan therefore serves both directions
+    /// of a handshake ([`NameDependentSubstrate::pair_labels`]).
     fn cheapest_common_tree(&self, u: NodeId, v: NodeId) -> TreeId {
         let (scan, other) =
             if self.memberships[u.index()].len() <= self.memberships[v.index()].len() {
@@ -246,6 +247,18 @@ impl NameDependentSubstrate for TreeCoverScheme {
         }
         let id = self.cheapest_common_tree(from, to);
         self.label_in_tree(id, to).expect("handshake tree contains the destination")
+    }
+
+    fn pair_labels(&self, u: NodeId, v: NodeId) -> (TreeCoverLabel, TreeCoverLabel) {
+        if u == v {
+            let label = self.label_for(v);
+            return (label.clone(), label);
+        }
+        let id = self.cheapest_common_tree(u, v);
+        (
+            self.label_in_tree(id, v).expect("handshake tree contains both endpoints"),
+            self.label_in_tree(id, u).expect("handshake tree contains both endpoints"),
+        )
     }
 
     fn step(&self, at: NodeId, label: &mut TreeCoverLabel) -> Result<ForwardAction, RoutingError> {
@@ -415,9 +428,20 @@ mod tests {
             let g = strongly_connected_gnp(n, 0.1, seed).unwrap();
             let m = DistanceMatrix::build(&g);
             let cover = rtr_cover::DoubleTreeCover::build(&g, &m, k);
-            let s = TreeCoverScheme::from_cover(&g, &m, &cover);
+            let s = TreeCoverScheme::from_cover(&g, &cover);
             for u in g.nodes() {
                 for v in g.nodes() {
+                    // One scan serves both directions of the handshake.
+                    let (forward, backward) = s.pair_labels(u, v);
+                    for (got, want) in
+                        [(forward, s.pair_label(u, v)), (backward, s.pair_label(v, u))]
+                    {
+                        assert_eq!(
+                            (got.target, got.tree, &got.tree_label, got.bits()),
+                            (want.target, want.tree, &want.tree_label, want.bits()),
+                            "pair_labels({u},{v}) differs from two pair_label calls"
+                        );
+                    }
                     if u == v {
                         continue;
                     }
