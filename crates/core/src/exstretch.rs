@@ -17,12 +17,12 @@
 
 use crate::naming::NamingAssignment;
 use rtr_dictionary::{AddressSpace, BlockDistribution, DistributionParams, NodeName};
+use rtr_graph::hash::FxHashMap;
 use rtr_graph::{DiGraph, NodeId};
 use rtr_metric::{DistanceOracle, RoundtripOrder};
 use rtr_namedep::NameDependentSubstrate;
 use rtr_sim::{id_bits, ForwardAction, HeaderBits, RoundtripRouting, RoutingError, TableStats};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Parameters of the exponential-tradeoff scheme.
@@ -108,15 +108,15 @@ impl<L: fmt::Debug> HeaderBits for ExStretchHeader<L> {
 struct NodeTable<L> {
     own_name: NodeName,
     /// (2) `name(v) → R2(u, v)` for `v ∈ N_1(u)`.
-    near: HashMap<NodeName, HopLabels<L>>,
+    near: FxHashMap<NodeName, HopLabels<L>>,
     /// (3a) prefix dictionary: `(level i, next digit τ)` entries keyed by
     /// `(len, code)`, the length `i+1` of the target prefix and its integer
     /// code ([`AddressSpace::prefix_code`]); the value routes to the nearest
     /// node holding a block matching that prefix.
-    prefix_hops: HashMap<(u32, u32), HopLabels<L>>,
+    prefix_hops: FxHashMap<(u32, u32), HopLabels<L>>,
     /// Names in blocks held by this node whose exact owner it knows
     /// (level-`k` entries of (3b)).
-    final_hops: HashMap<NodeName, HopLabels<L>>,
+    final_hops: FxHashMap<NodeName, HopLabels<L>>,
 }
 
 /// The exponential-tradeoff TINN scheme, generic over the handshake substrate.
@@ -207,7 +207,7 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
             let own_name = names.name_of(u);
 
             // (2) Handshake labels for the level-1 neighborhood.
-            let near: HashMap<NodeName, HopLabels<S::Label>> = order
+            let near: FxHashMap<NodeName, HopLabels<S::Label>> = order
                 .neighborhood(u, n1)
                 .iter()
                 .filter(|&&v| v != u)
@@ -221,8 +221,8 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
             // The held blocks are S'_u: S_u plus u's own block.
             let own_block = space.block_of(own_name);
             let extra = (!distribution.holds(u, own_block)).then_some(own_block);
-            let mut prefix_hops: HashMap<(u32, u32), HopLabels<S::Label>> = HashMap::new();
-            let mut final_hops: HashMap<NodeName, HopLabels<S::Label>> = HashMap::new();
+            let mut prefix_hops: FxHashMap<(u32, u32), HopLabels<S::Label>> = FxHashMap::default();
+            let mut final_hops: FxHashMap<NodeName, HopLabels<S::Label>> = FxHashMap::default();
             for block in distribution.set(u).iter().copied().chain(extra) {
                 for i in 0..k - 1 {
                     let first = space.block_prefix_code(block, i) * q;
@@ -297,21 +297,16 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
         dest: NodeName,
         matched: u32,
     ) -> Option<(&'a HopLabels<S::Label>, u32)> {
-        // Try to jump as far as possible: exact owner first (level k), then
-        // successively longer prefixes down to `matched + 1`.
-        if let Some(hop) = table.final_hops.get(&dest) {
+        // Jump as far as possible: straight to the destination when this node
+        // knows its owner (a held block's level-`k` entry, or a level-1
+        // neighbour), else to the longest matching prefix from `k − 1` down to
+        // `matched + 1`.
+        if let Some(hop) = table.final_hops.get(&dest).or_else(|| table.near.get(&dest)) {
             return Some((hop, self.k));
         }
-        let best = (matched + 1..self.k).rev().find_map(|len| {
+        (matched + 1..self.k).rev().find_map(|len| {
             table.prefix_hops.get(&(len, self.space.prefix_code(dest, len))).map(|hop| (hop, len))
-        });
-        // Also consider the near table: a neighbor whose name matches a longer
-        // prefix than we could find in the dictionary, or the destination
-        // itself if it happens to be a level-1 neighbor.
-        if let Some(hop) = table.near.get(&dest) {
-            return Some((hop, self.k));
-        }
-        best
+        })
     }
 }
 
@@ -443,6 +438,7 @@ mod tests {
     use rtr_metric::DistanceMatrix;
     use rtr_namedep::{ExactOracleScheme, TreeCoverScheme};
     use rtr_sim::Simulator;
+    use std::collections::HashMap;
 
     fn check_all_pairs<S: NameDependentSubstrate>(
         g: &DiGraph,
@@ -702,11 +698,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tables_match_the_digit_string_reference() {
+    /// The graph, metric and naming of the reference-table tests.
+    fn reference_fixture() -> (DiGraph, DistanceMatrix, NamingAssignment) {
         let g = strongly_connected_gnp(48, 0.08, 11).unwrap();
         let m = DistanceMatrix::build(&g);
-        let names = NamingAssignment::random(48, 3);
+        (g, m, NamingAssignment::random(48, 3))
+    }
+
+    #[test]
+    fn tables_match_the_digit_string_reference() {
+        let (g, m, names) = reference_fixture();
         for k in [2u32, 3, 4] {
             let params = ExStretchParams::with_k(k);
             let oracle = ExStretch::build(&g, &m, &names, ExactOracleScheme::build(&g), params);
@@ -717,5 +718,71 @@ mod tests {
                 (l.target, l.tree, l.tree_label.clone())
             });
         }
+    }
+
+    /// `next_hop_entry` as it was before it probed `near` ahead of the
+    /// prefix scan: exact owner, then the whole scan, then `near`.
+    fn scan_before_near<'a, S: NameDependentSubstrate>(
+        scheme: &ExStretch<S>,
+        table: &'a NodeTable<S::Label>,
+        dest: NodeName,
+        matched: u32,
+    ) -> Option<(&'a HopLabels<S::Label>, u32)> {
+        if let Some(hop) = table.final_hops.get(&dest) {
+            return Some((hop, scheme.k));
+        }
+        let best = (matched + 1..scheme.k).rev().find_map(|len| {
+            table.prefix_hops.get(&(len, scheme.space.prefix_code(dest, len))).map(|hop| (hop, len))
+        });
+        if let Some(hop) = table.near.get(&dest) {
+            return Some((hop, scheme.k));
+        }
+        best
+    }
+
+    /// Asserts that every node, destination and matched length gets the same
+    /// entry and the same new matched length from both lookup orders, and
+    /// returns how many lookups `near` answered ahead of the scan.
+    fn assert_lookup_orders_agree<S: NameDependentSubstrate>(scheme: &ExStretch<S>) -> usize {
+        let mut near_first = 0;
+        for (u, table) in scheme.tables.iter().enumerate() {
+            for dest in (0..scheme.n as u32).map(NodeName) {
+                for matched in 0..scheme.k {
+                    let got = scheme.next_hop_entry(table, dest, matched);
+                    let want = scan_before_near(scheme, table, dest, matched);
+                    let same = match (got, want) {
+                        (Some((a, la)), Some((b, lb))) => std::ptr::eq(a, b) && la == lb,
+                        (None, None) => true,
+                        _ => false,
+                    };
+                    assert!(
+                        same,
+                        "k={}: node {u}, destination {dest:?}, matched {matched}",
+                        scheme.k
+                    );
+                    if !table.final_hops.contains_key(&dest) && table.near.contains_key(&dest) {
+                        near_first += 1;
+                    }
+                }
+            }
+        }
+        near_first
+    }
+
+    #[test]
+    fn near_before_the_prefix_scan_picks_the_same_entries() {
+        let (g, m, names) = reference_fixture();
+        let mut near_first = 0;
+        for k in [2u32, 3, 4] {
+            let params = ExStretchParams::with_k(k);
+            let oracle = ExStretch::build(&g, &m, &names, ExactOracleScheme::build(&g), params);
+            near_first += assert_lookup_orders_agree(&oracle);
+            let cover = TreeCoverScheme::build(&g, &m, 2);
+            let tree_cover = ExStretch::build(&g, &m, &names, cover, params);
+            near_first += assert_lookup_orders_agree(&tree_cover);
+        }
+        // At k = 2 every node of this fixture holds every block, so only the
+        // deeper k reach the near table.
+        assert!(near_first > 0, "no lookup reached the near table");
     }
 }

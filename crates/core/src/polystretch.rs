@@ -22,11 +22,11 @@
 use crate::naming::NamingAssignment;
 use rtr_cover::{DoubleTreeCover, TreeId};
 use rtr_dictionary::{AddressSpace, NodeName};
+use rtr_graph::hash::FxHashMap;
 use rtr_graph::{DiGraph, NodeId, Port};
 use rtr_metric::{broadcast_rows, DistanceOracle, RowSweepConsumer, SweepRows, SweepSlots};
 use rtr_sim::{id_bits, ForwardAction, HeaderBits, RoundtripRouting, RoutingError, TableStats};
 use rtr_trees::{TreeLabel, TreeNodeTable, TreeRouter, TreeStep};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Parameters of the polynomial-tradeoff scheme.
@@ -122,10 +122,10 @@ struct TreeRecord {
     /// addresses are interned behind `Arc`: a popular member's label is
     /// referenced from many `(node, j, τ)` entries across the tree but
     /// stored once.
-    prefix: HashMap<(u32, u32), Arc<TreeLabel>>,
+    prefix: FxHashMap<(u32, u32), Arc<TreeLabel>>,
     /// Exact-name entries for the last digit (the `j = k−1` row of the same
     /// table): destination name → its tree address.
-    exact: HashMap<NodeName, Arc<TreeLabel>>,
+    exact: FxHashMap<NodeName, Arc<TreeLabel>>,
 }
 
 /// Per-node table.
@@ -135,7 +135,7 @@ struct NodeTable {
     /// Home tree per level (§4.1, item 1).
     home: Vec<TreeId>,
     /// Records of every tree this node belongs to (§4.1, item 2).
-    trees: HashMap<TreeId, TreeRecord>,
+    trees: FxHashMap<TreeId, TreeRecord>,
 }
 
 /// Pass-1 context of one double tree: its router plus the per-level prefix
@@ -146,7 +146,7 @@ struct TreeCtx<'c> {
     tree: &'c rtr_trees::DoubleTree,
     /// `prefix_groups[j]`: the members whose names share a `(j+1)`-digit
     /// prefix, keyed by that prefix's integer code.
-    prefix_groups: Vec<HashMap<u32, Vec<NodeId>>>,
+    prefix_groups: Vec<FxHashMap<u32, Vec<NodeId>>>,
 }
 
 /// Pass 2 of the §4 construction as a broadcast row consumer: for one node at
@@ -162,7 +162,7 @@ struct PolyDictionarySweep<'a, 'c> {
     k: u32,
     n: usize,
     /// Per node: (tree records, largest own-address bit count).
-    slots: SweepSlots<(HashMap<TreeId, TreeRecord>, usize)>,
+    slots: SweepSlots<(FxHashMap<TreeId, TreeRecord>, usize)>,
 }
 
 impl RowSweepConsumer for PolyDictionarySweep<'_, '_> {
@@ -170,7 +170,7 @@ impl RowSweepConsumer for PolyDictionarySweep<'_, '_> {
         let own_name = self.names.name_of(u);
         let q = self.space.q();
         let rt_row = rows.roundtrip;
-        let mut trees: HashMap<TreeId, TreeRecord> = HashMap::new();
+        let mut trees: FxHashMap<TreeId, TreeRecord> = FxHashMap::default();
         let mut max_label_bits = 0usize;
         for &ci in &self.tree_memberships[u.index()] {
             let ctx = &self.contexts[ci];
@@ -180,8 +180,8 @@ impl RowSweepConsumer for PolyDictionarySweep<'_, '_> {
             max_label_bits = max_label_bits.max(own_label.bits(self.n));
             let up_port = ctx.tree.in_tree().next_port(u);
 
-            let mut prefix: HashMap<(u32, u32), Arc<TreeLabel>> = HashMap::new();
-            let mut exact: HashMap<NodeName, Arc<TreeLabel>> = HashMap::new();
+            let mut prefix: FxHashMap<(u32, u32), Arc<TreeLabel>> = FxHashMap::default();
+            let mut exact: FxHashMap<NodeName, Arc<TreeLabel>> = FxHashMap::default();
             for j in 0..self.k {
                 let first = self.space.prefix_code(own_name, j) * q;
                 for tau in 0..q {
@@ -281,8 +281,8 @@ impl PolynomialStretch {
             max_trees_per_level = max_trees_per_level.max(level.trees.len());
             for (ti, tree) in level.trees.iter().enumerate() {
                 let id = TreeId { level: li as u16, index: ti as u32 };
-                let mut prefix_groups: Vec<HashMap<u32, Vec<NodeId>>> =
-                    vec![HashMap::new(); k as usize];
+                let mut prefix_groups: Vec<FxHashMap<u32, Vec<NodeId>>> =
+                    vec![FxHashMap::default(); k as usize];
                 for &v in tree.members() {
                     let name = names.name_of(v);
                     for (j, groups) in prefix_groups.iter_mut().enumerate() {
@@ -490,10 +490,10 @@ impl RoundtripRouting for PolynomialStretch {
                     let tree = header.tree.ok_or_else(|| {
                         RoutingError::new(at, "enroute packet carries no tree id")
                     })?;
-                    let label = header.next_label.clone().ok_or_else(|| {
+                    let label = header.next_label.as_deref().ok_or_else(|| {
                         RoutingError::new(at, "enroute packet carries no waypoint")
                     })?;
-                    match self.tree_step(at, tree, &label)? {
+                    match self.tree_step(at, tree, label)? {
                         ForwardAction::Forward(port) => return Ok(ForwardAction::Forward(port)),
                         ForwardAction::Deliver => {
                             // Arrived at the current waypoint.

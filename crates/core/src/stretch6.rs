@@ -20,11 +20,11 @@
 
 use crate::naming::NamingAssignment;
 use rtr_dictionary::{AddressSpace, BlockDistribution, DistributionParams, NodeName};
+use rtr_graph::hash::FxHashMap;
 use rtr_graph::{DiGraph, NodeId};
 use rtr_metric::{DistanceOracle, RoundtripOrder};
 use rtr_namedep::{LabelBits, NameDependentSubstrate};
 use rtr_sim::{id_bits, ForwardAction, HeaderBits, RoundtripRouting, RoutingError, TableStats};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Parameters of the stretch-6 scheme.
@@ -94,11 +94,11 @@ struct NodeTable<L> {
     own_name: NodeName,
     own_label: L,
     /// (1) `name(v) → R3(v)` for `v ∈ N(u)`.
-    near: HashMap<NodeName, L>,
+    near: FxHashMap<NodeName, L>,
     /// (2) block index → `R3` label of a holder in `N(u)`.
     block_holder: Vec<L>,
     /// (3) dictionary entries of the blocks this node holds.
-    dictionary: HashMap<NodeName, L>,
+    dictionary: FxHashMap<NodeName, L>,
 }
 
 /// The stretch-6 TINN compact roundtrip routing scheme, generic over the
@@ -190,7 +190,7 @@ impl<S: NameDependentSubstrate> StretchSix<S> {
             let own_label = substrate.label_for(u);
 
             // (1) Near entries.
-            let mut near = HashMap::new();
+            let mut near = FxHashMap::default();
             for &v in order.neighborhood(u, neighborhood_size) {
                 near.insert(names.name_of(v), substrate.label_for(v));
             }
@@ -211,7 +211,7 @@ impl<S: NameDependentSubstrate> StretchSix<S> {
                 owned.push(own_block);
             }
             blocks_per_node_max = blocks_per_node_max.max(owned.len());
-            let mut dictionary = HashMap::new();
+            let mut dictionary = FxHashMap::default();
             for block in owned {
                 for name in space.block_members(block) {
                     dictionary.insert(name, substrate.label_for(names.node_of(name)));

@@ -2,6 +2,7 @@
 //! roundtrip metric (Theorem 10).
 
 use crate::nodeset::NodeSet;
+use rtr_graph::hash::FxHashSet;
 use rtr_graph::{Distance, NodeId};
 use rtr_metric::DistanceOracle;
 
@@ -262,7 +263,7 @@ pub fn cover_from_balls(balls: Vec<NodeSet>, k: u32, d: Distance) -> BallCover {
             }
         }
 
-        let covered: std::collections::HashSet<usize> = out.covered.iter().copied().collect();
+        let covered: FxHashSet<usize> = out.covered.iter().copied().collect();
         let mut next_owners = Vec::with_capacity(alive_owners.len() - covered.len());
         let mut next_balls = Vec::with_capacity(alive_owners.len() - covered.len());
         for (i, (owner, ball)) in alive_owners.into_iter().zip(alive_balls).enumerate() {

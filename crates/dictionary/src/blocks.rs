@@ -15,9 +15,9 @@
 use crate::digits::{AddressSpace, BlockId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rtr_graph::hash::FxHashSet;
 use rtr_graph::NodeId;
 use rtr_metric::RoundtripOrder;
-use std::collections::HashSet;
 
 /// Tunables of the randomized distribution.
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +64,7 @@ impl BlockDistribution {
         let p = (params.density * (n.max(2) as f64).ln() / block_count as f64).min(1.0);
 
         // Random phase.
-        let mut sets: Vec<HashSet<BlockId>> = vec![HashSet::new(); n];
+        let mut sets: Vec<FxHashSet<BlockId>> = vec![FxHashSet::default(); n];
         for set in sets.iter_mut() {
             for b in 0..block_count as u32 {
                 if rng.gen_bool(p) {

@@ -44,6 +44,7 @@ pub struct NameRegistry {
     /// `buckets[slot]`: the original names mapped to this slot (sorted).
     buckets: Vec<Vec<u64>>,
     /// Original name → slot.
+    /// Std SipHash, not `rtr_graph::hash`: the keys are the adversary's names.
     slot_of: HashMap<u64, u32>,
 }
 

@@ -486,6 +486,7 @@ struct PendingTrip {
 pub(crate) struct VerifyAccumulator {
     bound: Option<StretchBound>,
     flush_pending: usize,
+    /// Std SipHash, not `rtr_graph::hash`: the keys are request destinations.
     buckets: HashMap<u32, Vec<PendingTrip>>,
     pending: usize,
     report: VerifiedReport,

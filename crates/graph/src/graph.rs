@@ -228,6 +228,7 @@ impl fmt::Display for DiGraph {
 pub struct DiGraphBuilder {
     n: usize,
     edges: Vec<(NodeId, NodeId, Weight)>,
+    /// Std SipHash, not [`crate::hash`]: the edges may come from a graph file.
     seen: HashSet<(u32, u32)>,
     ports: PortAssignment,
 }
@@ -341,6 +342,7 @@ impl DiGraphBuilder {
                     // being reproducible.
                     let deg = edges.len().max(1) as u64;
                     let space = 4 * deg.max(4);
+                    // Std SipHash, not `crate::hash`: the edges may come from a graph file.
                     let mut used: HashSet<u32> = HashSet::with_capacity(edges.len());
                     for (i, e) in edges.iter_mut().enumerate() {
                         let mut h = seed

@@ -20,6 +20,8 @@
 //!   the §5 lower bound).
 //! * [`io`] — DOT export and JSON (de)serialization.
 //! * [`json`] — the workspace's one JSON value, parser and writer.
+//! * [`hash`] — the one deterministic hasher for tables keyed by the
+//!   program's own ids ([`hash::FxHashMap`], [`hash::FxHashSet`]).
 //!
 //! Weights are unsigned integers (`u64`). The paper assumes positive real
 //! weights; integer weights keep every distance computation exact, which lets
@@ -55,6 +57,7 @@ pub mod chaos;
 mod error;
 pub mod generators;
 mod graph;
+pub mod hash;
 pub mod io;
 pub mod json;
 pub mod par;

@@ -6,16 +6,16 @@
 //! cluster). [`ClusterMetric`] materializes exactly that.
 
 use rtr_graph::algo::dijkstra::{dijkstra_filtered, dijkstra_reverse_filtered};
+use rtr_graph::hash::FxHashMap;
 use rtr_graph::types::saturating_dist_add;
 use rtr_graph::{DiGraph, Distance, NodeId, INFINITY};
-use std::collections::HashMap;
 
 /// Dense distances between the members of one cluster, computed on the
 /// subgraph induced by the cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterMetric {
     members: Vec<NodeId>,
-    index_of: HashMap<NodeId, usize>,
+    index_of: FxHashMap<NodeId, usize>,
     /// `dist[i * k + j] = d_C(members[i], members[j])` within the cluster.
     dist: Vec<Distance>,
 }
@@ -27,7 +27,7 @@ impl ClusterMetric {
         let mut members: Vec<NodeId> = members.to_vec();
         members.sort_unstable();
         members.dedup();
-        let index_of: HashMap<NodeId, usize> =
+        let index_of: FxHashMap<NodeId, usize> =
             members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         let k = members.len();
         let mut dist = vec![INFINITY; k * k];

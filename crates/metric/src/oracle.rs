@@ -414,6 +414,7 @@ enum RowKey {
 struct RowCache {
     /// Resident rows; the `u64` is a monotonically increasing use stamp
     /// driving LRU eviction.
+    /// Std SipHash, not `rtr_graph::hash`: serving inserts request endpoints.
     rows: HashMap<RowKey, (Arc<Vec<Distance>>, u64)>,
     clock: u64,
     /// Maximum resident rows; `usize::MAX` disables eviction.

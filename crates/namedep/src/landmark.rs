@@ -40,6 +40,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rtr_graph::algo::dijkstra::dijkstra_to_targets;
+use rtr_graph::hash::FxHashMap;
 use rtr_graph::{DiGraph, Distance, NodeId, Port};
 use rtr_metric::{
     broadcast_rows, DistanceOracle, RowInvalidation, RowSweepConsumer, SweepRows, SweepSlots,
@@ -47,7 +48,6 @@ use rtr_metric::{
 use rtr_sim::{id_bits, ForwardAction, RoutingError, TableStats};
 use rtr_trees::{InTree, OutTree, TreeLabel, TreeNodeTable, TreeRouter, TreeStep};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tunables of the landmark + ball construction.
@@ -124,9 +124,9 @@ pub struct LandmarkBallScheme {
     /// `descent[v][l]`: `v`'s `O(1)`-word record in `OutTree(l)`, stored only
     /// when `v` lies on the out-tree path from `l` to one of `l`'s assigned
     /// destinations — the only nodes a descent can visit.
-    descent: Vec<HashMap<u32, TreeNodeTable>>,
+    descent: Vec<FxHashMap<u32, TreeNodeTable>>,
     /// `balls[v]`: destination → next port on an exact shortest path.
-    balls: Vec<HashMap<NodeId, Port>>,
+    balls: Vec<FxHashMap<NodeId, Port>>,
     /// `nearest_landmark[v]`: index into `landmarks` of `ℓ(v)`.
     nearest_landmark: Vec<u32>,
     /// `own_label[v]`: `v`'s interned address in `OutTree(ℓ(v))` — the only
@@ -154,7 +154,7 @@ pub struct LandmarkSweep<'g> {
     sampled: Vec<NodeId>,
     ball_cap: usize,
     /// Per node: (index of nearest sampled landmark, ball member → port).
-    slots: SweepSlots<(u32, HashMap<NodeId, Port>)>,
+    slots: SweepSlots<(u32, FxHashMap<NodeId, Port>)>,
 }
 
 impl RowSweepConsumer for LandmarkSweep<'_> {
@@ -174,7 +174,7 @@ fn node_ball(
     ball_cap: usize,
     u: NodeId,
     rt_row: &[Distance],
-) -> (u32, HashMap<NodeId, Port>) {
+) -> (u32, FxHashMap<NodeId, Port>) {
     let (li, _) = sampled
         .iter()
         .enumerate()
@@ -188,7 +188,7 @@ fn node_ball(
         g.nodes().filter(|&w| w != u && rt_row[w.index()] < r_to_landmarks).collect();
     members.sort_by_key(|&w| (rt_row[w.index()], w.0));
     members.truncate(ball_cap);
-    let mut ball: HashMap<NodeId, Port> = HashMap::new();
+    let mut ball: FxHashMap<NodeId, Port> = FxHashMap::default();
     if !members.is_empty() {
         // Bounded Dijkstra: stop as soon as every ball member is
         // settled instead of running to completion — the members
@@ -226,7 +226,7 @@ impl<'g> LandmarkSweep<'g> {
             nearest_sampled.push(li);
             balls.push(ball);
         }
-        let max_ball_size = balls.iter().map(HashMap::len).max().unwrap_or(0);
+        let max_ball_size = balls.iter().map(FxHashMap::len).max().unwrap_or(0);
         LandmarkBallScheme::assemble(g, sampled, nearest_sampled, balls, max_ball_size)
     }
 }
@@ -280,7 +280,7 @@ impl LandmarkBallScheme {
         g: &DiGraph,
         sampled: Vec<NodeId>,
         nearest_sampled: Vec<u32>,
-        balls: Vec<HashMap<NodeId, Port>>,
+        balls: Vec<FxHashMap<NodeId, Port>>,
         max_ball_size: usize,
     ) -> Self {
         let n = g.node_count();
@@ -310,7 +310,7 @@ impl LandmarkBallScheme {
         // `|L|·n` survives construction.
         let mut up_ports: Vec<Vec<Option<Port>>> =
             (0..n).map(|_| Vec::with_capacity(landmarks.len())).collect();
-        let mut descent: Vec<HashMap<u32, TreeNodeTable>> = vec![HashMap::new(); n];
+        let mut descent: Vec<FxHashMap<u32, TreeNodeTable>> = vec![FxHashMap::default(); n];
         let mut own_label: Vec<Option<Arc<TreeLabel>>> = vec![None; n];
         for (li, &l) in landmarks.iter().enumerate() {
             let out_tree = OutTree::shortest_paths(g, l);
@@ -444,7 +444,7 @@ impl LandmarkBallScheme {
                 balls.push(self.balls[u.index()].clone());
             }
         }
-        let max_ball_size = balls.iter().map(HashMap::len).max().unwrap_or(0);
+        let max_ball_size = balls.iter().map(FxHashMap::len).max().unwrap_or(0);
         (Self::assemble(g, sampled, nearest_sampled, balls, max_ball_size), repaired)
     }
 }

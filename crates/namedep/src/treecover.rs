@@ -17,12 +17,12 @@
 
 use crate::substrate::{LabelBits, NameDependentSubstrate};
 use rtr_cover::{DoubleTreeCover, TreeId};
+use rtr_graph::hash::FxHashMap;
 use rtr_graph::types::saturating_dist_add;
 use rtr_graph::{DiGraph, Distance, NodeId, Port};
 use rtr_metric::DistanceOracle;
 use rtr_sim::{id_bits, ForwardAction, RoutingError, TableStats};
 use rtr_trees::{TreeLabel, TreeNodeTable, TreeRouter, TreeStep};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-node record for one double tree the node belongs to.
@@ -71,12 +71,13 @@ pub struct TreeCoverScheme {
     level_count: usize,
     max_trees_per_level: usize,
     /// `records[v]`: tree id → this node's record for that tree.
-    records: Vec<HashMap<TreeId, TreeRecord>>,
+    records: Vec<FxHashMap<TreeId, TreeRecord>>,
     /// `memberships[v]`: every tree containing `v`, sorted by `(level,
     /// index)` — the scan list of the on-demand handshake.
     memberships: Vec<Vec<TreeId>>,
-    /// Per-tree routers, used only at build/label time to mint labels.
-    routers: HashMap<TreeId, TreeRouter>,
+    /// Per-tree routers, `routers[level][index]`, used only at build/label
+    /// time to mint labels.
+    routers: Vec<Vec<TreeRouter>>,
     /// Home tree per (node, level) — the tree guaranteed to span the node's
     /// scale-2^level roundtrip ball.
     home: Vec<Vec<TreeId>>,
@@ -99,9 +100,9 @@ impl TreeCoverScheme {
     /// [`DoubleTreeCover`] between the substrate and a §4 scheme).
     pub fn from_cover(g: &DiGraph, cover: &DoubleTreeCover) -> Self {
         let n = g.node_count();
-        let mut records: Vec<HashMap<TreeId, TreeRecord>> = vec![HashMap::new(); n];
+        let mut records: Vec<FxHashMap<TreeId, TreeRecord>> = vec![FxHashMap::default(); n];
         let mut memberships: Vec<Vec<TreeId>> = vec![Vec::new(); n];
-        let mut routers: HashMap<TreeId, TreeRouter> = HashMap::new();
+        let mut routers: Vec<Vec<TreeRouter>> = Vec::with_capacity(cover.level_count());
         let mut max_trees_per_level = 0usize;
 
         for (li, level) in cover.levels().iter().enumerate() {
@@ -120,8 +121,8 @@ impl TreeCoverScheme {
                     // so the membership list comes out sorted.
                     memberships[v.index()].push(id);
                 }
-                routers.insert(id, level.routers[ti].clone());
             }
+            routers.push(level.routers.clone());
         }
 
         let home: Vec<Vec<TreeId>> = (0..n)
@@ -133,7 +134,8 @@ impl TreeCoverScheme {
             .collect();
 
         let word = id_bits(n);
-        let max_tree_label_bits = routers.values().map(|r| r.max_label_bits(n)).max().unwrap_or(0);
+        let max_tree_label_bits =
+            routers.iter().flatten().map(|r| r.max_label_bits(n)).max().unwrap_or(0);
         let max_label_bits =
             word + TreeId::bits(cover.level_count(), max_trees_per_level) + max_tree_label_bits;
 
@@ -211,7 +213,7 @@ impl TreeCoverScheme {
     ///
     /// Returns `None` if `v` is not a member of that tree.
     pub fn label_in_tree(&self, id: TreeId, v: NodeId) -> Option<TreeCoverLabel> {
-        let router = self.routers.get(&id)?;
+        let router = self.routers.get(id.level as usize)?.get(id.index as usize)?;
         let tree_label = router.label(v)?.clone();
         Some(TreeCoverLabel { target: v, tree: id, tree_label, bits: self.max_label_bits })
     }
@@ -485,5 +487,11 @@ mod tests {
         // On tiny diameters every level-0 tree may already span everything;
         // the assertion above only runs when a non-member exists.
         let _ = found;
+        // Ids past the last level, or past a level's last tree, name no tree.
+        let beyond_levels = TreeId { level: s.level_count() as u16, index: 0 };
+        let beyond_trees = TreeId { level: 0, index: s.max_trees_per_level as u32 };
+        for id in [beyond_levels, beyond_trees] {
+            assert!(s.label_in_tree(id, NodeId(0)).is_none(), "{id:?} is not a tree");
+        }
     }
 }

@@ -22,8 +22,8 @@
 //! port.
 
 use crate::sptree::OutTree;
+use rtr_graph::hash::FxHashMap;
 use rtr_graph::{NodeId, Port};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-node routing state for one tree: a constant number of words.
@@ -89,8 +89,8 @@ pub enum TreeStep {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeRouter {
     root: NodeId,
-    tables: HashMap<NodeId, TreeNodeTable>,
-    labels: HashMap<NodeId, Arc<TreeLabel>>,
+    tables: FxHashMap<NodeId, TreeNodeTable>,
+    labels: FxHashMap<NodeId, Arc<TreeLabel>>,
     max_light_depth: usize,
 }
 
@@ -100,7 +100,7 @@ impl TreeRouter {
         let root = tree.root();
         // Iterative DFS computing subtree sizes first (post-order), then
         // intervals and heavy children, then labels via a top-down pass.
-        let mut subtree_size: HashMap<NodeId, u32> = HashMap::new();
+        let mut subtree_size: FxHashMap<NodeId, u32> = FxHashMap::default();
         // Post-order via two-phase stack.
         let mut stack = vec![(root, false)];
         while let Some((v, processed)) = stack.pop() {
@@ -116,7 +116,7 @@ impl TreeRouter {
         }
 
         // Heavy child of each node = child with max subtree size (ties: smaller id).
-        let mut heavy_child: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut heavy_child: FxHashMap<NodeId, NodeId> = FxHashMap::default();
         for &v in tree.members() {
             let best = tree
                 .children(v)
@@ -130,8 +130,8 @@ impl TreeRouter {
 
         // DFS numbering visiting the heavy child first so heavy paths get
         // contiguous intervals.
-        let mut dfs_start: HashMap<NodeId, u32> = HashMap::new();
-        let mut dfs_end: HashMap<NodeId, u32> = HashMap::new();
+        let mut dfs_start: FxHashMap<NodeId, u32> = FxHashMap::default();
+        let mut dfs_end: FxHashMap<NodeId, u32> = FxHashMap::default();
         let mut counter: u32 = 0;
         // (node, phase) where phase=false -> entering.
         let mut stack = vec![(root, false)];
@@ -160,7 +160,7 @@ impl TreeRouter {
         }
 
         // Node tables.
-        let mut tables = HashMap::new();
+        let mut tables = FxHashMap::default();
         for &v in tree.members() {
             let heavy = heavy_child.get(&v).copied();
             let (heavy_port, heavy_interval) = match heavy {
@@ -179,7 +179,7 @@ impl TreeRouter {
         }
 
         // Labels: walk from each member up to the root collecting light edges.
-        let mut labels = HashMap::new();
+        let mut labels = FxHashMap::default();
         let mut max_light_depth = 0usize;
         for &v in tree.members() {
             let mut light_hops: Vec<(u32, Port)> = Vec::new();

@@ -1,9 +1,9 @@
 //! Shortest-path out-trees, in-trees and double trees over clusters.
 
 use rtr_graph::algo::dijkstra::{dijkstra_filtered, dijkstra_reverse_filtered};
+use rtr_graph::hash::{FxHashMap, FxHashSet};
 use rtr_graph::types::saturating_dist_add;
 use rtr_graph::{DiGraph, Distance, NodeId, Port, INFINITY};
-use std::collections::{HashMap, HashSet};
 
 /// A shortest-paths tree rooted at a center node, oriented *away* from the
 /// root (paper §3.2, `OutTree(C)`).
@@ -18,11 +18,11 @@ pub struct OutTree {
     root: NodeId,
     /// Sorted members (includes the root).
     members: Vec<NodeId>,
-    parent: HashMap<NodeId, NodeId>,
+    parent: FxHashMap<NodeId, NodeId>,
     /// Port at `parent[v]` for the edge `parent[v] → v`.
-    parent_port: HashMap<NodeId, Port>,
-    dist: HashMap<NodeId, Distance>,
-    children: HashMap<NodeId, Vec<NodeId>>,
+    parent_port: FxHashMap<NodeId, Port>,
+    dist: FxHashMap<NodeId, Distance>,
+    children: FxHashMap<NodeId, Vec<NodeId>>,
 }
 
 impl OutTree {
@@ -35,7 +35,7 @@ impl OutTree {
     /// induced subgraph on `members` when `Some` (paths may not leave the
     /// cluster). Unreachable members are omitted from the tree.
     pub fn shortest_paths_within(g: &DiGraph, root: NodeId, members: Option<&[NodeId]>) -> Self {
-        let allowed: Option<HashSet<NodeId>> = members.map(|m| m.iter().copied().collect());
+        let allowed: Option<FxHashSet<NodeId>> = members.map(|m| m.iter().copied().collect());
         let filter = allowed.as_ref().map(|set| {
             let set = set.clone();
             move |v: NodeId| set.contains(&v)
@@ -55,10 +55,10 @@ impl OutTree {
         };
 
         let mut out_members = Vec::new();
-        let mut parent = HashMap::new();
-        let mut parent_port = HashMap::new();
-        let mut dist = HashMap::new();
-        let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        let mut parent = FxHashMap::default();
+        let mut parent_port = FxHashMap::default();
+        let mut dist = FxHashMap::default();
+        let mut children: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
 
         for v in candidate_members {
             if !tree.is_reachable(v) {
@@ -152,10 +152,10 @@ impl OutTree {
 pub struct InTree {
     root: NodeId,
     members: Vec<NodeId>,
-    next_hop: HashMap<NodeId, NodeId>,
+    next_hop: FxHashMap<NodeId, NodeId>,
     /// Port at the member itself for its first edge toward the root.
-    next_port: HashMap<NodeId, Port>,
-    dist: HashMap<NodeId, Distance>,
+    next_port: FxHashMap<NodeId, Port>,
+    dist: FxHashMap<NodeId, Distance>,
 }
 
 impl InTree {
@@ -168,7 +168,7 @@ impl InTree {
     /// `members` when `Some`. Members that cannot reach the root inside the
     /// cluster are omitted.
     pub fn shortest_paths_within(g: &DiGraph, root: NodeId, members: Option<&[NodeId]>) -> Self {
-        let allowed: Option<HashSet<NodeId>> = members.map(|m| m.iter().copied().collect());
+        let allowed: Option<FxHashSet<NodeId>> = members.map(|m| m.iter().copied().collect());
         let filter = allowed.as_ref().map(|set| {
             let set = set.clone();
             move |v: NodeId| set.contains(&v)
@@ -188,9 +188,9 @@ impl InTree {
         };
 
         let mut out_members = Vec::new();
-        let mut next_hop = HashMap::new();
-        let mut next_port = HashMap::new();
-        let mut dist = HashMap::new();
+        let mut next_hop = FxHashMap::default();
+        let mut next_port = FxHashMap::default();
+        let mut dist = FxHashMap::default();
         for v in candidate_members {
             if !tree.is_reachable(v) {
                 continue;
