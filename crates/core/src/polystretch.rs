@@ -166,7 +166,7 @@ struct PolyDictionarySweep<'a, 'c> {
 }
 
 impl RowSweepConsumer for PolyDictionarySweep<'_, '_> {
-    fn consume(&self, u: NodeId, rows: &SweepRows<'_>) {
+    fn consume(&mut self, u: NodeId, rows: &SweepRows<'_>) {
         let own_name = self.names.name_of(u);
         let q = self.space.q();
         let rt_row = rows.roundtrip;
@@ -302,10 +302,8 @@ impl PolynomialStretch {
         // Pass 2 — per-node records, as a broadcast row consumer.  Looping
         // nodes on the outside means one roundtrip row per *node* serves the
         // group comparisons of every tree the node belongs to (a lazy oracle
-        // pays `O(n)` Dijkstra pairs instead of `O(total memberships)`), and
-        // per-node output slots let the sweep fan the assembly out over
-        // worker blocks on dense oracles.
-        let pass2 = PolyDictionarySweep {
+        // pays `O(n)` Dijkstra pairs instead of `O(total memberships)`).
+        let mut pass2 = PolyDictionarySweep {
             contexts: &contexts,
             tree_memberships: &tree_memberships,
             names,
@@ -317,7 +315,7 @@ impl PolynomialStretch {
         {
             let _span =
                 rtr_telemetry::span!("poly.pass2_sweep", format_args!("trees={}", contexts.len()));
-            broadcast_rows(m, &[&pass2]);
+            broadcast_rows(m, &g.nodes().collect::<Vec<_>>(), &mut [&mut pass2]);
         }
         let mut max_label_bits = 0usize;
         let tables: Vec<NodeTable> = pass2

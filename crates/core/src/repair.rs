@@ -4,20 +4,22 @@
 //! intermediate row artifacts — landmark substrate, Theorem 13 hierarchy,
 //! both truncated orders — **retained** instead of consumed, so that after a
 //! [`rtr_graph::FaultPlan`] mutates the graph the suite can be re-anchored by
-//! recomputing only what the faults actually touched:
+//! recomputing only what the faults actually touched.
 //!
-//! * the landmark balls and nearest-landmark choices of the nodes whose
-//!   metric rows a [`RowInvalidation`] marks dirty
-//!   ([`LandmarkBallScheme::repair_balls`]);
-//! * the truncated order prefixes of the same dirty nodes
-//!   ([`RoundtripOrder::repair`]);
-//! * the double trees of exactly the cover clusters containing a fault
-//!   endpoint ([`DoubleTreeCover::repair_clusters`]) — the covers themselves
-//!   stay anchored, which is sound under removals and weight increases
-//!   because roundtrip balls only shrink.
+//! The repair is the build's own row sweep, run over the dirty nodes: every
+//! row artifact is a per-node function of that node's rows, so the landmark
+//! and order consumers of the build start from the clean nodes' outputs
+//! ([`LandmarkBallScheme::repair_sweep`], [`RoundtripOrder::repair_sweep`])
+//! and one [`broadcast_rows`] pass over
+//! [`RowInvalidation::dirty_nodes`] fills in the rest, two prefetched rows
+//! per dirty node.  The cover is the one artifact that is not swept: the
+//! double trees of exactly the clusters containing a fault endpoint are
+//! rebuilt ([`DoubleTreeCover::repair_clusters`]) while the covers
+//! themselves stay anchored, which is sound under removals and weight
+//! increases because roundtrip balls only shrink.
 //!
 //! Every clean artifact is carried verbatim and every recomputed one goes
-//! through the same code path as a fresh build, so the repaired kit is
+//! through the same consumer as a fresh build, so the repaired kit is
 //! **bit-identical** to [`rebuild_reference`](SparseRepairKit::rebuild_reference)
 //! on the mutated graph (property-tested in `tests/repair_equivalence.rs`).
 //! On a rebased [`CachedSubsetOracle`] the whole repair reads at most two
@@ -27,7 +29,7 @@
 use crate::naming::NamingAssignment;
 use crate::suite::SparseSuiteParams;
 use crate::{ExStretch, StretchSix};
-use rtr_cover::{CoverSweepPlan, DoubleTreeCover, LevelCover};
+use rtr_cover::{CoverSweepPlan, DoubleTreeCover};
 use rtr_graph::{DiGraph, FaultApplication, NodeId};
 use rtr_metric::{
     broadcast_rows, CachedSubsetOracle, DistanceOracle, RoundtripOrder, RowInvalidation,
@@ -56,12 +58,12 @@ pub struct RepairStats {
 
 /// The sparse scheme suite's row artifacts, retained for incremental repair.
 ///
-/// Built exactly like [`crate::SparseSchemeSuite::build`] — one shared
-/// broadcast row sweep feeding the landmark extraction, the first cover
-/// scale group and both truncated orders — but the artifacts stay in the kit
-/// instead of being consumed by the scheme constructors, so
-/// [`schemes`](Self::schemes) can mint serving schemes from them at any time
-/// and [`repair`](Self::repair) can patch them after faults.
+/// These are the artifacts [`crate::SparseSchemeSuite::build`] mints its
+/// schemes from — one shared broadcast row sweep feeding the landmark
+/// extraction, the first cover scale group and both truncated orders — kept
+/// in the kit instead of consumed, so [`schemes`](Self::schemes) can mint
+/// serving schemes from them at any time and [`repair`](Self::repair) can
+/// patch them after faults.
 ///
 /// The §4 polynomial scheme is deliberately absent: its dictionary pass
 /// needs a second full row sweep over the *built* hierarchy, which would
@@ -70,17 +72,17 @@ pub struct RepairStats {
 /// epochs are gated against.
 #[derive(Debug)]
 pub struct SparseRepairKit {
-    params: SparseSuiteParams,
-    landmark: LandmarkBallScheme,
-    cover: DoubleTreeCover,
-    order6: RoundtripOrder,
-    orderx: RoundtripOrder,
+    pub(crate) params: SparseSuiteParams,
+    pub(crate) landmark: LandmarkBallScheme,
+    pub(crate) cover: DoubleTreeCover,
+    pub(crate) order6: RoundtripOrder,
+    pub(crate) orderx: RoundtripOrder,
 }
 
 impl SparseRepairKit {
     /// Builds the kit's artifacts with one shared row sweep (plus any extra
-    /// cover scale groups beyond the transient-bit budget), mirroring the
-    /// sparse suite build bit for bit.
+    /// cover scale groups beyond the transient-bit budget) — the artifact
+    /// build [`crate::SparseSchemeSuite::build`] mints its schemes from.
     ///
     /// # Panics
     ///
@@ -91,32 +93,41 @@ impl SparseRepairKit {
         m: &O,
         params: SparseSuiteParams,
     ) -> Self {
-        assert!(params.poly.cover_k >= 2, "cover parameter must be >= 2");
-        assert!(m.is_strongly_connected(), "repair kit requires a strongly connected graph");
-        let n = g.node_count();
-        let _span = rtr_telemetry::span!("build.repair_kit", format_args!("n={n}"));
+        let _span = rtr_telemetry::span!("build.repair_kit", format_args!("n={}", g.node_count()));
+        Self::sweep_artifacts(g, m, params)
+    }
 
-        let landmark_sweep = LandmarkBallScheme::sweep(g, params.landmarks);
+    /// The artifact build shared by [`build`](Self::build) and the sparse
+    /// suite, each under its own span: every hierarchy-independent row
+    /// consumer — landmark pass 1, the first cover scale group and both
+    /// schemes' truncated orders — registered on **one** sweep over every
+    /// node, then the remaining cover scale groups.
+    pub(crate) fn sweep_artifacts<O: DistanceOracle + ?Sized>(
+        g: &DiGraph,
+        m: &O,
+        params: SparseSuiteParams,
+    ) -> Self {
+        assert!(params.poly.cover_k >= 2, "cover parameter must be >= 2");
+        assert!(m.is_strongly_connected(), "sparse suite requires a strongly connected graph");
+        let n = g.node_count();
+        let mut landmark = LandmarkBallScheme::sweep(g, params.landmarks);
         let plan = CoverSweepPlan::new(m, params.poly.cover_k);
-        let mut scale_groups = plan.scale_groups();
-        let cover_sweep = plan.ball_sweep(scale_groups.next().expect("at least one scale group"));
-        let order6_sweep = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, 1, 2));
+        let mut cover = plan.first_sweep();
+        let mut order6 = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, 1, 2));
         let k_x = params.exstretch.k;
         assert!(k_x >= 2, "ExStretch requires k >= 2");
-        let orderx_sweep = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, k_x - 1, k_x));
-        broadcast_rows(m, &[&landmark_sweep, &cover_sweep, &order6_sweep, &orderx_sweep]);
-
-        let landmark = landmark_sweep.finish();
-        let order6 = order6_sweep.finish();
-        let orderx = orderx_sweep.finish();
-        let mut levels: Vec<LevelCover> = cover_sweep.finish_levels(g, plan.k());
-        for group_scales in scale_groups {
-            let sweep = plan.ball_sweep(group_scales);
-            broadcast_rows(m, &[&sweep]);
-            levels.extend(sweep.finish_levels(g, plan.k()));
+        let mut orderx = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, k_x - 1, k_x));
+        {
+            let _span = rtr_telemetry::span!("build.shared_sweep", "4 consumers");
+            let sources: Vec<NodeId> = g.nodes().collect();
+            broadcast_rows(m, &sources, &mut [&mut landmark, &mut cover, &mut order6, &mut orderx]);
         }
-        let cover = DoubleTreeCover::from_levels(plan.k(), levels);
-
+        let landmark = {
+            let _span = rtr_telemetry::span!("build.landmark_finish");
+            landmark.finish()
+        };
+        let (order6, orderx) = (order6.finish(), orderx.finish());
+        let cover = plan.finish(g, m, cover);
         SparseRepairKit { params, landmark, cover, order6, orderx }
     }
 
@@ -176,7 +187,10 @@ impl SparseRepairKit {
         (stretch6, exstretch)
     }
 
-    /// Repairs the kit after `application` mutated the graph into `g`.
+    /// Repairs the kit after `application` mutated the graph into `g`: one
+    /// [`broadcast_rows`] pass over the dirty nodes feeds the build's
+    /// landmark and order consumers, started from the clean nodes' outputs,
+    /// and the cover re-anchors the clusters a fault touched.
     ///
     /// `m` must be the post-fault oracle — typically
     /// [`CachedSubsetOracle::rebased`] over the pre-fault oracle, so the
@@ -198,15 +212,15 @@ impl SparseRepairKit {
     ) -> (SparseRepairKit, RepairStats) {
         let start = Instant::now();
         let rows_before = m.stats().rows_computed;
-        let _span = rtr_telemetry::span!(
-            "repair.kit",
-            format_args!("dirty={}", invalidation.dirty_node_count())
-        );
+        let dirty = invalidation.dirty_nodes();
+        let _span = rtr_telemetry::span!("repair.kit", format_args!("dirty={}", dirty.len()));
+        assert!(m.is_strongly_connected(), "sparse suite requires a strongly connected graph");
 
-        let (landmark, balls_repaired) =
-            self.landmark.repair_balls(g, m, self.params.landmarks, invalidation);
-        let order6 = self.order6.repair(m, invalidation);
-        let orderx = self.orderx.repair(m, invalidation);
+        let mut landmark = self.landmark.repair_sweep(g, self.params.landmarks, invalidation);
+        let mut order6 = self.order6.repair_sweep(invalidation);
+        let mut orderx = self.orderx.repair_sweep(invalidation);
+        broadcast_rows(m, &dirty, &mut [&mut landmark, &mut order6, &mut orderx]);
+        let (landmark, order6, orderx) = (landmark.finish(), order6.finish(), orderx.finish());
         // Cluster hit detection needs the *fault endpoints*, not the dirty
         // nodes: a removed edge can leave both endpoint rows clean (some
         // other path was as short) while still changing its cluster's
@@ -218,10 +232,10 @@ impl SparseRepairKit {
         let (cover, clusters_reanchored) = self.cover.repair_clusters(g, &touched);
 
         let stats = RepairStats {
-            dirty_nodes: invalidation.dirty_node_count(),
+            dirty_nodes: dirty.len(),
             rows_recomputed: (m.stats().rows_computed - rows_before) as u64,
             clusters_reanchored,
-            balls_repaired,
+            balls_repaired: dirty.len(),
             epoch_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         };
         rtr_telemetry::counter("repair.rows_recomputed").add(stats.rows_recomputed);
@@ -243,17 +257,18 @@ impl SparseRepairKit {
         m: &O,
     ) -> SparseRepairKit {
         let n = g.node_count();
-        let landmark_sweep = LandmarkBallScheme::sweep(g, self.params.landmarks);
-        let order6_sweep = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, 1, 2));
+        let mut landmark = LandmarkBallScheme::sweep(g, self.params.landmarks);
+        let mut order6 = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, 1, 2));
         let k_x = self.params.exstretch.k;
-        let orderx_sweep = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, k_x - 1, k_x));
-        broadcast_rows(m, &[&landmark_sweep, &order6_sweep, &orderx_sweep]);
+        let mut orderx = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, k_x - 1, k_x));
+        let sources: Vec<NodeId> = g.nodes().collect();
+        broadcast_rows(m, &sources, &mut [&mut landmark, &mut order6, &mut orderx]);
         SparseRepairKit {
             params: self.params,
-            landmark: landmark_sweep.finish(),
+            landmark: landmark.finish(),
             cover: self.cover.rebuild_all_trees(g),
-            order6: order6_sweep.finish(),
-            orderx: orderx_sweep.finish(),
+            order6: order6.finish(),
+            orderx: orderx.finish(),
         }
     }
 }

@@ -10,12 +10,12 @@
 
 use crate::naming::NamingAssignment;
 use crate::{
-    ExStretch, ExStretchParams, PolyParams, PolynomialStretch, Stretch6Params, StretchSix,
+    ExStretch, ExStretchParams, PolyParams, PolynomialStretch, SparseRepairKit, Stretch6Params,
+    StretchSix,
 };
-use rtr_cover::{CoverSweepPlan, DoubleTreeCover, LevelCover};
 use rtr_dictionary::DistributionParams;
 use rtr_graph::DiGraph;
-use rtr_metric::{broadcast_rows, DistanceOracle, RoundtripOrder, TruncatedOrderSweep};
+use rtr_metric::DistanceOracle;
 use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams, TreeCoverScheme};
 
 /// Parameters of [`SchemeSuite::build`].
@@ -65,24 +65,15 @@ impl SchemeSuite {
         names: &NamingAssignment,
         params: SuiteParams,
     ) -> Self {
-        let result = crossbeam::scope(|scope| {
-            let h6 = scope.spawn(|_| {
-                StretchSix::build(g, m, names, ExactOracleScheme::build(g), params.stretch6)
-            });
-            let hx = scope.spawn(|_| {
+        let (stretch6, exstretch, poly) = build_concurrently(
+            || StretchSix::build(g, m, names, ExactOracleScheme::build(g), params.stretch6),
+            || {
                 let substrate = TreeCoverScheme::build(g, m, params.exstretch.k.max(2));
                 ExStretch::build(g, m, names, substrate, params.exstretch)
-            });
-            let hp = scope.spawn(|_| PolynomialStretch::build(g, m, names, params.poly));
-            let stretch6 = h6.join().expect("stretch-6 construction panicked");
-            let exstretch = hx.join().expect("exstretch construction panicked");
-            let poly = hp.join().expect("polystretch construction panicked");
-            SchemeSuite { stretch6, exstretch, poly }
-        });
-        match result {
-            Ok(suite) => suite,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+            },
+            || PolynomialStretch::build(g, m, names, params.poly),
+        );
+        SchemeSuite { stretch6, exstretch, poly }
     }
 
     /// Decomposes the suite into its three schemes, the handoff the serving
@@ -162,27 +153,27 @@ pub struct SparseSchemeSuite {
 }
 
 impl SparseSchemeSuite {
-    /// Builds the three schemes, sharing `m`, one landmark substrate build,
-    /// one Theorem 13 hierarchy — and, crucially, **one broadcast row
-    /// sweep** for every oracle-row consumer that does not depend on the
-    /// built hierarchy.
+    /// Builds the three schemes from the [`SparseRepairKit`]'s artifacts,
+    /// sharing `m`, one landmark substrate build, one Theorem 13 hierarchy —
+    /// and **one broadcast row sweep** for every oracle-row consumer that
+    /// does not depend on the built hierarchy.
     ///
     /// The row consumers of the whole suite are: landmark extraction, cover
     /// ball collection, the two schemes' truncated orders, and the §4
     /// scheme's dictionary pass.  The first four need nothing but rows, so
-    /// they are registered together on a single [`broadcast_rows`] pass (a
-    /// prefetch-windowed sequential sweep on lazy oracles, block-parallel on
-    /// dense ones); only the §4 dictionary pass — which needs the *built*
-    /// cover — runs on a second pass inside
+    /// the kit registers them together on a single prefetch-windowed
+    /// [`rtr_metric::broadcast_rows`] pass; only the §4 dictionary pass —
+    /// which needs the *built* cover — runs on a second pass inside
     /// [`PolynomialStretch::build_with_cover`].  A lazy oracle therefore
     /// computes ≈ `4n` rows for the full suite instead of the ≈ `10n` the
     /// five independent sweeps used to fetch, with bit-identical schemes
     /// (asserted by the `shared_sweep` property tests).  Scale groups beyond
     /// the first of the cover's transient-bit budget, if any, keep their own
-    /// sweeps exactly as in [`DoubleTreeCover::build`].
+    /// sweeps exactly as in [`rtr_cover::DoubleTreeCover::build`].
     ///
-    /// After the sweeps, the three scheme constructions fan out over scoped
-    /// worker threads exactly like [`SchemeSuite::build`].
+    /// After the sweeps the landmark substrate moves into the §2 scheme,
+    /// and the three scheme constructions run concurrently on scoped worker
+    /// threads exactly like [`SchemeSuite::build`].
     ///
     /// # Panics
     ///
@@ -194,73 +185,29 @@ impl SparseSchemeSuite {
         names: &NamingAssignment,
         params: SparseSuiteParams,
     ) -> Self {
-        assert!(params.poly.cover_k >= 2, "cover parameter must be >= 2");
-        assert!(m.is_strongly_connected(), "sparse suite requires a strongly connected graph");
-        let n = g.node_count();
-        let _suite_span = rtr_telemetry::span!("build.sparse_suite", format_args!("n={n}"));
-
-        // Register every hierarchy-independent row consumer on ONE sweep:
-        // landmark pass 1, the first cover scale group, and both schemes'
-        // truncated orders.
-        let landmark_sweep = LandmarkBallScheme::sweep(g, params.landmarks);
-        let plan = CoverSweepPlan::new(m, params.poly.cover_k);
-        let mut scale_groups = plan.scale_groups();
-        let cover_sweep = plan.ball_sweep(scale_groups.next().expect("at least one scale group"));
-        let order6_sweep = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, 1, 2));
-        let k_x = params.exstretch.k;
-        assert!(k_x >= 2, "ExStretch requires k >= 2");
-        let orderx_sweep = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, k_x - 1, k_x));
-        {
-            let _span = rtr_telemetry::span!("build.shared_sweep", "4 consumers");
-            broadcast_rows(m, &[&landmark_sweep, &cover_sweep, &order6_sweep, &orderx_sweep]);
-        }
-
-        let landmark = {
-            let _span = rtr_telemetry::span!("build.landmark_finish");
-            landmark_sweep.finish()
-        };
-        let order6 = order6_sweep.finish();
-        let orderx = orderx_sweep.finish();
-        let mut levels: Vec<LevelCover> = {
-            let _span = rtr_telemetry::span!("cover.scale_group", 0);
-            cover_sweep.finish_levels(g, plan.k())
-        };
-        for (group_index, group_scales) in scale_groups.enumerate() {
-            let _span = rtr_telemetry::span!("cover.scale_group", group_index + 1);
-            let sweep = plan.ball_sweep(group_scales);
-            broadcast_rows(m, &[&sweep]);
-            levels.extend(sweep.finish_levels(g, plan.k()));
-        }
-        let cover = DoubleTreeCover::from_levels(plan.k(), levels);
+        let _suite_span =
+            rtr_telemetry::span!("build.sparse_suite", format_args!("n={}", g.node_count()));
+        let SparseRepairKit { landmark, cover, order6, orderx, .. } =
+            SparseRepairKit::sweep_artifacts(g, m, params);
         let treecover = {
             let _span = rtr_telemetry::span!("build.treecover_substrate");
             TreeCoverScheme::from_cover(g, &cover)
         };
-
-        let cover_ref = &cover;
-        let (order6_ref, orderx_ref) = (&order6, &orderx);
-        let result = crossbeam::scope(|scope| {
-            let h6 = scope.spawn(move |_| {
+        let (stretch6, exstretch, poly) = build_concurrently(
+            || {
                 let _span = rtr_telemetry::span!("build.stretch6");
-                StretchSix::build_with_order(g, m, names, landmark, order6_ref, params.stretch6)
-            });
-            let hx = scope.spawn(move |_| {
+                StretchSix::build_with_order(g, m, names, landmark, &order6, params.stretch6)
+            },
+            || {
                 let _span = rtr_telemetry::span!("build.exstretch");
-                ExStretch::build_with_order(g, m, names, treecover, orderx_ref, params.exstretch)
-            });
-            let hp = scope.spawn(move |_| {
+                ExStretch::build_with_order(g, m, names, treecover, &orderx, params.exstretch)
+            },
+            || {
                 let _span = rtr_telemetry::span!("build.polystretch");
-                PolynomialStretch::build_with_cover(g, m, names, cover_ref, params.poly)
-            });
-            let stretch6 = h6.join().expect("stretch-6 construction panicked");
-            let exstretch = hx.join().expect("exstretch construction panicked");
-            let poly = hp.join().expect("polystretch construction panicked");
-            SparseSchemeSuite { stretch6, exstretch, poly }
-        });
-        match result {
-            Ok(suite) => suite,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+                PolynomialStretch::build_with_cover(g, m, names, &cover, params.poly)
+            },
+        );
+        SparseSchemeSuite { stretch6, exstretch, poly }
     }
 
     /// Decomposes the suite into its three schemes for the serving-plane
@@ -269,6 +216,32 @@ impl SparseSchemeSuite {
         self,
     ) -> (StretchSix<LandmarkBallScheme>, ExStretch<TreeCoverScheme>, PolynomialStretch) {
         (self.stretch6, self.exstretch, self.poly)
+    }
+}
+
+/// Runs the three scheme constructions on their own scoped worker threads
+/// (so each one's build span is a root span) and returns their results.  A
+/// worker panic (for example a disconnected graph failing a scheme's
+/// precondition) propagates as a panic here, mirroring the single-threaded
+/// behavior.
+fn build_concurrently<A: Send, B: Send, C: Send>(
+    stretch6: impl FnOnce() -> A + Send,
+    exstretch: impl FnOnce() -> B + Send,
+    poly: impl FnOnce() -> C + Send,
+) -> (A, B, C) {
+    let result = crossbeam::scope(|scope| {
+        let h6 = scope.spawn(|_| stretch6());
+        let hx = scope.spawn(|_| exstretch());
+        let hp = scope.spawn(|_| poly());
+        (
+            h6.join().expect("stretch-6 construction panicked"),
+            hx.join().expect("exstretch construction panicked"),
+            hp.join().expect("polystretch construction panicked"),
+        )
+    });
+    match result {
+        Ok(schemes) => schemes,
+        Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 

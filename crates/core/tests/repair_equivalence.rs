@@ -35,7 +35,9 @@ fn repaired_kit_is_bit_identical_to_reference_rebuild() {
         }
         let inv = RowInvalidation::for_application(&m0, &applied);
         let m1 = CachedSubsetOracle::rebased(&m0, &g1, &inv);
+        let before = m1.stats();
         let (kit1, stats) = kit0.repair(&g1, &m1, &inv, &applied);
+        let after = m1.stats();
 
         // The repair touched only the dirty nodes' rows…
         assert_eq!(stats.dirty_nodes, inv.dirty_node_count());
@@ -44,6 +46,19 @@ fn repaired_kit_is_bit_identical_to_reference_rebuild() {
             "seed {seed}: repair computed {} rows for {} dirty nodes",
             stats.rows_recomputed,
             inv.dirty_node_count()
+        );
+        // …and read each of them once: one sweep over the dirty nodes reads
+        // their two rows, plus the two rows of the strong-connectivity probe.
+        let hits = after.cache_hits - before.cache_hits;
+        assert!(
+            hits <= 2 * stats.dirty_nodes + 2,
+            "seed {seed}: repair read {hits} cached rows for {} dirty nodes",
+            stats.dirty_nodes
+        );
+        assert_eq!(
+            (after.rows_computed - before.rows_computed) as u64,
+            stats.rows_recomputed,
+            "seed {seed}: the oracle computed rows the repair did not report"
         );
 
         // …and still matches the from-scratch reference exactly.

@@ -1,6 +1,6 @@
 //! Property tests for the broadcast row-sweep pipeline: the shared-sweep
 //! suite build must be **bit-identical** to building every consumer from its
-//! own private sweep, on dense and lazy oracles and for any worker count.
+//! own private sweep, on dense, lazy and memoising oracles.
 //!
 //! "Bit-identical" is asserted through every observable surface the schemes
 //! expose: per-node table stats (entry and bit counts), label sizes, and the
@@ -9,13 +9,10 @@
 
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{ExStretch, PolynomialStretch, SparseSchemeSuite, SparseSuiteParams, StretchSix};
-use rtr_cover::{CoverSweepPlan, DoubleTreeCover};
+use rtr_cover::DoubleTreeCover;
 use rtr_graph::generators::strongly_connected_gnp;
 use rtr_graph::DiGraph;
-use rtr_metric::{
-    broadcast_rows_with_threads, CachedSubsetOracle, DistanceMatrix, DistanceOracle,
-    LazyDijkstraOracle, RoundtripOrder, RowSweepConsumer, TruncatedOrderSweep,
-};
+use rtr_metric::{CachedSubsetOracle, DistanceMatrix, DistanceOracle, LazyDijkstraOracle};
 use rtr_namedep::{LandmarkBallScheme, TreeCoverScheme};
 use rtr_sim::{RoundtripRouting, Simulator};
 
@@ -102,8 +99,8 @@ fn shared_sweep_suite_is_bit_identical_to_per_consumer_sweeps() {
         let names = NamingAssignment::random(40, seed ^ 0xbeef);
         let params = SparseSuiteParams::default();
 
-        // Dense oracle: the broadcast fans consumption out over worker
-        // blocks.  (The reference must use the same oracle kind: a lazy
+        // Dense oracle: every row is already there and the prefetch is a
+        // no-op.  (The reference must use the same oracle kind: a lazy
         // oracle's 2×-bounded diameter estimate can legitimately add one
         // cover level versus the dense exact diameter, so dense-vs-lazy
         // suites are equivalent but not bit-identical.)
@@ -112,8 +109,8 @@ fn shared_sweep_suite_is_bit_identical_to_per_consumer_sweeps() {
         let shared = SparseSchemeSuite::build(&g, &dense, &names, params);
         assert_suites_identical(&g, &names, &reference, &shared, "dense");
 
-        // Lazy oracle (tiny cache): the broadcast runs the sequential
-        // prefetch-windowed path — the other consumption mode.
+        // Lazy oracle (tiny cache): every window's rows come from the
+        // prefetch, under eviction pressure.
         let lazy_reference = LazyDijkstraOracle::new(&g, 8);
         let reference = reference_suite(&g, &lazy_reference, &names, params);
         let lazy = LazyDijkstraOracle::new(&g, 8);
@@ -121,7 +118,7 @@ fn shared_sweep_suite_is_bit_identical_to_per_consumer_sweeps() {
         assert_suites_identical(&g, &names, &reference, &via_lazy, "lazy");
         assert!(lazy.stats().peak_resident_rows <= 9, "cache bound violated");
 
-        // Memoising subset oracle, same sequential path, unbounded cache.
+        // Memoising subset oracle, unbounded cache.
         let subset_reference = CachedSubsetOracle::new(&g);
         let reference = reference_suite(&g, &subset_reference, &names, params);
         let subset = CachedSubsetOracle::new(&g);
@@ -151,59 +148,4 @@ fn shared_sweep_halves_the_lazy_oracle_rows() {
         2 * shared_rows <= reference_rows,
         "shared sweep computed {shared_rows} rows, reference {reference_rows} — not halved"
     );
-}
-
-#[test]
-fn broadcast_consumers_are_thread_count_invariant() {
-    // Pin the dense broadcast's worker count and check that every consumer
-    // kind — both truncated orders, the landmark sweep, the cover ball
-    // sweep — produces identical structures at 1, 2 and 7 workers.
-    let g = strongly_connected_gnp(48, 0.1, 23).unwrap();
-    let dense = DistanceMatrix::build(&g);
-    let params = SparseSuiteParams::default();
-    let n = g.node_count();
-    let kx = params.exstretch.k;
-
-    let build_all = |threads: usize| {
-        let landmark_sweep = LandmarkBallScheme::sweep(&g, params.landmarks);
-        let plan = CoverSweepPlan::new(&dense, params.poly.cover_k);
-        let mut groups = plan.scale_groups();
-        let cover_sweep = plan.ball_sweep(groups.next().unwrap());
-        assert!(groups.next().is_none(), "test instance should fit one scale group");
-        let order6 = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, 1, 2));
-        let orderx = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, kx - 1, kx));
-        let consumers: [&dyn RowSweepConsumer; 4] =
-            [&landmark_sweep, &cover_sweep, &order6, &orderx];
-        broadcast_rows_with_threads(&dense, &consumers, threads);
-        (
-            landmark_sweep.finish(),
-            DoubleTreeCover::from_levels(plan.k(), cover_sweep.finish_levels(&g, plan.k())),
-            order6.finish(),
-            orderx.finish(),
-        )
-    };
-
-    let (landmark1, cover1, order6_1, orderx_1) = build_all(1);
-    for threads in [2usize, 7] {
-        let (landmark, cover, order6, orderx) = build_all(threads);
-        use rtr_namedep::NameDependentSubstrate;
-        for v in g.nodes() {
-            assert_eq!(
-                landmark.table_stats(v),
-                landmark1.table_stats(v),
-                "landmark table at {v}, threads = {threads}"
-            );
-            assert_eq!(landmark.nearest_landmark(v), landmark1.nearest_landmark(v));
-            assert_eq!(order6.init(v), order6_1.init(v), "order6 at {v}, threads = {threads}");
-            assert_eq!(orderx.init(v), orderx_1.init(v), "orderx at {v}, threads = {threads}");
-            assert_eq!(cover.membership_count(v), cover1.membership_count(v));
-            assert_eq!(cover.trees_containing(v), cover1.trees_containing(v));
-        }
-        assert_eq!(landmark.landmarks(), landmark1.landmarks());
-        assert_eq!(cover.level_count(), cover1.level_count());
-        for (la, lb) in cover.levels().iter().zip(cover1.levels()) {
-            assert_eq!(la.scale, lb.scale);
-            assert_eq!(la.trees.len(), lb.trees.len());
-        }
-    }
 }

@@ -70,12 +70,7 @@ impl LevelCover {
                 for (ci, block) in slots.chunks_mut(chunk).enumerate() {
                     scope.spawn(move |_| {
                         for (offset, slot) in block.iter_mut().enumerate() {
-                            let cluster_index = ci * chunk + offset;
-                            let root = cover.seeds[cluster_index];
-                            let dt =
-                                DoubleTree::build(g, root, Some(&cover.clusters[cluster_index]));
-                            let router = TreeRouter::build(dt.out_tree());
-                            *slot = Some((dt, router));
+                            *slot = Some(Self::cluster_tree(g, cover, ci * chunk + offset));
                         }
                     });
                 }
@@ -83,6 +78,14 @@ impl LevelCover {
             .expect("level-cover tree worker panicked");
         }
         slots.into_iter().map(|s| s.expect("every cluster was built")).unzip()
+    }
+
+    /// The double tree of cluster `ci`, rooted at the cluster's seed and
+    /// restricted to its members, and the compact router of its out-tree.
+    fn cluster_tree(g: &DiGraph, cover: &BallCover, ci: usize) -> (DoubleTree, TreeRouter) {
+        let dt = DoubleTree::build(g, cover.seeds[ci], Some(&cover.clusters[ci]));
+        let router = TreeRouter::build(dt.out_tree());
+        (dt, router)
     }
 
     /// The home double-tree index of `v` at this level (guaranteed to span
@@ -121,9 +124,10 @@ pub struct DoubleTreeCover {
 /// Splitting the plan off from the build lets a caller register the **first
 /// group's** [`CoverBallSweep`] on a shared [`broadcast_rows`] pass together
 /// with other row consumers (orders, landmark extraction) — the suite's
-/// single-sweep construction — and run any remaining groups on their own
-/// sweeps afterwards.  [`DoubleTreeCover::build`] is exactly that loop with
-/// no co-registered consumers.
+/// single-sweep construction — and leave the remaining groups to
+/// [`finish`](Self::finish), which sweeps each on its own.
+/// [`DoubleTreeCover::build`] is exactly that with no co-registered
+/// consumers.
 #[derive(Debug, Clone)]
 pub struct CoverSweepPlan {
     k: u32,
@@ -171,13 +175,41 @@ impl CoverSweepPlan {
         self.k
     }
 
-    /// The scale groups, each the unit of one row sweep.
-    pub fn scale_groups(&self) -> std::slice::Chunks<'_, Distance> {
-        self.scales.chunks(self.group)
+    /// The ball-collecting row consumer of the first scale group, to be
+    /// swept over every node before it is handed to [`finish`](Self::finish).
+    pub fn first_sweep(&self) -> CoverBallSweep {
+        self.ball_sweep(&self.scales[..self.group])
     }
 
-    /// Creates the ball-collecting row consumer for one scale group.
-    pub fn ball_sweep(&self, group_scales: &[Distance]) -> CoverBallSweep {
+    /// Builds the hierarchy: the first group's levels from `first` (already
+    /// swept over every node), then one [`broadcast_rows`] pass over `m` per
+    /// remaining scale group.  Each group's level build is one
+    /// `cover.scale_group` span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` has not visited every node.
+    pub fn finish<O: DistanceOracle + ?Sized>(
+        &self,
+        g: &DiGraph,
+        m: &O,
+        first: CoverBallSweep,
+    ) -> DoubleTreeCover {
+        let mut levels = {
+            let _span = rtr_telemetry::span!("cover.scale_group", 0);
+            first.finish_levels(g, self.k)
+        };
+        let sources: Vec<NodeId> = g.nodes().collect();
+        for (group_index, group_scales) in self.scales.chunks(self.group).enumerate().skip(1) {
+            let _span = rtr_telemetry::span!("cover.scale_group", group_index);
+            let mut sweep = self.ball_sweep(group_scales);
+            broadcast_rows(m, &sources, &mut [&mut sweep]);
+            levels.extend(sweep.finish_levels(g, self.k));
+        }
+        DoubleTreeCover { k: self.k, levels }
+    }
+
+    fn ball_sweep(&self, group_scales: &[Distance]) -> CoverBallSweep {
         CoverBallSweep { n: self.n, scales: group_scales.to_vec(), slots: SweepSlots::new(self.n) }
     }
 }
@@ -185,9 +217,9 @@ impl CoverSweepPlan {
 /// Row consumer collecting, for one group of scales, every node's roundtrip
 /// balls (`{w : r(v, w) ≤ scale}` as bitsets) from the node's roundtrip row.
 ///
-/// Register it on a [`broadcast_rows`] pass (alone or together with other
-/// consumers), then turn the collected balls into built levels with
-/// [`finish_levels`](Self::finish_levels).
+/// Take the first group's from [`CoverSweepPlan::first_sweep`], register it
+/// on a [`broadcast_rows`] pass (alone or together with other consumers),
+/// then hand it to [`CoverSweepPlan::finish`].
 #[derive(Debug)]
 pub struct CoverBallSweep {
     n: usize,
@@ -202,7 +234,7 @@ impl CoverBallSweep {
     /// # Panics
     ///
     /// Panics if the sweep has not visited every source yet.
-    pub fn finish_levels(self, g: &DiGraph, k: u32) -> Vec<LevelCover> {
+    fn finish_levels(self, g: &DiGraph, k: u32) -> Vec<LevelCover> {
         let _span = rtr_telemetry::span!(
             "cover.finish_levels",
             format_args!("levels={}", self.scales.len())
@@ -225,7 +257,7 @@ impl CoverBallSweep {
 }
 
 impl RowSweepConsumer for CoverBallSweep {
-    fn consume(&self, source: NodeId, rows: &SweepRows<'_>) {
+    fn consume(&mut self, source: NodeId, rows: &SweepRows<'_>) {
         let balls: Vec<NodeSet> = self
             .scales
             .iter()
@@ -254,33 +286,17 @@ impl DoubleTreeCover {
     /// diameter is the full cover either way.
     ///
     /// One [`broadcast_rows`] pass per [`CoverSweepPlan`] scale group
-    /// collects the balls; callers sharing the sweep with other consumers
-    /// drive the same plan/sweep pieces themselves.
+    /// collects the balls; callers sharing the first group's sweep with other
+    /// consumers drive the same plan themselves.
     ///
     /// # Panics
     ///
     /// Panics if `k < 2` or the graph is not strongly connected.
     pub fn build<O: DistanceOracle + ?Sized>(g: &DiGraph, m: &O, k: u32) -> Self {
         let plan = CoverSweepPlan::new(m, k);
-        let mut levels: Vec<LevelCover> = Vec::new();
-        for (group_index, group_scales) in plan.scale_groups().enumerate() {
-            let _span = rtr_telemetry::span!("cover.scale_group", group_index);
-            let sweep = plan.ball_sweep(group_scales);
-            broadcast_rows(m, &[&sweep]);
-            levels.extend(sweep.finish_levels(g, k));
-        }
-        Self::from_levels(k, levels)
-    }
-
-    /// Assembles a hierarchy from already-built levels (the shared-sweep
-    /// suite path: levels come out of [`CoverBallSweep::finish_levels`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2`.
-    pub fn from_levels(k: u32, levels: Vec<LevelCover>) -> Self {
-        assert!(k >= 2, "DoubleTreeCover requires k >= 2");
-        DoubleTreeCover { k, levels }
+        let mut first = plan.first_sweep();
+        broadcast_rows(m, &g.nodes().collect::<Vec<_>>(), &mut [&mut first]);
+        plan.finish(g, m, first)
     }
 
     /// The sparseness parameter.
@@ -431,13 +447,7 @@ impl DoubleTreeCover {
                     .map(|(ci, (tree, router))| {
                         if hit[ci] {
                             reanchored += 1;
-                            let dt = DoubleTree::build(
-                                g,
-                                level.cover.seeds[ci],
-                                Some(&level.cover.clusters[ci]),
-                            );
-                            let router = TreeRouter::build(dt.out_tree());
-                            (dt, router)
+                            LevelCover::cluster_tree(g, &level.cover, ci)
                         } else {
                             (tree.clone(), router.clone())
                         }

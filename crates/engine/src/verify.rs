@@ -827,9 +827,6 @@ mod tests {
         fn prefetch_rows(&self, sources: &[NodeId]) {
             self.inner.prefetch_rows(sources)
         }
-        fn prefers_row_prefetch(&self) -> bool {
-            true
-        }
     }
 
     #[test]

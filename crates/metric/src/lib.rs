@@ -20,10 +20,11 @@
 //!   so that schemes needing only `Õ(√n)`-sized neighborhoods never hold an
 //!   `n²` structure;
 //! * the **broadcast row sweep** ([`broadcast_rows`]): one prefetched pass
-//!   over the oracle's forward/reverse rows fanned out to any number of
-//!   registered [`RowSweepConsumer`]s — how the scheme suite builds its
-//!   orders, landmark balls and cover balls from a single pass instead of
-//!   one sweep per structure;
+//!   over the oracle's forward/reverse rows of a list of sources, fanned out
+//!   to any number of registered [`RowSweepConsumer`]s — how the scheme
+//!   suite builds its orders, landmark balls and cover balls from a single
+//!   pass instead of one sweep per structure, and how a post-fault repair
+//!   recomputes only the dirty nodes' share of them;
 //! * the roundtrip aggregates `RTDiam`, `RTRad`, `RTCenter` on clusters
 //!   (induced subgraphs, [`ClusterMetric`]), needed by the §4 cover
 //!   construction.
@@ -66,6 +67,4 @@ pub use oracle::{
     LazyDijkstraOracle, OracleStats, RoundtripRow, PREFETCH_WINDOW,
 };
 pub use order::{roundtrip_closer, RoundtripOrder, TruncatedOrderSweep};
-pub use sweep::{
-    broadcast_rows, broadcast_rows_with_threads, RowSweepConsumer, SweepRows, SweepSlots,
-};
+pub use sweep::{broadcast_rows, RowSweepConsumer, SweepRows, SweepSlots};

@@ -104,16 +104,6 @@ pub trait DistanceOracle: Sync + fmt::Debug {
         let _ = sources;
     }
 
-    /// True when this oracle pays a per-row cost on cold reads and therefore
-    /// benefits from [`prefetch_rows`](Self::prefetch_rows)-driven sequential
-    /// sweeps.  Row-sweeping consumers use this to pick between "fan the
-    /// sweep out over worker threads" (dense: rows are free, parallelise the
-    /// consumption) and "sweep sequentially with a prefetch window" (lazy:
-    /// the oracle parallelises the Dijkstras, consumption is cheap).
-    fn prefers_row_prefetch(&self) -> bool {
-        false
-    }
-
     /// True when every ordered pair is reachable.
     ///
     /// The default checks the forward and reverse rows of node 0 — all nodes
@@ -255,12 +245,15 @@ impl RoundtripRow {
 pub const PREFETCH_WINDOW: usize = 16;
 
 /// Sweeps `sources` sequentially, prefetching each window's rows before
-/// consuming it — the canonical loop for row-granular consumers (orders,
-/// landmark extraction, cover balls) on oracles where
-/// [`DistanceOracle::prefers_row_prefetch`] is true.  The oracle overlaps
-/// the window's Dijkstras on its worker pool while `f` drains finished rows
-/// on this thread; on a dense oracle the prefetch is a no-op and the loop
-/// degenerates to a plain sequential sweep.
+/// consuming it — the one loop of every row-granular consumer (orders,
+/// landmark extraction, cover balls, the §4 dictionary pass; see
+/// [`broadcast_rows`](crate::broadcast_rows)) and of the verification
+/// flushes.  A caching oracle computes the window's missing rows in parallel
+/// on its worker threads, and [`DistanceOracle::prefetch_rows`] returns only
+/// once the whole window is resident; `f` then drains the window on this
+/// thread.  Row computation and consumption therefore alternate window by
+/// window rather than overlap.  On a dense oracle the prefetch is a no-op
+/// and the loop is a plain sequential sweep.
 pub fn sweep_rows_prefetched<O, F>(m: &O, sources: &[NodeId], mut f: F)
 where
     O: DistanceOracle + ?Sized,
@@ -285,10 +278,11 @@ where
 /// still fills [`PREFETCH_WINDOW`]-sized oracle batches instead of issuing
 /// one under-filled batch per shard.
 ///
-/// On a lazy oracle each window's forward + reverse Dijkstras overlap on the
-/// oracle's worker pool while `f` drains finished rows on this thread; on a
-/// dense oracle the prefetch is a no-op and the loop degenerates to plain
-/// row reads.  The total row cost is two Dijkstras per **distinct**
+/// On a lazy oracle each window's forward + reverse Dijkstras run in
+/// parallel on the oracle's worker threads before `f` reads the window on
+/// this thread (the prefetch returns once the window is resident, so the two
+/// alternate rather than overlap); on a dense oracle the prefetch is a no-op
+/// and the loop degenerates to plain row reads.  The total row cost is two Dijkstras per **distinct**
 /// destination across all shards (modulo cache hits), never per consumer
 /// item — which is what makes destination-grouped verification cheap under
 /// skew.  When destination lists are shard-disjoint — as the engine's
@@ -344,9 +338,6 @@ impl<O: DistanceOracle + ?Sized> DistanceOracle for &O {
     }
     fn prefetch_rows(&self, sources: &[NodeId]) {
         (**self).prefetch_rows(sources)
-    }
-    fn prefers_row_prefetch(&self) -> bool {
-        (**self).prefers_row_prefetch()
     }
 }
 
@@ -752,10 +743,6 @@ impl DistanceOracle for LazyDijkstraOracle<'_> {
         })
         .expect("prefetch worker panicked");
     }
-
-    fn prefers_row_prefetch(&self) -> bool {
-        true
-    }
 }
 
 /// Memoising oracle that materialises only the rows actually touched, and
@@ -857,10 +844,6 @@ impl DistanceOracle for CachedSubsetOracle<'_> {
     fn prefetch_rows(&self, sources: &[NodeId]) {
         self.inner.prefetch_rows(sources)
     }
-
-    fn prefers_row_prefetch(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -959,8 +942,6 @@ mod tests {
         let g = strongly_connected_gnp(36, 0.1, 13).unwrap();
         let dense = DistanceMatrix::build(&g);
         let lazy = LazyDijkstraOracle::new(&g, 16);
-        assert!(lazy.prefers_row_prefetch());
-        assert!(!DistanceOracle::prefers_row_prefetch(&dense));
         let sources: Vec<NodeId> = g.nodes().take(6).collect();
         lazy.prefetch_rows(&sources);
         let computed = lazy.stats().rows_computed;

@@ -93,7 +93,7 @@ impl TruncatedOrderSweep {
 }
 
 impl RowSweepConsumer for TruncatedOrderSweep {
-    fn consume(&self, source: NodeId, rows: &SweepRows<'_>) {
+    fn consume(&mut self, source: NodeId, rows: &SweepRows<'_>) {
         self.slots.put(source.index(), prefix_from_rows(rows.roundtrip, rows.rev, self.cap));
     }
 }
@@ -110,14 +110,14 @@ impl RoundtripOrder {
     /// (`level_size(n, k−1, k)` covers every dictionary lookup of a
     /// parameter-`k` scheme).
     ///
-    /// Runs a solo [`broadcast_rows`] pass with a [`TruncatedOrderSweep`]
-    /// consumer: block-parallel consumption on dense oracles, a sequential
-    /// prefetch-windowed sweep on lazy ones — bit-identical orders either
-    /// way. Callers building several row structures should register the
-    /// sweep on a shared broadcast instead.
+    /// Runs a solo [`broadcast_rows`] pass over every node with a
+    /// [`TruncatedOrderSweep`] consumer. Callers building several row
+    /// structures should register the sweep on a shared broadcast instead.
     pub fn build_truncated<O: DistanceOracle + ?Sized>(m: &O, cap: usize) -> Self {
-        let sweep = TruncatedOrderSweep::new(m.node_count(), cap);
-        broadcast_rows(m, &[&sweep]);
+        let n = m.node_count();
+        let mut sweep = TruncatedOrderSweep::new(n, cap);
+        let sources: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+        broadcast_rows(m, &sources, &mut [&mut sweep]);
         sweep.finish()
     }
 
@@ -199,18 +199,37 @@ impl RoundtripOrder {
         self.neighborhood(v, size)
     }
 
-    /// Incrementally repairs the order after graph faults: each stored
-    /// prefix is a pure function of its node's roundtrip and reverse rows,
-    /// so only the prefixes of nodes the
-    /// [`RowInvalidation`](crate::RowInvalidation) marks dirty are
-    /// recomputed (two oracle rows each against the post-fault metric `m`);
-    /// clean prefixes are carried over unchanged.
+    /// The order sweep of a post-fault repair: each stored prefix is a pure
+    /// function of its node's roundtrip and reverse rows, so the prefixes of
+    /// the nodes the [`RowInvalidation`](crate::RowInvalidation) leaves clean
+    /// are carried over unchanged and only the dirty nodes' slots are left
+    /// for a [`broadcast_rows`] pass over
+    /// [`dirty_nodes`](crate::RowInvalidation::dirty_nodes) to fill.
     ///
-    /// With `m` the mutated graph's metric (e.g. a
-    /// [rebased](crate::LazyDijkstraOracle::rebased) oracle), the result is
-    /// **bit-identical** to [`build_truncated`](Self::build_truncated) from
-    /// scratch on the mutated graph — clean rows are unchanged by
-    /// construction, so clean prefixes are too.
+    /// Swept against the mutated graph's metric (e.g. a
+    /// [rebased](crate::LazyDijkstraOracle::rebased) oracle), the finished
+    /// order is **bit-identical** to
+    /// [`build_truncated`](Self::build_truncated) from scratch on the mutated
+    /// graph — clean rows are unchanged by construction, so clean prefixes
+    /// are too.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `invalidation` sizes a different node count.
+    pub fn repair_sweep(&self, invalidation: &crate::RowInvalidation) -> TruncatedOrderSweep {
+        assert_eq!(invalidation.node_count(), self.n, "invalidation node count mismatch");
+        let mut sweep = TruncatedOrderSweep::new(self.n, self.stored);
+        for (vi, prefix) in self.orders.iter().enumerate() {
+            if !invalidation.is_node_dirty(NodeId::from_index(vi)) {
+                sweep.slots.put(vi, prefix.clone());
+            }
+        }
+        sweep
+    }
+
+    /// Incrementally repairs the order after graph faults: the
+    /// [`repair_sweep`](Self::repair_sweep) run alone over the dirty nodes
+    /// of the post-fault metric `m` (two oracle rows each).
     ///
     /// # Panics
     ///
@@ -222,20 +241,9 @@ impl RoundtripOrder {
         invalidation: &crate::RowInvalidation,
     ) -> RoundtripOrder {
         assert_eq!(m.node_count(), self.n, "repair metric node count mismatch");
-        assert_eq!(invalidation.node_count(), self.n, "invalidation node count mismatch");
-        let orders = (0..self.n as u32)
-            .map(NodeId)
-            .map(|v| {
-                if invalidation.is_node_dirty(v) {
-                    let roundtrip = m.roundtrip_row(v);
-                    let rev = m.rev_row(v);
-                    prefix_from_rows(&roundtrip, &rev, self.stored)
-                } else {
-                    self.orders[v.index()].clone()
-                }
-            })
-            .collect();
-        RoundtripOrder { n: self.n, stored: self.stored, orders }
+        let mut sweep = self.repair_sweep(invalidation);
+        broadcast_rows(m, &invalidation.dirty_nodes(), &mut [&mut sweep]);
+        sweep.finish()
     }
 }
 

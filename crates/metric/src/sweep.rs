@@ -1,5 +1,6 @@
 //! The broadcast row-sweep pipeline: ONE pass over the oracle's forward and
-//! reverse rows, fanned out to every registered consumer.
+//! reverse rows of a list of sources, fanned out to every registered
+//! consumer.
 //!
 //! Before this module existed, each row-granular construction — the roundtrip
 //! orders, landmark extraction, cover ball collection, the polynomial scheme's
@@ -11,28 +12,20 @@
 //! roundtrip row are materialised once and every consumer reads the same
 //! borrowed slices.
 //!
-//! The sweep respects [`DistanceOracle::prefers_row_prefetch`]:
-//!
-//! * **lazy oracles** are swept sequentially over
-//!   [`PREFETCH_WINDOW`](crate::PREFETCH_WINDOW)-sized windows — the oracle
-//!   overlaps the window's
-//!   Dijkstras on its worker pool while this thread drains finished rows into
-//!   the consumers (the same loop [`sweep_rows_prefetched`] runs, now
-//!   amortised over all consumers);
-//! * **dense oracles** have every row already, so the sweep fans the sources
-//!   out over worker threads that call every consumer for their own disjoint
-//!   source blocks.
-//!
-//! Consumers therefore must accept concurrent `consume` calls for *distinct*
-//! sources.  The intended pattern is one independent output slot per source
-//! ([`SweepSlots`]) plus order-independent aggregates; under that discipline
-//! the results are bit-identical across oracles and thread counts, which the
-//! suite-level property tests assert.
+//! There is one loop, for every oracle: the sources are swept in order, in
+//! [`PREFETCH_WINDOW`](crate::PREFETCH_WINDOW)-sized windows (the loop
+//! [`sweep_rows_prefetched`] runs).  A caching oracle computes each window's
+//! missing rows in parallel on its worker threads before the window is
+//! consumed; a dense oracle has every row already.  A build sweeps every
+//! node; a post-fault repair sweeps only the nodes whose rows a
+//! [`RowInvalidation`](crate::RowInvalidation) marks dirty, into consumers
+//! that start from the clean nodes' outputs.  Each consumer fills one output
+//! slot per source ([`SweepSlots`]), so its result does not depend on the
+//! oracle it was swept from.
 //!
 //! [`sweep_rows_prefetched`]: crate::sweep_rows_prefetched
 
 use crate::oracle::DistanceOracle;
-use parking_lot::Mutex;
 use rtr_graph::types::saturating_dist_add;
 use rtr_graph::{Distance, NodeId};
 use std::fmt;
@@ -53,99 +46,51 @@ pub struct SweepRows<'a> {
 /// A construction that consumes one source's rows at a time.
 ///
 /// [`broadcast_rows`] calls [`consume`](Self::consume) exactly once per
-/// source.  On dense oracles distinct sources are processed concurrently from
-/// worker threads, so implementations take `&self` and must route per-source
-/// output through independently writable slots (see [`SweepSlots`]) and
-/// shared aggregates through order-independent reductions (max, sum, …).
-pub trait RowSweepConsumer: Sync {
-    /// Processes the rows of `source`.  Must not assume any particular call
-    /// order across sources.
-    fn consume(&self, source: NodeId, rows: &SweepRows<'_>);
+/// source of its list, in list order.
+pub trait RowSweepConsumer {
+    /// Processes the rows of `source`.
+    fn consume(&mut self, source: NodeId, rows: &SweepRows<'_>);
 }
 
-/// Runs one shared sweep over every source of `m`, feeding each source's rows
-/// to every consumer.
+/// Runs one shared sweep over `sources`, feeding each source's rows to every
+/// consumer.
 ///
 /// Equivalent to running each consumer's private sweep back to back — the
 /// rows are deterministic, every consumer sees all of them — but the oracle
 /// materialises each row **once** instead of once per consumer, which is the
 /// difference between ~10n and ~4n Dijkstras for a full sparse-suite build.
-pub fn broadcast_rows<O: DistanceOracle + ?Sized>(m: &O, consumers: &[&dyn RowSweepConsumer]) {
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    broadcast_rows_with_threads(m, consumers, threads);
-}
-
-/// [`broadcast_rows`] with an explicit worker count for the dense
-/// (block-parallel) path — the lazy path is sequential by design and ignores
-/// `threads`.  Exposed so determinism tests can pin the thread count.
-pub fn broadcast_rows_with_threads<O: DistanceOracle + ?Sized>(
+pub fn broadcast_rows<O: DistanceOracle + ?Sized>(
     m: &O,
-    consumers: &[&dyn RowSweepConsumer],
-    threads: usize,
+    sources: &[NodeId],
+    consumers: &mut [&mut dyn RowSweepConsumer],
 ) {
-    let n = m.node_count();
-    if n == 0 || consumers.is_empty() {
+    if sources.is_empty() || consumers.is_empty() {
         return;
     }
-    let _span = rtr_telemetry::span!("metric.broadcast_rows", format_args!("n={n}"));
-    let deliver = |v: NodeId| {
+    let _span =
+        rtr_telemetry::span!("metric.broadcast_rows", format_args!("sources={}", sources.len()));
+    crate::oracle::sweep_rows_prefetched(m, sources, |v| {
         let fwd = m.row(v);
         let rev = m.rev_row(v);
         let roundtrip: Vec<Distance> =
             fwd.iter().zip(&rev).map(|(&a, &b)| saturating_dist_add(a, b)).collect();
         let rows = SweepRows { fwd: &fwd, rev: &rev, roundtrip: &roundtrip };
-        for consumer in consumers {
+        for consumer in consumers.iter_mut() {
             consumer.consume(v, &rows);
         }
-    };
-    if m.prefers_row_prefetch() {
-        // Lazy oracle: the per-source cost is the two Dijkstras behind the
-        // row miss.  Sweep sequentially over prefetch windows so the oracle
-        // overlaps the Dijkstras on its pool while this thread consumes.
-        let sources: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
-        crate::oracle::sweep_rows_prefetched(m, &sources, deliver);
-        return;
-    }
-    // Dense oracle: rows are free, parallelise the consumption over workers
-    // owning disjoint source blocks.
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        for v in (0..n).map(NodeId::from_index) {
-            deliver(v);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    let result = crossbeam::scope(|scope| {
-        for start in (0..n).step_by(chunk) {
-            let deliver = &deliver;
-            scope.spawn(move |_| {
-                for vi in start..(start + chunk).min(n) {
-                    deliver(NodeId::from_index(vi));
-                }
-            });
-        }
     });
-    if let Err(payload) = result {
-        std::panic::resume_unwind(payload);
-    }
 }
 
-/// Per-source output slots, independently writable from concurrent
-/// [`RowSweepConsumer::consume`] calls.
-///
-/// One mutex per slot: sweeps write each slot exactly once from whichever
-/// worker owns the source, so the locks are never contended — they exist to
-/// keep the consumers inside safe Rust (the whole workspace forbids
-/// `unsafe`).
+/// One output slot per source, filled by a sweep (or carried over from a
+/// previous build) and read back in node order.
 pub struct SweepSlots<T> {
-    slots: Vec<Mutex<Option<T>>>,
+    slots: Vec<Option<T>>,
 }
 
 impl<T> SweepSlots<T> {
     /// Creates `n` empty slots.
     pub fn new(n: usize) -> Self {
-        SweepSlots { slots: (0..n).map(|_| Mutex::new(None)).collect() }
+        SweepSlots { slots: (0..n).map(|_| None).collect() }
     }
 
     /// Number of slots.
@@ -159,8 +104,8 @@ impl<T> SweepSlots<T> {
     }
 
     /// Fills slot `index` (intended to be called once per slot).
-    pub fn put(&self, index: usize, value: T) {
-        *self.slots[index].lock() = Some(value);
+    pub fn put(&mut self, index: usize, value: T) {
+        self.slots[index] = Some(value);
     }
 
     /// Consumes the slots into a dense vector.
@@ -173,9 +118,7 @@ impl<T> SweepSlots<T> {
         self.slots
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner().unwrap_or_else(|| panic!("sweep never filled slot {i}"))
-            })
+            .map(|(i, slot)| slot.unwrap_or_else(|| panic!("sweep never filled slot {i}")))
             .collect()
     }
 }
@@ -191,23 +134,22 @@ mod tests {
     use super::*;
     use crate::{DistanceMatrix, LazyDijkstraOracle, PREFETCH_WINDOW};
     use rtr_graph::generators::strongly_connected_gnp;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Records every row it sees; also counts calls.
     struct Recorder {
         slots: SweepSlots<(Vec<Distance>, Vec<Distance>, Vec<Distance>)>,
-        calls: AtomicUsize,
+        calls: usize,
     }
 
     impl Recorder {
         fn new(n: usize) -> Self {
-            Recorder { slots: SweepSlots::new(n), calls: AtomicUsize::new(0) }
+            Recorder { slots: SweepSlots::new(n), calls: 0 }
         }
     }
 
     impl RowSweepConsumer for Recorder {
-        fn consume(&self, source: NodeId, rows: &SweepRows<'_>) {
-            self.calls.fetch_add(1, Ordering::Relaxed);
+        fn consume(&mut self, source: NodeId, rows: &SweepRows<'_>) {
+            self.calls += 1;
             self.slots.put(
                 source.index(),
                 (rows.fwd.to_vec(), rows.rev.to_vec(), rows.roundtrip.to_vec()),
@@ -215,15 +157,19 @@ mod tests {
         }
     }
 
+    fn all(n: usize) -> Vec<NodeId> {
+        (0..n).map(NodeId::from_index).collect()
+    }
+
     #[test]
     fn every_consumer_sees_every_source_once_with_correct_rows() {
         let g = strongly_connected_gnp(30, 0.12, 3).unwrap();
         let dense = DistanceMatrix::build(&g);
-        let a = Recorder::new(30);
-        let b = Recorder::new(30);
-        broadcast_rows(&dense, &[&a, &b]);
+        let mut a = Recorder::new(30);
+        let mut b = Recorder::new(30);
+        broadcast_rows(&dense, &all(30), &mut [&mut a, &mut b]);
         for rec in [a, b] {
-            assert_eq!(rec.calls.load(Ordering::Relaxed), 30);
+            assert_eq!(rec.calls, 30);
             let rows = rec.slots.into_vec();
             for (vi, (fwd, rev, rt)) in rows.iter().enumerate() {
                 let v = NodeId::from_index(vi);
@@ -241,9 +187,9 @@ mod tests {
         let g = strongly_connected_gnp(40, 0.1, 7).unwrap();
         let dense = DistanceMatrix::build(&g);
         let lazy = LazyDijkstraOracle::new(&g, 2 * PREFETCH_WINDOW + 4);
-        let a = Recorder::new(40);
-        let b = Recorder::new(40);
-        broadcast_rows(&lazy, &[&a, &b]);
+        let mut a = Recorder::new(40);
+        let mut b = Recorder::new(40);
+        broadcast_rows(&lazy, &all(40), &mut [&mut a, &mut b]);
         // Two consumers, one sweep: every source still costs exactly one
         // forward + one reverse Dijkstra.
         assert_eq!(lazy.stats().rows_computed, 80);
@@ -259,33 +205,17 @@ mod tests {
     }
 
     #[test]
-    fn dense_sweep_is_thread_count_invariant() {
-        let g = strongly_connected_gnp(33, 0.15, 11).unwrap();
-        let dense = DistanceMatrix::build(&g);
-        let reference = {
-            let r = Recorder::new(33);
-            broadcast_rows_with_threads(&dense, &[&r], 1);
-            r.slots.into_vec()
-        };
-        for threads in [2usize, 5, 64] {
-            let r = Recorder::new(33);
-            broadcast_rows_with_threads(&dense, &[&r], threads);
-            assert_eq!(r.slots.into_vec(), reference, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn empty_consumer_list_is_a_noop() {
         let g = strongly_connected_gnp(12, 0.3, 1).unwrap();
         let lazy = LazyDijkstraOracle::new(&g, 4);
-        broadcast_rows(&lazy, &[]);
+        broadcast_rows(&lazy, &all(12), &mut []);
         assert_eq!(lazy.stats().rows_computed, 0, "a consumer-less sweep touched the oracle");
     }
 
     #[test]
     #[should_panic(expected = "never filled slot")]
     fn unfilled_slots_are_detected() {
-        let slots: SweepSlots<u32> = SweepSlots::new(3);
+        let mut slots: SweepSlots<u32> = SweepSlots::new(3);
         slots.put(0, 7);
         slots.put(2, 9);
         let _ = slots.into_vec();

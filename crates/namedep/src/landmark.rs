@@ -41,7 +41,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rtr_graph::algo::dijkstra::dijkstra_to_targets;
 use rtr_graph::hash::FxHashMap;
-use rtr_graph::{DiGraph, Distance, NodeId, Port};
+use rtr_graph::{DiGraph, NodeId, Port};
 use rtr_metric::{
     broadcast_rows, DistanceOracle, RowInvalidation, RowSweepConsumer, SweepRows, SweepSlots,
 };
@@ -142,12 +142,11 @@ pub struct LandmarkBallScheme {
 /// roundtrip ball (with exact first-hop ports), extracted from the node's
 /// roundtrip row.
 ///
-/// Create it with [`LandmarkBallScheme::sweep`], register it on a
-/// [`broadcast_rows`] pass — alone, or shared with the suite's other row
-/// consumers — and assemble the substrate with
-/// [`finish`](LandmarkSweep::finish).  Per-node outputs are independent, so
-/// the result is bit-identical whether the sweep delivers rows sequentially
-/// (lazy oracles) or block-parallel (dense oracles).
+/// Create it with [`LandmarkBallScheme::sweep`] (every node left to sweep)
+/// or [`LandmarkBallScheme::repair_sweep`] (clean nodes carried from a
+/// previous build), register it on a [`broadcast_rows`] pass over the nodes
+/// left — alone, or shared with the suite's other row consumers — and
+/// assemble the substrate with [`finish`](LandmarkSweep::finish).
 #[derive(Debug)]
 pub struct LandmarkSweep<'g> {
     g: &'g DiGraph,
@@ -158,52 +157,41 @@ pub struct LandmarkSweep<'g> {
 }
 
 impl RowSweepConsumer for LandmarkSweep<'_> {
-    fn consume(&self, u: NodeId, rows: &SweepRows<'_>) {
-        self.slots
-            .put(u.index(), node_ball(self.g, &self.sampled, self.ball_cap, u, rows.roundtrip));
-    }
-}
+    /// The pass-1 result for one node, computed from its roundtrip row: the
+    /// index of `u`'s nearest *sampled* landmark and `u`'s roundtrip ball
+    /// with exact first-hop ports.
+    fn consume(&mut self, u: NodeId, rows: &SweepRows<'_>) {
+        let (g, sampled, rt_row) = (self.g, &self.sampled, rows.roundtrip);
+        let (li, _) = sampled
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| (i, rt_row[l.index()]))
+            .min_by_key(|&(i, d)| (d, i))
+            .expect("at least one landmark");
 
-/// The pass-1 result for one node, computed from its roundtrip row: the index
-/// of `u`'s nearest *sampled* landmark and `u`'s roundtrip ball with exact
-/// first-hop ports. One code path shared by the build sweep and the repair
-/// entry point so that a repaired node is bit-identical to a fresh one.
-fn node_ball(
-    g: &DiGraph,
-    sampled: &[NodeId],
-    ball_cap: usize,
-    u: NodeId,
-    rt_row: &[Distance],
-) -> (u32, FxHashMap<NodeId, Port>) {
-    let (li, _) = sampled
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| (i, rt_row[l.index()]))
-        .min_by_key(|&(i, d)| (d, i))
-        .expect("at least one landmark");
-
-    let r_to_landmarks = rt_row[sampled[li].index()];
-    // Candidate ball members, nearest first, capped.
-    let mut members: Vec<NodeId> =
-        g.nodes().filter(|&w| w != u && rt_row[w.index()] < r_to_landmarks).collect();
-    members.sort_by_key(|&w| (rt_row[w.index()], w.0));
-    members.truncate(ball_cap);
-    let mut ball: FxHashMap<NodeId, Port> = FxHashMap::default();
-    if !members.is_empty() {
-        // Bounded Dijkstra: stop as soon as every ball member is
-        // settled instead of running to completion — the members
-        // are the only nodes read, and their first hops are
-        // bit-identical to a full run (see `dijkstra_to_targets`).
-        let sp = dijkstra_to_targets(g, u, &members);
-        for w in members {
-            // First hop of the shortest path u → w.
-            let path = sp.path(w).expect("strongly connected");
-            let first_hop = path[1];
-            let port = g.port_of_edge(u, first_hop).expect("edge on path exists");
-            ball.insert(w, port);
+        let r_to_landmarks = rt_row[sampled[li].index()];
+        // Candidate ball members, nearest first, capped.
+        let mut members: Vec<NodeId> =
+            g.nodes().filter(|&w| w != u && rt_row[w.index()] < r_to_landmarks).collect();
+        members.sort_by_key(|&w| (rt_row[w.index()], w.0));
+        members.truncate(self.ball_cap);
+        let mut ball: FxHashMap<NodeId, Port> = FxHashMap::default();
+        if !members.is_empty() {
+            // Bounded Dijkstra: stop as soon as every ball member is
+            // settled instead of running to completion — the members
+            // are the only nodes read, and their first hops are
+            // bit-identical to a full run (see `dijkstra_to_targets`).
+            let sp = dijkstra_to_targets(g, u, &members);
+            for w in members {
+                // First hop of the shortest path u → w.
+                let path = sp.path(w).expect("strongly connected");
+                let first_hop = path[1];
+                let port = g.port_of_edge(u, first_hop).expect("edge on path exists");
+                ball.insert(w, port);
+            }
         }
+        self.slots.put(u.index(), (li as u32, ball));
     }
-    (li as u32, ball)
 }
 
 impl<'g> LandmarkSweep<'g> {
@@ -250,8 +238,8 @@ impl LandmarkBallScheme {
             m.is_strongly_connected(),
             "landmark substrate requires a strongly connected graph"
         );
-        let sweep = Self::sweep(g, params);
-        broadcast_rows(m, &[&sweep]);
+        let mut sweep = Self::sweep(g, params);
+        broadcast_rows(m, &g.nodes().collect::<Vec<_>>(), &mut [&mut sweep]);
         sweep.finish()
     }
 
@@ -379,22 +367,57 @@ impl LandmarkBallScheme {
         self.landmarks[self.nearest_landmark[v.index()] as usize]
     }
 
-    /// Incrementally re-anchors the substrate on a mutated graph.
+    /// The pass-1 sweep of a post-fault repair: the sweep
+    /// [`sweep`](Self::sweep) prepares, with the results of the nodes
+    /// `invalidation` leaves clean carried over from this substrate, so that
+    /// a [`broadcast_rows`] pass over
+    /// [`dirty_nodes`](RowInvalidation::dirty_nodes) completes it.
     ///
-    /// `g` must be the mutated graph (same node set), `m` its **post-fault**
-    /// metric — typically a rebased oracle carrying the clean pre-fault rows
-    /// — and `params` the parameters this substrate was built with. The
-    /// per-node pass-1 results (nearest sampled landmark + roundtrip ball)
-    /// are recomputed only for the nodes `invalidation` marks dirty; clean
-    /// nodes carry their stored results over verbatim. That carry is exact,
-    /// not approximate: a clean node's roundtrip row is unchanged by
-    /// definition, and its ball's first-hop ports are unchanged too, because
-    /// any removed or inflated edge on a shortest path out of `u` is *tight*
-    /// from `u` and would have dirtied `u`'s forward row (the Dijkstra
-    /// tie-break — smallest parent id among final-distance predecessors — is
-    /// a pure function of distances and tight edges). The graph-side passes
-    /// (landmark pruning, per-landmark trees, descent records) always re-run
-    /// on `g`, touching no oracle rows.
+    /// `g` must be the mutated graph (same node set) and `params` the
+    /// parameters this substrate was built with; the sweep must run against
+    /// the **post-fault** metric — typically a rebased oracle carrying the
+    /// clean pre-fault rows. The carry is exact, not approximate: a clean
+    /// node's roundtrip row is unchanged by definition, and its ball's
+    /// first-hop ports are unchanged too, because any removed or inflated
+    /// edge on a shortest path out of `u` is *tight* from `u` and would have
+    /// dirtied `u`'s forward row (the Dijkstra tie-break — smallest parent id
+    /// among final-distance predecessors — is a pure function of distances
+    /// and tight edges). The graph-side passes of
+    /// [`finish`](LandmarkSweep::finish) (landmark pruning, per-landmark
+    /// trees, descent records) always re-run on `g`, touching no oracle rows,
+    /// so the finished substrate is bit-identical to [`build`](Self::build)
+    /// from scratch on the mutated graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node set changed or `invalidation` sizes a different
+    /// metric.
+    pub fn repair_sweep<'g>(
+        &self,
+        g: &'g DiGraph,
+        params: LandmarkParams,
+        invalidation: &RowInvalidation,
+    ) -> LandmarkSweep<'g> {
+        assert_eq!(self.n, g.node_count(), "repair requires an unchanged node set");
+        assert_eq!(self.n, invalidation.node_count(), "invalidation sizes a different metric");
+        // The sample is metric-free (node count + seed), so regenerate it
+        // instead of having stored it.
+        let mut sweep = Self::sweep(g, params);
+        for u in g.nodes().filter(|&u| !invalidation.is_node_dirty(u)) {
+            // Recover the *sampled* index of u's nearest landmark — the
+            // substrate only stores indices into the pruned list.
+            let li = sweep
+                .sampled
+                .binary_search(&self.nearest_landmark(u))
+                .expect("kept landmark was sampled");
+            sweep.slots.put(u.index(), (li as u32, self.balls[u.index()].clone()));
+        }
+        sweep
+    }
+
+    /// Incrementally re-anchors the substrate on a mutated graph: the
+    /// [`repair_sweep`](Self::repair_sweep) run alone over the dirty nodes
+    /// of the post-fault metric `m`.
     ///
     /// Returns the repaired substrate — bit-identical to
     /// [`build`](Self::build) from scratch on `(g, m, params)` — and the
@@ -411,41 +434,14 @@ impl LandmarkBallScheme {
         params: LandmarkParams,
         invalidation: &RowInvalidation,
     ) -> (LandmarkBallScheme, usize) {
-        assert_eq!(self.n, g.node_count(), "repair requires an unchanged node set");
-        assert_eq!(self.n, invalidation.node_count(), "invalidation sizes a different metric");
         assert!(
             m.is_strongly_connected(),
             "landmark substrate requires a strongly connected graph"
         );
-        let _span = rtr_telemetry::span!(
-            "landmark.repair",
-            format_args!("dirty={}", invalidation.dirty_node_count())
-        );
-        // The sample is metric-free (node count + seed), so regenerate it
-        // instead of having stored it.
-        let probe = Self::sweep(g, params);
-        let (sampled, ball_cap) = (probe.sampled, probe.ball_cap);
-        let mut nearest_sampled = Vec::with_capacity(self.n);
-        let mut balls = Vec::with_capacity(self.n);
-        let mut repaired = 0usize;
-        for u in g.nodes() {
-            if invalidation.is_node_dirty(u) {
-                let rt_row = m.roundtrip_row(u);
-                let (li, ball) = node_ball(g, &sampled, ball_cap, u, &rt_row);
-                nearest_sampled.push(li);
-                balls.push(ball);
-                repaired += 1;
-            } else {
-                // Recover the *sampled* index of u's nearest landmark — the
-                // substrate only stores indices into the pruned list.
-                let l = self.landmarks[self.nearest_landmark[u.index()] as usize];
-                let li = sampled.binary_search(&l).expect("kept landmark was sampled") as u32;
-                nearest_sampled.push(li);
-                balls.push(self.balls[u.index()].clone());
-            }
-        }
-        let max_ball_size = balls.iter().map(FxHashMap::len).max().unwrap_or(0);
-        (Self::assemble(g, sampled, nearest_sampled, balls, max_ball_size), repaired)
+        let mut sweep = self.repair_sweep(g, params, invalidation);
+        let dirty = invalidation.dirty_nodes();
+        broadcast_rows(m, &dirty, &mut [&mut sweep]);
+        (sweep.finish(), dirty.len())
     }
 }
 

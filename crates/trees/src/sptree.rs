@@ -35,51 +35,25 @@ impl OutTree {
     /// induced subgraph on `members` when `Some` (paths may not leave the
     /// cluster). Unreachable members are omitted from the tree.
     pub fn shortest_paths_within(g: &DiGraph, root: NodeId, members: Option<&[NodeId]>) -> Self {
-        let allowed: Option<FxHashSet<NodeId>> = members.map(|m| m.iter().copied().collect());
-        let filter = allowed.as_ref().map(|set| {
-            let set = set.clone();
-            move |v: NodeId| set.contains(&v)
+        let mut tree = OutTree {
+            root,
+            members: Vec::new(),
+            parent: FxHashMap::default(),
+            parent_port: FxHashMap::default(),
+            dist: FxHashMap::default(),
+            children: FxHashMap::default(),
+        };
+        // Members arrive ascending, so every child list comes out sorted.
+        visit_reached(g, root, members, false, |v, dist, link| {
+            tree.members.push(v);
+            tree.dist.insert(v, dist);
+            if let Some((p, port)) = link {
+                tree.parent.insert(v, p);
+                tree.parent_port.insert(v, port);
+                tree.children.entry(p).or_default().push(v);
+            }
         });
-        let tree = match &filter {
-            Some(f) => dijkstra_filtered(g, root, Some(f)),
-            None => dijkstra_filtered(g, root, None),
-        };
-
-        let candidate_members: Vec<NodeId> = match &allowed {
-            Some(set) => {
-                let mut v: Vec<NodeId> = set.iter().copied().collect();
-                v.sort_unstable();
-                v
-            }
-            None => g.nodes().collect(),
-        };
-
-        let mut out_members = Vec::new();
-        let mut parent = FxHashMap::default();
-        let mut parent_port = FxHashMap::default();
-        let mut dist = FxHashMap::default();
-        let mut children: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-
-        for v in candidate_members {
-            if !tree.is_reachable(v) {
-                continue;
-            }
-            out_members.push(v);
-            dist.insert(v, tree.distance(v));
-            if v != root {
-                let p = tree.parent[v.index()].expect("reachable non-root has a parent");
-                let port =
-                    tree.parent_port[v.index()].expect("reachable non-root has a parent port");
-                parent.insert(v, p);
-                parent_port.insert(v, port);
-                children.entry(p).or_default().push(v);
-            }
-        }
-        out_members.sort_unstable();
-        for kids in children.values_mut() {
-            kids.sort_unstable();
-        }
-        OutTree { root, members: out_members, parent, parent_port, dist, children }
+        tree
     }
 
     /// The root of the tree.
@@ -168,44 +142,22 @@ impl InTree {
     /// `members` when `Some`. Members that cannot reach the root inside the
     /// cluster are omitted.
     pub fn shortest_paths_within(g: &DiGraph, root: NodeId, members: Option<&[NodeId]>) -> Self {
-        let allowed: Option<FxHashSet<NodeId>> = members.map(|m| m.iter().copied().collect());
-        let filter = allowed.as_ref().map(|set| {
-            let set = set.clone();
-            move |v: NodeId| set.contains(&v)
+        let mut tree = InTree {
+            root,
+            members: Vec::new(),
+            next_hop: FxHashMap::default(),
+            next_port: FxHashMap::default(),
+            dist: FxHashMap::default(),
+        };
+        visit_reached(g, root, members, true, |v, dist, link| {
+            tree.members.push(v);
+            tree.dist.insert(v, dist);
+            if let Some((next, port)) = link {
+                tree.next_hop.insert(v, next);
+                tree.next_port.insert(v, port);
+            }
         });
-        let tree = match &filter {
-            Some(f) => dijkstra_reverse_filtered(g, root, Some(f)),
-            None => dijkstra_reverse_filtered(g, root, None),
-        };
-
-        let candidate_members: Vec<NodeId> = match &allowed {
-            Some(set) => {
-                let mut v: Vec<NodeId> = set.iter().copied().collect();
-                v.sort_unstable();
-                v
-            }
-            None => g.nodes().collect(),
-        };
-
-        let mut out_members = Vec::new();
-        let mut next_hop = FxHashMap::default();
-        let mut next_port = FxHashMap::default();
-        let mut dist = FxHashMap::default();
-        for v in candidate_members {
-            if !tree.is_reachable(v) {
-                continue;
-            }
-            out_members.push(v);
-            dist.insert(v, tree.distance(v));
-            if v != root {
-                let nh = tree.parent[v.index()].expect("reachable non-root has a next hop");
-                let port = tree.parent_port[v.index()].expect("reachable non-root has a next port");
-                next_hop.insert(v, nh);
-                next_port.insert(v, port);
-            }
-        }
-        out_members.sort_unstable();
-        InTree { root, members: out_members, next_hop, next_port, dist }
+        tree
     }
 
     /// The root (sink) of the in-tree.
@@ -250,6 +202,45 @@ impl InTree {
             cur = nh;
         }
         Some(path)
+    }
+}
+
+/// Runs the shortest-path tree from (`reverse`: toward) `root` over the
+/// induced subgraph on `members` (the whole graph when `None`) and visits its
+/// reached members in ascending order, each with its tree distance and,
+/// below the root, its Dijkstra parent and that tree edge's port.  The one
+/// member-extraction loop of [`OutTree`] and [`InTree`].
+fn visit_reached(
+    g: &DiGraph,
+    root: NodeId,
+    members: Option<&[NodeId]>,
+    reverse: bool,
+    mut visit: impl FnMut(NodeId, Distance, Option<(NodeId, Port)>),
+) {
+    let allowed: FxHashSet<NodeId> = members.unwrap_or_default().iter().copied().collect();
+    let in_cluster = |v: NodeId| allowed.contains(&v);
+    let filter: Option<&dyn Fn(NodeId) -> bool> = members.map(|_| &in_cluster as _);
+    let tree = if reverse {
+        dijkstra_reverse_filtered(g, root, filter)
+    } else {
+        dijkstra_filtered(g, root, filter)
+    };
+    let candidates: Vec<NodeId> = match members {
+        Some(m) => {
+            let mut sorted = m.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted
+        }
+        None => g.nodes().collect(),
+    };
+    for v in candidates.into_iter().filter(|&v| tree.is_reachable(v)) {
+        let link = (v != root).then(|| {
+            let parent = tree.parent[v.index()].expect("reachable non-root has a parent");
+            let port = tree.parent_port[v.index()].expect("reachable non-root has a port");
+            (parent, port)
+        });
+        visit(v, tree.distance(v), link);
     }
 }
 
