@@ -46,10 +46,13 @@
 //! incremental repair recomputed on the rebased [`CachedSubsetOracle`]
 //! against the rows a from-scratch [`SparseRepairKit::rebuild_reference`]
 //! pays on a fresh oracle, and **hard-fails** (exit 1) if repair costs more
-//! than [`REPAIR_ROW_BUDGET`] (25%) of the rebuild — or if the post-repair
-//! epoch is not clean.  The same two invariants are rows of the
-//! [`CHAOS`] gate table, checked on the current artifact whatever the
-//! baseline says, so CI enforces them even against a stale baseline.
+//! than [`REPAIR_ROW_BUDGET`] (25%) of the rebuild, if the repaired kit's
+//! landmark substrate, cover or either truncated order differs from that
+//! rebuild's (repair ≡ rebuild, checked at full size) — or if the
+//! post-repair epoch is not clean.  The row budget and the post-repair
+//! cleanliness are also rows of the [`CHAOS`] gate table, checked on the
+//! current artifact whatever the baseline says, so CI enforces them even
+//! against a stale baseline.
 //!
 //! Environment: `RTR_CHAOS_N` (default 600), `RTR_CHAOS_QUERIES` per epoch
 //! (default 4 000), `RTR_CHAOS_SEED` (default 42), `RTR_CHAOS_WORKERS`
@@ -306,8 +309,25 @@ fn main() {
         // The repair economy: what a from-scratch rebuild of the same
         // substrate pays on a fresh oracle over the mutated graph.
         let m_fresh = CachedSubsetOracle::new(&g1);
-        let _reference = kit.rebuild_reference(&g1, &m_fresh);
+        let reference = kit.rebuild_reference(&g1, &m_fresh);
         let full_rebuild_rows = m_fresh.stats().rows_computed as u64;
+        // Repair ≡ rebuild: every retained artifact bit-identical.
+        let diverged: Vec<&str> = [
+            ("landmark", kit1.landmark() == reference.landmark()),
+            ("cover", kit1.cover() == reference.cover()),
+            ("order6", kit1.order6() == reference.order6()),
+            ("orderx", kit1.orderx() == reference.orderx()),
+        ]
+        .into_iter()
+        .filter_map(|(name, same)| (!same).then_some(name))
+        .collect();
+        if !diverged.is_empty() {
+            fail(format!(
+                "fraction {fraction:.3}: the repaired kit differs from a from-scratch rebuild \
+                 in {}",
+                diverged.join(", ")
+            ));
+        }
         println!(
             "repair: {} dirty nodes, {} rows recomputed vs {} full-rebuild rows \
              ({:.1}%), {} clusters re-anchored, {} balls repaired, {:.2} ms",

@@ -6,17 +6,22 @@
 //! adjacency (giving `d(·, u)` for all sources).
 //!
 //! Every entry point runs one relaxation loop, over out-edges (forward) or
-//! in-edges (reverse), recording distances only ([`distances_from`] and
-//! [`distances_to`], which back the metric oracles' rows) or tree parents
-//! too.  Its queue is a monotone radix heap.  Each tree-edge port is looked
-//! up once after the loop from the node's final parent (`parent → v`
-//! forward, `v → parent` reverse); the edge is unique because the builder
-//! rejects duplicates.  No output depends on the order in which equal keys
-//! pop: distances are unique, and a node's parent is its smallest-id
-//! predecessor on a shortest path.  Weights are positive, so every such
-//! predecessor has a strictly smaller distance and relaxes the node before
-//! it settles — also in a run that stops once its targets have settled
-//! ([`dijkstra_to_targets`]).
+//! in-edges (reverse).  It runs over the whole graph ([`dijkstra`],
+//! [`dijkstra_reverse`], and the distance-only [`distances_from`] and
+//! [`distances_to`] that back the metric oracles' rows), or inside the
+//! subgraph induced by a sorted member list ([`dijkstra_within`],
+//! [`dijkstra_reverse_within`]), whose arrays are sized by the member count
+//! and indexed by each member's position in the list.  Its queue is a
+//! monotone radix heap.  Each tree-edge port is looked up once after the
+//! loop from the node's final parent (`parent → v` forward, `v → parent`
+//! reverse); the edge is unique because the builder rejects duplicates.  No
+//! output depends on the order in which equal keys pop: distances are
+//! unique, and a node's parent is its smallest-id predecessor on a shortest
+//! path.  Weights are positive, so every such predecessor has a strictly
+//! smaller distance and relaxes the node before it settles.  That rule also
+//! lets a caller holding a forward distance row recover any node's parent
+//! without a run: it is the smallest-id in-neighbour `y` with
+//! `d(y) + w(y, x) = d(x)`.
 
 use crate::graph::DiGraph;
 use crate::types::{Distance, NodeId, Port, Weight, INFINITY};
@@ -47,6 +52,30 @@ pub struct ShortestPathTree {
     pub parent_port: Vec<Option<Port>>,
     /// True when this tree was produced by [`dijkstra_reverse`].
     pub reverse: bool,
+}
+
+/// A [`ShortestPathTree`] inside the subgraph induced by a sorted member
+/// list ([`dijkstra_within`], [`dijkstra_reverse_within`]): `dist[i]`,
+/// `parent[i]` and `parent_port[i]` describe `members[i]`.
+#[derive(Debug, Clone)]
+pub struct MemberPathTree<'m> {
+    /// The members, sorted: the run's node set and its array order.
+    pub members: &'m [NodeId],
+    /// Distance from the root (forward) or to the root (reverse) inside the
+    /// member subgraph; [`INFINITY`] when unreachable there.
+    pub dist: Vec<Distance>,
+    /// Tree parent of each member (`None` for the root and unreachable
+    /// members).
+    pub parent: Vec<Option<NodeId>>,
+    /// Port of each tree edge, as in [`ShortestPathTree::parent_port`].
+    pub parent_port: Vec<Option<Port>>,
+}
+
+impl MemberPathTree<'_> {
+    /// Distance to (or from) `v`; [`INFINITY`] for non-members.
+    pub fn distance(&self, v: NodeId) -> Distance {
+        self.members.binary_search(&v).map_or(INFINITY, |i| self.dist[i])
+    }
 }
 
 impl ShortestPathTree {
@@ -138,59 +167,37 @@ impl RadixHeap {
 
 /// The one relaxation loop behind every entry point of this module.
 ///
-/// Fills `dist` (one slot per node) from `root`, along in-edges when
-/// `reverse` and out-edges otherwise, relaxing only nodes that pass `filter`
-/// (the root always settles).  With `parent` it also keeps each node's
-/// smallest-id predecessor on a shortest path; with `targets` it stops once
-/// every target has settled (see [`dijkstra_to_targets`]).
+/// Fills `dist` from `root`, along in-edges when `reverse` and out-edges
+/// otherwise.  `slot` gives the entry of `dist` (and `parent`) that a node
+/// occupies — its index, or its position in a sorted member list — and
+/// `None` for nodes the run must not use; the root must have one.  With
+/// `parent` it also keeps each node's smallest-id predecessor on a shortest
+/// path.
 fn relax(
     g: &DiGraph,
     root: NodeId,
     reverse: bool,
-    filter: Option<&dyn Fn(NodeId) -> bool>,
-    targets: Option<&[NodeId]>,
+    slot: impl Fn(NodeId) -> Option<usize>,
     dist: &mut [Distance],
     mut parent: Option<&mut [Option<NodeId>]>,
 ) {
-    let n = g.node_count();
-    assert!(root.index() < n, "root out of range");
-    assert_eq!(dist.len(), n, "one distance slot per node");
-    // When a target set is given, count down distinct unsettled targets and
-    // stop the loop at zero.
-    let mut goal = targets.map(|ts| {
-        let mut is_target = vec![false; n];
-        for &t in ts {
-            assert!(t.index() < n, "target out of range");
-            is_target[t.index()] = true;
-        }
-        let remaining = is_target.iter().filter(|&&t| t).count();
-        (is_target, remaining)
-    });
-
+    assert!(root.index() < g.node_count(), "root out of range");
     dist.fill(INFINITY);
-    dist[root.index()] = 0;
+    dist[slot(root).expect("the root is a member")] = 0;
     let mut heap = RadixHeap::new();
     heap.push(0, root);
 
-    while goal.as_ref().is_none_or(|(_, remaining)| *remaining > 0) {
-        let Some((d, u)) = heap.pop() else {
-            break; // heap exhausted (or some targets unreachable)
-        };
+    while let Some((d, u)) = heap.pop() {
         // A node's keys are pushed strictly decreasing, so only the entry
         // equal to its distance is live.
-        if d > dist[u.index()] {
+        if d > dist[slot(u).expect("only nodes with a slot are pushed")] {
             continue;
         }
-        if let Some((is_target, remaining)) = goal.as_mut() {
-            if is_target[u.index()] {
-                *remaining -= 1;
-            }
-        }
         let mut relax_arc = |v: NodeId, weight: Weight| {
-            if filter.is_some_and(|f| !f(v)) {
+            let Some(i) = slot(v) else {
                 return;
-            }
-            let (i, nd) = (v.index(), d.saturating_add(weight));
+            };
+            let nd = d.saturating_add(weight);
             let improved = nd < dist[i];
             if improved {
                 dist[i] = nd;
@@ -211,69 +218,58 @@ fn relax(
     }
 }
 
-/// A [`relax`] run that records the tree.
-fn shortest_path_tree(
+/// A [`relax`] run over `nodes` (in slot order) that records the tree: per
+/// slot, the distance, the parent and the tree edge's port, looked up once
+/// from the final parent.
+fn tree_arrays(
     g: &DiGraph,
     root: NodeId,
     reverse: bool,
-    filter: Option<&dyn Fn(NodeId) -> bool>,
-    targets: Option<&[NodeId]>,
-) -> ShortestPathTree {
-    let n = g.node_count();
-    let mut dist = vec![INFINITY; n];
-    let mut parent = vec![None; n];
-    relax(g, root, reverse, filter, targets, &mut dist, Some(&mut parent));
-    let parent_port = g
-        .nodes()
+    nodes: impl ExactSizeIterator<Item = NodeId>,
+    slot: impl Fn(NodeId) -> Option<usize>,
+) -> (Vec<Distance>, Vec<Option<NodeId>>, Vec<Option<Port>>) {
+    let mut dist = vec![INFINITY; nodes.len()];
+    let mut parent = vec![None; nodes.len()];
+    relax(g, root, reverse, slot, &mut dist, Some(&mut parent));
+    let parent_port = nodes
         .zip(&parent)
         .map(|(v, &p)| match p? {
             p if reverse => g.port_of_edge(v, p),
             p => g.port_of_edge(p, v),
         })
         .collect();
+    (dist, parent, parent_port)
+}
+
+/// The slot of `v` in a whole-graph run: its index.
+fn node_slot(v: NodeId) -> Option<usize> {
+    Some(v.index())
+}
+
+fn shortest_path_tree(g: &DiGraph, root: NodeId, reverse: bool) -> ShortestPathTree {
+    let (dist, parent, parent_port) = tree_arrays(g, root, reverse, g.nodes(), node_slot);
     ShortestPathTree { root, dist, parent, parent_port, reverse }
 }
 
-/// Forward Dijkstra from `source`, restricted to an optional node filter.
-///
-/// When `filter` is `Some(f)`, only nodes `v` with `f(v) == true` are relaxed
-/// or settled (the source is always settled); this is used to build
-/// shortest-path trees *inside a cluster* for the cover constructions of
-/// paper §4, where paths must stay within the cluster's induced subgraph.
+fn member_path_tree<'m>(
+    g: &DiGraph,
+    root: NodeId,
+    reverse: bool,
+    members: &'m [NodeId],
+) -> MemberPathTree<'m> {
+    assert!(members.windows(2).all(|w| w[0] < w[1]), "members must be sorted and distinct");
+    let slot = |v| members.binary_search(&v).ok();
+    let (dist, parent, parent_port) = tree_arrays(g, root, reverse, members.iter().copied(), slot);
+    MemberPathTree { members, dist, parent, parent_port }
+}
+
+/// Forward Dijkstra from `source` over the whole graph.
 ///
 /// # Panics
 ///
 /// Panics if `source` is out of range.
-pub fn dijkstra_filtered(
-    g: &DiGraph,
-    source: NodeId,
-    filter: Option<&dyn Fn(NodeId) -> bool>,
-) -> ShortestPathTree {
-    shortest_path_tree(g, source, false, filter, None)
-}
-
-/// Forward Dijkstra from `source` over the whole graph.
 pub fn dijkstra(g: &DiGraph, source: NodeId) -> ShortestPathTree {
-    dijkstra_filtered(g, source, None)
-}
-
-/// Forward Dijkstra from `source` that terminates as soon as every node in
-/// `targets` is settled, instead of running to completion.
-///
-/// For the targets themselves the result — `dist`, `parent` and
-/// `parent_port` — is **bit-identical** to a full [`dijkstra`] run (see the
-/// module docs). Entries of non-target nodes may be tentative (unreached
-/// nodes stay at [`INFINITY`]); only read the targets.
-///
-/// This is the ball-port extraction fast path: a node's roundtrip ball holds
-/// at most `O(√n)` members, so stopping at the last member skips most of the
-/// graph on low-diameter instances.
-///
-/// # Panics
-///
-/// Panics if `source` or any target is out of range.
-pub fn dijkstra_to_targets(g: &DiGraph, source: NodeId, targets: &[NodeId]) -> ShortestPathTree {
-    shortest_path_tree(g, source, false, None, Some(targets))
+    shortest_path_tree(g, source, false)
 }
 
 /// Reverse (single-sink) Dijkstra: computes `d(v, sink)` for every `v`.
@@ -286,17 +282,40 @@ pub fn dijkstra_to_targets(g: &DiGraph, source: NodeId, targets: &[NodeId]) -> S
 /// # Panics
 ///
 /// Panics if `sink` is out of range.
-pub fn dijkstra_reverse_filtered(
-    g: &DiGraph,
-    sink: NodeId,
-    filter: Option<&dyn Fn(NodeId) -> bool>,
-) -> ShortestPathTree {
-    shortest_path_tree(g, sink, true, filter, None)
+pub fn dijkstra_reverse(g: &DiGraph, sink: NodeId) -> ShortestPathTree {
+    shortest_path_tree(g, sink, true)
 }
 
-/// Reverse Dijkstra over the whole graph (see [`dijkstra_reverse_filtered`]).
-pub fn dijkstra_reverse(g: &DiGraph, sink: NodeId) -> ShortestPathTree {
-    dijkstra_reverse_filtered(g, sink, None)
+/// [`dijkstra`] inside the subgraph induced by `members`: paths may not
+/// leave it, and the result's arrays hold one entry per member.  This builds
+/// shortest-path trees *inside a cluster* for the cover constructions of
+/// paper §4, at the cost of the cluster rather than of the graph.
+///
+/// # Panics
+///
+/// Panics if `members` is not sorted and free of duplicates, or does not
+/// contain `source`.
+pub fn dijkstra_within<'m>(
+    g: &DiGraph,
+    source: NodeId,
+    members: &'m [NodeId],
+) -> MemberPathTree<'m> {
+    member_path_tree(g, source, false, members)
+}
+
+/// [`dijkstra_reverse`] inside the subgraph induced by `members` (see
+/// [`dijkstra_within`]).
+///
+/// # Panics
+///
+/// Panics if `members` is not sorted and free of duplicates, or does not
+/// contain `sink`.
+pub fn dijkstra_reverse_within<'m>(
+    g: &DiGraph,
+    sink: NodeId,
+    members: &'m [NodeId],
+) -> MemberPathTree<'m> {
+    member_path_tree(g, sink, true, members)
 }
 
 /// `d(source, v)` for every `v` ([`INFINITY`] when unreachable): the `dist`
@@ -312,7 +331,8 @@ pub fn distances_from(g: &DiGraph, source: NodeId) -> Vec<Distance> {
 /// (for example a row of a dense matrix). Panics if `source` is out of range
 /// or `dist.len()` is not the node count.
 pub fn distances_from_into(g: &DiGraph, source: NodeId, dist: &mut [Distance]) {
-    relax(g, source, false, None, None, dist, None);
+    assert_eq!(dist.len(), g.node_count(), "one distance slot per node");
+    relax(g, source, false, node_slot, dist, None);
 }
 
 /// `d(v, sink)` for every `v` ([`INFINITY`] when `v` cannot reach `sink`):
@@ -320,7 +340,7 @@ pub fn distances_from_into(g: &DiGraph, source: NodeId, dist: &mut [Distance]) {
 /// `sink` is out of range.
 pub fn distances_to(g: &DiGraph, sink: NodeId) -> Vec<Distance> {
     let mut dist = vec![INFINITY; g.node_count()];
-    relax(g, sink, true, None, None, &mut dist, None);
+    relax(g, sink, true, node_slot, &mut dist, None);
     dist
 }
 
@@ -430,9 +450,9 @@ mod tests {
     #[test]
     fn filtered_dijkstra_respects_the_filter() {
         let g = asym();
-        // Forbid node 1: distance 0→2 must use the direct edge of weight 10.
-        let allowed = |v: NodeId| v != NodeId(1);
-        let t = dijkstra_filtered(&g, NodeId(0), Some(&allowed));
+        // Leave node 1 out: distance 0→2 must use the direct edge of weight 10.
+        let members = [NodeId(0), NodeId(2)];
+        let t = dijkstra_within(&g, NodeId(0), &members);
         assert_eq!(t.distance(NodeId(2)), 10);
         assert_eq!(t.distance(NodeId(1)), INFINITY);
     }
@@ -440,8 +460,8 @@ mod tests {
     #[test]
     fn filtered_reverse_dijkstra_respects_the_filter() {
         let g = asym();
-        let allowed = |v: NodeId| v != NodeId(2);
-        let t = dijkstra_reverse_filtered(&g, NodeId(0), Some(&allowed));
+        let members = [NodeId(0), NodeId(1)];
+        let t = dijkstra_reverse_within(&g, NodeId(0), &members);
         // d(1, 0) avoiding 2: direct edge weight 7.
         assert_eq!(t.distance(NodeId(1)), 7);
     }
@@ -452,53 +472,6 @@ mod tests {
         assert_eq!(path_weight(&g, &[]), None);
         assert_eq!(path_weight(&g, &[NodeId(0), NodeId(0)]), None);
         assert_eq!(path_weight(&g, &[NodeId(0)]), Some(0));
-    }
-
-    #[test]
-    fn bounded_run_handles_unreachable_targets() {
-        let mut b = DiGraphBuilder::new(3);
-        b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
-        b.add_edge(NodeId(2), NodeId(0), 1).unwrap();
-        let g = b.build().unwrap();
-        let t = dijkstra_to_targets(&g, NodeId(0), &[NodeId(1), NodeId(2)]);
-        assert_eq!(t.distance(NodeId(1)), 1);
-        assert!(!t.is_reachable(NodeId(2)));
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
-
-        // Property behind the ball-port fast path: for any graph family,
-        // source and target set, the early-terminating run is bit-identical
-        // to the full run on every target (distances, parents, ports).
-        #[test]
-        fn bounded_dijkstra_matches_full_run_on_targets(
-            seed in 0u64..1000,
-            n in 8usize..40,
-            target_count in 1usize..12,
-        ) {
-            use crate::generators::Family;
-            let family = Family::ALL[(seed % Family::ALL.len() as u64) as usize];
-            let g = family.generate(n, seed).unwrap();
-            let n = g.node_count();
-            let source = NodeId::from_index(seed as usize % n);
-            // A deterministic pseudo-random target set (duplicates allowed on
-            // purpose: the bounded run must tolerate them).
-            let targets: Vec<NodeId> = (0..target_count)
-                .map(|i| NodeId::from_index((seed as usize * 31 + i * 17) % n))
-                .collect();
-            let full = dijkstra(&g, source);
-            let bounded = dijkstra_to_targets(&g, source, &targets);
-            for &t in &targets {
-                proptest::prop_assert_eq!(bounded.distance(t), full.distance(t));
-                proptest::prop_assert_eq!(bounded.parent[t.index()], full.parent[t.index()]);
-                proptest::prop_assert_eq!(
-                    bounded.parent_port[t.index()],
-                    full.parent_port[t.index()]
-                );
-                proptest::prop_assert_eq!(bounded.path(t), full.path(t));
-            }
-        }
     }
 
     /// The binary-heap loops this module ran before its radix-heap core,
@@ -514,20 +487,8 @@ mod tests {
             g: &DiGraph,
             source: NodeId,
             filter: Option<&dyn Fn(NodeId) -> bool>,
-            targets: Option<&[NodeId]>,
         ) -> ShortestPathTree {
             let n = g.node_count();
-            let mut goal = targets.map(|ts| {
-                let mut is_target = vec![false; n];
-                let mut remaining = 0usize;
-                for &t in ts {
-                    if !is_target[t.index()] {
-                        is_target[t.index()] = true;
-                        remaining += 1;
-                    }
-                }
-                (is_target, remaining)
-            });
             let mut dist = vec![INFINITY; n];
             let mut parent: Vec<Option<NodeId>> = vec![None; n];
             let mut parent_port: Vec<Option<Port>> = vec![None; n];
@@ -535,20 +496,12 @@ mod tests {
             let mut heap = BinaryHeap::new();
             dist[source.index()] = 0;
             heap.push(Reverse((0, source.0)));
-            while goal.as_ref().is_none_or(|(_, remaining)| *remaining > 0) {
-                let Some(Reverse((d, u_raw))) = heap.pop() else {
-                    break;
-                };
+            while let Some(Reverse((d, u_raw))) = heap.pop() {
                 let u = NodeId(u_raw);
                 if settled[u.index()] || d > dist[u.index()] {
                     continue;
                 }
                 settled[u.index()] = true;
-                if let Some((is_target, remaining)) = goal.as_mut() {
-                    if is_target[u.index()] {
-                        *remaining -= 1;
-                    }
-                }
                 for e in g.out_edges(u) {
                     let v = e.to;
                     if filter.is_some_and(|f| !f(v)) {
@@ -624,41 +577,37 @@ mod tests {
         assert_eq!(got.parent_port, want.parent_port, "{what}: parent_port");
     }
 
-    /// Every public entry point from `root` against the reference loops:
-    /// whole trees for the full runs (plain and filtered, both directions),
-    /// whole rows for the distance-only runs, and every target of a bounded
-    /// run.
-    fn assert_matches_reference(g: &DiGraph, root: NodeId, salt: u64) {
-        let n = g.node_count();
-        let keep = |v: NodeId| !(v.index() as u64 * 7 + salt).is_multiple_of(5);
-        assert_same_tree(&dijkstra(g, root), &reference::forward(g, root, None, None), "forward");
-        assert_same_tree(&dijkstra_reverse(g, root), &reference::reverse(g, root, None), "reverse");
-        assert_same_tree(
-            &dijkstra_filtered(g, root, Some(&keep)),
-            &reference::forward(g, root, Some(&keep), None),
-            "filtered forward",
-        );
-        assert_same_tree(
-            &dijkstra_reverse_filtered(g, root, Some(&keep)),
-            &reference::reverse(g, root, Some(&keep)),
-            "filtered reverse",
-        );
-        assert_eq!(distances_from(g, root), reference::forward(g, root, None, None).dist);
-        assert_eq!(distances_to(g, root), reference::reverse(g, root, None).dist);
-        let targets: Vec<NodeId> = (0..1 + salt as usize % 9)
-            .map(|i| NodeId::from_index((salt as usize + i * 13) % n))
-            .collect();
-        let bounded = dijkstra_to_targets(g, root, &targets);
-        let want = reference::forward(g, root, None, Some(&targets));
-        for &t in &targets {
-            assert_eq!(bounded.dist[t.index()], want.dist[t.index()], "bounded dist of {t}");
-            assert_eq!(bounded.parent[t.index()], want.parent[t.index()], "bounded parent of {t}");
-            assert_eq!(
-                bounded.parent_port[t.index()],
-                want.parent_port[t.index()],
-                "bounded port of {t}"
-            );
+    /// A member-restricted run against the reference run filtered to the
+    /// same members, member by member.
+    fn assert_same_member_tree(got: &MemberPathTree<'_>, want: &ShortestPathTree, what: &str) {
+        assert_eq!(got.dist.len(), got.members.len(), "{what}: one entry per member");
+        for (i, &v) in got.members.iter().enumerate() {
+            assert_eq!(got.dist[i], want.dist[v.index()], "{what}: dist of {v}");
+            assert_eq!(got.parent[i], want.parent[v.index()], "{what}: parent of {v}");
+            assert_eq!(got.parent_port[i], want.parent_port[v.index()], "{what}: port of {v}");
         }
+    }
+
+    /// Every public entry point from `root` against the reference loops:
+    /// whole trees for the full runs, every member of the member-restricted
+    /// runs (both directions), and whole rows for the distance-only runs.
+    fn assert_matches_reference(g: &DiGraph, root: NodeId, salt: u64) {
+        let keep = |v: NodeId| v == root || !(v.index() as u64 * 7 + salt).is_multiple_of(5);
+        let members: Vec<NodeId> = g.nodes().filter(|&v| keep(v)).collect();
+        assert_same_tree(&dijkstra(g, root), &reference::forward(g, root, None), "forward");
+        assert_same_tree(&dijkstra_reverse(g, root), &reference::reverse(g, root, None), "reverse");
+        assert_same_member_tree(
+            &dijkstra_within(g, root, &members),
+            &reference::forward(g, root, Some(&keep)),
+            "member forward",
+        );
+        assert_same_member_tree(
+            &dijkstra_reverse_within(g, root, &members),
+            &reference::reverse(g, root, Some(&keep)),
+            "member reverse",
+        );
+        assert_eq!(distances_from(g, root), reference::forward(g, root, None).dist);
+        assert_eq!(distances_to(g, root), reference::reverse(g, root, None).dist);
     }
 
     proptest::proptest! {

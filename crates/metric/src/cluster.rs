@@ -5,8 +5,7 @@
 //! roundtrip metric **of the induced subgraph** (paths must stay inside the
 //! cluster). [`ClusterMetric`] materializes exactly that.
 
-use rtr_graph::algo::dijkstra::{dijkstra_filtered, dijkstra_reverse_filtered};
-use rtr_graph::hash::FxHashMap;
+use rtr_graph::algo::dijkstra::{dijkstra_reverse_within, dijkstra_within};
 use rtr_graph::types::saturating_dist_add;
 use rtr_graph::{DiGraph, Distance, NodeId, INFINITY};
 
@@ -14,31 +13,26 @@ use rtr_graph::{DiGraph, Distance, NodeId, INFINITY};
 /// subgraph induced by the cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterMetric {
+    /// Sorted, duplicate-free: a member's position is its row and column.
     members: Vec<NodeId>,
-    index_of: FxHashMap<NodeId, usize>,
     /// `dist[i * k + j] = d_C(members[i], members[j])` within the cluster.
     dist: Vec<Distance>,
 }
 
 impl ClusterMetric {
     /// Computes all pairwise distances inside the subgraph induced by
-    /// `members`. Duplicates in `members` are ignored.
+    /// `members`, one member-restricted Dijkstra per member. Duplicates in
+    /// `members` are ignored.
     pub fn build(g: &DiGraph, members: &[NodeId]) -> Self {
         let mut members: Vec<NodeId> = members.to_vec();
         members.sort_unstable();
         members.dedup();
-        let index_of: FxHashMap<NodeId, usize> =
-            members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let k = members.len();
-        let mut dist = vec![INFINITY; k * k];
-        let in_cluster = |v: NodeId| index_of.contains_key(&v);
-        for (i, &src) in members.iter().enumerate() {
-            let tree = dijkstra_filtered(g, src, Some(&in_cluster));
-            for (j, &dst) in members.iter().enumerate() {
-                dist[i * k + j] = tree.distance(dst);
-            }
-        }
-        ClusterMetric { members, index_of, dist }
+        let dist = members.iter().flat_map(|&src| dijkstra_within(g, src, &members).dist).collect();
+        ClusterMetric { members, dist }
+    }
+
+    fn index_of(&self, v: NodeId) -> Option<usize> {
+        self.members.binary_search(&v).ok()
     }
 
     /// The cluster's members in sorted order.
@@ -58,14 +52,14 @@ impl ClusterMetric {
 
     /// Whether `v` belongs to the cluster.
     pub fn contains(&self, v: NodeId) -> bool {
-        self.index_of.contains_key(&v)
+        self.index_of(v).is_some()
     }
 
     /// One-way distance within the cluster, or [`INFINITY`] if either node is
     /// not a member or unreachable inside the cluster.
     pub fn distance(&self, u: NodeId, v: NodeId) -> Distance {
-        match (self.index_of.get(&u), self.index_of.get(&v)) {
-            (Some(&i), Some(&j)) => self.dist[i * self.members.len() + j],
+        match (self.index_of(u), self.index_of(v)) {
+            (Some(i), Some(j)) => self.dist[i * self.members.len() + j],
             _ => INFINITY,
         }
     }
@@ -122,20 +116,18 @@ impl ClusterMetric {
     /// Shortest-path out-tree of the cluster rooted at `root` (paths restricted
     /// to the cluster). Returns per-member `(parent, distance)` pairs aligned
     /// with [`members`](Self::members), `None` parent for the root and
-    /// unreachable members.
+    /// unreachable members. Panics if `root` is not a member.
     pub fn out_tree_parents(&self, g: &DiGraph, root: NodeId) -> Vec<(Option<NodeId>, Distance)> {
-        let in_cluster = |v: NodeId| self.contains(v);
-        let tree = dijkstra_filtered(g, root, Some(&in_cluster));
-        self.members.iter().map(|&v| (tree.parent[v.index()], tree.distance(v))).collect()
+        let tree = dijkstra_within(g, root, &self.members);
+        tree.parent.into_iter().zip(tree.dist).collect()
     }
 
     /// Shortest-path in-tree of the cluster toward `root` (paths restricted to
     /// the cluster). Returns per-member `(next-hop, distance)` pairs aligned
-    /// with [`members`](Self::members).
+    /// with [`members`](Self::members). Panics if `root` is not a member.
     pub fn in_tree_next_hops(&self, g: &DiGraph, root: NodeId) -> Vec<(Option<NodeId>, Distance)> {
-        let in_cluster = |v: NodeId| self.contains(v);
-        let tree = dijkstra_reverse_filtered(g, root, Some(&in_cluster));
-        self.members.iter().map(|&v| (tree.parent[v.index()], tree.distance(v))).collect()
+        let tree = dijkstra_reverse_within(g, root, &self.members);
+        tree.parent.into_iter().zip(tree.dist).collect()
     }
 }
 

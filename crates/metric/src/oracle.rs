@@ -37,7 +37,7 @@ use rtr_telemetry::{Counter, Gauge};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Read access to the one-way and roundtrip distances of a fixed graph.
 ///
@@ -111,12 +111,7 @@ pub trait DistanceOracle: Sync + fmt::Debug {
     /// connectivity — so lazy implementations answer with two Dijkstras
     /// instead of `n`.
     fn is_strongly_connected(&self) -> bool {
-        if self.node_count() == 0 {
-            return true;
-        }
-        let v0 = NodeId(0);
-        self.row(v0).iter().all(|&d| d != INFINITY)
-            && self.rev_row(v0).iter().all(|&d| d != INFINITY)
+        node_zero_reaches_everything(self)
     }
 
     /// An upper bound on the roundtrip diameter `RTDiam(G)`, tight enough to
@@ -307,6 +302,16 @@ where
     });
 }
 
+/// The default [`DistanceOracle::is_strongly_connected`]: node 0's forward
+/// and reverse rows are finite everywhere.
+fn node_zero_reaches_everything<O: DistanceOracle + ?Sized>(m: &O) -> bool {
+    if m.node_count() == 0 {
+        return true;
+    }
+    let v0 = NodeId(0);
+    m.row(v0).iter().all(|&d| d != INFINITY) && m.rev_row(v0).iter().all(|&d| d != INFINITY)
+}
+
 /// Blanket impl so `&O` and `&dyn DistanceOracle` satisfy oracle bounds too.
 impl<O: DistanceOracle + ?Sized> DistanceOracle for &O {
     fn node_count(&self) -> usize {
@@ -485,6 +490,9 @@ impl OracleTelemetry {
 pub struct LazyDijkstraOracle<'g> {
     g: &'g DiGraph,
     cache: Mutex<RowCache>,
+    /// The first [`is_strongly_connected`](DistanceOracle::is_strongly_connected)
+    /// answer: a property of the borrowed graph, which cannot change.
+    strongly_connected: OnceLock<bool>,
     rows_computed: AtomicUsize,
     cache_hits: AtomicUsize,
     peak_resident: AtomicUsize,
@@ -511,6 +519,7 @@ impl<'g> LazyDijkstraOracle<'g> {
         LazyDijkstraOracle {
             g,
             cache: Mutex::new(RowCache::new(capacity)),
+            strongly_connected: OnceLock::new(),
             rows_computed: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
             peak_resident: AtomicUsize::new(0),
@@ -699,6 +708,13 @@ impl DistanceOracle for LazyDijkstraOracle<'_> {
         let fwd = self.fetch(RowKey::Fwd(u.0));
         let rev = self.fetch(RowKey::Rev(u.0));
         RoundtripRow(RowRepr::Halves(fwd, rev))
+    }
+
+    /// Reads node 0's rows on the first call only: concurrent builds
+    /// asserting connectivity on one oracle do not re-fetch them after an
+    /// eviction.
+    fn is_strongly_connected(&self) -> bool {
+        *self.strongly_connected.get_or_init(|| node_zero_reaches_everything(self))
     }
 
     /// Computes the missing forward + reverse rows of `sources` on the
@@ -1075,6 +1091,20 @@ mod tests {
         b.add_edge(NodeId(0), NodeId(2), 1).unwrap();
         let g = b.build().unwrap();
         assert!(!LazyDijkstraOracle::with_default_capacity(&g).is_strongly_connected());
+    }
+
+    #[test]
+    fn strong_connectivity_is_answered_once_per_lazy_oracle() {
+        // Capacity 1: the reverse row of node 0 evicts its forward row, so
+        // an unmemoised second check would compute that row again.
+        let g = strongly_connected_gnp(20, 0.15, 3).unwrap();
+        let lazy = LazyDijkstraOracle::new(&g, 1);
+        assert!(lazy.is_strongly_connected());
+        let after_first = lazy.stats().rows_computed;
+        assert_eq!(after_first, 2);
+        assert!(lazy.evictions() > 0, "node 0's forward row was evicted");
+        assert!(lazy.is_strongly_connected());
+        assert_eq!(lazy.stats().rows_computed, after_first, "the second check computed a row");
     }
 
     #[test]

@@ -5,21 +5,27 @@
 //! * sample a landmark set `L` of ≈ `c·√(n ln n)` nodes and keep the ones
 //!   that are the nearest landmark of at least one node — only those are ever
 //!   named by a label, so the rest would be dead weight in every table;
-//! * for every kept landmark `l`, build the full `InTree(l)` and `OutTree(l)`
-//!   over the graph; every node stores its next port toward `l` (`|L|` = Õ(√n)
-//!   words per node — the climb toward `l` can start anywhere) and, **only if
-//!   it lies on the out-tree path from `l` to one of `l`'s assigned
-//!   destinations**, the `O(1)`-word tree-routing record of `OutTree(l)`.
+//! * for every kept landmark `l`, run one reverse and one forward Dijkstra
+//!   over the graph.  Every node stores its next port toward `l` — the
+//!   reverse run's port, the `InTree(l)` next hop (`|L|` = Õ(√n) words per
+//!   node; the climb toward `l` can start anywhere).  The forward run's tree,
+//!   `OutTree(l)`, is laid out once (the heavy-path layout of Lemma 14), and
+//!   **only the nodes on the out-tree paths from `l` to `l`'s assigned
+//!   destinations** compute and store their `O(1)`-word tree-routing record.
 //!   Descents visit exactly those paths, so delivery is unaffected while the
 //!   per-node record count drops from `|L|` to the handful of landmarks that
 //!   actually route through the node;
 //! * every node `u` additionally stores its **roundtrip ball**: the nodes `w`
 //!   with `r(u, w) < r(u, L)` (strictly closer than the nearest landmark),
 //!   capped at `4√n` entries, with the next port on an exact shortest path
-//!   `u → w`;
+//!   `u → w`.  That port is read off `u`'s forward row, the one the row
+//!   sweep already holds: walking back from `w`, a node's parent is its
+//!   smallest-id in-neighbour on a shortest path, the parent `dijkstra`
+//!   itself keeps, until the parent is `u`;
 //! * every node keeps its own address in `OutTree(ℓ(u))`, interned behind an
-//!   `Arc` — the trees and routers themselves are dropped after construction
-//!   instead of retaining `|L|·n` label/table entries for label minting.
+//!   `Arc` and minted from the layout for `ℓ(u)`'s assigned destinations
+//!   only.  No tree, router or label of the other members is materialised,
+//!   so nothing of size `|L|·n` outlives construction.
 //!
 //! The label `R3(v)` is `(v, ℓ(v), tree-label of v in OutTree(ℓ(v)))` where
 //! `ℓ(v)` is `v`'s nearest landmark by roundtrip distance — `O(log² n)` bits.
@@ -39,14 +45,14 @@ use crate::substrate::{LabelBits, NameDependentSubstrate};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rtr_graph::algo::dijkstra::dijkstra_to_targets;
+use rtr_graph::algo::dijkstra::{dijkstra, dijkstra_reverse};
 use rtr_graph::hash::FxHashMap;
-use rtr_graph::{DiGraph, NodeId, Port};
+use rtr_graph::{DiGraph, Distance, NodeId, Port};
 use rtr_metric::{
     broadcast_rows, DistanceOracle, RowInvalidation, RowSweepConsumer, SweepRows, SweepSlots,
 };
 use rtr_sim::{id_bits, ForwardAction, RoutingError, TableStats};
-use rtr_trees::{InTree, OutTree, TreeLabel, TreeNodeTable, TreeRouter, TreeStep};
+use rtr_trees::{HeavyPathLayout, TreeLabel, TreeNodeTable, TreeRouter, TreeStep};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
@@ -130,8 +136,8 @@ pub struct LandmarkBallScheme {
     /// `nearest_landmark[v]`: index into `landmarks` of `ℓ(v)`.
     nearest_landmark: Vec<u32>,
     /// `own_label[v]`: `v`'s interned address in `OutTree(ℓ(v))` — the only
-    /// label this substrate ever mints, so the per-landmark routers need not
-    /// be retained.
+    /// label this substrate ever mints, computed from the landmark's
+    /// heavy-path layout for `v` alone.
     own_label: Vec<Arc<TreeLabel>>,
     max_label_bits: usize,
     max_ball_size: usize,
@@ -140,7 +146,7 @@ pub struct LandmarkBallScheme {
 /// Pass 1 of the landmark + ball construction as a
 /// [`RowSweepConsumer`]: per node, the nearest sampled landmark and the
 /// roundtrip ball (with exact first-hop ports), extracted from the node's
-/// roundtrip row.
+/// roundtrip and forward rows.
 ///
 /// Create it with [`LandmarkBallScheme::sweep`] (every node left to sweep)
 /// or [`LandmarkBallScheme::repair_sweep`] (clean nodes carried from a
@@ -157,9 +163,9 @@ pub struct LandmarkSweep<'g> {
 }
 
 impl RowSweepConsumer for LandmarkSweep<'_> {
-    /// The pass-1 result for one node, computed from its roundtrip row: the
-    /// index of `u`'s nearest *sampled* landmark and `u`'s roundtrip ball
-    /// with exact first-hop ports.
+    /// The pass-1 result for one node, computed from its rows: the index of
+    /// `u`'s nearest *sampled* landmark and `u`'s roundtrip ball with exact
+    /// first-hop ports.
     fn consume(&mut self, u: NodeId, rows: &SweepRows<'_>) {
         let (g, sampled, rt_row) = (self.g, &self.sampled, rows.roundtrip);
         let (li, _) = sampled
@@ -175,28 +181,42 @@ impl RowSweepConsumer for LandmarkSweep<'_> {
             g.nodes().filter(|&w| w != u && rt_row[w.index()] < r_to_landmarks).collect();
         members.sort_by_key(|&w| (rt_row[w.index()], w.0));
         members.truncate(self.ball_cap);
-        let mut ball: FxHashMap<NodeId, Port> = FxHashMap::default();
-        if !members.is_empty() {
-            // Bounded Dijkstra: stop as soon as every ball member is
-            // settled instead of running to completion — the members
-            // are the only nodes read, and their first hops are
-            // bit-identical to a full run (see `dijkstra_to_targets`).
-            let sp = dijkstra_to_targets(g, u, &members);
-            for w in members {
-                // First hop of the shortest path u → w.
-                let path = sp.path(w).expect("strongly connected");
-                let first_hop = path[1];
-                let port = g.port_of_edge(u, first_hop).expect("edge on path exists");
-                ball.insert(w, port);
-            }
-        }
+        // Each member's first hop, read off the forward row: walk the
+        // shortest-path tree back from `w` until the parent is `u`.
+        let ball: FxHashMap<NodeId, Port> = members
+            .into_iter()
+            .map(|w| {
+                let mut x = w;
+                loop {
+                    let p = tree_parent(g, rows.fwd, x);
+                    if p == u {
+                        return (w, g.port_of_edge(u, x).expect("tree edge exists"));
+                    }
+                    x = p;
+                }
+            })
+            .collect();
         self.slots.put(u.index(), (li as u32, ball));
     }
 }
 
+/// The parent of `x` in the shortest-path tree whose distance row is `fwd`
+/// (the tree [`dijkstra`] builds from that row's source): the smallest-id
+/// in-neighbour `y` with `fwd[y] + w(y, x) = fwd[x]`.  Weights are positive,
+/// so only the source has no such neighbour.
+fn tree_parent(g: &DiGraph, fwd: &[Distance], x: NodeId) -> NodeId {
+    g.in_edges(x)
+        .iter()
+        .filter(|&&(y, w)| fwd[y.index()].saturating_add(w) == fwd[x.index()])
+        .map(|&(y, _)| y)
+        .min()
+        .expect("a reached non-source node has a tight in-edge")
+}
+
 impl<'g> LandmarkSweep<'g> {
     /// Assembles the substrate from the collected pass-1 results (passes 2
-    /// and 3 of the construction: landmark pruning and per-landmark trees).
+    /// and 3 of the construction: landmark pruning, then each kept
+    /// landmark's up-ports, descent records and own labels).
     ///
     /// # Panics
     ///
@@ -290,26 +310,30 @@ impl LandmarkBallScheme {
             assigned[nearest_landmark[u.index()] as usize].push(u);
         }
 
-        // Pass 3 — per-landmark trees, consumed immediately: every node keeps
-        // its up-port toward the landmark; only the nodes on out-tree descent
-        // paths to the landmark's assigned destinations keep a tree record;
-        // each assigned destination interns its own address.  The trees and
-        // router are dropped at the end of each iteration — nothing of size
+        // Pass 3 — two bare Dijkstras per landmark.  The reverse run's
+        // ports are every node's up-port toward the landmark.  The forward
+        // run's tree is laid out once; only the landmark's assigned
+        // destinations mint their label, and only the nodes on the descent
+        // paths to them compute their O(1)-word record.  Nothing of size
         // `|L|·n` survives construction.
         let mut up_ports: Vec<Vec<Option<Port>>> =
             (0..n).map(|_| Vec::with_capacity(landmarks.len())).collect();
         let mut descent: Vec<FxHashMap<u32, TreeNodeTable>> = vec![FxHashMap::default(); n];
         let mut own_label: Vec<Option<Arc<TreeLabel>>> = vec![None; n];
         for (li, &l) in landmarks.iter().enumerate() {
-            let out_tree = OutTree::shortest_paths(g, l);
-            let in_tree = InTree::shortest_paths(g, l);
-            let router = TreeRouter::build(&out_tree);
-            for v in g.nodes() {
-                up_ports[v.index()].push(in_tree.next_port(v));
+            for (ports, port) in up_ports.iter_mut().zip(dijkstra_reverse(g, l).parent_port) {
+                ports.push(port);
             }
+            let down = dijkstra(g, l);
+            let up = down
+                .parent
+                .iter()
+                .zip(&down.parent_port)
+                .map(|(p, port)| p.map(|p| (p.0, port.expect("a tree edge has a port"))))
+                .collect();
+            let layout = HeavyPathLayout::new(l.index(), up);
             for &v in &assigned[li] {
-                own_label[v.index()] =
-                    Some(Arc::clone(router.label(v).expect("out-tree spans all nodes")));
+                own_label[v.index()] = Some(Arc::new(layout.label(v.index())));
                 // Mark the descent path l → v: every out-tree ancestor stores
                 // its O(1)-word record; stop at the first already-marked node
                 // (its ancestors were marked by an earlier destination).
@@ -318,10 +342,10 @@ impl LandmarkBallScheme {
                     match descent[cur.index()].entry(li as u32) {
                         Entry::Occupied(_) => break,
                         Entry::Vacant(slot) => {
-                            slot.insert(*router.table(cur).expect("out-tree spans all nodes"));
+                            slot.insert(layout.table(cur.index()));
                         }
                     }
-                    match out_tree.parent(cur) {
+                    match down.parent[cur.index()] {
                         Some(p) => cur = p,
                         None => break,
                     }
@@ -383,10 +407,11 @@ impl LandmarkBallScheme {
     /// dirtied `u`'s forward row (the Dijkstra tie-break — smallest parent id
     /// among final-distance predecessors — is a pure function of distances
     /// and tight edges). The graph-side passes of
-    /// [`finish`](LandmarkSweep::finish) (landmark pruning, per-landmark
-    /// trees, descent records) always re-run on `g`, touching no oracle rows,
-    /// so the finished substrate is bit-identical to [`build`](Self::build)
-    /// from scratch on the mutated graph.
+    /// [`finish`](LandmarkSweep::finish) (landmark pruning, each kept
+    /// landmark's two Dijkstras and its descent records) always re-run on
+    /// `g`, touching no oracle rows, so the finished substrate is
+    /// bit-identical to [`build`](Self::build) from scratch on the mutated
+    /// graph.
     ///
     /// # Panics
     ///
@@ -532,7 +557,10 @@ impl NameDependentSubstrate for LandmarkBallScheme {
 mod tests {
     use super::*;
     use crate::substrate::harness::drive;
-    use rtr_graph::generators::{bidirected_grid, strongly_connected_gnp, Family};
+    use rtr_graph::generators::{
+        bidirected_grid, ring_with_chords_weighted, strongly_connected_gnp, Family, WeightRange,
+    };
+    use rtr_graph::DiGraphBuilder;
     use rtr_metric::DistanceMatrix;
 
     fn build(n: usize, seed: u64) -> (DiGraph, DistanceMatrix, LandmarkBallScheme) {
@@ -672,13 +700,54 @@ mod tests {
         }
     }
 
+    /// A `rows × cols` bidirected grid with every weight 1: ties between
+    /// equal-length paths decide most parents.
+    fn unit_grid(rows: usize, cols: usize) -> DiGraph {
+        let mut b = DiGraphBuilder::new(rows * cols);
+        for v in 0..rows * cols {
+            let v_id = NodeId::from_index(v);
+            if (v + 1) % cols != 0 {
+                b.add_bidirected(v_id, NodeId::from_index(v + 1), 1).unwrap();
+            }
+            if v + cols < rows * cols {
+                b.add_bidirected(v_id, NodeId::from_index(v + cols), 1).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Substrates over every family, a weighted ring with chords and a
+    /// unit-weight grid, with their graphs.
+    fn substrates_on_every_family() -> Vec<(String, DiGraph, LandmarkBallScheme)> {
+        let mut graphs: Vec<(String, DiGraph)> = Vec::new();
+        for seed in [12u64, 13] {
+            for family in Family::ALL {
+                graphs.push((
+                    format!("{} {seed}", family.name()),
+                    family.generate(70, seed).unwrap(),
+                ));
+            }
+        }
+        let (ring, chord) = (WeightRange::new(1, 16), WeightRange::new(1, 256));
+        let weighted = ring_with_chords_weighted(120, 360, 42, ring, chord).unwrap();
+        graphs.push(("weighted ring".to_string(), weighted));
+        graphs.push(("unit grid".to_string(), unit_grid(9, 9)));
+        graphs
+            .into_iter()
+            .map(|(name, g)| {
+                let m = DistanceMatrix::build(&g);
+                let s = LandmarkBallScheme::build(&g, &m, LandmarkParams::default());
+                (name, g, s)
+            })
+            .collect()
+    }
+
     #[test]
     fn ball_ports_match_full_dijkstra_first_hops() {
-        // The bounded-Dijkstra extraction must store exactly the first hop a
-        // full single-source run would have stored, for every ball member.
-        for seed in [12u64, 13, 14] {
-            let (g, _m, s) = build(70, seed);
-            let mut checked = 0usize;
+        // The ports read off the swept forward row must be exactly the first
+        // hop a full single-source run stores, for every ball member.
+        let mut checked = 0usize;
+        for (name, g, s) in substrates_on_every_family() {
             for u in g.nodes() {
                 if s.balls[u.index()].is_empty() {
                     continue;
@@ -687,11 +756,41 @@ mod tests {
                 for (&w, &port) in &s.balls[u.index()] {
                     let path = sp.path(w).expect("ball member reachable");
                     let expected = g.port_of_edge(u, path[1]).expect("edge on path");
-                    assert_eq!(port, expected, "ball port ({u},{w}) differs from full run");
+                    assert_eq!(port, expected, "{name}: ball port ({u},{w}) differs from full run");
                     checked += 1;
                 }
             }
-            assert!(checked > 0, "seed {seed}: no ball entries exercised");
+        }
+        assert!(checked > 0, "no ball entries exercised");
+    }
+
+    #[test]
+    fn landmark_records_match_the_tree_types() {
+        // Pass 3 without trees must store what the tree types would: every
+        // up-port is the in-tree's next port, every descent record the
+        // out-tree router's table, every own label that router's label, and
+        // every node on an out-tree path to an assigned destination a record.
+        use rtr_trees::{InTree, OutTree};
+        for (name, g, s) in substrates_on_every_family() {
+            for (li, &l) in s.landmarks().iter().enumerate() {
+                let in_tree = InTree::shortest_paths(&g, l);
+                let out_tree = OutTree::shortest_paths(&g, l);
+                let router = TreeRouter::build(&out_tree);
+                for v in g.nodes() {
+                    let what = format!("{name}: landmark {l}, node {v}");
+                    assert_eq!(s.up_ports[v.index()][li], in_tree.next_port(v), "{what}: up-port");
+                    if let Some(record) = s.descent[v.index()].get(&(li as u32)) {
+                        assert_eq!(Some(record), router.table(v), "{what}: descent record");
+                    }
+                    if s.nearest_landmark[v.index()] as usize == li {
+                        assert_eq!(Some(&s.own_label[v.index()]), router.label(v), "{what}: label");
+                        for x in out_tree.path_from_root(v).expect("spanning tree") {
+                            let on_path = s.descent[x.index()].contains_key(&(li as u32));
+                            assert!(on_path, "{what}: no record at {x} on the descent path");
+                        }
+                    }
+                }
+            }
         }
     }
 

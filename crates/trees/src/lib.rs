@@ -32,5 +32,5 @@
 pub mod routing;
 mod sptree;
 
-pub use routing::{TreeLabel, TreeNodeTable, TreeRouter, TreeStep};
+pub use routing::{HeavyPathLayout, TreeLabel, TreeNodeTable, TreeRouter, TreeStep};
 pub use sptree::{DoubleTree, InTree, OutTree};

@@ -20,6 +20,14 @@
 //! falls inside the heavy child's interval, take the heavy port; otherwise the
 //! label must contain a light-edge entry keyed by `x`'s DFS index — take that
 //! port.
+//!
+//! The numbering lives in one place, [`HeavyPathLayout`]: subtree sizes,
+//! heavy children and DFS entry numbers over a tree's dense slots, with
+//! [`table`](HeavyPathLayout::table) and [`label`](HeavyPathLayout::label)
+//! computed on demand.  [`TreeRouter::build`] is that layout with every
+//! member's table and label materialised; a caller that needs only a few of
+//! them (the landmark substrate reads the descent paths to a handful of
+//! destinations per landmark) keeps the layout and computes those.
 
 use crate::sptree::OutTree;
 use rtr_graph::hash::FxHashMap;
@@ -94,110 +102,160 @@ pub struct TreeRouter {
     max_light_depth: usize,
 }
 
+/// "No slot" in the dense arrays of a [`HeavyPathLayout`].
+const NO_SLOT: u32 = u32::MAX;
+
+/// The heavy-path layout of Lemma 14 over a rooted tree on dense slots
+/// `0..k`: subtree sizes, heavy children and DFS entry numbers, from which
+/// [`table`](Self::table) and [`label`](Self::label) compute any slot's
+/// routing state on demand.
+///
+/// A node's heavy child is its child with the largest subtree, ties going to
+/// the smaller slot.  The DFS numbers the heavy child first, then the light
+/// children in ascending slot order, so the subtree of `v` occupies
+/// `[dfs_start, dfs_start + size − 1]`.  Slots follow ascending node ids (a
+/// sorted member list, or the node indices themselves), so "smaller slot"
+/// is "smaller id".
+#[derive(Debug, Clone)]
+pub struct HeavyPathLayout {
+    /// Per slot: the parent's slot and the port at the parent of the tree
+    /// edge down to this slot (`None` at the root and at unreached slots).
+    up: Vec<Option<(u32, Port)>>,
+    /// Subtree size (0 at unreached slots).
+    size: Vec<u32>,
+    /// Heavy child, or [`NO_SLOT`] at a leaf.
+    heavy: Vec<u32>,
+    /// DFS entry number.
+    dfs_start: Vec<u32>,
+}
+
+impl HeavyPathLayout {
+    /// Lays out the tree rooted at slot `root` in which `up[v]` holds slot
+    /// `v`'s parent slot and the port at the parent of the tree edge down to
+    /// `v` (`None` at the root).  Slots the parent links do not connect to
+    /// `root` are left out of the numbering; do not ask for their table or
+    /// label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is out of range.
+    pub fn new(root: usize, up: Vec<Option<(u32, Port)>>) -> Self {
+        let k = up.len();
+        // Children as one array in ascending slot order: `first[p]` counts
+        // p's children, becomes the end of p's block, and filling the blocks
+        // back to front moves it to the start.
+        let mut first = vec![0u32; k + 1];
+        for &(p, _) in up.iter().flatten() {
+            first[p as usize] += 1;
+        }
+        let mut end = 0;
+        for f in &mut first {
+            end += *f;
+            *f = end;
+        }
+        let mut children = vec![0u32; end as usize];
+        for (c, link) in up.iter().enumerate().rev() {
+            if let Some((p, _)) = *link {
+                first[p as usize] -= 1;
+                children[first[p as usize] as usize] = c as u32;
+            }
+        }
+        let kids = |v: u32| &children[first[v as usize] as usize..first[v as usize + 1] as usize];
+
+        // Breadth-first order: every parent before its children.
+        let mut order = Vec::with_capacity(k);
+        order.push(root as u32);
+        let mut next = 0;
+        while let Some(&v) = order.get(next) {
+            order.extend_from_slice(kids(v));
+            next += 1;
+        }
+        let mut size = vec![0u32; k];
+        for &v in order.iter().rev() {
+            size[v as usize] += 1;
+            if let Some((p, _)) = up[v as usize] {
+                size[p as usize] += size[v as usize];
+            }
+        }
+        let mut heavy = vec![NO_SLOT; k];
+        let mut dfs_start = vec![NO_SLOT; k];
+        dfs_start[root] = 0;
+        for &v in &order {
+            let larger = |h: u32, c: u32| if size[c as usize] > size[h as usize] { c } else { h };
+            let h = kids(v).iter().copied().reduce(larger).unwrap_or(NO_SLOT);
+            heavy[v as usize] = h;
+            let mut start = dfs_start[v as usize] + 1;
+            let light = kids(v).iter().copied().filter(|&c| c != h);
+            for c in std::iter::once(h).filter(|&h| h != NO_SLOT).chain(light) {
+                dfs_start[c as usize] = start;
+                start += size[c as usize];
+            }
+        }
+        HeavyPathLayout { up, size, heavy, dfs_start }
+    }
+
+    /// The layout of `tree`, slot `i` being `tree.members()[i]`.
+    pub fn of_tree(tree: &OutTree) -> Self {
+        let members = tree.members();
+        let slot = |v: NodeId| members.binary_search(&v).expect("tree nodes are members") as u32;
+        let up = members
+            .iter()
+            .map(|&v| {
+                let port = || tree.parent_port(v).expect("a tree edge has a port");
+                tree.parent(v).map(|p| (slot(p), port()))
+            })
+            .collect();
+        HeavyPathLayout::new(slot(tree.root()) as usize, up)
+    }
+
+    fn interval(&self, v: usize) -> (u32, u32) {
+        (self.dfs_start[v], self.dfs_start[v] + self.size[v] - 1)
+    }
+
+    /// The `O(1)`-word table of slot `v`.
+    pub fn table(&self, v: usize) -> TreeNodeTable {
+        let (dfs_start, dfs_end) = self.interval(v);
+        let heavy = Some(self.heavy[v] as usize).filter(|_| self.heavy[v] != NO_SLOT);
+        TreeNodeTable {
+            dfs_start,
+            dfs_end,
+            heavy_port: heavy.and_then(|h| self.up[h].map(|(_, port)| port)),
+            heavy_interval: heavy.map(|h| self.interval(h)),
+        }
+    }
+
+    /// The label of slot `v`: its DFS number and the light edges on the
+    /// path down to it, from the root downward.
+    pub fn label(&self, v: usize) -> TreeLabel {
+        let mut light_hops = Vec::new();
+        let mut cur = v;
+        while let Some((p, port)) = self.up[cur] {
+            if self.heavy[p as usize] != cur as u32 {
+                light_hops.push((self.dfs_start[p as usize], port));
+            }
+            cur = p as usize;
+        }
+        light_hops.reverse();
+        TreeLabel { target_dfs: self.dfs_start[v], light_hops }
+    }
+}
+
 impl TreeRouter {
-    /// Builds tables and labels for every member of `tree`.
+    /// Builds tables and labels for every member of `tree`: its
+    /// [`HeavyPathLayout`], materialised.
     pub fn build(tree: &OutTree) -> Self {
-        let root = tree.root();
-        // Iterative DFS computing subtree sizes first (post-order), then
-        // intervals and heavy children, then labels via a top-down pass.
-        let mut subtree_size: FxHashMap<NodeId, u32> = FxHashMap::default();
-        // Post-order via two-phase stack.
-        let mut stack = vec![(root, false)];
-        while let Some((v, processed)) = stack.pop() {
-            if processed {
-                let size: u32 = 1 + tree.children(v).iter().map(|c| subtree_size[c]).sum::<u32>();
-                subtree_size.insert(v, size);
-            } else {
-                stack.push((v, true));
-                for &c in tree.children(v) {
-                    stack.push((c, false));
-                }
-            }
-        }
-
-        // Heavy child of each node = child with max subtree size (ties: smaller id).
-        let mut heavy_child: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        for &v in tree.members() {
-            let best = tree
-                .children(v)
-                .iter()
-                .copied()
-                .max_by_key(|c| (subtree_size[c], std::cmp::Reverse(c.0)));
-            if let Some(h) = best {
-                heavy_child.insert(v, h);
-            }
-        }
-
-        // DFS numbering visiting the heavy child first so heavy paths get
-        // contiguous intervals.
-        let mut dfs_start: FxHashMap<NodeId, u32> = FxHashMap::default();
-        let mut dfs_end: FxHashMap<NodeId, u32> = FxHashMap::default();
-        let mut counter: u32 = 0;
-        // (node, phase) where phase=false -> entering.
-        let mut stack = vec![(root, false)];
-        while let Some((v, processed)) = stack.pop() {
-            if processed {
-                // All descendants numbered: close the interval.
-                let end = counter - 1;
-                dfs_end.insert(v, end);
-            } else {
-                dfs_start.insert(v, counter);
-                counter += 1;
-                stack.push((v, true));
-                // Push non-heavy children (reverse order), then heavy child last
-                // so the heavy child is visited first.
-                let heavy = heavy_child.get(&v).copied();
-                let mut light: Vec<NodeId> =
-                    tree.children(v).iter().copied().filter(|c| Some(*c) != heavy).collect();
-                light.sort_unstable();
-                for &c in light.iter().rev() {
-                    stack.push((c, false));
-                }
-                if let Some(h) = heavy {
-                    stack.push((h, false));
-                }
-            }
-        }
-
-        // Node tables.
+        let layout = HeavyPathLayout::of_tree(tree);
+        let members = tree.members();
         let mut tables = FxHashMap::default();
-        for &v in tree.members() {
-            let heavy = heavy_child.get(&v).copied();
-            let (heavy_port, heavy_interval) = match heavy {
-                Some(h) => (tree.parent_port(h), Some((dfs_start[&h], dfs_end[&h]))),
-                None => (None, None),
-            };
-            tables.insert(
-                v,
-                TreeNodeTable {
-                    dfs_start: dfs_start[&v],
-                    dfs_end: dfs_end[&v],
-                    heavy_port,
-                    heavy_interval,
-                },
-            );
-        }
-
-        // Labels: walk from each member up to the root collecting light edges.
         let mut labels = FxHashMap::default();
         let mut max_light_depth = 0usize;
-        for &v in tree.members() {
-            let mut light_hops: Vec<(u32, Port)> = Vec::new();
-            let mut cur = v;
-            while let Some(p) = tree.parent(cur) {
-                let is_heavy = heavy_child.get(&p) == Some(&cur);
-                if !is_heavy {
-                    let port = tree.parent_port(cur).expect("non-root member has parent port");
-                    light_hops.push((dfs_start[&p], port));
-                }
-                cur = p;
-            }
-            light_hops.reverse();
-            max_light_depth = max_light_depth.max(light_hops.len());
-            labels.insert(v, Arc::new(TreeLabel { target_dfs: dfs_start[&v], light_hops }));
+        for (i, &v) in members.iter().enumerate() {
+            tables.insert(v, layout.table(i));
+            let label = layout.label(i);
+            max_light_depth = max_light_depth.max(label.light_hops.len());
+            labels.insert(v, Arc::new(label));
         }
-
-        TreeRouter { root, tables, labels, max_light_depth }
+        TreeRouter { root: tree.root(), tables, labels, max_light_depth }
     }
 
     /// The tree's root.
@@ -279,8 +337,8 @@ impl TreeRouter {
 mod tests {
     use super::*;
     use crate::sptree::OutTree;
-    use rtr_graph::generators::{bidirected_grid, directed_ring, strongly_connected_gnp};
-    use rtr_graph::DiGraph;
+    use rtr_graph::generators::{bidirected_grid, directed_ring, strongly_connected_gnp, Family};
+    use rtr_graph::{DiGraph, DiGraphBuilder};
 
     /// Simulates routing from the tree root to `dest` using only local tables
     /// and the label, returning the traversed node sequence.
@@ -427,6 +485,138 @@ mod tests {
                 assert_eq!(e.to, descendant);
             }
             other => panic!("expected forward, got {other:?}"),
+        }
+    }
+
+    /// Lemma 14's layout written out from its definition, recursively:
+    /// subtree sizes, the heavy child (largest subtree, ties to the smaller
+    /// id), and heavy-first DFS numbering with light children ascending.
+    struct Reference<'t> {
+        tree: &'t OutTree,
+        size: FxHashMap<NodeId, u32>,
+        start: FxHashMap<NodeId, u32>,
+    }
+
+    impl<'t> Reference<'t> {
+        fn new(tree: &'t OutTree) -> Self {
+            let mut r = Reference { tree, size: FxHashMap::default(), start: FxHashMap::default() };
+            r.measure(tree.root());
+            let mut next = 0;
+            r.number(tree.root(), &mut next);
+            assert_eq!(next as usize, tree.len(), "the numbering is a permutation");
+            r
+        }
+
+        fn measure(&mut self, v: NodeId) -> u32 {
+            let size = 1 + self.tree.children(v).iter().map(|&c| self.measure(c)).sum::<u32>();
+            self.size.insert(v, size);
+            size
+        }
+
+        fn heavy(&self, v: NodeId) -> Option<NodeId> {
+            let children = self.tree.children(v).iter().copied();
+            children.max_by_key(|&c| (self.size[&c], std::cmp::Reverse(c)))
+        }
+
+        fn number(&mut self, v: NodeId, next: &mut u32) {
+            self.start.insert(v, *next);
+            *next += 1;
+            let heavy = self.heavy(v);
+            let mut light: Vec<NodeId> =
+                self.tree.children(v).iter().copied().filter(|&c| Some(c) != heavy).collect();
+            light.sort_unstable();
+            for c in heavy.into_iter().chain(light) {
+                self.number(c, next);
+            }
+        }
+
+        fn interval(&self, v: NodeId) -> (u32, u32) {
+            (self.start[&v], self.start[&v] + self.size[&v] - 1)
+        }
+
+        fn table(&self, v: NodeId) -> TreeNodeTable {
+            let heavy = self.heavy(v);
+            TreeNodeTable {
+                dfs_start: self.interval(v).0,
+                dfs_end: self.interval(v).1,
+                heavy_port: heavy.map(|h| self.tree.parent_port(h).unwrap()),
+                heavy_interval: heavy.map(|h| self.interval(h)),
+            }
+        }
+
+        fn label(&self, v: NodeId) -> TreeLabel {
+            let path = self.tree.path_from_root(v).unwrap();
+            let light_hops = path
+                .windows(2)
+                .filter(|e| self.heavy(e[0]) != Some(e[1]))
+                .map(|e| (self.start[&e[0]], self.tree.parent_port(e[1]).unwrap()))
+                .collect();
+            TreeLabel { target_dfs: self.start[&v], light_hops }
+        }
+    }
+
+    /// The router and the layout's on-demand tables and labels against
+    /// [`Reference`], on every member of `tree`.
+    fn assert_layout_matches_definition(tree: &OutTree, what: &str) {
+        let reference = Reference::new(tree);
+        let router = TreeRouter::build(tree);
+        let layout = HeavyPathLayout::of_tree(tree);
+        let mut deepest = 0;
+        for (i, &v) in tree.members().iter().enumerate() {
+            let (table, label) = (reference.table(v), reference.label(v));
+            assert_eq!(router.table(v), Some(&table), "{what}: router table of {v}");
+            assert_eq!(layout.table(i), table, "{what}: layout table of {v}");
+            assert_eq!(router.label(v).map(|l| &**l), Some(&label), "{what}: router label of {v}");
+            assert_eq!(layout.label(i), label, "{what}: layout label of {v}");
+            deepest = deepest.max(label.light_hops.len());
+        }
+        assert_eq!(router.max_light_depth(), deepest, "{what}");
+    }
+
+    /// A `rows × cols` bidirected grid with every weight 1: ties between
+    /// equal-length paths decide most parents.
+    fn unit_grid(rows: usize, cols: usize) -> DiGraph {
+        let mut b = DiGraphBuilder::new(rows * cols);
+        for v in 0..rows * cols {
+            let v_id = NodeId::from_index(v);
+            if (v + 1) % cols != 0 {
+                b.add_bidirected(v_id, NodeId::from_index(v + 1), 1).unwrap();
+            }
+            if v + cols < rows * cols {
+                b.add_bidirected(v_id, NodeId::from_index(v + cols), 1).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    // A seeded sweep in the manner of a property test (rtr-trees takes no
+    // proptest dependency): whole-graph and cluster-restricted out-trees of
+    // every family, several roots each, and unit-weight grids.
+    #[test]
+    fn layout_matches_lemma_14_definition() {
+        for seed in 0..6u64 {
+            for family in Family::ALL {
+                let g = family.generate(24 + 7 * seed as usize, seed).unwrap();
+                let n = g.node_count();
+                for i in 0..3 {
+                    let root = NodeId::from_index((seed as usize * 5 + i * 17) % n);
+                    let what = format!("{} seed {seed} root {root}", family.name());
+                    assert_layout_matches_definition(&OutTree::shortest_paths(&g, root), &what);
+                    let cluster: Vec<NodeId> = g
+                        .nodes()
+                        .filter(|&v| v == root || !(v.index() as u64 * 7 + seed).is_multiple_of(3))
+                        .collect();
+                    let restricted = OutTree::shortest_paths_within(&g, root, Some(&cluster));
+                    assert_layout_matches_definition(&restricted, &format!("{what} cluster"));
+                }
+            }
+        }
+        for (rows, cols) in [(1, 9), (5, 5), (6, 9), (12, 12)] {
+            let g = unit_grid(rows, cols);
+            for root in [0, rows * cols / 2, rows * cols - 1] {
+                let tree = OutTree::shortest_paths(&g, NodeId::from_index(root));
+                assert_layout_matches_definition(&tree, &format!("unit grid {rows}x{cols}"));
+            }
         }
     }
 

@@ -1,9 +1,12 @@
 //! Shortest-path out-trees, in-trees and double trees over clusters.
 
-use rtr_graph::algo::dijkstra::{dijkstra_filtered, dijkstra_reverse_filtered};
-use rtr_graph::hash::{FxHashMap, FxHashSet};
+use rtr_graph::algo::dijkstra::{
+    dijkstra, dijkstra_reverse, dijkstra_reverse_within, dijkstra_within,
+};
+use rtr_graph::hash::FxHashMap;
 use rtr_graph::types::saturating_dist_add;
 use rtr_graph::{DiGraph, Distance, NodeId, Port, INFINITY};
+use std::borrow::Cow;
 
 /// A shortest-paths tree rooted at a center node, oriented *away* from the
 /// root (paper §3.2, `OutTree(C)`).
@@ -34,6 +37,10 @@ impl OutTree {
     /// Builds the shortest-paths out-tree from `root`, restricted to the
     /// induced subgraph on `members` when `Some` (paths may not leave the
     /// cluster). Unreachable members are omitted from the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is `Some` and does not contain `root`.
     pub fn shortest_paths_within(g: &DiGraph, root: NodeId, members: Option<&[NodeId]>) -> Self {
         let mut tree = OutTree {
             root,
@@ -141,6 +148,10 @@ impl InTree {
     /// Builds the in-tree toward `root`, restricted to the induced subgraph on
     /// `members` when `Some`. Members that cannot reach the root inside the
     /// cluster are omitted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is `Some` and does not contain `root`.
     pub fn shortest_paths_within(g: &DiGraph, root: NodeId, members: Option<&[NodeId]>) -> Self {
         let mut tree = InTree {
             root,
@@ -209,7 +220,8 @@ impl InTree {
 /// induced subgraph on `members` (the whole graph when `None`) and visits its
 /// reached members in ascending order, each with its tree distance and,
 /// below the root, its Dijkstra parent and that tree edge's port.  The one
-/// member-extraction loop of [`OutTree`] and [`InTree`].
+/// member-extraction loop of [`OutTree`] and [`InTree`]; a cluster's run
+/// costs the cluster, not the graph.
 fn visit_reached(
     g: &DiGraph,
     root: NodeId,
@@ -217,30 +229,37 @@ fn visit_reached(
     reverse: bool,
     mut visit: impl FnMut(NodeId, Distance, Option<(NodeId, Port)>),
 ) {
-    let allowed: FxHashSet<NodeId> = members.unwrap_or_default().iter().copied().collect();
-    let in_cluster = |v: NodeId| allowed.contains(&v);
-    let filter: Option<&dyn Fn(NodeId) -> bool> = members.map(|_| &in_cluster as _);
-    let tree = if reverse {
-        dijkstra_reverse_filtered(g, root, filter)
-    } else {
-        dijkstra_filtered(g, root, filter)
-    };
-    let candidates: Vec<NodeId> = match members {
+    let nodes: Cow<'_, [NodeId]> = match members {
+        None => g.nodes().collect(),
+        Some(m) if m.windows(2).all(|w| w[0] < w[1]) => Cow::Borrowed(m),
         Some(m) => {
             let mut sorted = m.to_vec();
             sorted.sort_unstable();
             sorted.dedup();
-            sorted
+            Cow::Owned(sorted)
         }
-        None => g.nodes().collect(),
     };
-    for v in candidates.into_iter().filter(|&v| tree.is_reachable(v)) {
-        let link = (v != root).then(|| {
-            let parent = tree.parent[v.index()].expect("reachable non-root has a parent");
-            let port = tree.parent_port[v.index()].expect("reachable non-root has a port");
-            (parent, port)
-        });
-        visit(v, tree.distance(v), link);
+    let (dist, parent, port) = match (members, reverse) {
+        (None, false) => {
+            let t = dijkstra(g, root);
+            (t.dist, t.parent, t.parent_port)
+        }
+        (None, true) => {
+            let t = dijkstra_reverse(g, root);
+            (t.dist, t.parent, t.parent_port)
+        }
+        (Some(_), false) => {
+            let t = dijkstra_within(g, root, &nodes);
+            (t.dist, t.parent, t.parent_port)
+        }
+        (Some(_), true) => {
+            let t = dijkstra_reverse_within(g, root, &nodes);
+            (t.dist, t.parent, t.parent_port)
+        }
+    };
+    for (i, &v) in nodes.iter().enumerate().filter(|&(i, _)| dist[i] != INFINITY) {
+        let link = parent[i].map(|p| (p, port[i].expect("a tree edge has a port")));
+        visit(v, dist[i], link);
     }
 }
 
