@@ -18,6 +18,7 @@
 use crate::naming::NamingAssignment;
 use rtr_dictionary::{AddressSpace, BlockDistribution, DistributionParams, NodeName};
 use rtr_graph::hash::FxHashMap;
+use rtr_graph::par::par_blocks_mut;
 use rtr_graph::{DiGraph, NodeId};
 use rtr_metric::{DistanceOracle, RoundtripOrder};
 use rtr_namedep::NameDependentSubstrate;
@@ -145,7 +146,11 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
         names: &NamingAssignment,
         substrate: S,
         params: ExStretchParams,
-    ) -> Self {
+    ) -> Self
+    where
+        S: Sync,
+        S::Label: Send,
+    {
         let n = g.node_count();
         let k = params.k;
         assert!(k >= 2, "ExStretch requires k >= 2");
@@ -165,6 +170,11 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
     /// cover sweeps).  The order must store at least the level-`(k−1)`
     /// neighborhood prefix; a deeper prefix yields bit-identical tables.
     ///
+    /// Each node's table is a function of the shared order, block
+    /// distribution, names and substrate handshakes alone, so the nodes are
+    /// minted on [`par_blocks_mut`] and the tables are bit-identical for any
+    /// thread count.
+    ///
     /// # Panics
     ///
     /// Panics if `k < 2`, the graph is not strongly connected, the naming or
@@ -176,7 +186,11 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
         substrate: S,
         order: &RoundtripOrder,
         params: ExStretchParams,
-    ) -> Self {
+    ) -> Self
+    where
+        S: Sync,
+        S::Label: Send,
+    {
         let n = g.node_count();
         let k = params.k;
         assert!(k >= 2, "ExStretch requires k >= 2");
@@ -195,56 +209,74 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
         let name_bits = id_bits(n);
         let label_bits = substrate.max_label_bits();
 
+        let mut slots: Vec<Option<NodeTable<S::Label>>> = (0..n).map(|_| None).collect();
+        par_blocks_mut(&mut slots, |start, block| {
+            for (offset, slot) in block.iter_mut().enumerate() {
+                let u = NodeId::from_index(start + offset);
+                *slot = Some(Self::node_table(u, k, names, &substrate, order, &distribution));
+            }
+        });
+        let tables = slots.into_iter().map(|s| s.expect("every node was minted")).collect();
+
+        ExStretch { n, k, space, substrate, tables, name_bits, label_bits }
+    }
+
+    /// Node `u`'s dictionary (items (2) and (3) of §3.3), one handshake per
+    /// entry.
+    fn node_table(
+        u: NodeId,
+        k: u32,
+        names: &NamingAssignment,
+        substrate: &S,
+        order: &RoundtripOrder,
+        distribution: &BlockDistribution,
+    ) -> NodeTable<S::Label> {
+        let space = distribution.space();
+        let n = names.len();
         // One handshake mints both labels of an entry.
-        let hop = |u: NodeId, v: NodeId| {
+        let hop = |v: NodeId| {
             let (forward, backward) = substrate.pair_labels(u, v);
             HopLabels { forward, backward }
         };
         let q = space.q();
-        let n1 = RoundtripOrder::level_size(n, 1, k);
-        let mut tables = Vec::with_capacity(n);
-        for u in g.nodes() {
-            let own_name = names.name_of(u);
+        let own_name = names.name_of(u);
 
-            // (2) Handshake labels for the level-1 neighborhood.
-            let near: FxHashMap<NodeName, HopLabels<S::Label>> = order
-                .neighborhood(u, n1)
-                .iter()
-                .filter(|&&v| v != u)
-                .map(|&v| (names.name_of(v), hop(u, v)))
-                .collect();
+        // (2) Handshake labels for the level-1 neighborhood.
+        let near: FxHashMap<NodeName, HopLabels<S::Label>> = order
+            .neighborhood(u, RoundtripOrder::level_size(n, 1, k))
+            .iter()
+            .filter(|&&v| v != u)
+            .map(|&v| (names.name_of(v), hop(v)))
+            .collect();
 
-            // (3a) For every held block, level i < k−1 and digit τ: the nearest
-            // node holding a block matching σ^i(B)·τ.
-            // (3b) For every held block and digit τ: the node owning the name
-            // (block digits)·τ, when that name exists.
-            // The held blocks are S'_u: S_u plus u's own block.
-            let own_block = space.block_of(own_name);
-            let extra = (!distribution.holds(u, own_block)).then_some(own_block);
-            let mut prefix_hops: FxHashMap<(u32, u32), HopLabels<S::Label>> = FxHashMap::default();
-            let mut final_hops: FxHashMap<NodeName, HopLabels<S::Label>> = FxHashMap::default();
-            for block in distribution.set(u).iter().copied().chain(extra) {
-                for i in 0..k - 1 {
-                    let first = space.block_prefix_code(block, i) * q;
-                    for code in first..first + q {
-                        if let Entry::Vacant(slot) = prefix_hops.entry((i + 1, code)) {
-                            if let Some(w) = distribution.holder_for_prefix(order, u, i + 1, code) {
-                                slot.insert(hop(u, w));
-                            }
+        // (3a) For every held block, level i < k−1 and digit τ: the nearest
+        // node holding a block matching σ^i(B)·τ.
+        // (3b) For every held block and digit τ: the node owning the name
+        // (block digits)·τ, when that name exists.
+        // The held blocks are S'_u: S_u plus u's own block.
+        let own_block = space.block_of(own_name);
+        let extra = (!distribution.holds(u, own_block)).then_some(own_block);
+        let mut prefix_hops: FxHashMap<(u32, u32), HopLabels<S::Label>> = FxHashMap::default();
+        let mut final_hops: FxHashMap<NodeName, HopLabels<S::Label>> = FxHashMap::default();
+        for block in distribution.set(u).iter().copied().chain(extra) {
+            for i in 0..k - 1 {
+                let first = space.block_prefix_code(block, i) * q;
+                for code in first..first + q {
+                    if let Entry::Vacant(slot) = prefix_hops.entry((i + 1, code)) {
+                        if let Some(w) = distribution.holder_for_prefix(order, u, i + 1, code) {
+                            slot.insert(hop(w));
                         }
                     }
                 }
-                let first = block.0 as u64 * q as u64;
-                for value in first..(first + q as u64).min(n as u64) {
-                    let name = NodeName(value as u32);
-                    final_hops.insert(name, hop(u, names.node_of(name)));
-                }
             }
-
-            tables.push(NodeTable { own_name, near, prefix_hops, final_hops });
+            let first = block.0 as u64 * q as u64;
+            for value in first..(first + q as u64).min(n as u64) {
+                let name = NodeName(value as u32);
+                final_hops.insert(name, hop(names.node_of(name)));
+            }
         }
 
-        ExStretch { n, k, space, substrate, tables, name_bits, label_bits }
+        NodeTable { own_name, near, prefix_hops, final_hops }
     }
 
     /// The scheme's digit count `k`.

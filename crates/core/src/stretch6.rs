@@ -21,6 +21,7 @@
 use crate::naming::NamingAssignment;
 use rtr_dictionary::{AddressSpace, BlockDistribution, DistributionParams, NodeName};
 use rtr_graph::hash::FxHashMap;
+use rtr_graph::par::par_blocks_mut;
 use rtr_graph::{DiGraph, NodeId};
 use rtr_metric::{DistanceOracle, RoundtripOrder};
 use rtr_namedep::{LabelBits, NameDependentSubstrate};
@@ -137,7 +138,11 @@ impl<S: NameDependentSubstrate> StretchSix<S> {
         names: &NamingAssignment,
         substrate: S,
         params: Stretch6Params,
-    ) -> Self {
+    ) -> Self
+    where
+        S: Sync,
+        S::Label: Send,
+    {
         let n = g.node_count();
         // Validate before the row sweep: on a lazy oracle the sweep is the
         // expensive part, and these assertions should fire immediately.
@@ -154,6 +159,11 @@ impl<S: NameDependentSubstrate> StretchSix<S> {
     /// scheme consults; a deeper prefix is fine — every neighborhood read is
     /// a prefix read, so the tables come out bit-identical.
     ///
+    /// Each node's table is a function of the shared order, block
+    /// distribution, names and substrate alone, so the nodes are minted on
+    /// [`par_blocks_mut`] and the tables are bit-identical for any thread
+    /// count.
+    ///
     /// # Panics
     ///
     /// Panics if the graph is not strongly connected, the naming or order
@@ -165,7 +175,11 @@ impl<S: NameDependentSubstrate> StretchSix<S> {
         substrate: S,
         order: &RoundtripOrder,
         params: Stretch6Params,
-    ) -> Self {
+    ) -> Self
+    where
+        S: Sync,
+        S::Label: Send,
+    {
         let n = g.node_count();
         assert_eq!(names.len(), n, "naming assignment size mismatch");
         assert!(m.is_strongly_connected(), "stretch-6 scheme requires a strongly connected graph");
@@ -183,43 +197,16 @@ impl<S: NameDependentSubstrate> StretchSix<S> {
         let label_bits = substrate.max_label_bits();
         let name_bits = id_bits(n);
 
-        let mut tables = Vec::with_capacity(n);
-        let mut blocks_per_node_max = 0usize;
-        for u in g.nodes() {
-            let own_name = names.name_of(u);
-            let own_label = substrate.label_for(u);
-
-            // (1) Near entries.
-            let mut near = FxHashMap::default();
-            for &v in order.neighborhood(u, neighborhood_size) {
-                near.insert(names.name_of(v), substrate.label_for(v));
+        let mut slots: Vec<Option<(NodeTable<S::Label>, usize)>> = (0..n).map(|_| None).collect();
+        par_blocks_mut(&mut slots, |start, block| {
+            for (offset, slot) in block.iter_mut().enumerate() {
+                let u = NodeId::from_index(start + offset);
+                *slot = Some(Self::node_table(u, names, &substrate, order, &distribution));
             }
-
-            // (2) One dictionary holder per block, inside N(u).
-            let mut block_holder = Vec::with_capacity(space.block_count());
-            for b in 0..space.block_count() as u32 {
-                let holder = distribution
-                    .holder_of_block(order, u, rtr_dictionary::BlockId(b))
-                    .expect("Lemma 1 guarantees a holder in every neighborhood");
-                block_holder.push(substrate.label_for(holder));
-            }
-
-            // (3) Dictionary entries for S'_u = S_u ∪ {block of own name}.
-            let mut owned: Vec<rtr_dictionary::BlockId> = distribution.set(u).to_vec();
-            let own_block = space.block_of(own_name);
-            if !owned.contains(&own_block) {
-                owned.push(own_block);
-            }
-            blocks_per_node_max = blocks_per_node_max.max(owned.len());
-            let mut dictionary = FxHashMap::default();
-            for block in owned {
-                for name in space.block_members(block) {
-                    dictionary.insert(name, substrate.label_for(names.node_of(name)));
-                }
-            }
-
-            tables.push(NodeTable { own_name, own_label, near, block_holder, dictionary });
-        }
+        });
+        let (tables, blocks_held): (Vec<_>, Vec<usize>) =
+            slots.into_iter().map(|s| s.expect("every node was minted")).unzip();
+        let blocks_per_node_max = blocks_held.into_iter().max().unwrap_or(0);
 
         StretchSix {
             n,
@@ -231,6 +218,52 @@ impl<S: NameDependentSubstrate> StretchSix<S> {
             neighborhood_size,
             blocks_per_node_max,
         }
+    }
+
+    /// Node `u`'s table (items (1)–(3) of §2.1) and the number of blocks it
+    /// holds, `|S'_u|`.
+    fn node_table(
+        u: NodeId,
+        names: &NamingAssignment,
+        substrate: &S,
+        order: &RoundtripOrder,
+        distribution: &BlockDistribution,
+    ) -> (NodeTable<S::Label>, usize) {
+        let space = distribution.space();
+        let neighborhood_size = RoundtripOrder::level_size(names.len(), 1, 2);
+        let own_name = names.name_of(u);
+        let own_label = substrate.label_for(u);
+
+        // (1) Near entries.
+        let mut near = FxHashMap::default();
+        for &v in order.neighborhood(u, neighborhood_size) {
+            near.insert(names.name_of(v), substrate.label_for(v));
+        }
+
+        // (2) One dictionary holder per block, inside N(u).
+        let mut block_holder = Vec::with_capacity(space.block_count());
+        for b in 0..space.block_count() as u32 {
+            let holder = distribution
+                .holder_of_block(order, u, rtr_dictionary::BlockId(b))
+                .expect("Lemma 1 guarantees a holder in every neighborhood");
+            block_holder.push(substrate.label_for(holder));
+        }
+
+        // (3) Dictionary entries for S'_u = S_u ∪ {block of own name}.
+        let mut owned: Vec<rtr_dictionary::BlockId> = distribution.set(u).to_vec();
+        let own_block = space.block_of(own_name);
+        if !owned.contains(&own_block) {
+            owned.push(own_block);
+        }
+        let blocks_held = owned.len();
+        let mut dictionary = FxHashMap::default();
+        for block in owned {
+            for name in space.block_members(block) {
+                dictionary.insert(name, substrate.label_for(names.node_of(name)));
+            }
+        }
+
+        (NodeTable { own_name, own_label, near, block_holder, dictionary }, blocks_held)
     }
 
     /// The neighborhood size `|N(u)| = ⌈√n⌉` used by the scheme.

@@ -2,9 +2,11 @@
 
 use crate::nodeset::NodeSet;
 use crate::partial::{cover_from_balls, BallCover};
+use rtr_graph::par::par_blocks_mut;
 use rtr_graph::{DiGraph, Distance, NodeId};
 use rtr_metric::{broadcast_rows, DistanceOracle, RowSweepConsumer, SweepRows, SweepSlots};
 use rtr_trees::{DoubleTree, TreeRouter};
+use std::sync::Arc;
 
 /// Peak transient ball bits held per level group during
 /// [`DoubleTreeCover::build`] (≈ 8 GB of bitsets).  Small instances keep
@@ -36,56 +38,57 @@ impl TreeId {
 /// One level of the hierarchy: the sparse cover at scale `2^i`, a double tree
 /// per cluster (rooted at the cluster's seed node), and a compact tree router
 /// per double tree.
+///
+/// The cover, trees and routers are shared behind [`Arc`]: a repaired or
+/// re-treed hierarchy points at every part a fault did not touch instead of
+/// copying it.  Equality compares contents, not pointers.
 #[derive(Debug, PartialEq, Eq)]
 pub struct LevelCover {
     /// The scale `2^i` this level covers.
     pub scale: Distance,
-    /// The underlying ball cover (Theorem 10 at radius `scale`).
-    pub cover: BallCover,
-    /// One double tree per cluster, in cluster order.
-    pub trees: Vec<DoubleTree>,
-    /// Compact root-to-member routing for each tree's out-component.
-    pub routers: Vec<TreeRouter>,
+    /// The underlying ball cover (Theorem 10 at radius `scale`), shared with
+    /// every hierarchy re-treed or repaired from this one.
+    pub cover: Arc<BallCover>,
+    /// One double tree per cluster, in cluster order; a repair shares each
+    /// untouched cluster's tree with the hierarchy it repaired.
+    pub trees: Vec<Arc<DoubleTree>>,
+    /// Compact root-to-member routing for each tree's out-component, shared
+    /// like the trees.
+    pub routers: Vec<Arc<TreeRouter>>,
 }
 
 impl LevelCover {
     fn from_balls(g: &DiGraph, balls: Vec<NodeSet>, k: u32, scale: Distance) -> Self {
-        let cover = cover_from_balls(balls, k, scale);
-        let (trees, routers) = Self::build_trees(g, &cover);
-        LevelCover { scale, cover, trees, routers }
+        Self::build_trees(g, scale, Arc::new(cover_from_balls(balls, k, scale)))
     }
 
-    /// Builds one double tree + compact router per cluster, fanning the
-    /// per-cluster work out over worker threads. Each worker owns a disjoint
-    /// `chunks_mut` slice of the output, so the construction is lock-free and
-    /// bit-identical for any thread count.
-    fn build_trees(g: &DiGraph, cover: &BallCover) -> (Vec<DoubleTree>, Vec<TreeRouter>) {
-        let count = cover.clusters.len();
-        let mut slots: Vec<Option<(DoubleTree, TreeRouter)>> = (0..count).map(|_| None).collect();
-        if count > 0 {
-            let threads =
-                std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(count);
-            let chunk = count.div_ceil(threads);
-            crossbeam::scope(|scope| {
-                for (ci, block) in slots.chunks_mut(chunk).enumerate() {
-                    scope.spawn(move |_| {
-                        for (offset, slot) in block.iter_mut().enumerate() {
-                            *slot = Some(Self::cluster_tree(g, cover, ci * chunk + offset));
-                        }
-                    });
-                }
-            })
-            .expect("level-cover tree worker panicked");
-        }
-        slots.into_iter().map(|s| s.expect("every cluster was built")).unzip()
+    /// The level over `cover` with every cluster's double tree and compact
+    /// router built on `g`.  Each cluster is one slot of [`par_blocks_mut`],
+    /// so the construction is lock-free and bit-identical for any thread
+    /// count.
+    fn build_trees(g: &DiGraph, scale: Distance, cover: Arc<BallCover>) -> Self {
+        let mut slots: Vec<Option<(Arc<DoubleTree>, Arc<TreeRouter>)>> =
+            (0..cover.clusters.len()).map(|_| None).collect();
+        par_blocks_mut(&mut slots, |start, block| {
+            for (offset, slot) in block.iter_mut().enumerate() {
+                *slot = Some(Self::cluster_tree(g, &cover, start + offset));
+            }
+        });
+        let (trees, routers) =
+            slots.into_iter().map(|s| s.expect("every cluster was built")).unzip();
+        LevelCover { scale, cover, trees, routers }
     }
 
     /// The double tree of cluster `ci`, rooted at the cluster's seed and
     /// restricted to its members, and the compact router of its out-tree.
-    fn cluster_tree(g: &DiGraph, cover: &BallCover, ci: usize) -> (DoubleTree, TreeRouter) {
+    fn cluster_tree(
+        g: &DiGraph,
+        cover: &BallCover,
+        ci: usize,
+    ) -> (Arc<DoubleTree>, Arc<TreeRouter>) {
         let dt = DoubleTree::build(g, cover.seeds[ci], Some(&cover.clusters[ci]));
         let router = TreeRouter::build(dt.out_tree());
-        (dt, router)
+        (Arc::new(dt), Arc::new(router))
     }
 
     /// The home double-tree index of `v` at this level (guaranteed to span
@@ -401,21 +404,22 @@ impl DoubleTreeCover {
     /// contains its owner's ball and the covering property survives; what
     /// degrades is the per-tree `RTHeight` (restricted distances grow), which
     /// the verified serving plane measures rather than assumes.
+    ///
+    /// The result shares each level's [`BallCover`] with `self`.
     pub fn rebuild_all_trees(&self, g: &DiGraph) -> DoubleTreeCover {
         let levels = self
             .levels
             .iter()
-            .map(|level| {
-                let (trees, routers) = LevelCover::build_trees(g, &level.cover);
-                LevelCover { scale: level.scale, cover: level.cover.clone(), trees, routers }
-            })
+            .map(|level| LevelCover::build_trees(g, level.scale, Arc::clone(&level.cover)))
             .collect();
         DoubleTreeCover { k: self.k, levels }
     }
 
-    /// Incrementally re-anchors the hierarchy on a mutated graph: rebuilds
-    /// the double tree and router of exactly the clusters containing a node
-    /// in `touched`, cloning every other cluster's tree verbatim.
+    /// Incrementally re-anchors the hierarchy on a mutated graph: rebuilds,
+    /// one after another, the double tree and router of exactly the clusters
+    /// containing a node in `touched`, and shares every other cluster's tree
+    /// and router, and each level's [`BallCover`], with `self` (an
+    /// [`Arc::clone`], no copy).
     ///
     /// `touched` must include **both endpoints of every fault** applied to
     /// `g` (a superset is fine — extra nodes only cost extra rebuilds). A
@@ -449,11 +453,11 @@ impl DoubleTreeCover {
                             reanchored += 1;
                             LevelCover::cluster_tree(g, &level.cover, ci)
                         } else {
-                            (tree.clone(), router.clone())
+                            (Arc::clone(tree), Arc::clone(router))
                         }
                     })
                     .unzip();
-                LevelCover { scale: level.scale, cover: level.cover.clone(), trees, routers }
+                LevelCover { scale: level.scale, cover: Arc::clone(&level.cover), trees, routers }
             })
             .collect();
         (DoubleTreeCover { k: self.k, levels }, reanchored)
@@ -622,6 +626,23 @@ mod tests {
                 "seed {seed}: no cluster was hit by {} faults",
                 applied.faults.len()
             );
+            // The repair shares every level's cover and every untouched
+            // cluster's tree and router with `c0`; only the re-anchored
+            // trees are new.
+            let mut fresh = 0usize;
+            for (li, (before, after)) in c0.levels().iter().zip(repaired.levels()).enumerate() {
+                assert!(Arc::ptr_eq(&before.cover, &after.cover), "seed {seed}: level {li} cover");
+                for (ci, cluster) in before.cover.clusters.iter().enumerate() {
+                    let hit = touched.iter().any(|v| cluster.binary_search(v).is_ok());
+                    let tree_shared = Arc::ptr_eq(&before.trees[ci], &after.trees[ci]);
+                    let router_shared = Arc::ptr_eq(&before.routers[ci], &after.routers[ci]);
+                    let what = format!("seed {seed}: level {li}, cluster {ci}");
+                    assert_eq!(tree_shared, !hit, "{what}: tree shared iff untouched");
+                    assert_eq!(router_shared, !hit, "{what}: router shared iff untouched");
+                    fresh += usize::from(!tree_shared);
+                }
+            }
+            assert_eq!(fresh, reanchored, "seed {seed}: new trees");
             exercised += 1;
         }
         assert!(exercised > 0, "every seeded plan disconnected the graph");

@@ -1,14 +1,22 @@
 //! A tiny shared-nothing parallel-map helper used across the workspace.
 //!
 //! The workspace's dominant parallel pattern is "fan a slice out over worker
-//! threads that own disjoint blocks" (matrix rows, cover balls, scheme
-//! tables).  This module keeps that scaffold in one place so chunk sizing and
-//! panic propagation are fixed once.
+//! threads that own disjoint blocks".  This module keeps that scaffold in one
+//! place so chunk sizing and panic propagation are fixed once.  Its users,
+//! each filling one output slot per item from shared read-only inputs:
+//!
+//! * `rtr_cover`: the roundtrip balls of `cover_balls` and the per-cluster
+//!   double trees and routers of `LevelCover::build_trees`;
+//! * `rtr_namedep`: the per-landmark columns of landmark pass 3
+//!   (`LandmarkSweep::finish`);
+//! * `rtr_core`: the per-node §2 and §3 tables of `StretchSix` and
+//!   `ExStretch`.
 
 use std::panic::resume_unwind;
 
 /// Runs `f(start_index, block)` over disjoint blocks of `slice`, one scoped
-/// worker thread per block, sized to the available parallelism.
+/// worker thread per block, sized to the available parallelism; with one
+/// CPU (or one element) the single block runs on the calling thread.
 ///
 /// `start_index` is the index of `block[0]` within `slice`, so workers can
 /// recover the global position of each element.  Blocks are contiguous and
@@ -29,15 +37,36 @@ where
         return;
     }
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n);
+    if threads == 1 {
+        // One block: a worker thread would only add a spawn, and an
+        // allocator arena for what the block allocates.
+        f(0, slice);
+        return;
+    }
     let chunk = n.div_ceil(threads);
     let result = crossbeam::scope(|scope| {
-        for (ci, block) in slice.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move |_| f(ci * chunk, block));
+        let workers: Vec<_> = slice
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(ci, block)| {
+                let f = &f;
+                scope.spawn(move |_| f(ci * chunk, block))
+            })
+            .collect();
+        // Joining every worker keeps the first panic's own payload; a worker
+        // left for the scope to join would surface as "a scoped thread
+        // panicked".
+        let mut first_panic = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                first_panic.get_or_insert(payload);
+            }
         }
+        first_panic
     });
-    if let Err(payload) = result {
-        resume_unwind(payload);
+    match result {
+        Ok(None) => {}
+        Ok(Some(payload)) | Err(payload) => resume_unwind(payload),
     }
 }
 
@@ -68,6 +97,7 @@ mod tests {
             let mut v = vec![0u8; 16];
             par_blocks_mut(&mut v, |_, _| panic!("worker failed"));
         });
-        assert!(result.is_err());
+        let payload = result.expect_err("a worker panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker failed"), "payload replaced");
     }
 }

@@ -643,31 +643,39 @@ impl<'g> LazyDijkstraOracle<'g> {
             }
             return row;
         }
-        self.compute(key)
-    }
-
-    /// Computes `key`'s row and installs it in the cache.
-    fn compute(&self, key: RowKey) -> Arc<Vec<Distance>> {
         // Compute outside the lock so concurrent misses on different rows
         // overlap; a racing duplicate computation is benign (same result).
+        let row = self.compute(key);
+        self.install(key, Arc::clone(&row));
+        row
+    }
+
+    /// Runs `key`'s Dijkstra and counts it, leaving the cache untouched.
+    fn compute(&self, key: RowKey) -> Arc<Vec<Distance>> {
         let row = Arc::new(match key {
             RowKey::Fwd(s) => distances_from(self.g, NodeId(s)),
             RowKey::Rev(s) => distances_to(self.g, NodeId(s)),
         });
         self.rows_computed.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = &self.telemetry {
+            t.rows_computed.inc();
+        }
+        row
+    }
+
+    /// Installs a computed row in the cache as its most recent entry.
+    fn install(&self, key: RowKey, row: Arc<Vec<Distance>>) {
         let (resident, evicted) = {
             let mut cache = self.cache.lock();
-            let evicted = cache.insert(key, Arc::clone(&row));
+            let evicted = cache.insert(key, row);
             (cache.rows.len(), evicted)
         };
         self.peak_resident.fetch_max(resident, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.rows_computed.inc();
-            if evicted {
+        if evicted {
+            if let Some(t) = &self.telemetry {
                 t.evictions.inc();
             }
         }
-        row
     }
 }
 
@@ -718,11 +726,14 @@ impl DistanceOracle for LazyDijkstraOracle<'_> {
     }
 
     /// Computes the missing forward + reverse rows of `sources` on the
-    /// calling thread and up to `available_parallelism − 1` helpers, and
-    /// installs them in the cache.  The batch of *missing* keys is
-    /// clamped to the cache capacity — a larger batch would evict its own
-    /// rows before the sweep reads them (already-cached keys don't count
-    /// against the clamp, so a warm prefix never starves the cold tail).
+    /// calling thread and up to `available_parallelism − 1` helpers, each
+    /// row into its own slot, and once every helper joined installs them in
+    /// the cache in key order: the cache's recency order, and so which row a
+    /// later miss evicts, is the same for any thread count.  The batch of
+    /// *missing* keys is clamped to the cache capacity — a larger batch
+    /// would evict its own rows before the sweep reads them (already-cached
+    /// keys don't count against the clamp, so a warm prefix never starves
+    /// the cold tail) — which also bounds the rows held until the install.
     fn prefetch_rows(&self, sources: &[NodeId]) {
         let keys: Vec<RowKey> = {
             let cache = self.cache.lock();
@@ -743,13 +754,16 @@ impl DistanceOracle for LazyDijkstraOracle<'_> {
         if keys.is_empty() {
             return;
         }
+        let rows: Vec<OnceLock<Arc<Vec<Distance>>>> =
+            keys.iter().map(|_| OnceLock::new()).collect();
         let threads =
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(keys.len());
         let next = AtomicUsize::new(0);
-        let claim_rows = || {
-            while let Some(&key) = keys.get(next.fetch_add(1, Ordering::Relaxed)) {
-                self.compute(key);
-            }
+        let claim_rows = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&key) = keys.get(i) else { break };
+            let row = self.compute(key);
+            assert!(rows[i].set(row).is_ok(), "prefetch key {i} was claimed twice");
         };
         crossbeam::scope(|scope| {
             for _ in 1..threads {
@@ -758,6 +772,9 @@ impl DistanceOracle for LazyDijkstraOracle<'_> {
             claim_rows();
         })
         .expect("prefetch worker panicked");
+        for (&key, row) in keys.iter().zip(rows) {
+            self.install(key, row.into_inner().expect("every prefetched row was computed"));
+        }
     }
 }
 
@@ -978,6 +995,30 @@ mod tests {
         let stats = small.stats();
         assert!(stats.peak_resident_rows <= 5, "peak {}", stats.peak_resident_rows);
         assert!(stats.rows_computed <= 4, "clamp ignored: {} rows", stats.rows_computed);
+    }
+
+    #[test]
+    fn a_full_prefetch_window_is_evicted_in_key_order() {
+        // A window that fills the LRU exactly is installed in key order,
+        // whichever worker finished first: each following cold fetch evicts
+        // the window's next key, `Fwd(sources[0])` first.
+        let g = strongly_connected_gnp(120, 0.05, 19).unwrap();
+        let sources: Vec<NodeId> = g.nodes().take(8).collect();
+        let window: Vec<RowKey> =
+            sources.iter().flat_map(|&s| [RowKey::Fwd(s.0), RowKey::Rev(s.0)]).collect();
+        let lazy = LazyDijkstraOracle::new(&g, window.len());
+        lazy.prefetch_rows(&sources);
+        assert_eq!(lazy.stats().resident_rows, window.len());
+        let cold = g.nodes().skip(sources.len());
+        for (i, c) in cold.take(window.len()).enumerate() {
+            lazy.distance(c, sources[0]);
+            let cache = lazy.cache.lock();
+            assert!(!cache.rows.contains_key(&window[i]), "cold fetch {i} kept window key {i}");
+            assert!(
+                window[i + 1..].iter().all(|k| cache.rows.contains_key(k)),
+                "cold fetch {i} evicted a later window key"
+            );
+        }
     }
 
     #[test]

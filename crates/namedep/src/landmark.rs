@@ -6,9 +6,11 @@
 //!   that are the nearest landmark of at least one node — only those are ever
 //!   named by a label, so the rest would be dead weight in every table;
 //! * for every kept landmark `l`, run one reverse and one forward Dijkstra
-//!   over the graph.  Every node stores its next port toward `l` — the
-//!   reverse run's port, the `InTree(l)` next hop (`|L|` = Õ(√n) words per
-//!   node; the climb toward `l` can start anywhere).  The forward run's tree,
+//!   over the graph (each landmark's column reads only the graph, so the
+//!   landmarks are laid out in parallel and merged in landmark order).
+//!   Every node stores its next port toward `l` — the reverse run's port,
+//!   the `InTree(l)` next hop (`|L|` = Õ(√n) words per node; the climb
+//!   toward `l` can start anywhere).  The forward run's tree,
 //!   `OutTree(l)`, is laid out once (the heavy-path layout of Lemma 14), and
 //!   **only the nodes on the out-tree paths from `l` to `l`'s assigned
 //!   destinations** compute and store their `O(1)`-word tree-routing record.
@@ -47,13 +49,13 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rtr_graph::algo::dijkstra::{dijkstra, dijkstra_reverse};
 use rtr_graph::hash::FxHashMap;
+use rtr_graph::par::par_blocks_mut;
 use rtr_graph::{DiGraph, Distance, NodeId, Port};
 use rtr_metric::{
     broadcast_rows, DistanceOracle, RowInvalidation, RowSweepConsumer, SweepRows, SweepSlots,
 };
 use rtr_sim::{id_bits, ForwardAction, RoutingError, TableStats};
 use rtr_trees::{HeavyPathLayout, TreeLabel, TreeNodeTable, TreeRouter, TreeStep};
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Tunables of the landmark + ball construction.
@@ -239,6 +241,52 @@ impl<'g> LandmarkSweep<'g> {
     }
 }
 
+/// One kept landmark's share of pass 3, computed from the graph alone.
+struct LandmarkColumn {
+    /// Every node's out-port toward the landmark (`None` at the landmark).
+    up_ports: Vec<Option<Port>>,
+    /// The own labels of the landmark's assigned destinations.
+    own_labels: Vec<(NodeId, Arc<TreeLabel>)>,
+    /// The descent records on the out-tree paths to those destinations, in
+    /// the order the paths are walked.
+    descent: Vec<(NodeId, TreeNodeTable)>,
+}
+
+impl LandmarkColumn {
+    /// The column of landmark `l` with assigned destinations `assigned`:
+    /// one reverse and one forward Dijkstra, the forward tree laid out once.
+    fn compute(g: &DiGraph, l: NodeId, assigned: &[NodeId]) -> Self {
+        let up_ports = dijkstra_reverse(g, l).parent_port;
+        let down = dijkstra(g, l);
+        let up = down
+            .parent
+            .iter()
+            .zip(&down.parent_port)
+            .map(|(p, port)| p.map(|p| (p.0, port.expect("a tree edge has a port"))))
+            .collect();
+        let layout = HeavyPathLayout::new(l.index(), up);
+        let mut own_labels = Vec::with_capacity(assigned.len());
+        let mut descent = Vec::new();
+        let mut marked = vec![false; g.node_count()];
+        for &v in assigned {
+            own_labels.push((v, Arc::new(layout.label(v.index()))));
+            // Mark the descent path l → v: every out-tree ancestor stores its
+            // O(1)-word record; stop at the first already-marked node (its
+            // ancestors were marked by an earlier destination).
+            let mut cur = v;
+            while !marked[cur.index()] {
+                marked[cur.index()] = true;
+                descent.push((cur, layout.table(cur.index())));
+                match down.parent[cur.index()] {
+                    Some(p) => cur = p,
+                    None => break,
+                }
+            }
+        }
+        LandmarkColumn { up_ports, own_labels, descent }
+    }
+}
+
 impl LandmarkBallScheme {
     /// Builds the substrate.
     ///
@@ -315,41 +363,31 @@ impl LandmarkBallScheme {
         // run's tree is laid out once; only the landmark's assigned
         // destinations mint their label, and only the nodes on the descent
         // paths to them compute their O(1)-word record.  Nothing of size
-        // `|L|·n` survives construction.
+        // `|L|·n` survives construction.  A landmark's column reads only the
+        // graph, so the columns are computed on `par_blocks_mut` and merged
+        // in landmark order: every `descent[v]` map gets the same inserts in
+        // the same order for any thread count.
+        let mut columns: Vec<Option<LandmarkColumn>> = (0..landmarks.len()).map(|_| None).collect();
+        par_blocks_mut(&mut columns, |start, block| {
+            for (offset, slot) in block.iter_mut().enumerate() {
+                let li = start + offset;
+                *slot = Some(LandmarkColumn::compute(g, landmarks[li], &assigned[li]));
+            }
+        });
         let mut up_ports: Vec<Vec<Option<Port>>> =
             (0..n).map(|_| Vec::with_capacity(landmarks.len())).collect();
         let mut descent: Vec<FxHashMap<u32, TreeNodeTable>> = vec![FxHashMap::default(); n];
         let mut own_label: Vec<Option<Arc<TreeLabel>>> = vec![None; n];
-        for (li, &l) in landmarks.iter().enumerate() {
-            for (ports, port) in up_ports.iter_mut().zip(dijkstra_reverse(g, l).parent_port) {
+        for (li, column) in columns.into_iter().enumerate() {
+            let column = column.expect("every landmark's column was computed");
+            for (ports, port) in up_ports.iter_mut().zip(column.up_ports) {
                 ports.push(port);
             }
-            let down = dijkstra(g, l);
-            let up = down
-                .parent
-                .iter()
-                .zip(&down.parent_port)
-                .map(|(p, port)| p.map(|p| (p.0, port.expect("a tree edge has a port"))))
-                .collect();
-            let layout = HeavyPathLayout::new(l.index(), up);
-            for &v in &assigned[li] {
-                own_label[v.index()] = Some(Arc::new(layout.label(v.index())));
-                // Mark the descent path l → v: every out-tree ancestor stores
-                // its O(1)-word record; stop at the first already-marked node
-                // (its ancestors were marked by an earlier destination).
-                let mut cur = v;
-                loop {
-                    match descent[cur.index()].entry(li as u32) {
-                        Entry::Occupied(_) => break,
-                        Entry::Vacant(slot) => {
-                            slot.insert(layout.table(cur.index()));
-                        }
-                    }
-                    match down.parent[cur.index()] {
-                        Some(p) => cur = p,
-                        None => break,
-                    }
-                }
+            for (v, label) in column.own_labels {
+                own_label[v.index()] = Some(label);
+            }
+            for (v, record) in column.descent {
+                descent[v.index()].insert(li as u32, record);
             }
         }
         let own_label: Vec<Arc<TreeLabel>> =

@@ -76,8 +76,8 @@ pub struct TreeCoverScheme {
     /// index)` — the scan list of the on-demand handshake.
     memberships: Vec<Vec<TreeId>>,
     /// Per-tree routers, `routers[level][index]`, used only at build/label
-    /// time to mint labels.
-    routers: Vec<Vec<TreeRouter>>,
+    /// time to mint labels; shared with the cover, not copied.
+    routers: Vec<Vec<Arc<TreeRouter>>>,
     /// Home tree per (node, level) — the tree guaranteed to span the node's
     /// scale-2^level roundtrip ball.
     home: Vec<Vec<TreeId>>,
@@ -97,12 +97,13 @@ impl TreeCoverScheme {
     }
 
     /// Builds the substrate from an existing hierarchy (lets callers share one
-    /// [`DoubleTreeCover`] between the substrate and a §4 scheme).
+    /// [`DoubleTreeCover`] between the substrate and a §4 scheme).  The
+    /// substrate shares the cover's routers rather than copying them.
     pub fn from_cover(g: &DiGraph, cover: &DoubleTreeCover) -> Self {
         let n = g.node_count();
         let mut records: Vec<FxHashMap<TreeId, TreeRecord>> = vec![FxHashMap::default(); n];
         let mut memberships: Vec<Vec<TreeId>> = vec![Vec::new(); n];
-        let mut routers: Vec<Vec<TreeRouter>> = Vec::with_capacity(cover.level_count());
+        let mut routers: Vec<Vec<Arc<TreeRouter>>> = Vec::with_capacity(cover.level_count());
         let mut max_trees_per_level = 0usize;
 
         for (li, level) in cover.levels().iter().enumerate() {
