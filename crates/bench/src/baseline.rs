@@ -23,11 +23,11 @@ pub use rtr_graph::json::JsonValue;
 /// float formatting; anything beyond it is a real regression.
 pub const DETERMINISTIC_SLACK: f64 = 0.02;
 
-/// Relative slack on oracle-row counts.  Build rows repeat exactly given
-/// the seeds and cache size (connectivity is answered once per oracle, and a
-/// prefetch window is installed in key order); the slack stays until the
-/// gate is tightened to `Exact`, and a 10% jump means a sweep stopped being
-/// shared.
+/// Relative slack on the verify-row counts; a 10% jump means the per-shard
+/// verify buckets stopped sharing rows.  Build rows take no slack: they
+/// repeat exactly given the seeds and cache size (strong connectivity is
+/// decided on the graph, reading no rows, and a prefetch window is installed
+/// in key order), so `build_rows_computed` is gated `Exact`.
 pub const ROWS_SLACK: f64 = 0.10;
 
 /// Throughput warns below this fraction of the baseline; it is a property
@@ -104,7 +104,7 @@ pub const SERVE: &[Gate] = &[
     gate("verify_mode", Config, "off, sampled or full"),
     gate("shards", Config, "destination shards"),
     gate("shard_policy", Config, "hash or range: which worker owns which destination"),
-    gate("build_rows_computed", AtMost(ROWS_SLACK), "a row sweep is no longer shared"),
+    gate("build_rows_computed", Exact, "the build's row sweeps changed"),
     gate("build_rows_computed", WarnBelow(0.5), "the build got cheaper: refresh the baseline"),
     gate("peak_resident_rows", AtMost(1.0), "the build oracle holds over twice its rows"),
     gate("verify_rows_computed", AtMost(ROWS_SLACK), "per-shard verify buckets stopped sharing"),
@@ -583,10 +583,10 @@ mod tests {
             get(&base, "schemes.1.worst_sampled_stretch") * 1.2,
         );
         set(&mut cur, "schemes.0.min_queries_per_sec", 1000.0);
-        set(&mut cur, "build_rows_computed", 2 * 2442u64);
+        set(&mut cur, "build_rows_computed", 2 * 2424u64);
         let d = diff(&base, &cur);
         assert_eq!(d.failures.len(), 3, "{d:?}");
-        assert!(d.failures[0].starts_with("build_rows_computed regressed"), "{d:?}");
+        assert!(d.failures[0].starts_with("build_rows_computed changed"), "{d:?}");
         assert!(d.failures[1].starts_with("schemes[scheme = \"stretch6\"]: table_bytes"), "{d:?}");
         assert!(d.failures[2].contains("\"exstretch\"]: worst_sampled_stretch"), "{d:?}");
         assert_eq!(d.warnings.len(), 1, "{d:?}");
@@ -597,11 +597,14 @@ mod tests {
     fn small_drift_inside_tolerance_passes() {
         let base = serve();
         let mut cur = serve();
-        set(&mut cur, "build_rows_computed", 2442 + 4u64); // drift inside ROWS_SLACK
+        set(&mut cur, "verify_rows_computed", 1200 + 4u64); // drift inside ROWS_SLACK
         set(&mut cur, "schemes.0.table_bytes", get(&base, "schemes.0.table_bytes") as u64 + 1);
         set(&mut cur, "peak_resident_rows", 32u64);
         let d = diff(&base, &cur);
         assert!(d.failures.is_empty() && d.warnings.is_empty(), "{d:?}");
+        // Build rows repeat exactly: one row of drift fails.
+        set(&mut cur, "build_rows_computed", 2424 + 1u64);
+        assert!(fails_on(&base, &cur, "build_rows_computed changed 2424 → 2425"));
     }
 
     #[test]
@@ -719,6 +722,12 @@ mod tests {
         for (doc, gates) in [(serve(), SERVE), (chaos(), CHAOS)] {
             let mut all = Vec::new();
             rows(gates, "", "", &mut all);
+            // A field another row gates `Exact` fails on every mutation too.
+            let exact: Vec<String> = all
+                .iter()
+                .filter(|(_, g)| matches!(g.rule, Exact))
+                .map(|(p, _)| p.clone())
+                .collect();
             for (path, gate) in all {
                 let (mut base, mut cur) = (doc.clone(), doc.clone());
                 let bumped = match at(&mut cur, &path) {
@@ -780,6 +789,7 @@ mod tests {
                     }
                     Verified(_) | Records(..) => unreachable!("flattened above"),
                 };
+                let fails = fails || exact.contains(&path);
                 let warns = matches!(rule, WarnBelow(_) | WarnAbove(_));
                 let top = !path.contains('.');
                 let needle = match rule {

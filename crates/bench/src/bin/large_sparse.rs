@@ -93,7 +93,7 @@ fn main() {
             continue;
         }
         let report = sim
-            .roundtrip(&scheme, s, t, names.name_of(t))
+            .roundtrip_brief(&scheme, s, t, names.name_of(t))
             .unwrap_or_else(|e| panic!("roundtrip ({s},{t}) failed: {e}"));
         let stretch = report.stretch(&oracle);
         worst = worst.max(stretch);

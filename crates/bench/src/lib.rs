@@ -189,11 +189,6 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Formats a mean ± max pair.
-pub fn fmt_stat(avg: f64, max: f64) -> String {
-    format!("{avg:.3} (max {max:.3})")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -111,7 +111,7 @@ impl SchemeEvaluation {
         let mut total_hops = 0usize;
         let mut optimal = 0usize;
         for &(s, t) in &pairs {
-            let report = sim.roundtrip(scheme, s, t, names.name_of(t))?;
+            let report = sim.roundtrip_brief(scheme, s, t, names.name_of(t))?;
             let stretch = report.stretch(m);
             if report.total_weight() == m.roundtrip(s, t) {
                 optimal += 1;

@@ -157,11 +157,11 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
         // Validate before the row sweep: on a lazy oracle the sweep is the
         // expensive part, and these assertions should fire immediately.
         assert_eq!(names.len(), n, "naming assignment size mismatch");
-        assert!(m.is_strongly_connected(), "ExStretch requires a strongly connected graph");
+        g.require_strongly_connected().unwrap_or_else(|e| panic!("ExStretch::build: {e}"));
         // The deepest neighborhood any dictionary lookup consults is the
         // level-(k−1) ball, so a prefix-truncated order suffices.
         let order = RoundtripOrder::build_truncated(m, RoundtripOrder::level_size(n, k - 1, k));
-        Self::build_with_order(g, m, names, substrate, &order, params)
+        Self::build_with_order(g, names, substrate, &order, params)
     }
 
     /// Builds the scheme over an **existing** roundtrip order, so the order's
@@ -175,13 +175,16 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
     /// minted on [`par_blocks_mut`] and the tables are bit-identical for any
     /// thread count.
     ///
+    /// `g` must be strongly connected.  This constructor reads no oracle and
+    /// does not check it: the builder of the order and substrate decided it
+    /// ([`build`](Self::build), or the sparse suite's artifact sweep).
+    ///
     /// # Panics
     ///
-    /// Panics if `k < 2`, the graph is not strongly connected, the naming or
-    /// order size mismatches, or the order's stored prefix is too shallow.
-    pub fn build_with_order<O: DistanceOracle + ?Sized>(
+    /// Panics if `k < 2`, the naming or order size mismatches, or the order's
+    /// stored prefix is too shallow.
+    pub fn build_with_order(
         g: &DiGraph,
-        m: &O,
         names: &NamingAssignment,
         substrate: S,
         order: &RoundtripOrder,
@@ -195,7 +198,6 @@ impl<S: NameDependentSubstrate> ExStretch<S> {
         let k = params.k;
         assert!(k >= 2, "ExStretch requires k >= 2");
         assert_eq!(names.len(), n, "naming assignment size mismatch");
-        assert!(m.is_strongly_connected(), "ExStretch requires a strongly connected graph");
         assert_eq!(order.node_count(), n, "order size mismatch");
         let deepest = RoundtripOrder::level_size(n, k - 1, k);
         assert!(
@@ -487,7 +489,7 @@ mod tests {
                     continue;
                 }
                 let report = sim
-                    .roundtrip(scheme, s, t, names.name_of(t))
+                    .roundtrip_brief(scheme, s, t, names.name_of(t))
                     .unwrap_or_else(|e| panic!("({s},{t}): {e}"));
                 if let Some((num, den)) = hard_bound {
                     assert!(
@@ -605,7 +607,7 @@ mod tests {
                 if s == t {
                     continue;
                 }
-                let report = sim.roundtrip(&scheme, s, t, names.name_of(t)).unwrap();
+                let report = sim.roundtrip_brief(&scheme, s, t, names.name_of(t)).unwrap();
                 assert!(
                     report.max_header_bits() <= bound,
                     "header grew to {} bits (bound {bound})",
@@ -629,7 +631,7 @@ mod tests {
         );
         let sim = Simulator::new(&g);
         for v in g.nodes() {
-            let report = sim.roundtrip(&scheme, v, v, names.name_of(v)).unwrap();
+            let report = sim.roundtrip_brief(&scheme, v, v, names.name_of(v)).unwrap();
             assert_eq!(report.total_weight(), 0);
         }
     }

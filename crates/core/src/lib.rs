@@ -40,7 +40,7 @@
 //! let scheme = StretchSix::build(&g, &m, &names, substrate, Stretch6Params::default());
 //! let sim = Simulator::new(&g);
 //! let (s, t) = (rtr_graph::NodeId(3), rtr_graph::NodeId(200));
-//! let report = sim.roundtrip(&scheme, s, t, names.name_of(t))?;
+//! let report = sim.roundtrip_brief(&scheme, s, t, names.name_of(t))?;
 //! assert!(report.within_stretch(&m, 6, 1));
 //! # Ok(())
 //! # }

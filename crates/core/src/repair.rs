@@ -101,14 +101,16 @@ impl SparseRepairKit {
     /// suite, each under its own span: every hierarchy-independent row
     /// consumer — landmark pass 1, the first cover scale group and both
     /// schemes' truncated orders — registered on **one** sweep over every
-    /// node, then the remaining cover scale groups.
+    /// node, then the remaining cover scale groups.  This is where a sparse
+    /// build decides strong connectivity, once, on the graph; the consumers
+    /// and the scheme constructors downstream do not check it again.
     pub(crate) fn sweep_artifacts<O: DistanceOracle + ?Sized>(
         g: &DiGraph,
         m: &O,
         params: SparseSuiteParams,
     ) -> Self {
         assert!(params.poly.cover_k >= 2, "cover parameter must be >= 2");
-        assert!(m.is_strongly_connected(), "sparse suite requires a strongly connected graph");
+        g.require_strongly_connected().unwrap_or_else(|e| panic!("sparse suite: {e}"));
         let n = g.node_count();
         let mut landmark = LandmarkBallScheme::sweep(g, params.landmarks);
         let plan = CoverSweepPlan::new(m, params.poly.cover_k);
@@ -158,32 +160,28 @@ impl SparseRepairKit {
 
     /// Mints the serving schemes from the retained artifacts: the §2 scheme
     /// over the landmark substrate and the §3 scheme over the tree-cover
-    /// handshake substrate. Scheme assembly reads no oracle rows — only the
-    /// two scheme constructors' strong-connectivity assertions read `m` —
-    /// so minting from a repaired kit stays inside the repair row budget.
+    /// handshake substrate.  Scheme assembly reads no oracle rows, so minting
+    /// from a repaired kit stays inside the repair row budget, and checks
+    /// nothing: `g` must be the graph the kit was built or repaired on, whose
+    /// strong connectivity [`build`](Self::build) or [`repair`](Self::repair)
+    /// decided.
     pub fn schemes<O: DistanceOracle + ?Sized>(
         &self,
         g: &DiGraph,
-        m: &O,
+        // Unread since the mint reads no oracle; the ledger benchmark passes it.
+        _m: &O,
         names: &NamingAssignment,
     ) -> (StretchSix<LandmarkBallScheme>, ExStretch<TreeCoverScheme>) {
         let stretch6 = StretchSix::build_with_order(
             g,
-            m,
             names,
             self.landmark.clone(),
             &self.order6,
             self.params.stretch6,
         );
         let treecover = TreeCoverScheme::from_cover(g, &self.cover);
-        let exstretch = ExStretch::build_with_order(
-            g,
-            m,
-            names,
-            treecover,
-            &self.orderx,
-            self.params.exstretch,
-        );
+        let exstretch =
+            ExStretch::build_with_order(g, names, treecover, &self.orderx, self.params.exstretch);
         (stretch6, exstretch)
     }
 
@@ -214,7 +212,7 @@ impl SparseRepairKit {
         let rows_before = m.stats().rows_computed;
         let dirty = invalidation.dirty_nodes();
         let _span = rtr_telemetry::span!("repair.kit", format_args!("dirty={}", dirty.len()));
-        assert!(m.is_strongly_connected(), "sparse suite requires a strongly connected graph");
+        g.require_strongly_connected().unwrap_or_else(|e| panic!("SparseRepairKit::repair: {e}"));
 
         let mut landmark = self.landmark.repair_sweep(g, self.params.landmarks, invalidation);
         let mut order6 = self.order6.repair_sweep(invalidation);

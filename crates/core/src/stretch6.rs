@@ -147,9 +147,9 @@ impl<S: NameDependentSubstrate> StretchSix<S> {
         // Validate before the row sweep: on a lazy oracle the sweep is the
         // expensive part, and these assertions should fire immediately.
         assert_eq!(names.len(), n, "naming assignment size mismatch");
-        assert!(m.is_strongly_connected(), "stretch-6 scheme requires a strongly connected graph");
+        g.require_strongly_connected().unwrap_or_else(|e| panic!("StretchSix::build: {e}"));
         let order = RoundtripOrder::build_truncated(m, RoundtripOrder::level_size(n, 1, 2));
-        Self::build_with_order(g, m, names, substrate, &order, params)
+        Self::build_with_order(g, names, substrate, &order, params)
     }
 
     /// Builds the scheme over an **existing** roundtrip order, so the order's
@@ -164,13 +164,16 @@ impl<S: NameDependentSubstrate> StretchSix<S> {
     /// [`par_blocks_mut`] and the tables are bit-identical for any thread
     /// count.
     ///
+    /// `g` must be strongly connected.  This constructor reads no oracle and
+    /// does not check it: the builder of the order and substrate decided it
+    /// ([`build`](Self::build), or the sparse suite's artifact sweep).
+    ///
     /// # Panics
     ///
-    /// Panics if the graph is not strongly connected, the naming or order
-    /// size mismatches, or the order's stored prefix is too shallow.
-    pub fn build_with_order<O: DistanceOracle + ?Sized>(
+    /// Panics if the naming or order size mismatches, or the order's stored
+    /// prefix is too shallow.
+    pub fn build_with_order(
         g: &DiGraph,
-        m: &O,
         names: &NamingAssignment,
         substrate: S,
         order: &RoundtripOrder,
@@ -182,7 +185,6 @@ impl<S: NameDependentSubstrate> StretchSix<S> {
     {
         let n = g.node_count();
         assert_eq!(names.len(), n, "naming assignment size mismatch");
-        assert!(m.is_strongly_connected(), "stretch-6 scheme requires a strongly connected graph");
 
         let neighborhood_size = RoundtripOrder::level_size(n, 1, 2);
         assert_eq!(order.node_count(), n, "order size mismatch");
@@ -462,7 +464,7 @@ mod tests {
                     continue;
                 }
                 let report = sim
-                    .roundtrip(scheme, s, t, names.name_of(t))
+                    .roundtrip_brief(scheme, s, t, names.name_of(t))
                     .unwrap_or_else(|e| panic!("({s},{t}): {e}"));
                 if let Some((num, den)) = hard_bound {
                     assert!(
@@ -568,7 +570,7 @@ mod tests {
                 if s == t {
                     continue;
                 }
-                let report = sim.roundtrip(&scheme, s, t, names.name_of(t)).unwrap();
+                let report = sim.roundtrip_brief(&scheme, s, t, names.name_of(t)).unwrap();
                 assert!(report.max_header_bits() <= header_bound);
             }
         }
@@ -582,7 +584,7 @@ mod tests {
         let scheme = oracle_scheme(&g, &m, &names);
         let sim = Simulator::new(&g);
         for v in g.nodes() {
-            let report = sim.roundtrip(&scheme, v, v, names.name_of(v)).unwrap();
+            let report = sim.roundtrip_brief(&scheme, v, v, names.name_of(v)).unwrap();
             assert_eq!(report.total_weight(), 0);
             assert_eq!(report.total_hops(), 0);
         }

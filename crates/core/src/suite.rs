@@ -196,11 +196,11 @@ impl SparseSchemeSuite {
         let (stretch6, exstretch, poly) = build_concurrently(
             || {
                 let _span = rtr_telemetry::span!("build.stretch6");
-                StretchSix::build_with_order(g, m, names, landmark, &order6, params.stretch6)
+                StretchSix::build_with_order(g, names, landmark, &order6, params.stretch6)
             },
             || {
                 let _span = rtr_telemetry::span!("build.exstretch");
-                ExStretch::build_with_order(g, m, names, treecover, &orderx, params.exstretch)
+                ExStretch::build_with_order(g, names, treecover, &orderx, params.exstretch)
             },
             || {
                 let _span = rtr_telemetry::span!("build.polystretch");
@@ -248,9 +248,32 @@ fn build_concurrently<A: Send, B: Send, C: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_graph::generators::strongly_connected_gnp;
+    use rtr_graph::generators::{directed_ring, strongly_connected_gnp};
+    use rtr_graph::NodeId;
     use rtr_metric::{CachedSubsetOracle, DistanceMatrix, LazyDijkstraOracle};
     use rtr_sim::Simulator;
+
+    /// A directed ring whose node 3 lost its one out-edge: a sink.
+    fn ring_with_sink() -> DiGraph {
+        let mut g = directed_ring(8, 1).unwrap();
+        g.remove_edge(NodeId(3), NodeId(4)).unwrap();
+        g
+    }
+
+    #[test]
+    #[should_panic(expected = "not strongly connected")]
+    fn sparse_suite_rejects_a_graph_with_a_sink() {
+        let g = ring_with_sink();
+        let names = NamingAssignment::random(8, 1);
+        SparseSchemeSuite::build(&g, &LazyDijkstraOracle::new(&g, 4), &names, Default::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "not strongly connected")]
+    fn repair_kit_rejects_a_graph_with_a_sink() {
+        let g = ring_with_sink();
+        SparseRepairKit::build(&g, &CachedSubsetOracle::new(&g), SparseSuiteParams::default());
+    }
 
     #[test]
     fn suite_builds_all_three_schemes_from_one_dense_oracle() {
@@ -264,11 +287,11 @@ mod tests {
                 if s == t {
                     continue;
                 }
-                let r6 = sim.roundtrip(&suite.stretch6, s, t, names.name_of(t)).unwrap();
+                let r6 = sim.roundtrip_brief(&suite.stretch6, s, t, names.name_of(t)).unwrap();
                 assert!(r6.within_stretch(&m, 6, 1));
-                let rx = sim.roundtrip(&suite.exstretch, s, t, names.name_of(t)).unwrap();
+                let rx = sim.roundtrip_brief(&suite.exstretch, s, t, names.name_of(t)).unwrap();
                 assert!(rx.total_weight() >= m.roundtrip(s, t));
-                let rp = sim.roundtrip(&suite.poly, s, t, names.name_of(t)).unwrap();
+                let rp = sim.roundtrip_brief(&suite.poly, s, t, names.name_of(t)).unwrap();
                 assert!(rp.within_stretch(&m, suite.poly.paper_stretch_bound(), 1));
             }
         }
@@ -293,11 +316,11 @@ mod tests {
                 // The landmark substrate stands in for Lemma 2's scheme and
                 // its stretch is measured, not proven: delivery must be
                 // exact, stretch merely sane.
-                let r6 = sim.roundtrip(&suite.stretch6, s, t, names.name_of(t)).unwrap();
+                let r6 = sim.roundtrip_brief(&suite.stretch6, s, t, names.name_of(t)).unwrap();
                 assert!(r6.total_weight() >= dense.roundtrip(s, t));
-                let rx = sim.roundtrip(&suite.exstretch, s, t, names.name_of(t)).unwrap();
+                let rx = sim.roundtrip_brief(&suite.exstretch, s, t, names.name_of(t)).unwrap();
                 assert!(rx.within_stretch(&dense, ex_bound, 1));
-                let rp = sim.roundtrip(&suite.poly, s, t, names.name_of(t)).unwrap();
+                let rp = sim.roundtrip_brief(&suite.poly, s, t, names.name_of(t)).unwrap();
                 assert!(rp.within_stretch(&dense, suite.poly.paper_stretch_bound(), 1));
             }
         }
@@ -334,15 +357,15 @@ mod tests {
                 }
                 // StretchSix construction is oracle-independent bit for bit
                 // (orders and balls only), so routes must coincide exactly.
-                let a = sim.roundtrip(&via_dense.stretch6, s, t, names.name_of(t)).unwrap();
-                let b = sim.roundtrip(&via_lazy.stretch6, s, t, names.name_of(t)).unwrap();
-                let c = sim.roundtrip(&via_subset.stretch6, s, t, names.name_of(t)).unwrap();
+                let a = sim.roundtrip_brief(&via_dense.stretch6, s, t, names.name_of(t)).unwrap();
+                let b = sim.roundtrip_brief(&via_lazy.stretch6, s, t, names.name_of(t)).unwrap();
+                let c = sim.roundtrip_brief(&via_subset.stretch6, s, t, names.name_of(t)).unwrap();
                 assert_eq!(a.total_weight(), b.total_weight(), "({s},{t}) dense vs lazy");
                 assert_eq!(a.total_weight(), c.total_weight(), "({s},{t}) dense vs subset");
                 // Cover-based schemes may gain one extra hierarchy level from
                 // the lazy oracle's 2×-bounded diameter estimate; the paper
                 // bound must hold either way.
-                let rp = sim.roundtrip(&via_lazy.poly, s, t, names.name_of(t)).unwrap();
+                let rp = sim.roundtrip_brief(&via_lazy.poly, s, t, names.name_of(t)).unwrap();
                 assert!(rp.within_stretch(&dense, via_lazy.poly.paper_stretch_bound(), 1));
             }
         }

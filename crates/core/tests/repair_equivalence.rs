@@ -10,7 +10,7 @@
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{SparseRepairKit, SparseSuiteParams};
 use rtr_graph::generators::strongly_connected_gnp;
-use rtr_graph::{FaultPlan, NodeId};
+use rtr_graph::{FaultPlan, GraphDelta, NodeId};
 use rtr_metric::{CachedSubsetOracle, RowInvalidation};
 use rtr_sim::{RoundtripRouting, Simulator};
 
@@ -48,10 +48,10 @@ fn repaired_kit_is_bit_identical_to_reference_rebuild() {
             inv.dirty_node_count()
         );
         // …and read each of them once: one sweep over the dirty nodes reads
-        // their two rows, plus the two rows of the strong-connectivity probe.
+        // their two rows (the strong-connectivity check reads the graph).
         let hits = after.cache_hits - before.cache_hits;
         assert!(
-            hits <= 2 * stats.dirty_nodes + 2,
+            hits <= 2 * stats.dirty_nodes,
             "seed {seed}: repair read {hits} cached rows for {} dirty nodes",
             stats.dirty_nodes
         );
@@ -112,4 +112,18 @@ fn identity_repair_is_free_and_changes_nothing() {
     assert_eq!(kit1.cover(), kit.cover());
     assert_eq!(kit1.order6(), kit.order6());
     assert_eq!(kit1.orderx(), kit.orderx());
+}
+
+#[test]
+#[should_panic(expected = "not strongly connected")]
+fn repair_rejects_a_fault_that_breaks_strong_connectivity() {
+    let g0 = strongly_connected_gnp(24, 0.14, 3).unwrap();
+    let m0 = CachedSubsetOracle::new(&g0);
+    let kit0 = SparseRepairKit::build(&g0, &m0, SparseSuiteParams::default());
+    let plan = FaultPlan::new(vec![GraphDelta::IsolateNode { node: NodeId(5) }], 0);
+    let mut g1 = g0.clone();
+    let applied = plan.apply(&mut g1);
+    let inv = RowInvalidation::for_application(&m0, &applied);
+    let m1 = CachedSubsetOracle::rebased(&m0, &g1, &inv);
+    kit0.repair(&g1, &m1, &inv, &applied);
 }

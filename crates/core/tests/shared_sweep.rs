@@ -67,22 +67,22 @@ fn assert_suites_identical(
                 continue;
             }
             let name = names.name_of(t);
-            let ra = sim.roundtrip(&a.stretch6, s, t, name).unwrap();
-            let rb = sim.roundtrip(&b.stretch6, s, t, name).unwrap();
+            let ra = sim.roundtrip_brief(&a.stretch6, s, t, name).unwrap();
+            let rb = sim.roundtrip_brief(&b.stretch6, s, t, name).unwrap();
             assert_eq!(
                 (ra.total_weight(), ra.total_hops(), ra.max_header_bits()),
                 (rb.total_weight(), rb.total_hops(), rb.max_header_bits()),
                 "{label}: stretch6 route ({s},{t}) differs"
             );
-            let ra = sim.roundtrip(&a.exstretch, s, t, name).unwrap();
-            let rb = sim.roundtrip(&b.exstretch, s, t, name).unwrap();
+            let ra = sim.roundtrip_brief(&a.exstretch, s, t, name).unwrap();
+            let rb = sim.roundtrip_brief(&b.exstretch, s, t, name).unwrap();
             assert_eq!(
                 (ra.total_weight(), ra.total_hops(), ra.max_header_bits()),
                 (rb.total_weight(), rb.total_hops(), rb.max_header_bits()),
                 "{label}: exstretch route ({s},{t}) differs"
             );
-            let ra = sim.roundtrip(&a.poly, s, t, name).unwrap();
-            let rb = sim.roundtrip(&b.poly, s, t, name).unwrap();
+            let ra = sim.roundtrip_brief(&a.poly, s, t, name).unwrap();
+            let rb = sim.roundtrip_brief(&b.poly, s, t, name).unwrap();
             assert_eq!(
                 (ra.total_weight(), ra.total_hops(), ra.max_header_bits()),
                 (rb.total_weight(), rb.total_hops(), rb.max_header_bits()),

@@ -31,7 +31,7 @@ fn sparse_suite_builds_and_routes_at_small_n_with_empty_blocks() {
             for src in 0..n {
                 let dst = (src + 1 + seed as usize) % n;
                 let (src, dst) = (NodeId::from_index(src), NodeId::from_index(dst));
-                sim.roundtrip(&suite.stretch6, src, dst, node_names[dst.index()])
+                sim.roundtrip_brief(&suite.stretch6, src, dst, node_names[dst.index()])
                     .unwrap_or_else(|e| panic!("n={n} seed={seed} {src}->{dst}: {e}"));
             }
         }

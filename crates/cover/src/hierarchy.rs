@@ -143,12 +143,15 @@ impl CoverSweepPlan {
     /// Probes the oracle's diameter bound and lays out the scales and sweep
     /// groups for a sparseness-`k` hierarchy.
     ///
+    /// The oracle's graph must be strongly connected; the caller decides that
+    /// ([`DoubleTreeCover::build`], or the sparse suite's artifact sweep) and
+    /// this plan does not check it again.
+    ///
     /// # Panics
     ///
-    /// Panics if `k < 2` or the graph is not strongly connected.
+    /// Panics if `k < 2`.
     pub fn new<O: DistanceOracle + ?Sized>(m: &O, k: u32) -> Self {
         assert!(k >= 2, "DoubleTreeCover requires k >= 2");
-        assert!(m.is_strongly_connected(), "DoubleTreeCover requires a strongly connected graph");
         let diam = m.roundtrip_diameter_bound().max(1);
         let mut scales: Vec<Distance> = vec![2];
         while *scales.last().expect("nonempty") < diam {
@@ -296,6 +299,7 @@ impl DoubleTreeCover {
     ///
     /// Panics if `k < 2` or the graph is not strongly connected.
     pub fn build<O: DistanceOracle + ?Sized>(g: &DiGraph, m: &O, k: u32) -> Self {
+        g.require_strongly_connected().unwrap_or_else(|e| panic!("DoubleTreeCover::build: {e}"));
         let plan = CoverSweepPlan::new(m, k);
         let mut first = plan.first_sweep();
         broadcast_rows(m, &g.nodes().collect::<Vec<_>>(), &mut [&mut first]);
@@ -330,17 +334,6 @@ impl DoubleTreeCover {
     /// The home tree of `v` at `level`.
     pub fn home_tree_id(&self, v: NodeId, level: usize) -> TreeId {
         TreeId { level: level as u16, index: self.levels[level].home(v) as u32 }
-    }
-
-    /// Every tree (over all levels) containing `v`.
-    pub fn trees_containing(&self, v: NodeId) -> Vec<TreeId> {
-        let mut out = Vec::new();
-        for (li, level) in self.levels.iter().enumerate() {
-            for &ti in level.membership(v) {
-                out.push(TreeId { level: li as u16, index: ti as u32 });
-            }
-        }
-        out
     }
 
     /// Total number of tree memberships of `v` across all levels — the
@@ -476,6 +469,14 @@ mod tests {
         let m = DistanceMatrix::build(&g);
         let c = DoubleTreeCover::build(&g, &m, k);
         (g, m, c)
+    }
+
+    #[test]
+    #[should_panic(expected = "not strongly connected")]
+    fn build_rejects_a_graph_with_a_sink() {
+        let mut g = rtr_graph::generators::directed_ring(8, 1).unwrap();
+        g.remove_edge(NodeId(3), NodeId(4)).unwrap();
+        DoubleTreeCover::build(&g, &DistanceMatrix::build(&g), 2);
     }
 
     #[test]

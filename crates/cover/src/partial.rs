@@ -194,27 +194,19 @@ pub fn roundtrip_ball<O: DistanceOracle + ?Sized>(m: &O, v: NodeId, d: Distance)
 /// subgraph) is at most `(2k − 1)·d`; and no vertex appears in more than
 /// `2k·n^{1/k}` clusters.
 ///
+/// This is the standalone Theorem 10 construction, reading one roundtrip
+/// row per node in turn; the hierarchy collects its balls on a shared row
+/// sweep and calls [`cover_from_balls`] instead.  The graph underlying `m`
+/// must be strongly connected (every roundtrip distance finite); this
+/// function does not check it.
+///
 /// # Panics
 ///
-/// Panics if `k < 2` or the graph underlying `m` is not strongly connected
-/// (some roundtrip distance is infinite).
+/// Panics if `k < 2`.
 pub fn cover_balls<O: DistanceOracle + ?Sized>(m: &O, k: u32, d: Distance) -> BallCover {
     assert!(k >= 2, "Cover requires k >= 2");
-    assert!(m.is_strongly_connected(), "Cover requires a strongly connected graph");
-    let n = m.node_count();
-
-    // R ← {N̂ᵈ(v) | v ∈ V}. Each ball costs one roundtrip row — the dominant
-    // cost on a lazy oracle — so the collection fans out over worker threads
-    // owning disjoint node blocks (deterministic: every ball depends only on
-    // its own row, and caching oracles are internally synchronised).
-    let mut slots: Vec<Option<NodeSet>> = (0..n).map(|_| None).collect();
-    rtr_graph::par::par_blocks_mut(&mut slots, |start, block| {
-        for (offset, slot) in block.iter_mut().enumerate() {
-            let v = NodeId::from_index(start + offset);
-            *slot = Some(roundtrip_ball(m, v, d));
-        }
-    });
-    let balls = slots.into_iter().map(|s| s.expect("every ball was collected")).collect();
+    // R ← {N̂ᵈ(v) | v ∈ V}.
+    let balls = (0..m.node_count()).map(|v| roundtrip_ball(m, NodeId::from_index(v), d)).collect();
     cover_from_balls(balls, k, d)
 }
 

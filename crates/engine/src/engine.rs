@@ -69,9 +69,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`VerifyServeError::Sim`] on the first simulator error any worker
-    /// encounters (the others stop at their next owned request).  Correct
-    /// schemes never fail.
+    /// [`VerifyServeError::UnknownNode`] when a request names a node outside
+    /// the plane (nothing is served), and [`VerifyServeError::Sim`] on the
+    /// first simulator error any worker encounters (the others stop at their
+    /// next owned request).  Correct schemes never fail.
     pub fn serve_sharded<S: RoundtripRouting + Send + Sync>(
         &self,
         plane: &ShardedPlane<S>,
@@ -138,8 +139,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`VerifyServeError::Sim`] on the first simulator error any worker
-    /// encounters, and — in strict mode with a configured bound —
+    /// [`VerifyServeError::UnknownNode`] when a request names a node outside
+    /// the plane (nothing is served), [`VerifyServeError::Sim`] on the first
+    /// simulator error any worker encounters, and — in strict mode with a
+    /// configured bound —
     /// [`VerifyServeError::BoundExceeded`] when any checked trip exceeds the
     /// scheme's stretch ceiling.
     pub fn serve_verified_sharded<S, O>(
@@ -174,6 +177,11 @@ impl Engine {
     /// graph pass the post-fault (rebased) oracle, and keep the graph
     /// strongly connected — verification asserts every checked pair has a
     /// finite exact roundtrip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request names a node outside the plane
+    /// ([`VerifyServeError::UnknownNode`]).
     pub fn serve_epoch_sharded<S, O>(
         &self,
         plane: &ShardedPlane<S>,
@@ -187,8 +195,7 @@ impl Engine {
     {
         let config = VerifyConfig { strict: false, ..*verify };
         let policy = Policy { tolerant: true, replies: false };
-        self.serve_once(plane, requests, oracle, config, policy)
-            .expect("a tolerant, non-strict serve never fails")
+        self.serve_once(plane, requests, oracle, config, policy).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// A one-batch session: open, serve the whole stream, finish.

@@ -58,7 +58,7 @@
 //!
 //! The engine is **observationally identical** to the sequential simulator:
 //! a session's per-request replies carry exactly the hops and weight a
-//! sequential [`rtr_sim::Simulator::roundtrip`] loop measures, in request
+//! sequential [`rtr_sim::Simulator::roundtrip_brief`] loop measures, in request
 //! order, for any worker count on either side of the calling-thread / pool
 //! split — and every verified serve reproduces the sequential
 //! oracle-checked replay [`verify_sequential`] bit for bit — properties the

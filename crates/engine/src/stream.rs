@@ -240,16 +240,24 @@ where
     ///
     /// # Errors
     ///
-    /// The first simulator error, as [`VerifyServeError::Sim`].  A failed
-    /// batch contributes nothing to the session: no indices are consumed and
-    /// the report is unchanged (oracle cache warm-up from partial
-    /// verification may have occurred).
+    /// [`VerifyServeError::UnknownNode`] when a request names a node outside
+    /// the plane, checked before anything is served; otherwise the first
+    /// simulator error, as [`VerifyServeError::Sim`].  A failed batch
+    /// contributes nothing to the session: no indices are consumed and the
+    /// report is unchanged (oracle cache warm-up from partial verification
+    /// may have occurred).
     pub fn serve_batch(
         &mut self,
         requests: &[Request],
     ) -> Result<Vec<ServedTrip>, VerifyServeError> {
         if requests.is_empty() {
             return Ok(Vec::new());
+        }
+        let n = self.plane.plane().node_count();
+        if let Some(index) = requests.iter().position(|r| r.src.index() >= n || r.dst.index() >= n)
+        {
+            let Request { src, dst } = requests[index];
+            return Err(VerifyServeError::UnknownNode { index, src, dst });
         }
         let base = self.next_index;
         let started = Instant::now();
@@ -521,6 +529,43 @@ mod tests {
             assert_eq!(queries(&streamed), queries(&reference), "{workers} workers");
             assert_eq!(streamed.summary.queries, 600, "{workers} workers");
         }
+    }
+
+    #[test]
+    fn an_unknown_node_rejects_the_batch_and_leaves_the_session_intact() {
+        let plane = ring_plane(16);
+        let m = DistanceMatrix::build(plane.graph());
+        let sharded = ShardedPlane::new(plane, ShardMap::hashed(16, 4, 9));
+        let config = VerifyConfig::full();
+        let engine = Engine::new(EngineConfig::with_workers(2));
+        let clean = Workload::Uniform.generate(16, 90, 13);
+        let mut session = engine.open_stream(&sharded, &m, &config);
+        session.serve_batch(&clean[..30]).unwrap();
+        for (step, (src, dst)) in
+            [(NodeId(16), NodeId(2)), (NodeId(5), NodeId(99))].into_iter().enumerate()
+        {
+            let before = session.report().clone();
+            let mut bad = clean[30..40].to_vec();
+            bad[7] = Request { src, dst };
+            let err = session.serve_batch(&bad).unwrap_err();
+            assert!(err.report().is_none());
+            let VerifyServeError::UnknownNode { index, src: s, dst: d } = err else {
+                panic!("expected UnknownNode, got {err}");
+            };
+            assert_eq!((index, s, d), (7, src, dst));
+            assert_eq!(session.served(), 30 + 30 * step);
+            assert_eq!(session.report(), &before);
+            let good = &clean[30 + 30 * step..60 + 30 * step];
+            let replies = session.serve_batch(good).unwrap();
+            assert_eq!(replies[0].index, 30 + 30 * step);
+        }
+        let streamed = session.finish().unwrap();
+        let reference = engine.serve_verified_sharded(&sharded, &clean, &m, &config).unwrap();
+        assert_eq!(streamed.report, reference.report);
+        let mut bad = clean.clone();
+        bad[50].dst = NodeId(16);
+        let oneshot = engine.serve_verified_sharded(&sharded, &bad, &m, &config);
+        assert!(matches!(oneshot, Err(VerifyServeError::UnknownNode { index: 50, .. })));
     }
 
     #[test]

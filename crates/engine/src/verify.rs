@@ -408,6 +408,17 @@ impl VerifyCost {
 /// Errors of a verified serve run.
 #[derive(Debug)]
 pub enum VerifyServeError {
+    /// A request names a node outside the plane.  The batch is rejected
+    /// before anything is served.
+    UnknownNode {
+        /// Position of the first such request in the rejected batch (for the
+        /// one-shot entry points, in the whole stream).
+        index: usize,
+        /// The request's source.
+        src: NodeId,
+        /// The request's destination.
+        dst: NodeId,
+    },
     /// A worker hit a simulator error (bad port, TTL, wrong delivery, …).
     Sim(SimError),
     /// Strict mode: at least one checked trip exceeded the configured
@@ -418,10 +429,10 @@ pub enum VerifyServeError {
 
 impl VerifyServeError {
     /// The verification report of a bound-exceeded error (`None` for
-    /// simulator errors).
+    /// rejected batches and simulator errors).
     pub fn report(&self) -> Option<&VerifiedReport> {
         match self {
-            VerifyServeError::Sim(_) => None,
+            VerifyServeError::UnknownNode { .. } | VerifyServeError::Sim(_) => None,
             VerifyServeError::BoundExceeded(outcome) => Some(&outcome.report),
         }
     }
@@ -430,6 +441,9 @@ impl VerifyServeError {
 impl fmt::Display for VerifyServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            VerifyServeError::UnknownNode { index, src, dst } => {
+                write!(f, "request {index} ({src} -> {dst}) names a node outside the plane")
+            }
             VerifyServeError::Sim(e) => write!(f, "{e}"),
             VerifyServeError::BoundExceeded(outcome) => {
                 let report = &outcome.report;
@@ -635,8 +649,8 @@ impl VerifyAccumulator {
 
 /// The sequential oracle-checked replay: serves every request through a
 /// fresh [`rtr_sim::Simulator`] one by one
-/// ([`rtr_sim::Simulator::roundtrip_cost`], the very trip-cost path the
-/// engine's workers drive) and verifies each cost against `oracle` directly
+/// ([`rtr_sim::Simulator::roundtrip_brief`], the very hop loop the engine's
+/// workers drive) and verifies each trip's weight against `oracle` directly
 /// — no batching, no buckets, no threads.
 ///
 /// This is the ground truth of the verification plane: the differential
@@ -659,8 +673,9 @@ where
     let sim = plane.simulator();
     let mut acc = VerifyAccumulator::new(config);
     for (index, req) in requests.iter().enumerate() {
-        let measured =
-            sim.roundtrip_cost(plane.scheme(), req.src, req.dst, plane.name_of(req.dst))?;
+        let measured = sim
+            .roundtrip_brief(plane.scheme(), req.src, req.dst, plane.name_of(req.dst))?
+            .total_weight();
         if config.mode.checks(index) {
             // Verify immediately: a one-trip "bucket" through the same
             // exact-row comparison the batched path performs.

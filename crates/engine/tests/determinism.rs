@@ -26,7 +26,7 @@ fn sequential_reference<S: RoundtripRouting>(
         .iter()
         .map(|r| {
             let report = sim
-                .roundtrip(plane.scheme(), r.src, r.dst, plane.name_of(r.dst))
+                .roundtrip_brief(plane.scheme(), r.src, r.dst, plane.name_of(r.dst))
                 .expect("sequential reference run failed");
             (report.total_hops(), report.total_weight())
         })

@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if s == t {
             continue;
         }
-        let report = sim.roundtrip(&scheme, s, t, names.name_of(t))?;
+        let report = sim.roundtrip_brief(&scheme, s, t, names.name_of(t))?;
         let stretch = report.stretch(&m);
         total_stretch += stretch;
         worst = worst.max(stretch);

@@ -33,12 +33,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = Simulator::new(&g);
     for (s, t) in [(0u32, 200u32), (17, 3), (101, 250), (255, 1)] {
         let (s, t) = (NodeId(s), NodeId(t));
-        let report = sim.roundtrip(&scheme, s, t, names.name_of(t))?;
+        let report = sim.roundtrip_brief(&scheme, s, t, names.name_of(t))?;
         println!(
             "{s} -> name {:>4} (node {t}): {} hops out, {} hops back, weight {}, r(s,t) = {}, stretch {:.3}",
             names.name_of(t),
-            report.outbound.hops(),
-            report.inbound.hops(),
+            report.outbound.hops,
+            report.inbound.hops,
             report.total_weight(),
             m.roundtrip(s, t),
             report.stretch(&m)

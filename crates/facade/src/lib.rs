@@ -38,7 +38,7 @@
 //! let names = NamingAssignment::random(g.node_count(), 1);
 //! let scheme = StretchSix::build(&g, &m, &names, ExactOracleScheme::build(&g), Default::default());
 //! let sim = Simulator::new(&g);
-//! let report = sim.roundtrip(&scheme, NodeId(0), NodeId(9), names.name_of(NodeId(9)))?;
+//! let report = sim.roundtrip_brief(&scheme, NodeId(0), NodeId(9), names.name_of(NodeId(9)))?;
 //! assert!(report.within_stretch(&m, 6, 1));
 //!
 //! // The same pipeline on a large sparse graph: swap the dense matrix for a
@@ -46,7 +46,7 @@
 //! // `DistanceOracle`.
 //! let lazy = LazyDijkstraOracle::with_default_capacity(&g);
 //! let scheme2 = StretchSix::build(&g, &lazy, &names, ExactOracleScheme::build(&g), Default::default());
-//! let report2 = sim.roundtrip(&scheme2, NodeId(0), NodeId(9), names.name_of(NodeId(9)))?;
+//! let report2 = sim.roundtrip_brief(&scheme2, NodeId(0), NodeId(9), names.name_of(NodeId(9)))?;
 //! assert_eq!(report2.total_weight(), report.total_weight());
 //! # Ok(())
 //! # }

@@ -20,7 +20,7 @@ fn all_pairs_check<S: RoundtripRouting>(
                 continue;
             }
             let report = sim
-                .roundtrip(scheme, s, t, names.name_of(t))
+                .roundtrip_brief(scheme, s, t, names.name_of(t))
                 .unwrap_or_else(|e| panic!("{}: ({s},{t}): {e}", scheme.scheme_name()));
             if let Some((num, den)) = bound {
                 assert!(

@@ -98,7 +98,7 @@ proptest! {
                 if s == t {
                     continue;
                 }
-                let report = sim.roundtrip(&scheme, s, t, names.name_of(t)).unwrap();
+                let report = sim.roundtrip_brief(&scheme, s, t, names.name_of(t)).unwrap();
                 prop_assert!(report.within_stretch(&m, 6, 1));
             }
         }
@@ -122,7 +122,7 @@ proptest! {
                 if s == t {
                     continue;
                 }
-                let report = sim.roundtrip(&scheme, s, t, names.name_of(t)).unwrap();
+                let report = sim.roundtrip_brief(&scheme, s, t, names.name_of(t)).unwrap();
                 prop_assert!(report.within_stretch(&m, bound, 1));
             }
         }
@@ -140,7 +140,7 @@ proptest! {
                 if s == t {
                     continue;
                 }
-                let report = sim.roundtrip(&scheme, s, t, names.name_of(t)).unwrap();
+                let report = sim.roundtrip_brief(&scheme, s, t, names.name_of(t)).unwrap();
                 prop_assert!(report.within_stretch(&m, bound, 1));
             }
         }
@@ -158,7 +158,7 @@ proptest! {
                 if s == t {
                     continue;
                 }
-                let report = sim.roundtrip(&scheme, s, t, names.name_of(t)).unwrap();
+                let report = sim.roundtrip_brief(&scheme, s, t, names.name_of(t)).unwrap();
                 prop_assert!(report.total_weight() >= m.roundtrip(s, t));
             }
         }

@@ -87,12 +87,6 @@ impl DiGraph {
         (0..self.node_count() as u32).map(NodeId)
     }
 
-    /// Returns true when `v` is a valid node of this graph.
-    #[inline]
-    pub fn contains_node(&self, v: NodeId) -> bool {
-        v.index() < self.node_count()
-    }
-
     /// Out-edges of `v` in port order of insertion.
     ///
     /// # Panics
@@ -186,14 +180,6 @@ impl DiGraph {
     /// Total weight of all edges (useful sanity statistic).
     pub fn total_weight(&self) -> u128 {
         self.out_edges.iter().flat_map(|es| es.iter()).map(|e| e.weight as u128).sum()
-    }
-
-    /// Returns the sum of the sizes of all adjacency lists in machine words,
-    /// an estimate of the raw memory the topology itself occupies. Used by the
-    /// experiments to contrast routing-table size against graph size.
-    pub fn adjacency_words(&self) -> usize {
-        // 3 words per out-edge (to, weight, port) + 2 per in-edge.
-        3 * self.edge_count + 2 * self.edge_count
     }
 }
 

@@ -5,8 +5,8 @@
 //! place so chunk sizing and panic propagation are fixed once.  Its users,
 //! each filling one output slot per item from shared read-only inputs:
 //!
-//! * `rtr_cover`: the roundtrip balls of `cover_balls` and the per-cluster
-//!   double trees and routers of `LevelCover::build_trees`;
+//! * `rtr_cover`: the per-cluster double trees and routers of
+//!   `LevelCover::build_trees`;
 //! * `rtr_namedep`: the per-landmark columns of landmark pass 3
 //!   (`LandmarkSweep::finish`);
 //! * `rtr_core`: the per-node §2 and §3 tables of `StretchSix` and

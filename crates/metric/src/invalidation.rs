@@ -137,16 +137,6 @@ impl RowInvalidation {
         (0..self.node_count() as u32).map(NodeId).filter(|&u| self.is_node_dirty(u)).collect()
     }
 
-    /// Number of dirty forward rows.
-    pub fn dirty_fwd_rows(&self) -> usize {
-        self.dirty_fwd.iter().filter(|&&d| d).count()
-    }
-
-    /// Number of dirty reverse rows.
-    pub fn dirty_rev_rows(&self) -> usize {
-        self.dirty_rev.iter().filter(|&&d| d).count()
-    }
-
     /// Number of dirty nodes (either row dirty).
     pub fn dirty_node_count(&self) -> usize {
         (0..self.node_count() as u32).filter(|&u| self.is_node_dirty(NodeId(u))).count()

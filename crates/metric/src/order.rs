@@ -193,12 +193,6 @@ impl RoundtripOrder {
         size.clamp(1, n)
     }
 
-    /// The level-`i` neighborhood `N_i(v)` for parameter `k`.
-    pub fn level_neighborhood(&self, v: NodeId, i: u32, k: u32) -> &[NodeId] {
-        let size = Self::level_size(self.node_count(), i, k);
-        self.neighborhood(v, size)
-    }
-
     /// The order sweep of a post-fault repair: each stored prefix is a pure
     /// function of its node's roundtrip and reverse rows, so the prefixes of
     /// the nodes the [`RowInvalidation`](crate::RowInvalidation) leaves clean
@@ -225,25 +219,6 @@ impl RoundtripOrder {
             }
         }
         sweep
-    }
-
-    /// Incrementally repairs the order after graph faults: the
-    /// [`repair_sweep`](Self::repair_sweep) run alone over the dirty nodes
-    /// of the post-fault metric `m` (two oracle rows each).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `m` or `invalidation` disagree with this order's node
-    /// count.
-    pub fn repair<O: DistanceOracle + ?Sized>(
-        &self,
-        m: &O,
-        invalidation: &crate::RowInvalidation,
-    ) -> RoundtripOrder {
-        assert_eq!(m.node_count(), self.n, "repair metric node count mismatch");
-        let mut sweep = self.repair_sweep(invalidation);
-        broadcast_rows(m, &invalidation.dirty_nodes(), &mut [&mut sweep]);
-        sweep.finish()
     }
 }
 
@@ -440,7 +415,9 @@ mod tests {
             }
             let inv = RowInvalidation::for_application(&m0, &applied);
             let rebased = CachedSubsetOracle::rebased(&m0, &g1, &inv);
-            let repaired = order0.repair(&rebased, &inv);
+            let mut sweep = order0.repair_sweep(&inv);
+            broadcast_rows(&rebased, &inv.dirty_nodes(), &mut [&mut sweep]);
+            let repaired = sweep.finish();
             let fresh = RoundtripOrder::build_truncated(&DistanceMatrix::build(&g1), 9);
             for v in g1.nodes() {
                 assert_eq!(repaired.init(v), fresh.init(v), "node {v} seed {seed}");

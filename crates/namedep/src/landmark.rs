@@ -302,10 +302,7 @@ impl LandmarkBallScheme {
     ///
     /// Panics if the graph is not strongly connected.
     pub fn build<O: DistanceOracle + ?Sized>(g: &DiGraph, m: &O, params: LandmarkParams) -> Self {
-        assert!(
-            m.is_strongly_connected(),
-            "landmark substrate requires a strongly connected graph"
-        );
+        g.require_strongly_connected().unwrap_or_else(|e| panic!("LandmarkBallScheme::build: {e}"));
         let mut sweep = Self::sweep(g, params);
         broadcast_rows(m, &g.nodes().collect::<Vec<_>>(), &mut [&mut sweep]);
         sweep.finish()
@@ -476,35 +473,6 @@ impl LandmarkBallScheme {
             sweep.slots.put(u.index(), (li as u32, self.balls[u.index()].clone()));
         }
         sweep
-    }
-
-    /// Incrementally re-anchors the substrate on a mutated graph: the
-    /// [`repair_sweep`](Self::repair_sweep) run alone over the dirty nodes
-    /// of the post-fault metric `m`.
-    ///
-    /// Returns the repaired substrate — bit-identical to
-    /// [`build`](Self::build) from scratch on `(g, m, params)` — and the
-    /// number of nodes whose pass-1 results were recomputed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node set changed, if `invalidation` sizes a different
-    /// metric, or if `g` is no longer strongly connected.
-    pub fn repair_balls<O: DistanceOracle + ?Sized>(
-        &self,
-        g: &DiGraph,
-        m: &O,
-        params: LandmarkParams,
-        invalidation: &RowInvalidation,
-    ) -> (LandmarkBallScheme, usize) {
-        assert!(
-            m.is_strongly_connected(),
-            "landmark substrate requires a strongly connected graph"
-        );
-        let mut sweep = self.repair_sweep(g, params, invalidation);
-        let dirty = invalidation.dirty_nodes();
-        broadcast_rows(m, &dirty, &mut [&mut sweep]);
-        (sweep.finish(), dirty.len())
     }
 }
 
@@ -876,10 +844,11 @@ mod tests {
             }
             let inv = RowInvalidation::for_application(&m0, &applied);
             let rebased = CachedSubsetOracle::rebased(&m0, &g1, &inv);
-            let (repaired, touched) = s0.repair_balls(&g1, &rebased, params, &inv);
+            let mut sweep = s0.repair_sweep(&g1, params, &inv);
+            broadcast_rows(&rebased, &inv.dirty_nodes(), &mut [&mut sweep]);
+            let repaired = sweep.finish();
             let fresh = LandmarkBallScheme::build(&g1, &DistanceMatrix::build(&g1), params);
             assert_eq!(repaired, fresh, "seed {seed}: repair diverged from fresh build");
-            assert_eq!(touched, inv.dirty_node_count());
             // Repair touched only the dirty nodes' rows.
             assert!(rebased.materialised_rows() <= 2 * inv.dirty_node_count());
             exercised += 1;

@@ -9,10 +9,13 @@
 //! * [`RoundtripRouting`] — the trait every scheme implements: build-time
 //!   tables, a purely local forwarding function, and size accounting;
 //! * [`Simulator`] — drives packets hop by hop, resolving ports against the
-//!   graph, enforcing a TTL, and recording a [`Trace`] (nodes visited,
-//!   weight, hops, maximum header bits seen);
-//! * [`RoundtripReport`] — the outbound + return trip of one `(s, t)` request,
-//!   with exact integer stretch accounting against `r(s, t)`.
+//!   graph, enforcing a TTL, and checking delivery; its one entry point,
+//!   [`Simulator::roundtrip_brief`], serves every query, experiment and
+//!   verification replay;
+//! * [`BriefRoundtrip`] — the outbound + return [`BriefTrace`] of one
+//!   `(s, t)` request (hops, weight, maximum header bits seen, delivery
+//!   node), with exact integer stretch accounting against `r(s, t)`.  No
+//!   node sequence is recorded, so a trip allocates nothing.
 //!
 //! The simulator never looks inside a scheme's header and never gives a
 //! scheme global information at forwarding time — schemes receive only the
@@ -31,6 +34,6 @@ mod report;
 mod runtime;
 mod traits;
 
-pub use report::{BriefRoundtrip, BriefTrace, RoundtripReport, Trace};
+pub use report::{BriefRoundtrip, BriefTrace};
 pub use runtime::{SimError, Simulator};
 pub use traits::{id_bits, ForwardAction, HeaderBits, RoundtripRouting, RoutingError, TableStats};

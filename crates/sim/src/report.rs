@@ -1,43 +1,13 @@
-//! Traces and roundtrip reports with exact stretch accounting.
+//! Trip records with exact stretch accounting.
 
 use rtr_graph::{Distance, NodeId};
 use rtr_metric::DistanceOracle;
 
-/// The record of one packet's trip through the network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Trace {
-    /// The sequence of nodes visited, starting at the injection point and
-    /// ending at the node that delivered the packet.
-    pub nodes: Vec<NodeId>,
-    /// Total weight of the traversed edges.
-    pub weight: Distance,
-    /// The largest header size (in bits) observed at any point of the trip.
-    pub max_header_bits: usize,
-}
-
-impl Trace {
-    /// Number of edges traversed.
-    pub fn hops(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
-
-    /// The node that injected the packet.
-    pub fn source(&self) -> NodeId {
-        self.nodes[0]
-    }
-
-    /// The node that delivered the packet to its host.
-    pub fn delivered_at(&self) -> NodeId {
-        *self.nodes.last().expect("trace is never empty")
-    }
-}
-
-/// The compact accounting of one trip, produced by the allocation-free
-/// serving path ([`crate::Simulator::run_trip_brief`]).
+/// The record of one packet's one-way trip through the network.
 ///
-/// Identical to a [`Trace`] with the node sequence dropped: the concurrent
-/// route-serving plane (`rtr-engine`) runs millions of roundtrips per second
-/// and must not allocate a `Vec<NodeId>` per trip just to read its length.
+/// The node sequence is not recorded: the concurrent route-serving plane
+/// (`rtr-engine`) runs millions of roundtrips per second and must not
+/// allocate a `Vec<NodeId>` per trip just to read its length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BriefTrace {
     /// Number of edges traversed.
@@ -50,19 +20,8 @@ pub struct BriefTrace {
     pub delivered_at: NodeId,
 }
 
-impl BriefTrace {
-    /// True when this brief trace agrees with the full trace `t` on every
-    /// shared field (the equivalence the engine's tests assert).
-    pub fn agrees_with(&self, t: &Trace) -> bool {
-        self.hops == t.hops()
-            && self.weight == t.weight
-            && self.max_header_bits == t.max_header_bits
-            && self.delivered_at == t.delivered_at()
-    }
-}
-
-/// The two brief traces of one roundtrip request, mirroring
-/// [`RoundtripReport`] without the node sequences.
+/// The two trips of one roundtrip request `(s → t, t → s)` plus derived
+/// accounting, as [`crate::Simulator::roundtrip_brief`] returns them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BriefRoundtrip {
     /// Source node `s`.
@@ -91,60 +50,6 @@ impl BriefRoundtrip {
         self.outbound.max_header_bits.max(self.inbound.max_header_bits)
     }
 
-    /// The roundtrip stretch of this request (see [`RoundtripReport::stretch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s == t` or the pair is unreachable in `m`.
-    pub fn stretch<O: DistanceOracle + ?Sized>(&self, m: &O) -> f64 {
-        m.roundtrip_stretch(self.source, self.destination, self.total_weight())
-    }
-
-    /// Exact integer check that the roundtrip is within `num/den · r(s, t)`.
-    pub fn within_stretch<O: DistanceOracle + ?Sized>(&self, m: &O, num: u64, den: u64) -> bool {
-        m.within_stretch(self.source, self.destination, self.total_weight(), num, den)
-    }
-
-    /// True when this brief report agrees with the full report `r` on every
-    /// shared field.
-    pub fn agrees_with(&self, r: &RoundtripReport) -> bool {
-        self.source == r.source
-            && self.destination == r.destination
-            && self.outbound.agrees_with(&r.outbound)
-            && self.inbound.agrees_with(&r.inbound)
-    }
-}
-
-/// The two traces of one roundtrip request `(s → t, t → s)` plus derived
-/// accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundtripReport {
-    /// Source node `s`.
-    pub source: NodeId,
-    /// Destination node `t`.
-    pub destination: NodeId,
-    /// The outbound trip `s → t`.
-    pub outbound: Trace,
-    /// The return trip `t → s`.
-    pub inbound: Trace,
-}
-
-impl RoundtripReport {
-    /// Total weight of the roundtrip route actually taken.
-    pub fn total_weight(&self) -> Distance {
-        self.outbound.weight + self.inbound.weight
-    }
-
-    /// Total number of hops of the roundtrip.
-    pub fn total_hops(&self) -> usize {
-        self.outbound.hops() + self.inbound.hops()
-    }
-
-    /// The largest header written at any point of either trip.
-    pub fn max_header_bits(&self) -> usize {
-        self.outbound.max_header_bits.max(self.inbound.max_header_bits)
-    }
-
     /// The roundtrip stretch of this request: total weight divided by
     /// `r(s, t)`.
     ///
@@ -165,33 +70,17 @@ impl RoundtripReport {
 mod tests {
     use super::*;
 
-    fn trace(nodes: &[u32], weight: Distance, bits: usize) -> Trace {
-        Trace { nodes: nodes.iter().map(|&i| NodeId(i)).collect(), weight, max_header_bits: bits }
-    }
-
-    #[test]
-    fn trace_accessors() {
-        let t = trace(&[0, 3, 5], 9, 64);
-        assert_eq!(t.hops(), 2);
-        assert_eq!(t.source(), NodeId(0));
-        assert_eq!(t.delivered_at(), NodeId(5));
-    }
-
-    #[test]
-    fn zero_hop_trace() {
-        let t = trace(&[4], 0, 16);
-        assert_eq!(t.hops(), 0);
-        assert_eq!(t.source(), NodeId(4));
-        assert_eq!(t.delivered_at(), NodeId(4));
+    fn trace(hops: usize, weight: Distance, bits: usize, delivered_at: u32) -> BriefTrace {
+        BriefTrace { hops, weight, max_header_bits: bits, delivered_at: NodeId(delivered_at) }
     }
 
     #[test]
     fn report_totals() {
-        let r = RoundtripReport {
+        let r = BriefRoundtrip {
             source: NodeId(0),
             destination: NodeId(5),
-            outbound: trace(&[0, 3, 5], 9, 64),
-            inbound: trace(&[5, 0], 4, 96),
+            outbound: trace(2, 9, 64, 5),
+            inbound: trace(1, 4, 96, 0),
         };
         assert_eq!(r.total_weight(), 13);
         assert_eq!(r.total_hops(), 3);
@@ -205,11 +94,11 @@ mod tests {
         let g = directed_ring(4, 0).unwrap();
         let m = DistanceMatrix::build(&g);
         let r = m.roundtrip(NodeId(0), NodeId(1));
-        let report = RoundtripReport {
+        let report = BriefRoundtrip {
             source: NodeId(0),
             destination: NodeId(1),
-            outbound: trace(&[0, 1], r / 2, 8),
-            inbound: trace(&[1, 2, 3, 0], r - r / 2, 8),
+            outbound: trace(1, r / 2, 8, 1),
+            inbound: trace(3, r - r / 2, 8, 0),
         };
         assert!((report.stretch(&m) - 1.0).abs() < 1e-12);
         assert!(report.within_stretch(&m, 1, 1));

@@ -1,9 +1,9 @@
 //! The hop-by-hop packet simulator.
 
-use crate::report::{BriefRoundtrip, BriefTrace, RoundtripReport, Trace};
+use crate::report::{BriefRoundtrip, BriefTrace};
 use crate::traits::{ForwardAction, HeaderBits, RoundtripRouting, RoutingError};
 use rtr_dictionary::NodeName;
-use rtr_graph::{DiGraph, Distance, NodeId, Port};
+use rtr_graph::{DiGraph, NodeId, Port};
 use std::error::Error;
 use std::fmt;
 
@@ -80,17 +80,54 @@ impl<'g> Simulator<'g> {
         self.graph
     }
 
-    /// The shared hop loop behind [`run_trip`](Self::run_trip) and
-    /// [`run_trip_brief`](Self::run_trip_brief): forward hop by hop, resolve
-    /// ports, enforce the TTL, and report each visited node
-    /// to `on_hop`. Keeping both entry points on one loop guarantees the
-    /// brief path is behaviorally identical to the tracing path.
-    fn drive_trip<S: RoundtripRouting>(
+    /// Runs a complete roundtrip request: a new packet from `src` addressed to
+    /// the TINN name `dst_name`, followed by the acknowledgment back to `src`.
+    ///
+    /// `dst` is the topological node that `dst_name` refers to; the simulator
+    /// uses it only to *verify* correct delivery — it is never given to the
+    /// scheme.  No node sequence is recorded, so nothing is allocated per
+    /// trip, and the call takes `&self` and `&S` and touches no interior
+    /// state: the concurrent serving plane (`rtr-engine`) drives it from many
+    /// worker threads at once for any `S: Sync` scheme.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SimError`], including [`SimError::WrongDelivery`] when either leg
+    /// ends at an unexpected node.
+    pub fn roundtrip_brief<S: RoundtripRouting>(
+        &self,
+        scheme: &S,
+        src: NodeId,
+        dst: NodeId,
+        dst_name: NodeName,
+    ) -> Result<BriefRoundtrip, SimError> {
+        let mut header = scheme.new_packet(src, dst_name)?;
+        let outbound = self.leg(scheme, src, &mut header)?;
+        if outbound.delivered_at != dst {
+            return Err(SimError::WrongDelivery {
+                delivered_at: outbound.delivered_at,
+                expected: dst,
+            });
+        }
+        let mut return_header = scheme.make_return(dst, &header)?;
+        let inbound = self.leg(scheme, dst, &mut return_header)?;
+        if inbound.delivered_at != src {
+            return Err(SimError::WrongDelivery {
+                delivered_at: inbound.delivered_at,
+                expected: src,
+            });
+        }
+        Ok(BriefRoundtrip { source: src, destination: dst, outbound, inbound })
+    }
+
+    /// One leg of a roundtrip: inject `header` at `start` and forward hop by
+    /// hop, resolving ports and enforcing the TTL, until the scheme delivers.
+    /// The header is rewritten in place.
+    fn leg<S: RoundtripRouting>(
         &self,
         scheme: &S,
         start: NodeId,
         header: &mut S::Header,
-        mut on_hop: impl FnMut(NodeId),
     ) -> Result<BriefTrace, SimError> {
         let mut hops = 0usize;
         let mut weight = 0u64;
@@ -111,144 +148,10 @@ impl<'g> Simulator<'g> {
                     weight += edge.weight;
                     at = edge.to;
                     hops += 1;
-                    on_hop(at);
                 }
             }
         }
         Err(SimError::TtlExceeded { hops: self.max_hops })
-    }
-
-    /// Runs a single one-way trip: inject `header` at `start` and forward hop
-    /// by hop until the scheme delivers.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised by the run (bad port, TTL, scheme error).
-    pub fn run_trip<S: RoundtripRouting>(
-        &self,
-        scheme: &S,
-        start: NodeId,
-        mut header: S::Header,
-    ) -> Result<(Trace, S::Header), SimError> {
-        let mut nodes = vec![start];
-        let brief = self.drive_trip(scheme, start, &mut header, |v| nodes.push(v))?;
-        Ok((Trace { nodes, weight: brief.weight, max_header_bits: brief.max_header_bits }, header))
-    }
-
-    /// The allocation-free variant of [`run_trip`](Self::run_trip): same hop
-    /// loop, same accounting, but no node sequence is recorded, so nothing is
-    /// allocated per trip. The header is rewritten in place.
-    ///
-    /// This is the `&`-only forwarding entry point the concurrent serving
-    /// plane (`rtr-engine`) drives from many worker threads at once: it takes
-    /// `&self` and `&S`, touches no interior state, and is safe to call
-    /// concurrently for any `S: Sync` scheme.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised by the run.
-    pub fn run_trip_brief<S: RoundtripRouting>(
-        &self,
-        scheme: &S,
-        start: NodeId,
-        header: &mut S::Header,
-    ) -> Result<BriefTrace, SimError> {
-        self.drive_trip(scheme, start, header, |_| {})
-    }
-
-    /// The allocation-free variant of [`roundtrip`](Self::roundtrip): runs
-    /// both legs through [`run_trip_brief`](Self::run_trip_brief) with the
-    /// same delivery verification, returning compact per-leg accounting
-    /// instead of full traces.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`], including [`SimError::WrongDelivery`] when either leg
-    /// ends at an unexpected node.
-    pub fn roundtrip_brief<S: RoundtripRouting>(
-        &self,
-        scheme: &S,
-        src: NodeId,
-        dst: NodeId,
-        dst_name: NodeName,
-    ) -> Result<BriefRoundtrip, SimError> {
-        let mut header = scheme.new_packet(src, dst_name)?;
-        let outbound = self.run_trip_brief(scheme, src, &mut header)?;
-        if outbound.delivered_at != dst {
-            return Err(SimError::WrongDelivery {
-                delivered_at: outbound.delivered_at,
-                expected: dst,
-            });
-        }
-        let mut return_header = scheme.make_return(dst, &header)?;
-        let inbound = self.run_trip_brief(scheme, dst, &mut return_header)?;
-        if inbound.delivered_at != src {
-            return Err(SimError::WrongDelivery {
-                delivered_at: inbound.delivered_at,
-                expected: src,
-            });
-        }
-        Ok(BriefRoundtrip { source: src, destination: dst, outbound, inbound })
-    }
-
-    /// The cost-only roundtrip entry point: runs both legs through the
-    /// allocation-free brief path (same delivery verification) and returns
-    /// just the total traversed weight.
-    ///
-    /// This is the trip-cost path the verification plane (`rtr-engine`'s
-    /// full-stream verifier and its sequential replay reference) compares
-    /// against exact roundtrip distances — kept here so the verifier measures
-    /// through exactly the loop that serves.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`], including [`SimError::WrongDelivery`] when either leg
-    /// ends at an unexpected node.
-    pub fn roundtrip_cost<S: RoundtripRouting>(
-        &self,
-        scheme: &S,
-        src: NodeId,
-        dst: NodeId,
-        dst_name: NodeName,
-    ) -> Result<Distance, SimError> {
-        Ok(self.roundtrip_brief(scheme, src, dst, dst_name)?.total_weight())
-    }
-
-    /// Runs a complete roundtrip request: a new packet from `src` addressed to
-    /// the TINN name `dst_name`, followed by the acknowledgment back to `src`.
-    ///
-    /// `dst` is the topological node that `dst_name` refers to; the simulator
-    /// uses it only to *verify* correct delivery — it is never given to the
-    /// scheme.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`], including [`SimError::WrongDelivery`] when either leg
-    /// ends at an unexpected node.
-    pub fn roundtrip<S: RoundtripRouting>(
-        &self,
-        scheme: &S,
-        src: NodeId,
-        dst: NodeId,
-        dst_name: NodeName,
-    ) -> Result<RoundtripReport, SimError> {
-        let header = scheme.new_packet(src, dst_name)?;
-        let (outbound, delivered_header) = self.run_trip(scheme, src, header)?;
-        if outbound.delivered_at() != dst {
-            return Err(SimError::WrongDelivery {
-                delivered_at: outbound.delivered_at(),
-                expected: dst,
-            });
-        }
-        let return_header = scheme.make_return(dst, &delivered_header)?;
-        let (inbound, _) = self.run_trip(scheme, dst, return_header)?;
-        if inbound.delivered_at() != src {
-            return Err(SimError::WrongDelivery {
-                delivered_at: inbound.delivered_at(),
-                expected: src,
-            });
-        }
-        Ok(RoundtripReport { source: src, destination: dst, outbound, inbound })
     }
 }
 
@@ -260,11 +163,13 @@ mod tests {
 
     /// A deliberately tiny scheme used to test the runtime itself: it routes
     /// around a directed ring by always taking the single outgoing edge, and
-    /// counts down a hop budget written in the header.
+    /// counts down a hop budget written in the header.  A nonzero
+    /// `return_skew` lengthens the return leg by that many hops.
     #[derive(Debug)]
     struct RingScheme {
         ports: Vec<Port>,
         n: usize,
+        return_skew: usize,
     }
 
     #[derive(Debug, Clone)]
@@ -286,7 +191,7 @@ mod tests {
     impl RingScheme {
         fn new(g: &DiGraph) -> Self {
             let ports = g.nodes().map(|v| g.out_edges(v)[0].port).collect();
-            RingScheme { ports, n: g.node_count() }
+            RingScheme { ports, n: g.node_count(), return_skew: 0 }
         }
     }
 
@@ -309,7 +214,8 @@ mod tests {
             _at: NodeId,
             header: &RingHeader,
         ) -> Result<RingHeader, RoutingError> {
-            let remaining = (header.origin.index() + self.n - header.target_index) % self.n;
+            let remaining =
+                (header.origin.index() + self.n - header.target_index + self.return_skew) % self.n;
             Ok(RingHeader { remaining, returning: true, ..header.clone() })
         }
 
@@ -336,42 +242,15 @@ mod tests {
         let g = directed_ring(8, 1).unwrap();
         let scheme = RingScheme::new(&g);
         let sim = Simulator::new(&g);
-        let report = sim.roundtrip(&scheme, NodeId(2), NodeId(5), NodeName(5)).unwrap();
-        assert_eq!(report.outbound.delivered_at(), NodeId(5));
-        assert_eq!(report.inbound.delivered_at(), NodeId(2));
-        assert_eq!(report.outbound.hops(), 3);
-        assert_eq!(report.inbound.hops(), 5);
+        let report = sim.roundtrip_brief(&scheme, NodeId(2), NodeId(5), NodeName(5)).unwrap();
+        assert_eq!(report.outbound.delivered_at, NodeId(5));
+        assert_eq!(report.inbound.delivered_at, NodeId(2));
+        assert_eq!(report.outbound.hops, 3);
+        assert_eq!(report.inbound.hops, 5);
+        assert_eq!(report.outbound.max_header_bits, 64);
+        assert_eq!(report.max_header_bits(), 65);
         let cycle: u64 = g.nodes().map(|u| g.out_edges(u)[0].weight).sum();
         assert_eq!(report.total_weight(), cycle);
-    }
-
-    #[test]
-    fn brief_roundtrip_agrees_with_full_roundtrip() {
-        let g = directed_ring(8, 1).unwrap();
-        let scheme = RingScheme::new(&g);
-        let sim = Simulator::new(&g);
-        for s in g.nodes() {
-            for t in g.nodes() {
-                let full = sim.roundtrip(&scheme, s, t, NodeName(t.0)).unwrap();
-                let brief = sim.roundtrip_brief(&scheme, s, t, NodeName(t.0)).unwrap();
-                assert!(brief.agrees_with(&full), "({s},{t}) brief/full disagreement");
-            }
-        }
-    }
-
-    #[test]
-    fn roundtrip_cost_matches_the_full_report() {
-        let g = directed_ring(8, 1).unwrap();
-        let scheme = RingScheme::new(&g);
-        let sim = Simulator::new(&g);
-        for s in g.nodes() {
-            for t in g.nodes() {
-                let full = sim.roundtrip(&scheme, s, t, NodeName(t.0)).unwrap();
-                let cost = sim.roundtrip_cost(&scheme, s, t, NodeName(t.0)).unwrap();
-                assert_eq!(cost, full.total_weight(), "({s},{t})");
-            }
-        }
-        assert!(sim.roundtrip_cost(&scheme, NodeId(0), NodeId(4), NodeName(3)).is_err());
     }
 
     #[test]
@@ -386,13 +265,13 @@ mod tests {
 
     #[test]
     fn wrong_delivery_is_detected() {
+        // The outbound leg arrives, but the return leg overshoots its origin.
         let g = directed_ring(6, 2).unwrap();
-        let scheme = RingScheme::new(&g);
+        let scheme = RingScheme { return_skew: 1, ..RingScheme::new(&g) };
         let sim = Simulator::new(&g);
-        // Lie about which node the name refers to.
-        let err = sim.roundtrip(&scheme, NodeId(0), NodeId(4), NodeName(3)).unwrap_err();
+        let err = sim.roundtrip_brief(&scheme, NodeId(0), NodeId(4), NodeName(4)).unwrap_err();
         assert!(matches!(err, SimError::WrongDelivery { delivered_at, expected }
-            if delivered_at == NodeId(3) && expected == NodeId(4)));
+            if delivered_at == NodeId(1) && expected == NodeId(0)));
     }
 
     #[test]
@@ -437,7 +316,7 @@ mod tests {
         // by using a complete self-consistent config: just run on node 0's
         // port and expect either PortNotFound (at some node) or TtlExceeded.
         let sim = Simulator::new(&g);
-        let err = sim.roundtrip(&scheme, NodeId(0), NodeId(2), NodeName(2)).unwrap_err();
+        let err = sim.roundtrip_brief(&scheme, NodeId(0), NodeId(2), NodeName(2)).unwrap_err();
         assert!(matches!(err, SimError::TtlExceeded { .. } | SimError::PortNotFound { .. }));
     }
 
@@ -447,7 +326,7 @@ mod tests {
         let scheme = RingScheme::new(&g);
         let sim = Simulator::new(&g);
         // Destination equal to source: both legs deliver immediately.
-        let report = sim.roundtrip(&scheme, NodeId(1), NodeId(1), NodeName(1)).unwrap();
+        let report = sim.roundtrip_brief(&scheme, NodeId(1), NodeId(1), NodeName(1)).unwrap();
         assert_eq!(report.total_hops(), 0);
         assert_eq!(report.total_weight(), 0);
     }
