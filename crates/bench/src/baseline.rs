@@ -101,9 +101,8 @@ pub const SERVE: &[Gate] = &[
     gate("seed", Config, "master seed: graph, names, workloads"),
     gate("stretch_samples", Config, "stretch samples per run"),
     gate("cache_rows", Config, "build-oracle row cache: moves both row counts"),
-    gate("verify_mode", Config, "off, sampled or full"),
+    gate("verify_mode", Config, "off or full"),
     gate("shards", Config, "destination shards"),
-    gate("shard_policy", Config, "hash or range: which worker owns which destination"),
     gate("build_rows_computed", Exact, "the build's row sweeps changed"),
     gate("build_rows_computed", WarnBelow(0.5), "the build got cheaper: refresh the baseline"),
     gate("peak_resident_rows", AtMost(1.0), "the build oracle holds over twice its rows"),
@@ -138,7 +137,6 @@ pub const CHAOS: &[Gate] = &[
     gate("seed", Config, "master seed: graph, names, fault plans, workloads"),
     gate("workers", Recorded, "provenance: every gated number is worker-independent"),
     gate("shards", Config, "destination shards"),
-    gate("shard_policy", Config, "hash or range"),
     gate("chords", Config, "chord edges, the fault candidates"),
     gate("edge_count", Config, "the fraction denominator"),
     gate("dirty_row_budget", Config, "the fault selection's impact budget"),
@@ -661,7 +659,6 @@ mod tests {
             ("cache_rows", 400u64.into()),
             ("verify_mode", "off".into()),
             ("shards", 8u64.into()),
-            ("shard_policy", "range".into()),
         ] {
             let base = serve();
             let mut cur = serve();
@@ -817,7 +814,7 @@ mod tests {
             }
         }
         // Every row of the two tables but the two record arrays and their keys.
-        assert_eq!(tested, 15 + 3 + 8 + 12 + 22 - 3 - 3);
+        assert_eq!(tested, 14 + 3 + 8 + 11 + 22 - 3 - 3);
     }
 
     #[test]

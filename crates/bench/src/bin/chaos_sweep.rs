@@ -20,12 +20,11 @@
 //!    offenders the repair restored.
 //!
 //! **Topology.** The graph is `ring_with_chords_weighted`: ring weights in
-//! the default range, chord weights widened to `1..=RTR_CHAOS_CHORD_WMAX`.
-//! Chords heavier than the typical graph distance are *metrically
-//! redundant* — never on any shortest path — which is what lets a network
-//! absorb a real 5–10% edge-failure fraction: redundant capacity fails
-//! silently, while the handful of tight chords lost is what degrades
-//! service.
+//! the default range, chord weights widened to `1..=256`.  Chords heavier
+//! than the typical graph distance are *metrically redundant* — never on any
+//! shortest path — which is what lets a network absorb a real 5–10%
+//! edge-failure fraction: redundant capacity fails silently, while the
+//! handful of tight chords lost is what degrades service.
 //!
 //! **Fault selection.** Candidates are the chord edges only — the ring is
 //! never faulted, so the mutated graph stays strongly connected by
@@ -54,19 +53,11 @@
 //! current artifact whatever the baseline says, so CI enforces them even
 //! against a stale baseline.
 //!
-//! Environment: `RTR_CHAOS_N` (default 600), `RTR_CHAOS_QUERIES` per epoch
-//! (default 4 000), `RTR_CHAOS_SEED` (default 42), `RTR_CHAOS_WORKERS`
-//! (default 4), `RTR_CHAOS_SHARDS` (default 4), `RTR_CHAOS_SHARD_POLICY`
-//! (`hash` | `range`), `RTR_CHAOS_CHORDS` (default `3n`),
-//! `RTR_CHAOS_CHORD_WMAX` (largest chord weight, default 256 — the
-//! redundancy dial: larger means more chords are metrically silent),
-//! `RTR_CHAOS_FRACTIONS` (comma-separated, default `0.02,0.05,0.10`),
-//! `RTR_CHAOS_DIRTY_BUDGET` (fraction of the `2n` metric rows the selection
-//! may dirty, default `0.22` — chosen under the 25% repair-row gate with
-//! headroom), `RTR_CHAOS_JSON` (artifact path, default `BENCH_chaos.json`)
-//! and `RTR_CHAOS_TELEMETRY_JSON` (registry export, default
-//! `BENCH_chaos_telemetry.json`).  The full inventory and the
-//! baseline-regeneration recipe live in `docs/OPERATIONS.md`.
+//! The run's shape is fixed (see `main`).  Environment: `RTR_CHAOS_JSON`
+//! (artifact path, default `BENCH_chaos.json`) and
+//! `RTR_CHAOS_TELEMETRY_JSON` (registry export, default
+//! `BENCH_chaos_telemetry.json`); any other `RTR_*` variable ends the run.
+//! The baseline-regeneration recipe lives in `docs/OPERATIONS.md`.
 //!
 //! [`ExStretch::paper_stretch_bound`]: rtr_core::ExStretch::paper_stretch_bound
 //! [`FailedPair`]: rtr_engine::FailedPair
@@ -85,12 +76,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rtr_bench::baseline::{require_telemetry_match, JsonValue, REPAIR_ROW_BUDGET};
-use rtr_bench::{banner, env_list, env_or, fail, shard_map_from_env};
+use rtr_bench::{banner, fail, reject_unread_env};
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{SparseRepairKit, SparseSuiteParams};
 use rtr_engine::Workload;
 use rtr_engine::{
-    chaos_report, Engine, EngineConfig, FrozenPlane, ShardedPlane, StretchBound,
+    chaos_report, Engine, EngineConfig, FrozenPlane, ShardMap, ShardedPlane, StretchBound,
     VerifiedShardedServe, VerifyConfig,
 };
 use rtr_graph::generators::{ring_with_chords_weighted, WeightRange};
@@ -188,21 +179,23 @@ fn select_faults(
 }
 
 fn main() {
-    let n = env_or("RTR_CHAOS_N", 600);
-    let queries = env_or("RTR_CHAOS_QUERIES", 4_000);
-    let seed = env_or("RTR_CHAOS_SEED", 42u64);
-    let workers = env_or("RTR_CHAOS_WORKERS", 4);
-    let chords = env_or("RTR_CHAOS_CHORDS", 3 * n);
-    let chord_wmax = env_or("RTR_CHAOS_CHORD_WMAX", 256u64);
-    let dirty_budget_fraction = env_or("RTR_CHAOS_DIRTY_BUDGET", 0.22);
-    let dirty_row_budget = (dirty_budget_fraction * 2.0 * n as f64).floor() as usize;
-    let fractions: Vec<f64> = env_list("RTR_CHAOS_FRACTIONS", vec![0.02, 0.05, 0.10]);
-    let shard_map = shard_map_from_env("RTR_CHAOS_SHARDS", "RTR_CHAOS_SHARD_POLICY", n, seed);
-    let (shards, shard_policy) = (shard_map.shard_count(), shard_map.policy().name());
+    reject_unread_env(&["RTR_CHAOS_JSON", "RTR_CHAOS_TELEMETRY_JSON"]);
+    // The gated shape: 600 nodes, 4 000 queries per verified epoch, seed 42,
+    // four workers over four hash shards (every gated number is
+    // worker-independent), and three edge-failure fractions.
+    let (n, queries, seed, workers, shards) = (600, 4_000, 42, 4, 4);
+    let fractions = [0.02, 0.05, 0.10];
+    // `3n` chords weighing `1..=256`: the redundancy dial, since chords
+    // heavier than the typical distance are metrically silent.
+    let (chords, chord_wmax) = (3 * n, 256);
+    // The fault selection may dirty 22% of the `2n` metric rows, under the
+    // 25% repair-row gate with headroom.
+    let dirty_row_budget = (0.22 * 2.0 * n as f64).floor() as usize;
+    let shard_map = ShardMap::hashed(n, shards, seed);
 
     banner(&format!(
-        "E14: chaos sweep, n = {n}, {queries} queries/epoch, {workers} workers, {shards} shards \
-         ({shard_policy}), dirty-row budget {dirty_row_budget} of {}",
+        "E14: chaos sweep, n = {n}, {queries} queries/epoch, {workers} workers, {shards} shards, \
+         dirty-row budget {dirty_row_budget} of {}",
         2 * n
     ));
     let t0 = Instant::now();
@@ -368,10 +361,7 @@ fn main() {
         let pre = serve(&pre_plane, &m0, 31);
         let degraded = serve(&degraded_plane, &m1, 37);
         let post = serve(&post_plane, &m1, 41);
-        let report = chaos_report(&pre, &degraded, &post);
-        let [pre_epoch, degraded_epoch, post_epoch] = &report.epochs[..] else {
-            unreachable!("chaos_report always yields three epochs");
-        };
+        let [pre_epoch, degraded_epoch, post_epoch] = chaos_report(&pre, &degraded, &post);
 
         if !pre_epoch.is_clean() {
             fail(format!(
@@ -435,7 +425,6 @@ fn main() {
         ("seed", seed.into()),
         ("workers", workers.into()),
         ("shards", shards.into()),
-        ("shard_policy", shard_policy.into()),
         ("chords", chords.into()),
         ("edge_count", edge_count.into()),
         ("dirty_row_budget", dirty_row_budget.into()),

@@ -9,7 +9,7 @@
 //! The run also gates the verification plane's row economy end to end: the
 //! server's verify oracle (telemetry scope `verify`, cache `2n`) must
 //! compute at most `2·distinct(destinations) + 2·shards` rows even though
-//! queries arrive interleaved over `RTR_CLIENTS` sockets.  The verify
+//! queries arrive interleaved over six client sockets.  The verify
 //! cache keeps that true: every frame flushes its own per-shard destination
 //! buckets, and with room for at least `2·distinct` rows a destination row
 //! an earlier frame computed is a cache hit.  The
@@ -25,26 +25,22 @@
 //! verified coverage, distinct destinations and verify rows gate hard.  Per-endpoint p50/p95/p99
 //! latency comes from the `serve.net.*_ns` `DurationHistogram`s.
 //!
-//! Environment: `RTR_N` (default 600), `RTR_QUERIES` **total** across the
-//! fleet (default 30 000), `RTR_CLIENTS` (default 6; even ids send `BATCH`
-//! frames, odd ids single `ROUTE` frames), `RTR_BATCH` queries per batch
-//! frame (default 64), `RTR_WORKERS` (default 4), `RTR_SHARDS` (default 4),
-//! `RTR_SHARD_POLICY` (`hash` | `range`), `RTR_SEED` (default 42),
-//! `RTR_CACHE` build-oracle rows (default `n/50`), `RTR_VERIFY_CACHE`
-//! (default `2n` — at that size verify rows are exactly `2·distinct`, so
-//! the baseline gate is deterministic), `RTR_INFLIGHT` admission budget
-//! (default 16 384 — high enough that a gated run rejects nothing; the
-//! overload path is exercised by the `rtr-serve` tests), `RTR_BENCH_JSON`
-//! (default `BENCH_serve_net.json`) and `RTR_TELEMETRY_JSON` (default
-//! `BENCH_telemetry_net.json`).
+//! The run's shape is fixed (see `main`).  The verify oracle caches `2n`
+//! rows, so verify rows are exactly `2·distinct` and the baseline gate is
+//! deterministic, and the server runs with `ServeConfig::default()`, whose
+//! admission budget is high enough that the gated run rejects nothing (the
+//! overload path is exercised by the `rtr-serve` tests).  Environment:
+//! `RTR_BENCH_JSON` (default `BENCH_serve_net.json`) and
+//! `RTR_TELEMETRY_JSON` (default `BENCH_telemetry_net.json`); any other
+//! `RTR_*` variable ends the run.
 
 use rtr_bench::baseline::{require_telemetry_match, JsonValue};
-use rtr_bench::{banner, env_or, fail, shard_map_from_env, table_footprint};
+use rtr_bench::{banner, fail, reject_unread_env, table_footprint};
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{SparseSchemeSuite, SparseSuiteParams};
 use rtr_engine::{
-    Engine, EngineConfig, FrozenPlane, Request, ShardedPlane, VerifiedReport, VerifyConfig,
-    Workload,
+    Engine, EngineConfig, FrozenPlane, Request, ShardMap, ShardedPlane, VerifiedReport,
+    VerifyConfig, Workload,
 };
 use rtr_graph::generators::ring_with_chords;
 use rtr_graph::NodeId;
@@ -56,21 +52,18 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn main() {
-    let n = env_or("RTR_N", 600);
-    let total = env_or("RTR_QUERIES", 30_000);
-    let clients = env_or("RTR_CLIENTS", 6usize).max(1);
-    let batch = env_or("RTR_BATCH", 64usize).max(1);
-    let workers = env_or("RTR_WORKERS", 4);
-    let cache_rows = env_or("RTR_CACHE", (n / 50).max(16));
-    let seed = env_or("RTR_SEED", 42u64);
-    let verify_cache = env_or("RTR_VERIFY_CACHE", (2 * n).max(64));
-    let inflight = env_or("RTR_INFLIGHT", 16_384);
-    let shard_map = shard_map_from_env("RTR_SHARDS", "RTR_SHARD_POLICY", n, seed);
-    let (shards, shard_policy) = (shard_map.shard_count(), shard_map.policy().name());
+    reject_unread_env(&["RTR_BENCH_JSON", "RTR_TELEMETRY_JSON"]);
+    // The gated shape: 600 nodes; 30 000 queries in total over six clients,
+    // even ids sending 64-query `BATCH` frames and odd ids single `ROUTE`
+    // frames; four workers over four hash shards; seed 42.
+    let (n, total, clients, batch, workers, shards, seed) = (600, 30_000, 6, 64, 4, 4, 42);
+    let cache_rows = (n / 50).max(16);
+    let verify_cache = 2 * n;
+    let shard_map = ShardMap::hashed(n, shards, seed);
 
     banner(&format!(
         "E14: network serving, n = {n}, {total} queries over {clients} clients \
-         (batch {batch}), {workers} workers, {shards} shards ({shard_policy})"
+         (batch {batch}), {workers} workers, {shards} shards"
     ));
     let t0 = Instant::now();
     let g = Arc::new(ring_with_chords(n, 3 * n, seed).expect("generator failed"));
@@ -116,7 +109,7 @@ fn main() {
 
     let engine = Engine::new(EngineConfig::with_workers(workers));
     let verify_oracle = LazyDijkstraOracle::new(&g, verify_cache).with_telemetry_scope("verify");
-    let serve_config = ServeConfig { inflight_max: inflight, ..ServeConfig::default() };
+    let serve_config = ServeConfig::default();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let shutdown = AtomicBool::new(false);
@@ -181,7 +174,7 @@ fn main() {
     );
     if outcome.served != total as u64 || outcome.rejected != 0 {
         fail(format!(
-            "expected {total} served / 0 rejected, got {} / {} — raise RTR_INFLIGHT for gated runs",
+            "expected {total} served / 0 rejected, got {} / {} — raise the admission budget",
             outcome.served, outcome.rejected
         ));
     }
@@ -294,7 +287,6 @@ fn main() {
         ("cache_rows", cache_rows.into()),
         ("verify_mode", "full".into()),
         ("shards", shards.into()),
-        ("shard_policy", shard_policy.into()),
         ("build_rows_computed", build_stats.rows_computed.into()),
         ("peak_resident_rows", build_stats.peak_resident_rows.into()),
         ("verify_rows_computed", vstats.rows_computed.into()),

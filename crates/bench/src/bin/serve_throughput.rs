@@ -21,9 +21,8 @@
 //! **Single-pass serving.**  Every stream is served exactly once, through the
 //! verification plane.  With `RTR_VERIFY=off` (the default) the engine still
 //! runs a strided sample — `queries / RTR_SAMPLES` — purely to produce the
-//! exact stretch columns (the role the retired `StretchSample` machinery
-//! used to play), but the artifact records the run as unverified.  With
-//! `sampled`/`full` the same pass also enforces the proven stretch ceilings
+//! exact stretch columns, but the artifact records the run as unverified.
+//! With `full` the same pass also enforces the proven stretch ceilings
 //! (`exstretch`, `polystretch` hard-fail on any violating query) and records
 //! the verify columns.  The serve-only wall is *derived* from the verified
 //! run via the recorded flush wall (`elapsed − flush_wall/w`, where
@@ -32,16 +31,15 @@
 //! in-flight verification costs more than that multiple of bare serving —
 //! without a second, unverified pass to compare against.
 //!
-//! **Sharded plane.**  `RTR_SHARDS` (default 4, min 1) partitions
-//! destinations under `RTR_SHARD_POLICY` (`hash` | `range`); each shard is
-//! served by the one worker that owns it, and verification buckets live per
-//! shard, so the verify oracle computes at most `2 · distinct(destinations)`
-//! rows no matter how many workers serve — the run hard-fails under full
-//! verification if that bound (plus a `2 · shards` flush slack) is
-//! exceeded.  `RTR_WORKER_SWEEP` (default `1,2,4,8,16`; `none` disables)
-//! re-serves the mix workload fully verified at each worker count on a fresh
-//! verify oracle, recording and gating that verify rows stay flat as workers
-//! grow.
+//! **Sharded plane.**  Four hash shards partition the destinations; each
+//! shard is served by the one worker that owns it, and verification buckets
+//! live per shard, so the verify oracle computes at most
+//! `2 · distinct(destinations)` rows no matter how many workers serve — the
+//! run hard-fails under full verification if that bound (plus a `2 · shards`
+//! flush slack) is exceeded.  `RTR_WORKER_SWEEP` (default `1,2,4,8,16`;
+//! `none` disables) re-serves the mix workload fully verified at each worker
+//! count on a fresh verify oracle, recording and gating that verify rows stay
+//! flat as workers grow.
 //!
 //! The run's headline numbers are also written as a machine-readable serve
 //! artifact (`BENCH_serve.json`, its fields and their gates declared by
@@ -65,18 +63,19 @@
 //!
 //! Environment: `RTR_N` (default 10 000 — CI smoke and local large-n runs
 //! share this binary by overriding it), `RTR_QUERIES` per workload (default
-//! 200 000), `RTR_WORKERS` (default: available parallelism), `RTR_CACHE`
-//! lazy-oracle rows (default `n/50`), `RTR_SAMPLES` stretch samples per run
-//! (default 2 000), `RTR_SEED` (default 42), `RTR_BENCH_JSON` artifact path
+//! 200 000), `RTR_WORKERS` (default: available parallelism), `RTR_SAMPLES`
+//! stretch samples per run (default 2 000), `RTR_BENCH_JSON` artifact path
 //! (default `BENCH_serve.json`), `RTR_MAX_BUILD_ROW_FACTOR` — when set, the
 //! run **fails** if the suite build computed more than `factor · n` oracle
-//! rows (the CI guard for the shared-sweep row budget) — plus `RTR_VERIFY`,
-//! `RTR_VERIFY_CACHE` (default `2n`), `RTR_VERIFY_MAX_SLOWDOWN`,
-//! `RTR_SHARDS`, `RTR_SHARD_POLICY`, `RTR_WORKER_SWEEP`,
-//! `RTR_TELEMETRY_JSON` and `RTR_TELEMETRY_MAX_OVERHEAD` above.
+//! rows (the CI guard for the shared-sweep row budget) — plus `RTR_VERIFY`
+//! (`off` | `full`), `RTR_VERIFY_MAX_SLOWDOWN`, `RTR_WORKER_SWEEP`,
+//! `RTR_TELEMETRY_JSON` and `RTR_TELEMETRY_MAX_OVERHEAD` above.  Any other
+//! `RTR_*` variable ends the run.  The build oracle caches `max(n/50, 16)`
+//! rows and the verify oracle `max(2n, 64)`, enough to hold every row, which
+//! keeps verify rows deterministic.
 
 use rtr_bench::baseline::{require_telemetry_match, JsonValue};
-use rtr_bench::{banner, env_list, env_opt, env_or, fail, shard_map_from_env, table_footprint};
+use rtr_bench::{banner, env_list, env_opt, env_or, fail, reject_unread_env, table_footprint};
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{SparseSchemeSuite, SparseSuiteParams};
 use rtr_engine::{
@@ -112,9 +111,9 @@ where
 /// clock for the verified pass and the portion spent inside bucket flushes,
 /// from which the verify-slowdown gate derives the serve-only wall.
 ///
-/// `record_verify` is false when the user asked for `RTR_VERIFY=off`: the
-/// pass still samples (for the stretch columns) but the artifact's verify
-/// fields stay zero, preserving `off` baseline semantics.
+/// `record_verify` is false under `RTR_VERIFY=off`: the pass still samples
+/// (for the stretch columns) but the artifact's verify fields stay zero,
+/// preserving `off` baseline semantics.
 #[allow(clippy::too_many_arguments)] // a bench driver, not a library API
 fn serve_all<S>(
     plane: &FrozenPlane<S>,
@@ -205,22 +204,34 @@ where
 }
 
 fn main() {
+    reject_unread_env(&[
+        "RTR_N",
+        "RTR_QUERIES",
+        "RTR_WORKERS",
+        "RTR_SAMPLES",
+        "RTR_VERIFY",
+        "RTR_VERIFY_MAX_SLOWDOWN",
+        "RTR_WORKER_SWEEP",
+        "RTR_MAX_BUILD_ROW_FACTOR",
+        "RTR_TELEMETRY_MAX_OVERHEAD",
+        "RTR_BENCH_JSON",
+        "RTR_TELEMETRY_JSON",
+    ]);
     let n = env_or("RTR_N", 10_000);
     let queries = env_or("RTR_QUERIES", 200_000);
     let workers =
         env_or("RTR_WORKERS", std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
-    let cache_rows = env_or("RTR_CACHE", (n / 50).max(16));
+    let cache_rows = (n / 50).max(16);
     let samples = env_or("RTR_SAMPLES", 2_000usize).max(1);
-    let seed = env_or("RTR_SEED", 42u64);
     let verify_mode = match std::env::var("RTR_VERIFY").as_deref() {
         Err(_) | Ok("off") => VerifyMode::Off,
         Ok("full") => VerifyMode::Full,
-        Ok("sampled") => VerifyMode::Sampled { stride: (queries / samples).max(1) },
-        Ok(other) => panic!("RTR_VERIFY must be off|sampled|full, got {other}"),
+        Ok(other) => fail(format!("RTR_VERIFY: {other:?} is neither off nor full")),
     };
-    let verify_cache = env_or("RTR_VERIFY_CACHE", (2 * n).max(64));
-    let shard_map = shard_map_from_env("RTR_SHARDS", "RTR_SHARD_POLICY", n, seed);
-    let (shards, shard_policy) = (shard_map.shard_count(), shard_map.policy().name());
+    let verify_cache = (2 * n).max(64);
+    // Every workload derives from seed 42, over four hash shards.
+    let (seed, shards) = (42, 4);
+    let shard_map = ShardMap::hashed(n, shards, seed);
     let sweep: Vec<usize> = match std::env::var("RTR_WORKER_SWEEP").as_deref() {
         Ok("none") => Vec::new(),
         _ => env_list("RTR_WORKER_SWEEP", vec![1, 2, 4, 8, 16]),
@@ -228,7 +239,7 @@ fn main() {
 
     banner(&format!(
         "E13: serving throughput, n = {n}, {queries} queries/workload, {workers} workers, \
-         {shards} shards ({shard_policy})",
+         {shards} shards",
     ));
     let t0 = Instant::now();
     let g = Arc::new(ring_with_chords(n, 3 * n, seed).expect("generator failed"));
@@ -282,8 +293,8 @@ fn main() {
     let engine = Engine::new(EngineConfig::with_workers(workers));
 
     // The single serving pass: `off` still samples (for the stretch
-    // columns) but records the run as unverified; `sampled`/`full` also
-    // enforce the proven ceilings and fill the artifact's verify fields.
+    // columns) but records the run as unverified; `full` also enforces the
+    // proven ceilings and fills the artifact's verify fields.
     let record_verify = verify_mode != VerifyMode::Off;
     let engine_mode = match verify_mode {
         VerifyMode::Off => VerifyMode::Sampled { stride: (queries / samples).max(1) },
@@ -452,7 +463,6 @@ fn main() {
         ("cache_rows", cache_rows.into()),
         ("verify_mode", verify_mode.name().into()),
         ("shards", shards.into()),
-        ("shard_policy", shard_policy.into()),
         ("build_rows_computed", build_stats.rows_computed.into()),
         ("peak_resident_rows", stats.peak_resident_rows.into()),
         ("verify_rows_computed", vstats.rows_computed.into()),

@@ -9,7 +9,9 @@
 //! Every binary is configured through `RTR_*` environment variables, read
 //! with [`env_or`], [`env_opt`] and [`env_list`]: a malformed value ends the
 //! run with a message naming the variable rather than falling back to a
-//! default.  The small sweep experiments share
+//! default, and the three baseline-gated binaries also end on any `RTR_*`
+//! variable they do not read ([`reject_unread_env`]).  The small sweep
+//! experiments share
 //!
 //! * `RTR_SIZES` — comma-separated node counts (default per experiment),
 //! * `RTR_SEEDS` — number of seeds to average over (default 3),
@@ -24,12 +26,13 @@
 
 use rtr_core::analysis::PairSelection;
 use rtr_core::naming::NamingAssignment;
-use rtr_engine::{FrozenPlane, ShardMap};
+use rtr_engine::FrozenPlane;
 use rtr_graph::generators::Family;
 use rtr_graph::{DiGraph, NodeId};
 use rtr_metric::DistanceMatrix;
 use rtr_sim::RoundtripRouting;
 use std::env::VarError;
+use std::ffi::OsString;
 use std::fmt::Display;
 use std::str::FromStr;
 
@@ -124,18 +127,29 @@ pub fn env_list<T: FromStr>(key: &str, default: Vec<T>) -> Vec<T> {
     env_raw(key).map_or(default, |raw| parse_env_list(key, &raw).unwrap_or_else(|e| fail(e)))
 }
 
-/// The destination shard map of a serving binary: `shards_key` shards
-/// (default 4; `0` is rejected) under the `policy_key` policy (`hash`, the
-/// default, or `range`), over `n` nodes.
-pub fn shard_map_from_env(shards_key: &str, policy_key: &str, n: usize, seed: u64) -> ShardMap {
-    let shards = env_or(shards_key, 4);
-    if shards == 0 {
-        fail(format!("{shards_key}: a shard map needs at least one shard, got 0"));
-    }
-    match env_raw(policy_key).as_deref() {
-        None | Some("hash") => ShardMap::hashed(n, shards, seed),
-        Some("range") => ShardMap::range(n, shards),
-        Some(other) => fail(format!("{policy_key}: {other:?} is neither hash nor range")),
+/// The `RTR_*` variables among `keys` that `read` does not list, sorted.
+fn unread_env(keys: impl IntoIterator<Item = OsString>, read: &[&str]) -> Vec<String> {
+    let mut unread: Vec<String> = keys
+        .into_iter()
+        .map(|key| key.to_string_lossy().into_owned())
+        .filter(|key| key.starts_with("RTR_") && !read.contains(&key.as_str()))
+        .collect();
+    unread.sort_unstable();
+    unread
+}
+
+/// Ends the process through [`fail`] when the environment sets an `RTR_*`
+/// variable that is not in `read`, the list of variables the binary reads.
+/// The run would ignore it and measure its defaults instead, so the message
+/// names each such variable.
+pub fn reject_unread_env(read: &[&str]) {
+    let unread = unread_env(std::env::vars_os().map(|(key, _)| key), read);
+    if !unread.is_empty() {
+        fail(format!(
+            "{}: not read by this binary (it reads {})",
+            unread.join(", "),
+            read.join(", ")
+        ));
     }
 }
 
@@ -217,6 +231,13 @@ mod tests {
             let err = parse_env_list::<usize>("RTR_SIZES", raw).unwrap_err();
             assert!(err.starts_with("RTR_SIZES"), "{err}");
         }
+    }
+
+    #[test]
+    fn unread_variables_are_named() {
+        let keys = ["PATH", "RTR_SEED", "RTR_N", "RTR_CACHE"].map(OsString::from);
+        assert_eq!(unread_env(keys.clone(), &["RTR_N"]), ["RTR_CACHE", "RTR_SEED"]);
+        assert!(unread_env(keys, &["RTR_N", "RTR_SEED", "RTR_CACHE"]).is_empty());
     }
 
     #[test]

@@ -67,4 +67,4 @@ pub use exstretch::{ExStretch, ExStretchParams};
 pub use polystretch::{PolyParams, PolynomialStretch};
 pub use repair::{RepairStats, SparseRepairKit};
 pub use stretch6::{Stretch6Params, StretchSix};
-pub use suite::{SchemeSuite, SparseSchemeSuite, SparseSuiteParams, SuiteParams};
+pub use suite::{SchemeSuite, SparseSchemeSuite, SparseSuiteParams};

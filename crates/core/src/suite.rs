@@ -13,28 +13,19 @@ use crate::{
     ExStretch, ExStretchParams, PolyParams, PolynomialStretch, SparseRepairKit, Stretch6Params,
     StretchSix,
 };
+use rtr_cover::DoubleTreeCover;
 use rtr_dictionary::DistributionParams;
 use rtr_graph::DiGraph;
 use rtr_metric::DistanceOracle;
 use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams, TreeCoverScheme};
 
-/// Parameters of [`SchemeSuite::build`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SuiteParams {
-    /// Parameters of the §2 stretch-6 scheme.
-    pub stretch6: Stretch6Params,
-    /// Parameters of the §3 exponential-tradeoff scheme.
-    pub exstretch: ExStretchParams,
-    /// Parameters of the §4 polynomial-tradeoff scheme.
-    pub poly: PolyParams,
-}
-
-/// All three TINN schemes of the paper, built together.
+/// All three TINN schemes of the paper, built together with their default
+/// parameters (`k = 2` for §3 and §4).
 ///
 /// The stretch-6 scheme rides on the exact-oracle substrate (the hard-bound
 /// configuration used throughout the test-suite); the exponential scheme on
-/// the Theorem 13 tree-cover substrate; the polynomial scheme builds its own
-/// hierarchy.
+/// the Theorem 13 tree-cover substrate; the polynomial scheme shares that
+/// substrate's hierarchy.
 #[derive(Debug)]
 pub struct SchemeSuite {
     /// The §2 scheme (stretch 6, exact-oracle substrate).
@@ -46,7 +37,9 @@ pub struct SchemeSuite {
 }
 
 impl SchemeSuite {
-    /// Builds the three schemes concurrently, sharing `m`.
+    /// Builds one `k = 2` Theorem 13 hierarchy, then the three schemes
+    /// concurrently, sharing `m` and handing the hierarchy to both the §3
+    /// substrate and the §4 scheme.
     ///
     /// Each scheme's construction runs on its own scoped worker thread; all
     /// three borrow the same oracle, which is why [`DistanceOracle`] requires
@@ -58,20 +51,17 @@ impl SchemeSuite {
     /// # Panics
     ///
     /// Panics if any scheme's preconditions fail (graph not strongly
-    /// connected, naming size mismatch, `k < 2`).
-    pub fn build<O: DistanceOracle + ?Sized>(
-        g: &DiGraph,
-        m: &O,
-        names: &NamingAssignment,
-        params: SuiteParams,
-    ) -> Self {
+    /// connected, naming size mismatch).
+    pub fn build<O: DistanceOracle + ?Sized>(g: &DiGraph, m: &O, names: &NamingAssignment) -> Self {
+        let poly_params = PolyParams::default();
+        let cover = DoubleTreeCover::build(g, m, poly_params.cover_k);
         let (stretch6, exstretch, poly) = build_concurrently(
-            || StretchSix::build(g, m, names, ExactOracleScheme::build(g), params.stretch6),
+            || StretchSix::build(g, m, names, ExactOracleScheme::build(g), Default::default()),
             || {
-                let substrate = TreeCoverScheme::build(g, m, params.exstretch.k.max(2));
-                ExStretch::build(g, m, names, substrate, params.exstretch)
+                let substrate = TreeCoverScheme::from_cover(g, &cover);
+                ExStretch::build(g, m, names, substrate, ExStretchParams::default())
             },
-            || PolynomialStretch::build(g, m, names, params.poly),
+            || PolynomialStretch::build_with_cover(g, m, names, &cover, poly_params),
         );
         SchemeSuite { stretch6, exstretch, poly }
     }
@@ -280,7 +270,7 @@ mod tests {
         let g = strongly_connected_gnp(32, 0.12, 5).unwrap();
         let m = DistanceMatrix::build(&g);
         let names = NamingAssignment::random(32, 9);
-        let suite = SchemeSuite::build(&g, &m, &names, SuiteParams::default());
+        let suite = SchemeSuite::build(&g, &m, &names);
         let sim = Simulator::new(&g);
         for s in g.nodes() {
             for t in g.nodes() {
@@ -341,13 +331,13 @@ mod tests {
         let g = strongly_connected_gnp(28, 0.15, 7).unwrap();
         let names = NamingAssignment::random(28, 3);
         let dense = DistanceMatrix::build(&g);
-        let via_dense = SchemeSuite::build(&g, &dense, &names, SuiteParams::default());
+        let via_dense = SchemeSuite::build(&g, &dense, &names);
 
         let lazy = LazyDijkstraOracle::new(&g, 8);
-        let via_lazy = SchemeSuite::build(&g, &lazy, &names, SuiteParams::default());
+        let via_lazy = SchemeSuite::build(&g, &lazy, &names);
 
         let subset = CachedSubsetOracle::new(&g);
-        let via_subset = SchemeSuite::build(&g, &subset, &names, SuiteParams::default());
+        let via_subset = SchemeSuite::build(&g, &subset, &names);
 
         let sim = Simulator::new(&g);
         for s in g.nodes() {

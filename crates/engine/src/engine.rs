@@ -69,10 +69,11 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`VerifyServeError::UnknownNode`] when a request names a node outside
-    /// the plane (nothing is served), and [`VerifyServeError::Sim`] on the
-    /// first simulator error any worker encounters (the others stop at their
-    /// next owned request).  Correct schemes never fail.
+    /// [`VerifyServeError::BadNode`] when a request names a node outside the
+    /// plane or routes a node to itself (nothing is served), and
+    /// [`VerifyServeError::Sim`] on the first simulator error any worker
+    /// encounters (the others stop at their next owned request).  Correct
+    /// schemes never fail.
     pub fn serve_sharded<S: RoundtripRouting + Send + Sync>(
         &self,
         plane: &ShardedPlane<S>,
@@ -139,10 +140,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`VerifyServeError::UnknownNode`] when a request names a node outside
-    /// the plane (nothing is served), [`VerifyServeError::Sim`] on the first
-    /// simulator error any worker encounters, and — in strict mode with a
-    /// configured bound —
+    /// [`VerifyServeError::BadNode`] when a request names a node outside the
+    /// plane or routes a node to itself (nothing is served),
+    /// [`VerifyServeError::Sim`] on the first simulator error any worker
+    /// encounters, and — in strict mode with a configured bound —
     /// [`VerifyServeError::BoundExceeded`] when any checked trip exceeds the
     /// scheme's stretch ceiling.
     pub fn serve_verified_sharded<S, O>(
@@ -180,8 +181,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if a request names a node outside the plane
-    /// ([`VerifyServeError::UnknownNode`]).
+    /// Panics if a request names a node outside the plane or routes a node
+    /// to itself ([`VerifyServeError::BadNode`]).
     pub fn serve_epoch_sharded<S, O>(
         &self,
         plane: &ShardedPlane<S>,
@@ -240,7 +241,7 @@ mod tests {
         for shards in [1usize, 3, 5] {
             for workers in [1usize, 2, 7, 16] {
                 let engine = Engine::new(EngineConfig::with_workers(workers));
-                let map = ShardMap::range(12, shards);
+                let map = ShardMap::hashed(12, shards, 5);
                 let sharded = ShardedPlane::new(plane.clone(), map);
                 let outcome = engine.serve_sharded(&sharded, &requests).unwrap();
                 let summary = &outcome.summary;

@@ -24,12 +24,11 @@
 //!   A batch no larger than [`EngineConfig::chunk_size`] is served on the
 //!   calling thread, a larger one on `min(workers, shards)` pool threads.
 //! * [`ShardMap`] / [`ShardedPlane`] — the **sharded plane**: destinations
-//!   partition into worker-owned shards (seeded-hash or contiguous-range
-//!   [`ShardPolicy`]), and each worker walks the whole batch and serves
-//!   exactly the requests whose destination shard it owns, so no request
-//!   crosses workers and no worker waits on another.  Per-shard query
-//!   counts are deterministic; the merged summary is identical for any
-//!   shard × worker count.
+//!   partition into worker-owned shards by a seeded hash, and each worker
+//!   walks the whole batch and serves exactly the requests whose
+//!   destination shard it owns, so no request crosses workers and no
+//!   worker waits on another.  Per-shard query counts are deterministic;
+//!   the merged summary is identical for any shard × worker count.
 //! * [`VerifyMode`] / [`Engine::serve_verified_sharded`] — the
 //!   **verification plane**: off / sampled / full-stream checking of every
 //!   served trip against a [`rtr_metric::DistanceOracle`].  Checked trips
@@ -46,10 +45,9 @@
 //! * [`Engine::serve_epoch_sharded`] / [`chaos_report`] — the **chaos
 //!   plane**: tolerant verified serving through a fault window (routing
 //!   failures are recorded per pair instead of aborting the pool) and the
-//!   per-epoch breakdown — pre-fault / degraded / post-repair — attached to
-//!   the merged [`VerifiedReport`] as [`VerifiedReport::epochs`], listing
-//!   exactly which pairs exceeded the proven ceiling and which ones repair
-//!   restored.
+//!   per-epoch breakdown — pre-fault / degraded / post-repair
+//!   [`EpochReport`]s — listing exactly which pairs exceeded the proven
+//!   ceiling and which ones repair restored.
 //! * [`Engine::open_stream`] / [`VerifiedStream`] — the **streaming request
 //!   source**: the same verified sharded serving fed batch by batch, for
 //!   callers (the `rtr-serve` TCP front door) that receive requests over
@@ -122,7 +120,7 @@ mod workload;
 pub use chaos::{chaos_report, EpochKind, EpochReport, FailedPair};
 pub use engine::{Engine, EngineConfig};
 pub use plane::FrozenPlane;
-pub use shard::{ShardMap, ShardPolicy, ShardServeStats, ShardedPlane};
+pub use shard::{ShardMap, ShardServeStats, ShardedPlane};
 pub use stats::ServeSummary;
 pub use stream::{ServedTrip, VerifiedShardedServe, VerifiedStream};
 pub use verify::{

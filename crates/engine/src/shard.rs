@@ -1,14 +1,12 @@
 //! Destination sharding for the serving plane.
 //!
 //! A [`ShardMap`] partitions the node space into `shards` destination-owned
-//! slices under one of two [`ShardPolicy`]s: a seeded hash (spreads hot
-//! destinations independently of their ids) or contiguous ranges (preserves
-//! id locality, the layout memory-pod topologies assume).  A
-//! [`ShardedPlane`] pairs a [`FrozenPlane`] with a map; the engine's pool
-//! assigns each shard one worker ([`ShardMap::owner_of`]), and every worker
-//! serves exactly the requests whose destination shard it owns, so each
-//! worker touches only its own shards' serving statistics and verification
-//! buckets.
+//! slices by a seeded hash, so hot destinations land on shards independently
+//! of their ids.  A [`ShardedPlane`] pairs a [`FrozenPlane`] with a map; the
+//! engine's pool assigns each shard one worker ([`ShardMap::owner_of`]), and
+//! every worker serves exactly the requests whose destination shard it owns,
+//! so each worker touches only its own shards' serving statistics and
+//! verification buckets.
 //!
 //! The shard assignment is a pure function of the destination, never of
 //! scheduling — which is what keeps every per-shard statistic (and the
@@ -17,31 +15,6 @@
 use crate::plane::FrozenPlane;
 use rtr_graph::NodeId;
 use rtr_sim::RoundtripRouting;
-
-/// How destinations are assigned to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPolicy {
-    /// `shard(v) = splitmix64(seed ^ v) mod shards`: a seeded hash, so hot
-    /// destinations land on shards independent of their numeric ids and two
-    /// maps with different seeds disagree — useful for rebalance testing.
-    Hash {
-        /// Seed mixed into every node id before hashing.
-        seed: u64,
-    },
-    /// `shard(v) = ⌊v·shards / n⌋`: contiguous id ranges balanced within one
-    /// node, preserving id locality.
-    Range,
-}
-
-impl ShardPolicy {
-    /// Short stable name used in reports and the baseline artifact.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardPolicy::Hash { .. } => "hash",
-            ShardPolicy::Range => "range",
-        }
-    }
-}
 
 /// SplitMix64 finalizer — the same mixer the in-tree `rand` shim is built
 /// on, reimplemented here so a shard map needs no RNG state.
@@ -52,39 +25,32 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A deterministic partition of `n` destinations into `shards` shards.
+/// A deterministic partition of `n` destinations into `shards` shards:
+/// `shard(v) = splitmix64(seed ^ v) mod shards`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMap {
     n: usize,
     shards: usize,
-    policy: ShardPolicy,
+    /// Mixed into every node id before hashing; two maps with different
+    /// seeds disagree, which is how tests rebalance.
+    seed: u64,
 }
 
 impl ShardMap {
-    /// A map of `n` nodes into `shards` shards under `policy`.
+    /// A map of `n` nodes into `shards` shards, hashed under `seed`.
     ///
     /// # Panics
     ///
     /// Panics if `n` or `shards` is zero.
-    pub fn new(n: usize, shards: usize, policy: ShardPolicy) -> Self {
+    pub fn hashed(n: usize, shards: usize, seed: u64) -> Self {
         assert!(n > 0, "a shard map needs at least one node");
         assert!(shards > 0, "a shard map needs at least one shard");
-        ShardMap { n, shards, policy }
-    }
-
-    /// A seeded-hash map ([`ShardPolicy::Hash`]).
-    pub fn hashed(n: usize, shards: usize, seed: u64) -> Self {
-        ShardMap::new(n, shards, ShardPolicy::Hash { seed })
-    }
-
-    /// A contiguous-range map ([`ShardPolicy::Range`]).
-    pub fn range(n: usize, shards: usize) -> Self {
-        ShardMap::new(n, shards, ShardPolicy::Range)
+        ShardMap { n, shards, seed }
     }
 
     /// The trivial one-shard map: every destination on one worker.
     pub fn single(n: usize) -> Self {
-        ShardMap::range(n, 1)
+        ShardMap::hashed(n, 1, 0)
     }
 
     /// Number of shards.
@@ -97,11 +63,6 @@ impl ShardMap {
         self.n
     }
 
-    /// The assignment policy.
-    pub fn policy(&self) -> ShardPolicy {
-        self.policy
-    }
-
     /// The shard owning destination `v` — a pure function of `v`.
     ///
     /// # Panics
@@ -109,12 +70,7 @@ impl ShardMap {
     /// Panics (debug) if `v` is outside the mapped node space.
     pub fn shard_of(&self, v: NodeId) -> usize {
         debug_assert!(v.index() < self.n, "destination {v} outside the shard map");
-        match self.policy {
-            ShardPolicy::Hash { seed } => {
-                (splitmix64(seed ^ u64::from(v.0)) % self.shards as u64) as usize
-            }
-            ShardPolicy::Range => v.index() * self.shards / self.n,
-        }
+        (splitmix64(self.seed ^ u64::from(v.0)) % self.shards as u64) as usize
     }
 
     /// The worker that owns shard `shard` in a pool of `workers` threads:
@@ -194,7 +150,7 @@ mod tests {
 
     #[test]
     fn every_policy_partitions_the_node_space() {
-        for map in [ShardMap::hashed(97, 4, 7), ShardMap::range(97, 4), ShardMap::single(97)] {
+        for map in [ShardMap::hashed(97, 4, 7), ShardMap::hashed(97, 4, 8), ShardMap::single(97)] {
             let sizes = map.shard_sizes();
             assert_eq!(sizes.len(), map.shard_count());
             assert_eq!(sizes.iter().sum::<usize>(), 97);
@@ -210,16 +166,14 @@ mod tests {
     }
 
     #[test]
-    fn range_policy_is_contiguous_and_balanced() {
-        let map = ShardMap::range(10, 3);
-        let shards: Vec<usize> = (0..10u32).map(|v| map.shard_of(NodeId(v))).collect();
-        assert_eq!(shards, [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
-        // Balanced within one node for any (n, shards).
-        for (n, k) in [(100usize, 7usize), (31, 4), (5, 5), (64, 16)] {
-            let sizes = ShardMap::range(n, k).shard_sizes();
-            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(hi - lo <= 1, "range({n},{k}) sizes {sizes:?}");
-        }
+    fn the_ledgers_hash_map_is_pinned() {
+        // The ledger's per-shard counts and every hash-sharded CI artifact
+        // depend on these exact assignments.
+        let map = ShardMap::hashed(600, 4, 42);
+        assert_eq!(map.shard_sizes(), [154, 153, 144, 149]);
+        let shards: Vec<usize> =
+            [0u32, 1, 2, 3, 99, 300, 599].iter().map(|&v| map.shard_of(NodeId(v))).collect();
+        assert_eq!(shards, [1, 0, 2, 1, 3, 1, 0]);
     }
 
     #[test]
@@ -234,7 +188,7 @@ mod tests {
 
     #[test]
     fn more_shards_than_nodes_leaves_some_empty() {
-        let map = ShardMap::range(3, 8);
+        let map = ShardMap::hashed(3, 8, 1);
         let sizes = map.shard_sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 3);
         assert!(sizes.iter().filter(|&&s| s == 0).count() >= 5);
@@ -242,7 +196,7 @@ mod tests {
 
     #[test]
     fn owner_assignment_wraps_over_workers() {
-        let map = ShardMap::range(20, 5);
+        let map = ShardMap::hashed(20, 5, 0);
         assert_eq!(map.owner_of(0, 2), 0);
         assert_eq!(map.owner_of(1, 2), 1);
         assert_eq!(map.owner_of(4, 2), 0);

@@ -240,12 +240,12 @@ where
     ///
     /// # Errors
     ///
-    /// [`VerifyServeError::UnknownNode`] when a request names a node outside
-    /// the plane, checked before anything is served; otherwise the first
-    /// simulator error, as [`VerifyServeError::Sim`].  A failed batch
-    /// contributes nothing to the session: no indices are consumed and the
-    /// report is unchanged (oracle cache warm-up from partial verification
-    /// may have occurred).
+    /// [`VerifyServeError::BadNode`] when a request names a node outside the
+    /// plane or routes a node to itself, checked before anything is served;
+    /// otherwise the first simulator error, as [`VerifyServeError::Sim`].  A
+    /// failed batch contributes nothing to the session: no indices are
+    /// consumed and the report is unchanged (oracle cache warm-up from
+    /// partial verification may have occurred).
     pub fn serve_batch(
         &mut self,
         requests: &[Request],
@@ -254,10 +254,11 @@ where
             return Ok(Vec::new());
         }
         let n = self.plane.plane().node_count();
-        if let Some(index) = requests.iter().position(|r| r.src.index() >= n || r.dst.index() >= n)
+        if let Some(index) =
+            requests.iter().position(|r| r.src.index() >= n || r.dst.index() >= n || r.src == r.dst)
         {
             let Request { src, dst } = requests[index];
-            return Err(VerifyServeError::UnknownNode { index, src, dst });
+            return Err(VerifyServeError::BadNode { index, src, dst });
         }
         let base = self.next_index;
         let started = Instant::now();
@@ -549,8 +550,8 @@ mod tests {
             bad[7] = Request { src, dst };
             let err = session.serve_batch(&bad).unwrap_err();
             assert!(err.report().is_none());
-            let VerifyServeError::UnknownNode { index, src: s, dst: d } = err else {
-                panic!("expected UnknownNode, got {err}");
+            let VerifyServeError::BadNode { index, src: s, dst: d } = err else {
+                panic!("expected BadNode, got {err}");
             };
             assert_eq!((index, s, d), (7, src, dst));
             assert_eq!(session.served(), 30 + 30 * step);
@@ -565,7 +566,37 @@ mod tests {
         let mut bad = clean.clone();
         bad[50].dst = NodeId(16);
         let oneshot = engine.serve_verified_sharded(&sharded, &bad, &m, &config);
-        assert!(matches!(oneshot, Err(VerifyServeError::UnknownNode { index: 50, .. })));
+        assert!(matches!(oneshot, Err(VerifyServeError::BadNode { index: 50, .. })));
+    }
+
+    #[test]
+    fn a_self_route_rejects_the_batch_under_every_verify_mode() {
+        let plane = ring_plane(16);
+        let m = DistanceMatrix::build(plane.graph());
+        let sharded = ShardedPlane::new(plane, ShardMap::hashed(16, 4, 9));
+        let engine = Engine::new(EngineConfig::with_workers(2));
+        let clean = Workload::Uniform.generate(16, 60, 13);
+        for config in [VerifyConfig::full(), VerifyConfig::off()] {
+            let mode = config.mode.name();
+            let mut session = engine.open_stream(&sharded, &m, &config);
+            session.serve_batch(&clean[..30]).unwrap();
+            let before = session.report().clone();
+            let mut bad = clean[30..40].to_vec();
+            bad[4] = Request { src: NodeId(5), dst: NodeId(5) };
+            let err = session.serve_batch(&bad).unwrap_err();
+            assert!(err.to_string().contains("self-route"), "{mode}: {err}");
+            let VerifyServeError::BadNode { index, src, dst } = err else {
+                panic!("{mode}: expected BadNode, got {err}");
+            };
+            assert_eq!((index, src, dst), (4, NodeId(5), NodeId(5)), "{mode}");
+            assert_eq!(session.served(), 30, "{mode}");
+            assert_eq!(session.report(), &before, "{mode}");
+            let replies = session.serve_batch(&clean[30..]).unwrap();
+            assert_eq!(replies[0].index, 30, "{mode}");
+            let streamed = session.finish().unwrap();
+            let reference = engine.serve_verified_sharded(&sharded, &clean, &m, &config).unwrap();
+            assert_eq!(streamed.report, reference.report, "{mode}");
+        }
     }
 
     #[test]
@@ -605,7 +636,7 @@ mod tests {
         let m = DistanceMatrix::build(plane.graph());
         let requests = Workload::Uniform.generate(11, 300, 17);
         let engine = Engine::new(EngineConfig::with_workers(2));
-        let sharded = ShardedPlane::new(plane.clone(), ShardMap::range(11, 3));
+        let sharded = ShardedPlane::new(plane.clone(), ShardMap::hashed(11, 3, 5));
         let mut session = engine.open_stream(&sharded, &m, &VerifyConfig::full());
         let mut replies = Vec::new();
         for chunk in requests.chunks(100) {
@@ -645,7 +676,7 @@ mod tests {
         let m = DistanceMatrix::build(plane.graph());
         let requests = Workload::Uniform.generate(12, 120, 5);
         let engine = Engine::default();
-        let sharded = ShardedPlane::new(plane, ShardMap::range(12, 2));
+        let sharded = ShardedPlane::new(plane, ShardMap::hashed(12, 2, 5));
         // An impossible ceiling (stretch < 1/2) flags every trip, but batches
         // keep serving; the strict contract fires when the session closes.
         let config = VerifyConfig::full().with_bound(StretchBound { num: 1, den: 2 });

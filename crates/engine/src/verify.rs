@@ -330,12 +330,6 @@ pub struct VerifiedReport {
     /// Checked trips exceeding the configured [`StretchBound`], sorted by
     /// request index.  Always empty when no bound was configured.
     pub violations: Vec<VerifiedTrip>,
-    /// Per-epoch breakdown of a chaos run (pre-fault / degraded /
-    /// post-repair), populated only by [`crate::chaos_report`].  Empty for
-    /// every ordinary serve, and **not** part of the wire encoding — the
-    /// `rtr-serve` REPORT record carries the flat fields only (see
-    /// `docs/PROTOCOL.md`).
-    pub epochs: Vec<crate::chaos::EpochReport>,
 }
 
 impl VerifiedReport {
@@ -369,7 +363,6 @@ impl VerifiedReport {
             (a, b) => a.or(b),
         };
         self.violations.extend(other.violations);
-        self.epochs.extend(other.epochs);
     }
 }
 
@@ -408,9 +401,10 @@ impl VerifyCost {
 /// Errors of a verified serve run.
 #[derive(Debug)]
 pub enum VerifyServeError {
-    /// A request names a node outside the plane.  The batch is rejected
+    /// A request names a node outside the plane, or routes a node to
+    /// itself (a roundtrip needs `src != dst`).  The batch is rejected
     /// before anything is served.
-    UnknownNode {
+    BadNode {
         /// Position of the first such request in the rejected batch (for the
         /// one-shot entry points, in the whole stream).
         index: usize,
@@ -432,7 +426,7 @@ impl VerifyServeError {
     /// rejected batches and simulator errors).
     pub fn report(&self) -> Option<&VerifiedReport> {
         match self {
-            VerifyServeError::UnknownNode { .. } | VerifyServeError::Sim(_) => None,
+            VerifyServeError::BadNode { .. } | VerifyServeError::Sim(_) => None,
             VerifyServeError::BoundExceeded(outcome) => Some(&outcome.report),
         }
     }
@@ -441,8 +435,13 @@ impl VerifyServeError {
 impl fmt::Display for VerifyServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            VerifyServeError::UnknownNode { index, src, dst } => {
-                write!(f, "request {index} ({src} -> {dst}) names a node outside the plane")
+            VerifyServeError::BadNode { index, src, dst } => {
+                let cause = if src == dst {
+                    "is a self-route: roundtrips need src != dst"
+                } else {
+                    "names a node outside the plane"
+                };
+                write!(f, "request {index} ({src} -> {dst}) {cause}")
             }
             VerifyServeError::Sim(e) => write!(f, "{e}"),
             VerifyServeError::BoundExceeded(outcome) => {
@@ -740,7 +739,7 @@ mod tests {
         let m = DistanceMatrix::build(plane.graph());
         let requests = Workload::Uniform.generate(12, 200, 5);
         let engine = Engine::new(EngineConfig::with_workers(2));
-        let sharded = ShardedPlane::new(plane, ShardMap::range(12, 2));
+        let sharded = ShardedPlane::new(plane, ShardMap::hashed(12, 2, 5));
 
         // An impossible ceiling (stretch < 1/2) flags every trip.
         let config = VerifyConfig::full().with_bound(StretchBound { num: 1, den: 2 });

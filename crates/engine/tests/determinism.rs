@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rtr_core::naming::NamingAssignment;
-use rtr_core::{SchemeSuite, SuiteParams};
+use rtr_core::SchemeSuite;
 use rtr_engine::{
     Engine, EngineConfig, FrozenPlane, ShardMap, ShardedPlane, VerifyConfig, Workload,
 };
@@ -81,7 +81,7 @@ proptest! {
         let g = Arc::new(strongly_connected_gnp(n, 0.12, seed).unwrap());
         let m = DistanceMatrix::build(&g);
         let names = NamingAssignment::random(n, seed ^ 0xabcd);
-        let suite = SchemeSuite::build(&g, &m, &names, SuiteParams::default());
+        let suite = SchemeSuite::build(&g, &m, &names);
         let (stretch6, exstretch, poly) = suite.into_parts();
         let frozen_names = Arc::new(names.to_names());
 

@@ -122,7 +122,7 @@ fn a_hotspot_stream_lands_entirely_on_the_owner_shard() {
 #[test]
 fn five_pool_workers_with_tiny_flushes_match_the_sequential_replay() {
     let (m, plane) = plane();
-    let sharded = ShardedPlane::new(plane.clone(), ShardMap::range(N, 6));
+    let sharded = ShardedPlane::new(plane.clone(), ShardMap::hashed(N, 6, 5));
     let requests = Workload::Zipf { exponent: 1.1 }.generate(N, 800, 9);
     let config = VerifyConfig {
         flush_pending: 3,

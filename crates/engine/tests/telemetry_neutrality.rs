@@ -10,7 +10,7 @@
 //! other test.
 
 use rtr_core::naming::NamingAssignment;
-use rtr_core::{SchemeSuite, SuiteParams};
+use rtr_core::SchemeSuite;
 use rtr_engine::{
     Engine, EngineConfig, FrozenPlane, ShardMap, ShardedPlane, StretchBound, VerifiedShardedServe,
     VerifyConfig, Workload,
@@ -56,21 +56,20 @@ fn check_plane<S: RoundtripRouting + Send + Sync>(
         // telemetry-blind.  (Wall times are schedule-dependent and excluded
         // by design.)
         for shards in [1usize, 2, 4] {
-            for map in [
-                ShardMap::hashed(plane.node_count(), shards, 0xA11CE),
-                ShardMap::range(plane.node_count(), shards),
-            ] {
-                let policy = map.policy().name();
-                let sharded = ShardedPlane::new(plane.clone(), map);
+            for seed in [0xA11CE, 0xB0B] {
+                let sharded = ShardedPlane::new(
+                    plane.clone(),
+                    ShardMap::hashed(plane.node_count(), shards, seed),
+                );
                 let (on, off): (VerifiedShardedServe, VerifiedShardedServe) =
                     with_and_without_telemetry(|| {
                         engine
                             .serve_verified_sharded(&sharded, requests, oracle, &config)
-                            .unwrap_or_else(|e| panic!("{label}/{policy}×{shards}({at}): {e}"))
+                            .unwrap_or_else(|e| panic!("{label}/{seed:#x}×{shards}({at}): {e}"))
                     });
                 assert_eq!(
                     on.report, off.report,
-                    "{label}/{policy}×{shards}({at}): telemetry changed the sharded report"
+                    "{label}/{seed:#x}×{shards}({at}): telemetry changed the sharded report"
                 );
                 let queries = |o: &VerifiedShardedServe| {
                     o.shards.iter().map(|s| (s.shard, s.queries)).collect::<Vec<_>>()
@@ -78,12 +77,12 @@ fn check_plane<S: RoundtripRouting + Send + Sync>(
                 assert_eq!(
                     queries(&on),
                     queries(&off),
-                    "{label}/{policy}×{shards}({at}): telemetry changed shard queries"
+                    "{label}/{seed:#x}×{shards}({at}): telemetry changed shard queries"
                 );
                 assert_eq!(
                     summary_key(&on.summary),
                     summary_key(&off.summary),
-                    "{label}/{policy}×{shards}({at}): telemetry changed the aggregates"
+                    "{label}/{seed:#x}×{shards}({at}): telemetry changed the aggregates"
                 );
             }
         }
@@ -97,7 +96,7 @@ fn reports_are_bit_identical_with_telemetry_on_and_off() {
     let dense = DistanceMatrix::build(&g);
     let lazy = LazyDijkstraOracle::new(&g, 6);
     let names = NamingAssignment::random(n, 0x7e57);
-    let suite = SchemeSuite::build(&g, &dense, &names, SuiteParams::default());
+    let suite = SchemeSuite::build(&g, &dense, &names);
 
     let ex_bound = suite.exstretch.paper_stretch_bound().unwrap();
     let poly_bound = suite.poly.paper_stretch_bound();

@@ -12,7 +12,7 @@
 //! comparing single runs.
 
 use rtr_core::naming::NamingAssignment;
-use rtr_core::{SchemeSuite, SuiteParams};
+use rtr_core::SchemeSuite;
 use rtr_engine::{Engine, EngineConfig, FrozenPlane, ShardMap, ShardedPlane, Workload};
 use rtr_graph::generators::strongly_connected_gnp;
 use rtr_metric::DistanceMatrix;
@@ -25,7 +25,7 @@ fn enabled_telemetry_stays_within_bounded_overhead_of_the_noop_sink() {
     let g = Arc::new(strongly_connected_gnp(n, 0.1, 7).unwrap());
     let dense = DistanceMatrix::build(&g);
     let names = NamingAssignment::random(n, 0xfeed);
-    let suite = SchemeSuite::build(&g, &dense, &names, SuiteParams::default());
+    let suite = SchemeSuite::build(&g, &dense, &names);
     let (stretch6, _, _) = suite.into_parts();
     let plane = FrozenPlane::freeze(Arc::clone(&g), stretch6, Arc::new(names.to_names()));
     let sharded = ShardedPlane::new(plane, ShardMap::hashed(n, 4, 0xA11CE));

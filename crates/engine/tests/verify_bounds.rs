@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use rtr_core::naming::NamingAssignment;
-use rtr_core::{SchemeSuite, SuiteParams};
+use rtr_core::SchemeSuite;
 use rtr_engine::{
     Engine, EngineConfig, FrozenPlane, Request, ShardMap, ShardedPlane, StretchBound, VerifyConfig,
     VerifyServeError, Workload,
@@ -160,7 +160,7 @@ proptest! {
         let g = Arc::new(scale_weights(&strongly_connected_gnp(n, 0.15, seed).unwrap(), 1000));
         let dense = DistanceMatrix::build(&g);
         let names = NamingAssignment::random(n, seed ^ 0xc0de);
-        let suite = SchemeSuite::build(&g, &dense, &names, SuiteParams::default());
+        let suite = SchemeSuite::build(&g, &dense, &names);
 
         let ex_bound = suite.exstretch.paper_stretch_bound().unwrap();
         let poly_bound = suite.poly.paper_stretch_bound();

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // All three schemes built concurrently over the one shared oracle
     // (rtr_core::SchemeSuite fans construction out across worker threads).
-    let suite = SchemeSuite::build(&g, &m, &names, SuiteParams::default());
+    let suite = SchemeSuite::build(&g, &m, &names);
     for (label, eval) in [
         ("suite/s6", SchemeEvaluation::measure(&g, &m, &names, &suite.stretch6, traffic)?),
         ("suite/ex", SchemeEvaluation::measure(&g, &m, &names, &suite.exstretch, traffic)?),

@@ -71,13 +71,12 @@ pub mod prelude {
     pub use rtr_core::naming::NamingAssignment;
     pub use rtr_core::{
         ExStretch, ExStretchParams, PolyParams, PolynomialStretch, SchemeSuite, SparseSchemeSuite,
-        SparseSuiteParams, Stretch6Params, StretchSix, SuiteParams,
+        SparseSuiteParams, Stretch6Params, StretchSix,
     };
     pub use rtr_dictionary::NodeName;
     pub use rtr_engine::{
-        Engine, EngineConfig, FrozenPlane, Request, ServeSummary, ShardMap, ShardPolicy,
-        ShardedPlane, StretchBound, VerifiedReport, VerifiedShardedServe, VerifyConfig, VerifyMode,
-        Workload,
+        Engine, EngineConfig, FrozenPlane, Request, ServeSummary, ShardMap, ShardedPlane,
+        StretchBound, VerifiedReport, VerifiedShardedServe, VerifyConfig, VerifyMode, Workload,
     };
     pub use rtr_graph::{generators, DiGraph, DiGraphBuilder, NodeId};
     pub use rtr_metric::{

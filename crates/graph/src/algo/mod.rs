@@ -1,11 +1,9 @@
-//! Graph algorithms: shortest paths, strong connectivity, traversal, oracles.
+//! Graph algorithms: shortest paths, strong connectivity, oracles.
 
 pub mod dijkstra;
 pub mod floyd;
 pub mod scc;
-pub mod traversal;
 
 pub use dijkstra::{dijkstra, dijkstra_reverse, ShortestPathTree};
 pub use floyd::floyd_warshall;
-pub use scc::{condensation, strongly_connected_components};
-pub use traversal::{bfs_order, dfs_order, reachable_from, reaches_all};
+pub use scc::strongly_connected_components;

@@ -1,19 +1,17 @@
-//! Strongly connected components (iterative Tarjan) and the condensation DAG.
+//! Strongly connected components (iterative Tarjan).
 //!
 //! Every scheme in the paper requires a strongly connected input graph
-//! (§1.1); generators use the SCC decomposition to patch arbitrary random
-//! graphs into strongly connected ones, and `DiGraph::require_strongly_connected`
-//! uses it for validation.
+//! (§1.1); `DiGraph::require_strongly_connected` uses the decomposition for
+//! validation.
 
 use crate::graph::DiGraph;
 use crate::types::NodeId;
 
 /// Computes the strongly connected components of `g`.
 ///
-/// Returns the components as vectors of node ids, in reverse topological
-/// order of the condensation (i.e. a component appears before any component
-/// it has an edge *into*... specifically Tarjan's completion order). Each node
-/// appears in exactly one component.
+/// Returns the components as vectors of node ids, in Tarjan's completion
+/// order (a component appears before every component that has an edge into
+/// it). Each node appears in exactly one component.
 ///
 /// The implementation is an iterative Tarjan so that large graphs do not
 /// overflow the call stack.
@@ -80,36 +78,6 @@ pub fn strongly_connected_components(g: &DiGraph) -> Vec<Vec<NodeId>> {
     components
 }
 
-/// The condensation of `g`: one meta-node per strongly connected component,
-/// and an (unweighted, deduplicated) edge between two components whenever some
-/// original edge crosses them.
-///
-/// Returns `(component_of_node, edges)` where `component_of_node[v]` is the
-/// index of `v`'s component in the vector returned by
-/// [`strongly_connected_components`], and `edges` lists directed component
-/// pairs.
-pub fn condensation(g: &DiGraph) -> (Vec<usize>, Vec<(usize, usize)>) {
-    let comps = strongly_connected_components(g);
-    let mut comp_of = vec![usize::MAX; g.node_count()];
-    for (ci, comp) in comps.iter().enumerate() {
-        for &v in comp {
-            comp_of[v.index()] = ci;
-        }
-    }
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for u in g.nodes() {
-        for e in g.out_edges(u) {
-            let (cu, cv) = (comp_of[u.index()], comp_of[e.to.index()]);
-            if cu != cv {
-                edges.push((cu, cv));
-            }
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    (comp_of, edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,21 +137,6 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, g.nodes().collect::<Vec<_>>());
         assert_eq!(comps.len(), 2);
-    }
-
-    #[test]
-    fn condensation_of_two_sccs() {
-        let mut b = DiGraphBuilder::new(4);
-        b.add_bidirected(NodeId(0), NodeId(1), 1).unwrap();
-        b.add_bidirected(NodeId(2), NodeId(3), 1).unwrap();
-        b.add_edge(NodeId(1), NodeId(2), 1).unwrap();
-        let g = b.build().unwrap();
-        let (comp_of, edges) = condensation(&g);
-        assert_eq!(comp_of[0], comp_of[1]);
-        assert_eq!(comp_of[2], comp_of[3]);
-        assert_ne!(comp_of[0], comp_of[2]);
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0], (comp_of[1], comp_of[2]));
     }
 
     #[test]

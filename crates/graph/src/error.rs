@@ -48,8 +48,6 @@ pub enum GraphError {
         /// The colliding port number.
         port: u32,
     },
-    /// A (de)serialization problem.
-    Serde(String),
 }
 
 impl fmt::Display for GraphError {
@@ -73,7 +71,6 @@ impl fmt::Display for GraphError {
             GraphError::DuplicatePort { node, port } => {
                 write!(f, "duplicate out-port {port} at node {node}")
             }
-            GraphError::Serde(msg) => write!(f, "serialization error: {msg}"),
         }
     }
 }

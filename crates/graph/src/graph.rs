@@ -355,26 +355,6 @@ impl DiGraphBuilder {
 }
 
 impl DiGraph {
-    /// Overwrites the port labels of the given edges (used by
-    /// [`crate::io::from_json`] to restore an explicitly stored assignment),
-    /// then re-validates per-node uniqueness.
-    pub(crate) fn reassign_ports<I: IntoIterator<Item = (NodeId, NodeId, u32)>>(
-        &mut self,
-        ports: I,
-    ) -> Result<()> {
-        for (from, to, port) in ports {
-            let edge = self
-                .out_edges
-                .get_mut(from.index())
-                .and_then(|es| es.iter_mut().find(|e| e.to == to))
-                .ok_or_else(|| {
-                    GraphError::Serde(format!("port for missing edge ({from}, {to})"))
-                })?;
-            edge.port = Port(port);
-        }
-        self.validate_ports()
-    }
-
     /// Removes the directed edge `(from, to)` in place, returning the removed
     /// edge record (including its port label) or `None` when no such edge
     /// exists.
@@ -661,14 +641,5 @@ mod tests {
         assert_eq!(g.out_degree(NodeId(1)), 0);
         assert_eq!(g.in_degree(NodeId(1)), 0);
         assert!(!g.is_strongly_connected());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let g = triangle();
-        let json = crate::io::to_json(&g).unwrap();
-        let g2: DiGraph = crate::io::from_json(&json).unwrap();
-        assert_eq!(g2.node_count(), 3);
-        assert_eq!(g2.edge_weight(NodeId(2), NodeId(0)), Some(3));
     }
 }

@@ -1,13 +1,12 @@
 //! The workspace's one JSON value, with its parser and writer.
 //!
 //! Every JSON document the repository reads or writes goes through
-//! [`JsonValue`]: graph files ([`crate::io`]), the CI baseline artifacts and
-//! their gates, telemetry exports and benchmark records.  It is hand-rolled
-//! because the build environment vendors no serde.
+//! [`JsonValue`]: the CI baseline artifacts and their gates, telemetry
+//! exports and benchmark records.  It is hand-rolled because the build
+//! environment vendors no serde.
 //!
 //! A number keeps its literal text, so [`JsonValue::as_u64`] is exact over
-//! all of `u64` (graph files carry full-range `u64` weights) while
-//! [`JsonValue::as_f64`] reads the same text as a float.  Strings carry no
+//! all of `u64` while [`JsonValue::as_f64`] reads the same text as a float.  Strings carry no
 //! escape sequences: the parser rejects a backslash and the writer refuses a
 //! string that would need one.  No document the workspace reads uses `true`,
 //! `false` or `null`, so the value has no variant for them.

@@ -11,14 +11,12 @@
 //! * [`DiGraph`] — a compact adjacency representation with per-edge ports and
 //!   integer weights, plus [`DiGraphBuilder`] for incremental construction.
 //! * [`algo`] — Dijkstra (forward and reverse), Tarjan strongly connected
-//!   components, BFS/DFS reachability, and a Floyd–Warshall oracle used by
-//!   tests.
+//!   components, and a Floyd–Warshall oracle used by tests.
 //! * [`generators`] — seeded generators for the graph families used in the
 //!   experiments (strongly connected *G(n,p)*, bidirected grids and tori,
 //!   rings, complete graphs, layered digraphs with back edges, preferential
 //!   attachment, random geometric digraphs, and the bidirected graphs used by
 //!   the §5 lower bound).
-//! * [`io`] — DOT export and JSON (de)serialization.
 //! * [`json`] — the workspace's one JSON value, parser and writer.
 //! * [`hash`] — the one deterministic hasher for tables keyed by the
 //!   program's own ids ([`hash::FxHashMap`], [`hash::FxHashSet`]).
@@ -58,7 +56,6 @@ mod error;
 pub mod generators;
 mod graph;
 pub mod hash;
-pub mod io;
 pub mod json;
 pub mod par;
 pub mod types;

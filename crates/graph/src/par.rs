@@ -10,7 +10,8 @@
 //! * `rtr_namedep`: the per-landmark columns of landmark pass 3
 //!   (`LandmarkSweep::finish`);
 //! * `rtr_core`: the per-node §2 and §3 tables of `StretchSix` and
-//!   `ExStretch`.
+//!   `ExStretch`;
+//! * `rtr_metric`: the rows of the dense `DistanceMatrix`.
 
 use std::panic::resume_unwind;
 

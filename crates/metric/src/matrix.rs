@@ -1,6 +1,7 @@
 //! All-pairs distance matrix and roundtrip distances.
 
 use rtr_graph::algo::dijkstra::distances_from_into;
+use rtr_graph::par::par_blocks_mut;
 use rtr_graph::types::saturating_dist_add;
 use rtr_graph::{DiGraph, Distance, NodeId, INFINITY};
 
@@ -8,9 +9,9 @@ use rtr_graph::{DiGraph, Distance, NodeId, INFINITY};
 /// helpers.
 ///
 /// Construction runs one forward Dijkstra per source, distributed over worker
-/// threads. Each worker owns a disjoint block of matrix rows obtained through
-/// `chunks_mut`, so the build is lock-free: no worker ever touches another
-/// worker's rows, and the result is identical for any thread count. For graph
+/// threads by [`par_blocks_mut`]. Each worker owns a disjoint block of matrix
+/// rows, so the build is lock-free: no worker ever touches another worker's
+/// rows, and the result is identical for any thread count. For graph
 /// sizes up to a few thousand nodes the dense `n²` representation is the
 /// right trade-off: every later stage (orders, neighborhoods, covers, scheme
 /// construction, stretch accounting) performs millions of random distance
@@ -27,42 +28,14 @@ impl DistanceMatrix {
     /// Builds the matrix with one distance-only Dijkstra per source, in
     /// parallel.
     pub fn build(g: &DiGraph) -> Self {
-        let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        Self::build_with_threads(g, threads)
-    }
-
-    /// Builds the matrix using at most `threads` worker threads.
-    ///
-    /// Rows are handed to workers as contiguous `chunks_mut` blocks — each
-    /// worker writes only rows it exclusively owns, so no synchronisation is
-    /// needed and single- and multi-threaded builds are bit-for-bit
-    /// identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn build_with_threads(g: &DiGraph, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one thread");
         let n = g.node_count();
-        if n == 0 {
-            return DistanceMatrix { n, dist: Vec::new() };
-        }
         let mut dist = vec![INFINITY; n * n];
-        let threads = threads.min(n);
-        let rows_per_chunk = n.div_ceil(threads);
-
-        crossbeam::scope(|scope| {
-            for (chunk_index, chunk) in dist.chunks_mut(rows_per_chunk * n).enumerate() {
-                scope.spawn(move |_| {
-                    for (offset, row) in chunk.chunks_mut(n).enumerate() {
-                        let s = chunk_index * rows_per_chunk + offset;
-                        distances_from_into(g, NodeId::from_index(s), row);
-                    }
-                });
+        let mut rows: Vec<&mut [Distance]> = dist.chunks_mut(n.max(1)).collect();
+        par_blocks_mut(&mut rows, |start, block| {
+            for (offset, row) in block.iter_mut().enumerate() {
+                distances_from_into(g, NodeId::from_index(start + offset), row);
             }
-        })
-        .expect("distance-matrix worker panicked");
-
+        });
         DistanceMatrix { n, dist }
     }
 
@@ -184,18 +157,6 @@ mod tests {
         for u in g.nodes() {
             for v in g.nodes() {
                 assert_eq!(m.distance(u, v), fw[u.index()][v.index()]);
-            }
-        }
-    }
-
-    #[test]
-    fn single_thread_matches_parallel() {
-        let g = strongly_connected_gnp(30, 0.15, 9).unwrap();
-        let a = DistanceMatrix::build_with_threads(&g, 1);
-        let b = DistanceMatrix::build_with_threads(&g, 8);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                assert_eq!(a.distance(u, v), b.distance(u, v));
             }
         }
     }

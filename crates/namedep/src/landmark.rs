@@ -2,7 +2,7 @@
 //!
 //! Construction (Cowen–Wagner / Roditty–Thorup–Zwick flavoured):
 //!
-//! * sample a landmark set `L` of ≈ `c·√(n ln n)` nodes and keep the ones
+//! * sample a landmark set `L` of `⌈√(n ln n)⌉` nodes and keep the ones
 //!   that are the nearest landmark of at least one node — only those are ever
 //!   named by a label, so the rest would be dead weight in every table;
 //! * for every kept landmark `l`, run one reverse and one forward Dijkstra
@@ -58,20 +58,20 @@ use rtr_sim::{id_bits, ForwardAction, RoutingError, TableStats};
 use rtr_trees::{HeavyPathLayout, TreeLabel, TreeNodeTable, TreeRouter, TreeStep};
 use std::sync::Arc;
 
-/// Tunables of the landmark + ball construction.
+/// Multiplier on `√n` for the per-node ball cap.
+const BALL_FACTOR: f64 = 4.0;
+
+/// Tunables of the landmark + ball construction.  The landmark target is
+/// `⌈√(n ln n)⌉` and the ball cap `⌈4√n⌉`.
 #[derive(Debug, Clone, Copy)]
 pub struct LandmarkParams {
-    /// Multiplier on `√(n ln n)` for the landmark count.
-    pub landmark_factor: f64,
-    /// Multiplier on `√n` for the per-node ball cap.
-    pub ball_factor: f64,
     /// RNG seed for the landmark sample.
     pub seed: u64,
 }
 
 impl Default for LandmarkParams {
     fn default() -> Self {
-        LandmarkParams { landmark_factor: 1.0, ball_factor: 4.0, seed: 0x1a2d_3a4c }
+        LandmarkParams { seed: 0x1a2d_3a4c }
     }
 }
 
@@ -313,9 +313,7 @@ impl LandmarkBallScheme {
     /// [`broadcast_rows`]) before calling [`LandmarkSweep::finish`].
     pub fn sweep(g: &DiGraph, params: LandmarkParams) -> LandmarkSweep<'_> {
         let n = g.node_count();
-        let target_landmarks = ((n as f64 * (n.max(2) as f64).ln()).sqrt() * params.landmark_factor)
-            .ceil()
-            .max(1.0) as usize;
+        let target_landmarks = (n as f64 * (n.max(2) as f64).ln()).sqrt().ceil().max(1.0) as usize;
         let landmark_count = target_landmarks.min(n);
 
         let mut rng = StdRng::seed_from_u64(params.seed);
@@ -324,7 +322,7 @@ impl LandmarkBallScheme {
         let mut sampled: Vec<NodeId> = all.into_iter().take(landmark_count).collect();
         sampled.sort_unstable();
 
-        let ball_cap = ((n as f64).sqrt() * params.ball_factor).ceil() as usize;
+        let ball_cap = ((n as f64).sqrt() * BALL_FACTOR).ceil() as usize;
         LandmarkSweep { g, sampled, ball_cap, slots: SweepSlots::new(n) }
     }
 
@@ -572,7 +570,7 @@ mod tests {
     fn build(n: usize, seed: u64) -> (DiGraph, DistanceMatrix, LandmarkBallScheme) {
         let g = strongly_connected_gnp(n, 0.08, seed).unwrap();
         let m = DistanceMatrix::build(&g);
-        let s = LandmarkBallScheme::build(&g, &m, LandmarkParams { seed, ..Default::default() });
+        let s = LandmarkBallScheme::build(&g, &m, LandmarkParams { seed });
         (g, m, s)
     }
 
@@ -832,7 +830,7 @@ mod tests {
         for seed in 0..8u64 {
             let g0 = strongly_connected_gnp(40, 0.12, seed).unwrap();
             let m0 = CachedSubsetOracle::new(&g0);
-            let params = LandmarkParams { seed, ..Default::default() };
+            let params = LandmarkParams { seed };
             let s0 = LandmarkBallScheme::build(&g0, &m0, params);
             let candidates: Vec<(NodeId, NodeId)> =
                 g0.nodes().flat_map(|u| g0.out_edges(u).iter().map(move |e| (u, e.to))).collect();
@@ -859,8 +857,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (g, m, _) = build(30, 9);
-        let a = LandmarkBallScheme::build(&g, &m, LandmarkParams { seed: 5, ..Default::default() });
-        let b = LandmarkBallScheme::build(&g, &m, LandmarkParams { seed: 5, ..Default::default() });
+        let a = LandmarkBallScheme::build(&g, &m, LandmarkParams { seed: 5 });
+        let b = LandmarkBallScheme::build(&g, &m, LandmarkParams { seed: 5 });
         assert_eq!(a.landmarks(), b.landmarks());
         for v in g.nodes() {
             assert_eq!(a.table_stats(v), b.table_stats(v));

@@ -42,7 +42,7 @@ impl ExactOracleScheme {
     ///
     /// Panics if the graph is not strongly connected.
     pub fn build(g: &DiGraph) -> Self {
-        g.require_strongly_connected().expect("oracle substrate requires strong connectivity");
+        g.require_strongly_connected().unwrap_or_else(|e| panic!("ExactOracleScheme::build: {e}"));
         let n = g.node_count();
         let mut next_port = Vec::with_capacity(n);
         for t in g.nodes() {
@@ -157,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strong connectivity")]
+    #[should_panic(expected = "not strongly connected")]
     fn rejects_disconnected_graphs() {
         let mut b = rtr_graph::DiGraphBuilder::new(3);
         b.add_edge(NodeId(0), NodeId(1), 1).unwrap();

@@ -603,8 +603,6 @@ fn decode_report_body(r: &mut Reader<'_>) -> Result<VerifiedReport, WireError> {
     for _ in 0..violations_len {
         violations.push(read_trip(r)?);
     }
-    // The wire record carries the flat report only; chaos epoch breakdowns
-    // never cross the protocol (`VerifiedReport::epochs` stays empty).
     Ok(VerifiedReport {
         queries,
         checked,
@@ -613,7 +611,6 @@ fn decode_report_body(r: &mut Reader<'_>) -> Result<VerifiedReport, WireError> {
         histogram,
         worst,
         violations,
-        epochs: Vec::new(),
     })
 }
 
@@ -741,7 +738,6 @@ mod tests {
             histogram: StretchHistogram::from_nonzero_buckets(&[(32, 4), (96, 3)]).unwrap(),
             worst: Some(trip),
             violations: vec![trip],
-            epochs: Vec::new(),
         };
         let bytes = encode_response(&WireResponse::Report(report.clone()));
         assert_eq!(decode_response(&bytes).unwrap(), WireResponse::Report(report));

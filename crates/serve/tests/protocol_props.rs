@@ -69,7 +69,6 @@ fn report_from(seed: u64, entries: usize, violations: usize) -> VerifiedReport {
         histogram,
         worst: if mix(94) % 2 == 0 { Some(trip_from(mix(95))) } else { None },
         violations: (0..violations).map(|i| trip_from(mix(100 + i as u64))).collect(),
-        epochs: Vec::new(),
     }
 }
 

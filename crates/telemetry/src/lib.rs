@@ -16,10 +16,9 @@
 //!    stages, verify flushes) and touch a mutex only on completion.
 //! 2. **Neutrality.**  Telemetry observes, it never steers: enabling or
 //!    disabling it must leave every deterministic report bit-identical
-//!    (`rtr-engine` has a property test for exactly this).  The runtime
-//!    no-op sink ([`set_enabled`]`(false)`) turns every write into a single
-//!    relaxed load-and-branch; the `telemetry-off` cargo feature compiles
-//!    the writes out entirely.
+//!    (`rtr-engine` has a property test for exactly this).  The off switch,
+//!    the runtime no-op sink ([`set_enabled`]`(false)`), turns every write
+//!    into a single relaxed load-and-branch.
 //! 3. **No registry access at build time.**  Export is hand-rolled JSON
 //!    ([`Registry::to_json`]) and a human-readable span tree
 //!    ([`Registry::span_report`]), consistent with the rest of the
@@ -66,10 +65,9 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether instrumentation is live: the runtime switch is on **and** the
-/// crate was not compiled with the `telemetry-off` feature.
+/// Whether instrumentation is live: the runtime switch is on.
 pub fn enabled() -> bool {
-    cfg!(not(feature = "telemetry-off")) && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// The counter `name` in the global registry (cheap to clone; cache the
