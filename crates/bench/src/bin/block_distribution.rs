@@ -2,12 +2,13 @@
 //! distribution. Verifies coverage from scratch and reports blocks per node
 //! against the O(log n) guarantee, plus the number of repair insertions.
 
-use rtr_bench::{banner, instance, ExperimentConfig};
+use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_dictionary::{AddressSpace, BlockDistribution, DistributionParams};
 use rtr_graph::generators::Family;
 use rtr_metric::RoundtripOrder;
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[64, 144, 256, 400], 3, 0);
 
     banner("E3: block distribution (Lemma 1: k=2, Lemma 4: k=3,4)");

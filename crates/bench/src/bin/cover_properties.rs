@@ -2,11 +2,12 @@
 //! tree membership, radius blow-up) against the theoretical bounds
 //! `2k·n^{1/k}` and `2k − 1`.
 
-use rtr_bench::{banner, instance, ExperimentConfig};
+use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_cover::{CoverStats, DoubleTreeCover};
 use rtr_graph::generators::Family;
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[64, 128, 256], 2, 0);
 
     banner("E7: double-tree covers (Theorem 13)");

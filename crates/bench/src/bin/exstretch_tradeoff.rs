@@ -3,13 +3,14 @@
 //! bound (β = 1 for the oracle substrate, β = 4(2k_c−1) for the tree-cover
 //! substrate) and dictionary size against n^{1/k}.
 
-use rtr_bench::{banner, instance, ExperimentConfig};
+use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_core::analysis::SchemeEvaluation;
 use rtr_core::{ExStretch, ExStretchParams};
 use rtr_graph::generators::Family;
 use rtr_namedep::{ExactOracleScheme, NameDependentSubstrate, TreeCoverScheme};
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[128, 256], 1, 2500);
 
     banner("E4: ExStretch with the exact-oracle substrate (bound 2^k - 1)");

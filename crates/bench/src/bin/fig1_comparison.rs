@@ -3,7 +3,7 @@
 //! stretch), with the paper's stated bounds next to the measured behaviour of
 //! this reproduction.
 
-use rtr_bench::{banner, instance, ExperimentConfig};
+use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_core::analysis::SchemeEvaluation;
 use rtr_core::{
     ExStretch, ExStretchParams, PolyParams, PolynomialStretch, Stretch6Params, StretchSix,
@@ -12,6 +12,7 @@ use rtr_graph::generators::Family;
 use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams, TreeCoverScheme};
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[64, 128, 256], 1, 3000);
 
     banner("Fig. 1 (paper, stated bounds)");

@@ -2,7 +2,7 @@
 //! writes, against the paper's `O(log² n)` (stretch-6, polynomial) and
 //! `o(k·log² n)` (exponential) accounting.
 
-use rtr_bench::{banner, instance, ExperimentConfig};
+use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_core::analysis::SchemeEvaluation;
 use rtr_core::{
     ExStretch, ExStretchParams, PolyParams, PolynomialStretch, Stretch6Params, StretchSix,
@@ -12,6 +12,7 @@ use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams};
 use rtr_sim::id_bits;
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[64, 128, 256, 512], 1, 1500);
 
     banner("E12: maximum header bits per scheme");

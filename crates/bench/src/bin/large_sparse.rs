@@ -15,10 +15,11 @@
 //! * construction wall-clock per phase and sampled roundtrip stretch, so the
 //!   scaling numbers come with correctness evidence attached.
 //!
-//! Environment: `RTR_N` (default 10 000), `RTR_CACHE` (default `n/50`),
-//! `RTR_PAIRS` (default 200 sampled roundtrips).
+//! Environment: `RTR_N` (default 10 000), `RTR_CACHE` (default
+//! `max(n/50, 16)`), `RTR_PAIRS` (default 200 sampled roundtrips); any other
+//! `RTR_*` variable ends the run.
 
-use rtr_bench::{banner, env_or};
+use rtr_bench::{banner, env_or, reject_unread_env};
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{Stretch6Params, StretchSix};
 use rtr_graph::generators::ring_with_chords;
@@ -29,6 +30,7 @@ use rtr_sim::{RoundtripRouting, Simulator};
 use std::time::Instant;
 
 fn main() {
+    reject_unread_env(&["RTR_N", "RTR_CACHE", "RTR_PAIRS"]);
     let n = env_or("RTR_N", 10_000);
     let cache_rows = env_or("RTR_CACHE", (n / 50).max(16));
     let sample_pairs = env_or("RTR_PAIRS", 200usize);

@@ -3,7 +3,7 @@
 //! places the implemented schemes' (table bits, measured stretch) points
 //! against the `o(n) tables ⇒ stretch ≥ 2` frontier.
 
-use rtr_bench::{banner, ExperimentConfig};
+use rtr_bench::{banner, reject_unread_env, ExperimentConfig};
 use rtr_core::analysis::{PairSelection, SchemeEvaluation};
 use rtr_core::lowerbound::{
     hard_bidirected_instance, is_distance_symmetric, linear_table_reference_bits,
@@ -15,6 +15,7 @@ use rtr_metric::DistanceMatrix;
 use rtr_namedep::{LandmarkBallScheme, LandmarkParams};
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[32, 64, 128], 1, 2500);
 
     banner("E10: Theorem 15 — reduction premises and the stretch >= 2 frontier");

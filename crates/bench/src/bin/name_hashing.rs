@@ -4,10 +4,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtr_bench::{banner, ExperimentConfig};
+use rtr_bench::{banner, reject_unread_env, ExperimentConfig};
 use rtr_dictionary::naming::NameRegistry;
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[256, 1024, 4096, 16384], 5, 0);
 
     banner("E11: name hashing reduction (universal hashing into {0..n-1})");

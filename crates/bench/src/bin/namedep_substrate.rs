@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rtr_bench::{banner, instance, ExperimentConfig};
+use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_graph::generators::Family;
 use rtr_graph::{DiGraph, NodeId};
 use rtr_metric::DistanceMatrix;
@@ -68,6 +68,7 @@ fn measure<S: NameDependentSubstrate>(
 }
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[64, 128, 256], 1, 3000);
 
     banner("E9: name-dependent substrates (roundtrip stretch, Lemma 2 rate, tables)");

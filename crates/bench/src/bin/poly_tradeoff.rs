@@ -2,12 +2,13 @@
 //! measured stretch against the `8k² + 4k − 4` bound and table sizes against
 //! `k²·n^{2/k}·log RTDiam`.
 
-use rtr_bench::{banner, instance, ExperimentConfig};
+use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_core::analysis::SchemeEvaluation;
 use rtr_core::{PolyParams, PolynomialStretch};
 use rtr_graph::generators::Family;
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[64, 128, 256], 1, 2000);
 
     banner("E5: PolynomialStretch (bound 8k^2 + 4k - 4)");

@@ -2,13 +2,14 @@
 //! several graph families. Reports the stretch distribution (must stay ≤ 6
 //! with the oracle substrate) and table-size scaling against √n·log n.
 
-use rtr_bench::{banner, instance, ExperimentConfig};
+use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_core::analysis::SchemeEvaluation;
 use rtr_core::{Stretch6Params, StretchSix};
 use rtr_graph::generators::Family;
 use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams};
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[64, 128, 256, 512], 2, 2500);
 
     banner("E2: stretch-6 scheme, oracle substrate (hard bound: 6)");

@@ -6,13 +6,14 @@
 //! budget (the exponential scheme instantiated with k/2 digits so both use
 //! Õ(n^{2/k}) space).
 
-use rtr_bench::{banner, instance, ExperimentConfig};
+use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_core::analysis::SchemeEvaluation;
 use rtr_core::{ExStretch, ExStretchParams, PolyParams, PolynomialStretch};
 use rtr_graph::generators::Family;
 use rtr_namedep::ExactOracleScheme;
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[128], 1, 2000);
     let epsilon = 1.0f64;
 

@@ -2,12 +2,13 @@
 //! sizes against O(log² n), light-edge depth against log₂ n, and verifies
 //! that every root-to-node route is optimal on the tree.
 
-use rtr_bench::{banner, instance, ExperimentConfig};
+use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_graph::generators::Family;
 use rtr_graph::NodeId;
 use rtr_trees::{OutTree, TreeRouter, TreeStep};
 
 fn main() {
+    reject_unread_env(&ExperimentConfig::ENV);
     let cfg = ExperimentConfig::from_env(&[128, 256, 512, 1024], 2, 0);
 
     banner("E8: tree routing (Lemma 14)");

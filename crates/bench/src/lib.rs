@@ -9,17 +9,18 @@
 //! Every binary is configured through `RTR_*` environment variables, read
 //! with [`env_or`], [`env_opt`] and [`env_list`]: a malformed value ends the
 //! run with a message naming the variable rather than falling back to a
-//! default, and the three baseline-gated binaries also end on any `RTR_*`
-//! variable they do not read ([`reject_unread_env`]).  The small sweep
-//! experiments share
+//! default, and every experiment binary also ends on any `RTR_*` variable
+//! it does not read ([`reject_unread_env`]).  The twelve sweep experiments
+//! read [`ExperimentConfig::ENV`]:
 //!
-//! * `RTR_SIZES` — comma-separated node counts (default per experiment),
-//! * `RTR_SEEDS` — number of seeds to average over (default 3),
-//! * `RTR_PAIRS` — roundtrip requests sampled per configuration (default
-//!   2000, or all pairs when the graph is small enough),
+//! * `RTR_SIZES` — comma-separated node counts,
+//! * `RTR_SEEDS` — number of seeds to average over,
+//! * `RTR_PAIRS` — roundtrip requests sampled per configuration (all pairs
+//!   when the graph is small enough),
 //!
-//! so the same code scales from a quick smoke run to a full sweep;
-//! `docs/OPERATIONS.md` lists every variable of the serving binaries.
+//! each with defaults of its own (seeds 1 to 5, pairs 0 to 3000), so the
+//! same code scales from a quick smoke run to a full sweep;
+//! `docs/OPERATIONS.md` lists every binary's variables and defaults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +51,10 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
+    /// The variables [`ExperimentConfig::from_env`] reads: what a sweep
+    /// experiment's `main` passes to [`reject_unread_env`].
+    pub const ENV: [&'static str; 3] = ["RTR_SIZES", "RTR_SEEDS", "RTR_PAIRS"];
+
     /// Reads the configuration from `RTR_SIZES`, `RTR_SEEDS` and `RTR_PAIRS`,
     /// falling back to the given defaults (also for an empty `RTR_SIZES`).
     pub fn from_env(default_sizes: &[usize], default_seeds: u64, default_pairs: usize) -> Self {

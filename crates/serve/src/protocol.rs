@@ -620,6 +620,11 @@ fn decode_report_body(r: &mut Reader<'_>) -> Result<VerifiedReport, WireError> {
 /// Writes one frame: a 4-byte big-endian payload length, then the payload,
 /// then a flush.
 ///
+/// Prefix and payload go to `w` in one `write_all` of one buffer, so on a
+/// `TCP_NODELAY` socket a frame that fits a segment leaves as one segment
+/// and the peer wakes once per frame, not once for the prefix and again
+/// for the payload.  Receivers must still accept frames split across reads.
+///
 /// # Panics
 ///
 /// If the payload exceeds `u32::MAX` bytes (callers bound payloads far
@@ -630,8 +635,10 @@ fn decode_report_body(r: &mut Reader<'_>) -> Result<VerifiedReport, WireError> {
 /// Any I/O error from the underlying writer.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len()).expect("frame payload exceeds u32::MAX");
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -775,5 +782,36 @@ mod tests {
         buf.truncate(7);
         let mut cursor = io::Cursor::new(buf);
         assert_eq!(read_frame(&mut cursor, 16).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// Accepts every byte it is offered and counts the write calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_call() {
+        for len in [0, 27, 64 << 10] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte payload");
+            assert_eq!(w.bytes[..4], (len as u32).to_be_bytes());
+            assert_eq!(w.bytes[4..], payload[..]);
+        }
     }
 }

@@ -363,6 +363,55 @@ fn oversized_frames_close_the_connection_with_too_large() {
     });
 }
 
+/// `write_frame` sends a frame in one write, but the server must not rely
+/// on that: a `ROUTE` frame that arrives in three pieces gets the reply, and
+/// leaves the session report, that it would get arriving whole.
+#[test]
+fn frames_split_across_writes_are_served_as_whole_frames() {
+    let fx = fixture(12, 2);
+    let frames = [pair(31), pair(32)].map(|(src, dst)| {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &encode_request(&WireRequest::Route { src, dst })).expect("frame");
+        frame
+    });
+    // Sends both frames, the first cut at `cuts`, and returns the replies.
+    // The pauses let the server's reads see each piece on its own.
+    let session = |cuts: &[usize]| {
+        with_server(&fx, ServeConfig::default(), |addr| {
+            let mut raw = TcpStream::connect(addr).expect("connect raw");
+            raw.set_nodelay(true).expect("nodelay");
+            let mut at = 0;
+            for &cut in cuts {
+                raw.write_all(&frames[0][at..cut]).expect("write piece");
+                at = cut;
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            raw.write_all(&frames[0][at..]).expect("write rest");
+            raw.write_all(&frames[1]).expect("write whole");
+            let replies: Vec<WireResponse> = (0..frames.len())
+                .map(|_| {
+                    let frame = read_frame(&mut raw, MAX_FRAME_LEN).expect("read").expect("reply");
+                    decode_response(&frame).expect("decode")
+                })
+                .collect();
+            Client::connect(addr).expect("connect").shutdown().expect("shutdown");
+            replies
+        })
+    };
+    // Two prefix bytes; the other two and one payload byte; the rest.
+    let (split_outcome, split) = session(&[2, 5]);
+    let (whole_outcome, whole) = session(&[]);
+    assert_eq!(split, whole);
+    for (i, reply) in split.iter().enumerate() {
+        match reply {
+            WireResponse::Route(route) => assert_eq!(route.index, i as u64),
+            other => panic!("frame {i}: expected a route, got {other:?}"),
+        }
+    }
+    assert_eq!(split_outcome.verified.report, whole_outcome.verified.report);
+    assert_eq!(split_outcome.served, 2);
+}
+
 /// Rebuilds the served stream from `(index, src, dst)` reply records,
 /// asserting that every index from 0 up appears exactly once.
 fn rebuild_stream(log: &[(u64, u32, u32)]) -> Vec<Request> {
