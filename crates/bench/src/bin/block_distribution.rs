@@ -8,8 +8,8 @@ use rtr_graph::generators::Family;
 use rtr_metric::RoundtripOrder;
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[64, 144, 256, 400], 3, 0);
+    let cfg = ExperimentConfig::from_env(&[64, 144, 256, 400], Some(3), None);
+    reject_unread_env(&cfg.env());
 
     banner("E3: block distribution (Lemma 1: k=2, Lemma 4: k=3,4)");
     println!(
@@ -19,7 +19,7 @@ fn main() {
     for family in [Family::Gnp, Family::Grid] {
         for &n in &cfg.sizes {
             for k in [2u32, 3, 4] {
-                for seed in 0..cfg.seeds {
+                for seed in 0..cfg.seeds() {
                     let inst = instance(family, n, seed);
                     let order = RoundtripOrder::build(&inst.metric);
                     let space = AddressSpace::new(inst.graph.node_count(), k);

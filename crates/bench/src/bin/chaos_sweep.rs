@@ -2,7 +2,7 @@
 //! serving, and incremental substrate repair, gated as the fourth CI
 //! baseline (`BENCH_chaos.json`).
 //!
-//! The run builds the sparse §2+§3 substrate once as a
+//! The run builds the sparse suite's artifacts once as a
 //! [`SparseRepairKit`] over a `ring_with_chords` graph, then for each
 //! **failure fraction** injects a seeded [`FaultPlan`] and serves three
 //! fully-verified epochs of the §3 plane through the tolerant engine
@@ -14,10 +14,11 @@
 //!    Routes crossing a removed chord fail ([`FailedPair`]s), surviving
 //!    routes may exceed the ceiling; both are the measurement, recorded per
 //!    fraction as the success rate and worst verified stretch;
-//! 3. **post-repair** — schemes minted from
+//! 3. **post-repair** — the §3 scheme minted from
 //!    [`SparseRepairKit::repair`] on the rebased oracle; must be perfectly
 //!    clean again, and [`chaos_report`] records which degraded-window
-//!    offenders the repair restored.
+//!    offenders the repair restored.  The repair line on stdout also names
+//!    how many landmark columns the repair recomputed rather than carried.
 //!
 //! **Topology.** The graph is `ring_with_chords_weighted`: ring weights in
 //! the default range, chord weights widened to `1..=256`.  Chords heavier
@@ -227,7 +228,7 @@ fn main() {
     let m0 = CachedSubsetOracle::new(&g0);
     let kit = SparseRepairKit::build(&g0, &m0, SparseSuiteParams::default());
     let names = NamingAssignment::random(n, seed ^ 0x7e57);
-    let (_s6, sx) = kit.schemes(&g0, &m0, &names);
+    let (_, sx) = kit.schemes(&g0, &m0, &names);
     let bound = sx.paper_stretch_bound().expect("tree-cover substrate carries a proven stretch");
     let frozen_names = Arc::new(names.to_names());
     let pre_plane = FrozenPlane::freeze(Arc::clone(&g0), sx, Arc::clone(&frozen_names));
@@ -323,13 +324,17 @@ fn main() {
         }
         println!(
             "repair: {} dirty nodes, {} rows recomputed vs {} full-rebuild rows \
-             ({:.1}%), {} clusters re-anchored, {} balls repaired, {:.2} ms",
+             ({:.1}%), {} clusters re-anchored, {} balls repaired, landmark columns \
+             recomputed {} forward / {} reverse of {}, {:.2} ms",
             rstats.dirty_nodes,
             rstats.rows_recomputed,
             full_rebuild_rows,
             100.0 * rstats.rows_recomputed as f64 / full_rebuild_rows as f64,
             rstats.clusters_reanchored,
             rstats.balls_repaired,
+            rstats.landmark_fwd_columns,
+            rstats.landmark_rev_columns,
+            kit1.landmark().landmarks().len(),
             rstats.epoch_ns as f64 / 1e6
         );
         if rstats.rows_recomputed as f64 > REPAIR_ROW_BUDGET * full_rebuild_rows as f64 {
@@ -341,7 +346,7 @@ fn main() {
             ));
         }
 
-        let (_s6r, sxr) = kit1.schemes(&g1, &m1, &names);
+        let (_, sxr) = kit1.schemes(&g1, &m1, &names);
         let degraded_plane = pre_plane.clone().with_graph(Arc::clone(&g1));
         let post_plane = FrozenPlane::freeze(Arc::clone(&g1), sxr, Arc::clone(&frozen_names));
 

@@ -7,8 +7,8 @@ use rtr_cover::{CoverStats, DoubleTreeCover};
 use rtr_graph::generators::Family;
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[64, 128, 256], 2, 0);
+    let cfg = ExperimentConfig::from_env(&[64, 128, 256], Some(2), None);
+    reject_unread_env(&cfg.env());
 
     banner("E7: double-tree covers (Theorem 13)");
     println!(
@@ -18,7 +18,7 @@ fn main() {
     for family in [Family::Gnp, Family::Grid, Family::ScaleFree] {
         for &n in &cfg.sizes {
             for k in [2u32, 3] {
-                for seed in 0..cfg.seeds {
+                for seed in 0..cfg.seeds() {
                     let inst = instance(family, n, seed);
                     let cover = DoubleTreeCover::build(&inst.graph, &inst.metric, k);
                     let stats = CoverStats::measure(&cover, inst.graph.node_count());

@@ -10,8 +10,8 @@ use rtr_graph::generators::Family;
 use rtr_namedep::{ExactOracleScheme, NameDependentSubstrate, TreeCoverScheme};
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[128, 256], 1, 2500);
+    let cfg = ExperimentConfig::from_env(&[128, 256], None, Some(2500));
+    reject_unread_env(&cfg.env());
 
     banner("E4: ExStretch with the exact-oracle substrate (bound 2^k - 1)");
     println!(

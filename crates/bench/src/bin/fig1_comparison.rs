@@ -12,8 +12,8 @@ use rtr_graph::generators::Family;
 use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams, TreeCoverScheme};
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[64, 128, 256], 1, 3000);
+    let cfg = ExperimentConfig::from_env(&[64, 128, 256], None, Some(3000));
+    reject_unread_env(&cfg.env());
 
     banner("Fig. 1 (paper, stated bounds)");
     println!(

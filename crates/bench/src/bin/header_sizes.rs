@@ -12,8 +12,8 @@ use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams};
 use rtr_sim::id_bits;
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[64, 128, 256, 512], 1, 1500);
+    let cfg = ExperimentConfig::from_env(&[64, 128, 256, 512], None, Some(1500));
+    reject_unread_env(&cfg.env());
 
     banner("E12: maximum header bits per scheme");
     println!(

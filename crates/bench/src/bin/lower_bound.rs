@@ -4,7 +4,7 @@
 //! against the `o(n) tables ⇒ stretch ≥ 2` frontier.
 
 use rtr_bench::{banner, reject_unread_env, ExperimentConfig};
-use rtr_core::analysis::{PairSelection, SchemeEvaluation};
+use rtr_core::analysis::SchemeEvaluation;
 use rtr_core::lowerbound::{
     hard_bidirected_instance, is_distance_symmetric, linear_table_reference_bits,
     roundtrip_stretch_from_oneway,
@@ -15,8 +15,8 @@ use rtr_metric::DistanceMatrix;
 use rtr_namedep::{LandmarkBallScheme, LandmarkParams};
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[32, 64, 128], 1, 2500);
+    let cfg = ExperimentConfig::from_env(&[32, 64, 128], None, Some(2500));
+    reject_unread_env(&cfg.env());
 
     banner("E10: Theorem 15 — reduction premises and the stretch >= 2 frontier");
     println!(
@@ -43,11 +43,7 @@ fn main() {
             LandmarkBallScheme::build(&g, &dm, LandmarkParams::default()),
             Stretch6Params::default(),
         );
-        let selection = if g.node_count() * (g.node_count() - 1) <= cfg.pairs {
-            PairSelection::AllPairs
-        } else {
-            PairSelection::Sampled { count: cfg.pairs, seed: 1 }
-        };
+        let selection = cfg.selection(g.node_count(), 1);
         let eval = SchemeEvaluation::measure(&g, &dm, &names, &s6, selection).unwrap();
         println!(
             "{:<8} {:>10} {:>12} {:>14} {:>12} {:>12.3} {:>12.3}",

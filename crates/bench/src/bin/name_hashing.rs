@@ -8,8 +8,8 @@ use rtr_bench::{banner, reject_unread_env, ExperimentConfig};
 use rtr_dictionary::naming::NameRegistry;
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[256, 1024, 4096, 16384], 5, 0);
+    let cfg = ExperimentConfig::from_env(&[256, 1024, 4096, 16384], Some(5), None);
+    reject_unread_env(&cfg.env());
 
     banner("E11: name hashing reduction (universal hashing into {0..n-1})");
     println!(
@@ -17,7 +17,7 @@ fn main() {
         "n", "seed", "max-bucket", "collision-slots", "excess-entries", "blowup"
     );
     for &n in &cfg.sizes {
-        for seed in 0..cfg.seeds {
+        for seed in 0..cfg.seeds() {
             // Adversarial-ish original names: clustered 64-bit values.
             let mut rng = StdRng::seed_from_u64(seed);
             let mut names: Vec<u64> = Vec::with_capacity(n);

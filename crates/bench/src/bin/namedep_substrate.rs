@@ -68,8 +68,8 @@ fn measure<S: NameDependentSubstrate>(
 }
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[64, 128, 256], 1, 3000);
+    let cfg = ExperimentConfig::from_env(&[64, 128, 256], None, Some(3000));
+    reject_unread_env(&cfg.env());
 
     banner("E9: name-dependent substrates (roundtrip stretch, Lemma 2 rate, tables)");
     println!(
@@ -96,7 +96,7 @@ fn main() {
             }
         }
         pairs.shuffle(&mut StdRng::seed_from_u64(4));
-        pairs.truncate(cfg.pairs);
+        pairs.truncate(cfg.pairs());
 
         let oracle = ExactOracleScheme::build(g);
         measure("exact-oracle", g, m, &oracle, &pairs);

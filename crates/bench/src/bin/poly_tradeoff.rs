@@ -8,8 +8,8 @@ use rtr_core::{PolyParams, PolynomialStretch};
 use rtr_graph::generators::Family;
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[64, 128, 256], 1, 2000);
+    let cfg = ExperimentConfig::from_env(&[64, 128, 256], None, Some(2000));
+    reject_unread_env(&cfg.env());
 
     banner("E5: PolynomialStretch (bound 8k^2 + 4k - 4)");
     println!(

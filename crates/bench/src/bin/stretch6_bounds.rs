@@ -9,8 +9,8 @@ use rtr_graph::generators::Family;
 use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams};
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[64, 128, 256, 512], 2, 2500);
+    let cfg = ExperimentConfig::from_env(&[64, 128, 256, 512], Some(2), Some(2500));
+    reject_unread_env(&cfg.env());
 
     banner("E2: stretch-6 scheme, oracle substrate (hard bound: 6)");
     println!(
@@ -19,7 +19,7 @@ fn main() {
     );
     for family in [Family::Gnp, Family::Grid, Family::RingChords, Family::ScaleFree] {
         for &n in &cfg.sizes {
-            for seed in 0..cfg.seeds {
+            for seed in 0..cfg.seeds() {
                 let inst = instance(family, n, seed);
                 let (g, m, names) = (&inst.graph, &inst.metric, &inst.names);
                 let scheme = StretchSix::build(

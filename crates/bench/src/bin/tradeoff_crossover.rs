@@ -13,8 +13,8 @@ use rtr_graph::generators::Family;
 use rtr_namedep::ExactOracleScheme;
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[128], 1, 2000);
+    let cfg = ExperimentConfig::from_env(&[128], None, Some(2000));
+    reject_unread_env(&cfg.env());
     let epsilon = 1.0f64;
 
     banner("E6: analytic crossover of the two tradeoff branches");

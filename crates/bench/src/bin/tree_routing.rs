@@ -8,8 +8,8 @@ use rtr_graph::NodeId;
 use rtr_trees::{OutTree, TreeRouter, TreeStep};
 
 fn main() {
-    reject_unread_env(&ExperimentConfig::ENV);
-    let cfg = ExperimentConfig::from_env(&[128, 256, 512, 1024], 2, 0);
+    let cfg = ExperimentConfig::from_env(&[128, 256, 512, 1024], Some(2), None);
+    reject_unread_env(&cfg.env());
 
     banner("E8: tree routing (Lemma 14)");
     println!(
@@ -18,7 +18,7 @@ fn main() {
     );
     for family in [Family::Gnp, Family::Grid, Family::ScaleFree] {
         for &n in &cfg.sizes {
-            for seed in 0..cfg.seeds {
+            for seed in 0..cfg.seeds() {
                 let inst = instance(family, n, seed);
                 let g = &inst.graph;
                 let root = NodeId(0);

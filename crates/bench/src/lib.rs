@@ -11,14 +11,15 @@
 //! run with a message naming the variable rather than falling back to a
 //! default, and every experiment binary also ends on any `RTR_*` variable
 //! it does not read ([`reject_unread_env`]).  The twelve sweep experiments
-//! read [`ExperimentConfig::ENV`]:
+//! read, through [`ExperimentConfig`], only the variables they use:
 //!
-//! * `RTR_SIZES` — comma-separated node counts,
-//! * `RTR_SEEDS` — number of seeds to average over,
-//! * `RTR_PAIRS` — roundtrip requests sampled per configuration (all pairs
-//!   when the graph is small enough),
+//! * `RTR_SIZES` — comma-separated node counts (every sweep),
+//! * `RTR_SEEDS` — number of seeds per configuration (the five sweeps that
+//!   repeat a configuration over seeds),
+//! * `RTR_PAIRS` — roundtrip requests sampled per configuration, all pairs
+//!   when the graph is small enough (the eight sweeps that route pairs),
 //!
-//! each with defaults of its own (seeds 1 to 5, pairs 0 to 3000), so the
+//! each with defaults of its own (seeds 2 to 5, pairs 1500 to 3000), so the
 //! same code scales from a quick smoke run to a full sweep;
 //! `docs/OPERATIONS.md` lists every binary's variables and defaults.
 
@@ -39,40 +40,70 @@ use std::str::FromStr;
 
 pub mod baseline;
 
-/// Shared experiment configuration read from the environment.
+/// A sweep experiment's configuration, read from the environment: the node
+/// counts, and the seed count and pair budget of the experiments that use
+/// them.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Node counts to sweep.
     pub sizes: Vec<usize>,
-    /// Number of random seeds per configuration.
-    pub seeds: u64,
-    /// Roundtrip requests per configuration.
-    pub pairs: usize,
+    seeds: Option<u64>,
+    pairs: Option<usize>,
 }
 
 impl ExperimentConfig {
-    /// The variables [`ExperimentConfig::from_env`] reads: what a sweep
-    /// experiment's `main` passes to [`reject_unread_env`].
-    pub const ENV: [&'static str; 3] = ["RTR_SIZES", "RTR_SEEDS", "RTR_PAIRS"];
-
-    /// Reads the configuration from `RTR_SIZES`, `RTR_SEEDS` and `RTR_PAIRS`,
-    /// falling back to the given defaults (also for an empty `RTR_SIZES`).
-    pub fn from_env(default_sizes: &[usize], default_seeds: u64, default_pairs: usize) -> Self {
+    /// Reads `RTR_SIZES`, falling back to `default_sizes` (also for an empty
+    /// value), and `RTR_SEEDS` and `RTR_PAIRS` only for an experiment that
+    /// gives them a default: one that passes `None` leaves the variable
+    /// unread, and [`env`](Self::env) does not list it.
+    pub fn from_env(
+        default_sizes: &[usize],
+        default_seeds: Option<u64>,
+        default_pairs: Option<usize>,
+    ) -> Self {
         let sizes = Some(env_list("RTR_SIZES", Vec::new()))
             .filter(|v| !v.is_empty())
             .unwrap_or_else(|| default_sizes.to_vec());
-        let seeds = env_or("RTR_SEEDS", default_seeds);
-        let pairs = env_or("RTR_PAIRS", default_pairs);
+        let seeds = default_seeds.map(|default| env_or("RTR_SEEDS", default));
+        let pairs = default_pairs.map(|default| env_or("RTR_PAIRS", default));
         ExperimentConfig { sizes, seeds, pairs }
+    }
+
+    /// The variables this configuration reads: what the experiment's `main`
+    /// passes to [`reject_unread_env`].
+    pub fn env(&self) -> Vec<&'static str> {
+        let mut read = vec!["RTR_SIZES"];
+        read.extend(self.seeds.map(|_| "RTR_SEEDS"));
+        read.extend(self.pairs.map(|_| "RTR_PAIRS"));
+        read
+    }
+
+    /// Number of random seeds per configuration (`RTR_SEEDS`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the experiment gave `RTR_SEEDS` no default, so never read it.
+    pub fn seeds(&self) -> u64 {
+        self.seeds.expect("the experiment reads RTR_SEEDS")
+    }
+
+    /// Roundtrip requests per configuration (`RTR_PAIRS`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the experiment gave `RTR_PAIRS` no default, so never read it.
+    pub fn pairs(&self) -> usize {
+        self.pairs.expect("the experiment reads RTR_PAIRS")
     }
 
     /// The pair-selection policy for a graph of `n` nodes: all pairs when that
     /// is no more work than the sample budget, otherwise a seeded sample.
     pub fn selection(&self, n: usize, seed: u64) -> PairSelection {
-        if n * (n - 1) <= self.pairs {
+        let pairs = self.pairs();
+        if n * (n - 1) <= pairs {
             PairSelection::AllPairs
         } else {
-            PairSelection::Sampled { count: self.pairs, seed }
+            PairSelection::Sampled { count: pairs, seed }
         }
     }
 }
@@ -214,10 +245,23 @@ mod tests {
 
     #[test]
     fn config_defaults_apply() {
-        let cfg = ExperimentConfig::from_env(&[64, 128], 3, 500);
+        let cfg = ExperimentConfig::from_env(&[64, 128], Some(3), Some(500));
         assert!(!cfg.sizes.is_empty());
-        assert!(cfg.seeds >= 1);
-        assert!(cfg.pairs >= 1);
+        assert!(cfg.seeds() >= 1);
+        assert!(cfg.pairs() >= 1);
+    }
+
+    #[test]
+    fn a_config_lists_only_the_variables_it_reads() {
+        let config = |seeds, pairs| ExperimentConfig { sizes: vec![64], seeds, pairs };
+        assert_eq!(config(Some(2), Some(100)).env(), ["RTR_SIZES", "RTR_SEEDS", "RTR_PAIRS"]);
+        assert_eq!(config(None, Some(100)).env(), ["RTR_SIZES", "RTR_PAIRS"]);
+        assert_eq!(config(Some(2), None).env(), ["RTR_SIZES", "RTR_SEEDS"]);
+        // A sweep without seeds ends on RTR_SEEDS, one without pairs on
+        // RTR_PAIRS, instead of running its defaults.
+        let keys = ["RTR_SIZES", "RTR_SEEDS", "RTR_PAIRS"].map(OsString::from);
+        assert_eq!(unread_env(keys.clone(), &config(None, Some(100)).env()), ["RTR_SEEDS"]);
+        assert_eq!(unread_env(keys, &config(Some(2), None).env()), ["RTR_PAIRS"]);
     }
 
     #[test]
@@ -247,7 +291,7 @@ mod tests {
 
     #[test]
     fn selection_switches_to_sampling_for_large_graphs() {
-        let cfg = ExperimentConfig { sizes: vec![64], seeds: 1, pairs: 100 };
+        let cfg = ExperimentConfig { sizes: vec![64], seeds: None, pairs: Some(100) };
         assert!(matches!(cfg.selection(8, 0), PairSelection::AllPairs));
         assert!(matches!(cfg.selection(64, 0), PairSelection::Sampled { count: 100, .. }));
     }

@@ -12,11 +12,14 @@
 //! ([`LandmarkBallScheme::repair_sweep`], [`RoundtripOrder::repair_sweep`])
 //! and one [`broadcast_rows`] pass over
 //! [`RowInvalidation::dirty_nodes`] fills in the rest, two prefetched rows
-//! per dirty node.  The cover is the one artifact that is not swept: the
-//! double trees of exactly the clusters containing a fault endpoint are
-//! rebuilt ([`DoubleTreeCover::repair_clusters`]) while the covers
-//! themselves stay anchored, which is sound under removals and weight
-//! increases because roundtrip balls only shrink.
+//! per dirty node.  The landmark substrate's per-landmark columns follow the
+//! same rule: only those of landmarks whose own row is dirty, or whose
+//! assigned destinations changed, cost a Dijkstra.  The cover is the one
+//! artifact that is not swept: the double trees of exactly the clusters
+//! containing a fault endpoint are rebuilt
+//! ([`DoubleTreeCover::repair_clusters`]) while the covers themselves stay
+//! anchored, which is sound under removals and weight increases because
+//! roundtrip balls only shrink.
 //!
 //! Every clean artifact is carried verbatim and every recomputed one goes
 //! through the same consumer as a fresh build, so the repaired kit is
@@ -52,6 +55,12 @@ pub struct RepairStats {
     pub clusters_reanchored: usize,
     /// Nodes whose landmark ball / nearest-landmark choice was recomputed.
     pub balls_repaired: usize,
+    /// Kept landmarks whose forward column (forward Dijkstra, descent
+    /// records, own labels) was recomputed rather than carried.
+    pub landmark_fwd_columns: usize,
+    /// Kept landmarks whose reverse column (reverse Dijkstra, up-ports) was
+    /// recomputed rather than carried.
+    pub landmark_rev_columns: usize,
     /// Wall-clock of the repair, in nanoseconds.
     pub epoch_ns: u64,
 }
@@ -67,9 +76,10 @@ pub struct RepairStats {
 ///
 /// The §4 polynomial scheme is deliberately absent: its dictionary pass
 /// needs a second full row sweep over the *built* hierarchy, which would
-/// break the dirty-rows-only repair budget. The chaos serving plane runs the
-/// §2 and §3 schemes, and §3's proven stretch ceiling is what the verified
-/// epochs are gated against.
+/// break the dirty-rows-only repair budget. The chaos serving plane serves
+/// the §3 scheme, whose proven stretch ceiling is what the verified epochs
+/// are gated against; the §2 scheme is minted only when a caller asks for
+/// it.
 #[derive(Debug)]
 pub struct SparseRepairKit {
     pub(crate) params: SparseSuiteParams,
@@ -158,27 +168,31 @@ impl SparseRepairKit {
         &self.orderx
     }
 
-    /// Mints the serving schemes from the retained artifacts: the §2 scheme
-    /// over the landmark substrate and the §3 scheme over the tree-cover
-    /// handshake substrate.  Scheme assembly reads no oracle rows, so minting
-    /// from a repaired kit stays inside the repair row budget, and checks
-    /// nothing: `g` must be the graph the kit was built or repaired on, whose
-    /// strong connectivity [`build`](Self::build) or [`repair`](Self::repair)
-    /// decided.
-    pub fn schemes<O: DistanceOracle + ?Sized>(
-        &self,
-        g: &DiGraph,
+    /// Mints the serving schemes from the retained artifacts: the §3 scheme
+    /// over the tree-cover handshake substrate, minted now, and the §2
+    /// scheme over the landmark substrate, minted when the returned closure
+    /// is called.  A caller that serves only §3 drops the closure and pays
+    /// neither the §2 mint nor the copy of the landmark substrate it owns.
+    /// Scheme assembly reads no oracle rows, so minting from a repaired kit
+    /// stays inside the repair row budget, and checks nothing: `g` must be
+    /// the graph the kit was built or repaired on, whose strong connectivity
+    /// [`build`](Self::build) or [`repair`](Self::repair) decided.
+    pub fn schemes<'a, O: DistanceOracle + ?Sized>(
+        &'a self,
+        g: &'a DiGraph,
         // Unread since the mint reads no oracle; the ledger benchmark passes it.
         _m: &O,
-        names: &NamingAssignment,
-    ) -> (StretchSix<LandmarkBallScheme>, ExStretch<TreeCoverScheme>) {
-        let stretch6 = StretchSix::build_with_order(
-            g,
-            names,
-            self.landmark.clone(),
-            &self.order6,
-            self.params.stretch6,
-        );
+        names: &'a NamingAssignment,
+    ) -> (impl FnOnce() -> StretchSix<LandmarkBallScheme> + 'a, ExStretch<TreeCoverScheme>) {
+        let stretch6 = move || {
+            StretchSix::build_with_order(
+                g,
+                names,
+                self.landmark.clone(),
+                &self.order6,
+                self.params.stretch6,
+            )
+        };
         let treecover = TreeCoverScheme::from_cover(g, &self.cover);
         let exstretch =
             ExStretch::build_with_order(g, names, treecover, &self.orderx, self.params.exstretch);
@@ -218,7 +232,8 @@ impl SparseRepairKit {
         let mut order6 = self.order6.repair_sweep(invalidation);
         let mut orderx = self.orderx.repair_sweep(invalidation);
         broadcast_rows(m, &dirty, &mut [&mut landmark, &mut order6, &mut orderx]);
-        let (landmark, order6, orderx) = (landmark.finish(), order6.finish(), orderx.finish());
+        let (landmark, columns) = landmark.finish_counted();
+        let (order6, orderx) = (order6.finish(), orderx.finish());
         // Cluster hit detection needs the *fault endpoints*, not the dirty
         // nodes: a removed edge can leave both endpoint rows clean (some
         // other path was as short) while still changing its cluster's
@@ -234,6 +249,8 @@ impl SparseRepairKit {
             rows_recomputed: (m.stats().rows_computed - rows_before) as u64,
             clusters_reanchored,
             balls_repaired: dirty.len(),
+            landmark_fwd_columns: columns.forward,
+            landmark_rev_columns: columns.reverse,
             epoch_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         };
         rtr_telemetry::counter("repair.rows_recomputed").add(stats.rows_recomputed);

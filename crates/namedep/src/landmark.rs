@@ -7,7 +7,9 @@
 //!   named by a label, so the rest would be dead weight in every table;
 //! * for every kept landmark `l`, run one reverse and one forward Dijkstra
 //!   over the graph (each landmark's column reads only the graph, so the
-//!   landmarks are laid out in parallel and merged in landmark order).
+//!   landmarks are laid out in parallel and merged in landmark order; a
+//!   repair carries each half whose landmark row a fault left clean, see
+//!   [`LandmarkBallScheme::repair_sweep`]).
 //!   Every node stores its next port toward `l` — the reverse run's port,
 //!   the `InTree(l)` next hop (`|L|` = Õ(√n) words per node; the climb
 //!   toward `l` can start anywhere).  The forward run's tree,
@@ -156,12 +158,29 @@ pub struct LandmarkBallScheme {
 /// left — alone, or shared with the suite's other row consumers — and
 /// assemble the substrate with [`finish`](LandmarkSweep::finish).
 #[derive(Debug)]
-pub struct LandmarkSweep<'g> {
-    g: &'g DiGraph,
+pub struct LandmarkSweep<'a> {
+    g: &'a DiGraph,
     sampled: Vec<NodeId>,
     ball_cap: usize,
     /// Per node: (index of nearest sampled landmark, ball member → port).
     slots: SweepSlots<(u32, FxHashMap<NodeId, Port>)>,
+    /// For a repair sweep, the substrate it repairs and the faults' row
+    /// invalidation, from which pass 3 carries the clean landmark columns.
+    repairs: Option<(&'a LandmarkBallScheme, &'a RowInvalidation)>,
+}
+
+/// How many kept landmarks' columns pass 3 computed rather than carried, per
+/// half: the forward half (a forward Dijkstra, its layout, descent records
+/// and own labels) and the reverse half (a reverse Dijkstra, every node's
+/// up-port).  A build computes every column; a repair only the columns whose
+/// landmark row a fault dirtied, or whose landmark gained or lost an assigned
+/// destination.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColumnsComputed {
+    /// Forward halves computed.
+    pub forward: usize,
+    /// Reverse halves computed.
+    pub reverse: usize,
 }
 
 impl RowSweepConsumer for LandmarkSweep<'_> {
@@ -215,7 +234,7 @@ fn tree_parent(g: &DiGraph, fwd: &[Distance], x: NodeId) -> NodeId {
         .expect("a reached non-source node has a tight in-edge")
 }
 
-impl<'g> LandmarkSweep<'g> {
+impl LandmarkSweep<'_> {
     /// Assembles the substrate from the collected pass-1 results (passes 2
     /// and 3 of the construction: landmark pruning, then each kept
     /// landmark's up-ports, descent records and own labels).
@@ -224,6 +243,17 @@ impl<'g> LandmarkSweep<'g> {
     ///
     /// Panics if the sweep has not visited every node yet.
     pub fn finish(self) -> LandmarkBallScheme {
+        self.finish_counted().0
+    }
+
+    /// [`finish`](Self::finish), also counting the landmark columns pass 3
+    /// computed rather than carried from the substrate a repair sweep
+    /// repairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sweep has not visited every node yet.
+    pub fn finish_counted(self) -> (LandmarkBallScheme, ColumnsComputed) {
         let _span = rtr_telemetry::span!(
             "landmark.finish",
             format_args!("landmarks={}", self.sampled.len())
@@ -237,26 +267,71 @@ impl<'g> LandmarkSweep<'g> {
             balls.push(ball);
         }
         let max_ball_size = balls.iter().map(FxHashMap::len).max().unwrap_or(0);
-        LandmarkBallScheme::assemble(g, sampled, nearest_sampled, balls, max_ball_size)
+        LandmarkBallScheme::assemble(
+            g,
+            sampled,
+            nearest_sampled,
+            balls,
+            max_ball_size,
+            self.repairs,
+        )
     }
 }
 
-/// One kept landmark's share of pass 3, computed from the graph alone.
+/// A kept landmark's column in the substrate a repair started from, and
+/// which halves of it still hold on the mutated graph.
+#[derive(Clone, Copy)]
+struct OldColumn<'a> {
+    substrate: &'a LandmarkBallScheme,
+    /// The column's landmark index in `substrate`.
+    index: u32,
+    /// The landmark's reverse row is clean, so its in-tree and every
+    /// up-port toward it stand.
+    up: bool,
+    /// Its forward row is clean and its assigned destinations are the same,
+    /// so its out-tree, descent records and own labels stand.
+    out: bool,
+}
+
+/// One kept landmark's share of pass 3, computed from the graph alone or
+/// carried, half by half, from the substrate a repair started from.
 struct LandmarkColumn {
     /// Every node's out-port toward the landmark (`None` at the landmark).
     up_ports: Vec<Option<Port>>,
+    out: OutTreeColumn,
+}
+
+/// The forward half of a landmark's column.
+struct OutTreeColumn {
     /// The own labels of the landmark's assigned destinations.
     own_labels: Vec<(NodeId, Arc<TreeLabel>)>,
-    /// The descent records on the out-tree paths to those destinations, in
-    /// the order the paths are walked.
+    /// The descent records on the out-tree paths to those destinations.
     descent: Vec<(NodeId, TreeNodeTable)>,
 }
 
 impl LandmarkColumn {
     /// The column of landmark `l` with assigned destinations `assigned`:
-    /// one reverse and one forward Dijkstra, the forward tree laid out once.
+    /// each half `old` carries is copied from it, and the others cost one
+    /// reverse and one forward Dijkstra.
+    fn compute(g: &DiGraph, l: NodeId, assigned: &[NodeId], old: Option<OldColumn<'_>>) -> Self {
+        let up_ports = match old {
+            Some(o) if o.up => {
+                o.substrate.up_ports.iter().map(|ports| ports[o.index as usize]).collect()
+            }
+            _ => dijkstra_reverse(g, l).parent_port,
+        };
+        let out = match old {
+            Some(o) if o.out => OutTreeColumn::carry(g, o, assigned),
+            _ => OutTreeColumn::compute(g, l, assigned),
+        };
+        LandmarkColumn { up_ports, out }
+    }
+}
+
+impl OutTreeColumn {
+    /// The forward half from one forward Dijkstra from `l`, its tree laid
+    /// out once.
     fn compute(g: &DiGraph, l: NodeId, assigned: &[NodeId]) -> Self {
-        let up_ports = dijkstra_reverse(g, l).parent_port;
         let down = dijkstra(g, l);
         let up = down
             .parent
@@ -283,7 +358,19 @@ impl LandmarkColumn {
                 }
             }
         }
-        LandmarkColumn { up_ports, own_labels, descent }
+        OutTreeColumn { own_labels, descent }
+    }
+
+    /// The forward half `old` holds, for the same `assigned` destinations.
+    fn carry(g: &DiGraph, old: OldColumn<'_>, assigned: &[NodeId]) -> Self {
+        let s = old.substrate;
+        let own_labels =
+            assigned.iter().map(|&v| (v, Arc::clone(&s.own_label[v.index()]))).collect();
+        let descent = g
+            .nodes()
+            .filter_map(|v| s.descent[v.index()].get(&old.index).map(|&record| (v, record)))
+            .collect();
+        OutTreeColumn { own_labels, descent }
     }
 }
 
@@ -323,17 +410,20 @@ impl LandmarkBallScheme {
         sampled.sort_unstable();
 
         let ball_cap = ((n as f64).sqrt() * BALL_FACTOR).ceil() as usize;
-        LandmarkSweep { g, sampled, ball_cap, slots: SweepSlots::new(n) }
+        LandmarkSweep { g, sampled, ball_cap, slots: SweepSlots::new(n), repairs: None }
     }
 
-    /// Passes 2 and 3 of the construction, from pass-1 results.
+    /// Passes 2 and 3 of the construction, from pass-1 results; `repairs`
+    /// names the substrate a repair sweep repairs and the faults' row
+    /// invalidation, whose clean landmark columns pass 3 carries.
     fn assemble(
         g: &DiGraph,
         sampled: Vec<NodeId>,
         nearest_sampled: Vec<u32>,
         balls: Vec<FxHashMap<NodeId, Port>>,
         max_ball_size: usize,
-    ) -> Self {
+        repairs: Option<(&LandmarkBallScheme, &RowInvalidation)>,
+    ) -> (Self, ColumnsComputed) {
         let n = g.node_count();
         // Pass 2 — keep only the landmarks some node actually routes through.
         // Labels only ever name `ℓ(v)`, so samples that are nobody's nearest
@@ -362,11 +452,50 @@ impl LandmarkBallScheme {
         // graph, so the columns are computed on `par_blocks_mut` and merged
         // in landmark order: every `descent[v]` map gets the same inserts in
         // the same order for any thread count.
+        //
+        // A repair carries each half of a landmark's column that still
+        // holds, keyed by landmark node id rather than index, so the carry
+        // holds whichever landmarks pass 2 keeps.  A Dijkstra tree is a
+        // function of its row and the tight edges, and a removed or inflated
+        // tight edge dirties the row, so a clean reverse row keeps the
+        // up-ports (surviving edges keep their ports), and a clean forward
+        // row keeps the out-tree, whose labels and records are the same
+        // while the assigned set is.
+        let old_columns: Vec<Option<OldColumn<'_>>> = match repairs {
+            None => vec![None; landmarks.len()],
+            Some((old, invalidation)) => {
+                // The landmarks that gained or lost an assigned destination.
+                let mut reassigned = vec![false; n];
+                for u in g.nodes() {
+                    let (was, is) =
+                        (old.nearest_landmark(u), landmarks[nearest_landmark[u.index()] as usize]);
+                    if was != is {
+                        reassigned[was.index()] = true;
+                        reassigned[is.index()] = true;
+                    }
+                }
+                landmarks
+                    .iter()
+                    .map(|&l| {
+                        let index = old.landmarks.binary_search(&l).ok()? as u32;
+                        let up = !invalidation.is_rev_dirty(l);
+                        let out = !invalidation.is_fwd_dirty(l) && !reassigned[l.index()];
+                        Some(OldColumn { substrate: old, index, up, out })
+                    })
+                    .collect()
+            }
+        };
+        let computed = ColumnsComputed {
+            forward: old_columns.iter().filter(|o| !o.is_some_and(|o| o.out)).count(),
+            reverse: old_columns.iter().filter(|o| !o.is_some_and(|o| o.up)).count(),
+        };
         let mut columns: Vec<Option<LandmarkColumn>> = (0..landmarks.len()).map(|_| None).collect();
         par_blocks_mut(&mut columns, |start, block| {
             for (offset, slot) in block.iter_mut().enumerate() {
                 let li = start + offset;
-                *slot = Some(LandmarkColumn::compute(g, landmarks[li], &assigned[li]));
+                let column =
+                    LandmarkColumn::compute(g, landmarks[li], &assigned[li], old_columns[li]);
+                *slot = Some(column);
             }
         });
         let mut up_ports: Vec<Vec<Option<Port>>> =
@@ -378,10 +507,10 @@ impl LandmarkBallScheme {
             for (ports, port) in up_ports.iter_mut().zip(column.up_ports) {
                 ports.push(port);
             }
-            for (v, label) in column.own_labels {
+            for (v, label) in column.out.own_labels {
                 own_label[v.index()] = Some(label);
             }
-            for (v, record) in column.descent {
+            for (v, record) in column.out.descent {
                 descent[v.index()].insert(li as u32, record);
             }
         }
@@ -395,7 +524,7 @@ impl LandmarkBallScheme {
             + own_label.iter().map(|l| l.bits(n)).max().unwrap_or(0)
             + 2;
 
-        LandmarkBallScheme {
+        let substrate = LandmarkBallScheme {
             n,
             landmarks,
             up_ports,
@@ -405,7 +534,8 @@ impl LandmarkBallScheme {
             own_label,
             max_label_bits,
             max_ball_size,
-        }
+        };
+        (substrate, computed)
     }
 
     /// The landmark set (the sampled landmarks that are the nearest landmark
@@ -430,32 +560,37 @@ impl LandmarkBallScheme {
     /// a [`broadcast_rows`] pass over
     /// [`dirty_nodes`](RowInvalidation::dirty_nodes) completes it.
     ///
-    /// `g` must be the mutated graph (same node set) and `params` the
-    /// parameters this substrate was built with; the sweep must run against
-    /// the **post-fault** metric — typically a rebased oracle carrying the
-    /// clean pre-fault rows. The carry is exact, not approximate: a clean
-    /// node's roundtrip row is unchanged by definition, and its ball's
-    /// first-hop ports are unchanged too, because any removed or inflated
-    /// edge on a shortest path out of `u` is *tight* from `u` and would have
-    /// dirtied `u`'s forward row (the Dijkstra tie-break — smallest parent id
-    /// among final-distance predecessors — is a pure function of distances
-    /// and tight edges). The graph-side passes of
-    /// [`finish`](LandmarkSweep::finish) (landmark pruning, each kept
-    /// landmark's two Dijkstras and its descent records) always re-run on
-    /// `g`, touching no oracle rows, so the finished substrate is
-    /// bit-identical to [`build`](Self::build) from scratch on the mutated
-    /// graph.
+    /// `g` must be the mutated graph (same node set), `params` the
+    /// parameters this substrate was built with and `invalidation` the
+    /// analysis of the faults that mutated this substrate's graph into `g`;
+    /// the sweep must run against the **post-fault** metric — typically a
+    /// rebased oracle carrying the clean pre-fault rows. The carry is exact,
+    /// not approximate: a clean node's roundtrip row is unchanged by
+    /// definition, and its ball's first-hop ports are unchanged too, because
+    /// any removed or inflated edge on a shortest path out of `u` is *tight*
+    /// from `u` and would have dirtied `u`'s forward row (the Dijkstra
+    /// tie-break — smallest parent id among final-distance predecessors — is
+    /// a pure function of distances and tight edges).
+    ///
+    /// [`finish`](LandmarkSweep::finish) re-runs landmark pruning on `g`
+    /// and carries landmark columns by the same argument, keyed by landmark
+    /// node id: a kept landmark whose reverse row is clean keeps its
+    /// up-ports, and one whose forward row is clean and whose assigned
+    /// destinations are unchanged keeps its descent records and own labels.
+    /// Only the other halves cost a Dijkstra on `g`, and none reads an
+    /// oracle row, so the finished substrate is bit-identical to
+    /// [`build`](Self::build) from scratch on the mutated graph.
     ///
     /// # Panics
     ///
     /// Panics if the node set changed or `invalidation` sizes a different
     /// metric.
-    pub fn repair_sweep<'g>(
-        &self,
-        g: &'g DiGraph,
+    pub fn repair_sweep<'a>(
+        &'a self,
+        g: &'a DiGraph,
         params: LandmarkParams,
-        invalidation: &RowInvalidation,
-    ) -> LandmarkSweep<'g> {
+        invalidation: &'a RowInvalidation,
+    ) -> LandmarkSweep<'a> {
         assert_eq!(self.n, g.node_count(), "repair requires an unchanged node set");
         assert_eq!(self.n, invalidation.node_count(), "invalidation sizes a different metric");
         // The sample is metric-free (node count + seed), so regenerate it
@@ -470,6 +605,7 @@ impl LandmarkBallScheme {
                 .expect("kept landmark was sampled");
             sweep.slots.put(u.index(), (li as u32, self.balls[u.index()].clone()));
         }
+        sweep.repairs = Some((self, invalidation));
         sweep
     }
 }
