@@ -159,7 +159,6 @@ const FRACTIONS: &[Gate] = &[
     ),
     gate("full_rebuild_rows", Exact, DRIFT),
     gate("clusters_reanchored", Exact, DRIFT),
-    gate("balls_repaired", Exact, DRIFT),
     gate("repair_epoch_ns", WarnAbove(4.0), HOST),
     gate("pre_worst_stretch", AtMost(DETERMINISTIC_SLACK), "healthy routes got longer"),
     gate("degraded_delivered", Exact, DRIFT),
@@ -814,7 +813,7 @@ mod tests {
             }
         }
         // Every row of the two tables but the two record arrays and their keys.
-        assert_eq!(tested, 14 + 3 + 8 + 11 + 22 - 3 - 3);
+        assert_eq!(tested, 14 + 3 + 8 + 11 + 21 - 3 - 3);
     }
 
     #[test]

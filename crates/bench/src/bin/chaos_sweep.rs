@@ -309,8 +309,7 @@ fn main() {
         let diverged: Vec<&str> = [
             ("landmark", kit1.landmark() == reference.landmark()),
             ("cover", kit1.cover() == reference.cover()),
-            ("order6", kit1.order6() == reference.order6()),
-            ("orderx", kit1.orderx() == reference.orderx()),
+            ("order", kit1.order() == reference.order()),
         ]
         .into_iter()
         .filter_map(|(name, same)| (!same).then_some(name))
@@ -324,14 +323,13 @@ fn main() {
         }
         println!(
             "repair: {} dirty nodes, {} rows recomputed vs {} full-rebuild rows \
-             ({:.1}%), {} clusters re-anchored, {} balls repaired, landmark columns \
+             ({:.1}%), {} clusters re-anchored, landmark columns \
              recomputed {} forward / {} reverse of {}, {:.2} ms",
             rstats.dirty_nodes,
             rstats.rows_recomputed,
             full_rebuild_rows,
             100.0 * rstats.rows_recomputed as f64 / full_rebuild_rows as f64,
             rstats.clusters_reanchored,
-            rstats.balls_repaired,
             rstats.landmark_fwd_columns,
             rstats.landmark_rev_columns,
             kit1.landmark().landmarks().len(),
@@ -408,7 +406,6 @@ fn main() {
             ("repair_rows", rstats.rows_recomputed.into()),
             ("full_rebuild_rows", full_rebuild_rows.into()),
             ("clusters_reanchored", rstats.clusters_reanchored.into()),
-            ("balls_repaired", rstats.balls_repaired.into()),
             ("repair_epoch_ns", rstats.epoch_ns.into()),
             ("pre_worst_stretch", pre_epoch.report.max_stretch().into()),
             ("degraded_delivered", delivered.into()),

@@ -9,7 +9,7 @@ use rtr_core::{
     ExStretch, ExStretchParams, PolyParams, PolynomialStretch, Stretch6Params, StretchSix,
 };
 use rtr_graph::generators::Family;
-use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams, TreeCoverScheme};
+use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, TreeCoverScheme};
 
 fn main() {
     let cfg = ExperimentConfig::from_env(&[64, 128, 256], None, Some(3000));
@@ -49,7 +49,7 @@ fn main() {
             g,
             m,
             names,
-            LandmarkBallScheme::build(g, m, LandmarkParams::default()),
+            LandmarkBallScheme::build(g, m),
             Stretch6Params::default(),
         );
         let mut eval = SchemeEvaluation::measure(g, m, names, &s6_compact, selection).unwrap();

@@ -8,7 +8,7 @@ use rtr_core::{
     ExStretch, ExStretchParams, PolyParams, PolynomialStretch, Stretch6Params, StretchSix,
 };
 use rtr_graph::generators::Family;
-use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams};
+use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme};
 use rtr_sim::id_bits;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
             g,
             m,
             names,
-            LandmarkBallScheme::build(g, m, LandmarkParams::default()),
+            LandmarkBallScheme::build(g, m),
             Stretch6Params::default(),
         );
         let eval = SchemeEvaluation::measure(g, m, names, &s6, selection).unwrap();

@@ -25,7 +25,7 @@ use rtr_core::{Stretch6Params, StretchSix};
 use rtr_graph::generators::ring_with_chords;
 use rtr_graph::NodeId;
 use rtr_metric::LazyDijkstraOracle;
-use rtr_namedep::{LandmarkBallScheme, LandmarkParams};
+use rtr_namedep::LandmarkBallScheme;
 use rtr_sim::{RoundtripRouting, Simulator};
 use std::time::Instant;
 
@@ -44,7 +44,7 @@ fn main() {
     let names = NamingAssignment::random(n, 7);
 
     let t1 = Instant::now();
-    let substrate = LandmarkBallScheme::build(&g, &oracle, LandmarkParams::default());
+    let substrate = LandmarkBallScheme::build(&g, &oracle);
     println!(
         "landmark substrate: {} landmarks, max ball {} ({:.1?})",
         substrate.landmarks().len(),

@@ -12,7 +12,7 @@ use rtr_core::lowerbound::{
 use rtr_core::naming::NamingAssignment;
 use rtr_core::{PolyParams, PolynomialStretch, Stretch6Params, StretchSix};
 use rtr_metric::DistanceMatrix;
-use rtr_namedep::{LandmarkBallScheme, LandmarkParams};
+use rtr_namedep::LandmarkBallScheme;
 
 fn main() {
     let cfg = ExperimentConfig::from_env(&[32, 64, 128], None, Some(2500));
@@ -40,7 +40,7 @@ fn main() {
             &g,
             &dm,
             &names,
-            LandmarkBallScheme::build(&g, &dm, LandmarkParams::default()),
+            LandmarkBallScheme::build(&g, &dm),
             Stretch6Params::default(),
         );
         let selection = cfg.selection(g.node_count(), 1);

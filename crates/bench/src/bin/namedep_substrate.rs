@@ -10,9 +10,7 @@ use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_graph::generators::Family;
 use rtr_graph::{DiGraph, NodeId};
 use rtr_metric::DistanceMatrix;
-use rtr_namedep::{
-    ExactOracleScheme, LandmarkBallScheme, LandmarkParams, NameDependentSubstrate, TreeCoverScheme,
-};
+use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, NameDependentSubstrate, TreeCoverScheme};
 use rtr_sim::ForwardAction;
 
 /// Drives a substrate leg locally (the same loop `rtr-sim` runs for schemes).
@@ -101,7 +99,7 @@ fn main() {
         let oracle = ExactOracleScheme::build(g);
         measure("exact-oracle", g, m, &oracle, &pairs);
 
-        let landmark = LandmarkBallScheme::build(g, m, LandmarkParams::default());
+        let landmark = LandmarkBallScheme::build(g, m);
         measure("landmark-ball", g, m, &landmark, &pairs);
 
         let cover = TreeCoverScheme::build(g, m, 2);

@@ -6,7 +6,7 @@ use rtr_bench::{banner, instance, reject_unread_env, ExperimentConfig};
 use rtr_core::analysis::SchemeEvaluation;
 use rtr_core::{Stretch6Params, StretchSix};
 use rtr_graph::generators::Family;
-use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams};
+use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme};
 
 fn main() {
     let cfg = ExperimentConfig::from_env(&[64, 128, 256, 512], Some(2), Some(2500));
@@ -68,7 +68,7 @@ fn main() {
             g,
             m,
             names,
-            LandmarkBallScheme::build(g, m, LandmarkParams::default()),
+            LandmarkBallScheme::build(g, m),
             Stretch6Params::default(),
         );
         let eval = SchemeEvaluation::measure(g, m, names, &scheme, cfg.selection(n, 3)).unwrap();

@@ -1,10 +1,11 @@
 //! Incremental substrate repair after seeded graph faults (the chaos plane).
 //!
 //! [`SparseRepairKit`] is the sparse suite's build pipeline with the
-//! intermediate row artifacts — landmark substrate, Theorem 13 hierarchy,
-//! both truncated orders — **retained** instead of consumed, so that after a
-//! [`rtr_graph::FaultPlan`] mutates the graph the suite can be re-anchored by
-//! recomputing only what the faults actually touched.
+//! intermediate row artifacts — landmark substrate, Theorem 13 hierarchy and
+//! the one truncated order the §2 and §3 schemes share — **retained** instead
+//! of consumed, so that after a [`rtr_graph::FaultPlan`] mutates the graph
+//! the suite can be re-anchored by recomputing only what the faults actually
+//! touched.
 //!
 //! The repair is the build's own row sweep, run over the dirty nodes: every
 //! row artifact is a per-node function of that node's rows, so the landmark
@@ -30,13 +31,12 @@
 //! the chaos bench gates in CI.
 
 use crate::naming::NamingAssignment;
-use crate::suite::SparseSuiteParams;
+use crate::suite::{order_sweep, SparseSuiteParams};
 use crate::{ExStretch, StretchSix};
 use rtr_cover::{CoverSweepPlan, DoubleTreeCover};
 use rtr_graph::{DiGraph, FaultApplication, NodeId};
 use rtr_metric::{
     broadcast_rows, CachedSubsetOracle, DistanceOracle, RoundtripOrder, RowInvalidation,
-    TruncatedOrderSweep,
 };
 use rtr_namedep::{LandmarkBallScheme, TreeCoverScheme};
 use std::time::Instant;
@@ -53,12 +53,10 @@ pub struct RepairStats {
     pub rows_recomputed: u64,
     /// Cover cluster trees rebuilt across all levels.
     pub clusters_reanchored: usize,
-    /// Nodes whose landmark ball / nearest-landmark choice was recomputed.
-    pub balls_repaired: usize,
-    /// Kept landmarks whose forward column (forward Dijkstra, descent
-    /// records, own labels) was recomputed rather than carried.
+    /// Landmarks whose forward column (forward Dijkstra, descent records,
+    /// own labels) was recomputed rather than carried.
     pub landmark_fwd_columns: usize,
-    /// Kept landmarks whose reverse column (reverse Dijkstra, up-ports) was
+    /// Landmarks whose reverse column (reverse Dijkstra, up-ports) was
     /// recomputed rather than carried.
     pub landmark_rev_columns: usize,
     /// Wall-clock of the repair, in nanoseconds.
@@ -69,10 +67,10 @@ pub struct RepairStats {
 ///
 /// These are the artifacts [`crate::SparseSchemeSuite::build`] mints its
 /// schemes from — one shared broadcast row sweep feeding the landmark
-/// extraction, the first cover scale group and both truncated orders — kept
-/// in the kit instead of consumed, so [`schemes`](Self::schemes) can mint
-/// serving schemes from them at any time and [`repair`](Self::repair) can
-/// patch them after faults.
+/// extraction, the first cover scale group and the one truncated order both
+/// the §2 and the §3 scheme read — kept in the kit instead of consumed, so
+/// [`schemes`](Self::schemes) can mint serving schemes from them at any time
+/// and [`repair`](Self::repair) can patch them after faults.
 ///
 /// The §4 polynomial scheme is deliberately absent: its dictionary pass
 /// needs a second full row sweep over the *built* hierarchy, which would
@@ -85,8 +83,7 @@ pub struct SparseRepairKit {
     pub(crate) params: SparseSuiteParams,
     pub(crate) landmark: LandmarkBallScheme,
     pub(crate) cover: DoubleTreeCover,
-    pub(crate) order6: RoundtripOrder,
-    pub(crate) orderx: RoundtripOrder,
+    pub(crate) order: RoundtripOrder,
 }
 
 impl SparseRepairKit {
@@ -109,8 +106,8 @@ impl SparseRepairKit {
 
     /// The artifact build shared by [`build`](Self::build) and the sparse
     /// suite, each under its own span: every hierarchy-independent row
-    /// consumer — landmark pass 1, the first cover scale group and both
-    /// schemes' truncated orders — registered on **one** sweep over every
+    /// consumer — the landmark row pass, the first cover scale group and the
+    /// schemes' one truncated order — registered on **one** sweep over every
     /// node, then the remaining cover scale groups.  This is where a sparse
     /// build decides strong connectivity, once, on the graph; the consumers
     /// and the scheme constructors downstream do not check it again.
@@ -121,31 +118,21 @@ impl SparseRepairKit {
     ) -> Self {
         assert!(params.poly.cover_k >= 2, "cover parameter must be >= 2");
         g.require_strongly_connected().unwrap_or_else(|e| panic!("sparse suite: {e}"));
-        let n = g.node_count();
-        let mut landmark = LandmarkBallScheme::sweep(g, params.landmarks);
+        let mut order = order_sweep(g.node_count(), params.exstretch.k);
+        let mut landmark = LandmarkBallScheme::sweep(g);
         let plan = CoverSweepPlan::new(m, params.poly.cover_k);
         let mut cover = plan.first_sweep();
-        let mut order6 = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, 1, 2));
-        let k_x = params.exstretch.k;
-        assert!(k_x >= 2, "ExStretch requires k >= 2");
-        let mut orderx = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, k_x - 1, k_x));
         {
-            let _span = rtr_telemetry::span!("build.shared_sweep", "4 consumers");
+            let _span = rtr_telemetry::span!("build.shared_sweep", "3 consumers");
             let sources: Vec<NodeId> = g.nodes().collect();
-            broadcast_rows(m, &sources, &mut [&mut landmark, &mut cover, &mut order6, &mut orderx]);
+            broadcast_rows(m, &sources, &mut [&mut landmark, &mut cover, &mut order]);
         }
         let landmark = {
             let _span = rtr_telemetry::span!("build.landmark_finish");
             landmark.finish()
         };
-        let (order6, orderx) = (order6.finish(), orderx.finish());
         let cover = plan.finish(g, m, cover);
-        SparseRepairKit { params, landmark, cover, order6, orderx }
-    }
-
-    /// The parameters the kit was built with.
-    pub fn params(&self) -> SparseSuiteParams {
-        self.params
+        SparseRepairKit { params, landmark, cover, order: order.finish() }
     }
 
     /// The retained landmark + ball substrate.
@@ -158,14 +145,9 @@ impl SparseRepairKit {
         &self.cover
     }
 
-    /// The retained §2 truncated order.
-    pub fn order6(&self) -> &RoundtripOrder {
-        &self.order6
-    }
-
-    /// The retained §3 truncated order.
-    pub fn orderx(&self) -> &RoundtripOrder {
-        &self.orderx
+    /// The retained truncated order, which the §2 and §3 schemes both read.
+    pub fn order(&self) -> &RoundtripOrder {
+        &self.order
     }
 
     /// Mints the serving schemes from the retained artifacts: the §3 scheme
@@ -189,13 +171,13 @@ impl SparseRepairKit {
                 g,
                 names,
                 self.landmark.clone(),
-                &self.order6,
+                &self.order,
                 self.params.stretch6,
             )
         };
         let treecover = TreeCoverScheme::from_cover(g, &self.cover);
         let exstretch =
-            ExStretch::build_with_order(g, names, treecover, &self.orderx, self.params.exstretch);
+            ExStretch::build_with_order(g, names, treecover, &self.order, self.params.exstretch);
         (stretch6, exstretch)
     }
 
@@ -228,12 +210,11 @@ impl SparseRepairKit {
         let _span = rtr_telemetry::span!("repair.kit", format_args!("dirty={}", dirty.len()));
         g.require_strongly_connected().unwrap_or_else(|e| panic!("SparseRepairKit::repair: {e}"));
 
-        let mut landmark = self.landmark.repair_sweep(g, self.params.landmarks, invalidation);
-        let mut order6 = self.order6.repair_sweep(invalidation);
-        let mut orderx = self.orderx.repair_sweep(invalidation);
-        broadcast_rows(m, &dirty, &mut [&mut landmark, &mut order6, &mut orderx]);
+        let mut landmark = self.landmark.repair_sweep(g, invalidation);
+        let mut order = self.order.repair_sweep(invalidation);
+        broadcast_rows(m, &dirty, &mut [&mut landmark, &mut order]);
         let (landmark, columns) = landmark.finish_counted();
-        let (order6, orderx) = (order6.finish(), orderx.finish());
+        let order = order.finish();
         // Cluster hit detection needs the *fault endpoints*, not the dirty
         // nodes: a removed edge can leave both endpoint rows clean (some
         // other path was as short) while still changing its cluster's
@@ -248,7 +229,6 @@ impl SparseRepairKit {
             dirty_nodes: dirty.len(),
             rows_recomputed: (m.stats().rows_computed - rows_before) as u64,
             clusters_reanchored,
-            balls_repaired: dirty.len(),
             landmark_fwd_columns: columns.forward,
             landmark_rev_columns: columns.reverse,
             epoch_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -257,12 +237,12 @@ impl SparseRepairKit {
         rtr_telemetry::counter("repair.clusters_reanchored").add(stats.clusters_reanchored as u64);
         rtr_telemetry::histogram("repair.epoch_ns").observe(start.elapsed());
 
-        let kit = SparseRepairKit { params: self.params, landmark, cover, order6, orderx };
+        let kit = SparseRepairKit { params: self.params, landmark, cover, order };
         (kit, stats)
     }
 
     /// The repair's reference semantics, built the expensive way: a fresh
-    /// landmark substrate and fresh truncated orders from a from-scratch row
+    /// landmark substrate and a fresh truncated order from a from-scratch row
     /// sweep of `m`, plus the anchored
     /// [`DoubleTreeCover::rebuild_all_trees`] on `g`. [`repair`](Self::repair)
     /// must be bit-identical to this.
@@ -271,19 +251,15 @@ impl SparseRepairKit {
         g: &DiGraph,
         m: &O,
     ) -> SparseRepairKit {
-        let n = g.node_count();
-        let mut landmark = LandmarkBallScheme::sweep(g, self.params.landmarks);
-        let mut order6 = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, 1, 2));
-        let k_x = self.params.exstretch.k;
-        let mut orderx = TruncatedOrderSweep::new(n, RoundtripOrder::level_size(n, k_x - 1, k_x));
+        let mut landmark = LandmarkBallScheme::sweep(g);
+        let mut order = order_sweep(g.node_count(), self.params.exstretch.k);
         let sources: Vec<NodeId> = g.nodes().collect();
-        broadcast_rows(m, &sources, &mut [&mut landmark, &mut order6, &mut orderx]);
+        broadcast_rows(m, &sources, &mut [&mut landmark, &mut order]);
         SparseRepairKit {
             params: self.params,
             landmark: landmark.finish(),
             cover: self.cover.rebuild_all_trees(g),
-            order6: order6.finish(),
-            orderx: orderx.finish(),
+            order: order.finish(),
         }
     }
 }

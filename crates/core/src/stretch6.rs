@@ -438,7 +438,7 @@ mod tests {
     use super::*;
     use rtr_graph::generators::{bidirected_grid, strongly_connected_gnp, Family};
     use rtr_metric::DistanceMatrix;
-    use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams};
+    use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme};
     use rtr_sim::Simulator;
 
     fn oracle_scheme(
@@ -530,7 +530,7 @@ mod tests {
         let g = strongly_connected_gnp(50, 0.08, 6).unwrap();
         let m = DistanceMatrix::build(&g);
         let names = NamingAssignment::random(50, 3);
-        let substrate = LandmarkBallScheme::build(&g, &m, LandmarkParams::default());
+        let substrate = LandmarkBallScheme::build(&g, &m);
         let scheme = StretchSix::build(&g, &m, &names, substrate, Stretch6Params::default());
         let worst = check_all_pairs_stretch6(&g, &m, &names, &scheme, None);
         // Measured quantity: the compact pipeline stays well within a small

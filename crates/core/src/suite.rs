@@ -3,21 +3,22 @@
 //!
 //! Before the [`rtr_metric::DistanceOracle`] refactor, benchmarking the three
 //! schemes side by side meant three independent dense `DistanceMatrix` builds
-//! (or one shared matrix pinned to `n²` memory). [`SchemeSuite::build`] fans
-//! the three constructions out over scoped worker threads that all borrow the
-//! *same* oracle — dense or lazy — so preprocessing wall-clock approaches the
-//! slowest single scheme and the metric is computed (and cached) once.
+//! (or one shared matrix pinned to `n²` memory). Both suites here read the
+//! *same* oracle — dense or lazy — through one shared row sweep, then fan the
+//! three scheme constructions out over scoped worker threads, so the metric
+//! is computed (and cached) once and the §2 and §3 schemes read one roundtrip
+//! order.
 
 use crate::naming::NamingAssignment;
 use crate::{
     ExStretch, ExStretchParams, PolyParams, PolynomialStretch, SparseRepairKit, Stretch6Params,
     StretchSix,
 };
-use rtr_cover::DoubleTreeCover;
+use rtr_cover::CoverSweepPlan;
 use rtr_dictionary::DistributionParams;
 use rtr_graph::DiGraph;
-use rtr_metric::DistanceOracle;
-use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, LandmarkParams, TreeCoverScheme};
+use rtr_metric::{broadcast_rows, DistanceOracle, RoundtripOrder, TruncatedOrderSweep};
+use rtr_namedep::{ExactOracleScheme, LandmarkBallScheme, TreeCoverScheme};
 
 /// All three TINN schemes of the paper, built together with their default
 /// parameters (`k = 2` for §3 and §4).
@@ -37,29 +38,37 @@ pub struct SchemeSuite {
 }
 
 impl SchemeSuite {
-    /// Builds one `k = 2` Theorem 13 hierarchy, then the three schemes
-    /// concurrently, sharing `m` and handing the hierarchy to both the §3
+    /// Builds the exact-oracle substrate, then one row sweep that collects
+    /// the first scale group of a `k = 2` Theorem 13 hierarchy and **one**
+    /// roundtrip order, then the three schemes concurrently: the §2 and §3
+    /// schemes read that order, and the hierarchy backs both the §3
     /// substrate and the §4 scheme.
     ///
-    /// Each scheme's construction runs on its own scoped worker thread; all
-    /// three borrow the same oracle, which is why [`DistanceOracle`] requires
-    /// `Sync` and why the lazy oracles synchronise their row caches
-    /// internally. A worker panic (for example a disconnected graph failing a
-    /// scheme's precondition) propagates as a panic here, mirroring the
-    /// single-threaded behavior.
+    /// The exact-oracle substrate reads only the graph, and its constructor
+    /// is where the suite decides strong connectivity, once, before the
+    /// sweep; the constructors downstream do not check it again.  Each
+    /// scheme's construction runs on its own scoped worker thread; the §4
+    /// dictionary pass borrows `m` there, which is why [`DistanceOracle`]
+    /// requires `Sync`.  A worker panic propagates as a panic here,
+    /// mirroring the single-threaded behavior.
     ///
     /// # Panics
     ///
     /// Panics if any scheme's preconditions fail (graph not strongly
     /// connected, naming size mismatch).
     pub fn build<O: DistanceOracle + ?Sized>(g: &DiGraph, m: &O, names: &NamingAssignment) -> Self {
-        let poly_params = PolyParams::default();
-        let cover = DoubleTreeCover::build(g, m, poly_params.cover_k);
+        let substrate = ExactOracleScheme::build(g);
+        let (ex_params, poly_params) = (ExStretchParams::default(), PolyParams::default());
+        let plan = CoverSweepPlan::new(m, poly_params.cover_k);
+        let mut cover = plan.first_sweep();
+        let mut order = order_sweep(g.node_count(), ex_params.k);
+        broadcast_rows(m, &g.nodes().collect::<Vec<_>>(), &mut [&mut cover, &mut order]);
+        let (cover, order) = (plan.finish(g, m, cover), order.finish());
         let (stretch6, exstretch, poly) = build_concurrently(
-            || StretchSix::build(g, m, names, ExactOracleScheme::build(g), Default::default()),
+            || StretchSix::build_with_order(g, names, substrate, &order, Default::default()),
             || {
                 let substrate = TreeCoverScheme::from_cover(g, &cover);
-                ExStretch::build(g, m, names, substrate, ExStretchParams::default())
+                ExStretch::build_with_order(g, names, substrate, &order, ex_params)
             },
             || PolynomialStretch::build_with_cover(g, m, names, &cover, poly_params),
         );
@@ -101,8 +110,6 @@ pub struct SparseSuiteParams {
     /// Theorem 13 hierarchy that backs both the §4 scheme and the §3
     /// tree-cover substrate.
     pub poly: PolyParams,
-    /// Parameters of the shared landmark + ball substrate.
-    pub landmarks: LandmarkParams,
 }
 
 impl Default for SparseSuiteParams {
@@ -113,7 +120,6 @@ impl Default for SparseSuiteParams {
             stretch6: Stretch6Params { blocks },
             exstretch: ExStretchParams { blocks, ..ExStretchParams::with_k(3) },
             poly: PolyParams::with_k(3),
-            landmarks: LandmarkParams::default(),
         }
     }
 }
@@ -149,17 +155,19 @@ impl SparseSchemeSuite {
     /// does not depend on the built hierarchy.
     ///
     /// The row consumers of the whole suite are: landmark extraction, cover
-    /// ball collection, the two schemes' truncated orders, and the §4
-    /// scheme's dictionary pass.  The first four need nothing but rows, so
-    /// the kit registers them together on a single prefetch-windowed
-    /// [`rtr_metric::broadcast_rows`] pass; only the §4 dictionary pass —
-    /// which needs the *built* cover — runs on a second pass inside
-    /// [`PolynomialStretch::build_with_cover`].  A lazy oracle therefore
-    /// computes ≈ `4n` rows for the full suite instead of the ≈ `10n` the
-    /// five independent sweeps used to fetch, with bit-identical schemes
-    /// (asserted by the `shared_sweep` property tests).  Scale groups beyond
-    /// the first of the cover's transient-bit budget, if any, keep their own
-    /// sweeps exactly as in [`rtr_cover::DoubleTreeCover::build`].
+    /// ball collection, the one truncated order the §2 and §3 schemes both
+    /// read, and the §4 scheme's dictionary pass.  The first three need
+    /// nothing but rows, so the kit registers them together on a single
+    /// prefetch-windowed [`rtr_metric::broadcast_rows`] pass; only the §4
+    /// dictionary pass — which needs the *built* cover — runs on a second
+    /// pass inside [`PolynomialStretch::build_with_cover`].  A lazy oracle
+    /// therefore computes ≈ `4n` rows for the full suite instead of the
+    /// ≈ `10n` the five independent sweeps used to fetch, with bit-identical
+    /// schemes (asserted by the `shared_sweep` property tests).  The order is
+    /// stored to the §3 scheme's deepest neighborhood, which is at least the
+    /// §2 scheme's `⌈√n⌉`.  Scale groups beyond the first of the cover's
+    /// transient-bit budget, if any, keep their own sweeps exactly as in
+    /// [`rtr_cover::DoubleTreeCover::build`].
     ///
     /// After the sweeps the landmark substrate moves into the §2 scheme,
     /// and the three scheme constructions run concurrently on scoped worker
@@ -177,7 +185,7 @@ impl SparseSchemeSuite {
     ) -> Self {
         let _suite_span =
             rtr_telemetry::span!("build.sparse_suite", format_args!("n={}", g.node_count()));
-        let SparseRepairKit { landmark, cover, order6, orderx, .. } =
+        let SparseRepairKit { landmark, cover, order, .. } =
             SparseRepairKit::sweep_artifacts(g, m, params);
         let treecover = {
             let _span = rtr_telemetry::span!("build.treecover_substrate");
@@ -186,11 +194,11 @@ impl SparseSchemeSuite {
         let (stretch6, exstretch, poly) = build_concurrently(
             || {
                 let _span = rtr_telemetry::span!("build.stretch6");
-                StretchSix::build_with_order(g, names, landmark, &order6, params.stretch6)
+                StretchSix::build_with_order(g, names, landmark, &order, params.stretch6)
             },
             || {
                 let _span = rtr_telemetry::span!("build.exstretch");
-                ExStretch::build_with_order(g, names, treecover, &orderx, params.exstretch)
+                ExStretch::build_with_order(g, names, treecover, &order, params.exstretch)
             },
             || {
                 let _span = rtr_telemetry::span!("build.polystretch");
@@ -207,6 +215,20 @@ impl SparseSchemeSuite {
     ) -> (StretchSix<LandmarkBallScheme>, ExStretch<TreeCoverScheme>, PolynomialStretch) {
         (self.stretch6, self.exstretch, self.poly)
     }
+}
+
+/// The sweep of the one roundtrip order a suite's §2 and §3 schemes share.
+/// Both read only prefixes of `Init_u`, so an order stored to the deeper of
+/// §2's `⌈√n⌉` and the level-`(k−1)` neighborhood of a parameter-`k` §3
+/// scheme gives each the tables an order of its own depth would.
+///
+/// # Panics
+///
+/// Panics if `k < 2`.
+pub(crate) fn order_sweep(n: usize, k: u32) -> TruncatedOrderSweep {
+    assert!(k >= 2, "ExStretch requires k >= 2");
+    let depth = RoundtripOrder::level_size(n, 1, 2).max(RoundtripOrder::level_size(n, k - 1, k));
+    TruncatedOrderSweep::new(n, depth)
 }
 
 /// Runs the three scheme constructions on their own scoped worker threads
@@ -238,10 +260,11 @@ fn build_concurrently<A: Send, B: Send, C: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtr_cover::DoubleTreeCover;
     use rtr_graph::generators::{directed_ring, strongly_connected_gnp};
     use rtr_graph::NodeId;
     use rtr_metric::{CachedSubsetOracle, DistanceMatrix, LazyDijkstraOracle};
-    use rtr_sim::Simulator;
+    use rtr_sim::{RoundtripRouting, Simulator};
 
     /// A directed ring whose node 3 lost its one out-edge: a sink.
     fn ring_with_sink() -> DiGraph {
@@ -317,17 +340,57 @@ mod tests {
         // (Sublinearity of the landmark tables is asserted at n = 100 in the
         // substrate's own tests; at n = 40 the √n-scale constants dominate.)
         let (s6, sx, sp) = suite.into_parts();
-        use rtr_sim::RoundtripRouting;
         assert_eq!(s6.scheme_name(), "stretch6");
         assert_eq!(sx.scheme_name(), "exstretch");
         assert_eq!(sp.scheme_name(), "polystretch");
     }
 
     #[test]
+    fn dense_suite_matches_standalone_section_2_and_3_builds() {
+        // The suite's §2 and §3 schemes read one order stored to the deeper
+        // of their prefixes; each standalone build sweeps its own.
+        for seed in [4u64, 13] {
+            let g = strongly_connected_gnp(36, 0.12, seed).unwrap();
+            let m = DistanceMatrix::build(&g);
+            let names = NamingAssignment::random(36, seed ^ 0x5eed);
+            let suite = SchemeSuite::build(&g, &m, &names);
+            let stretch6 =
+                StretchSix::build(&g, &m, &names, ExactOracleScheme::build(&g), Default::default());
+            let cover = DoubleTreeCover::build(&g, &m, PolyParams::default().cover_k);
+            let substrate = TreeCoverScheme::from_cover(&g, &cover);
+            let exstretch = ExStretch::build(&g, &m, &names, substrate, ExStretchParams::default());
+            let sim = Simulator::new(&g);
+            for s in g.nodes() {
+                assert_eq!(suite.stretch6.table_stats(s), stretch6.table_stats(s), "§2 at {s}");
+                assert_eq!(suite.exstretch.table_stats(s), exstretch.table_stats(s), "§3 at {s}");
+                for t in g.nodes().filter(|&t| t != s) {
+                    let name = names.name_of(t);
+                    for (a, b) in [
+                        (
+                            sim.roundtrip_brief(&suite.stretch6, s, t, name).unwrap(),
+                            sim.roundtrip_brief(&stretch6, s, t, name).unwrap(),
+                        ),
+                        (
+                            sim.roundtrip_brief(&suite.exstretch, s, t, name).unwrap(),
+                            sim.roundtrip_brief(&exstretch, s, t, name).unwrap(),
+                        ),
+                    ] {
+                        assert_eq!(
+                            (a.total_hops(), a.total_weight()),
+                            (b.total_hops(), b.total_weight()),
+                            "seed {seed}: route ({s},{t})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn suite_through_lazy_oracle_matches_dense_construction() {
-        // The three schemes hammer the shared lazy oracle from three threads;
-        // the result must be identical to the dense build (same tables ⇒ same
-        // routes and table stats).
+        // The shared sweep and the §4 dictionary pass read a lazy oracle
+        // under eviction pressure; the result must be identical to the dense
+        // build (same tables ⇒ same routes and table stats).
         let g = strongly_connected_gnp(28, 0.15, 7).unwrap();
         let names = NamingAssignment::random(28, 3);
         let dense = DistanceMatrix::build(&g);
@@ -360,7 +423,6 @@ mod tests {
             }
         }
         for v in g.nodes() {
-            use rtr_sim::RoundtripRouting;
             assert_eq!(via_dense.stretch6.table_stats(v), via_lazy.stretch6.table_stats(v));
         }
         assert!(lazy.stats().peak_resident_rows <= 8);

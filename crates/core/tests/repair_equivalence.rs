@@ -21,9 +21,9 @@ fn all_edges(g: &DiGraph) -> Vec<(NodeId, NodeId)> {
     g.nodes().flat_map(|u| g.out_edges(u).iter().map(move |e| (u, e.to))).collect()
 }
 
-/// What one repair did with the landmark columns of its kept landmarks.
+/// What one repair did with the landmark columns.
 struct ColumnUse {
-    kept: usize,
+    landmarks: usize,
     forward: usize,
     reverse: usize,
     /// Landmarks with a clean forward row whose forward column was still
@@ -77,15 +77,14 @@ fn check_repair(what: &str, g0: &DiGraph, plan: &FaultPlan, seed: u64) -> Option
     let reference = kit0.rebuild_reference(&g1, &m1_fresh);
     assert_eq!(kit1.landmark(), reference.landmark(), "{what}: landmark diverged");
     assert_eq!(kit1.cover(), reference.cover(), "{what}: cover diverged");
-    assert_eq!(kit1.order6(), reference.order6(), "{what}: §2 order diverged");
-    assert_eq!(kit1.orderx(), reference.orderx(), "{what}: §3 order diverged");
+    assert_eq!(kit1.order(), reference.order(), "{what}: order diverged");
 
-    // Every sampled landmark is its own nearest landmark (r(l, l) = 0), so
-    // pass 2 keeps the whole sample, which depends only on n and the seed:
-    // no fault plan changes the kept set.  The carry is keyed by landmark
-    // node id all the same, for a sampling that reads the metric.
+    // The landmark set is the sample, which reads only n, so no fault plan
+    // changes it, and the repair carries each landmark column under its
+    // index.  A sampling that reads the metric (ROADMAP item 1) trips this
+    // assertion and must bring a carry keyed by landmark node id.
     let (old, new) = (kit0.landmark(), kit1.landmark());
-    assert_eq!(new.landmarks(), old.landmarks(), "{what}: the kept landmark set changed");
+    assert_eq!(new.landmarks(), old.landmarks(), "{what}: the landmark set changed");
     // Only the landmarks whose own row is dirty, or that gained or lost an
     // assigned destination, had a column half recomputed.
     let mut moved = vec![false; g1.node_count()];
@@ -96,10 +95,11 @@ fn check_repair(what: &str, g0: &DiGraph, plan: &FaultPlan, seed: u64) -> Option
             moved[is.index()] = true;
         }
     }
-    let kept = new.landmarks();
-    let forward = kept.iter().filter(|&&l| inv.is_fwd_dirty(l) || moved[l.index()]).count();
-    let reverse = kept.iter().filter(|&&l| inv.is_rev_dirty(l)).count();
-    let reassigned = kept.iter().filter(|&&l| !inv.is_fwd_dirty(l) && moved[l.index()]).count();
+    let landmarks = new.landmarks();
+    let forward = landmarks.iter().filter(|&&l| inv.is_fwd_dirty(l) || moved[l.index()]).count();
+    let reverse = landmarks.iter().filter(|&&l| inv.is_rev_dirty(l)).count();
+    let reassigned =
+        landmarks.iter().filter(|&&l| !inv.is_fwd_dirty(l) && moved[l.index()]).count();
     assert_eq!(stats.landmark_fwd_columns, forward, "{what}: forward columns recomputed");
     assert_eq!(stats.landmark_rev_columns, reverse, "{what}: reverse columns recomputed");
 
@@ -126,7 +126,7 @@ fn check_repair(what: &str, g0: &DiGraph, plan: &FaultPlan, seed: u64) -> Option
             assert_eq!(c, d, "{what}: exstretch report ({u},{v}) diverged");
         }
     }
-    Some(ColumnUse { kept: kept.len(), forward, reverse, reassigned })
+    Some(ColumnUse { landmarks: landmarks.len(), forward, reverse, reassigned })
 }
 
 #[test]
@@ -160,7 +160,7 @@ fn weighted_ring_repair_carries_clean_landmark_columns() {
         let plan = FaultPlan::mixed_from_candidates(&chords, 6, 3, 4, seed);
         let what = format!("weighted ring seed {seed}");
         let used = check_repair(&what, &g0, &plan, seed).expect("chord faults keep the ring");
-        let partial = |recomputed: usize| 0 < recomputed && recomputed < used.kept;
+        let partial = |recomputed: usize| 0 < recomputed && recomputed < used.landmarks;
         mixed += usize::from(partial(used.forward) && partial(used.reverse));
         reassigned += used.reassigned;
     }
@@ -178,14 +178,12 @@ fn identity_repair_is_free_and_changes_nothing() {
     let (kit1, stats) = kit.repair(&g, &rebased, &inv, &Default::default());
     assert_eq!(stats.dirty_nodes, 0);
     assert_eq!(stats.rows_recomputed, 0);
-    assert_eq!(stats.balls_repaired, 0);
     assert_eq!(stats.clusters_reanchored, 0);
     // No row is dirty, so every landmark column is carried.
     assert_eq!((stats.landmark_fwd_columns, stats.landmark_rev_columns), (0, 0));
     assert_eq!(kit1.landmark(), kit.landmark());
     assert_eq!(kit1.cover(), kit.cover());
-    assert_eq!(kit1.order6(), kit.order6());
-    assert_eq!(kit1.orderx(), kit.orderx());
+    assert_eq!(kit1.order(), kit.order());
 }
 
 #[test]

@@ -24,7 +24,7 @@ fn reference_suite<O: DistanceOracle + ?Sized>(
     names: &NamingAssignment,
     params: SparseSuiteParams,
 ) -> SparseSchemeSuite {
-    let landmark = LandmarkBallScheme::build(g, m, params.landmarks);
+    let landmark = LandmarkBallScheme::build(g, m);
     let cover = DoubleTreeCover::build(g, m, params.poly.cover_k);
     let treecover = TreeCoverScheme::from_cover(g, &cover);
     SparseSchemeSuite {

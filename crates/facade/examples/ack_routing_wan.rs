@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &g,
         &m,
         &names,
-        LandmarkBallScheme::build(&g, &m, LandmarkParams::default()),
+        LandmarkBallScheme::build(&g, &m),
         Stretch6Params::default(),
     );
     let e6 = SchemeEvaluation::measure(&g, &m, &names, &s6, traffic)?;

@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let names = NamingAssignment::random(g.node_count(), 7);
 
     // 4. Build the stretch-6 scheme on the compact landmark substrate.
-    let substrate = LandmarkBallScheme::build(&g, &m, LandmarkParams::default());
+    let substrate = LandmarkBallScheme::build(&g, &m);
     let scheme = StretchSix::build(&g, &m, &names, substrate, Stretch6Params::default());
     let worst_table = scheme.table_stats(NodeId(0));
     println!(

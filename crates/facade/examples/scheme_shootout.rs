@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &g,
         &m,
         &names,
-        LandmarkBallScheme::build(&g, &m, LandmarkParams::default()),
+        LandmarkBallScheme::build(&g, &m),
         Stretch6Params::default(),
     );
     let mut e = SchemeEvaluation::measure(&g, &m, &names, &s6_compact, traffic)?;

@@ -83,8 +83,7 @@ pub mod prelude {
         CachedSubsetOracle, DistanceMatrix, DistanceOracle, LazyDijkstraOracle, RoundtripOrder,
     };
     pub use rtr_namedep::{
-        ExactOracleScheme, LandmarkBallScheme, LandmarkParams, NameDependentSubstrate,
-        TreeCoverScheme,
+        ExactOracleScheme, LandmarkBallScheme, NameDependentSubstrate, TreeCoverScheme,
     };
     pub use rtr_sim::{RoundtripRouting, SimError, Simulator};
 }

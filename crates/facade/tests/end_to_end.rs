@@ -91,7 +91,7 @@ fn compact_pipeline_is_correct_and_grows_sublinearly() {
         let g = Family::Gnp.generate(n, 11).unwrap();
         let m = DistanceMatrix::build(&g);
         let names = NamingAssignment::random(g.node_count(), 13);
-        let substrate = LandmarkBallScheme::build(&g, &m, LandmarkParams::default());
+        let substrate = LandmarkBallScheme::build(&g, &m);
         let scheme = StretchSix::build(&g, &m, &names, substrate, Stretch6Params::default());
         if n == 64 {
             all_pairs_check(&g, &m, &names, &scheme, None);

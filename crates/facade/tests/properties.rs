@@ -150,7 +150,7 @@ proptest! {
     fn compact_substrate_always_delivers(g in graph_strategy(), name_seed in 0u64..50) {
         let m = DistanceMatrix::build(&g);
         let names = NamingAssignment::random(g.node_count(), name_seed);
-        let substrate = LandmarkBallScheme::build(&g, &m, LandmarkParams::default());
+        let substrate = LandmarkBallScheme::build(&g, &m);
         let scheme = StretchSix::build(&g, &m, &names, substrate, Stretch6Params::default());
         let sim = Simulator::new(&g);
         for s in g.nodes() {

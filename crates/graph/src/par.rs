@@ -7,7 +7,7 @@
 //!
 //! * `rtr_cover`: the per-cluster double trees and routers of
 //!   `LevelCover::build_trees`;
-//! * `rtr_namedep`: the per-landmark columns of landmark pass 3
+//! * `rtr_namedep`: the per-landmark columns of the landmark column pass
 //!   (`LandmarkSweep::finish`);
 //! * `rtr_core`: the per-node §2 and §3 tables of `StretchSix` and
 //!   `ExStretch`;

@@ -77,11 +77,6 @@ impl TruncatedOrderSweep {
         TruncatedOrderSweep { n, cap, slots: SweepSlots::new(n) }
     }
 
-    /// The clamped stored-prefix length this sweep collects.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Assembles the collected prefixes into a [`RoundtripOrder`].
     ///
     /// # Panics
@@ -223,7 +218,7 @@ impl RoundtripOrder {
 }
 
 /// The first `cap` entries of `Init_v`, computed from the roundtrip and
-/// reverse rows of `v` alone.
+/// reverse rows of `v` alone, in an allocation of exactly `cap` entries.
 fn prefix_from_rows(roundtrip: &[Distance], rev: &[Distance], cap: usize) -> Vec<NodeId> {
     let key = |x: u32| {
         let xi = x as usize;
@@ -235,7 +230,9 @@ fn prefix_from_rows(roundtrip: &[Distance], rev: &[Distance], cap: usize) -> Vec
         nodes.truncate(cap);
     }
     nodes.sort_unstable_by_key(|&x| key(x));
-    nodes.into_iter().map(NodeId).collect()
+    // Collected from a slice, not the scratch vector: an owning iterator
+    // would reuse its `n`-entry allocation for the stored prefix.
+    nodes.iter().map(|&x| NodeId(x)).collect()
 }
 
 #[cfg(test)]
@@ -425,6 +422,31 @@ mod tests {
             // Repair only ever touched the dirty nodes' two rows.
             assert!(rebased.materialised_rows() <= 2 * inv.dirty_node_count());
         }
+    }
+
+    #[test]
+    fn stored_prefixes_hold_no_spare_capacity() {
+        use crate::{CachedSubsetOracle, RowInvalidation};
+        use rtr_graph::FaultPlan;
+        let assert_tight = |o: &RoundtripOrder, what: &str| {
+            for prefix in &o.orders {
+                assert_eq!(prefix.capacity(), prefix.len(), "{what}: a prefix keeps spare room");
+            }
+        };
+        let g0 = strongly_connected_gnp(60, 0.1, 3).unwrap();
+        let m0 = CachedSubsetOracle::new(&g0);
+        let order0 = RoundtripOrder::build_truncated(&m0, 8);
+        assert_tight(&order0, "build_truncated");
+        let candidates: Vec<(NodeId, NodeId)> =
+            g0.nodes().flat_map(|u| g0.out_edges(u).iter().map(move |e| (u, e.to))).collect();
+        let plan = FaultPlan::mixed_from_candidates(&candidates, 4, 2, 3, 5);
+        let mut g1 = g0.clone();
+        let inv = RowInvalidation::for_application(&m0, &plan.apply(&mut g1));
+        assert!(g1.is_strongly_connected() && inv.dirty_node_count() > 0);
+        let rebased = CachedSubsetOracle::rebased(&m0, &g1, &inv);
+        let mut sweep = order0.repair_sweep(&inv);
+        broadcast_rows(&rebased, &inv.dirty_nodes(), &mut [&mut sweep]);
+        assert_tight(&sweep.finish(), "repair_sweep");
     }
 
     #[test]

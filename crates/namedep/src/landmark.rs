@@ -2,10 +2,10 @@
 //!
 //! Construction (Cowen–Wagner / Roditty–Thorup–Zwick flavoured):
 //!
-//! * sample a landmark set `L` of `⌈√(n ln n)⌉` nodes and keep the ones
-//!   that are the nearest landmark of at least one node — only those are ever
-//!   named by a label, so the rest would be dead weight in every table;
-//! * for every kept landmark `l`, run one reverse and one forward Dijkstra
+//! * sample a landmark set `L` of `⌈√(n ln n)⌉` nodes from a fixed seed.
+//!   Every landmark is its own nearest landmark (`r(l, l) = 0` and weights
+//!   are positive), so every one of them is named by a label;
+//! * for every landmark `l`, run one reverse and one forward Dijkstra
 //!   over the graph (each landmark's column reads only the graph, so the
 //!   landmarks are laid out in parallel and merged in landmark order; a
 //!   repair carries each half whose landmark row a fault left clean, see
@@ -63,19 +63,8 @@ use std::sync::Arc;
 /// Multiplier on `√n` for the per-node ball cap.
 const BALL_FACTOR: f64 = 4.0;
 
-/// Tunables of the landmark + ball construction.  The landmark target is
-/// `⌈√(n ln n)⌉` and the ball cap `⌈4√n⌉`.
-#[derive(Debug, Clone, Copy)]
-pub struct LandmarkParams {
-    /// RNG seed for the landmark sample.
-    pub seed: u64,
-}
-
-impl Default for LandmarkParams {
-    fn default() -> Self {
-        LandmarkParams { seed: 0x1a2d_3a4c }
-    }
-}
+/// RNG seed of the landmark sample, which reads nothing else but `n`.
+const SAMPLE_SEED: u64 = 0x1a2d_3a4c;
 
 /// Routing phase recorded in the label while a packet is in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +112,8 @@ impl LabelBits for LandmarkLabel {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LandmarkBallScheme {
     n: usize,
-    /// The landmarks some node actually routes through (nearest landmark of
-    /// at least one node), sorted; unused samples are discarded at build time.
+    /// The sampled landmarks, sorted.  Each is its own nearest landmark, so
+    /// every one is named by a label.
     landmarks: Vec<NodeId>,
     /// `up_ports[v][l]`: out-port of `v`'s first edge toward landmark `l`
     /// (`None` at the landmark itself).  A climb toward `l` can start at any
@@ -147,10 +136,10 @@ pub struct LandmarkBallScheme {
     max_ball_size: usize,
 }
 
-/// Pass 1 of the landmark + ball construction as a
-/// [`RowSweepConsumer`]: per node, the nearest sampled landmark and the
-/// roundtrip ball (with exact first-hop ports), extracted from the node's
-/// roundtrip and forward rows.
+/// The row pass of the landmark + ball construction as a
+/// [`RowSweepConsumer`]: per node, the nearest landmark and the roundtrip
+/// ball (with exact first-hop ports), extracted from the node's roundtrip and
+/// forward rows.
 ///
 /// Create it with [`LandmarkBallScheme::sweep`] (every node left to sweep)
 /// or [`LandmarkBallScheme::repair_sweep`] (clean nodes carried from a
@@ -160,16 +149,17 @@ pub struct LandmarkBallScheme {
 #[derive(Debug)]
 pub struct LandmarkSweep<'a> {
     g: &'a DiGraph,
-    sampled: Vec<NodeId>,
+    landmarks: Vec<NodeId>,
     ball_cap: usize,
-    /// Per node: (index of nearest sampled landmark, ball member → port).
+    /// Per node: (index of nearest landmark, ball member → port).
     slots: SweepSlots<(u32, FxHashMap<NodeId, Port>)>,
     /// For a repair sweep, the substrate it repairs and the faults' row
-    /// invalidation, from which pass 3 carries the clean landmark columns.
+    /// invalidation, from which the column pass carries the clean landmark
+    /// columns.
     repairs: Option<(&'a LandmarkBallScheme, &'a RowInvalidation)>,
 }
 
-/// How many kept landmarks' columns pass 3 computed rather than carried, per
+/// How many landmarks' columns the column pass computed rather than carried, per
 /// half: the forward half (a forward Dijkstra, its layout, descent records
 /// and own labels) and the reverse half (a reverse Dijkstra, every node's
 /// up-port).  A build computes every column; a repair only the columns whose
@@ -184,19 +174,19 @@ pub struct ColumnsComputed {
 }
 
 impl RowSweepConsumer for LandmarkSweep<'_> {
-    /// The pass-1 result for one node, computed from its rows: the index of
-    /// `u`'s nearest *sampled* landmark and `u`'s roundtrip ball with exact
+    /// The row-pass result for one node, computed from its rows: the index
+    /// of `u`'s nearest landmark and `u`'s roundtrip ball with exact
     /// first-hop ports.
     fn consume(&mut self, u: NodeId, rows: &SweepRows<'_>) {
-        let (g, sampled, rt_row) = (self.g, &self.sampled, rows.roundtrip);
-        let (li, _) = sampled
+        let (g, landmarks, rt_row) = (self.g, &self.landmarks, rows.roundtrip);
+        let (li, _) = landmarks
             .iter()
             .enumerate()
             .map(|(i, &l)| (i, rt_row[l.index()]))
             .min_by_key(|&(i, d)| (d, i))
             .expect("at least one landmark");
 
-        let r_to_landmarks = rt_row[sampled[li].index()];
+        let r_to_landmarks = rt_row[landmarks[li].index()];
         // Candidate ball members, nearest first, capped.
         let mut members: Vec<NodeId> =
             g.nodes().filter(|&w| w != u && rt_row[w.index()] < r_to_landmarks).collect();
@@ -234,10 +224,17 @@ fn tree_parent(g: &DiGraph, fwd: &[Distance], x: NodeId) -> NodeId {
         .expect("a reached non-source node has a tight in-edge")
 }
 
-impl LandmarkSweep<'_> {
-    /// Assembles the substrate from the collected pass-1 results (passes 2
-    /// and 3 of the construction: landmark pruning, then each kept
-    /// landmark's up-ports, descent records and own labels).
+impl<'a> LandmarkSweep<'a> {
+    /// The row pass over `landmarks`, every node left to sweep.
+    fn new(g: &'a DiGraph, landmarks: Vec<NodeId>) -> Self {
+        let n = g.node_count();
+        let ball_cap = ((n as f64).sqrt() * BALL_FACTOR).ceil() as usize;
+        LandmarkSweep { g, landmarks, ball_cap, slots: SweepSlots::new(n), repairs: None }
+    }
+
+    /// Assembles the substrate from the collected row-pass results: the
+    /// column pass computes each landmark's up-ports, descent records and own
+    /// labels.
     ///
     /// # Panics
     ///
@@ -246,9 +243,9 @@ impl LandmarkSweep<'_> {
         self.finish_counted().0
     }
 
-    /// [`finish`](Self::finish), also counting the landmark columns pass 3
-    /// computed rather than carried from the substrate a repair sweep
-    /// repairs.
+    /// [`finish`](Self::finish), also counting the landmark columns the
+    /// column pass computed rather than carried from the substrate a repair
+    /// sweep repairs.
     ///
     /// # Panics
     ///
@@ -256,35 +253,18 @@ impl LandmarkSweep<'_> {
     pub fn finish_counted(self) -> (LandmarkBallScheme, ColumnsComputed) {
         let _span = rtr_telemetry::span!(
             "landmark.finish",
-            format_args!("landmarks={}", self.sampled.len())
+            format_args!("landmarks={}", self.landmarks.len())
         );
-        let (g, sampled) = (self.g, self.sampled);
-        let per_node = self.slots.into_vec();
-        let mut nearest_sampled = Vec::with_capacity(per_node.len());
-        let mut balls = Vec::with_capacity(per_node.len());
-        for (li, ball) in per_node {
-            nearest_sampled.push(li);
-            balls.push(ball);
-        }
-        let max_ball_size = balls.iter().map(FxHashMap::len).max().unwrap_or(0);
-        LandmarkBallScheme::assemble(
-            g,
-            sampled,
-            nearest_sampled,
-            balls,
-            max_ball_size,
-            self.repairs,
-        )
+        let (nearest_landmark, balls) = self.slots.into_vec().into_iter().unzip();
+        LandmarkBallScheme::assemble(self.g, self.landmarks, nearest_landmark, balls, self.repairs)
     }
 }
 
-/// A kept landmark's column in the substrate a repair started from, and
-/// which halves of it still hold on the mutated graph.
+/// A landmark's column in the substrate a repair started from, and which
+/// halves of it still hold on the mutated graph.
 #[derive(Clone, Copy)]
 struct OldColumn<'a> {
     substrate: &'a LandmarkBallScheme,
-    /// The column's landmark index in `substrate`.
-    index: u32,
     /// The landmark's reverse row is clean, so its in-tree and every
     /// up-port toward it stand.
     up: bool,
@@ -293,7 +273,7 @@ struct OldColumn<'a> {
     out: bool,
 }
 
-/// One kept landmark's share of pass 3, computed from the graph alone or
+/// One landmark's share of the column pass, computed from the graph alone or
 /// carried, half by half, from the substrate a repair started from.
 struct LandmarkColumn {
     /// Every node's out-port toward the landmark (`None` at the landmark).
@@ -310,18 +290,24 @@ struct OutTreeColumn {
 }
 
 impl LandmarkColumn {
-    /// The column of landmark `l` with assigned destinations `assigned`:
-    /// each half `old` carries is copied from it, and the others cost one
-    /// reverse and one forward Dijkstra.
-    fn compute(g: &DiGraph, l: NodeId, assigned: &[NodeId], old: Option<OldColumn<'_>>) -> Self {
+    /// The column of landmark `l`, index `li`, with assigned destinations
+    /// `assigned`: each half `old` carries is copied from it, and the others
+    /// cost one reverse and one forward Dijkstra.
+    fn compute(
+        g: &DiGraph,
+        li: u32,
+        l: NodeId,
+        assigned: &[NodeId],
+        old: Option<OldColumn<'_>>,
+    ) -> Self {
         let up_ports = match old {
             Some(o) if o.up => {
-                o.substrate.up_ports.iter().map(|ports| ports[o.index as usize]).collect()
+                o.substrate.up_ports.iter().map(|ports| ports[li as usize]).collect()
             }
             _ => dijkstra_reverse(g, l).parent_port,
         };
         let out = match old {
-            Some(o) if o.out => OutTreeColumn::carry(g, o, assigned),
+            Some(o) if o.out => OutTreeColumn::carry(g, o.substrate, li, assigned),
             _ => OutTreeColumn::compute(g, l, assigned),
         };
         LandmarkColumn { up_ports, out }
@@ -361,14 +347,14 @@ impl OutTreeColumn {
         OutTreeColumn { own_labels, descent }
     }
 
-    /// The forward half `old` holds, for the same `assigned` destinations.
-    fn carry(g: &DiGraph, old: OldColumn<'_>, assigned: &[NodeId]) -> Self {
-        let s = old.substrate;
+    /// The forward half of landmark `li` in `old`, for the same `assigned`
+    /// destinations.
+    fn carry(g: &DiGraph, old: &LandmarkBallScheme, li: u32, assigned: &[NodeId]) -> Self {
         let own_labels =
-            assigned.iter().map(|&v| (v, Arc::clone(&s.own_label[v.index()]))).collect();
+            assigned.iter().map(|&v| (v, Arc::clone(&old.own_label[v.index()]))).collect();
         let descent = g
             .nodes()
-            .filter_map(|v| s.descent[v.index()].get(&old.index).map(|&record| (v, record)))
+            .filter_map(|v| old.descent[v.index()].get(&li).map(|&record| (v, record)))
             .collect();
         OutTreeColumn { own_labels, descent }
     }
@@ -388,99 +374,78 @@ impl LandmarkBallScheme {
     /// # Panics
     ///
     /// Panics if the graph is not strongly connected.
-    pub fn build<O: DistanceOracle + ?Sized>(g: &DiGraph, m: &O, params: LandmarkParams) -> Self {
+    pub fn build<O: DistanceOracle + ?Sized>(g: &DiGraph, m: &O) -> Self {
         g.require_strongly_connected().unwrap_or_else(|e| panic!("LandmarkBallScheme::build: {e}"));
-        let mut sweep = Self::sweep(g, params);
+        let mut sweep = Self::sweep(g);
         broadcast_rows(m, &g.nodes().collect::<Vec<_>>(), &mut [&mut sweep]);
         sweep.finish()
     }
 
-    /// Samples the landmark set and prepares the pass-1 row consumer.  The
+    /// Samples the landmark set and prepares the row-pass consumer.  The
     /// caller is responsible for running it over every node's rows (via
     /// [`broadcast_rows`]) before calling [`LandmarkSweep::finish`].
-    pub fn sweep(g: &DiGraph, params: LandmarkParams) -> LandmarkSweep<'_> {
+    pub fn sweep(g: &DiGraph) -> LandmarkSweep<'_> {
         let n = g.node_count();
         let target_landmarks = (n as f64 * (n.max(2) as f64).ln()).sqrt().ceil().max(1.0) as usize;
-        let landmark_count = target_landmarks.min(n);
-
-        let mut rng = StdRng::seed_from_u64(params.seed);
         let mut all: Vec<NodeId> = g.nodes().collect();
-        all.shuffle(&mut rng);
-        let mut sampled: Vec<NodeId> = all.into_iter().take(landmark_count).collect();
-        sampled.sort_unstable();
-
-        let ball_cap = ((n as f64).sqrt() * BALL_FACTOR).ceil() as usize;
-        LandmarkSweep { g, sampled, ball_cap, slots: SweepSlots::new(n), repairs: None }
+        all.shuffle(&mut StdRng::seed_from_u64(SAMPLE_SEED));
+        let mut landmarks: Vec<NodeId> = all.into_iter().take(target_landmarks.min(n)).collect();
+        landmarks.sort_unstable();
+        LandmarkSweep::new(g, landmarks)
     }
 
-    /// Passes 2 and 3 of the construction, from pass-1 results; `repairs`
-    /// names the substrate a repair sweep repairs and the faults' row
-    /// invalidation, whose clean landmark columns pass 3 carries.
+    /// The column pass of the construction, from the row-pass results;
+    /// `repairs` names the substrate a repair sweep repairs and the faults'
+    /// row invalidation, whose clean landmark columns the pass carries.
     fn assemble(
         g: &DiGraph,
-        sampled: Vec<NodeId>,
-        nearest_sampled: Vec<u32>,
+        landmarks: Vec<NodeId>,
+        nearest_landmark: Vec<u32>,
         balls: Vec<FxHashMap<NodeId, Port>>,
-        max_ball_size: usize,
         repairs: Option<(&LandmarkBallScheme, &RowInvalidation)>,
     ) -> (Self, ColumnsComputed) {
         let n = g.node_count();
-        // Pass 2 — keep only the landmarks some node actually routes through.
-        // Labels only ever name `ℓ(v)`, so samples that are nobody's nearest
-        // landmark would occupy a column of every node's table for nothing.
-        let mut used: Vec<u32> = nearest_sampled.clone();
-        used.sort_unstable();
-        used.dedup();
-        let mut remap = vec![u32::MAX; sampled.len()];
-        for (new, &old) in used.iter().enumerate() {
-            remap[old as usize] = new as u32;
-        }
-        let landmarks: Vec<NodeId> = used.iter().map(|&i| sampled[i as usize]).collect();
-        let nearest_landmark: Vec<u32> =
-            nearest_sampled.iter().map(|&i| remap[i as usize]).collect();
+        let max_ball_size = balls.iter().map(FxHashMap::len).max().unwrap_or(0);
         let mut assigned: Vec<Vec<NodeId>> = vec![Vec::new(); landmarks.len()];
         for u in g.nodes() {
             assigned[nearest_landmark[u.index()] as usize].push(u);
         }
 
-        // Pass 3 — two bare Dijkstras per landmark.  The reverse run's
-        // ports are every node's up-port toward the landmark.  The forward
-        // run's tree is laid out once; only the landmark's assigned
-        // destinations mint their label, and only the nodes on the descent
-        // paths to them compute their O(1)-word record.  Nothing of size
-        // `|L|·n` survives construction.  A landmark's column reads only the
-        // graph, so the columns are computed on `par_blocks_mut` and merged
-        // in landmark order: every `descent[v]` map gets the same inserts in
-        // the same order for any thread count.
+        // Two bare Dijkstras per landmark.  The reverse run's ports are
+        // every node's up-port toward the landmark.  The forward run's tree
+        // is laid out once; only the landmark's assigned destinations mint
+        // their label, and only the nodes on the descent paths to them
+        // compute their O(1)-word record.  Nothing of size `|L|·n` survives
+        // construction.  A landmark's column reads only the graph, so the
+        // columns are computed on `par_blocks_mut` and merged in landmark
+        // order: every `descent[v]` map gets the same inserts in the same
+        // order for any thread count.
         //
-        // A repair carries each half of a landmark's column that still
-        // holds, keyed by landmark node id rather than index, so the carry
-        // holds whichever landmarks pass 2 keeps.  A Dijkstra tree is a
-        // function of its row and the tight edges, and a removed or inflated
-        // tight edge dirties the row, so a clean reverse row keeps the
-        // up-ports (surviving edges keep their ports), and a clean forward
-        // row keeps the out-tree, whose labels and records are the same
-        // while the assigned set is.
+        // A repair keeps the landmark set, so it carries each half of a
+        // landmark's column that still holds under the same index.  A
+        // Dijkstra tree is a function of its row and the tight edges, and a
+        // removed or inflated tight edge dirties the row, so a clean reverse
+        // row keeps the up-ports (surviving edges keep their ports), and a
+        // clean forward row keeps the out-tree, whose labels and records are
+        // the same while the assigned set is.
         let old_columns: Vec<Option<OldColumn<'_>>> = match repairs {
             None => vec![None; landmarks.len()],
             Some((old, invalidation)) => {
                 // The landmarks that gained or lost an assigned destination.
-                let mut reassigned = vec![false; n];
-                for u in g.nodes() {
-                    let (was, is) =
-                        (old.nearest_landmark(u), landmarks[nearest_landmark[u.index()] as usize]);
+                let mut reassigned = vec![false; landmarks.len()];
+                for (&was, &is) in old.nearest_landmark.iter().zip(&nearest_landmark) {
                     if was != is {
-                        reassigned[was.index()] = true;
-                        reassigned[is.index()] = true;
+                        reassigned[was as usize] = true;
+                        reassigned[is as usize] = true;
                     }
                 }
                 landmarks
                     .iter()
-                    .map(|&l| {
-                        let index = old.landmarks.binary_search(&l).ok()? as u32;
+                    .zip(reassigned)
+                    .map(|(&l, reassigned)| {
                         let up = !invalidation.is_rev_dirty(l);
-                        let out = !invalidation.is_fwd_dirty(l) && !reassigned[l.index()];
-                        Some(OldColumn { substrate: old, index, up, out })
+                        let out = !invalidation.is_fwd_dirty(l) && !reassigned;
+                        Some(OldColumn { substrate: old, up, out })
                     })
                     .collect()
             }
@@ -493,8 +458,13 @@ impl LandmarkBallScheme {
         par_blocks_mut(&mut columns, |start, block| {
             for (offset, slot) in block.iter_mut().enumerate() {
                 let li = start + offset;
-                let column =
-                    LandmarkColumn::compute(g, landmarks[li], &assigned[li], old_columns[li]);
+                let column = LandmarkColumn::compute(
+                    g,
+                    li as u32,
+                    landmarks[li],
+                    &assigned[li],
+                    old_columns[li],
+                );
                 *slot = Some(column);
             }
         });
@@ -538,8 +508,9 @@ impl LandmarkBallScheme {
         (substrate, computed)
     }
 
-    /// The landmark set (the sampled landmarks that are the nearest landmark
-    /// of at least one node — the only ones any label can name).
+    /// The landmark set: the `⌈√(n ln n)⌉` sampled nodes (all `n` when that
+    /// is more), sorted.  Every one is its own nearest landmark, so labels
+    /// name them all.
     pub fn landmarks(&self) -> &[NodeId] {
         &self.landmarks
     }
@@ -554,14 +525,13 @@ impl LandmarkBallScheme {
         self.landmarks[self.nearest_landmark[v.index()] as usize]
     }
 
-    /// The pass-1 sweep of a post-fault repair: the sweep
-    /// [`sweep`](Self::sweep) prepares, with the results of the nodes
-    /// `invalidation` leaves clean carried over from this substrate, so that
-    /// a [`broadcast_rows`] pass over
+    /// The row-pass sweep of a post-fault repair: the sweep
+    /// [`sweep`](Self::sweep) prepares over this substrate's landmarks, with
+    /// the results of the nodes `invalidation` leaves clean carried over
+    /// from this substrate, so that a [`broadcast_rows`] pass over
     /// [`dirty_nodes`](RowInvalidation::dirty_nodes) completes it.
     ///
-    /// `g` must be the mutated graph (same node set), `params` the
-    /// parameters this substrate was built with and `invalidation` the
+    /// `g` must be the mutated graph (same node set) and `invalidation` the
     /// analysis of the faults that mutated this substrate's graph into `g`;
     /// the sweep must run against the **post-fault** metric — typically a
     /// rebased oracle carrying the clean pre-fault rows. The carry is exact,
@@ -572,14 +542,15 @@ impl LandmarkBallScheme {
     /// tie-break — smallest parent id among final-distance predecessors — is
     /// a pure function of distances and tight edges).
     ///
-    /// [`finish`](LandmarkSweep::finish) re-runs landmark pruning on `g`
-    /// and carries landmark columns by the same argument, keyed by landmark
-    /// node id: a kept landmark whose reverse row is clean keeps its
-    /// up-ports, and one whose forward row is clean and whose assigned
-    /// destinations are unchanged keeps its descent records and own labels.
-    /// Only the other halves cost a Dijkstra on `g`, and none reads an
-    /// oracle row, so the finished substrate is bit-identical to
-    /// [`build`](Self::build) from scratch on the mutated graph.
+    /// The sample reads only `n`, so the landmark set and each clean node's
+    /// landmark index carry over unchanged.  [`finish`](LandmarkSweep::finish)
+    /// carries landmark columns by the same argument: a landmark whose
+    /// reverse row is clean keeps its up-ports, and one whose forward row is
+    /// clean and whose assigned destinations are unchanged keeps its descent
+    /// records and own labels.  Only the other halves cost a Dijkstra on
+    /// `g`, and none reads an oracle row, so the finished substrate is
+    /// bit-identical to [`build`](Self::build) from scratch on the mutated
+    /// graph.
     ///
     /// # Panics
     ///
@@ -588,22 +559,14 @@ impl LandmarkBallScheme {
     pub fn repair_sweep<'a>(
         &'a self,
         g: &'a DiGraph,
-        params: LandmarkParams,
         invalidation: &'a RowInvalidation,
     ) -> LandmarkSweep<'a> {
         assert_eq!(self.n, g.node_count(), "repair requires an unchanged node set");
         assert_eq!(self.n, invalidation.node_count(), "invalidation sizes a different metric");
-        // The sample is metric-free (node count + seed), so regenerate it
-        // instead of having stored it.
-        let mut sweep = Self::sweep(g, params);
+        let mut sweep = LandmarkSweep::new(g, self.landmarks.clone());
         for u in g.nodes().filter(|&u| !invalidation.is_node_dirty(u)) {
-            // Recover the *sampled* index of u's nearest landmark — the
-            // substrate only stores indices into the pruned list.
-            let li = sweep
-                .sampled
-                .binary_search(&self.nearest_landmark(u))
-                .expect("kept landmark was sampled");
-            sweep.slots.put(u.index(), (li as u32, self.balls[u.index()].clone()));
+            let ui = u.index();
+            sweep.slots.put(ui, (self.nearest_landmark[ui], self.balls[ui].clone()));
         }
         sweep.repairs = Some((self, invalidation));
         sweep
@@ -706,7 +669,7 @@ mod tests {
     fn build(n: usize, seed: u64) -> (DiGraph, DistanceMatrix, LandmarkBallScheme) {
         let g = strongly_connected_gnp(n, 0.08, seed).unwrap();
         let m = DistanceMatrix::build(&g);
-        let s = LandmarkBallScheme::build(&g, &m, LandmarkParams { seed });
+        let s = LandmarkBallScheme::build(&g, &m);
         (g, m, s)
     }
 
@@ -801,16 +764,15 @@ mod tests {
     #[test]
     fn landmark_count_scales_as_sqrt_n_log_n() {
         let (_, _, s) = build(100, 6);
-        let expect = (100.0f64 * 100.0f64.ln()).sqrt();
-        assert!(s.landmarks().len() as f64 <= expect.ceil() + 1.0);
-        assert!(!s.landmarks().is_empty());
+        let sample = (100.0f64 * 100.0f64.ln()).sqrt().ceil() as usize;
+        assert_eq!(s.landmarks().len(), sample.min(100));
     }
 
     #[test]
     fn works_on_grids_and_other_families() {
         let g = bidirected_grid(6, 6, 7).unwrap();
         let m = DistanceMatrix::build(&g);
-        let s = LandmarkBallScheme::build(&g, &m, LandmarkParams::default());
+        let s = LandmarkBallScheme::build(&g, &m);
         for u in g.nodes() {
             for v in g.nodes() {
                 let (path, _) = drive(&g, &s, u, s.label_for(v));
@@ -820,7 +782,7 @@ mod tests {
         for family in Family::ALL {
             let g = family.generate(30, 11).unwrap();
             let m = DistanceMatrix::build(&g);
-            let s = LandmarkBallScheme::build(&g, &m, LandmarkParams::default());
+            let s = LandmarkBallScheme::build(&g, &m);
             let u = NodeId(1);
             for v in g.nodes() {
                 let (path, _) = drive(&g, &s, u, s.label_for(v));
@@ -876,7 +838,7 @@ mod tests {
             .into_iter()
             .map(|(name, g)| {
                 let m = DistanceMatrix::build(&g);
-                let s = LandmarkBallScheme::build(&g, &m, LandmarkParams::default());
+                let s = LandmarkBallScheme::build(&g, &m);
                 (name, g, s)
             })
             .collect()
@@ -906,7 +868,7 @@ mod tests {
 
     #[test]
     fn landmark_records_match_the_tree_types() {
-        // Pass 3 without trees must store what the tree types would: every
+        // The column pass must store what the tree types would: every
         // up-port is the in-tree's next port, every descent record the
         // out-tree router's table, every own label that router's label, and
         // every node on an out-tree path to an assigned destination a record.
@@ -938,12 +900,12 @@ mod tests {
     fn descent_records_are_sparse_and_every_landmark_is_used() {
         let (g, _m, s) = build(100, 15);
         let n = g.node_count();
-        // Every kept landmark is the nearest landmark of at least one node.
+        // Every landmark is the nearest landmark of at least one node: itself.
         let mut used = vec![false; s.landmarks().len()];
         for v in g.nodes() {
             used[s.nearest_landmark[v.index()] as usize] = true;
         }
-        assert!(used.iter().all(|&u| u), "a retained landmark is nobody's nearest");
+        assert!(used.iter().all(|&u| u), "a landmark is nobody's nearest");
         // Every node is the endpoint of its own descent path.
         for v in g.nodes() {
             assert!(s.descent[v.index()].contains_key(&s.nearest_landmark[v.index()]));
@@ -966,8 +928,7 @@ mod tests {
         for seed in 0..8u64 {
             let g0 = strongly_connected_gnp(40, 0.12, seed).unwrap();
             let m0 = CachedSubsetOracle::new(&g0);
-            let params = LandmarkParams { seed };
-            let s0 = LandmarkBallScheme::build(&g0, &m0, params);
+            let s0 = LandmarkBallScheme::build(&g0, &m0);
             let candidates: Vec<(NodeId, NodeId)> =
                 g0.nodes().flat_map(|u| g0.out_edges(u).iter().map(move |e| (u, e.to))).collect();
             let plan = FaultPlan::mixed_from_candidates(&candidates, 5, 2, 3, seed ^ 0x9e37);
@@ -978,10 +939,10 @@ mod tests {
             }
             let inv = RowInvalidation::for_application(&m0, &applied);
             let rebased = CachedSubsetOracle::rebased(&m0, &g1, &inv);
-            let mut sweep = s0.repair_sweep(&g1, params, &inv);
+            let mut sweep = s0.repair_sweep(&g1, &inv);
             broadcast_rows(&rebased, &inv.dirty_nodes(), &mut [&mut sweep]);
             let repaired = sweep.finish();
-            let fresh = LandmarkBallScheme::build(&g1, &DistanceMatrix::build(&g1), params);
+            let fresh = LandmarkBallScheme::build(&g1, &DistanceMatrix::build(&g1));
             assert_eq!(repaired, fresh, "seed {seed}: repair diverged from fresh build");
             // Repair touched only the dirty nodes' rows.
             assert!(rebased.materialised_rows() <= 2 * inv.dirty_node_count());
@@ -992,9 +953,9 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let (g, m, _) = build(30, 9);
-        let a = LandmarkBallScheme::build(&g, &m, LandmarkParams { seed: 5 });
-        let b = LandmarkBallScheme::build(&g, &m, LandmarkParams { seed: 5 });
+        // The sample's seed is fixed, so two builds on one graph agree.
+        let (g, m, a) = build(30, 9);
+        let b = LandmarkBallScheme::build(&g, &m);
         assert_eq!(a.landmarks(), b.landmarks());
         for v in g.nodes() {
             assert_eq!(a.table_stats(v), b.table_stats(v));

@@ -44,7 +44,7 @@ mod oracle;
 mod substrate;
 mod treecover;
 
-pub use landmark::{ColumnsComputed, LandmarkBallScheme, LandmarkParams, LandmarkSweep};
+pub use landmark::{ColumnsComputed, LandmarkBallScheme, LandmarkSweep};
 pub use oracle::ExactOracleScheme;
 pub use substrate::{LabelBits, NameDependentSubstrate};
 pub use treecover::TreeCoverScheme;
