@@ -38,11 +38,11 @@ pub struct SchemeSuite {
 }
 
 impl SchemeSuite {
-    /// Builds the exact-oracle substrate, then one row sweep that collects
-    /// the first scale group of a `k = 2` Theorem 13 hierarchy and **one**
-    /// roundtrip order, then the three schemes concurrently: the §2 and §3
-    /// schemes read that order, and the hierarchy backs both the §3
-    /// substrate and the §4 scheme.
+    /// Builds the exact-oracle substrate (its per-destination columns in
+    /// parallel), then one row sweep that collects the first scale group of
+    /// a `k = 2` Theorem 13 hierarchy and **one** roundtrip order, then the
+    /// three schemes concurrently: the §2 and §3 schemes read that order,
+    /// and the hierarchy backs both the §3 substrate and the §4 scheme.
     ///
     /// The exact-oracle substrate reads only the graph, and its constructor
     /// is where the suite decides strong connectivity, once, before the

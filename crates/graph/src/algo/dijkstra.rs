@@ -11,20 +11,47 @@
 //! [`distances_to`] that back the metric oracles' rows), or inside the
 //! subgraph induced by a sorted member list ([`dijkstra_within`],
 //! [`dijkstra_reverse_within`]), whose arrays are sized by the member count
-//! and indexed by each member's position in the list.  Its queue is a
-//! monotone radix heap.  Each tree-edge port is looked up once after the
-//! loop from the node's final parent (`parent → v` forward, `v → parent`
-//! reverse); the edge is unique because the builder rejects duplicates.  No
-//! output depends on the order in which equal keys pop: distances are
-//! unique, and a node's parent is its smallest-id predecessor on a shortest
-//! path.  Weights are positive, so every such predecessor has a strictly
-//! smaller distance and relaxes the node before it settles.  That rule also
-//! lets a caller holding a forward distance row recover any node's parent
-//! without a run: it is the smallest-id in-neighbour `y` with
+//! and indexed by each member's position in the list.  The loop stops once
+//! every slot is settled, or when its queue runs dry.
+//!
+//! The queue follows the graph's weights.  When [`DiGraph::max_weight`] is
+//! below the ring limit (`RING_LIMIT`, 4096) it is Dial's bucket ring: one
+//! bucket of node ids per distance, a power of two of them covering
+//! `max_weight + 1` consecutive distances, so every entry is filed once and
+//! popped by walking the ring.  The walk may pass at most `2 · (n + m)` empty
+//! buckets (`SCAN_BUDGET`); a run that needs more (a graph whose distances
+//! are sparse against its size, such as a chordless ring of heavy edges)
+//! hands its filed entries to a radix heap, which finishes the run, so no
+//! graph pays a scan per distance value.  At or above the limit the queue is
+//! a monotone radix heap from the start, which handles any weight.  The ring
+//! and its radix heap live in per-thread scratch and are reused run after
+//! run; a run that finds the ring holding entries (left by a run that
+//! stopped once every slot settled, or panicked) empties it first.
+//!
+//! Each tree-edge port is looked up once after the loop from the node's final
+//! parent (`parent → v` forward, `v → parent` reverse); the edge is unique
+//! because the builder rejects duplicates.  No output depends on the queue
+//! or on the order in which equal keys pop: distances are unique, and a
+//! node's parent is its smallest-id predecessor on a shortest path.  Weights
+//! are positive, so every such predecessor has a strictly smaller distance
+//! and relaxes the node before it settles; for the same reason the last node
+//! to settle relaxes nothing, which is why the loop may stop there.  That
+//! rule also lets a caller holding a forward distance row recover any node's
+//! parent without a run: it is the smallest-id in-neighbour `y` with
 //! `d(y) + w(y, x) = d(x)`.
 
 use crate::graph::DiGraph;
 use crate::types::{Distance, NodeId, Port, Weight, INFINITY};
+use std::cell::RefCell;
+
+/// Graphs whose [`DiGraph::max_weight`] is below this run on the bucket
+/// ring; the others on the radix heap.  A power of two: the per-thread ring
+/// holds this many buckets.
+const RING_LIMIT: Weight = 4096;
+
+/// Empty buckets a ring run may pass, per node and per edge of the graph,
+/// before it hands its entries to the radix heap.
+const SCAN_BUDGET: usize = 2;
 
 /// The result of a single-source (or single-sink) shortest path computation.
 ///
@@ -119,6 +146,15 @@ impl ShortestPathTree {
     }
 }
 
+/// A priority queue of `(distance, node)` entries for the relaxation loop.
+/// Dijkstra never pushes a key below the last key popped.
+trait MonotoneQueue {
+    fn push(&mut self, key: Distance, node: NodeId);
+
+    /// An entry with the smallest key, or `None` once the queue is empty.
+    fn pop(&mut self) -> Option<(Distance, NodeId)>;
+}
+
 /// Monotone radix heap of `(distance, node)` entries (Ahuja, Mehlhorn, Orlin
 /// and Tarjan, 1990).
 ///
@@ -135,14 +171,22 @@ struct RadixHeap {
 }
 
 impl RadixHeap {
-    fn new() -> Self {
-        RadixHeap { last: 0, buckets: std::array::from_fn(|_| Vec::new()) }
+    const fn new() -> Self {
+        RadixHeap { last: 0, buckets: [const { Vec::new() }; Distance::BITS as usize + 1] }
+    }
+
+    /// Empties the heap, keeping its allocations, for keys from `last` on.
+    fn restart_at(&mut self, last: Distance) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.last = last;
     }
 
     fn bucket(&self, key: Distance) -> usize {
         (Distance::BITS - (key ^ self.last).leading_zeros()) as usize
     }
+}
 
+impl MonotoneQueue for RadixHeap {
     fn push(&mut self, key: Distance, node: NodeId) {
         debug_assert!(key >= self.last, "radix heap keys must not decrease");
         let b = self.bucket(key);
@@ -165,15 +209,158 @@ impl RadixHeap {
     }
 }
 
-/// The one relaxation loop behind every entry point of this module.
-///
+/// Dial's bucket ring (see the module docs): bucket `key & mask` holds the
+/// nodes filed at `key`, and every filed key lies in `cur ..= cur + mask`,
+/// so a bucket's key is always known from the walk position `cur`.  When
+/// the walk has spent its budget the ring spills every entry into its radix
+/// heap (`overflow`), which serves the rest of the run.
+struct BucketRing {
+    /// [`RING_LIMIT`] buckets once the thread's first ring run allocates
+    /// them; a run uses the first `mask + 1`.
+    buckets: Vec<Vec<NodeId>>,
+    mask: usize,
+    cur: Distance,
+    /// Entries filed in the buckets and not yet popped.
+    len: usize,
+    /// Empty buckets the walk may still pass.
+    budget: usize,
+    overflow: RadixHeap,
+    spilled: bool,
+}
+
+thread_local! {
+    static RING: RefCell<BucketRing> = const {
+        RefCell::new(BucketRing {
+            buckets: Vec::new(),
+            mask: 0,
+            cur: 0,
+            len: 0,
+            budget: 0,
+            overflow: RadixHeap::new(),
+            spilled: false,
+        })
+    };
+}
+
+impl BucketRing {
+    /// Readies the ring for a run on `g`, whose largest weight is below
+    /// [`RING_LIMIT`]: empties the buckets an earlier run left filled (one
+    /// that stopped once every node settled, or panicked), then sizes the
+    /// window to `max_weight + 1` keys and the walk to the scan budget.
+    fn start(&mut self, g: &DiGraph) {
+        // Every entry left behind lies within one lap of `cur`.
+        let mut at = self.cur as usize;
+        while self.len > 0 {
+            let bucket = &mut self.buckets[at & self.mask];
+            self.len -= bucket.len();
+            bucket.clear();
+            at += 1;
+        }
+        if self.buckets.is_empty() {
+            self.buckets.resize_with(RING_LIMIT as usize, Vec::new);
+        }
+        self.mask = (g.max_weight() as usize + 1).next_power_of_two() - 1;
+        self.cur = 0;
+        self.budget = SCAN_BUDGET * (g.node_count() + g.edge_count());
+        self.spilled = false;
+    }
+
+    /// Moves every filed entry, with its key, into the emptied radix heap.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self) {
+        self.overflow.restart_at(self.cur);
+        let mut key = self.cur;
+        while self.len > 0 {
+            let bucket = &mut self.buckets[key as usize & self.mask];
+            self.len -= bucket.len();
+            for node in bucket.drain(..) {
+                self.overflow.push(key, node);
+            }
+            key += 1;
+        }
+        self.spilled = true;
+    }
+
+    // The spilled paths stay out of line, so that the ring's own push and
+    // pop are small enough to inline into the relaxation loop.
+
+    #[cold]
+    #[inline(never)]
+    fn push_spilled(&mut self, key: Distance, node: NodeId) {
+        self.overflow.push(key, node);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn pop_spilled(&mut self) -> Option<(Distance, NodeId)> {
+        self.overflow.pop()
+    }
+}
+
+impl MonotoneQueue for BucketRing {
+    fn push(&mut self, key: Distance, node: NodeId) {
+        if self.spilled {
+            return self.push_spilled(key, node);
+        }
+        debug_assert!(key >= self.cur && key - self.cur <= self.mask as Distance);
+        self.buckets[key as usize & self.mask].push(node);
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<(Distance, NodeId)> {
+        if self.spilled {
+            return self.pop_spilled();
+        }
+        if self.len == 0 {
+            return None;
+        }
+        loop {
+            if let Some(node) = self.buckets[self.cur as usize & self.mask].pop() {
+                self.len -= 1;
+                return Some((self.cur, node));
+            }
+            if self.budget == 0 {
+                self.spill();
+                return self.pop_spilled();
+            }
+            self.budget -= 1;
+            self.cur += 1;
+        }
+    }
+}
+
 /// Fills `dist` from `root`, along in-edges when `reverse` and out-edges
-/// otherwise.  `slot` gives the entry of `dist` (and `parent`) that a node
-/// occupies — its index, or its position in a sorted member list — and
-/// `None` for nodes the run must not use; the root must have one.  With
-/// `parent` it also keeps each node's smallest-id predecessor on a shortest
-/// path.
+/// otherwise, on the queue the module docs name.  `slot` gives the entry of
+/// `dist` (and `parent`) that a node occupies — its index, or its position
+/// in a sorted member list — and `None` for nodes the run must not use; the
+/// root must have one.  `dist` arrives all [`INFINITY`] and `parent`, when
+/// given, all `None`; with `parent` the run also keeps each node's
+/// smallest-id predecessor on a shortest path.
 fn relax(
+    g: &DiGraph,
+    root: NodeId,
+    reverse: bool,
+    slot: impl Fn(NodeId) -> Option<usize>,
+    dist: &mut [Distance],
+    parent: Option<&mut [Option<NodeId>]>,
+) {
+    assert!(root.index() < g.node_count(), "root out of range");
+    if g.max_weight() < RING_LIMIT {
+        RING.with_borrow_mut(|ring| {
+            ring.start(g);
+            relax_on(ring, g, root, reverse, slot, dist, parent);
+        });
+    } else {
+        relax_on(&mut RadixHeap::new(), g, root, reverse, slot, dist, parent);
+    }
+}
+
+/// The one relaxation loop behind every entry point of this module, on
+/// either queue (see [`relax`]).  It stops once every slot is settled, or
+/// when the queue runs dry.
+fn relax_on(
+    queue: &mut impl MonotoneQueue,
     g: &DiGraph,
     root: NodeId,
     reverse: bool,
@@ -181,17 +368,20 @@ fn relax(
     dist: &mut [Distance],
     mut parent: Option<&mut [Option<NodeId>]>,
 ) {
-    assert!(root.index() < g.node_count(), "root out of range");
-    dist.fill(INFINITY);
+    queue.push(0, root);
     dist[slot(root).expect("the root is a member")] = 0;
-    let mut heap = RadixHeap::new();
-    heap.push(0, root);
-
-    while let Some((d, u)) = heap.pop() {
+    let mut unsettled = dist.len();
+    while let Some((d, u)) = queue.pop() {
         // A node's keys are pushed strictly decreasing, so only the entry
         // equal to its distance is live.
         if d > dist[slot(u).expect("only nodes with a slot are pushed")] {
             continue;
+        }
+        unsettled -= 1;
+        if unsettled == 0 {
+            // Every other node settled no later, so `u`'s arcs can neither
+            // shorten a distance nor tie one.
+            return;
         }
         let mut relax_arc = |v: NodeId, weight: Weight| {
             let Some(i) = slot(v) else {
@@ -201,7 +391,7 @@ fn relax(
             let improved = nd < dist[i];
             if improved {
                 dist[i] = nd;
-                heap.push(nd, v);
+                queue.push(nd, v);
             }
             // Ties go to the smaller parent id: repeated builds agree.
             if let Some(parent) = parent.as_deref_mut() {
@@ -323,7 +513,7 @@ pub fn dijkstra_reverse_within<'m>(
 /// range.
 pub fn distances_from(g: &DiGraph, source: NodeId) -> Vec<Distance> {
     let mut dist = vec![INFINITY; g.node_count()];
-    distances_from_into(g, source, &mut dist);
+    relax(g, source, false, node_slot, &mut dist, None);
     dist
 }
 
@@ -332,6 +522,7 @@ pub fn distances_from(g: &DiGraph, source: NodeId) -> Vec<Distance> {
 /// or `dist.len()` is not the node count.
 pub fn distances_from_into(g: &DiGraph, source: NodeId, dist: &mut [Distance]) {
     assert_eq!(dist.len(), g.node_count(), "one distance slot per node");
+    dist.fill(INFINITY);
     relax(g, source, false, node_slot, dist, None);
 }
 
@@ -474,7 +665,7 @@ mod tests {
         assert_eq!(path_weight(&g, &[NodeId(0)]), Some(0));
     }
 
-    /// The binary-heap loops this module ran before its radix-heap core,
+    /// The binary-heap loops this module ran before its monotone queues,
     /// kept as the reference every entry point must match bit for bit.
     mod reference {
         use crate::algo::dijkstra::ShortestPathTree;
@@ -610,12 +801,40 @@ mod tests {
         assert_eq!(distances_to(g, root), reference::reverse(g, root, None).dist);
     }
 
+    /// Whether the last ring run on this thread spent its scan budget and
+    /// finished on the radix heap.
+    fn ring_spilled() -> bool {
+        RING.with_borrow(|ring| ring.spilled)
+    }
+
+    /// A ring of `n` nodes weighted 1–16 with `n` chords weighing from half
+    /// the ring limit up to `top`, one of them exactly `top`: many shortest
+    /// paths take a chord heavier than half the ring limit, yet distances
+    /// stay dense enough for a ring run to finish within its scan budget.
+    fn heavy_chord_ring(n: usize, seed: u64, top: Weight) -> DiGraph {
+        use crate::generators::{ring_with_chords_weighted, WeightRange};
+        let chords = WeightRange::new(RING_LIMIT / 2, top);
+        let mut g = ring_with_chords_weighted(n, n, seed, WeightRange::new(1, 16), chords).unwrap();
+        let (u, v) = g
+            .nodes()
+            .find_map(|u| g.out_edges(u).iter().find(|e| e.weight > 16).map(|e| (u, e.to)))
+            .expect("the ring has chords");
+        g.set_edge_weight(u, v, top);
+        assert_eq!(g.max_weight(), top);
+        g
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(12))]
 
-        // The radix-heap core against the binary-heap reference: every
-        // family, several roots per graph, and a weighted ring whose chords
-        // weigh up to 2^40 so that distances reach the heap's high buckets.
+        // Both queues against the binary-heap reference: every family,
+        // several roots per graph, a weighted ring whose chords weigh up to
+        // 2^40 so that distances reach the radix heap's high buckets, and
+        // three rings at the switch between the queues: heavy chords one
+        // below the ring limit (the ring, with its widest window), heavy
+        // chords at the limit (the radix heap), and a chordless ring weighted
+        // just below the limit, whose runs spend their scan budget and finish
+        // on the radix heap.
         #[test]
         fn every_entry_point_matches_the_binary_heap_reference(
             seed in 0u64..1000,
@@ -634,6 +853,22 @@ mod tests {
                 )
                 .unwrap(),
             );
+            let below = heavy_chord_ring(600 + n, seed, RING_LIMIT - 1);
+            let at = heavy_chord_ring(600 + n, seed, RING_LIMIT);
+            let chordless = ring_with_chords_weighted(
+                n,
+                0,
+                seed,
+                WeightRange::new(RING_LIMIT - 96, RING_LIMIT - 1),
+                WeightRange::unit(),
+            )
+            .unwrap();
+            let root = NodeId::from_index(seed as usize % n);
+            distances_from(&below, root);
+            proptest::prop_assert!(!ring_spilled(), "the ring finishes below the limit");
+            distances_from(&chordless, root);
+            proptest::prop_assert!(ring_spilled(), "the chordless ring spends its budget");
+            graphs.extend([below, at, chordless]);
             for g in &graphs {
                 for i in 0..3 {
                     let root = NodeId::from_index((seed as usize + i * 11) % g.node_count());
@@ -641,6 +876,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    type EdgeTriple = (NodeId, NodeId, Weight);
+
+    /// Every edge as `(tail, head, weight)`, read from the out-slices and
+    /// from the in-slices.
+    fn edge_triples(g: &DiGraph) -> (Vec<EdgeTriple>, Vec<EdgeTriple>) {
+        let mut out: Vec<_> = g
+            .nodes()
+            .flat_map(|u| g.out_edges(u).iter().map(move |e| (u, e.to, e.weight)))
+            .collect();
+        let mut ins: Vec<_> =
+            g.nodes().flat_map(|v| g.in_edges(v).iter().map(move |&(u, w)| (u, v, w))).collect();
+        out.sort_unstable();
+        ins.sort_unstable();
+        (out, ins)
+    }
+
+    #[test]
+    fn fault_plans_keep_the_adjacency_mirrored_and_every_run_exact() {
+        use crate::chaos::{FaultPlan, GraphDelta};
+        use crate::generators::{ring_with_chords_weighted, WeightRange};
+        let mut g = ring_with_chords_weighted(
+            150,
+            450,
+            9,
+            WeightRange::new(1, 16),
+            WeightRange::new(1, 256),
+        )
+        .unwrap();
+        let edges: Vec<(NodeId, NodeId)> =
+            g.nodes().flat_map(|u| g.out_edges(u).iter().map(move |e| (u, e.to))).collect();
+        // Removals with ×4 inflations (the chaos plane's faults, which keep
+        // the ring), then removals with ×64 inflations past the ring limit
+        // and a node outage.
+        let mild = FaultPlan::mixed_from_candidates(&edges, 60, 3, 4, 1);
+        let mut harsh =
+            FaultPlan::mixed_from_candidates(&edges[200..], 60, 2, 64, 2).deltas().to_vec();
+        harsh.insert(30, GraphDelta::IsolateNode { node: NodeId(77) });
+        let harsh = FaultPlan::new(harsh, 2);
+        let mut expected_edges = g.edge_count();
+        for (plan, on_ring) in [(mild, true), (harsh, false)] {
+            let applied = plan.apply(&mut g);
+            let removed = applied.faults.iter().filter(|f| f.new_weight.is_none()).count();
+            expected_edges -= removed;
+            assert_eq!(g.edge_count(), expected_edges, "edge count");
+            let (out, ins) = edge_triples(&g);
+            assert_eq!(out.len(), g.edge_count(), "out-slices hold every edge once");
+            assert_eq!(out, ins, "in-slices mirror out-slices");
+            assert_eq!(g.max_weight() < RING_LIMIT, on_ring, "queue after {plan:?}");
+            for (i, root) in [0, 41, 77, 149].into_iter().enumerate() {
+                assert_matches_reference(&g, NodeId(root), i as u64);
+            }
+        }
+        assert_eq!(g.out_degree(NodeId(77)) + g.in_degree(NodeId(77)), 0);
+    }
+
+    #[test]
+    fn a_run_that_panics_leaves_no_queue_state_behind() {
+        let g = crate::generators::ring_with_chords(200, 600, 3).unwrap();
+        assert!(g.max_weight() < RING_LIMIT);
+        let outsider = NodeId(5);
+        let members: Vec<NodeId> = g.nodes().filter(|&v| v != outsider).collect();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dijkstra_within(&g, outsider, &members)
+        }));
+        assert!(panicked.is_err(), "a root outside the members panics");
+        // The same thread's next run starts from an empty queue.
+        assert_matches_reference(&g, NodeId(9), 0);
     }
 
     /// A small xorshift stream for the heap tests.

@@ -44,30 +44,101 @@ impl Default for PortAssignment {
 /// A strongly typed, positively weighted directed multigraph-free graph in the
 /// fixed-port model.
 ///
-/// The representation is a per-node `Vec<Edge>` (forward adjacency) plus a
-/// per-node reverse adjacency of `(source, weight)` pairs used by reverse
-/// Dijkstra. Nodes are `0..n`. The structure is immutable after construction;
-/// use [`DiGraphBuilder`] to create one.
+/// Each direction is stored in compressed sparse row form: one flat array of
+/// all `m` entries, grouped by node, plus `n + 1` offsets, so node `v`'s
+/// entries are one contiguous slice. The forward array holds [`Edge`]s in
+/// each node's insertion (port-assignment) order; the reverse array holds
+/// `(source, weight)` pairs for reverse Dijkstra, in edge insertion order.
+/// Nodes are `0..n`. Use [`DiGraphBuilder`] to create a graph. The fault
+/// mutations ([`remove_edge`](Self::remove_edge),
+/// [`set_edge_weight`](Self::set_edge_weight),
+/// [`isolate_node`](Self::isolate_node)) edit both arrays in place in
+/// `O(n + m)`, keep every surviving edge's port and order, and recompute the
+/// weight bounds. A clone is four allocations, whatever `n`.
 #[derive(Debug, Clone)]
 pub struct DiGraph {
-    out_edges: Vec<Vec<Edge>>,
-    in_edges: Vec<Vec<(NodeId, Weight)>>,
-    edge_count: usize,
+    out_edges: Csr<Edge>,
+    in_edges: Csr<(NodeId, Weight)>,
     max_weight: Weight,
     min_weight: Weight,
+}
+
+/// One direction of the adjacency: node `v`'s entries are
+/// `items[start[v]..start[v + 1]]`.
+#[derive(Debug, Clone)]
+struct Csr<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// Files each `(owner, item)` under its owner on `n` nodes, keeping the
+    /// input order within each owner.
+    fn new(n: usize, mut entries: Vec<(usize, T)>) -> Self {
+        entries.sort_by_key(|&(owner, _)| owner); // stable
+        let mut start = vec![0; n + 1];
+        for &(owner, _) in &entries {
+            start[owner + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        Csr { start, items: entries.into_iter().map(|(_, item)| item).collect() }
+    }
+
+    fn nodes(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn of(&self, v: usize) -> &[T] {
+        &self.items[self.start[v]..self.start[v + 1]]
+    }
+
+    fn of_mut(&mut self, v: usize) -> &mut [T] {
+        &mut self.items[self.start[v]..self.start[v + 1]]
+    }
+
+    /// Removes entry `at` of `owner`'s slice, shifting every later entry and
+    /// offset down by one.
+    fn remove(&mut self, owner: usize, at: usize) -> T {
+        let item = self.items.remove(self.start[owner] + at);
+        self.start[owner + 1..].iter_mut().for_each(|s| *s -= 1);
+        item
+    }
+
+    /// Keeps the entries `keep(owner, item)` accepts, in order, in one pass.
+    fn retain(&mut self, mut keep: impl FnMut(usize, &T) -> bool) {
+        let mut kept = 0;
+        let mut read = 0;
+        for v in 0..self.nodes() {
+            let end = self.start[v + 1];
+            self.start[v] = kept;
+            for i in read..end {
+                let item = self.items[i];
+                if keep(v, &item) {
+                    self.items[kept] = item;
+                    kept += 1;
+                }
+            }
+            read = end;
+        }
+        let n = self.nodes();
+        self.start[n] = kept;
+        self.items.truncate(kept);
+    }
 }
 
 impl DiGraph {
     /// Number of nodes `n`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.out_edges.len()
+        self.out_edges.nodes()
     }
 
     /// Number of directed edges `m`.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.out_edges.items.len()
     }
 
     /// Largest edge weight `W` (1 if the graph has no edges).
@@ -94,7 +165,7 @@ impl DiGraph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn out_edges(&self, v: NodeId) -> &[Edge] {
-        &self.out_edges[v.index()]
+        self.out_edges.of(v.index())
     }
 
     /// In-edges of `v` as `(source, weight)` pairs.
@@ -104,24 +175,24 @@ impl DiGraph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn in_edges(&self, v: NodeId) -> &[(NodeId, Weight)] {
-        &self.in_edges[v.index()]
+        self.in_edges.of(v.index())
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out_edges[v.index()].len()
+        self.out_edges(v).len()
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_edges[v.index()].len()
+        self.in_edges(v).len()
     }
 
     /// The edge from `u` to `v`, if present.
     pub fn edge(&self, u: NodeId, v: NodeId) -> Option<&Edge> {
-        self.out_edges[u.index()].iter().find(|e| e.to == v)
+        self.out_edges(u).iter().find(|e| e.to == v)
     }
 
     /// The weight of edge `(u, v)`, if present.
@@ -135,7 +206,7 @@ impl DiGraph {
     /// routing tables store ports, and the simulator resolves them through
     /// this method.
     pub fn edge_by_port(&self, u: NodeId, port: Port) -> Option<&Edge> {
-        self.out_edges[u.index()].iter().find(|e| e.port == port)
+        self.out_edges(u).iter().find(|e| e.port == port)
     }
 
     /// The port labelling edge `(u, v)`, if the edge exists.
@@ -179,7 +250,7 @@ impl DiGraph {
 
     /// Total weight of all edges (useful sanity statistic).
     pub fn total_weight(&self) -> u128 {
-        self.out_edges.iter().flat_map(|es| es.iter()).map(|e| e.weight as u128).sum()
+        self.out_edges.items.iter().map(|e| e.weight as u128).sum()
     }
 }
 
@@ -297,23 +368,21 @@ impl DiGraphBuilder {
         if self.n == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        let mut out_edges: Vec<Vec<Edge>> = vec![Vec::new(); self.n];
-        let mut in_edges: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); self.n];
-        let mut max_weight: Weight = 1;
-        let mut min_weight: Weight = Weight::MAX;
-
-        for &(from, to, weight) in &self.edges {
-            out_edges[from.index()].push(Edge { to, weight, port: Port(0) });
-            in_edges[to.index()].push((from, weight));
-            max_weight = max_weight.max(weight);
-            min_weight = min_weight.min(weight);
-        }
-        if self.edges.is_empty() {
-            min_weight = 1;
-        }
+        let mut out_edges = Csr::new(
+            self.n,
+            self.edges
+                .iter()
+                .map(|&(from, to, weight)| (from.index(), Edge { to, weight, port: Port(0) }))
+                .collect(),
+        );
+        let in_edges = Csr::new(
+            self.n,
+            self.edges.iter().map(|&(from, to, weight)| (to.index(), (from, weight))).collect(),
+        );
 
         // Assign ports per node.
-        for (u, edges) in out_edges.iter_mut().enumerate() {
+        for u in 0..self.n {
+            let edges = out_edges.of_mut(u);
             match self.ports {
                 PortAssignment::Consecutive => {
                     for (i, e) in edges.iter_mut().enumerate() {
@@ -347,8 +416,8 @@ impl DiGraphBuilder {
             }
         }
 
-        let g =
-            DiGraph { out_edges, in_edges, edge_count: self.edges.len(), max_weight, min_weight };
+        let mut g = DiGraph { out_edges, in_edges, max_weight: 1, min_weight: 1 };
+        g.recompute_weight_bounds();
         g.validate_ports()?;
         Ok(g)
     }
@@ -359,27 +428,26 @@ impl DiGraph {
     /// edge record (including its port label) or `None` when no such edge
     /// exists.
     ///
-    /// All surviving edges keep their port labels, so routing tables built
-    /// before the removal still resolve — a table entry naming the removed
-    /// port simply stops resolving, which is exactly how a link failure
-    /// manifests in the fixed-port model. Weight bounds are recomputed, so
-    /// this is `O(m)` per call; fault injection applies batches of a few
+    /// All surviving edges keep their port labels and their order, so
+    /// routing tables built before the removal still resolve — a table entry
+    /// naming the removed port simply stops resolving, which is exactly how a
+    /// link failure manifests in the fixed-port model. Both adjacency arrays
+    /// shift their tails and offsets and the weight bounds are recomputed, so
+    /// this is `O(n + m)` per call; fault injection applies batches of a few
     /// hundred, where that is irrelevant.
     ///
     /// # Panics
     ///
     /// Panics if either endpoint is out of range.
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> Option<Edge> {
-        let out = &mut self.out_edges[from.index()];
-        let at = out.iter().position(|e| e.to == to)?;
-        let removed = out.remove(at);
-        let ins = &mut self.in_edges[to.index()];
-        let in_at = ins
+        let at = self.out_edges(from).iter().position(|e| e.to == to)?;
+        let removed = self.out_edges.remove(from.index(), at);
+        let in_at = self
+            .in_edges(to)
             .iter()
             .position(|&(s, _)| s == from)
             .expect("in-edge list out of sync with out-edge list");
-        ins.remove(in_at);
-        self.edge_count -= 1;
+        self.in_edges.remove(to.index(), in_at);
         self.recompute_weight_bounds();
         Some(removed)
     }
@@ -394,10 +462,12 @@ impl DiGraph {
     /// (weights are strictly positive by construction).
     pub fn set_edge_weight(&mut self, from: NodeId, to: NodeId, weight: Weight) -> Option<Weight> {
         assert!(weight > 0, "edge weights are strictly positive");
-        let edge = self.out_edges[from.index()].iter_mut().find(|e| e.to == to)?;
+        let edge = self.out_edges.of_mut(from.index()).iter_mut().find(|e| e.to == to)?;
         let old = edge.weight;
         edge.weight = weight;
-        let entry = self.in_edges[to.index()]
+        let entry = self
+            .in_edges
+            .of_mut(to.index())
             .iter_mut()
             .find(|&&mut (s, _)| s == from)
             .expect("in-edge list out of sync with out-edge list");
@@ -406,47 +476,36 @@ impl DiGraph {
         Some(old)
     }
 
-    /// Removes every edge incident to `node` (both directions), returning the
-    /// removed `(from, to, weight)` records. The node itself remains (ids are
-    /// dense), it just becomes isolated — which breaks strong connectivity,
-    /// so callers modelling a node outage must treat the whole metric as
-    /// invalidated.
+    /// Removes every edge incident to `node` (both directions) in one
+    /// `O(n + m)` pass, returning the removed `(from, to, weight)` records:
+    /// its out-edges in port order, then its in-edges. The node itself
+    /// remains (ids are dense), it just becomes isolated — which breaks
+    /// strong connectivity, so callers modelling a node outage must treat the
+    /// whole metric as invalidated.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub fn isolate_node(&mut self, node: NodeId) -> Vec<(NodeId, NodeId, Weight)> {
-        let mut removed = Vec::new();
-        let outs: Vec<NodeId> = self.out_edges[node.index()].iter().map(|e| e.to).collect();
-        for to in outs {
-            if let Some(e) = self.remove_edge(node, to) {
-                removed.push((node, to, e.weight));
-            }
-        }
-        let ins: Vec<NodeId> = self.in_edges[node.index()].iter().map(|&(s, _)| s).collect();
-        for from in ins {
-            if let Some(e) = self.remove_edge(from, node) {
-                removed.push((from, node, e.weight));
-            }
-        }
+        let removed: Vec<(NodeId, NodeId, Weight)> = self
+            .out_edges(node)
+            .iter()
+            .map(|e| (node, e.to, e.weight))
+            .chain(self.in_edges(node).iter().map(|&(from, weight)| (from, node, weight)))
+            .collect();
+        let v = node.index();
+        self.out_edges.retain(|u, e| u != v && e.to != node);
+        self.in_edges.retain(|u, &(from, _)| u != v && from != node);
+        self.recompute_weight_bounds();
         removed
     }
 
-    /// Re-derives `max_weight` / `min_weight` after an in-place mutation.
+    /// Re-derives `max_weight` / `min_weight` after construction or an
+    /// in-place mutation.
     fn recompute_weight_bounds(&mut self) {
-        let mut max_weight: Weight = 1;
-        let mut min_weight: Weight = Weight::MAX;
-        for es in &self.out_edges {
-            for e in es {
-                max_weight = max_weight.max(e.weight);
-                min_weight = min_weight.min(e.weight);
-            }
-        }
-        if self.edge_count == 0 {
-            min_weight = 1;
-        }
-        self.max_weight = max_weight;
-        self.min_weight = min_weight;
+        let weights = self.out_edges.items.iter().map(|e| e.weight);
+        self.max_weight = weights.clone().max().unwrap_or(1);
+        self.min_weight = weights.min().unwrap_or(1);
     }
 
     /// Verifies that port labels are unique per node.

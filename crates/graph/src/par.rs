@@ -8,7 +8,8 @@
 //! * `rtr_cover`: the per-cluster double trees and routers of
 //!   `LevelCover::build_trees`;
 //! * `rtr_namedep`: the per-landmark columns of the landmark column pass
-//!   (`LandmarkSweep::finish`);
+//!   (`LandmarkSweep::finish`) and the per-destination next-hop columns of
+//!   `ExactOracleScheme::build`;
 //! * `rtr_core`: the per-node §2 and §3 tables of `StretchSix` and
 //!   `ExStretch`;
 //! * `rtr_metric`: the rows of the dense `DistanceMatrix`.

@@ -2,6 +2,7 @@
 
 use crate::substrate::{LabelBits, NameDependentSubstrate};
 use rtr_graph::algo::dijkstra::dijkstra_reverse;
+use rtr_graph::par::par_blocks_mut;
 use rtr_graph::{DiGraph, NodeId, Port};
 use rtr_sim::{id_bits, ForwardAction, RoutingError, TableStats};
 
@@ -36,7 +37,9 @@ pub struct ExactOracleScheme {
 }
 
 impl ExactOracleScheme {
-    /// Builds the oracle with one reverse Dijkstra per destination.
+    /// Builds the oracle with one reverse Dijkstra per destination, the
+    /// destinations' columns filled in parallel.  Each column reads only the
+    /// graph, so the ports are the same for any thread count.
     ///
     /// # Panics
     ///
@@ -44,12 +47,12 @@ impl ExactOracleScheme {
     pub fn build(g: &DiGraph) -> Self {
         g.require_strongly_connected().unwrap_or_else(|e| panic!("ExactOracleScheme::build: {e}"));
         let n = g.node_count();
-        let mut next_port = Vec::with_capacity(n);
-        for t in g.nodes() {
-            let tree = dijkstra_reverse(g, t);
-            let ports: Vec<Option<Port>> = g.nodes().map(|v| tree.parent_port[v.index()]).collect();
-            next_port.push(ports);
-        }
+        let mut next_port = vec![Vec::new(); n];
+        par_blocks_mut(&mut next_port, |start, block| {
+            for (offset, column) in block.iter_mut().enumerate() {
+                *column = dijkstra_reverse(g, NodeId::from_index(start + offset)).parent_port;
+            }
+        });
         ExactOracleScheme { n, next_port }
     }
 
@@ -142,6 +145,18 @@ mod tests {
             for v in g.nodes() {
                 let (_, w) = drive(&g, &oracle, u, oracle.label_for(v));
                 assert_eq!(w, m.distance(u, v), "{}", family.name());
+            }
+        }
+    }
+
+    #[test]
+    fn every_column_is_the_serial_reverse_tree_of_its_destination() {
+        for family in Family::ALL {
+            let g = family.generate(40, 8).unwrap();
+            let oracle = ExactOracleScheme::build(&g);
+            for t in g.nodes() {
+                let serial = dijkstra_reverse(&g, t).parent_port;
+                assert_eq!(oracle.next_port[t.index()], serial, "{} column {t}", family.name());
             }
         }
     }
